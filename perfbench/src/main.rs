@@ -280,7 +280,7 @@ pub fn layer_metrics(
     out.push(Metric::new("unattributed.busy_s", unattributed, "s"));
     out.push(Metric::new(
         "serve.predict.rows",
-        rec.layers[Layer::ServePredict as usize].rows as f64,
+        rec.predict_rows as f64,
         "count",
     ));
     // Batch fill and queue depth come from the engine's public stats.
@@ -302,10 +302,9 @@ fn json_line(correct: bool, outcome: &Outcome) -> String {
         .metrics
         .iter()
         .map(|m| {
-            let value = if m.value.is_finite() { m.value } else { 0.0 };
             format!(
                 "\"{}\": {{\"value\": {:?}, \"unit\": \"{}\"}}",
-                m.name, value, m.unit
+                m.name, m.value, m.unit
             )
         })
         .collect();
@@ -339,7 +338,7 @@ fn main() -> ExitCode {
         args.seconds,
         u8::from(args.trace),
     );
-    let outcome = match args.workload.as_str() {
+    let mut outcome = match args.workload.as_str() {
         "cartpole-matrix" => matrix::run(&args),
         "highdim-1024" => highdim::run(&args),
         "serve-10k" => serve::run(&args),
@@ -348,6 +347,11 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
+    // A non-finite figure would not be valid JSON; it also means a failure.
+    for m in outcome.metrics.iter_mut().filter(|m| !m.value.is_finite()) {
+        m.value = 0.0;
+        outcome.consistent = false;
+    }
     let correct = outcome.failed == 0 && outcome.consistent && outcome.attempted > 0;
     for m in &outcome.metrics {
         println!("# {} {} = {} {}", args.workload, m.name, m.value, m.unit);

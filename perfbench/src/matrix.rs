@@ -132,7 +132,7 @@ pub fn run(args: &Args) -> Outcome {
     }
     println!(
         "# cartpole-matrix rounds = {}, env steps = {}",
-        trials.len() / 7,
+        trials.len() / Design::all_designs().len(),
         trials.iter().map(|t| t.steps).sum::<usize>()
     );
 

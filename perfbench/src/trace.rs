@@ -151,8 +151,6 @@ pub struct LayerStats {
     pub busy_ns: u64,
     /// Per-call self time.
     pub hist: LogHist,
-    /// Batch rows evaluated (serve.predict only).
-    pub rows: u64,
 }
 
 struct Open {
@@ -180,6 +178,8 @@ const SPAN_CAPACITY: usize = 1 << 18;
 pub struct Recorder {
     epoch: Instant,
     pub layers: Vec<LayerStats>,
+    /// Batch rows evaluated by `serve.predict`.
+    pub predict_rows: u64,
     stack: Vec<Open>,
     spans: Vec<SpanRecord>,
     pub dropped: u64,
@@ -196,9 +196,9 @@ impl Recorder {
                     calls: 0,
                     busy_ns: 0,
                     hist: LogHist::new(),
-                    rows: 0,
                 })
                 .collect(),
+            predict_rows: 0,
             stack: Vec::with_capacity(64),
             spans: Vec::with_capacity(SPAN_CAPACITY),
             dropped: 0,
@@ -337,7 +337,7 @@ pub fn set_round(round: u64) {
 
 /// Count rows evaluated by `serve.predict`.
 fn add_predict_rows(rows: usize) {
-    with(|r| r.layers[Layer::ServePredict as usize].rows += rows as u64);
+    with(|r| r.predict_rows += rows as u64);
 }
 
 /// Close the episode span at the top of the stack, if there is one.
