@@ -2,6 +2,12 @@
 //! the noise-padded CartPole (obs dim 64) trains through `Trainer::run_vec`
 //! with E = 16 parallel episodes and the default RLS chunk cap, so one P₀
 //! solve and then batch-B RLS chunks carry the run.
+//!
+//! Its figures are not calibrated (see [`crate::calib`]): a trial runs for
+//! about ten seconds on both cores, so readings on one core before and
+//! after it do not follow the host through it, and the trial slows with the
+//! host far less than the reference kernel does. A calibrated figure
+//! spread more than the raw one over the same runs.
 
 use crate::trace::{self, Family, Layer, TracedAgent, TracedEnv};
 use crate::{

@@ -15,6 +15,7 @@
 //! `perfbench/run.py` builds this binary and passes the toolchain and
 //! source revision through `--rustc`/`--rev` for the header.
 
+mod calib;
 mod highdim;
 mod matrix;
 mod serve;
@@ -168,6 +169,9 @@ pub struct Trial {
     pub steps: usize,
     /// Wall time of the trainer call.
     pub wall_s: f64,
+    /// `setup_s` and `wall_s` in nominal-host seconds (see [`calib`]).
+    pub setup_cal_s: f64,
+    pub wall_cal_s: f64,
     pub ok: bool,
 }
 
@@ -193,6 +197,8 @@ impl Trial {
                 returns: Vec::new(),
                 steps: 0,
                 wall_s: 0.0,
+                setup_cal_s: setup_s,
+                wall_cal_s: 0.0,
                 ok: false,
             };
         };
@@ -215,8 +221,17 @@ impl Trial {
             returns: returns.iter().map(|v| v.to_bits()).collect(),
             steps: result.total_steps,
             wall_s: wall.as_secs_f64(),
+            setup_cal_s: setup_s,
+            wall_cal_s: wall.as_secs_f64(),
             ok,
         }
+    }
+
+    /// Scale set-up and trainer time by the host's slowdown over each.
+    pub fn calibrate(mut self, setup_slowdown: f64, run_slowdown: f64) -> Self {
+        self.setup_cal_s = self.setup_s / setup_slowdown;
+        self.wall_cal_s = self.wall_s / run_slowdown;
+        self
     }
 
     /// Whether two passes produced the same trajectories, bit for bit.

@@ -3,6 +3,7 @@
 //! `Trainer::run` loop for a fixed episode budget with stop-on-solve off, so
 //! the work in a round does not depend on when a seed solves.
 
+use crate::calib::Calibrator;
 use crate::trace::{self, Family, Layer, TracedAgent, TracedEnv};
 use crate::{
     layer_metrics, median, pass_order, peak_rss_mib, timed, Args, Metric, Outcome, Pass, Trial,
@@ -38,7 +39,7 @@ fn build_agent(design: Design, spec: &EnvSpec, rng: &mut SmallRng) -> Box<dyn Ba
 
 /// Run one trial; with `traced` the agent and environment go through the
 /// timing decorators and the trial is one span.
-fn trial(design: Design, seed: u64, traced: bool) -> Trial {
+fn trial(design: Design, seed: u64, traced: bool, cal: &mut Calibrator) -> Trial {
     let spec = Workload::CartPole.spec();
     let config = TrialSpec::new(design, HIDDEN, seed)
         .with_max_episodes(EPISODES)
@@ -47,6 +48,7 @@ fn trial(design: Design, seed: u64, traced: bool) -> Trial {
     let trainer = Trainer::new(config);
     let mut rng = SmallRng::seed_from_u64(seed);
     let (setup_s, (agent, env)) = timed(|| (build_agent(design, &spec, &mut rng), spec.make_env()));
+    let setup_slowdown = cal.mark();
     let run = catch_unwind(AssertUnwindSafe(|| {
         if traced {
             let mut agent = TracedAgent::new(agent, Family::of(design));
@@ -64,48 +66,58 @@ fn trial(design: Design, seed: u64, traced: bool) -> Trial {
             (result, start.elapsed())
         }
     }));
-    Trial::check(design, setup_s, run, EPISODES, false)
+    let run_slowdown = cal.mark();
+    Trial::check(design, setup_s, run, EPISODES, false).calibrate(setup_slowdown, run_slowdown)
 }
 
 /// Run one round of all seven designs into `pass`.
-fn round(seed: u64, round: u64, traced: bool, pass: &mut Pass<Trial>) {
+fn round(seed: u64, round: u64, traced: bool, pass: &mut Pass<Trial>, cal: &mut Calibrator) {
     let start = Instant::now();
     let trial_seed = split_seed(seed, round);
     for design in Design::all_designs() {
-        pass.items.push(trial(design, trial_seed, traced));
+        pass.items.push(trial(design, trial_seed, traced, cal));
     }
     pass.wall_s += start.elapsed().as_secs_f64();
 }
 
 /// Env steps per second of one design family: its env steps over the summed
-/// wall time of its own trial calls in each round, median over rounds (so a
-/// burst of host load that slows a few rounds does not move the figure).
-fn family_rate(trials: &[Trial], family: Family) -> f64 {
+/// time (`wall` of each trial) of its own trial calls in each round, median
+/// over rounds (so a burst of host load that slows a few rounds does not
+/// move the figure).
+fn family_rate(trials: &[Trial], family: Family, wall: fn(&Trial) -> f64) -> f64 {
     let per_round: Vec<f64> = trials
         .chunks(Design::all_designs().len())
         .map(|round| {
-            let (steps, wall) = round
+            let (steps, secs) = round
                 .iter()
                 .filter(|t| Family::of(t.design) == family)
-                .fold((0usize, 0.0f64), |(s, w), t| (s + t.steps, w + t.wall_s));
-            steps as f64 / wall
+                .fold((0usize, 0.0f64), |(s, w), t| (s + t.steps, w + wall(t)));
+            steps as f64 / secs
         })
         .collect();
     median(&per_round)
+}
+
+fn geomean(values: &[f64]) -> f64 {
+    (values.iter().map(|v| v.ln()).sum::<f64>() / values.len() as f64).exp()
 }
 
 pub fn run(args: &Args) -> Outcome {
     // Rounds until the time is up (at least one). Traced, each round runs
     // untraced and traced, so both passes see the same host conditions.
     let (mut plain, mut traced) = (Pass::default(), Pass::default());
-    if args.trace {
+    let mut cal = if args.trace {
         trace::start();
-    }
+        Calibrator::off()
+    } else {
+        Calibrator::new()
+    };
     let start = Instant::now();
     let mut r = 0;
     while r == 0 || start.elapsed().as_secs_f64() < args.seconds {
         for &t in pass_order(args.trace, r) {
-            round(args.seed, r, t, if t { &mut traced } else { &mut plain });
+            let pass = if t { &mut traced } else { &mut plain };
+            round(args.seed, r, t, pass, &mut cal);
         }
         r += 1;
     }
@@ -125,11 +137,19 @@ pub fn run(args: &Args) -> Outcome {
     ];
     let rates: Vec<f64> = families
         .iter()
-        .map(|&(_, f)| family_rate(trials, f))
+        .map(|&(_, f)| family_rate(trials, f, |t| t.wall_cal_s))
         .collect();
-    for (&(name, _), rate) in families.iter().zip(&rates) {
-        println!("# cartpole-matrix {name} = {rate} 1/s");
+    let raw: Vec<f64> = families
+        .iter()
+        .map(|&(_, f)| family_rate(trials, f, |t| t.wall_s))
+        .collect();
+    for ((&(name, _), rate), raw) in families.iter().zip(&rates).zip(&raw) {
+        println!("# cartpole-matrix {name} = {rate} 1/s (uncalibrated {raw} 1/s)");
     }
+    println!(
+        "# cartpole-matrix uncalibrated throughput = {} 1/s",
+        geomean(&raw)
+    );
     println!(
         "# cartpole-matrix rounds = {}, env steps = {}",
         trials.len() / Design::all_designs().len(),
@@ -142,14 +162,13 @@ pub fn run(args: &Args) -> Outcome {
         let setup_s = median(
             &trials
                 .chunks(Design::all_designs().len())
-                .map(|round| round.iter().map(|t| t.setup_s).sum())
+                .map(|round| round.iter().map(|t| t.setup_cal_s).sum())
                 .collect::<Vec<f64>>(),
         );
-        let geomean = (rates.iter().map(|r| r.ln()).sum::<f64>() / rates.len() as f64).exp();
         outcome.metrics = vec![
             Metric::new("setup_s", setup_s, "s"),
             Metric::new("peak_rss_mb", peak_rss_mib(), "MiB"),
-            Metric::new("throughput", geomean, "1/s"),
+            Metric::new("throughput", geomean(&rates), "1/s"),
         ];
         return outcome;
     }

@@ -4,6 +4,7 @@
 //! 128 and a 200 µs window. Batched inference and coalescing only: no
 //! training layer runs while the clock is measured.
 
+use crate::calib::Calibrator;
 use crate::trace::{self, Family, Layer, TracedAgent};
 use crate::{layer_metrics, median, pass_order, peak_rss_mib, timed, Args, Metric, Outcome};
 use elmrl_core::designs::{Design, DesignConfig};
@@ -31,13 +32,15 @@ const WARMUP_EPISODES: usize = 20;
 /// Set-ups timed before and again after the measured loop (with the served
 /// instance dropped, so memory peaks stay those of one instance);
 /// `setup_s` is their median.
-const SETUP_REPS: usize = 3;
+const SETUP_REPS: usize = 8;
 /// Rounds of the virtual-clock pass whose response digest must match the
 /// library's own `run_serve`.
 const CHECK_ROUNDS: u64 = 30;
 /// Rounds per block when the traced run alternates the untraced and the
 /// traced instance.
 const TRACE_BLOCK_ROUNDS: u64 = 50;
+/// Rounds per block between two host-speed readings in the untraced run.
+const CAL_BLOCK_ROUNDS: u64 = 16;
 /// The worker seed stream of `elmrl_serve::build_workers`, which the traced
 /// workers replay so they hold bit-identical policies.
 const WORKER_STREAM: u64 = 0x5345_5256_0000_0000;
@@ -120,13 +123,6 @@ impl Drive {
     }
 }
 
-/// How long one `drive` call runs.
-#[derive(Clone, Copy)]
-enum Budget {
-    Seconds(f64),
-    Rounds(u64),
-}
-
 struct Serving {
     engine: ServeEngine,
     driver: SessionDriver,
@@ -172,26 +168,23 @@ fn traced_workers(spec: &EnvSpec, seed: u64) -> Vec<Worker> {
         .collect()
 }
 
-/// Closed-loop rounds of submit → pump → respond until the budget is
-/// spent. On the wall clock the queue is then drained, so every request is
-/// answered and nothing is in flight between calls (`run_serve`'s virtual
-/// passes stop at once). Each response is checked: tickets come back
-/// exactly once and in order, to a real session, with an in-range action.
+/// `rounds` closed-loop rounds of submit → pump → respond. On the wall
+/// clock the queue is then drained, so every request is answered and
+/// nothing is in flight between calls (`run_serve`'s virtual passes stop at
+/// once). Each response is checked: tickets come back exactly once and in
+/// order, to a real session, with an in-range action.
 fn drive(
     s: &mut Serving,
     clock: &mut ServeClock,
     d: &mut Drive,
-    budget: Budget,
+    rounds: u64,
     num_actions: usize,
     traced: bool,
 ) {
     let first_round = d.rounds;
     let start = Instant::now();
     loop {
-        let draining = match budget {
-            Budget::Rounds(n) => d.rounds - first_round >= n,
-            Budget::Seconds(t) => start.elapsed().as_secs_f64() >= t,
-        };
+        let draining = d.rounds - first_round >= rounds;
         if draining && (clock.is_virtual() || s.engine.pending() == 0) {
             break;
         }
@@ -261,29 +254,49 @@ pub fn run(args: &Args) -> Outcome {
         );
         serving(&spec, workers, seed)
     };
-    let mut setup_samples: Vec<f64> = (0..SETUP_REPS).map(|_| timed(setup).0).collect();
-    let mut serve = setup();
     let mut d = Drive::new();
     let mut clock = ServeClock::wall();
     if !args.trace {
-        drive(
-            &mut serve,
-            &mut clock,
-            &mut d,
-            Budget::Seconds(args.seconds),
-            spec.num_actions,
-            false,
-        );
+        let mut cal = Calibrator::new();
+        let setups = |cal: &mut Calibrator| -> Vec<f64> {
+            (0..SETUP_REPS)
+                .map(|_| timed(setup).0 / cal.mark())
+                .collect()
+        };
+        let mut setup_samples = setups(&mut cal);
+        let mut serve = setup();
+        // Blocks of rounds between calibration marks; each block's median
+        // round rate is scaled by the host's slowdown over the block.
+        let mut block_rates = Vec::new();
+        let start = Instant::now();
+        while d.rounds == 0 || start.elapsed().as_secs_f64() < args.seconds {
+            let first = d.round_rates.len();
+            drive(
+                &mut serve,
+                &mut clock,
+                &mut d,
+                CAL_BLOCK_ROUNDS,
+                spec.num_actions,
+                false,
+            );
+            block_rates.push(median(&d.round_rates[first..]) * cal.mark());
+        }
         drop(serve);
-        setup_samples.extend((0..SETUP_REPS).map(|_| timed(setup).0));
+        setup_samples.extend(setups(&mut cal));
         let mut outcome = report(&mut d);
+        println!(
+            "# serve-10k uncalibrated serve_rps = {} 1/s, calibrated over {} blocks",
+            median(&d.round_rates),
+            block_rates.len()
+        );
         outcome.metrics = vec![
             Metric::new("setup_s", median(&setup_samples), "s"),
             Metric::new("peak_rss_mb", peak_rss_mib(), "MiB"),
-            Metric::new("throughput", median(&d.round_rates), "1/s"),
+            Metric::new("throughput", median(&block_rates), "1/s"),
         ];
         return outcome;
     }
+    let mut serve = setup();
 
     // Fidelity: on the virtual clock the traced engine must answer exactly
     // as the library's own untraced run_serve.
@@ -305,7 +318,7 @@ pub fn run(args: &Args) -> Outcome {
         &mut check,
         &mut ServeClock::virtual_clock(),
         &mut virtual_pass,
-        Budget::Rounds(CHECK_ROUNDS),
+        CHECK_ROUNDS,
         spec.num_actions,
         true,
     );
@@ -321,7 +334,6 @@ pub fn run(args: &Args) -> Outcome {
     let mut traced_clock = ServeClock::wall();
     trace::start();
     let start = Instant::now();
-    let block = Budget::Rounds(TRACE_BLOCK_ROUNDS);
     let mut blocks = 0;
     while blocks == 0 || start.elapsed().as_secs_f64() < args.seconds {
         for &is_traced in pass_order(true, blocks) {
@@ -330,7 +342,7 @@ pub fn run(args: &Args) -> Outcome {
                     &mut traced,
                     &mut traced_clock,
                     &mut t,
-                    block,
+                    TRACE_BLOCK_ROUNDS,
                     spec.num_actions,
                     true,
                 );
@@ -339,7 +351,7 @@ pub fn run(args: &Args) -> Outcome {
                     &mut serve,
                     &mut clock,
                     &mut d,
-                    block,
+                    TRACE_BLOCK_ROUNDS,
                     spec.num_actions,
                     false,
                 );
