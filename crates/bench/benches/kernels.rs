@@ -1,10 +1,12 @@
 //! Kernel microbenchmarks (M1): the dense linear-algebra primitives the
 //! OS-ELM update is built from.
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use elmrl_elm::model::ElmModel;
+use elmrl_elm::OsElmConfig;
 use elmrl_fixed::kernels::{matmul_packed_q_into, seq_train_q_into, RlsScratch};
 use elmrl_fixed::Q20;
 use elmrl_linalg::random::uniform_matrix;
-use elmrl_linalg::solve::{inverse_spd, pseudo_inverse};
+use elmrl_linalg::solve::{inverse_spd, lstsq};
 use elmrl_linalg::Matrix;
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 
@@ -42,10 +44,10 @@ fn bench_kernels(c: &mut Criterion) {
         // to its f64 counterpart, and the fused RLS update that replaces
         // matmul + downdate + matmul on the quantized FpgaCore path.
         let aq: Vec<i32> = (0..n * n)
-            .map(|_| Q20::from_f64(rng.gen_range(-1.0..1.0)).to_raw())
+            .map(|_| Q20::from_f64(rng.gen_range(-0.35..0.35)).to_raw())
             .collect();
         let bq: Vec<i32> = (0..n * n)
-            .map(|_| Q20::from_f64(rng.gen_range(-1.0..1.0)).to_raw())
+            .map(|_| Q20::from_f64(rng.gen_range(-0.35..0.35)).to_raw())
             .collect();
         group.bench_with_input(
             BenchmarkId::new("matmul_packed_q20_into", n),
@@ -75,9 +77,21 @@ fn bench_kernels(c: &mut Criterion) {
             })
         });
     }
-    let tall = uniform_matrix::<f64, _>(96, 32, -1.0, 1.0, &mut rng);
-    group.bench_function("pseudo_inverse_96x32", |bench| {
-        bench.iter(|| pseudo_inverse(&tall, 1e-10).unwrap())
+    // The ELM agent's batch solve: Ñ = 64 CartPole-like samples (4 state
+    // features plus the action) through a 64-unit ReLU layer. Many units are
+    // always on or always off over such a batch, so this H has rank 30, the
+    // median rank of the agent's refills.
+    let x = Matrix::from_fn(64, 5, |i, j| {
+        if j == 4 {
+            (i % 2) as f64
+        } else {
+            rng.gen_range(-0.35..0.35)
+        }
+    });
+    let h = ElmModel::<f64>::new(&OsElmConfig::new(5, 64, 1), &mut rng).hidden(&x);
+    let t = uniform_matrix::<f64, _>(64, 1, -1.0, 1.0, &mut rng);
+    group.bench_function("lstsq_relu_h_64x64", |bench| {
+        bench.iter(|| lstsq(&h, &t, 1e-10).unwrap())
     });
     group.finish();
 }

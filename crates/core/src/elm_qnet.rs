@@ -35,7 +35,8 @@ pub struct ElmQNetConfig {
     pub target_sync_episodes: usize,
     /// Q-target construction (γ and clipping).
     pub target: TargetConfig,
-    /// Ridge regularisation for the batch solve (0 = pseudo-inverse).
+    /// Ridge regularisation for the batch solve (0 = minimum-norm least
+    /// squares, `β = H⁺·t`).
     pub l2_delta: f64,
     /// Hidden activation.
     pub activation: HiddenActivation,
@@ -155,8 +156,9 @@ impl ElmQNet {
             let max_next = max_q(&self.q_for(&self.target, &obs.next_state));
             t[(i, 0)] = self.config.target.target(obs.reward, max_next, obs.done);
         }
-        // The pseudo-inverse route tolerates rank deficiency, so a failure is
-        // unexpected; drop the batch rather than poisoning β.
+        // The least-squares solve tolerates rank deficiency, so it fails only
+        // on a non-finite sample or target; drop the batch rather than
+        // poisoning β.
         if self.online.train(&x, &t).is_ok() {
             self.trained_once = true;
         }
@@ -392,6 +394,37 @@ mod tests {
         agent.reset(&mut r);
         assert!(!agent.is_trained());
         assert_eq!(agent.q_values(&[0.0; 4]), vec![0.0, 0.0]);
+    }
+
+    #[test]
+    fn non_finite_refill_leaves_beta_and_training_state() {
+        let mut r = rng(7);
+        let mut agent = ElmQNet::new(ElmQNetConfig::cartpole(8), &mut r);
+        let nan_state = |i: usize| {
+            let mut o = obs(i, 0.0, false);
+            o.state[1] = f64::NAN;
+            o
+        };
+        // A poisoned first refill is dropped: still untrained, β still zero.
+        for i in 0..7 {
+            agent.observe(&obs(i, -1.0, true), &mut r);
+        }
+        agent.observe(&nan_state(7), &mut r);
+        assert!(!agent.is_trained());
+        assert_eq!(agent.online.model().beta(), &Matrix::zeros(8, 1));
+        // A poisoned refill after a good one keeps the trained β.
+        for i in 0..8 {
+            agent.observe(&obs(i, -1.0, true), &mut r);
+        }
+        assert!(agent.is_trained());
+        let beta = agent.online.model().beta().clone();
+        for i in 0..7 {
+            agent.observe(&obs(i, 0.5, false), &mut r);
+        }
+        agent.observe(&nan_state(7), &mut r);
+        assert!(agent.is_trained());
+        assert_eq!(agent.online.model().beta(), &beta);
+        assert_eq!(agent.op_counts().count(OpKind::InitTrain), 3);
     }
 
     #[test]

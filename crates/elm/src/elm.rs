@@ -73,7 +73,8 @@ impl<T: Scalar> Elm<T> {
     }
 
     /// One-shot batch training on `x` (`k × n`) against targets `t` (`k × m`):
-    /// `β ← H⁺·t` (δ = 0) or the ridge solution (δ > 0).
+    /// `β ← H⁺·t` (δ = 0) or the ridge solution (δ > 0). A non-finite entry
+    /// in `x` or `t` is an error and leaves `β` as it was.
     pub fn train(&mut self, x: &Matrix<T>, t: &Matrix<T>) -> Result<(), LinalgError> {
         if x.rows() != t.rows() {
             return Err(LinalgError::ShapeMismatch {
@@ -89,7 +90,17 @@ impl<T: Scalar> Elm<T> {
                 ),
             });
         }
+        // ReLU maps NaN to 0, so a non-finite sample would otherwise reach the
+        // solve as a silent zero row of H.
+        if x.iter().chain(t.iter()).any(|v| !v.to_f64().is_finite()) {
+            return Err(LinalgError::InvalidData {
+                detail: "ELM train: non-finite sample or target".into(),
+            });
+        }
         let h = self.model.hidden(x);
+        // δ = 0: the minimum-norm least-squares β by a rank-revealing complete
+        // orthogonal decomposition. H of a ReLU layer is often far from full
+        // rank, and the pivots below 1e-10·|R₀₀| are dropped.
         let beta = if self.l2_delta > 0.0 {
             ridge_solve(&h, t, T::from_f64(self.l2_delta))?
         } else {
@@ -153,8 +164,8 @@ mod tests {
 
     #[test]
     fn ridge_variant_trains_when_underdetermined() {
-        // Fewer samples than hidden units: the plain pseudo-inverse still
-        // works (SVD route), and the ridge route must also work. The seed is
+        // Fewer samples than hidden units: the plain minimum-norm solve still
+        // works, and the ridge route must also work. The seed is
         // chosen so enough ReLU kinks fall inside the sample interval for the
         // 10×64 hidden matrix to reach full row rank — a prerequisite for the
         // interpolation assertion below.
@@ -231,6 +242,25 @@ mod tests {
         assert!(elm
             .train(&Matrix::<f64>::ones(4, 2), &Matrix::<f64>::ones(4, 2))
             .is_err());
+    }
+
+    #[test]
+    fn non_finite_samples_are_rejected_and_leave_beta() {
+        let mut rng = SmallRng::seed_from_u64(7);
+        let config = OsElmConfig::new(1, 16, 1);
+        let mut elm = Elm::<f64>::new(&config, &mut rng);
+        let (mut x, mut t) = dataset(20);
+        elm.train(&x, &t).unwrap();
+        let beta = elm.model().beta().clone();
+        x[(3, 0)] = f64::NAN;
+        assert!(matches!(
+            elm.train(&x, &t),
+            Err(LinalgError::InvalidData { .. })
+        ));
+        x[(3, 0)] = 0.5;
+        t[(4, 0)] = f64::INFINITY;
+        assert!(elm.train(&x, &t).is_err());
+        assert_eq!(elm.model().beta(), &beta);
     }
 
     #[test]

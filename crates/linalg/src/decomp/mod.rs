@@ -6,10 +6,11 @@
 //!   used by OS-ELM's general batch-size-`k` update.
 //! * **Cholesky** — the symmetric positive-definite solve in ELM / ReOS-ELM
 //!   initial training, `P₀ = (H₀ᵀH₀ + δI)⁻¹`.
-//! * **QR** (Householder) — an alternative route to the ELM pseudo-inverse,
-//!   mentioned alongside SVD in §2.1 of the paper.
-//! * **SVD** (one-sided Jacobi) — the pseudo-inverse and the largest singular
-//!   value `σ_max(α)` used by spectral normalization (Algorithm 1, line 2).
+//! * **QR** (Householder) — the ELM pseudo-inverse (§2.1 names QRD next to
+//!   SVD): its Householder step, run with column pivoting, is the
+//!   rank-revealing least-squares solve behind `β̂ = H⁺·t`.
+//! * **SVD** (one-sided Jacobi) — the largest singular value `σ_max(α)` used
+//!   by spectral normalization (Algorithm 1, line 2).
 
 pub mod cholesky;
 pub mod lu;

@@ -2,13 +2,44 @@
 //!
 //! `A = Q·R` with `Q` orthogonal (`m×m`) and `R` upper-trapezoidal (`m×n`).
 //! The paper lists QRD next to SVD as the decompositions an ELM batch solve
-//! would need on-device (§2.1); we provide it both as an alternative
-//! pseudo-inverse route for full-column-rank systems and as a building block
-//! for least-squares solves in tests and ablations.
+//! would need on-device (§2.1). The Householder step itself (`householder`
+//! and `reflect`) is shared with [`crate::solve::lstsq`], which runs it with
+//! column pivoting as a rank-revealing complete orthogonal decomposition and
+//! never forms `Q` — that is the batch ELM solve. [`Qr`] keeps the explicit
+//! factors for full-column-rank least squares and for tests.
 
 use crate::error::{LinalgError, Result};
 use crate::matrix::Matrix;
 use crate::scalar::Scalar;
+
+/// One Householder step on a column segment `x`: overwrites `x` with the
+/// reflector vector `v` and returns `(α, τ)` such that
+/// `(I − τ·v·vᵀ)·x = α·e₁` for the original `x`, with `|α| = ‖x‖₂`. The sign
+/// of `α` is opposite to `x₀`, so forming `v₀ = x₀ − α` never cancels. A zero
+/// `x` returns `τ = 0`: the reflector is the identity.
+pub(crate) fn householder<T: Scalar>(x: &mut [T]) -> (T, T) {
+    let norm = x.iter().fold(T::zero(), |acc, &v| acc + v * v).sqrt();
+    if norm <= T::zero() {
+        return (T::zero(), T::zero());
+    }
+    let head = x[0];
+    let alpha = if head >= T::zero() { -norm } else { norm };
+    x[0] = head - alpha;
+    // vᵀv = 2‖x‖(‖x‖ + |x₀|), so τ = 2/vᵀv needs no second pass over v.
+    (alpha, T::one() / (norm * (norm + head.abs())))
+}
+
+/// Apply the reflector `I − τ·v·vᵀ` from [`householder`] to `y` in place.
+pub(crate) fn reflect<T: Scalar>(v: &[T], tau: T, y: &mut [T]) {
+    let dot = v
+        .iter()
+        .zip(y.iter())
+        .fold(T::zero(), |acc, (&vi, &yi)| acc + vi * yi);
+    let s = tau * dot;
+    for (yi, &vi) in y.iter_mut().zip(v) {
+        *yi -= s * vi;
+    }
+}
 
 /// Householder QR factorisation.
 #[derive(Clone, Debug)]
@@ -26,66 +57,34 @@ impl<T: Scalar> Qr<T> {
                 detail: format!("QR requires rows >= cols, got {m}x{n}"),
             });
         }
-        let mut r = a.clone();
+        // Row j of `rt` is column j of A (and of R), so every reflector runs
+        // over contiguous memory.
+        let mut rt = a.transpose();
         let mut q = Matrix::<T>::identity(m);
 
-        for k in 0..n.min(m - 1) {
-            // Build the Householder vector for column k below the diagonal.
-            let mut norm_sq = T::zero();
-            for i in k..m {
-                norm_sq += r[(i, k)] * r[(i, k)];
-            }
-            let norm = norm_sq.sqrt();
-            if norm <= T::epsilon() {
+        for k in 0..n.min(m.saturating_sub(1)) {
+            let (done, rest) = rt.as_mut_slice().split_at_mut((k + 1) * m);
+            let col = &mut done[k * m..];
+            let (alpha, tau) = householder(&mut col[k..]);
+            if tau == T::zero() {
                 continue; // column already zero below the diagonal
             }
-            let alpha = if r[(k, k)] >= T::zero() { -norm } else { norm };
-            let mut v = vec![T::zero(); m];
-            v[k] = r[(k, k)] - alpha;
-            for i in (k + 1)..m {
-                v[i] = r[(i, k)];
+            let v = &col[k..];
+            // R <- H_k R on the trailing columns.
+            for c in rest.chunks_exact_mut(m) {
+                reflect(v, tau, &mut c[k..]);
             }
-            let mut v_norm_sq = T::zero();
-            for &vi in v.iter().skip(k) {
-                v_norm_sq += vi * vi;
+            // Q <- Q H_k: H_k is symmetric, so each row of Q is reflected.
+            for row in q.as_mut_slice().chunks_exact_mut(m) {
+                reflect(v, tau, &mut row[k..]);
             }
-            if v_norm_sq <= T::epsilon() {
-                continue;
-            }
-            let two = T::from_f64(2.0);
-
-            // R <- (I - 2 v vᵀ / vᵀv) R
-            for c in k..n {
-                let mut dot = T::zero();
-                for i in k..m {
-                    dot += v[i] * r[(i, c)];
-                }
-                let coeff = two * dot / v_norm_sq;
-                for i in k..m {
-                    let sub = coeff * v[i];
-                    r[(i, c)] -= sub;
-                }
-            }
-            // Q <- Q (I - 2 v vᵀ / vᵀv)
-            for row in 0..m {
-                let mut dot = T::zero();
-                for i in k..m {
-                    dot += q[(row, i)] * v[i];
-                }
-                let coeff = two * dot / v_norm_sq;
-                for i in k..m {
-                    let sub = coeff * v[i];
-                    q[(row, i)] -= sub;
-                }
-            }
+            col[k] = alpha;
+            col[k + 1..].fill(T::zero());
         }
-        // Zero out the numerical noise below the diagonal of R.
-        for i in 0..m {
-            for j in 0..n.min(i) {
-                r[(i, j)] = T::zero();
-            }
-        }
-        Ok(Self { q, r })
+        Ok(Self {
+            q,
+            r: rt.transpose(),
+        })
     }
 
     /// The orthogonal factor `Q` (`m × m`).

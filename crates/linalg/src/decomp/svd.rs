@@ -7,9 +7,15 @@
 //! One-sided Jacobi was chosen deliberately: it uses only multiply, add and
 //! divide plus a square root per rotation — the same operation set the FPGA
 //! core has — and it is simple enough to reason about convergence on
-//! fixed-point data. The paper needs SVD twice: the pseudo-inverse of `H` in
-//! batch ELM training, and `σ_max(α)` for spectral normalization (Algorithm 1,
-//! line 2).
+//! fixed-point data. Its one caller is `σ_max(α)` for spectral normalization
+//! (Algorithm 1, line 2; [`crate::norms::spectral_norm_exact`]). The
+//! pseudo-inverse and the batch ELM solve go through
+//! [`crate::solve::lstsq`] instead.
+//!
+//! The large singular values are accurate, but the small ones only to about
+//! `1e-10·σ_max`: on an exactly rank-deficient matrix the zero singular values
+//! come out near that level, and their `U` columns are not orthonormal. Do not
+//! use this decomposition for rank decisions.
 
 use crate::error::{LinalgError, Result};
 use crate::matrix::Matrix;

@@ -17,7 +17,8 @@
 //! * [`Matrix`] — a row-major dense matrix.
 //! * [`Vector`] — a dense vector (thin wrapper over a single-column matrix's data).
 //! * [`decomp`] — LU, Cholesky, QR (Householder) and one-sided Jacobi SVD.
-//! * [`solve`] — linear solves, inverses, Moore–Penrose pseudo-inverse.
+//! * [`solve`] — linear solves, inverses, minimum-norm least squares and the
+//!   Moore–Penrose pseudo-inverse (complete orthogonal decomposition).
 //! * [`norms`] — Frobenius/L2/∞ norms and power-iteration spectral norm.
 //! * [`random`] — seeded random matrix initialisation used by ELM's `α`.
 //!

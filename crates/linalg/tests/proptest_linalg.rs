@@ -185,11 +185,18 @@ proptest! {
     }
 
     #[test]
-    fn pseudo_inverse_moore_penrose((m, n) in small_dims(), seed in 0u64..200) {
-        let a = seeded_matrix(m, n, seed);
+    fn pseudo_inverse_moore_penrose((m, n) in small_dims(), k in 1usize..7, seed in 0u64..200) {
+        // A product of m×k and k×n factors has rank min(k, m, n), so this
+        // covers rank-deficient inputs as well as full-rank ones.
+        let a = seeded_matrix(m, k, seed).matmul(&seeded_matrix(k, n, seed.wrapping_add(17)));
         let p = pseudo_inverse(&a, 1e-10).unwrap();
         prop_assert!(a.matmul(&p).matmul(&a).max_abs_diff(&a) < 1e-6);
         prop_assert!(p.matmul(&a).matmul(&p).max_abs_diff(&p) < 1e-6);
+        // Symmetry of A·A⁺ and A⁺·A pins the minimum-norm solution.
+        let aap = a.matmul(&p);
+        prop_assert!(aap.transpose().max_abs_diff(&aap) < 1e-6);
+        let apa = p.matmul(&a);
+        prop_assert!(apa.transpose().max_abs_diff(&apa) < 1e-6);
     }
 
     #[test]
