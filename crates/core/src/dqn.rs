@@ -15,7 +15,8 @@ use crate::ops::{OpCounts, OpKind};
 use crate::policy::ExploitPolicy;
 use elmrl_linalg::Matrix;
 use elmrl_nn::{
-    Activation, Adam, Loss, Mlp, MlpConfig, MlpScratch, MomentState, ReplayBuffer, Transition,
+    Activation, Adam, Loss, Mlp, MlpConfig, MlpScratch, MlpWorkspace, MomentState, ReplayBatch,
+    ReplayBuffer, Transition,
 };
 use rand::rngs::SmallRng;
 use serde::{Deserialize, Serialize};
@@ -92,8 +93,18 @@ struct DqnState {
     online: Vec<(Matrix<f64>, Matrix<f64>)>,
     target: Vec<(Matrix<f64>, Matrix<f64>)>,
     optimizer: Vec<Option<MomentState>>,
-    replay: ReplayBuffer,
+    replay: ReplayState,
     ops: OpCounts,
+}
+
+/// The replay buffer's snapshot form: its transitions oldest first, and its
+/// capacity. The flat ring converts to and from this shape in
+/// `snapshot`/`restore`, so snapshots keep the JSON layout they had when
+/// the buffer stored one `Transition` per entry.
+#[derive(Clone, Debug, Serialize, Deserialize)]
+struct ReplayState {
+    buffer: Vec<Transition>,
+    capacity: usize,
 }
 
 /// The DQN baseline agent.
@@ -105,10 +116,19 @@ pub struct DqnAgent {
     optimizer: Adam,
     replay: ReplayBuffer,
     targets: TargetConfig,
-    /// Forward-pass workspaces for allocation-free action selection.
+    /// Forward-pass workspaces for action selection and the target
+    /// network's batch forward.
     scratch: MlpScratch,
     /// Reused per-action Q buffer for [`Agent::act`].
     q_buf: Vec<f64>,
+    /// Reused `1 × actions` Q row for [`BatchAgent::act_row`].
+    q_row: Matrix<f64>,
+    /// The sampled mini-batch, refilled in place every step.
+    batch: ReplayBatch,
+    /// `Q_θ2(s', ·)` of the mini-batch.
+    next_q: Matrix<f64>,
+    /// Buffers of the online network's training step.
+    train_ws: MlpWorkspace,
     ops: OpCounts,
 }
 
@@ -130,6 +150,10 @@ impl DqnAgent {
             target,
             scratch: MlpScratch::default(),
             q_buf: Vec::new(),
+            q_row: Matrix::default(),
+            batch: ReplayBatch::default(),
+            next_q: Matrix::default(),
+            train_ws: MlpWorkspace::default(),
             ops: OpCounts::new(),
             config,
         }
@@ -140,49 +164,55 @@ impl DqnAgent {
         self.replay.len()
     }
 
+    fn push(&mut self, obs: &Observation) {
+        self.replay.push(
+            &obs.state,
+            obs.action,
+            obs.reward,
+            &obs.next_state,
+            obs.done,
+        );
+    }
+
     fn train_on_batch(&mut self, rng: &mut SmallRng) {
         if self.replay.len() < self.config.warmup.max(self.config.batch_size) {
             return;
         }
         let start = Instant::now();
-        let batch: Vec<Transition> = self
-            .replay
-            .sample(self.config.batch_size, rng)
-            .into_iter()
-            .cloned()
-            .collect();
-
-        let k = batch.len();
-        let states = Matrix::from_rows(&batch.iter().map(|t| t.state.clone()).collect::<Vec<_>>());
-        let next_states = Matrix::from_rows(
-            &batch
-                .iter()
-                .map(|t| t.next_state.clone())
-                .collect::<Vec<_>>(),
-        );
+        let Self {
+            online,
+            target,
+            optimizer,
+            replay,
+            targets,
+            scratch,
+            batch,
+            next_q,
+            train_ws,
+            ops,
+            config,
+            ..
+        } = self;
+        replay.sample_into(config.batch_size, rng, batch);
 
         // Q_θ2(s', ·) on the batch — the `predict_32` class of Figure 5.
+        // The step's second `predict_32`, the online Q_θ1(s, ·) that keeps
+        // the untaken actions' targets in place, is the training forward's
+        // own output; both keep their count for the modeled cost.
         let p32_start = Instant::now();
-        let next_q = self.target.forward(&next_states);
-        self.ops.record(OpKind::Predict32, p32_start.elapsed());
+        target.forward_batch_into(&batch.next_states, scratch, next_q);
+        ops.record_n(OpKind::Predict32, 2, p32_start.elapsed());
 
-        // Current Q_θ1(s, ·) to keep the untouched actions' targets in place.
-        let p32b_start = Instant::now();
-        let mut targets = self.online.forward(&states);
-        self.ops.record(OpKind::Predict32, p32b_start.elapsed());
-
-        for (i, t) in batch.iter().enumerate() {
-            let mut max_next = f64::NEG_INFINITY;
-            for a in 0..self.config.num_actions {
-                max_next = max_next.max(next_q[(i, a)]);
+        online.train_step_into(&batch.states, Loss::Huber, optimizer, train_ws, |t| {
+            for (i, &action) in batch.actions.iter().enumerate() {
+                let max_next = next_q
+                    .row(i)
+                    .iter()
+                    .fold(f64::NEG_INFINITY, |m, &q| m.max(q));
+                t[(i, action)] = targets.target(batch.rewards[i], max_next, batch.dones[i]);
             }
-            targets[(i, t.action)] = self.targets.target(t.reward, max_next, t.done);
-        }
-        let _ = k;
-
-        self.online
-            .train_step(&states, &targets, Loss::Huber, &mut self.optimizer);
-        self.ops.record(OpKind::TrainDqn, start.elapsed());
+        });
+        ops.record(OpKind::TrainDqn, start.elapsed());
     }
 }
 
@@ -211,13 +241,7 @@ impl Agent for DqnAgent {
     }
 
     fn observe(&mut self, obs: &Observation, rng: &mut SmallRng) {
-        self.replay.push(Transition {
-            state: obs.state.clone(),
-            action: obs.action,
-            reward: obs.reward,
-            next_state: obs.next_state.clone(),
-            done: obs.done,
-        });
+        self.push(obs);
         self.train_on_batch(rng);
     }
 
@@ -262,7 +286,10 @@ impl Agent for DqnAgent {
             online: self.online.export_parameters(),
             target: self.target.export_parameters(),
             optimizer: self.optimizer.export_state(),
-            replay: self.replay.clone(),
+            replay: ReplayState {
+                buffer: self.replay.iter().collect(),
+                capacity: self.replay.capacity(),
+            },
             ops: self.ops.clone(),
         };
         Some(AgentSnapshot::new(self.name(), &state))
@@ -270,10 +297,30 @@ impl Agent for DqnAgent {
 
     fn restore(&mut self, snapshot: &AgentSnapshot) -> Result<(), String> {
         let state: DqnState = snapshot.decode(self.name())?;
+        let dim = self.config.state_dim;
+        if state.replay.capacity == 0 {
+            return Err("DQN snapshot: replay capacity must be positive".into());
+        }
+        if let Some(bad) = state
+            .replay
+            .buffer
+            .iter()
+            .find(|t| t.state.len() != dim || t.next_state.len() != dim)
+        {
+            return Err(format!(
+                "DQN snapshot: replay transition of width {}/{}, agent state_dim {dim}",
+                bad.state.len(),
+                bad.next_state.len()
+            ));
+        }
         self.online.import_parameters(&state.online);
         self.target.import_parameters(&state.target);
         self.optimizer.import_state(state.optimizer);
-        self.replay = state.replay;
+        self.replay = ReplayBuffer::new(state.replay.capacity);
+        for t in &state.replay.buffer {
+            self.replay
+                .push(&t.state, t.action, t.reward, &t.next_state, t.done);
+        }
         self.ops = state.ops;
         Ok(())
     }
@@ -302,9 +349,12 @@ impl BatchAgent for DqnAgent {
     /// comparable between the scalar and E-parallel drivers.
     fn act_row(&mut self, state_row: &Matrix<f64>, rng: &mut SmallRng) -> usize {
         let start = Instant::now();
-        let q = self.predict_batch(state_row);
+        let mut q = std::mem::take(&mut self.q_row);
+        self.predict_batch_into(state_row, &mut q);
         self.ops.record(OpKind::Predict1, start.elapsed());
-        self.policy.select(q.row(0), rng)
+        let action = self.policy.select(q.row(0), rng);
+        self.q_row = q;
+        action
     }
 
     /// One engine tick's transitions: push all of them into replay, then
@@ -315,13 +365,7 @@ impl BatchAgent for DqnAgent {
     /// this is exactly the scalar [`Agent::observe`].
     fn observe_batch(&mut self, batch: &[Observation], rng: &mut SmallRng) {
         for obs in batch {
-            self.replay.push(Transition {
-                state: obs.state.clone(),
-                action: obs.action,
-                reward: obs.reward,
-                next_state: obs.next_state.clone(),
-                done: obs.done,
-            });
+            self.push(obs);
         }
         self.train_on_batch(rng);
     }

@@ -326,6 +326,71 @@ fn steady_state_training_step_allocates_nothing_with_telemetry_on() {
     );
 }
 
+#[test]
+fn steady_state_dqn_step_allocates_nothing_once_replay_is_full() {
+    // The DQN baseline's hot path: with the replay ring at capacity, a
+    // push overwrites the oldest slot in place, the mini-batch is sampled
+    // into reused matrices, the target forward and the fused training step
+    // run through persistent workspaces, and `act`/`act_row` forward through
+    // the agent's scratch — zero heap allocations per step.
+    use elmrl_core::batch::BatchAgent;
+    use elmrl_core::dqn::{DqnAgent, DqnConfig};
+    use elmrl_core::ops::OpKind;
+    use elmrl_linalg::Matrix;
+
+    let _serial = serial();
+    let spec = Workload::CartPole.spec();
+    let mut config = DqnConfig::for_workload(&spec, 16);
+    config.replay_capacity = config.warmup;
+    let mut rng = SmallRng::seed_from_u64(11);
+    let mut agent = DqnAgent::new(config, &mut rng);
+
+    let observation = |i: usize| Observation {
+        state: vec![0.01 * (i % 13) as f64, -0.02, 0.03, 0.01 * (i % 5) as f64],
+        action: i % 2,
+        reward: if i % 7 == 0 { -1.0 } else { 0.0 },
+        next_state: vec![0.01 * (i % 13) as f64 + 0.005, -0.01, 0.02, 0.01],
+        done: i % 7 == 0,
+        truncated: false,
+    };
+    let steps: Vec<Observation> = (0..256).map(observation).collect();
+    let row = Matrix::from_rows(&[steps[0].state.clone()]);
+
+    // Fill the ring past capacity and let every workspace reach its size.
+    for obs in &steps {
+        let action = agent.act(&obs.state, &mut rng);
+        std::hint::black_box(action);
+        agent.observe(obs, &mut rng);
+    }
+    std::hint::black_box(agent.act_row(&row, &mut rng));
+    assert_eq!(agent.replay_len(), 64, "the ring is at capacity");
+    let trained = agent.op_counts().count(OpKind::TrainDqn);
+    assert!(trained > 0, "warm-up must already train");
+
+    COUNTING.with(|flag| flag.set(true));
+    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    for obs in &steps {
+        let action = agent.act(&obs.state, &mut rng);
+        std::hint::black_box(action);
+        std::hint::black_box(agent.act_row(&row, &mut rng));
+        agent.observe(obs, &mut rng);
+    }
+    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    COUNTING.with(|flag| flag.set(false));
+
+    assert_eq!(
+        agent.op_counts().count(OpKind::TrainDqn),
+        trained + 256,
+        "every measured observe must run a training step"
+    );
+    assert_eq!(
+        after - before,
+        0,
+        "steady-state DQN act+act_row+observe must not allocate ({} allocations over 256 steps)",
+        after - before
+    );
+}
+
 /// Allocations of one full scalar training run, with the checkpoint
 /// schedule either disarmed or armed-but-never-firing. Same seed, same
 /// trajectory — any difference is overhead the checkpoint plumbing adds to

@@ -176,3 +176,77 @@ fn restore_rejects_a_snapshot_of_another_design() {
         "mismatched-design restore must fail descriptively, got: {err}"
     );
 }
+
+#[test]
+fn dqn_restores_a_transition_list_snapshot_and_continues_identically() {
+    // `data/dqn_snapshot_transition_list.json` was written by the DQN agent
+    // when its replay buffer stored one `Transition` per entry: seed 5,
+    // Ñ = 8, 80 steps. The flat replay ring must read that shape, write it
+    // back byte for byte, and continue the run exactly as the writer did:
+    // the expected trace, episode count and Q bits below are that run's.
+    const SNAPSHOT: &str = include_str!("data/dqn_snapshot_transition_list.json");
+    const RNG_WORDS: [u64; 4] = [
+        7833198728532271837,
+        13586143289777258052,
+        7663943998084283611,
+        3742194838102664479,
+    ];
+    const ACTIONS: [usize; COMPARE_STEPS] = [
+        0, 0, 0, 1, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1, 1, 0, 0, 0, 0, 1,
+        0, 0, 0, 0, 1, 1, 1, 1, 0, 0, 1, 1, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+        0, 0, 0, 0,
+    ];
+    const FINAL_Q_BITS: [u64; 2] = [0x400fbccffa3a8827, 0x400ab38ee50dac83];
+
+    let spec = Workload::CartPole.spec();
+    let config = DesignConfig::for_workload(&spec, 8);
+    let mut rng = SmallRng::seed_from_u64(77);
+    let mut agent = Design::Dqn.build(&config, &mut rng);
+    let parsed: AgentSnapshot = serde_json::from_str(SNAPSHOT).expect("parse snapshot");
+    agent.restore(&parsed).expect("restore snapshot");
+    let rewritten = serde_json::to_string(&agent.snapshot().expect("DQN snapshots")).unwrap();
+    assert!(
+        rewritten == SNAPSHOT.trim_end(),
+        "a restored snapshot must serialise back to the same JSON"
+    );
+
+    let mut rng = rng_from_words(&RNG_WORDS).expect("restore rng");
+    let mut env = spec.make_env();
+    let mut episode = 8;
+    let trace = drive(
+        agent.as_mut(),
+        env.as_mut(),
+        &mut rng,
+        COMPARE_STEPS,
+        &mut episode,
+    );
+    let actions: Vec<usize> = trace.iter().map(|&(a, _)| a).collect();
+    assert_eq!(actions, ACTIONS);
+    assert!(trace.iter().all(|&(_, r)| r == 1.0));
+    assert_eq!(episode, 14);
+    let q_bits: Vec<u64> = agent
+        .q_values(&[0.02, -0.15, 0.03, 0.2])
+        .iter()
+        .map(|q| q.to_bits())
+        .collect();
+    assert_eq!(q_bits, FINAL_Q_BITS);
+}
+
+#[test]
+fn dqn_restore_rejects_replay_rows_of_the_wrong_width() {
+    let spec = Workload::CartPole.spec();
+    let config = DesignConfig::for_workload(&spec, 8);
+    let mut rng = SmallRng::seed_from_u64(77);
+    let mut agent = Design::Dqn.build(&config, &mut rng);
+    let snapshot = include_str!("data/dqn_snapshot_transition_list.json");
+    // Drop the last state component of the first stored transition.
+    let start = snapshot
+        .find("\"buffer\":[{\"state\":[")
+        .expect("replay buffer");
+    let comma = start + snapshot[start..].find(']').unwrap();
+    let cut = snapshot[..comma].rfind(',').unwrap();
+    let broken = format!("{}{}", &snapshot[..cut], &snapshot[comma..]);
+    let parsed: AgentSnapshot = serde_json::from_str(&broken).expect("still valid JSON");
+    let err = agent.restore(&parsed).unwrap_err();
+    assert!(err.contains("width"), "got: {err}");
+}

@@ -25,6 +25,26 @@
 //! steady-state hot loops — the OS-ELM RLS update above all — perform zero
 //! matrix heap allocations.
 //!
+//! **Narrow and short-inner branches.** The DQN baseline's products are
+//! tiny in one dimension: its Q head has two columns and its state four. The
+//! generic loops spend those products on loop overhead, so the `_into`
+//! kernels take such shapes off them:
+//!
+//! * *narrow output* (`n ≤ 4`) in [`Matrix::matmul_into`] and
+//!   [`Matrix::t_matmul_into`] — the Q head's forward and weight gradient,
+//!   and the serve batch's `H·β` at two actions. The partial sums of four
+//!   output rows live in registers, interleaved so consecutive adds land in
+//!   independent chains instead of waiting on each other;
+//! * *short inner* (`k ≤ 4`) in [`Matrix::matmul_into`] and
+//!   [`Matrix::matmul_t_into`] — the first layer's `x·W` and the back-
+//!   propagated `dz·Wᵀ`. Each output element sums its `k` terms in a
+//!   register and is stored once, instead of being loaded and stored `k`
+//!   times (`matmul_into`) or running a two-iteration loop (`matmul_t_into`).
+//!
+//! Both stay bit-for-bit identical to the generic loops: every output
+//! element still starts from zero and adds its products in ascending inner
+//! order, each product formed as `lhs · rhs`.
+//!
 //! The FPGA datapath simulator in `elmrl-fpga` does **not** use these kernels;
 //! it sequences scalar MACs explicitly to count cycles.
 
@@ -152,6 +172,103 @@ fn packed_gemm_rows<T: Scalar>(
     }
 }
 
+/// Widest output (narrow branches) or deepest inner dimension (short-inner
+/// branches) taken off the generic loops.
+const NARROW_MAX: usize = 4;
+
+/// Output rows one pass of the narrow kernel accumulates together.
+const NARROW_ROWS: usize = 4;
+
+/// `R` output rows `i0..i0 + R` of an `N`-column product whose element
+/// `(i, j)` is `Σ_p lhs(i, p) · rhs[p·N + j]` for `p` ascending from zero —
+/// the same per-element addition sequence as the generic loops. `R · N`
+/// accumulators stay in registers across the whole inner loop.
+#[inline(always)]
+fn narrow_rows<T: Scalar, const R: usize, const N: usize>(
+    i0: usize,
+    k: usize,
+    lhs: &impl Fn(usize, usize) -> T,
+    rhs: &[T],
+    out: &mut [T],
+) {
+    let mut acc = [[T::zero(); N]; R];
+    for (p, b_row) in rhs.chunks_exact(N).enumerate().take(k) {
+        for (r, acc_r) in acc.iter_mut().enumerate() {
+            let a_rp = lhs(i0 + r, p);
+            for (o, &b) in acc_r.iter_mut().zip(b_row) {
+                *o += a_rp * b;
+            }
+        }
+    }
+    for (o_row, acc_r) in out.chunks_exact_mut(N).zip(&acc) {
+        o_row.copy_from_slice(acc_r);
+    }
+}
+
+/// The `m × N` product of [`narrow_rows`] over all rows: `NARROW_ROWS`-row
+/// blocks, then the remainder one row at a time.
+fn narrow_product<T: Scalar, const N: usize>(
+    m: usize,
+    k: usize,
+    lhs: impl Fn(usize, usize) -> T,
+    rhs: &[T],
+    out: &mut [T],
+) {
+    let full = m - m % NARROW_ROWS;
+    for i in (0..full).step_by(NARROW_ROWS) {
+        let block = &mut out[i * N..(i + NARROW_ROWS) * N];
+        narrow_rows::<T, NARROW_ROWS, N>(i, k, &lhs, rhs, block);
+    }
+    for i in full..m {
+        narrow_rows::<T, 1, N>(i, k, &lhs, rhs, &mut out[i * N..(i + 1) * N]);
+    }
+}
+
+/// `a · rhs` for an inner dimension `K ≤ NARROW_MAX`, row by row: element
+/// `(i, j)` is accumulated in a register from zero over ascending `p` — the
+/// generic loop's addition sequence — and stored once, so the output row is
+/// written once instead of `K` times.
+fn short_inner_matmul<T: Scalar, const K: usize>(a: &[T], rhs: &[T], n: usize, out: &mut [T]) {
+    let rows: [&[T]; K] = std::array::from_fn(|p| &rhs[p * n..(p + 1) * n]);
+    for (a_row, o_row) in a.chunks_exact(K).zip(out.chunks_exact_mut(n)) {
+        for (j, o) in o_row.iter_mut().enumerate() {
+            let mut acc = T::zero();
+            for (&a_ip, b_row) in a_row.iter().zip(&rows) {
+                acc += a_ip * b_row[j];
+            }
+            *o = acc;
+        }
+    }
+}
+
+/// `a · rhsᵀ` for an inner dimension `K ≤ NARROW_MAX`: each dot product
+/// runs over `K` compile-time terms from zero in ascending order.
+fn short_inner_matmul_t<T: Scalar, const K: usize>(a: &[T], rhs: &[T], n: usize, out: &mut [T]) {
+    for (a_row, o_row) in a.chunks_exact(K).zip(out.chunks_exact_mut(n)) {
+        for (o, b_row) in o_row.iter_mut().zip(rhs.chunks_exact(K)) {
+            let mut acc = T::zero();
+            for (&a_ip, &b) in a_row.iter().zip(b_row) {
+                acc += a_ip * b;
+            }
+            *o = acc;
+        }
+    }
+}
+
+/// Call `$kernel::<T, C>` with the compile-time `C` equal to the runtime
+/// width or depth `$c ∈ 1..=NARROW_MAX`.
+macro_rules! dispatch_const {
+    ($kernel:ident, $c:expr, $($arg:expr),*) => {
+        match $c {
+            1 => $kernel::<T, 1>($($arg),*),
+            2 => $kernel::<T, 2>($($arg),*),
+            3 => $kernel::<T, 3>($($arg),*),
+            4 => $kernel::<T, 4>($($arg),*),
+            _ => unreachable!("outside 1..=NARROW_MAX"),
+        }
+    };
+}
+
 impl<T: Scalar> Matrix<T> {
     /// Naive `i-k-j` matrix product. Panics if `self.cols() != rhs.rows()`.
     pub fn matmul(&self, rhs: &Matrix<T>) -> Matrix<T> {
@@ -174,6 +291,15 @@ impl<T: Scalar> Matrix<T> {
         );
         let (m, k, n) = (self.rows(), self.cols(), rhs.cols());
         out.resize_zeroed(m, n);
+        let (a, b, o) = (self.as_slice(), rhs.as_slice(), out.as_mut_slice());
+        if (1..=NARROW_MAX).contains(&n) {
+            dispatch_const!(narrow_product, n, m, k, |i, p| a[i * k + p], b, o);
+            return;
+        }
+        if (1..=NARROW_MAX).contains(&k) {
+            dispatch_const!(short_inner_matmul, k, a, b, n, o);
+            return;
+        }
         for i in 0..m {
             let a_row = self.row(i);
             for (p, &a_ip) in a_row.iter().enumerate().take(k) {
@@ -379,6 +505,11 @@ impl<T: Scalar> Matrix<T> {
         );
         let (k, m, n) = (self.rows(), self.cols(), rhs.cols());
         out.resize_zeroed(m, n);
+        if (1..=NARROW_MAX).contains(&n) {
+            let (a, b, o) = (self.as_slice(), rhs.as_slice(), out.as_mut_slice());
+            dispatch_const!(narrow_product, n, m, k, |i, p| a[p * m + i], b, o);
+            return;
+        }
         for p in 0..k {
             let a_row = self.row(p);
             let b_row = rhs.row(p);
@@ -410,6 +541,11 @@ impl<T: Scalar> Matrix<T> {
         );
         let (m, k, n) = (self.rows(), self.cols(), rhs.rows());
         out.resize_zeroed(m, n);
+        if (1..=NARROW_MAX).contains(&k) {
+            let (a, b, o) = (self.as_slice(), rhs.as_slice(), out.as_mut_slice());
+            dispatch_const!(short_inner_matmul_t, k, a, b, n, o);
+            return;
+        }
         for i in 0..m {
             let a_row = self.row(i);
             let o_row = out.row_mut(i);

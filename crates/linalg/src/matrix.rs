@@ -12,11 +12,29 @@ use std::fmt;
 use std::ops::{Add, AddAssign, Index, IndexMut, Mul, Neg, Sub, SubAssign};
 
 /// A dense, row-major `rows × cols` matrix of [`Scalar`] elements.
-#[derive(Clone, PartialEq)]
+#[derive(PartialEq)]
 pub struct Matrix<T: Scalar> {
     rows: usize,
     cols: usize,
     data: Vec<T>,
+}
+
+impl<T: Scalar> Clone for Matrix<T> {
+    fn clone(&self) -> Self {
+        Self {
+            rows: self.rows,
+            cols: self.cols,
+            data: self.data.clone(),
+        }
+    }
+
+    /// Copies into the existing allocation when it is large enough, so
+    /// workspace copies stay allocation-free at steady state.
+    fn clone_from(&mut self, source: &Self) {
+        self.rows = source.rows;
+        self.cols = source.cols;
+        self.data.clone_from(&source.data);
+    }
 }
 
 impl<T: Scalar> Matrix<T> {

@@ -126,6 +126,36 @@ proptest! {
     }
 
     #[test]
+    fn narrow_kernels_are_bit_identical_to_the_generic_loops(
+        m in 1usize..14, wide in 1usize..20, narrow in 1usize..5, seed in 0u64..300
+    ) {
+        // The narrow-output (n ≤ 4) branches of `matmul_into`/`t_matmul_into`
+        // and the short-inner (k ≤ 4) branches of `matmul_into`/
+        // `matmul_t_into` against the generic loops they replace.
+        // m sweeps below, on and off multiples of the four-row block; the
+        // operands carry signed zeros and NaNs, so a changed addition order
+        // or a dropped `0 + …` start would show in the bits.
+        let mut out = Matrix::zeros(1, 1);
+        let a = special_matrix(m, wide, seed);
+        let b = special_matrix(wide, narrow, seed.wrapping_add(5));
+        a.matmul_into(&b, &mut out);
+        prop_assert!(same_bits(&out, &generic_matmul(&a, &b)), "matmul {m}x{wide}x{narrow}");
+
+        let c = special_matrix(m, narrow, seed.wrapping_add(9));
+        let d = special_matrix(m, wide, seed.wrapping_add(13));
+        d.t_matmul_into(&c, &mut out);
+        prop_assert!(same_bits(&out, &generic_t_matmul(&d, &c)), "t_matmul {m}x{wide}x{narrow}");
+
+        let e = special_matrix(wide, narrow, seed.wrapping_add(17));
+        c.matmul_t_into(&e, &mut out);
+        prop_assert!(same_bits(&out, &generic_matmul_t(&c, &e)), "matmul_t {m}x{narrow}x{wide}");
+
+        let f = special_matrix(narrow, wide, seed.wrapping_add(19));
+        c.matmul_into(&f, &mut out);
+        prop_assert!(same_bits(&out, &generic_matmul(&c, &f)), "matmul {m}x{narrow}x{wide}");
+    }
+
+    #[test]
     fn lu_solves_well_conditioned_systems(n in 1usize..7, seed in 0u64..200) {
         let mut a = seeded_matrix(n, n, seed);
         for i in 0..n { a[(i, i)] += 10.0; } // diagonally dominant => nonsingular
@@ -258,4 +288,74 @@ fn seeded_matrix(rows: usize, cols: usize, seed: u64) -> Matrix<f64> {
         // map to [-2, 2]
         ((state >> 11) as f64 / (1u64 << 53) as f64) * 4.0 - 2.0
     })
+}
+
+/// [`seeded_matrix`] with about one element in five replaced by `+0.0`,
+/// `-0.0` or NaN.
+fn special_matrix(rows: usize, cols: usize, seed: u64) -> Matrix<f64> {
+    let mut m = seeded_matrix(rows, cols, seed);
+    let mut state = seed ^ 0x9e37_79b9_7f4a_7c15;
+    for v in m.as_mut_slice() {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        match (state >> 33) % 15 {
+            0 => *v = 0.0,
+            1 => *v = -0.0,
+            2 => *v = f64::NAN,
+            _ => {}
+        }
+    }
+    m
+}
+
+/// Bit-for-bit equality, except that any NaN matches any NaN: the kernels
+/// promise the same operations in the same order, but IEEE 754 leaves the
+/// payload of a NaN produced from two NaN operands to the hardware.
+fn same_bits(a: &Matrix<f64>, b: &Matrix<f64>) -> bool {
+    a.shape() == b.shape()
+        && a.iter()
+            .zip(b.iter())
+            .all(|(x, y)| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()))
+}
+
+/// The generic `i-k-j` loop of `matmul_into`.
+fn generic_matmul(a: &Matrix<f64>, b: &Matrix<f64>) -> Matrix<f64> {
+    let mut out = Matrix::zeros(a.rows(), b.cols());
+    for i in 0..a.rows() {
+        for p in 0..a.cols() {
+            for j in 0..b.cols() {
+                out[(i, j)] += a[(i, p)] * b[(p, j)];
+            }
+        }
+    }
+    out
+}
+
+/// The generic `p-i-j` loop of `t_matmul_into`: `aᵀ · b`.
+fn generic_t_matmul(a: &Matrix<f64>, b: &Matrix<f64>) -> Matrix<f64> {
+    let mut out = Matrix::zeros(a.cols(), b.cols());
+    for p in 0..a.rows() {
+        for i in 0..a.cols() {
+            for j in 0..b.cols() {
+                out[(i, j)] += a[(p, i)] * b[(p, j)];
+            }
+        }
+    }
+    out
+}
+
+/// The generic dot-product loop of `matmul_t_into`: `a · bᵀ`.
+fn generic_matmul_t(a: &Matrix<f64>, b: &Matrix<f64>) -> Matrix<f64> {
+    let mut out = Matrix::zeros(a.rows(), b.rows());
+    for i in 0..a.rows() {
+        for j in 0..b.rows() {
+            let mut acc = 0.0;
+            for p in 0..a.cols() {
+                acc += a[(i, p)] * b[(j, p)];
+            }
+            out[(i, j)] = acc;
+        }
+    }
+    out
 }

@@ -78,21 +78,19 @@ impl Activation {
         }
     }
 
-    /// Apply element-wise to a matrix.
-    pub fn apply_matrix(self, m: &Matrix<f64>) -> Matrix<f64> {
-        m.map(|x| self.apply(x))
-    }
-
-    /// Apply element-wise in place — the allocation-free form used by the
-    /// inference workspace passes. Identical results to
-    /// [`Activation::apply_matrix`].
+    /// Apply element-wise in place (the layers' forward passes).
     pub fn apply_matrix_inplace(self, m: &mut Matrix<f64>) {
         m.map_inplace(|x| self.apply(x));
     }
 
-    /// Element-wise derivative of a matrix of pre-activations.
-    pub fn derivative_matrix(self, m: &Matrix<f64>) -> Matrix<f64> {
-        m.map(|x| self.derivative(x))
+    /// Multiply `grad` element-wise by the derivative at the matching
+    /// pre-activation in `pre`, in place: the `∂L/∂y ⊙ G'(z)` step of
+    /// backpropagation.
+    pub fn mul_derivative_inplace(self, grad: &mut Matrix<f64>, pre: &Matrix<f64>) {
+        assert_eq!(grad.shape(), pre.shape(), "derivative: shape mismatch");
+        for (g, &z) in grad.as_mut_slice().iter_mut().zip(pre.iter()) {
+            *g *= self.derivative(z);
+        }
     }
 
     /// The Lipschitz constant of the activation (§2.5: ≤ 1 for ReLU and tanh).
@@ -168,11 +166,15 @@ mod tests {
     #[test]
     fn matrix_application() {
         let m = Matrix::from_rows(&[vec![-1.0, 2.0], vec![0.5, -0.5]]);
-        let r = Activation::ReLU.apply_matrix(&m);
+        let mut r = m.clone();
+        Activation::ReLU.apply_matrix_inplace(&mut r);
         assert_eq!(r[(0, 0)], 0.0);
         assert_eq!(r[(0, 1)], 2.0);
-        let d = Activation::ReLU.derivative_matrix(&m);
-        assert_eq!(d[(0, 0)], 0.0);
-        assert_eq!(d[(1, 0)], 1.0);
+        let mut g = Matrix::from_rows(&[vec![3.0, 3.0], vec![3.0, 3.0]]);
+        Activation::ReLU.mul_derivative_inplace(&mut g, &m);
+        assert_eq!(g[(0, 0)], 0.0);
+        assert_eq!(g[(0, 1)], 3.0);
+        assert_eq!(g[(1, 0)], 3.0);
+        assert_eq!(g[(1, 1)], 0.0);
     }
 }

@@ -1,23 +1,21 @@
-//! A fully-connected (dense) layer with cached activations for backprop.
+//! A fully-connected (dense) layer and its backpropagation arithmetic.
 
 use crate::activation::Activation;
+use crate::optimizer::Optimizer;
 use elmrl_linalg::random::xavier_uniform;
 use elmrl_linalg::Matrix;
 use rand::Rng;
 
 /// One dense layer: `y = G(x·W + b)` with `W ∈ R^{in×out}`, `b ∈ R^{1×out}`.
 ///
-/// The layer caches its last input and pre-activation during
-/// [`DenseLayer::forward_training`] so that [`DenseLayer::backward`] can
-/// compute parameter gradients without re-running the forward pass.
+/// The layer owns its parameter gradients. A training step of the enclosing
+/// [`crate::Mlp`] fills them from the activations kept in its
+/// [`crate::MlpWorkspace`], and the optimiser reads them in place.
 #[derive(Clone, Debug)]
 pub struct DenseLayer {
     weights: Matrix<f64>,
     bias: Matrix<f64>,
     activation: Activation,
-    // caches for backprop
-    last_input: Option<Matrix<f64>>,
-    last_preact: Option<Matrix<f64>>,
     grad_weights: Matrix<f64>,
     grad_bias: Matrix<f64>,
 }
@@ -34,8 +32,6 @@ impl DenseLayer {
             weights: xavier_uniform(input_dim, output_dim, rng),
             bias: Matrix::zeros(1, output_dim),
             activation,
-            last_input: None,
-            last_preact: None,
             grad_weights: Matrix::zeros(input_dim, output_dim),
             grad_bias: Matrix::zeros(1, output_dim),
         }
@@ -76,12 +72,12 @@ impl DenseLayer {
         &mut self.bias
     }
 
-    /// Gradient of the loss w.r.t. the weights, from the last `backward`.
+    /// Gradient of the loss w.r.t. the weights, from the last training step.
     pub fn grad_weights(&self) -> &Matrix<f64> {
         &self.grad_weights
     }
 
-    /// Gradient of the loss w.r.t. the bias, from the last `backward`.
+    /// Gradient of the loss w.r.t. the bias, from the last training step.
     pub fn grad_bias(&self) -> &Matrix<f64> {
         &self.grad_bias
     }
@@ -106,25 +102,24 @@ impl DenseLayer {
         self.activation.apply_matrix_inplace(out);
     }
 
-    /// Forward pass that caches input and pre-activation for a subsequent
-    /// [`DenseLayer::backward`] call.
-    pub fn forward_training(&mut self, input: &Matrix<f64>) -> Matrix<f64> {
-        let pre = self.affine(input);
-        let out = self.activation.apply_matrix(&pre);
-        self.last_input = Some(input.clone());
-        self.last_preact = Some(pre);
-        out
-    }
-
-    fn affine(&self, input: &Matrix<f64>) -> Matrix<f64> {
-        let mut pre = Matrix::zeros(input.rows(), self.weights.cols());
-        self.affine_into(input, &mut pre);
-        pre
+    /// Training forward pass: the pre-activation `z = x·W + b` into `pre`
+    /// and `y = G(z)` into `post`, both reshaped in place. Bit-for-bit
+    /// identical to [`DenseLayer::forward`]; `pre` is kept for
+    /// [`DenseLayer::backward_into`].
+    pub(crate) fn forward_training_into(
+        &self,
+        input: &Matrix<f64>,
+        pre: &mut Matrix<f64>,
+        post: &mut Matrix<f64>,
+    ) {
+        self.affine_into(input, pre);
+        post.clone_from(pre);
+        self.activation.apply_matrix_inplace(post);
     }
 
     /// `input·W + b` into a caller-owned matrix — the single copy of the
-    /// affine arithmetic that both the allocating and the workspace forward
-    /// paths share (keeping them bit-for-bit identical by construction).
+    /// affine arithmetic that the inference and training forward paths
+    /// share (keeping them bit-for-bit identical by construction).
     fn affine_into(&self, input: &Matrix<f64>, out: &mut Matrix<f64>) {
         assert_eq!(
             input.cols(),
@@ -134,49 +129,47 @@ impl DenseLayer {
             self.weights.rows()
         );
         input.matmul_into(&self.weights, out);
-        for r in 0..out.rows() {
-            let row = out.row_mut(r);
-            for (c, v) in row.iter_mut().enumerate() {
-                *v += self.bias[(0, c)];
+        let bias = self.bias.as_slice();
+        for row in out.as_mut_slice().chunks_exact_mut(bias.len()) {
+            for (v, &b) in row.iter_mut().zip(bias) {
+                *v += b;
             }
         }
     }
 
-    /// Back-propagate `grad_output` (∂L/∂y of this layer) and return
-    /// ∂L/∂x for the previous layer. Parameter gradients are stored in the
-    /// layer until the optimiser applies them.
-    ///
-    /// Panics if called before `forward_training`.
-    pub fn backward(&mut self, grad_output: &Matrix<f64>) -> Matrix<f64> {
-        let input = self
-            .last_input
-            .as_ref()
-            .expect("backward called before forward_training");
-        let preact = self
-            .last_preact
-            .as_ref()
-            .expect("missing pre-activation cache");
-        assert_eq!(
-            grad_output.shape(),
-            preact.shape(),
-            "backward: grad shape mismatch"
-        );
-
-        // dL/dz = dL/dy ⊙ G'(z)
-        let dz = grad_output
-            .zip_map(&self.activation.derivative_matrix(preact), |g, d| g * d)
-            .expect("shapes checked above");
-
-        // dL/dW = xᵀ · dz ; dL/db = column sums of dz ; dL/dx = dz · Wᵀ
-        self.grad_weights = input.t_matmul(&dz);
-        let mut gb = Matrix::zeros(1, dz.cols());
-        for r in 0..dz.rows() {
-            for c in 0..dz.cols() {
-                gb[(0, c)] += dz[(r, c)];
+    /// Back-propagate through this layer. `grad` holds ∂L/∂y on entry and
+    /// is turned into ∂L/∂z = ∂L/∂y ⊙ G'(z) in place; `input` and `pre` are
+    /// this layer's `x` and `z` from [`DenseLayer::forward_training_into`].
+    /// The parameter gradients land in the layer (∂L/∂W = xᵀ·∂L/∂z,
+    /// ∂L/∂b = column sums of ∂L/∂z). ∂L/∂x = ∂L/∂z·Wᵀ is written to
+    /// `grad_input` when asked for; the first layer of a network skips it.
+    pub(crate) fn backward_into(
+        &mut self,
+        input: &Matrix<f64>,
+        pre: &Matrix<f64>,
+        grad: &mut Matrix<f64>,
+        grad_input: Option<&mut Matrix<f64>>,
+    ) {
+        assert_eq!(grad.shape(), pre.shape(), "backward: grad shape mismatch");
+        self.activation.mul_derivative_inplace(grad, pre);
+        input.t_matmul_into(grad, &mut self.grad_weights);
+        self.grad_bias.resize_zeroed(1, grad.cols());
+        let gb = self.grad_bias.as_mut_slice();
+        for r in 0..grad.rows() {
+            for (b, &g) in gb.iter_mut().zip(grad.row(r)) {
+                *b += g;
             }
         }
-        self.grad_bias = gb;
-        dz.matmul_t(&self.weights)
+        if let Some(dx) = grad_input {
+            grad.matmul_t_into(&self.weights, dx);
+        }
+    }
+
+    /// Apply the stored gradients through `optimizer`: slot `2·index` for
+    /// the weights, `2·index + 1` for the bias.
+    pub(crate) fn apply_gradients<O: Optimizer>(&mut self, index: usize, optimizer: &mut O) {
+        optimizer.update(2 * index, &mut self.weights, &self.grad_weights);
+        optimizer.update(2 * index + 1, &mut self.bias, &self.grad_bias);
     }
 
     /// Copy the weights and bias from another layer (target-network sync).
@@ -186,8 +179,8 @@ impl DenseLayer {
             other.weights.shape(),
             "copy: weight shape mismatch"
         );
-        self.weights = other.weights.clone();
-        self.bias = other.bias.clone();
+        self.weights.clone_from(&other.weights);
+        self.bias.clone_from(&other.bias);
     }
 }
 
@@ -227,18 +220,21 @@ mod tests {
 
     #[test]
     fn training_forward_matches_inference_forward() {
-        let mut l = layer(Activation::Tanh);
+        let l = layer(Activation::Tanh);
         let x = Matrix::from_rows(&[vec![0.1, -0.2, 0.3], vec![1.0, 0.5, -1.0]]);
-        let inference = l.forward(&x);
-        let training = l.forward_training(&x);
-        assert!(inference.max_abs_diff(&training) < 1e-15);
+        let (mut pre, mut post) = (Matrix::default(), Matrix::default());
+        l.forward_training_into(&x, &mut pre, &mut post);
+        assert_eq!(post, l.forward(&x));
+        assert_eq!(pre.map(|z| z.tanh()), post);
     }
 
     #[test]
-    #[should_panic(expected = "backward called before forward_training")]
+    #[should_panic(expected = "grad shape mismatch")]
     fn backward_without_forward_panics() {
+        // No training forward has filled the pre-activation buffer.
         let mut l = layer(Activation::ReLU);
-        let _ = l.backward(&Matrix::zeros(1, 2));
+        let x = Matrix::<f64>::ones(1, 3);
+        l.backward_into(&x, &Matrix::default(), &mut Matrix::zeros(1, 2), None);
     }
 
     #[test]
@@ -254,9 +250,11 @@ mod tests {
         };
 
         // analytic gradients
-        let y = l.forward_training(&x);
-        let grad_out = &y - &target; // dL/dy for 0.5·Σ(y−t)²
-        let grad_in = l.backward(&grad_out);
+        let (mut pre, mut y) = (Matrix::default(), Matrix::default());
+        l.forward_training_into(&x, &mut pre, &mut y);
+        let mut grad = &y - &target; // dL/dy for 0.5·Σ(y−t)²
+        let mut grad_in = Matrix::default();
+        l.backward_into(&x, &pre, &mut grad, Some(&mut grad_in));
 
         let h = 1e-6;
         // check dL/dW for a few entries

@@ -48,6 +48,6 @@ pub mod replay;
 pub use activation::Activation;
 pub use layer::DenseLayer;
 pub use loss::Loss;
-pub use mlp::{Mlp, MlpConfig, MlpScratch};
+pub use mlp::{Mlp, MlpConfig, MlpScratch, MlpWorkspace};
 pub use optimizer::{Adam, MomentState, Optimizer, Sgd};
-pub use replay::{ReplayBuffer, Transition};
+pub use replay::{ReplayBatch, ReplayBuffer, Transition};

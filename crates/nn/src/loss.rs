@@ -44,13 +44,27 @@ impl Loss {
     /// Gradient of the loss with respect to `pred`, already divided by the
     /// number of elements (so the optimiser sees the mean gradient).
     pub fn gradient(self, pred: &Matrix<f64>, target: &Matrix<f64>) -> Matrix<f64> {
+        let mut out = Matrix::zeros(pred.rows(), pred.cols());
+        self.gradient_into(pred, target, &mut out);
+        out
+    }
+
+    /// [`Loss::gradient`] into a caller-owned matrix (reshaped in place,
+    /// reusing its allocation) — the form a training step's workspace uses.
+    pub fn gradient_into(self, pred: &Matrix<f64>, target: &Matrix<f64>, out: &mut Matrix<f64>) {
         assert_eq!(
             pred.shape(),
             target.shape(),
             "loss gradient: shape mismatch"
         );
         let n = pred.len() as f64;
-        pred.zip_map(target, |p, t| {
+        out.resize_zeroed(pred.rows(), pred.cols());
+        for ((o, &p), &t) in out
+            .as_mut_slice()
+            .iter_mut()
+            .zip(pred.iter())
+            .zip(target.iter())
+        {
             let d = p - t;
             let g = match self {
                 Loss::Mse => 2.0 * d,
@@ -62,9 +76,8 @@ impl Loss {
                     }
                 }
             };
-            g / n
-        })
-        .expect("shapes already checked")
+            *o = g / n;
+        }
     }
 }
 

@@ -73,6 +73,19 @@ pub struct MlpScratch {
     bufs: [Matrix<f64>; 2],
 }
 
+/// Persistent buffers for [`Mlp::train_step_into`]: every layer's
+/// pre-activation `z` and output `y`, the output layer's targets, and two
+/// ping-pong gradient matrices (∂L/∂y of the current layer, ∂L/∂x into the
+/// other). They keep their allocations across steps, so a training step at
+/// a steady batch shape allocates nothing.
+#[derive(Clone, Debug, Default)]
+pub struct MlpWorkspace {
+    pre: Vec<Matrix<f64>>,
+    post: Vec<Matrix<f64>>,
+    target: Matrix<f64>,
+    grads: [Matrix<f64>; 2],
+}
+
 /// A feed-forward network with dense layers and backpropagation training.
 #[derive(Clone, Debug)]
 pub struct Mlp {
@@ -189,6 +202,10 @@ impl Mlp {
 
     /// One optimisation step on a batch: forward, loss gradient, backward,
     /// and parameter update. Returns the scalar loss before the update.
+    ///
+    /// Allocates a fresh [`MlpWorkspace`] per call; loops that train every
+    /// step keep one and call [`Mlp::train_step_into`]. Both run the same
+    /// arithmetic, so the results are bit-for-bit identical.
     pub fn train_step<O: Optimizer>(
         &mut self,
         input: &Matrix<f64>,
@@ -196,25 +213,56 @@ impl Mlp {
         loss: Loss,
         optimizer: &mut O,
     ) -> f64 {
-        // forward with caches
-        let mut x = input.clone();
-        for layer in &mut self.layers {
-            x = layer.forward_training(&x);
-        }
-        let loss_value = loss.value(&x, target);
+        let mut workspace = MlpWorkspace::default();
+        self.train_step_into(input, loss, optimizer, &mut workspace, |t| {
+            t.clone_from(target)
+        })
+    }
 
-        // backward
-        let mut grad = loss.gradient(&x, target);
-        for layer in self.layers.iter_mut().rev() {
-            grad = layer.backward(&grad);
+    /// [`Mlp::train_step`] through a caller-owned workspace, with the
+    /// targets written by `fill_target` after the forward pass. The target
+    /// matrix it receives is a copy of the network's output on `input`, so
+    /// every element it leaves alone has zero error and zero gradient — a
+    /// DQN sets only the taken action's column.
+    ///
+    /// The backward pass turns each layer's ∂L/∂y into ∂L/∂z in place,
+    /// writes the parameter gradients into the layers, and skips the first
+    /// layer's ∂L/∂x, which nothing reads. The optimiser then reads the
+    /// layer-owned gradients directly. Zero heap allocations once the
+    /// workspace, the layers' gradients and the optimiser's moments have
+    /// seen the batch shape.
+    pub fn train_step_into<O: Optimizer>(
+        &mut self,
+        input: &Matrix<f64>,
+        loss: Loss,
+        optimizer: &mut O,
+        ws: &mut MlpWorkspace,
+        fill_target: impl FnOnce(&mut Matrix<f64>),
+    ) -> f64 {
+        let n_layers = self.layers.len();
+        ws.pre.resize_with(n_layers, Matrix::default);
+        ws.post.resize_with(n_layers, Matrix::default);
+        for (l, layer) in self.layers.iter().enumerate() {
+            let (done, rest) = ws.post.split_at_mut(l);
+            let x = if l == 0 { input } else { &done[l - 1] };
+            layer.forward_training_into(x, &mut ws.pre[l], &mut rest[0]);
+        }
+        let pred = &ws.post[n_layers - 1];
+        ws.target.clone_from(pred);
+        fill_target(&mut ws.target);
+        let loss_value = loss.value(pred, &ws.target);
+
+        let [grad, grad_in] = &mut ws.grads;
+        loss.gradient_into(pred, &ws.target, grad);
+        for (l, layer) in self.layers.iter_mut().enumerate().rev() {
+            let x = if l == 0 { input } else { &ws.post[l - 1] };
+            let dx = if l == 0 { None } else { Some(&mut *grad_in) };
+            layer.backward_into(x, &ws.pre[l], grad, dx);
+            std::mem::swap(grad, grad_in);
         }
 
-        // update (two slots per layer: weights then bias)
         for (i, layer) in self.layers.iter_mut().enumerate() {
-            let gw = layer.grad_weights().clone();
-            let gb = layer.grad_bias().clone();
-            optimizer.update(2 * i, layer.weights_mut(), &gw);
-            optimizer.update(2 * i + 1, layer.bias_mut(), &gb);
+            layer.apply_gradients(i, optimizer);
         }
         loss_value
     }
@@ -374,6 +422,99 @@ mod tests {
             last = net.train_step(&x, &t, Loss::Mse, &mut opt);
         }
         assert!(last < first, "loss did not decrease: {first} -> {last}");
+    }
+
+    #[test]
+    fn backprop_through_two_layers_matches_finite_differences() {
+        let mut rng = SmallRng::seed_from_u64(8);
+        let config = MlpConfig::new(&[4, 3, 2])
+            .with_hidden_activation(Activation::Tanh)
+            .with_output_activation(Activation::Sigmoid);
+        let mut net = Mlp::new(config, &mut rng);
+        let x = Matrix::from_rows(&[vec![0.3, -0.1, 0.7, 0.2], vec![-0.5, 0.4, 0.1, -0.9]]);
+        let target = Matrix::from_rows(&[vec![0.1, 0.2], vec![-0.1, 0.5]]);
+        let loss = |net: &Mlp| Loss::Mse.value(&net.forward(&x), &target);
+
+        // A zero learning rate leaves the parameters where the analytic
+        // gradients were taken.
+        net.train_step(&x, &target, Loss::Mse, &mut Sgd::new(0.0));
+        let h = 1e-6;
+        for l in 0..2 {
+            let (rows, cols) = net.layers[l].weights().shape();
+            for (r, c) in (0..rows).flat_map(|r| (0..cols).map(move |c| (r, c))) {
+                let orig = net.layers[l].weights()[(r, c)];
+                net.layers[l].weights_mut()[(r, c)] = orig + h;
+                let plus = loss(&net);
+                net.layers[l].weights_mut()[(r, c)] = orig - h;
+                let minus = loss(&net);
+                net.layers[l].weights_mut()[(r, c)] = orig;
+                let numeric = (plus - minus) / (2.0 * h);
+                let analytic = net.layers[l].grad_weights()[(r, c)];
+                assert!(
+                    (numeric - analytic).abs() < 1e-6,
+                    "layer {l} dW({r},{c}): numeric {numeric} vs {analytic}"
+                );
+            }
+            for c in 0..cols {
+                let orig = net.layers[l].bias()[(0, c)];
+                net.layers[l].bias_mut()[(0, c)] = orig + h;
+                let plus = loss(&net);
+                net.layers[l].bias_mut()[(0, c)] = orig - h;
+                let minus = loss(&net);
+                net.layers[l].bias_mut()[(0, c)] = orig;
+                let numeric = (plus - minus) / (2.0 * h);
+                let analytic = net.layers[l].grad_bias()[(0, c)];
+                assert!(
+                    (numeric - analytic).abs() < 1e-6,
+                    "layer {l} db({c}): numeric {numeric} vs {analytic}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn reused_workspace_matches_fresh_workspaces_bit_for_bit() {
+        let mut rng = SmallRng::seed_from_u64(17);
+        let config = MlpConfig::new(&[3, 9, 5, 2]);
+        let mut fresh = Mlp::new(config, &mut rng);
+        let mut reused = fresh.clone();
+        let (mut opt_a, mut opt_b) = (Adam::new(0.01), Adam::new(0.01));
+        let mut ws = MlpWorkspace::default();
+        // Batch sizes shrink and grow through the same workspace.
+        for (step, batch) in [4usize, 1, 7, 7, 2].into_iter().enumerate() {
+            let x = elmrl_linalg::random::uniform_matrix::<f64, _>(batch, 3, -1.0, 1.0, &mut rng);
+            let t = elmrl_linalg::random::uniform_matrix::<f64, _>(batch, 2, -2.0, 2.0, &mut rng);
+            let la = fresh.train_step(&x, &t, Loss::Huber, &mut opt_a);
+            let lb = reused
+                .train_step_into(&x, Loss::Huber, &mut opt_b, &mut ws, |tw| tw.clone_from(&t));
+            assert_eq!(la.to_bits(), lb.to_bits(), "loss at step {step}");
+            for (a, b) in fresh.layers().iter().zip(reused.layers()) {
+                assert_eq!(a.weights(), b.weights(), "weights at step {step}");
+                assert_eq!(a.bias(), b.bias(), "bias at step {step}");
+            }
+        }
+    }
+
+    #[test]
+    fn untouched_targets_contribute_no_gradient() {
+        // Filling only one output column is the same step as passing the
+        // network's own output with that column replaced.
+        let mut rng = SmallRng::seed_from_u64(19);
+        let mut a = Mlp::new(MlpConfig::new(&[2, 8, 3]), &mut rng);
+        let mut b = a.clone();
+        let x = Matrix::from_rows(&[vec![0.2, -0.4], vec![0.9, 0.1]]);
+        let mut t = a.forward(&x);
+        t[(0, 1)] = 1.5;
+        t[(1, 2)] = -0.5;
+        let la = a.train_step(&x, &t, Loss::Huber, &mut Sgd::new(0.1));
+        let mut ws = MlpWorkspace::default();
+        let lb = b.train_step_into(&x, Loss::Huber, &mut Sgd::new(0.1), &mut ws, |tw| {
+            tw[(0, 1)] = 1.5;
+            tw[(1, 2)] = -0.5;
+        });
+        assert_eq!(la.to_bits(), lb.to_bits());
+        assert_eq!(a.layers()[0].weights(), b.layers()[0].weights());
+        assert_eq!(a.layers()[1].grad_weights(), b.layers()[1].grad_weights());
     }
 
     #[test]
