@@ -297,20 +297,18 @@ impl Agent for DqnAgent {
 
     fn restore(&mut self, snapshot: &AgentSnapshot) -> Result<(), String> {
         let state: DqnState = snapshot.decode(self.name())?;
-        let dim = self.config.state_dim;
         if state.replay.capacity == 0 {
             return Err("DQN snapshot: replay capacity must be positive".into());
         }
-        if let Some(bad) = state
-            .replay
-            .buffer
-            .iter()
-            .find(|t| t.state.len() != dim || t.next_state.len() != dim)
+        let (dim, actions) = (self.config.state_dim, self.config.num_actions);
+        if let Some(bad) =
+            state.replay.buffer.iter().position(|t| {
+                t.state.len() != dim || t.next_state.len() != dim || t.action >= actions
+            })
         {
             return Err(format!(
-                "DQN snapshot: replay transition of width {}/{}, agent state_dim {dim}",
-                bad.state.len(),
-                bad.next_state.len()
+                "DQN snapshot: replay transition {bad} does not fit state_dim {dim} \
+                 and {actions} actions"
             ));
         }
         self.online.import_parameters(&state.online);

@@ -233,20 +233,25 @@ fn dqn_restores_a_transition_list_snapshot_and_continues_identically() {
 }
 
 #[test]
-fn dqn_restore_rejects_replay_rows_of_the_wrong_width() {
+fn dqn_restore_rejects_replay_rows_that_do_not_fit_the_agent() {
     let spec = Workload::CartPole.spec();
     let config = DesignConfig::for_workload(&spec, 8);
     let mut rng = SmallRng::seed_from_u64(77);
     let mut agent = Design::Dqn.build(&config, &mut rng);
     let snapshot = include_str!("data/dqn_snapshot_transition_list.json");
-    // Drop the last state component of the first stored transition.
     let start = snapshot
         .find("\"buffer\":[{\"state\":[")
         .expect("replay buffer");
-    let comma = start + snapshot[start..].find(']').unwrap();
-    let cut = snapshot[..comma].rfind(',').unwrap();
-    let broken = format!("{}{}", &snapshot[..cut], &snapshot[comma..]);
-    let parsed: AgentSnapshot = serde_json::from_str(&broken).expect("still valid JSON");
-    let err = agent.restore(&parsed).unwrap_err();
-    assert!(err.contains("width"), "got: {err}");
+    let end = start + snapshot[start..].find(']').unwrap();
+    // The first stored transition loses its last state component…
+    let cut = snapshot[..end].rfind(',').unwrap();
+    let narrow = format!("{}{}", &snapshot[..cut], &snapshot[end..]);
+    // …or names an action the agent does not have.
+    let bad_action = snapshot.replacen("],\"action\":1,", "],\"action\":2,", 1);
+    assert_ne!(bad_action, snapshot);
+    for broken in [narrow, bad_action] {
+        let parsed: AgentSnapshot = serde_json::from_str(&broken).expect("still valid JSON");
+        let err = agent.restore(&parsed).unwrap_err();
+        assert!(err.contains("does not fit"), "got: {err}");
+    }
 }
