@@ -36,12 +36,12 @@
 //!   output rows live in registers, interleaved so consecutive adds land in
 //!   independent chains instead of waiting on each other;
 //! * *short inner* (`k ≤ 4`) in [`Matrix::matmul_into`] and
-//!   [`Matrix::matmul_t_into`] — the first layer's `x·W` and the back-
-//!   propagated `dz·Wᵀ`. Each output element sums its `k` terms in a
+//!   [`Matrix::matmul_t_into`] — the first layer's `x·W` and the gradient
+//!   `dz·Wᵀ` passed back through the Q head. Each output element sums its `k` terms in a
 //!   register and is stored once, instead of being loaded and stored `k`
 //!   times (`matmul_into`) or running a two-iteration loop (`matmul_t_into`).
 //!
-//! Both stay bit-for-bit identical to the generic loops: every output
+//! All of them stay bit-for-bit identical to the generic loops: every output
 //! element still starts from zero and adds its products in ascending inner
 //! order, each product formed as `lhs · rhs`.
 //!
