@@ -93,6 +93,21 @@ fn bench_kernels(c: &mut Criterion) {
     group.bench_function("lstsq_relu_h_64x64", |bench| {
         bench.iter(|| lstsq(&h, &t, 1e-10).unwrap())
     });
+    // OS-ELM initial training at scale: the Gram product `HᵀH` (`t_matmul`
+    // of a matrix with itself) and `P₀`'s SPD inverse one size past the
+    // loop above.
+    for n in [256usize, 512] {
+        let h = uniform_matrix::<f64, _>(n, n, -1.0, 1.0, &mut rng);
+        group.bench_with_input(BenchmarkId::new("gram_t_matmul", n), &n, |bench, _| {
+            bench.iter(|| h.t_matmul(&h))
+        });
+        if n == 512 {
+            let spd = &h.t_matmul(&h) + &Matrix::identity(n).scale(0.5);
+            group.bench_with_input(BenchmarkId::new("inverse_spd", n), &n, |bench, _| {
+                bench.iter(|| inverse_spd(&spd).unwrap())
+            });
+        }
+    }
     group.finish();
 }
 

@@ -22,8 +22,9 @@ use crate::encoding::StateActionEncoder;
 use crate::ops::{OpCounts, OpKind};
 use crate::policy::{max_q, ExploitPolicy};
 use elmrl_elm::model::ElmModel;
+use elmrl_elm::os_elm::OsElmError;
 use elmrl_elm::{HiddenActivation, ModelSnapshot, OsElm, OsElmConfig, OsElmSnapshot};
-use elmrl_linalg::Matrix;
+use elmrl_linalg::{LinalgError, Matrix};
 use rand::rngs::SmallRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -331,14 +332,23 @@ impl OsElmQNet {
             let max_next = max_q(&self.q_for(&self.target, &obs.next_state));
             t[(i, 0)] = self.config.target.target(obs.reward, max_next, obs.done);
         }
-        // The plain OS-ELM design can hit a singular Gram matrix; the
-        // NUMERICAL_DELTA in `elm_config` keeps this well-defined, so a
-        // failure here is unexpected — surface it loudly in debug builds and
-        // retry once with a fresh buffer otherwise.
-        if self.online.init_train(&x, &t).is_err() {
-            debug_assert!(false, "OS-ELM initial training failed unexpectedly");
-            self.buffer.clear();
-            return;
+        // A non-finite state or reward in D is rejected before it can
+        // poison β: drop the refill and collect a fresh one. Otherwise the
+        // plain OS-ELM design can hit a singular Gram matrix; the
+        // NUMERICAL_DELTA in `elm_config` keeps this well-defined, so any
+        // other failure is unexpected — surface it loudly in debug builds
+        // and retry once with a fresh buffer otherwise.
+        match self.online.init_train(&x, &t) {
+            Ok(()) => {}
+            Err(OsElmError::Linalg(LinalgError::InvalidData { .. })) => {
+                self.buffer.clear();
+                return;
+            }
+            Err(_) => {
+                debug_assert!(false, "OS-ELM initial training failed unexpectedly");
+                self.buffer.clear();
+                return;
+            }
         }
         self.buffer.clear();
         self.ops.record(OpKind::InitTrain, start.elapsed());
@@ -654,6 +664,37 @@ mod tests {
         }
         assert!(agent.is_initialized());
         assert_eq!(agent.op_counts().count(OpKind::InitTrain), 1);
+    }
+
+    #[test]
+    fn non_finite_refill_is_dropped_and_the_next_one_trains() {
+        let mut r = rng(11);
+        let mut agent = OsElmQNet::new(OsElmQNetConfig::cartpole(8, 0.5, true), &mut r);
+        let fill = |agent: &mut OsElmQNet, r: &mut SmallRng, poison: Option<usize>| {
+            for i in 0..8 {
+                let mut obs = sample_obs(0.0, false);
+                obs.state[0] = i as f64 * 0.01;
+                match poison {
+                    Some(0) if i == 5 => obs.state[2] = f64::NAN,
+                    Some(1) if i == 5 => obs.reward = f64::NAN,
+                    _ => {}
+                }
+                agent.observe(&obs, r);
+            }
+        };
+        // A NaN state, then a NaN reward (hence a NaN target): each refill
+        // is dropped without training, and the agent keeps collecting.
+        for poison in [0, 1] {
+            fill(&mut agent, &mut r, Some(poison));
+            assert!(!agent.is_initialized(), "poison {poison}");
+            assert!(agent.buffer.is_empty());
+            assert_eq!(agent.online().model().beta(), &Matrix::zeros(8, 1));
+        }
+        assert_eq!(agent.op_counts().count(OpKind::InitTrain), 0);
+        fill(&mut agent, &mut r, None);
+        assert!(agent.is_initialized());
+        assert_eq!(agent.op_counts().count(OpKind::InitTrain), 1);
+        assert!(agent.online().model().beta().iter().all(|v| v.is_finite()));
     }
 
     #[test]

@@ -552,11 +552,25 @@ impl<T: Scalar> OsElm<T> {
     /// With `δ = 0` this requires at least `Ñ` linearly independent rows in
     /// the chunk (the paper fills buffer `D` with `Ñ` samples first,
     /// Algorithm 1 lines 16–19); with `δ > 0` (ReOS-ELM) any chunk size works.
+    ///
+    /// A non-finite entry in `x₀` or `t₀` is [`LinalgError::InvalidData`]
+    /// and leaves the learner untouched: ReLU would map a NaN input to a
+    /// silent zero hidden row, and a NaN target would poison all of `β`.
+    ///
+    /// `H₀` is released once `H₀ᵀH₀` and `H₀ᵀt₀` exist, and the Gram matrix
+    /// once Cholesky has factored it, so at most two `Ñ × Ñ` matrices are
+    /// live at a time (the factor and `P₀`). The LU fallback for a Gram
+    /// matrix that rounding left indefinite still sees the Gram matrix.
     pub fn init_train(&mut self, x0: &Matrix<T>, t0: &Matrix<T>) -> Result<(), OsElmError> {
         if self.p.is_some() {
             return Err(OsElmError::AlreadyInitialized);
         }
         self.check_shapes(x0, t0)?;
+        if x0.iter().chain(t0.iter()).any(|v| !v.to_f64().is_finite()) {
+            return Err(OsElmError::Linalg(LinalgError::InvalidData {
+                detail: "OS-ELM init_train: non-finite sample or target".into(),
+            }));
+        }
         let h0 = self.model.hidden(x0);
         let n_hidden = self.model.hidden_dim();
         let mut gram = h0.t_matmul(&h0);
@@ -576,9 +590,17 @@ impl<T: Scalar> OsElm<T> {
                 gram[(i, i)] += delta;
             }
         }
-        let p0 = elmrl_linalg::solve::inverse_spd(&gram)?;
-        let beta0 = p0.matmul(&h0.t_matmul(t0));
-        self.model.set_beta(beta0);
+        let ht = h0.t_matmul(t0);
+        drop(h0);
+        let p0 = match Cholesky::decompose(&gram) {
+            Ok(ch) => {
+                drop(gram);
+                ch.inverse()?
+            }
+            Err(LinalgError::NotPositiveDefinite { .. }) => inverse(&gram)?,
+            Err(e) => return Err(e.into()),
+        };
+        self.model.set_beta(p0.matmul(&ht));
         self.p = Some(p0);
         self.init_train_count += 1;
         Ok(())
@@ -1295,6 +1317,31 @@ mod tests {
         let mut rng2 = SmallRng::seed_from_u64(6);
         let mut os_reg = OsElm::<f64>::new(&cfg_reg, &mut rng2);
         assert!(os_reg.init_train(&x, &t).is_ok());
+    }
+
+    #[test]
+    fn non_finite_sample_or_target_is_rejected_without_touching_the_learner() {
+        let (x, t) = dataset(24);
+        let cfg = config(8).with_l2_delta(0.1);
+        let mut os = OsElm::<f64>::new(&cfg, &mut SmallRng::seed_from_u64(9));
+        let beta = os.model().beta().clone();
+        for (row, col, in_target) in [(3, 1, false), (17, 0, true)] {
+            let (mut xi, mut ti) = (x.clone(), t.clone());
+            if in_target {
+                ti[(row, col)] = f64::NAN;
+            } else {
+                xi[(row, col)] = f64::NAN;
+            }
+            assert!(matches!(
+                os.init_train(&xi, &ti),
+                Err(OsElmError::Linalg(LinalgError::InvalidData { .. }))
+            ));
+            assert!(os.p_matrix().is_none());
+            assert_eq!(os.model().beta(), &beta);
+            assert_eq!(os.init_train_count(), 0);
+        }
+        os.init_train(&x, &t).unwrap();
+        assert!(os.model().beta().iter().all(|v| v.is_finite()));
     }
 
     #[test]

@@ -4,10 +4,23 @@
 //! which is symmetric and (with the ReOS-ELM regulariser) positive definite.
 //! The Cholesky route is roughly twice as cheap as LU and never needs
 //! pivoting, which matches what an FPGA implementation would do.
+//!
+//! Solves run forward substitution with `L`, then back substitution with
+//! `Lᵀ`, on the right-hand side **row by row** (the shared kernel in
+//! `triangular.rs`): row `i` subtracts `l_ij · row_j` for ascending `j`,
+//! then divides by `l_ii`. Per element that is the same ascending-`j`
+//! subtraction chain and the same division as the textbook one-column-at-a-
+//! time loop, so the result is bit-identical to it; only the memory order
+//! changes. A column sweep strides `8·cols` bytes per step — 8 KiB for the
+//! `Ñ = 1024` identity behind `P₀` — while a row sweep is a contiguous axpy.
 
+use super::triangular::{solve_in_place, Triangle};
 use crate::error::{LinalgError, Result};
 use crate::matrix::Matrix;
 use crate::scalar::Scalar;
+
+/// `L·y = b`, then `Lᵀ·x = y`, both read from the lower factor.
+const SPD_PASSES: [Triangle; 2] = [Triangle::Lower, Triangle::LowerTransposed];
 
 /// Lower-triangular Cholesky factor `L` with `A = L·Lᵀ`.
 #[derive(Clone, Debug)]
@@ -35,33 +48,10 @@ impl<T: Scalar> Cholesky<T> {
         &self.l
     }
 
-    /// Solve `A·x = b` using forward then backward substitution.
+    /// Solve `A·x = b` using forward then backward substitution — the
+    /// one-column case of [`Cholesky::solve`].
     pub fn solve_vec(&self, b: &[T]) -> Result<Vec<T>> {
-        let n = self.dim();
-        if b.len() != n {
-            return Err(LinalgError::ShapeMismatch {
-                detail: format!("rhs length {} vs dimension {n}", b.len()),
-            });
-        }
-        // L·y = b
-        let mut y = vec![T::zero(); n];
-        for i in 0..n {
-            let mut acc = b[i];
-            for (j, &yj) in y.iter().enumerate().take(i) {
-                acc -= self.l[(i, j)] * yj;
-            }
-            y[i] = acc / self.l[(i, i)];
-        }
-        // Lᵀ·x = y
-        let mut x = vec![T::zero(); n];
-        for i in (0..n).rev() {
-            let mut acc = y[i];
-            for (j, &xj) in x.iter().enumerate().skip(i + 1) {
-                acc -= self.l[(j, i)] * xj;
-            }
-            x[i] = acc / self.l[(i, i)];
-        }
-        Ok(x)
+        self.solve(&Matrix::col_from_slice(b)).map(Matrix::into_vec)
     }
 
     /// Solve `A·X = B` for a matrix right-hand side.
@@ -71,9 +61,11 @@ impl<T: Scalar> Cholesky<T> {
         Ok(out)
     }
 
-    /// Inverse of the factorised matrix.
+    /// Inverse of the factorised matrix: the identity, solved in place.
     pub fn inverse(&self) -> Result<Matrix<T>> {
-        self.solve(&Matrix::identity(self.dim()))
+        let mut x = Matrix::identity(self.dim());
+        solve_in_place(&self.l, SPD_PASSES, &mut x);
+        Ok(x)
     }
 
     /// Determinant (product of squared diagonal entries of `L`).
@@ -110,10 +102,13 @@ pub fn cholesky_into<T: Scalar>(a: &Matrix<T>, l: &mut Matrix<T>) -> Result<()> 
                 sum -= l[(i, k)] * l[(j, k)];
             }
             if i == j {
-                if sum <= T::zero() {
+                // `sum > 0` rather than `!(sum <= 0)`: a NaN pivot is not
+                // positive definite either.
+                if sum > T::zero() {
+                    l[(i, j)] = sum.sqrt();
+                } else {
                     return Err(LinalgError::NotPositiveDefinite { pivot: i });
                 }
-                l[(i, j)] = sum.sqrt();
             } else {
                 l[(i, j)] = sum / l[(j, j)];
             }
@@ -125,10 +120,10 @@ pub fn cholesky_into<T: Scalar>(a: &Matrix<T>, l: &mut Matrix<T>) -> Result<()> 
 /// Solve `A·X = B` given the lower-triangular Cholesky factor `l` of `A`,
 /// writing `X` into a caller-owned matrix (reshaped via
 /// [`Matrix::resize_zeroed`], reusing its allocation). Forward then backward
-/// substitution runs **in place** on the copied right-hand side, so the
-/// steady-state solve performs zero heap allocations. Per column the
-/// arithmetic is identical to [`Cholesky::solve_vec`], and
-/// [`Cholesky::solve`] delegates here, so the two paths agree bit for bit.
+/// substitution runs **in place** on the copied right-hand side, one row at
+/// a time, so the steady-state solve performs zero heap allocations below
+/// the parallel threshold. [`Cholesky::solve`], [`Cholesky::solve_vec`] and
+/// [`Cholesky::inverse`] run the same kernel, so all agree bit for bit.
 pub fn solve_spd_into<T: Scalar>(l: &Matrix<T>, b: &Matrix<T>, out: &mut Matrix<T>) -> Result<()> {
     let n = l.rows();
     if b.rows() != n {
@@ -136,27 +131,9 @@ pub fn solve_spd_into<T: Scalar>(l: &Matrix<T>, b: &Matrix<T>, out: &mut Matrix<
             detail: format!("rhs has {} rows, expected {n}", b.rows()),
         });
     }
-    let cols = b.cols();
-    out.resize_zeroed(n, cols);
+    out.resize_zeroed(n, b.cols());
     out.as_mut_slice().copy_from_slice(b.as_slice());
-    for c in 0..cols {
-        // L·y = b (top-down, in place on column c).
-        for i in 0..n {
-            let mut acc = out[(i, c)];
-            for j in 0..i {
-                acc -= l[(i, j)] * out[(j, c)];
-            }
-            out[(i, c)] = acc / l[(i, i)];
-        }
-        // Lᵀ·x = y (bottom-up, in place on column c).
-        for i in (0..n).rev() {
-            let mut acc = out[(i, c)];
-            for j in (i + 1)..n {
-                acc -= l[(j, i)] * out[(j, c)];
-            }
-            out[(i, c)] = acc / l[(i, i)];
-        }
-    }
+    solve_in_place(l, SPD_PASSES, out);
     Ok(())
 }
 

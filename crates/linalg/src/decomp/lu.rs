@@ -4,10 +4,23 @@
 //! `P` a row permutation. Solving, inversion and determinants are derived from
 //! the factorisation. This is the general-purpose solver behind
 //! [`crate::solve::solve`] and [`crate::solve::inverse`].
+//!
+//! Solves permute the right-hand side's rows once, then run the unit-lower
+//! forward pass and the upper back pass **row by row** (the shared kernel
+//! in `triangular.rs`): row `i` subtracts `lu_ij · row_j` for ascending `j`
+//! (then divides by `u_ii` in the back pass). Per element that is exactly
+//! the ascending-`j` subtraction chain of the one-column-at-a-time loop, so
+//! the result is bit-identical to it, without a column copy and a solution
+//! vector per right-hand-side column.
 
+use super::triangular::{solve_in_place, Triangle};
 use crate::error::{LinalgError, Result};
 use crate::matrix::Matrix;
 use crate::scalar::Scalar;
+
+/// `L·y = P·b` (unit diagonal), then `U·x = y`, both read from the packed
+/// factors.
+const LU_PASSES: [Triangle; 2] = [Triangle::UnitLower, Triangle::Upper];
 
 /// The result of an LU factorisation with partial pivoting.
 #[derive(Clone, Debug)]
@@ -77,34 +90,14 @@ impl<T: Scalar> Lu<T> {
         self.lu.rows()
     }
 
-    /// Solve `A·x = b` for a single right-hand side given as a slice.
+    /// Solve `A·x = b` for a single right-hand side given as a slice — the
+    /// one-column case of [`Lu::solve`].
     pub fn solve_vec(&self, b: &[T]) -> Result<Vec<T>> {
-        let n = self.dim();
-        if b.len() != n {
-            return Err(LinalgError::ShapeMismatch {
-                detail: format!("rhs length {} vs dimension {n}", b.len()),
-            });
-        }
-        // Apply permutation, then forward-substitute L, then back-substitute U.
-        let mut y: Vec<T> = (0..n).map(|i| b[self.perm[i]]).collect();
-        for i in 0..n {
-            let mut acc = y[i];
-            for (j, &yj) in y.iter().enumerate().take(i) {
-                acc -= self.lu[(i, j)] * yj;
-            }
-            y[i] = acc;
-        }
-        for i in (0..n).rev() {
-            let mut acc = y[i];
-            for (j, &yj) in y.iter().enumerate().skip(i + 1) {
-                acc -= self.lu[(i, j)] * yj;
-            }
-            y[i] = acc / self.lu[(i, i)];
-        }
-        Ok(y)
+        self.solve(&Matrix::col_from_slice(b)).map(Matrix::into_vec)
     }
 
-    /// Solve `A·X = B` for a matrix right-hand side.
+    /// Solve `A·X = B` for a matrix right-hand side: permute the rows of `B`
+    /// once, then substitute `L` and `U` in place, row by row.
     pub fn solve(&self, b: &Matrix<T>) -> Result<Matrix<T>> {
         let n = self.dim();
         if b.rows() != n {
@@ -112,20 +105,17 @@ impl<T: Scalar> Lu<T> {
                 detail: format!("rhs has {} rows, expected {n}", b.rows()),
             });
         }
-        let mut out = Matrix::zeros(n, b.cols());
-        for c in 0..b.cols() {
-            let col = b.col(c);
-            let x = self.solve_vec(&col)?;
-            for r in 0..n {
-                out[(r, c)] = x[r];
-            }
-        }
-        Ok(out)
+        let mut x = b.gather_rows(&self.perm);
+        solve_in_place(&self.lu, LU_PASSES, &mut x);
+        Ok(x)
     }
 
-    /// Inverse of the factorised matrix.
+    /// Inverse of the factorised matrix: `P` (the permuted identity), solved
+    /// in place.
     pub fn inverse(&self) -> Result<Matrix<T>> {
-        self.solve(&Matrix::identity(self.dim()))
+        let mut x = self.p();
+        solve_in_place(&self.lu, LU_PASSES, &mut x);
+        Ok(x)
     }
 
     /// Determinant of the factorised matrix.

@@ -16,6 +16,7 @@ pub mod cholesky;
 pub mod lu;
 pub mod qr;
 pub mod svd;
+mod triangular;
 
 pub use cholesky::{cholesky_into, solve_spd_into, Cholesky};
 pub use lu::Lu;

@@ -45,6 +45,14 @@
 //! element still starts from zero and adds its products in ascending inner
 //! order, each product formed as `lhs · rhs`.
 //!
+//! **Tiled `t_matmul_into`.** Wider `aᵀ·b` products — above all the Gram
+//! matrix `H₀ᵀH₀` of OS-ELM initial training — run the `p-i-j` loop one
+//! 32×128 output tile at a time, four `p` per register pass, instead of
+//! sweeping the whole output once per `p`; products above
+//! [`parallel_flop_threshold`] split into row bands on the pool. Each element
+//! still adds its products in ascending `p` from zero, so the tiling and the
+//! bands are bit-identical to the plain loop.
+//!
 //! The FPGA datapath simulator in `elmrl-fpga` does **not** use these kernels;
 //! it sequences scalar MACs explicitly to count cycles.
 
@@ -168,6 +176,66 @@ fn packed_gemm_rows<T: Scalar>(
                     }
                 }
             }
+        }
+    }
+}
+
+/// Output rows per tile of the generic `t_matmul_into` path.
+const T_TILE_ROWS: usize = 32;
+
+/// Output columns per tile of the generic `t_matmul_into` path: a
+/// `T_TILE_ROWS × T_TILE_COLS` f64 tile is 32 KiB, an L1's worth.
+const T_TILE_COLS: usize = 128;
+
+/// Output rows `i0..i0 + out.len() / n` of `aᵀ · b` (the caller's zeroed
+/// row band), one `T_TILE_ROWS × T_TILE_COLS` output tile at a time. Inside
+/// a tile `p` runs over the whole inner dimension in ascending order, four
+/// at a time: each element adds its four products in a register and is
+/// stored once. Every element still gets the `p-i-j` loop's additions in
+/// the `p-i-j` loop's order; the tile only keeps the accumulators
+/// cache-resident instead of sweeping the whole output once per `p`.
+fn t_matmul_rows<T: Scalar>(a: &Matrix<T>, b: &Matrix<T>, i0: usize, out: &mut [T]) {
+    let (k, n) = (a.rows(), b.cols());
+    let rows = out.len() / n;
+    for ti in (0..rows).step_by(T_TILE_ROWS) {
+        let ti_end = (ti + T_TILE_ROWS).min(rows);
+        for tj in (0..n).step_by(T_TILE_COLS) {
+            let tile = (i0 + ti..i0 + ti_end, tj..(tj + T_TILE_COLS).min(n));
+            let mut p = 0;
+            while p + 4 <= k {
+                t_tile_step::<T, 4>(a, b, p, tile.clone(), n, &mut out[ti * n..]);
+                p += 4;
+            }
+            for p in p..k {
+                t_tile_step::<T, 1>(a, b, p, tile.clone(), n, &mut out[ti * n..]);
+            }
+        }
+    }
+}
+
+/// Add inner indices `p..p + G` to one output tile: rows `rows` of `aᵀ`
+/// (columns of `a`) by columns `cols` of `b`, into `out` (row-major with
+/// `n` columns, starting at the tile's first row). Each element adds its
+/// `G` products in ascending `p` in a register.
+#[inline(always)]
+fn t_tile_step<T: Scalar, const G: usize>(
+    a: &Matrix<T>,
+    b: &Matrix<T>,
+    p: usize,
+    (rows, cols): (std::ops::Range<usize>, std::ops::Range<usize>),
+    n: usize,
+    out: &mut [T],
+) {
+    let a_segs: [&[T]; G] = std::array::from_fn(|g| &a.row(p + g)[rows.clone()]);
+    let b_segs: [&[T]; G] = std::array::from_fn(|g| &b.row(p + g)[cols.clone()]);
+    for (r, o_row) in out.chunks_mut(n).take(rows.len()).enumerate() {
+        let coefs: [T; G] = std::array::from_fn(|g| a_segs[g][r]);
+        for (j, o) in o_row[cols.clone()].iter_mut().enumerate() {
+            let mut v = *o;
+            for g in 0..G {
+                v += coefs[g] * b_segs[g][j];
+            }
+            *o = v;
         }
     }
 }
@@ -510,16 +578,26 @@ impl<T: Scalar> Matrix<T> {
             dispatch_const!(narrow_product, n, m, k, |i, p| a[p * m + i], b, o);
             return;
         }
-        for p in 0..k {
-            let a_row = self.row(p);
-            let b_row = rhs.row(p);
-            for (i, &a_pi) in a_row.iter().enumerate().take(m) {
-                let o_row = out.row_mut(i);
-                for j in 0..n {
-                    o_row[j] += a_pi * b_row[j];
-                }
-            }
+        if m == 0 || n == 0 {
+            return;
         }
+        let threads = rayon::current_num_threads();
+        // Strictly above the threshold: the paper-scale Ñ = 64 Gram product
+        // (exactly 64³) stays on the calling thread, as every other Ñ = 64
+        // kernel does, so those runs never start the pool.
+        if threads <= 1 || k * m * n <= parallel_flop_threshold() || m < 2 {
+            t_matmul_rows(self, rhs, 0, out.as_mut_slice());
+            return;
+        }
+        let rows_per = m.div_ceil(threads * 2);
+        let bands: Vec<(usize, &mut [T])> = out
+            .as_mut_slice()
+            .chunks_mut(rows_per * n)
+            .enumerate()
+            .collect();
+        bands.into_par_iter().for_each(|(bi, band)| {
+            t_matmul_rows(self, rhs, bi * rows_per, band);
+        });
     }
 
     /// `self · rhsᵀ` without materialising the transpose.

@@ -359,3 +359,180 @@ fn generic_matmul_t(a: &Matrix<f64>, b: &Matrix<f64>) -> Matrix<f64> {
     }
     out
 }
+
+// Pins for the row-oriented triangular solves and the blocked Gram product.
+// The references are the column-at-a-time substitution and the `p-i-j`
+// `t_matmul` loop these kernels replaced; every case runs once on the
+// sequential kernels and once with the parallel threshold forced to one on a
+// four-worker pool, so the pooled bands are held to the same bits.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn triangular_solves_are_bit_identical_to_column_substitution(
+        n in 1usize..41, width in 1usize..71, seed in 0u64..1000
+    ) {
+        use elmrl_linalg::decomp::solve_spd_into;
+        // A synthetic lower factor: positive diagonal, off-diagonal entries
+        // with ±0 and NaN, zero upper triangle (the kernel reads only the
+        // lower triangle, as for a real Cholesky factor).
+        let l = {
+            let mut l = special_matrix(n, n, seed);
+            for i in 0..n {
+                for j in i..n {
+                    l[(i, j)] = if i == j { 1.0 + l[(i, j)].abs().min(2.0) } else { 0.0 };
+                }
+            }
+            l
+        };
+        let b = special_matrix(n, width, seed.wrapping_add(3));
+        let expected = column_solve_spd(&l, &b);
+        let spd = spd_matrix(n, seed);
+        let ch = Cholesky::decompose(&spd).unwrap();
+        let expected_inv = column_solve_spd(ch.l(), &Matrix::identity(n));
+        let dense = seeded_matrix(n, n, seed.wrapping_add(7));
+        let lu = Lu::decompose(&(&dense + &Matrix::identity(n).scale(4.0))).unwrap();
+        let expected_lu = column_solve_lu(&lu, &b);
+        let expected_lu_inv = column_solve_lu(&lu, &Matrix::identity(n));
+        for pooled in [false, true] {
+            let mut x = Matrix::zeros(1, 1);
+            with_gate(pooled, || solve_spd_into(&l, &b, &mut x).unwrap());
+            prop_assert!(same_bits(&x, &expected), "solve_spd_into n={n} w={width} pooled={pooled}");
+            let inv = with_gate(pooled, || ch.inverse().unwrap());
+            prop_assert!(same_bits(&inv, &expected_inv), "Cholesky::inverse n={n} pooled={pooled}");
+            let x_lu = with_gate(pooled, || lu.solve(&b).unwrap());
+            prop_assert!(same_bits(&x_lu, &expected_lu), "Lu::solve n={n} w={width} pooled={pooled}");
+            let inv_lu = with_gate(pooled, || lu.inverse().unwrap());
+            prop_assert!(same_bits(&inv_lu, &expected_lu_inv), "Lu::inverse n={n} pooled={pooled}");
+        }
+        // The one-column wrappers are the same kernels.
+        let col = b.col(0);
+        let x_vec = ch.solve_vec(&col).unwrap();
+        let x_col = column_solve_spd(ch.l(), &Matrix::col_from_slice(&col));
+        prop_assert!(same_bits(&Matrix::col_from_slice(&x_vec), &x_col));
+        let x_vec = lu.solve_vec(&col).unwrap();
+        let x_col = column_solve_lu(&lu, &Matrix::col_from_slice(&col));
+        prop_assert!(same_bits(&Matrix::col_from_slice(&x_vec), &x_col));
+    }
+
+    #[test]
+    fn gram_products_are_bit_identical_to_the_p_i_j_loop(
+        k in 1usize..41, m in 1usize..71, n in 1usize..71, seed in 0u64..1000
+    ) {
+        let h = special_matrix(k, m, seed);
+        let g = special_matrix(k, n, seed.wrapping_add(5));
+        let expected_gram = generic_t_matmul(&h, &h);
+        let expected = generic_t_matmul(&h, &g);
+        for pooled in [false, true] {
+            let mut out = Matrix::zeros(1, 1);
+            with_gate(pooled, || h.t_matmul_into(&h, &mut out));
+            prop_assert!(same_bits(&out, &expected_gram), "HᵀH {k}x{m} pooled={pooled}");
+            with_gate(pooled, || h.t_matmul_into(&g, &mut out));
+            prop_assert!(same_bits(&out, &expected), "Hᵀg {k}x{m}x{n} pooled={pooled}");
+        }
+    }
+}
+
+#[test]
+fn large_gram_and_solve_cross_every_tile_and_band_edge() {
+    // Shapes past the Gram product's output tiles and the solve's column
+    // bands, on the sequential kernels and on the pool.
+    use elmrl_linalg::decomp::solve_spd_into;
+    for (k, m, n) in [(3, 300, 260), (70, 129, 513), (1, 65, 257)] {
+        let h = special_matrix(k, m, 11 + k as u64);
+        let g = special_matrix(k, n, 13 + k as u64);
+        let expected = generic_t_matmul(&h, &g);
+        for pooled in [false, true] {
+            let mut out = Matrix::zeros(1, 1);
+            with_gate(pooled, || h.t_matmul_into(&g, &mut out));
+            assert!(same_bits(&out, &expected), "{k}x{m}x{n} pooled={pooled}");
+        }
+    }
+    let spd = spd_matrix(90, 5);
+    let ch = Cholesky::decompose(&spd).unwrap();
+    let b = special_matrix(90, 301, 17);
+    let expected = column_solve_spd(ch.l(), &b);
+    for pooled in [false, true] {
+        let mut x = Matrix::zeros(1, 1);
+        with_gate(pooled, || solve_spd_into(ch.l(), &b, &mut x).unwrap());
+        assert!(same_bits(&x, &expected), "pooled={pooled}");
+    }
+}
+
+/// Run `f` on the sequential kernels (one thread, default threshold) or with
+/// every product routed to a four-worker pool, restoring the defaults.
+fn with_gate<R>(pooled: bool, f: impl FnOnce() -> R) -> R {
+    use elmrl_linalg::set_parallel_flop_threshold;
+    if pooled {
+        rayon::set_num_threads(4);
+        set_parallel_flop_threshold(1);
+    } else {
+        rayon::set_num_threads(1);
+    }
+    let r = f();
+    rayon::set_num_threads(1);
+    set_parallel_flop_threshold(0);
+    r
+}
+
+/// `HᵀH + I` for a seeded `H` with more rows than columns.
+fn spd_matrix(n: usize, seed: u64) -> Matrix<f64> {
+    let h = seeded_matrix(n + 3, n, seed);
+    &generic_t_matmul(&h, &h) + &Matrix::identity(n)
+}
+
+/// The column-at-a-time forward and back substitution that `solve_spd_into`
+/// ran before it became row-oriented: `L·Lᵀ·X = B`.
+fn column_solve_spd(l: &Matrix<f64>, b: &Matrix<f64>) -> Matrix<f64> {
+    let n = l.rows();
+    let mut out = b.clone();
+    for c in 0..b.cols() {
+        for i in 0..n {
+            let mut acc = out[(i, c)];
+            for j in 0..i {
+                acc -= l[(i, j)] * out[(j, c)];
+            }
+            out[(i, c)] = acc / l[(i, i)];
+        }
+        for i in (0..n).rev() {
+            let mut acc = out[(i, c)];
+            for j in (i + 1)..n {
+                acc -= l[(j, i)] * out[(j, c)];
+            }
+            out[(i, c)] = acc / l[(i, i)];
+        }
+    }
+    out
+}
+
+/// The per-column `Lu::solve_vec` loop that `Lu::solve` ran before it became
+/// row-oriented: permute, unit-lower forward pass, upper back pass.
+fn column_solve_lu(lu: &Lu<f64>, b: &Matrix<f64>) -> Matrix<f64> {
+    let n = lu.dim();
+    let (l, u, p) = (lu.l(), lu.u(), lu.p());
+    let perm: Vec<usize> = (0..n)
+        .map(|i| (0..n).find(|&j| p[(i, j)] == 1.0).unwrap())
+        .collect();
+    let mut out = Matrix::zeros(n, b.cols());
+    for c in 0..b.cols() {
+        let mut y: Vec<f64> = (0..n).map(|i| b[(perm[i], c)]).collect();
+        for i in 0..n {
+            let mut acc = y[i];
+            for j in 0..i {
+                acc -= l[(i, j)] * y[j];
+            }
+            y[i] = acc;
+        }
+        for i in (0..n).rev() {
+            let mut acc = y[i];
+            for j in (i + 1)..n {
+                acc -= u[(i, j)] * y[j];
+            }
+            y[i] = acc / u[(i, i)];
+        }
+        for (r, v) in y.into_iter().enumerate() {
+            out[(r, c)] = v;
+        }
+    }
+    out
+}
