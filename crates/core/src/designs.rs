@@ -103,6 +103,17 @@ impl Design {
         )
     }
 
+    /// The RLS chunk cap a run of this design trains under: `chunk_cap` when
+    /// given, else [`crate::oselm_qnet::DEFAULT_CHUNK_CAP`] where the cap is
+    /// live at all (a chunked OS-ELM design driving batch-B ticks,
+    /// `train_envs > 1`). Scalar and non-RLS runs get `None`, which is what
+    /// their artefacts record, so artefacts from before the knob existed keep
+    /// their bytes.
+    pub fn effective_chunk_cap(self, chunk_cap: Option<usize>, train_envs: usize) -> Option<usize> {
+        let live = train_envs > 1 && self.uses_chunked_rls();
+        chunk_cap.or(live.then_some(crate::oselm_qnet::DEFAULT_CHUNK_CAP))
+    }
+
     /// Build the agent for this design. Panics for [`Design::Fpga`], which is
     /// constructed by `elmrl-fpga::FpgaAgent::new` instead.
     pub fn build(self, config: &DesignConfig, rng: &mut SmallRng) -> Box<dyn Agent> {
@@ -258,6 +269,30 @@ impl DesignConfig {
 mod tests {
     use super::*;
     use rand::SeedableRng;
+
+    #[test]
+    fn effective_chunk_cap_defaults_only_where_the_cap_is_live() {
+        let default = Some(crate::oselm_qnet::DEFAULT_CHUNK_CAP);
+        for design in Design::all_designs() {
+            let chunked = design.uses_chunked_rls();
+            assert_eq!(design.effective_chunk_cap(None, 1), None, "{design:?}");
+            assert_eq!(
+                design.effective_chunk_cap(None, 4),
+                if chunked { default } else { None },
+                "{design:?}"
+            );
+            assert_eq!(
+                design.effective_chunk_cap(Some(2), 1),
+                Some(2),
+                "{design:?}"
+            );
+            assert_eq!(
+                design.effective_chunk_cap(Some(2), 4),
+                Some(2),
+                "{design:?}"
+            );
+        }
+    }
 
     #[test]
     fn labels_and_enumerations() {

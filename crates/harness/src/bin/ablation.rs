@@ -5,35 +5,23 @@
 //! stabilisation table.
 //!
 //! Run `ablation --help` for the flag list. The ablations are single-trial
-//! and use a single hidden size — the first entry of `--hidden` (the legacy
-//! `ELMRL_HIDDEN_ONE` environment variable supplies the default when neither
-//! `--hidden` nor `ELMRL_HIDDEN` is given); `--trials` has no effect here.
-use elmrl_harness::{ablation, cli, env_usize, report, telemetry};
+//! and use a single hidden size, the first entry of `--hidden` (default 64).
+use elmrl_harness::{ablation, cli, report, telemetry};
 
 fn main() {
     let args = cli::parse_or_exit(
         "ablation",
         "DESIGN.md ablations: A1 stabilisation techniques, A2 precision, \
-         A3 arithmetic backend (single-trial, single hidden size; --trials \
-         is ignored; --workload all loops over the whole registry)",
+         A3 arithmetic backend (single-trial, first --hidden size only; \
+         --workload all loops over the whole registry)",
         &cli::CliDefaults {
             trials: 1,
             episodes: 600,
-            // Flags and ELMRL_HIDDEN override this ELMRL_HIDDEN_ONE default.
-            hidden: vec![env_usize("ELMRL_HIDDEN_ONE", 64)],
+            hidden: vec![64],
         },
     );
-    args.warn_unused_population_flags("ablation");
-    args.warn_unused_checkpoint_flags("ablation");
-    args.warn_unused_serve_flags("ablation");
     telemetry::init(&args);
-    let hidden = args.hidden[0];
-    if args.hidden.len() > 1 {
-        eprintln!(
-            "ablation: note — using only the first hidden size ({hidden}) of {:?}",
-            args.hidden
-        );
-    }
+    let hidden = args.first_hidden("ablation");
     for workload in args.workloads() {
         eprintln!(
             "ablations on {workload} at hidden = {hidden}, {} episodes, {} training env(s)",

@@ -10,16 +10,13 @@ fn main() {
         "fig4",
         "Figure 4 — training curves of the six software designs.\n\
          Plots one representative curve per (design, hidden) cell, as the\n\
-         paper does; --trials is ignored",
+         paper does",
         &cli::CliDefaults {
             trials: 1,
             episodes: 600,
             hidden: vec![32, 64],
         },
     );
-    args.warn_unused_population_flags("fig4");
-    args.warn_unused_serve_flags("fig4");
-    args.reject_workload_all("fig4");
     telemetry::init(&args);
     eprintln!(
         "figure 4 on {}: hidden sizes {:?}, {} episodes per curve, \

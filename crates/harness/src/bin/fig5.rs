@@ -16,9 +16,6 @@ fn main() {
             hidden: vec![32, 64],
         },
     );
-    args.warn_unused_population_flags("fig5");
-    args.warn_unused_serve_flags("fig5");
-    args.reject_workload_all("fig5");
     telemetry::init(&args);
     eprintln!(
         "figure 5 on {}: hidden {:?}, {} trials/cell, {} episode budget, \

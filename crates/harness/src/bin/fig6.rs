@@ -15,9 +15,6 @@ fn main() {
             hidden: vec![32, 64],
         },
     );
-    args.warn_unused_population_flags("fig6");
-    args.warn_unused_serve_flags("fig6");
-    args.reject_workload_all("fig6");
     telemetry::init(&args);
     eprintln!(
         "figure 6 on {}: hidden {:?}, {} trials/cell, {} episode budget, \

@@ -13,29 +13,15 @@ fn main() {
     let args = cli::parse_or_exit(
         "population",
         "Population runner — K replicated agents of one design on one workload.\n\
-         Uses the first --hidden entry; --trials is ignored",
+         Uses the first --hidden entry",
         &cli::CliDefaults {
             trials: 1,
             episodes: 2000,
             hidden: vec![64],
         },
     );
-    let hidden = args.hidden[0];
-    if args.hidden.len() > 1 {
-        eprintln!(
-            "population: note — using only the first hidden size ({hidden}) of {:?}",
-            args.hidden
-        );
-    }
-    args.reject_workload_all("population");
-    args.warn_unused_serve_flags("population");
+    let hidden = args.first_hidden("population");
     telemetry::init(&args);
-    if args.stop_after.is_some() {
-        eprintln!(
-            "population: note — --stop-after only affects the trial binaries; \
-             use --fail-shard k@e to fault-inject a population run"
-        );
-    }
     let mut config = PopulationConfig::new(args.workload, args.design, hidden, args.population);
     config.options = args.workload_options();
     config.shards = args.shards;

@@ -13,25 +13,14 @@ fn main() {
     let args = cli::parse_or_exit(
         "serve",
         "Serving engine — client sessions against a worker pool with dynamic\n\
-         batching. Uses the first --hidden entry; --trials/--episodes are ignored",
+         batching. Uses the first --hidden entry",
         &cli::CliDefaults {
             trials: 1,
             episodes: 2000,
             hidden: vec![64],
         },
     );
-    let hidden = args.hidden[0];
-    if args.hidden.len() > 1 {
-        eprintln!(
-            "serve: note — using only the first hidden size ({hidden}) of {:?}",
-            args.hidden
-        );
-    }
-    args.reject_workload_all("serve");
-    args.warn_unused_checkpoint_flags("serve");
-    if args.population_flags_used && (args.population != 32 || args.shards != 4) {
-        eprintln!("serve: note — --population/--shards only affect the `population` binary");
-    }
+    let hidden = args.first_hidden("serve");
     telemetry::init(&args);
 
     let spec = args.workload.spec_with(args.workload_options());

@@ -4,64 +4,24 @@
 //! table (`results/population_summary.json`: solve rate + episodes-to-solve
 //! quantiles per design × env).
 //!
-//! Flags: `--results <dir>` (default `results`) names the root the
-//! artefacts were written under; `--out <dir>` (default: the results root)
-//! names where the summaries go; `--telemetry`, `--metrics-out <file>` and
-//! `--trace-out <file>` enable the shared telemetry registry (mostly useful
-//! to confirm the aggregation itself is cheap); `--help` prints usage.
-use elmrl_harness::{report, summary, telemetry};
-use std::path::PathBuf;
-
-const USAGE: &str = "Cross-environment summary - design x environment matrices from fig5 and\n\
-     population results.\n\n\
-     Usage: summary [OPTIONS]\n\n\
-     Options:\n\
-     \x20 --results <dir>      results root holding <workload>/fig5.json and/or\n\
-     \x20                      <workload>/population.json (default: results)\n\
-     \x20 --out <dir>          output directory (default: the results root)\n\
-     \x20 --telemetry          collect metrics; print the latency table on exit\n\
-     \x20 --metrics-out <file> write the metric snapshot JSON (implies --telemetry)\n\
-     \x20 --trace-out <file>   write a chrome://tracing span trace (implies --telemetry)\n\
-     \x20 --help               print this help and exit";
+//! Run `summary --help` for the flag list; `--results <dir>` names the root
+//! the artefacts were written under, and the summaries go there too unless
+//! `--out` says otherwise.
+use elmrl_harness::{cli, report, summary, telemetry};
 
 fn main() {
-    let mut results_root = PathBuf::from("results");
-    let mut out: Option<PathBuf> = None;
-    let mut telemetry_on = false;
-    let mut metrics_out: Option<PathBuf> = None;
-    let mut trace_out: Option<PathBuf> = None;
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut iter = args.iter();
-    while let Some(flag) = iter.next() {
-        match flag.as_str() {
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                return;
-            }
-            "--results" => match iter.next() {
-                Some(dir) => results_root = PathBuf::from(dir),
-                None => exit_with("--results requires a value"),
-            },
-            "--out" => match iter.next() {
-                Some(dir) => out = Some(PathBuf::from(dir)),
-                None => exit_with("--out requires a value"),
-            },
-            "--telemetry" => telemetry_on = true,
-            "--metrics-out" => match iter.next() {
-                Some(path) => metrics_out = Some(PathBuf::from(path)),
-                None => exit_with("--metrics-out requires a value"),
-            },
-            "--trace-out" => match iter.next() {
-                Some(path) => trace_out = Some(PathBuf::from(path)),
-                None => exit_with("--trace-out requires a value"),
-            },
-            other => exit_with(&format!("unknown flag `{other}` (try --help)")),
-        }
-    }
-    if metrics_out.is_some() || trace_out.is_some() {
-        telemetry_on = true;
-    }
-    telemetry::init_with(telemetry_on, trace_out.is_some());
+    let args = cli::parse_or_exit(
+        "summary",
+        "Cross-environment summary - design x environment matrices from fig5,\n\
+         population and ablation results",
+        &cli::CliDefaults {
+            trials: 1,
+            episodes: 0,
+            hidden: vec![],
+        },
+    );
+    telemetry::init(&args);
+    let results_root = args.results.clone();
 
     let summary = match summary::collect(&results_root) {
         Ok(s) => s,
@@ -134,7 +94,7 @@ fn main() {
         ));
     }
 
-    let dir = out.unwrap_or(results_root);
+    let dir = args.out.clone().unwrap_or(results_root);
     if !summary.workloads.is_empty() {
         let md = summary::to_markdown(&summary);
         println!("# Design × environment summary\n\n{md}");
@@ -159,7 +119,7 @@ fn main() {
         report::write_text(&dir, "ablation_summary.md", &md).expect("write ablation_summary.md");
         eprintln!("wrote {}/ablation_summary.{{md,json}}", dir.display());
     }
-    telemetry::finish_with("summary", metrics_out.as_deref(), trace_out.as_deref());
+    telemetry::finish("summary", &args);
 }
 
 fn exit_with(message: &str) -> ! {

@@ -9,16 +9,13 @@ fn main() {
         "table3",
         "Table 3 — FPGA resource utilization of the OS-ELM core (xc7z020).\n\
          The table is workload-independent and covers the paper's full hidden\n\
-         sweep; only --out has an effect here",
+         sweep",
         &cli::CliDefaults {
             trials: 1,
             episodes: 0,
             hidden: vec![32, 64, 128, 192],
         },
     );
-    args.warn_unused_population_flags("table3");
-    args.warn_unused_checkpoint_flags("table3");
-    args.warn_unused_serve_flags("table3");
     telemetry::init(&args);
     let table = table3::generate();
     let md = table3::to_markdown(&table);

@@ -1,169 +1,93 @@
-//! Minimal CLI argument parsing shared by the experiment binaries.
+//! Command-line flags shared by the harness binaries.
 //!
-//! The container has no access to crates.io, so instead of `clap` this is a
-//! small hand-rolled flag parser. Every binary accepts:
+//! Every flag is one entry of [`FLAGS`]: its name, its `ELMRL_*` variable,
+//! its help line, the binaries that read it and the function that parses and
+//! checks its value. Parsing, `--help`, the environment fallbacks and the
+//! "ignored here" notes all come from that table.
 //!
-//! * `--workload <name>` — a registered workload (`cart-pole`, `mountain-car`,
-//!   `pendulum`; case/separator/Gym-version insensitive);
-//! * `--trials <n>` — seeded trials per experiment cell;
-//! * `--episodes <n>` — episode budget per trial;
-//! * `--hidden <a,b,..>` — comma-separated hidden sizes;
-//! * `--seed <n>` — base RNG seed;
-//! * `--torque-levels <n>` — Pendulum torque discretisation (default 3; the
-//!   ROADMAP's n ∈ {3, 5, 9, 15} sweep axis, inert on other workloads);
-//! * `--solve-threshold <x>` — override the workload's solve threshold
-//!   (the registry's completion *rule* is kept; only the threshold swaps),
-//!   the ROADMAP's calibration sweep axis;
-//! * `--obs-dim <n>` — padded observation width for the `high-dim` scaling
-//!   workload (default 64; ≥ 4, inert on other workloads);
-//! * `--chunk-cap <n>` — RLS batch-width cap for the chunked OS-ELM
-//!   designs: ticks with more than `n` stored transitions split into
-//!   `n`-sized RLS chunks (default `DEFAULT_CHUNK_CAP`; only meaningful
-//!   with `--train-envs` > 1);
-//! * `--train-envs <e>` — parallel training episodes per trial/replica
-//!   (default `ELMRL_TRAIN_ENVS`, else 1). 1 is the paper's scalar B = 1
-//!   protocol, byte-for-byte; E > 1 drives E concurrent episodes through a
-//!   `VecEnv` with batch-B updates per engine tick;
-//! * `--threads <n>` — size of the work-sharing thread pool every parallel
-//!   section (population shards, trial batches, large matmuls) runs on;
-//!   `--threads 1` forces the true sequential path for debugging. Default:
-//!   the `ELMRL_THREADS` environment variable, else the machine's available
-//!   parallelism. Never affects results, only wall-clock;
-//! * `--out <dir>` — output directory (default: `results/<workload-slug>`);
-//! * `--checkpoint-dir <dir>` / `--checkpoint-every <n>` / `--resume` —
-//!   capture per-run checkpoints (per-shard manifests for `population`)
-//!   and continue from them, bit-for-bit identically to an uninterrupted
-//!   run;
-//! * `--stop-after <n>` — fault injection for the trial binaries: abandon
-//!   each run once `n` episodes completed, keeping the boundary checkpoint;
-//! * `--fail-shard <k@e>` — fault injection for the `population` binary:
-//!   kill shard `k` after `e` episodes and requeue its replicas;
-//! * `--telemetry` — enable the global latency/counter registry and print a
-//!   per-module summary table on exit (also honoured via the
-//!   `ELMRL_TELEMETRY` environment variable);
-//! * `--metrics-out <path>` — write the metrics snapshot as JSON (implies
-//!   `--telemetry`);
-//! * `--trace-out <path>` — collect span trace events and write a
-//!   chrome://tracing / Perfetto-compatible `trace.json` (implies
-//!   `--telemetry`);
-//! * `--help` — print usage and exit.
-//!
-//! The `population` binary additionally reads `--population <k>`,
-//! `--shards <s>` and `--design <name>`; the `serve` binary reads
-//! `--sessions`, `--workers`, `--max-batch`, `--batch-window-us`,
-//! `--duration-ticks`, `--virtual-clock`, `--think-ticks` and
-//! `--warmup-episodes` (plus `--design`). The shared parser accepts those
-//! flags everywhere so one flag set serves every binary. `--workload all`
-//! is accepted by the parser but only honoured by the `ablation` binary
-//! (which loops the registry); every other binary rejects it.
-//!
-//! The `ELMRL_TRIALS` / `ELMRL_EPISODES` / `ELMRL_HIDDEN` / `ELMRL_SEED` /
-//! `ELMRL_WORKLOAD` environment variables are honoured as fallbacks when the
-//! corresponding flag is absent, so existing automation keeps working; flags
-//! win over environment variables.
+//! Precedence, lowest to highest: the binary's [`CliDefaults`], then the
+//! flag's `ELMRL_*` variable (an empty value counts as unset), then the flag.
+//! A binary reads a variable only for a flag it reads. The variable is
+//! checked exactly like its flag, and an invalid one is an error that names
+//! it.
 
 use crate::runner::CheckpointOptions;
-use crate::{env_hidden_sizes, env_usize};
 use elmrl_core::designs::Design;
 use elmrl_gym::{Workload, WorkloadOptions};
 use elmrl_population::FaultPlan;
 use std::path::PathBuf;
+use std::str::FromStr;
 
-/// Parsed command-line options for one experiment binary.
+/// Parsed command-line options for one experiment binary. Each field is set
+/// by the [`FLAGS`] entry it names.
 #[derive(Clone, Debug, PartialEq)]
 pub struct CliArgs {
-    /// Workload to run.
+    /// `--workload`.
     pub workload: Workload,
-    /// Trials per experiment cell.
+    /// `--trials`.
     pub trials: usize,
-    /// Episode budget per trial.
+    /// `--episodes`.
     pub episodes: usize,
-    /// Hidden sizes to sweep.
+    /// `--hidden`.
     pub hidden: Vec<usize>,
-    /// Base RNG seed.
+    /// `--seed`.
     pub seed: u64,
-    /// Pendulum torque discretisation (`--torque-levels`, default 3).
+    /// `--torque-levels`.
     pub torque_levels: usize,
-    /// Per-workload solve-threshold override (`--solve-threshold`); `None`
-    /// keeps the registry default.
+    /// `--solve-threshold`; `None` keeps the registry's threshold.
     pub solve_threshold: Option<f64>,
-    /// Padded observation width for the high-dim workload (`--obs-dim`);
-    /// `None` keeps [`elmrl_gym::DEFAULT_HIGHDIM_OBS_DIM`]. Inert on every
-    /// other workload.
+    /// `--obs-dim`; `None` keeps [`elmrl_gym::DEFAULT_HIGHDIM_OBS_DIM`].
     pub obs_dim: Option<usize>,
-    /// RLS batch-width cap for the chunked OS-ELM designs (`--chunk-cap`);
-    /// `None` keeps [`elmrl_core::DEFAULT_CHUNK_CAP`]. Only meaningful with
-    /// `--train-envs` > 1.
+    /// `--chunk-cap`; `None` keeps [`elmrl_core::DEFAULT_CHUNK_CAP`].
     pub chunk_cap: Option<usize>,
-    /// Parallel training episodes per trial/replica (`--train-envs`,
-    /// default `ELMRL_TRAIN_ENVS`, else 1). 1 is the paper's scalar
-    /// protocol; E > 1 drives E concurrent episodes with batch-B updates.
+    /// `--train-envs`.
     pub train_envs: usize,
-    /// `--workload all` was given (only the `ablation` binary loops over
-    /// the registry; every other binary rejects it).
+    /// `--workload all` was given.
     pub workload_all: bool,
-    /// Thread-pool size (`--threads`); 0 means "not given" (defer to
-    /// `ELMRL_THREADS`, else auto-detect).
+    /// `--threads`; 0 when not given.
     pub threads: usize,
-    /// Population size for the `population` binary (`--population`).
+    /// `--population`.
     pub population: usize,
-    /// Shard count for the `population` binary (`--shards`).
+    /// `--shards`.
     pub shards: usize,
-    /// Replicated design for the `population` binary (`--design`).
+    /// `--design`.
     pub design: Design,
-    /// Whether any population-only flag (`--population`, `--shards`,
-    /// `--design`) was given — lets the other binaries warn that they
-    /// ignore them.
-    pub population_flags_used: bool,
-    /// Explicit output directory (`--out`), if given.
+    /// `--out`.
     pub out: Option<PathBuf>,
-    /// Checkpoint directory (`--checkpoint-dir`): per-trial
-    /// [`elmrl_core::checkpoint::RunCheckpoint`] files for the figure
-    /// binaries, per-shard manifests for the `population` binary.
+    /// `--checkpoint-dir`.
     pub checkpoint_dir: Option<PathBuf>,
-    /// Episodes between checkpoint captures (`--checkpoint-every`,
-    /// default 1; only meaningful with `--checkpoint-dir`).
+    /// `--checkpoint-every`.
     pub checkpoint_every: usize,
-    /// Continue from the checkpoints in `--checkpoint-dir` (`--resume`).
+    /// `--resume`.
     pub resume: bool,
-    /// Fault injection for the trial binaries (`--stop-after <n>`): abandon
-    /// every run once `n` episodes have completed, keeping the boundary
-    /// checkpoint, so a later `--resume` finishes it byte-identically.
+    /// `--stop-after`.
     pub stop_after: Option<usize>,
-    /// Fault injection for the `population` binary (`--fail-shard k@e`):
-    /// kill shard `k` after `e` episodes; its replicas are requeued onto
-    /// the surviving shards with unchanged results.
+    /// `--fail-shard`.
     pub fail_shard: Option<FaultPlan>,
-    /// Client sessions for the `serve` binary (`--sessions`).
+    /// `--sessions`.
     pub sessions: usize,
-    /// Agent workers (policy replicas) for the `serve` binary (`--workers`).
+    /// `--workers`.
     pub workers: usize,
-    /// Coalescer batch-size cap for the `serve` binary (`--max-batch`;
-    /// 1 = per-request dispatch).
+    /// `--max-batch`.
     pub max_batch: usize,
-    /// Coalescer latency budget in µs for the `serve` binary
-    /// (`--batch-window-us`; 0 = flush everything pending on every pump).
+    /// `--batch-window-us`.
     pub batch_window_us: u64,
-    /// Engine rounds for the `serve` binary (`--duration-ticks`).
+    /// `--duration-ticks`.
     pub duration_ticks: u64,
-    /// Use the deterministic virtual clock in the `serve` binary
-    /// (`--virtual-clock`); required for golden comparison.
+    /// `--virtual-clock`.
     pub virtual_clock: bool,
-    /// Maximum think-time rounds between a serve session's response and its
-    /// next request (`--think-ticks`; 0 = closed loop).
+    /// `--think-ticks`.
     pub think_ticks: u64,
-    /// Training episodes used to warm the served policy (`--warmup-episodes`).
+    /// `--warmup-episodes`.
     pub warmup_episodes: usize,
-    /// Whether any serve-only flag was given — lets the other binaries warn
-    /// that they ignore them.
-    pub serve_flags_used: bool,
-    /// Enable the telemetry registry and print the per-module latency table
-    /// on exit (`--telemetry`; implied by `--metrics-out`/`--trace-out`).
+    /// `--telemetry`, or implied by `--metrics-out`/`--trace-out`.
     pub telemetry: bool,
-    /// Write the metrics snapshot as JSON to this path (`--metrics-out`).
+    /// `--metrics-out`.
     pub metrics_out: Option<PathBuf>,
-    /// Write the chrome://tracing span trace to this path (`--trace-out`).
+    /// `--trace-out`.
     pub trace_out: Option<PathBuf>,
+    /// `--results`.
+    pub results: PathBuf,
 }
 
 impl CliArgs {
@@ -184,18 +108,6 @@ impl CliArgs {
         }
     }
 
-    /// Exit with an error when `--workload all` was passed to a binary that
-    /// cannot loop over the registry (only `ablation` can).
-    pub fn reject_workload_all(&self, binary: &str) {
-        if self.workload_all {
-            eprintln!(
-                "{binary}: --workload all is only supported by the `ablation` binary \
-                 (run one workload at a time here)"
-            );
-            std::process::exit(2);
-        }
-    }
-
     /// The workloads a registry-looping binary should run: the whole
     /// registry under `--workload all`, the single selected workload
     /// otherwise.
@@ -207,43 +119,25 @@ impl CliArgs {
         }
     }
 
+    /// The hidden size of a binary that trains one network size: the first
+    /// `--hidden` entry, with a note on stderr when more were given.
+    pub fn first_hidden(&self, binary: &str) -> usize {
+        let hidden = self.hidden[0];
+        if self.hidden.len() > 1 {
+            eprintln!(
+                "{binary}: note — using only the first hidden size ({hidden}) of {:?}",
+                self.hidden
+            );
+        }
+        hidden
+    }
+
     /// Apply the `--threads` choice to the global work-sharing pool (an
     /// explicit flag wins; otherwise the pool resolves `ELMRL_THREADS` or
     /// the machine's parallelism lazily on first use).
     pub fn apply_threads(&self) {
         if self.threads > 0 {
             rayon::set_num_threads(self.threads);
-        }
-    }
-
-    /// Warn on stderr when a population-only flag was passed to a binary
-    /// that does not read it (so e.g. `fig5 --design dqn` cannot silently
-    /// run the full design matrix).
-    pub fn warn_unused_population_flags(&self, binary: &str) {
-        if self.population_flags_used {
-            eprintln!(
-                "{binary}: note — --population/--shards/--design only affect the \
-                 `population` binary and are ignored here"
-            );
-        }
-        if self.fail_shard.is_some() {
-            eprintln!(
-                "{binary}: note — --fail-shard only affects the `population` \
-                 binary and is ignored here (use --stop-after to fault-inject \
-                 a trial run)"
-            );
-        }
-    }
-
-    /// Warn on stderr when a serve-only flag was passed to a binary that
-    /// does not read it.
-    pub fn warn_unused_serve_flags(&self, binary: &str) {
-        if self.serve_flags_used {
-            eprintln!(
-                "{binary}: note — --sessions/--workers/--max-batch/--batch-window-us/\
-                 --duration-ticks/--virtual-clock/--think-ticks/--warmup-episodes only \
-                 affect the `serve` binary and are ignored here"
-            );
         }
     }
 
@@ -257,23 +151,10 @@ impl CliArgs {
             stop_after: self.stop_after,
         })
     }
-
-    /// Warn on stderr when checkpoint flags were passed to a binary with
-    /// nothing to checkpoint (`table3` is analytic, `summary` aggregates
-    /// files, `ablation` sweeps closed-form configurations).
-    pub fn warn_unused_checkpoint_flags(&self, binary: &str) {
-        if self.checkpoint_dir.is_some() || self.stop_after.is_some() {
-            eprintln!(
-                "{binary}: note — this binary runs no checkpointable training \
-                 loop; --checkpoint-dir/--resume/--checkpoint-every/--stop-after \
-                 are ignored here"
-            );
-        }
-    }
 }
 
-/// Per-binary defaults the parser starts from. Precedence, lowest to
-/// highest: these defaults → `ELMRL_*` environment variables → flags.
+/// Per-binary defaults the parser starts from (see the module docs for the
+/// precedence).
 #[derive(Clone, Debug)]
 pub struct CliDefaults {
     /// Default trials per cell.
@@ -284,103 +165,459 @@ pub struct CliDefaults {
     pub hidden: Vec<usize>,
 }
 
-/// Render the `--help` text for a binary.
-pub fn usage(binary: &str, about: &str, defaults: &CliDefaults) -> String {
-    let workloads: Vec<&str> = Workload::all().iter().map(|w| w.slug()).collect();
-    format!(
-        "{about}\n\n\
-         Usage: {binary} [OPTIONS]\n\n\
-         Options:\n\
-         \x20 --workload <name>   workload to run: {} (default: cart-pole)\n\
-         \x20 --trials <n>        seeded trials per cell (default: {})\n\
-         \x20 --episodes <n>      episode budget per trial (default: {})\n\
-         \x20 --hidden <a,b,..>   comma-separated hidden sizes (default: {})\n\
-         \x20 --seed <n>          base RNG seed (default: 42)\n\
-         \x20 --torque-levels <n> Pendulum torque discretisation (default: 3)\n\
-         \x20 --solve-threshold <x> override the workload's solve threshold\n\
-         \x20                     (default: the registry value)\n\
-         \x20 --obs-dim <n>       padded observation width of the high-dim\n\
-         \x20                     workload (default: 64; inert elsewhere)\n\
-         \x20 --chunk-cap <n>     RLS batch-width cap for the chunked OS-ELM\n\
-         \x20                     designs (default: 64; needs --train-envs > 1)\n\
-         \x20 --train-envs <e>    parallel training episodes per trial/replica;\n\
-         \x20                     1 = the paper's scalar protocol, E > 1 trains\n\
-         \x20                     E episodes concurrently with batch-B updates\n\
-         \x20                     (default: ELMRL_TRAIN_ENVS, else 1)\n\
-         \x20 --threads <n>       worker-pool size; 1 = sequential debugging path\n\
-         \x20                     (default: ELMRL_THREADS, else auto-detect)\n\
-         \x20 --out <dir>         output directory (default: results/<workload>)\n\
-         \x20 --population <k>    replicas, population binary only (default: 32)\n\
-         \x20 --shards <s>        shards, population binary only (default: 4)\n\
-         \x20 --design <name>     replicated design, population binary only\n\
-         \x20                     (default: os-elm-l2-lipschitz)\n\
-         \x20 --checkpoint-dir <dir> capture checkpoints into <dir> (per-trial\n\
-         \x20                     run state; per-shard manifests for population)\n\
-         \x20 --checkpoint-every <n> episodes between checkpoints (default: 1)\n\
-         \x20 --resume            continue from the checkpoints in --checkpoint-dir\n\
-         \x20 --stop-after <n>    fault injection: abandon each run once n episodes\n\
-         \x20                     completed (the boundary checkpoint is kept)\n\
-         \x20 --fail-shard <k@e>  fault injection, population binary only: kill\n\
-         \x20                     shard k after e episodes (replicas requeue onto\n\
-         \x20                     the surviving shards, results unchanged)\n\
-         \x20 --sessions <n>      client sessions, serve binary only (default: 64)\n\
-         \x20 --workers <n>       agent workers (policy replicas), serve binary\n\
-         \x20                     only; never changes responses (default: 1)\n\
-         \x20 --max-batch <n>     coalescer batch cap, serve binary only;\n\
-         \x20                     1 = per-request dispatch (default: 64)\n\
-         \x20 --batch-window-us <n> coalescer latency budget in µs, serve binary\n\
-         \x20                     only; 0 flushes every pump (default: 200)\n\
-         \x20 --duration-ticks <n> engine rounds to drive, serve binary only\n\
-         \x20                     (default: 200)\n\
-         \x20 --virtual-clock     deterministic virtual clock, serve binary only\n\
-         \x20                     (required for golden/byte-identical runs)\n\
-         \x20 --think-ticks <n>   max think-time rounds between a session's\n\
-         \x20                     response and next request, serve binary only\n\
-         \x20                     (default: 0 = closed loop)\n\
-         \x20 --warmup-episodes <n> training episodes behind the served policy,\n\
-         \x20                     serve binary only (default: 5)\n\
-         \x20 --telemetry         collect per-module latency/counter metrics and\n\
-         \x20                     print a summary table on exit (never changes\n\
-         \x20                     results; also via ELMRL_TELEMETRY=1)\n\
-         \x20 --metrics-out <path> write the metrics snapshot as JSON\n\
-         \x20                     (implies --telemetry)\n\
-         \x20 --trace-out <path>  write span events as chrome://tracing JSON,\n\
-         \x20                     openable in Perfetto (implies --telemetry)\n\
-         \x20 --help              print this help and exit\n\n\
-         ELMRL_WORKLOAD, ELMRL_TRIALS, ELMRL_EPISODES, ELMRL_HIDDEN and\n\
-         ELMRL_SEED are honoured as fallbacks when the flag is absent.",
-        workloads.join(", "),
-        defaults.trials,
-        defaults.episodes,
-        defaults
-            .hidden
-            .iter()
-            .map(|h| h.to_string())
-            .collect::<Vec<_>>()
-            .join(","),
-    )
+/// One command-line flag.
+pub struct Flag {
+    /// The flag, e.g. `--trials`.
+    pub name: &'static str,
+    /// The value placeholder shown by `--help`; empty for a switch.
+    pub value: &'static str,
+    /// The environment variable read when the flag is absent.
+    pub env: Option<&'static str>,
+    /// The `--help` text. `{trials}`, `{episodes}` and `{hidden}` stand for
+    /// the binary's defaults, `{workloads}` and `{designs}` for the
+    /// registries.
+    pub help: &'static str,
+    /// The binaries that read the flag; the others note it as ignored.
+    pub readers: &'static [&'static str],
+    /// Parse and check a value into the arguments.
+    set: fn(&mut CliArgs, &str) -> Result<(), String>,
 }
 
-/// Parse a flag list (everything after the binary name). Returns `Ok(None)`
+impl Flag {
+    /// Whether `binary` reads this flag.
+    pub fn read_by(&self, binary: &str) -> bool {
+        self.readers.contains(&binary)
+    }
+}
+
+// The binaries whose `main` reads a flag, grouped.
+const EVERY: &[&str] = &[
+    "table3",
+    "fig4",
+    "fig5",
+    "fig6",
+    "ablation",
+    "population",
+    "serve",
+    "summary",
+];
+const RUNS: &[&str] = &["fig4", "fig5", "fig6", "ablation", "population", "serve"];
+const TRAINS: &[&str] = &["fig4", "fig5", "fig6", "ablation", "population"];
+const CHECKPOINTS: &[&str] = &["fig4", "fig5", "fig6", "population"];
+const TRIAL_RUNS: &[&str] = &["fig4", "fig5", "fig6"];
+const SERVE: &[&str] = &["serve"];
+
+/// Every flag of every harness binary.
+pub const FLAGS: &[Flag] = &[
+    Flag {
+        name: "--workload",
+        value: "<name>",
+        env: Some("ELMRL_WORKLOAD"),
+        help: "workload to run: {workloads}\n(default: cart-pole; `all` loops the registry, ablation only)",
+        readers: RUNS,
+        set: |a, v| {
+            if v.eq_ignore_ascii_case("all") {
+                a.workload_all = true;
+            } else {
+                a.workload = Workload::from_name(v).ok_or_else(|| {
+                    format!("unknown workload `{v}` (registered: {}, or `all`)", workload_slugs())
+                })?;
+            }
+            Ok(())
+        },
+    },
+    Flag {
+        name: "--trials",
+        value: "<n>",
+        env: Some("ELMRL_TRIALS"),
+        help: "seeded trials per cell (default: {trials})",
+        readers: &["fig5", "fig6"],
+        set: |a, v| parse(v, "count").map(|n| a.trials = n),
+    },
+    Flag {
+        name: "--episodes",
+        value: "<n>",
+        env: Some("ELMRL_EPISODES"),
+        help: "episode budget per trial (default: {episodes})",
+        readers: TRAINS,
+        set: |a, v| parse(v, "count").map(|n| a.episodes = n),
+    },
+    Flag {
+        name: "--hidden",
+        value: "<a,b,..>",
+        env: Some("ELMRL_HIDDEN"),
+        help: "comma-separated hidden sizes (default: {hidden})",
+        readers: RUNS,
+        set: |a, v| {
+            a.hidden = v
+                .split(',')
+                .map(|s| s.trim().parse())
+                .collect::<Result<_, _>>()
+                .map_err(|_| format!("invalid size list `{v}`"))?;
+            Ok(())
+        },
+    },
+    Flag {
+        name: "--seed",
+        value: "<n>",
+        env: Some("ELMRL_SEED"),
+        help: "base RNG seed (default: 42)",
+        readers: RUNS,
+        set: |a, v| parse(v, "seed").map(|n| a.seed = n),
+    },
+    Flag {
+        name: "--torque-levels",
+        value: "<n>",
+        env: None,
+        help: "Pendulum torque discretisation (default: 3)",
+        readers: RUNS,
+        set: |a, v| at_least(v, 2, "an integer ≥ 2").map(|n| a.torque_levels = n),
+    },
+    Flag {
+        name: "--solve-threshold",
+        value: "<x>",
+        env: None,
+        help: "override the workload's solve threshold\n(default: the registry's)",
+        readers: RUNS,
+        set: |a, v| {
+            let threshold: f64 = parse(v, "number")?;
+            if !threshold.is_finite() {
+                return Err(format!("need a finite number, got `{v}`"));
+            }
+            a.solve_threshold = Some(threshold);
+            Ok(())
+        },
+    },
+    Flag {
+        name: "--obs-dim",
+        value: "<n>",
+        env: None,
+        help: "padded observation width of the high-dim workload\n(default: 64)",
+        readers: RUNS,
+        set: |a, v| {
+            a.obs_dim = Some(at_least(v, 4, "an integer ≥ 4 (the real CartPole state)")?);
+            Ok(())
+        },
+    },
+    Flag {
+        name: "--chunk-cap",
+        value: "<n>",
+        env: None,
+        help: "RLS batch-width cap of the chunked OS-ELM designs\n(default: 64; needs --train-envs > 1)",
+        readers: &["fig4", "fig5", "population"],
+        set: |a, v| at_least(v, 1, "a positive batch width").map(|n| a.chunk_cap = Some(n)),
+    },
+    Flag {
+        name: "--train-envs",
+        value: "<e>",
+        env: Some("ELMRL_TRAIN_ENVS"),
+        help: "parallel training episodes per trial; 1 = the paper's\nscalar protocol, E > 1 trains with batch-B updates\n(default: 1)",
+        readers: TRAINS,
+        set: |a, v| at_least(v, 1, "a positive count").map(|n| a.train_envs = n),
+    },
+    Flag {
+        name: "--threads",
+        value: "<n>",
+        env: None,
+        help: "worker-pool size; 1 = sequential debugging path\n(default: ELMRL_THREADS, else auto-detect)",
+        readers: RUNS,
+        set: |a, v| at_least(v, 1, "a positive count").map(|n| a.threads = n),
+    },
+    Flag {
+        name: "--population",
+        value: "<k>",
+        env: None,
+        help: "replicas (default: 32)",
+        readers: &["population"],
+        set: |a, v| at_least(v, 1, "a positive count").map(|n| a.population = n),
+    },
+    Flag {
+        name: "--shards",
+        value: "<s>",
+        env: None,
+        help: "shards (default: 4)",
+        readers: &["population"],
+        set: |a, v| at_least(v, 1, "a positive count").map(|n| a.shards = n),
+    },
+    Flag {
+        name: "--design",
+        value: "<name>",
+        env: None,
+        help: "design to run: {designs}\n(default: os-elm-l2-lipschitz)",
+        readers: &["population", "serve"],
+        set: |a, v| {
+            Design::from_name(v)
+                .map(|d| a.design = d)
+                .ok_or_else(|| format!("unknown design `{v}` (known: {})", design_labels()))
+        },
+    },
+    Flag {
+        name: "--out",
+        value: "<dir>",
+        env: None,
+        help: "output directory (default: results/<workload>;\ntable3 and summary: the results root)",
+        readers: EVERY,
+        set: |a, v| path(v).map(|p| a.out = Some(p)),
+    },
+    Flag {
+        name: "--checkpoint-dir",
+        value: "<dir>",
+        env: None,
+        help: "capture checkpoints into <dir> (per-trial run\nstate; per-shard manifests for population)",
+        readers: CHECKPOINTS,
+        set: |a, v| path(v).map(|p| a.checkpoint_dir = Some(p)),
+    },
+    Flag {
+        name: "--checkpoint-every",
+        value: "<n>",
+        env: None,
+        help: "episodes between checkpoints (default: 1)",
+        readers: TRIAL_RUNS,
+        set: |a, v| at_least(v, 1, "a positive count").map(|n| a.checkpoint_every = n),
+    },
+    Flag {
+        name: "--resume",
+        value: "",
+        env: None,
+        help: "continue from the checkpoints in --checkpoint-dir",
+        readers: CHECKPOINTS,
+        set: |a, _| {
+            a.resume = true;
+            Ok(())
+        },
+    },
+    Flag {
+        name: "--stop-after",
+        value: "<n>",
+        env: None,
+        help: "fault injection: abandon each run once n episodes\ncompleted (the boundary checkpoint is kept)",
+        readers: TRIAL_RUNS,
+        set: |a, v| at_least(v, 1, "a positive episode count").map(|n| a.stop_after = Some(n)),
+    },
+    Flag {
+        name: "--fail-shard",
+        value: "<k@e>",
+        env: None,
+        help: "fault injection: kill shard k after e episodes\n(replicas requeue onto the surviving shards,\nresults unchanged)",
+        readers: &["population"],
+        set: |a, v| FaultPlan::parse(v).map(|n| a.fail_shard = Some(n)),
+    },
+    Flag {
+        name: "--sessions",
+        value: "<n>",
+        env: None,
+        help: "client sessions (default: 64)",
+        readers: SERVE,
+        set: |a, v| at_least(v, 1, "a positive count").map(|n| a.sessions = n),
+    },
+    Flag {
+        name: "--workers",
+        value: "<n>",
+        env: None,
+        help: "agent workers (policy replicas); never changes responses\n(default: 1)",
+        readers: SERVE,
+        set: |a, v| at_least(v, 1, "a positive count").map(|n| a.workers = n),
+    },
+    Flag {
+        name: "--max-batch",
+        value: "<n>",
+        env: None,
+        help: "coalescer batch cap; 1 = per-request dispatch\n(default: 64)",
+        readers: SERVE,
+        set: |a, v| at_least(v, 1, "a positive batch cap").map(|n| a.max_batch = n),
+    },
+    Flag {
+        name: "--batch-window-us",
+        value: "<n>",
+        env: None,
+        help: "coalescer latency budget in µs; 0 flushes every pump\n(default: 200)",
+        readers: SERVE,
+        set: |a, v| parse(v, "budget").map(|n| a.batch_window_us = n),
+    },
+    Flag {
+        name: "--duration-ticks",
+        value: "<n>",
+        env: None,
+        help: "engine rounds to drive (default: 200)",
+        readers: SERVE,
+        set: |a, v| at_least(v, 1, "a positive count").map(|n| a.duration_ticks = n),
+    },
+    Flag {
+        name: "--virtual-clock",
+        value: "",
+        env: None,
+        help: "deterministic virtual clock (for byte-identical runs)",
+        readers: SERVE,
+        set: |a, _| {
+            a.virtual_clock = true;
+            Ok(())
+        },
+    },
+    Flag {
+        name: "--think-ticks",
+        value: "<n>",
+        env: None,
+        help: "max think-time rounds between a session's response\nand next request (default: 0 = closed loop)",
+        readers: SERVE,
+        set: |a, v| parse(v, "count").map(|n| a.think_ticks = n),
+    },
+    Flag {
+        name: "--warmup-episodes",
+        value: "<n>",
+        env: None,
+        help: "training episodes behind the served policy (default: 5)",
+        readers: SERVE,
+        set: |a, v| parse(v, "count").map(|n| a.warmup_episodes = n),
+    },
+    Flag {
+        name: "--telemetry",
+        value: "",
+        env: None,
+        help: "collect latency/counter metrics and print a summary\ntable on exit; never changes results\n(also via ELMRL_TELEMETRY=1)",
+        readers: EVERY,
+        set: |a, _| {
+            a.telemetry = true;
+            Ok(())
+        },
+    },
+    Flag {
+        name: "--metrics-out",
+        value: "<path>",
+        env: None,
+        help: "write the metrics snapshot as JSON\n(implies --telemetry)",
+        readers: EVERY,
+        set: |a, v| path(v).map(|p| a.metrics_out = Some(p)),
+    },
+    Flag {
+        name: "--trace-out",
+        value: "<path>",
+        env: None,
+        help: "write span events as chrome://tracing JSON, openable\nin Perfetto (implies --telemetry)",
+        readers: EVERY,
+        set: |a, v| path(v).map(|p| a.trace_out = Some(p)),
+    },
+    Flag {
+        name: "--results",
+        value: "<dir>",
+        env: None,
+        help: "results root holding <workload>/fig5.json,\npopulation.json and ablation_a1.json (default: results)",
+        readers: &["summary"],
+        set: |a, v| path(v).map(|p| a.results = p),
+    },
+];
+
+/// Parse `v`, or fail with "invalid {what} `v`".
+fn parse<T: FromStr>(v: &str, what: &str) -> Result<T, String> {
+    v.parse().map_err(|_| format!("invalid {what} `{v}`"))
+}
+
+/// Parse `v` as a value of at least `min`, or fail with "need {need}, got `v`".
+fn at_least<T: FromStr + PartialOrd>(v: &str, min: T, need: &str) -> Result<T, String> {
+    v.parse()
+        .ok()
+        .filter(|n| *n >= min)
+        .ok_or_else(|| format!("need {need}, got `{v}`"))
+}
+
+fn path(v: &str) -> Result<PathBuf, String> {
+    Ok(PathBuf::from(v))
+}
+
+fn workload_slugs() -> String {
+    let slugs: Vec<&str> = Workload::all().iter().map(|w| w.slug()).collect();
+    slugs.join(", ")
+}
+
+fn design_labels() -> String {
+    let labels: Vec<&str> = Design::all_designs().iter().map(|d| d.label()).collect();
+    labels.join(", ")
+}
+
+/// Split a flag list into `(flag, value)` pairs against [`FLAGS`]; `None`
 /// when `--help` was requested.
-pub fn parse_from(args: &[String], defaults: &CliDefaults) -> Result<Option<CliArgs>, String> {
+fn given(args: &[String]) -> Result<Option<Vec<(&'static Flag, &str)>>, String> {
+    let mut given = Vec::new();
+    let mut iter = args.iter();
+    while let Some(arg) = iter.next() {
+        if arg == "--help" || arg == "-h" {
+            return Ok(None);
+        }
+        let flag = FLAGS
+            .iter()
+            .find(|f| f.name == arg)
+            .ok_or_else(|| format!("unknown flag `{arg}` (try --help)"))?;
+        let value = if flag.value.is_empty() {
+            ""
+        } else {
+            iter.next()
+                .ok_or_else(|| format!("{} requires a value", flag.name))?
+        };
+        given.push((flag, value));
+    }
+    Ok(Some(given))
+}
+
+/// Render the `--help` text for a binary: the flags it reads, then the ones
+/// it accepts and ignores.
+pub fn usage(binary: &str, about: &str, defaults: &CliDefaults) -> String {
+    const WIDTH: usize = 26;
+    let mut text = format!("{about}\n\nUsage: {binary} [OPTIONS]\n\nOptions:\n");
+    let (read, ignored): (Vec<&Flag>, Vec<&Flag>) = FLAGS.iter().partition(|f| f.read_by(binary));
+    for flag in read {
+        let left = format!("{} {}", flag.name, flag.value);
+        let help = flag.help.replace('\n', &format!("\n  {:WIDTH$}", ""));
+        text += &format!("  {left:WIDTH$}{help}");
+        if let Some(var) = flag.env {
+            text += &format!(" [env: {var}]");
+        }
+        text.push('\n');
+    }
+    text += &format!("  {:WIDTH$}print this help and exit\n", "--help");
+    let mut line = format!("\nAccepted but ignored by {binary}:");
+    for flag in ignored {
+        if line.len() + flag.name.len() > 78 {
+            text += &line;
+            line = "\n ".to_string();
+        }
+        line += &format!(" {}", flag.name);
+    }
+    text += &line;
+    let hidden: Vec<String> = defaults.hidden.iter().map(|h| h.to_string()).collect();
+    text.replace("{trials}", &defaults.trials.to_string())
+        .replace("{episodes}", &defaults.episodes.to_string())
+        .replace("{hidden}", &hidden.join(","))
+        .replace("{workloads}", &workload_slugs())
+        .replace("{designs}", &design_labels())
+}
+
+/// Parse a flag list (everything after the binary name) for `binary`, with
+/// `env` looking up the `ELMRL_*` fallbacks. Returns `Ok(None)` when `--help`
+/// was requested.
+pub fn parse_from(
+    binary: &str,
+    args: &[String],
+    defaults: &CliDefaults,
+    env: impl Fn(&str) -> Option<String>,
+) -> Result<Option<CliArgs>, String> {
+    let Some(given) = given(args)? else {
+        return Ok(None);
+    };
     let mut parsed = CliArgs {
         workload: Workload::CartPole,
-        trials: env_usize("ELMRL_TRIALS", defaults.trials),
-        episodes: env_usize("ELMRL_EPISODES", defaults.episodes),
-        hidden: env_hidden_sizes(&defaults.hidden),
-        seed: env_usize("ELMRL_SEED", 42) as u64,
+        trials: defaults.trials,
+        episodes: defaults.episodes,
+        hidden: defaults.hidden.clone(),
+        seed: 42,
         torque_levels: 3,
         solve_threshold: None,
         obs_dim: None,
         chunk_cap: None,
-        train_envs: env_usize("ELMRL_TRAIN_ENVS", 1).max(1),
+        train_envs: 1,
         workload_all: false,
         threads: 0,
         population: 32,
         shards: 4,
         design: Design::OsElmL2Lipschitz,
-        population_flags_used: false,
         out: None,
         checkpoint_dir: None,
         checkpoint_every: 1,
@@ -395,290 +632,80 @@ pub fn parse_from(args: &[String], defaults: &CliDefaults) -> Result<Option<CliA
         virtual_clock: false,
         think_ticks: 0,
         warmup_episodes: 5,
-        serve_flags_used: false,
         telemetry: false,
         metrics_out: None,
         trace_out: None,
+        results: crate::report::default_results_dir(),
     };
-    let mut workload_flag: Option<Workload> = None;
-    let mut checkpoint_every_flag: Option<usize> = None;
-
-    let mut iter = args.iter();
-    while let Some(flag) = iter.next() {
-        if flag == "--help" || flag == "-h" {
-            return Ok(None);
-        }
-        let mut value_for = |flag: &str| {
-            iter.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} requires a value"))
-        };
-        match flag.as_str() {
-            "--workload" => {
-                let name = value_for("--workload")?;
-                if name.eq_ignore_ascii_case("all") {
-                    parsed.workload_all = true;
-                    continue;
-                }
-                workload_flag = Some(Workload::from_name(&name).ok_or_else(|| {
-                    format!(
-                        "unknown workload `{name}` (registered: {}, or `all`)",
-                        Workload::all()
-                            .iter()
-                            .map(|w| w.slug())
-                            .collect::<Vec<_>>()
-                            .join(", ")
-                    )
-                })?);
-            }
-            "--trials" => {
-                let v = value_for("--trials")?;
-                parsed.trials = v
-                    .parse()
-                    .map_err(|_| format!("--trials: invalid count `{v}`"))?;
-            }
-            "--episodes" => {
-                let v = value_for("--episodes")?;
-                parsed.episodes = v
-                    .parse()
-                    .map_err(|_| format!("--episodes: invalid count `{v}`"))?;
-            }
-            "--hidden" => {
-                let v = value_for("--hidden")?;
-                let sizes: Result<Vec<usize>, _> =
-                    v.split(',').map(|s| s.trim().parse::<usize>()).collect();
-                parsed.hidden = sizes.map_err(|_| format!("--hidden: invalid size list `{v}`"))?;
-                if parsed.hidden.is_empty() {
-                    return Err("--hidden: need at least one size".to_string());
-                }
-            }
-            "--seed" => {
-                let v = value_for("--seed")?;
-                parsed.seed = v
-                    .parse()
-                    .map_err(|_| format!("--seed: invalid seed `{v}`"))?;
-            }
-            "--torque-levels" => {
-                let v = value_for("--torque-levels")?;
-                parsed.torque_levels =
-                    v.parse().ok().filter(|&n| n >= 2).ok_or_else(|| {
-                        format!("--torque-levels: need an integer ≥ 2, got `{v}`")
-                    })?;
-            }
-            "--solve-threshold" => {
-                let v = value_for("--solve-threshold")?;
-                let threshold: f64 = v
-                    .parse()
-                    .map_err(|_| format!("--solve-threshold: invalid number `{v}`"))?;
-                if !threshold.is_finite() {
-                    return Err(format!(
-                        "--solve-threshold: need a finite number, got `{v}`"
-                    ));
-                }
-                parsed.solve_threshold = Some(threshold);
-            }
-            "--obs-dim" => {
-                let v = value_for("--obs-dim")?;
-                parsed.obs_dim = Some(v.parse().ok().filter(|&n| n >= 4).ok_or_else(|| {
-                    format!("--obs-dim: need an integer ≥ 4 (the real CartPole state), got `{v}`")
-                })?);
-            }
-            "--chunk-cap" => {
-                let v = value_for("--chunk-cap")?;
-                parsed.chunk_cap = Some(v.parse().ok().filter(|&n| n > 0).ok_or_else(|| {
-                    format!("--chunk-cap: need a positive batch width, got `{v}`")
-                })?);
-            }
-            "--train-envs" => {
-                let v = value_for("--train-envs")?;
-                parsed.train_envs = v
-                    .parse()
-                    .ok()
-                    .filter(|&n| n > 0)
-                    .ok_or_else(|| format!("--train-envs: need a positive count, got `{v}`"))?;
-            }
-            "--threads" => {
-                let v = value_for("--threads")?;
-                parsed.threads = v
-                    .parse()
-                    .ok()
-                    .filter(|&n| n > 0)
-                    .ok_or_else(|| format!("--threads: need a positive count, got `{v}`"))?;
-            }
-            "--population" => {
-                parsed.population_flags_used = true;
-                let v = value_for("--population")?;
-                parsed.population = v
-                    .parse()
-                    .ok()
-                    .filter(|&n| n > 0)
-                    .ok_or_else(|| format!("--population: need a positive count, got `{v}`"))?;
-            }
-            "--shards" => {
-                parsed.population_flags_used = true;
-                let v = value_for("--shards")?;
-                parsed.shards = v
-                    .parse()
-                    .ok()
-                    .filter(|&n| n > 0)
-                    .ok_or_else(|| format!("--shards: need a positive count, got `{v}`"))?;
-            }
-            "--design" => {
-                parsed.population_flags_used = true;
-                let name = value_for("--design")?;
-                parsed.design = Design::from_name(&name).ok_or_else(|| {
-                    format!(
-                        "unknown design `{name}` (known: {})",
-                        Design::all_designs()
-                            .iter()
-                            .map(|d| d.label())
-                            .collect::<Vec<_>>()
-                            .join(", ")
-                    )
-                })?;
-            }
-            "--out" => {
-                parsed.out = Some(PathBuf::from(value_for("--out")?));
-            }
-            "--checkpoint-dir" => {
-                parsed.checkpoint_dir = Some(PathBuf::from(value_for("--checkpoint-dir")?));
-            }
-            "--checkpoint-every" => {
-                let v = value_for("--checkpoint-every")?;
-                checkpoint_every_flag =
-                    Some(v.parse().ok().filter(|&n| n > 0).ok_or_else(|| {
-                        format!("--checkpoint-every: need a positive count, got `{v}`")
-                    })?);
-            }
-            "--resume" => {
-                parsed.resume = true;
-            }
-            "--stop-after" => {
-                let v = value_for("--stop-after")?;
-                parsed.stop_after = Some(v.parse().ok().filter(|&n| n > 0).ok_or_else(|| {
-                    format!("--stop-after: need a positive episode count, got `{v}`")
-                })?);
-            }
-            "--fail-shard" => {
-                let v = value_for("--fail-shard")?;
-                parsed.fail_shard =
-                    Some(FaultPlan::parse(&v).map_err(|e| format!("--fail-shard: {e}"))?);
-            }
-            "--sessions" => {
-                parsed.serve_flags_used = true;
-                let v = value_for("--sessions")?;
-                parsed.sessions = v
-                    .parse()
-                    .ok()
-                    .filter(|&n| n > 0)
-                    .ok_or_else(|| format!("--sessions: need a positive count, got `{v}`"))?;
-            }
-            "--workers" => {
-                parsed.serve_flags_used = true;
-                let v = value_for("--workers")?;
-                parsed.workers = v
-                    .parse()
-                    .ok()
-                    .filter(|&n| n > 0)
-                    .ok_or_else(|| format!("--workers: need a positive count, got `{v}`"))?;
-            }
-            "--max-batch" => {
-                parsed.serve_flags_used = true;
-                let v = value_for("--max-batch")?;
-                parsed.max_batch =
-                    v.parse().ok().filter(|&n| n > 0).ok_or_else(|| {
-                        format!("--max-batch: need a positive batch cap, got `{v}`")
-                    })?;
-            }
-            "--batch-window-us" => {
-                parsed.serve_flags_used = true;
-                let v = value_for("--batch-window-us")?;
-                parsed.batch_window_us = v
-                    .parse()
-                    .map_err(|_| format!("--batch-window-us: invalid budget `{v}`"))?;
-            }
-            "--duration-ticks" => {
-                parsed.serve_flags_used = true;
-                let v = value_for("--duration-ticks")?;
-                parsed.duration_ticks =
-                    v.parse().ok().filter(|&n| n > 0).ok_or_else(|| {
-                        format!("--duration-ticks: need a positive count, got `{v}`")
-                    })?;
-            }
-            "--virtual-clock" => {
-                parsed.serve_flags_used = true;
-                parsed.virtual_clock = true;
-            }
-            "--think-ticks" => {
-                parsed.serve_flags_used = true;
-                let v = value_for("--think-ticks")?;
-                parsed.think_ticks = v
-                    .parse()
-                    .map_err(|_| format!("--think-ticks: invalid count `{v}`"))?;
-            }
-            "--warmup-episodes" => {
-                parsed.serve_flags_used = true;
-                let v = value_for("--warmup-episodes")?;
-                parsed.warmup_episodes = v
-                    .parse()
-                    .map_err(|_| format!("--warmup-episodes: invalid count `{v}`"))?;
-            }
-            "--telemetry" => {
-                parsed.telemetry = true;
-            }
-            "--metrics-out" => {
-                parsed.metrics_out = Some(PathBuf::from(value_for("--metrics-out")?));
-            }
-            "--trace-out" => {
-                parsed.trace_out = Some(PathBuf::from(value_for("--trace-out")?));
-            }
-            other => {
-                return Err(format!("unknown flag `{other}` (try --help)"));
-            }
+    let has = |name: &str| given.iter().any(|(f, _)| f.name == name);
+    for flag in FLAGS.iter().filter(|f| f.read_by(binary) && !has(f.name)) {
+        let Some(var) = flag.env else { continue };
+        if let Some(value) = env(var).filter(|v| !v.is_empty()) {
+            (flag.set)(&mut parsed, &value).map_err(|e| format!("{var}: {e}"))?;
         }
     }
-    if parsed.workload_all && workload_flag.is_some() {
-        return Err("--workload all conflicts with a named --workload".to_string());
+    for (flag, value) in &given {
+        (flag.set)(&mut parsed, value).map_err(|e| format!("{}: {e}", flag.name))?;
+    }
+
+    // Rules across flags.
+    if parsed.workload_all {
+        if given
+            .iter()
+            .any(|(f, v)| f.name == "--workload" && !v.eq_ignore_ascii_case("all"))
+        {
+            return Err("--workload all conflicts with a named --workload".to_string());
+        }
+        if binary != "ablation" {
+            return Err("--workload all is only supported by the `ablation` binary \
+                        (run one workload at a time here)"
+                .to_string());
+        }
     }
     if parsed.checkpoint_dir.is_none() {
-        if parsed.resume {
-            return Err("--resume requires --checkpoint-dir".to_string());
-        }
-        if checkpoint_every_flag.is_some() {
-            return Err("--checkpoint-every requires --checkpoint-dir".to_string());
-        }
-        if parsed.stop_after.is_some() {
-            return Err(
-                "--stop-after requires --checkpoint-dir (an abandoned run without \
-                 a checkpoint cannot be resumed)"
-                    .to_string(),
-            );
+        for (name, why) in [
+            ("--resume", ""),
+            ("--checkpoint-every", ""),
+            (
+                "--stop-after",
+                " (an abandoned run without a checkpoint cannot be resumed)",
+            ),
+        ] {
+            if has(name) {
+                return Err(format!("{name} requires --checkpoint-dir{why}"));
+            }
         }
     }
-    parsed.checkpoint_every = checkpoint_every_flag.unwrap_or(1);
     // Asking for a metrics or trace file is asking for telemetry.
-    if parsed.metrics_out.is_some() || parsed.trace_out.is_some() {
-        parsed.telemetry = true;
-    }
-    // A `--workload` flag wins outright; the environment variable is only
-    // consulted (and validated) when no flag was given.
-    parsed.workload = match workload_flag {
-        Some(workload) => workload,
-        None => match std::env::var("ELMRL_WORKLOAD") {
-            Ok(name) => Workload::from_name(&name)
-                .ok_or_else(|| format!("ELMRL_WORKLOAD: unknown workload `{name}`"))?,
-            Err(_) => Workload::CartPole,
-        },
-    };
+    parsed.telemetry |= parsed.metrics_out.is_some() || parsed.trace_out.is_some();
     Ok(Some(parsed))
 }
 
-/// Parse `std::env::args()` for a binary; prints help or a parse error and
-/// exits the process as appropriate.
+/// The flags in `args` that `binary` does not read, each once.
+fn ignored_flags(binary: &str, args: &[String]) -> Vec<&'static Flag> {
+    let mut ignored: Vec<&'static Flag> = Vec::new();
+    for (flag, _) in given(args).ok().flatten().unwrap_or_default() {
+        if !flag.read_by(binary) && !ignored.iter().any(|f| f.name == flag.name) {
+            ignored.push(flag);
+        }
+    }
+    ignored
+}
+
+/// Parse `std::env::args()` for a binary: print help or a parse error and
+/// exit as appropriate, note each given flag the binary ignores, and size
+/// the thread pool.
 pub fn parse_or_exit(binary: &str, about: &str, defaults: &CliDefaults) -> CliArgs {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match parse_from(&args, defaults) {
+    match parse_from(binary, &args, defaults, |var| std::env::var(var).ok()) {
         Ok(Some(parsed)) => {
+            for flag in ignored_flags(binary, &args) {
+                eprintln!(
+                    "{binary}: note — {} is ignored here (read by {})",
+                    flag.name,
+                    flag.readers.join(", ")
+                );
+            }
             parsed.apply_threads();
             parsed
         }
@@ -697,20 +724,7 @@ pub fn parse_or_exit(binary: &str, about: &str, defaults: &CliDefaults) -> CliAr
 mod tests {
     use super::*;
 
-    /// The parser consults the real process environment; drop any ambient
-    /// `ELMRL_*` variables so the assertions below see the pure defaults
-    /// (running the suite under e.g. `ELMRL_TRIALS=5` is supported usage).
     fn defaults() -> CliDefaults {
-        for var in [
-            "ELMRL_WORKLOAD",
-            "ELMRL_TRIALS",
-            "ELMRL_EPISODES",
-            "ELMRL_HIDDEN",
-            "ELMRL_SEED",
-            "ELMRL_TRAIN_ENVS",
-        ] {
-            std::env::remove_var(var);
-        }
         CliDefaults {
             trials: 3,
             episodes: 2000,
@@ -718,13 +732,28 @@ mod tests {
         }
     }
 
+    /// An environment with no `ELMRL_*` variables set.
+    fn no_env(_: &str) -> Option<String> {
+        None
+    }
+
     fn args(list: &[&str]) -> Vec<String> {
         list.iter().map(|s| s.to_string()).collect()
     }
 
+    /// The names [`ignored_flags`] reports for `binary` given `list`.
+    fn ignored(binary: &str, list: &[&str]) -> Vec<&'static str> {
+        ignored_flags(binary, &args(list))
+            .iter()
+            .map(|f| f.name)
+            .collect()
+    }
+
     #[test]
     fn defaults_apply_when_no_flags_given() {
-        let parsed = parse_from(&[], &defaults()).unwrap().unwrap();
+        let parsed = parse_from("fig5", &[], &defaults(), no_env)
+            .unwrap()
+            .unwrap();
         assert_eq!(parsed.workload, Workload::CartPole);
         assert_eq!(parsed.trials, 3);
         assert_eq!(parsed.episodes, 2000);
@@ -737,6 +766,7 @@ mod tests {
     #[test]
     fn flags_override_everything() {
         let parsed = parse_from(
+            "fig5",
             &args(&[
                 "--workload",
                 "mountain-car",
@@ -752,6 +782,7 @@ mod tests {
                 "/tmp/elmrl-out",
             ]),
             &defaults(),
+            no_env,
         )
         .unwrap()
         .unwrap();
@@ -765,9 +796,18 @@ mod tests {
 
     #[test]
     fn help_short_circuits() {
-        assert_eq!(parse_from(&args(&["--help"]), &defaults()).unwrap(), None);
         assert_eq!(
-            parse_from(&args(&["--workload", "pendulum", "-h"]), &defaults()).unwrap(),
+            parse_from("fig5", &args(&["--help"]), &defaults(), no_env).unwrap(),
+            None
+        );
+        assert_eq!(
+            parse_from(
+                "fig5",
+                &args(&["--workload", "pendulum", "-h"]),
+                &defaults(),
+                no_env
+            )
+            .unwrap(),
             None
         );
         let text = usage("fig5", "Figure 5", &defaults());
@@ -778,28 +818,40 @@ mod tests {
 
     #[test]
     fn errors_are_descriptive() {
+        assert!(parse_from(
+            "fig5",
+            &args(&["--workload", "lunar-lander"]),
+            &defaults(),
+            no_env
+        )
+        .unwrap_err()
+        .contains("unknown workload"));
         assert!(
-            parse_from(&args(&["--workload", "lunar-lander"]), &defaults())
+            parse_from("fig5", &args(&["--trials"]), &defaults(), no_env)
                 .unwrap_err()
-                .contains("unknown workload")
+                .contains("requires a value")
         );
-        assert!(parse_from(&args(&["--trials"]), &defaults())
-            .unwrap_err()
-            .contains("requires a value"));
-        assert!(parse_from(&args(&["--trials", "many"]), &defaults())
-            .unwrap_err()
-            .contains("invalid count"));
-        assert!(parse_from(&args(&["--frobnicate"]), &defaults())
-            .unwrap_err()
-            .contains("unknown flag"));
-        assert!(parse_from(&args(&["--hidden", "a,b"]), &defaults())
-            .unwrap_err()
-            .contains("invalid size list"));
+        assert!(
+            parse_from("fig5", &args(&["--trials", "many"]), &defaults(), no_env)
+                .unwrap_err()
+                .contains("invalid count")
+        );
+        assert!(
+            parse_from("fig5", &args(&["--frobnicate"]), &defaults(), no_env)
+                .unwrap_err()
+                .contains("unknown flag")
+        );
+        assert!(
+            parse_from("fig5", &args(&["--hidden", "a,b"]), &defaults(), no_env)
+                .unwrap_err()
+                .contains("invalid size list")
+        );
     }
 
     #[test]
     fn population_and_variant_flags_parse() {
         let parsed = parse_from(
+            "fig5",
             &args(&[
                 "--workload",
                 "pendulum",
@@ -813,6 +865,7 @@ mod tests {
                 "dqn",
             ]),
             &defaults(),
+            no_env,
         )
         .unwrap()
         .unwrap();
@@ -822,33 +875,56 @@ mod tests {
         assert_eq!(parsed.population, 16);
         assert_eq!(parsed.shards, 2);
         assert_eq!(parsed.design, Design::Dqn);
-        assert!(parsed.population_flags_used);
+        let population_flags = ["--population", "16", "--shards", "2", "--design", "dqn"];
+        assert_eq!(
+            ignored("fig5", &population_flags),
+            ["--population", "--shards", "--design"]
+        );
+        assert!(ignored("population", &population_flags).is_empty());
+        assert_eq!(ignored("fig5", &["--design", "dqn"]), ["--design"]);
+        assert!(ignored("serve", &["--design", "dqn"]).is_empty());
 
         // Defaults when absent.
-        let bare = parse_from(&[], &defaults()).unwrap().unwrap();
+        let bare = parse_from("fig5", &[], &defaults(), no_env)
+            .unwrap()
+            .unwrap();
         assert_eq!(bare.torque_levels, 3);
         assert_eq!(bare.population, 32);
         assert_eq!(bare.shards, 4);
         assert_eq!(bare.design, Design::OsElmL2Lipschitz);
-        assert!(!bare.population_flags_used);
+        assert!(ignored("fig5", &[]).is_empty());
 
         // Validation.
-        assert!(parse_from(&args(&["--torque-levels", "1"]), &defaults())
-            .unwrap_err()
-            .contains("≥ 2"));
-        assert!(parse_from(&args(&["--population", "0"]), &defaults())
-            .unwrap_err()
-            .contains("positive"));
-        assert!(parse_from(&args(&["--design", "transformer"]), &defaults())
-            .unwrap_err()
-            .contains("unknown design"));
+        assert!(parse_from(
+            "fig5",
+            &args(&["--torque-levels", "1"]),
+            &defaults(),
+            no_env
+        )
+        .unwrap_err()
+        .contains("≥ 2"));
+        assert!(
+            parse_from("fig5", &args(&["--population", "0"]), &defaults(), no_env)
+                .unwrap_err()
+                .contains("positive")
+        );
+        assert!(parse_from(
+            "fig5",
+            &args(&["--design", "transformer"]),
+            &defaults(),
+            no_env
+        )
+        .unwrap_err()
+        .contains("unknown design"));
     }
 
     #[test]
     fn train_envs_and_solve_threshold_flags_parse_and_validate() {
         let parsed = parse_from(
+            "fig5",
             &args(&["--train-envs", "8", "--solve-threshold", "-150.5"]),
             &defaults(),
+            no_env,
         )
         .unwrap()
         .unwrap();
@@ -857,24 +933,34 @@ mod tests {
         assert_eq!(parsed.workload_options().solve_threshold, Some(-150.5));
 
         // Defaults: the paper's scalar protocol and the registry threshold.
-        let bare = parse_from(&[], &defaults()).unwrap().unwrap();
+        let bare = parse_from("fig5", &[], &defaults(), no_env)
+            .unwrap()
+            .unwrap();
         assert_eq!(bare.train_envs, 1);
         assert_eq!(bare.solve_threshold, None);
         assert!(!bare.workload_all);
 
-        assert!(parse_from(&args(&["--train-envs", "0"]), &defaults())
-            .unwrap_err()
-            .contains("positive"));
         assert!(
-            parse_from(&args(&["--solve-threshold", "tall"]), &defaults())
+            parse_from("fig5", &args(&["--train-envs", "0"]), &defaults(), no_env)
                 .unwrap_err()
-                .contains("invalid number")
+                .contains("positive")
         );
-        assert!(
-            parse_from(&args(&["--solve-threshold", "nan"]), &defaults())
-                .unwrap_err()
-                .contains("finite")
-        );
+        assert!(parse_from(
+            "fig5",
+            &args(&["--solve-threshold", "tall"]),
+            &defaults(),
+            no_env
+        )
+        .unwrap_err()
+        .contains("invalid number"));
+        assert!(parse_from(
+            "fig5",
+            &args(&["--solve-threshold", "nan"]),
+            &defaults(),
+            no_env
+        )
+        .unwrap_err()
+        .contains("finite"));
         let help = usage("fig5", "x", &defaults());
         assert!(help.contains("--train-envs"));
         assert!(help.contains("--solve-threshold"));
@@ -883,6 +969,7 @@ mod tests {
     #[test]
     fn obs_dim_and_chunk_cap_flags_parse_and_validate() {
         let parsed = parse_from(
+            "fig5",
             &args(&[
                 "--workload",
                 "high-dim",
@@ -892,6 +979,7 @@ mod tests {
                 "16",
             ]),
             &defaults(),
+            no_env,
         )
         .unwrap()
         .unwrap();
@@ -901,17 +989,23 @@ mod tests {
         assert_eq!(parsed.chunk_cap, Some(16));
 
         // Defaults: both knobs deferred to their library defaults.
-        let bare = parse_from(&[], &defaults()).unwrap().unwrap();
+        let bare = parse_from("fig5", &[], &defaults(), no_env)
+            .unwrap()
+            .unwrap();
         assert_eq!(bare.obs_dim, None);
         assert_eq!(bare.chunk_cap, None);
         assert_eq!(bare.workload_options().obs_dim, None);
 
-        assert!(parse_from(&args(&["--obs-dim", "3"]), &defaults())
-            .unwrap_err()
-            .contains("≥ 4"));
-        assert!(parse_from(&args(&["--chunk-cap", "0"]), &defaults())
-            .unwrap_err()
-            .contains("positive"));
+        assert!(
+            parse_from("fig5", &args(&["--obs-dim", "3"]), &defaults(), no_env)
+                .unwrap_err()
+                .contains("≥ 4")
+        );
+        assert!(
+            parse_from("fig5", &args(&["--chunk-cap", "0"]), &defaults(), no_env)
+                .unwrap_err()
+                .contains("positive")
+        );
         let help = usage("fig5", "x", &defaults());
         assert!(help.contains("--obs-dim"));
         assert!(help.contains("--chunk-cap"));
@@ -920,45 +1014,80 @@ mod tests {
 
     #[test]
     fn workload_all_is_parsed_and_conflicts_with_a_named_workload() {
-        let parsed = parse_from(&args(&["--workload", "all"]), &defaults())
-            .unwrap()
-            .unwrap();
+        let parsed = parse_from(
+            "ablation",
+            &args(&["--workload", "all"]),
+            &defaults(),
+            no_env,
+        )
+        .unwrap()
+        .unwrap();
         assert!(parsed.workload_all);
         assert_eq!(parsed.workloads(), Workload::all().to_vec());
-        let single = parse_from(&args(&["--workload", "pendulum"]), &defaults())
-            .unwrap()
-            .unwrap();
+        let single = parse_from(
+            "fig5",
+            &args(&["--workload", "pendulum"]),
+            &defaults(),
+            no_env,
+        )
+        .unwrap()
+        .unwrap();
         assert_eq!(single.workloads(), vec![Workload::Pendulum]);
         assert!(parse_from(
+            "ablation",
             &args(&["--workload", "all", "--workload", "pendulum"]),
-            &defaults()
+            &defaults(),
+            no_env
         )
         .unwrap_err()
         .contains("conflicts"));
+        // Only `ablation` loops the registry.
+        for binary in [
+            "fig4",
+            "fig5",
+            "fig6",
+            "population",
+            "serve",
+            "table3",
+            "summary",
+        ] {
+            assert!(
+                parse_from(binary, &args(&["--workload", "all"]), &defaults(), no_env)
+                    .unwrap_err()
+                    .contains("only supported by the `ablation` binary"),
+                "{binary}"
+            );
+        }
     }
 
     #[test]
     fn threads_flag_parses_and_validates() {
-        let parsed = parse_from(&args(&["--threads", "4"]), &defaults())
+        let parsed = parse_from("fig5", &args(&["--threads", "4"]), &defaults(), no_env)
             .unwrap()
             .unwrap();
         assert_eq!(parsed.threads, 4);
         // Default: "not given" (0) — the pool then resolves ELMRL_THREADS
         // or auto-detects; apply_threads must not override that.
-        let bare = parse_from(&[], &defaults()).unwrap().unwrap();
+        let bare = parse_from("fig5", &[], &defaults(), no_env)
+            .unwrap()
+            .unwrap();
         assert_eq!(bare.threads, 0);
-        assert!(parse_from(&args(&["--threads", "0"]), &defaults())
-            .unwrap_err()
-            .contains("positive"));
-        assert!(parse_from(&args(&["--threads", "lots"]), &defaults())
-            .unwrap_err()
-            .contains("positive"));
+        assert!(
+            parse_from("fig5", &args(&["--threads", "0"]), &defaults(), no_env)
+                .unwrap_err()
+                .contains("positive")
+        );
+        assert!(
+            parse_from("fig5", &args(&["--threads", "lots"]), &defaults(), no_env)
+                .unwrap_err()
+                .contains("positive")
+        );
         assert!(usage("population", "x", &defaults()).contains("--threads"));
     }
 
     #[test]
     fn apply_threads_sizes_the_global_pool() {
-        let mut parsed = parse_from(&args(&["--threads", "3"]), &defaults())
+        let mut parsed = parse_from("fig5", &args(&["--threads", "3"]), &defaults(), no_env)
             .unwrap()
             .unwrap();
         parsed.apply_threads();
@@ -973,6 +1102,7 @@ mod tests {
     #[test]
     fn checkpoint_flags_parse_and_validate() {
         let parsed = parse_from(
+            "fig5",
             &args(&[
                 "--checkpoint-dir",
                 "/tmp/ckpt",
@@ -985,6 +1115,7 @@ mod tests {
                 "2@17",
             ]),
             &defaults(),
+            no_env,
         )
         .unwrap()
         .unwrap();
@@ -1006,7 +1137,9 @@ mod tests {
         assert_eq!(opts.stop_after, Some(40));
 
         // Defaults when absent: no checkpointing at all.
-        let bare = parse_from(&[], &defaults()).unwrap().unwrap();
+        let bare = parse_from("fig5", &[], &defaults(), no_env)
+            .unwrap()
+            .unwrap();
         assert!(bare.checkpoint_dir.is_none());
         assert_eq!(bare.checkpoint_every, 1);
         assert!(!bare.resume);
@@ -1029,27 +1162,43 @@ mod tests {
 
     #[test]
     fn checkpoint_flag_validation_is_descriptive() {
-        assert!(parse_from(&args(&["--resume"]), &defaults())
-            .unwrap_err()
-            .contains("requires --checkpoint-dir"));
-        assert!(parse_from(&args(&["--checkpoint-every", "3"]), &defaults())
-            .unwrap_err()
-            .contains("requires --checkpoint-dir"));
-        assert!(parse_from(&args(&["--stop-after", "9"]), &defaults())
-            .unwrap_err()
-            .contains("requires --checkpoint-dir"));
+        assert!(
+            parse_from("fig5", &args(&["--resume"]), &defaults(), no_env)
+                .unwrap_err()
+                .contains("requires --checkpoint-dir")
+        );
         assert!(parse_from(
+            "fig5",
+            &args(&["--checkpoint-every", "3"]),
+            &defaults(),
+            no_env
+        )
+        .unwrap_err()
+        .contains("requires --checkpoint-dir"));
+        assert!(
+            parse_from("fig5", &args(&["--stop-after", "9"]), &defaults(), no_env)
+                .unwrap_err()
+                .contains("requires --checkpoint-dir")
+        );
+        assert!(parse_from(
+            "fig5",
             &args(&["--checkpoint-dir", "d", "--checkpoint-every", "0"]),
-            &defaults()
+            &defaults(),
+            no_env
         )
         .unwrap_err()
         .contains("positive"));
-        assert!(parse_from(&args(&["--fail-shard", "two@9"]), &defaults())
-            .unwrap_err()
-            .contains("--fail-shard"));
+        assert!(parse_from(
+            "fig5",
+            &args(&["--fail-shard", "two@9"]),
+            &defaults(),
+            no_env
+        )
+        .unwrap_err()
+        .contains("--fail-shard"));
         // --fail-shard works without --checkpoint-dir: the population runner
         // recovers in-process, no manifest directory needed.
-        let parsed = parse_from(&args(&["--fail-shard", "0@3"]), &defaults())
+        let parsed = parse_from("fig5", &args(&["--fail-shard", "0@3"]), &defaults(), no_env)
             .unwrap()
             .unwrap();
         assert_eq!(
@@ -1064,6 +1213,7 @@ mod tests {
     #[test]
     fn serve_flags_parse_and_validate() {
         let parsed = parse_from(
+            "fig5",
             &args(&[
                 "--sessions",
                 "1000",
@@ -1082,6 +1232,7 @@ mod tests {
                 "10",
             ]),
             &defaults(),
+            no_env,
         )
         .unwrap()
         .unwrap();
@@ -1093,10 +1244,40 @@ mod tests {
         assert!(parsed.virtual_clock);
         assert_eq!(parsed.think_ticks, 3);
         assert_eq!(parsed.warmup_episodes, 10);
-        assert!(parsed.serve_flags_used);
+        let serve_flags = [
+            "--sessions",
+            "--workers",
+            "--max-batch",
+            "--batch-window-us",
+            "--duration-ticks",
+            "--virtual-clock",
+            "--think-ticks",
+            "--warmup-episodes",
+        ];
+        let serve_args = [
+            "--sessions",
+            "1000",
+            "--workers",
+            "4",
+            "--max-batch",
+            "128",
+            "--batch-window-us",
+            "500",
+            "--duration-ticks",
+            "50",
+            "--virtual-clock",
+            "--think-ticks",
+            "3",
+            "--warmup-episodes",
+            "10",
+        ];
+        assert_eq!(ignored("population", &serve_args), serve_flags);
+        assert!(ignored("serve", &serve_args).is_empty());
 
         // Defaults when absent.
-        let bare = parse_from(&[], &defaults()).unwrap().unwrap();
+        let bare = parse_from("fig5", &[], &defaults(), no_env)
+            .unwrap()
+            .unwrap();
         assert_eq!(bare.sessions, 64);
         assert_eq!(bare.workers, 1);
         assert_eq!(bare.max_batch, 64);
@@ -1105,29 +1286,44 @@ mod tests {
         assert!(!bare.virtual_clock);
         assert_eq!(bare.think_ticks, 0);
         assert_eq!(bare.warmup_episodes, 5);
-        assert!(!bare.serve_flags_used);
+        assert!(ignored("serve", &[]).is_empty());
 
         // Validation: zero sessions/workers/batches/rounds are meaningless;
         // think/warmup/window zero are legitimate (closed loop, cold policy,
         // flush-every-pump).
-        assert!(parse_from(&args(&["--sessions", "0"]), &defaults())
-            .unwrap_err()
-            .contains("positive"));
-        assert!(parse_from(&args(&["--workers", "0"]), &defaults())
-            .unwrap_err()
-            .contains("positive"));
-        assert!(parse_from(&args(&["--max-batch", "0"]), &defaults())
-            .unwrap_err()
-            .contains("positive"));
-        assert!(parse_from(&args(&["--duration-ticks", "0"]), &defaults())
-            .unwrap_err()
-            .contains("positive"));
         assert!(
-            parse_from(&args(&["--batch-window-us", "soon"]), &defaults())
+            parse_from("fig5", &args(&["--sessions", "0"]), &defaults(), no_env)
                 .unwrap_err()
-                .contains("invalid")
+                .contains("positive")
         );
+        assert!(
+            parse_from("fig5", &args(&["--workers", "0"]), &defaults(), no_env)
+                .unwrap_err()
+                .contains("positive")
+        );
+        assert!(
+            parse_from("fig5", &args(&["--max-batch", "0"]), &defaults(), no_env)
+                .unwrap_err()
+                .contains("positive")
+        );
+        assert!(parse_from(
+            "fig5",
+            &args(&["--duration-ticks", "0"]),
+            &defaults(),
+            no_env
+        )
+        .unwrap_err()
+        .contains("positive"));
+        assert!(parse_from(
+            "fig5",
+            &args(&["--batch-window-us", "soon"]),
+            &defaults(),
+            no_env
+        )
+        .unwrap_err()
+        .contains("invalid"));
         let zeros = parse_from(
+            "fig5",
             &args(&[
                 "--batch-window-us",
                 "0",
@@ -1137,6 +1333,7 @@ mod tests {
                 "0",
             ]),
             &defaults(),
+            no_env,
         )
         .unwrap()
         .unwrap();
@@ -1160,44 +1357,350 @@ mod tests {
 
     #[test]
     fn telemetry_flags_parse_and_imply_each_other() {
-        let bare = parse_from(&[], &defaults()).unwrap().unwrap();
+        let bare = parse_from("fig5", &[], &defaults(), no_env)
+            .unwrap()
+            .unwrap();
         assert!(!bare.telemetry);
         assert!(bare.metrics_out.is_none());
         assert!(bare.trace_out.is_none());
 
-        let explicit = parse_from(&args(&["--telemetry"]), &defaults())
+        let explicit = parse_from("fig5", &args(&["--telemetry"]), &defaults(), no_env)
             .unwrap()
             .unwrap();
         assert!(explicit.telemetry);
 
         // Either output flag implies --telemetry.
-        let metrics = parse_from(&args(&["--metrics-out", "/tmp/m.json"]), &defaults())
-            .unwrap()
-            .unwrap();
+        let metrics = parse_from(
+            "fig5",
+            &args(&["--metrics-out", "/tmp/m.json"]),
+            &defaults(),
+            no_env,
+        )
+        .unwrap()
+        .unwrap();
         assert!(metrics.telemetry);
         assert_eq!(metrics.metrics_out, Some(PathBuf::from("/tmp/m.json")));
-        let trace = parse_from(&args(&["--trace-out", "/tmp/trace.json"]), &defaults())
-            .unwrap()
-            .unwrap();
+        let trace = parse_from(
+            "fig5",
+            &args(&["--trace-out", "/tmp/trace.json"]),
+            &defaults(),
+            no_env,
+        )
+        .unwrap()
+        .unwrap();
         assert!(trace.telemetry);
         assert_eq!(trace.trace_out, Some(PathBuf::from("/tmp/trace.json")));
 
-        assert!(parse_from(&args(&["--metrics-out"]), &defaults())
-            .unwrap_err()
-            .contains("requires a value"));
+        assert!(
+            parse_from("fig5", &args(&["--metrics-out"]), &defaults(), no_env)
+                .unwrap_err()
+                .contains("requires a value")
+        );
         let help = usage("fig5", "x", &defaults());
         for flag in ["--telemetry", "--metrics-out", "--trace-out"] {
             assert!(help.contains(flag), "{flag}");
         }
     }
 
+    /// An environment holding just `vars`.
+    fn env_of(vars: &[(&str, &str)]) -> impl Fn(&str) -> Option<String> {
+        let vars: Vec<(String, String)> = vars
+            .iter()
+            .map(|(k, v)| (k.to_string(), v.to_string()))
+            .collect();
+        move |key| vars.iter().find(|(k, _)| k == key).map(|(_, v)| v.clone())
+    }
+
+    #[test]
+    fn invalid_environment_values_are_errors_that_name_the_variable() {
+        for (var, value) in [
+            ("ELMRL_WORKLOAD", "lunar-lander"),
+            ("ELMRL_TRIALS", "many"),
+            ("ELMRL_EPISODES", "-1"),
+            ("ELMRL_HIDDEN", "abc"),
+            ("ELMRL_HIDDEN", "8,x"),
+            ("ELMRL_SEED", "seven"),
+            ("ELMRL_TRAIN_ENVS", "0"),
+        ] {
+            let err = parse_from("fig5", &[], &defaults(), env_of(&[(var, value)])).unwrap_err();
+            assert!(err.starts_with(&format!("{var}: ")), "{var}={value}: {err}");
+        }
+        // `ablation` reads ELMRL_HIDDEN too.
+        assert!(parse_from(
+            "ablation",
+            &[],
+            &defaults(),
+            env_of(&[("ELMRL_HIDDEN", "abc")])
+        )
+        .unwrap_err()
+        .contains("ELMRL_HIDDEN"));
+    }
+
+    #[test]
+    fn valid_environment_values_are_fallbacks_and_flags_win() {
+        let env = env_of(&[
+            ("ELMRL_WORKLOAD", "acrobot"),
+            ("ELMRL_TRIALS", "5"),
+            ("ELMRL_EPISODES", "70"),
+            ("ELMRL_HIDDEN", "8, 16"),
+            ("ELMRL_SEED", "9"),
+            ("ELMRL_TRAIN_ENVS", "4"),
+        ]);
+        let parsed = parse_from("fig5", &[], &defaults(), &env).unwrap().unwrap();
+        assert_eq!(parsed.workload, Workload::Acrobot);
+        assert_eq!(parsed.trials, 5);
+        assert_eq!(parsed.episodes, 70);
+        assert_eq!(parsed.hidden, vec![8, 16]);
+        assert_eq!(parsed.seed, 9);
+        assert_eq!(parsed.train_envs, 4);
+
+        let flags = args(&[
+            "--workload",
+            "pendulum",
+            "--trials",
+            "2",
+            "--episodes",
+            "3",
+            "--hidden",
+            "32",
+            "--seed",
+            "1",
+            "--train-envs",
+            "2",
+        ]);
+        let parsed = parse_from("fig5", &flags, &defaults(), &env)
+            .unwrap()
+            .unwrap();
+        assert_eq!(parsed.workload, Workload::Pendulum);
+        assert_eq!(parsed.trials, 2);
+        assert_eq!(parsed.episodes, 3);
+        assert_eq!(parsed.hidden, vec![32]);
+        assert_eq!(parsed.seed, 1);
+        assert_eq!(parsed.train_envs, 2);
+
+        // A flag also wins over an invalid variable, an empty variable is
+        // unset, and a binary ignores the variable of a flag it ignores.
+        let parsed = parse_from(
+            "fig5",
+            &args(&["--trials", "2", "--hidden", "8"]),
+            &defaults(),
+            env_of(&[("ELMRL_TRIALS", "many"), ("ELMRL_HIDDEN", "")]),
+        )
+        .unwrap()
+        .unwrap();
+        assert_eq!((parsed.trials, parsed.hidden), (2, vec![8]));
+        let parsed = parse_from(
+            "serve",
+            &[],
+            &defaults(),
+            env_of(&[("ELMRL_TRIALS", "many")]),
+        )
+        .unwrap()
+        .unwrap();
+        assert_eq!(parsed.trials, 3);
+    }
+
+    #[test]
+    fn help_lists_what_a_binary_reads_and_what_it_ignores() {
+        for binary in EVERY {
+            let help = usage(binary, "x", &defaults());
+            let (read, ignored) = help.split_once("Accepted but ignored").unwrap();
+            for flag in FLAGS {
+                let listed = if flag.read_by(binary) { read } else { ignored };
+                assert!(listed.contains(flag.name), "{binary} {}", flag.name);
+                if let Some(var) = flag.env.filter(|_| flag.read_by(binary)) {
+                    assert!(read.contains(var), "{binary} {var}");
+                }
+            }
+        }
+        let help = usage("fig5", "x", &defaults());
+        assert!(help.contains("(default: 3)") && help.contains("(default: 32,64)"));
+        assert!(!help.contains('{'), "unfilled placeholder in:\n{help}");
+    }
+
     #[test]
     fn workload_names_are_normalised() {
         for name in ["CartPole-v0", "cart_pole", "cartpole"] {
-            let parsed = parse_from(&args(&["--workload", name]), &defaults())
+            let parsed = parse_from("fig5", &args(&["--workload", name]), &defaults(), no_env)
                 .unwrap()
                 .unwrap();
             assert_eq!(parsed.workload, Workload::CartPole, "{name}");
+        }
+    }
+}
+
+#[cfg(test)]
+mod parse_pin {
+    //! Every argument list CI and the README pass to a harness binary,
+    //! parsed with that binary's defaults. Each expectation lists the
+    //! fields that differ from the binary's bare parse, which is pinned in
+    //! full; together they fix every field.
+    use super::*;
+
+    fn defaults_of(binary: &str) -> CliDefaults {
+        // Mirrors the `CliDefaults` each binary's `main` passes.
+        let (trials, episodes, hidden) = match binary {
+            "fig4" => (1, 600, vec![32, 64]),
+            "fig5" | "fig6" => (3, 2000, vec![32, 64]),
+            "table3" => (1, 0, vec![32, 64, 128, 192]),
+            "ablation" => (1, 600, vec![64]),
+            _ => (1, 2000, vec![64]),
+        };
+        CliDefaults {
+            trials,
+            episodes,
+            hidden,
+        }
+    }
+
+    fn parse_as(binary: &str, line: &str) -> CliArgs {
+        let args: Vec<String> = line.split_whitespace().map(String::from).collect();
+        parse_from(binary, &args, &defaults_of(binary), |_| None)
+            .unwrap()
+            .unwrap()
+    }
+
+    fn fields(a: &CliArgs) -> Vec<String> {
+        vec![
+            format!("workload={:?}", a.workload),
+            format!("trials={}", a.trials),
+            format!("episodes={}", a.episodes),
+            format!("hidden={:?}", a.hidden),
+            format!("seed={}", a.seed),
+            format!("torque_levels={}", a.torque_levels),
+            format!("solve_threshold={:?}", a.solve_threshold),
+            format!("obs_dim={:?}", a.obs_dim),
+            format!("chunk_cap={:?}", a.chunk_cap),
+            format!("train_envs={}", a.train_envs),
+            format!("workload_all={}", a.workload_all),
+            format!("threads={}", a.threads),
+            format!("population={}", a.population),
+            format!("shards={}", a.shards),
+            format!("design={:?}", a.design),
+            format!("out={:?}", a.out),
+            format!("checkpoint_dir={:?}", a.checkpoint_dir),
+            format!("checkpoint_every={}", a.checkpoint_every),
+            format!("resume={}", a.resume),
+            format!("stop_after={:?}", a.stop_after),
+            format!("fail_shard={:?}", a.fail_shard),
+            format!("sessions={}", a.sessions),
+            format!("workers={}", a.workers),
+            format!("max_batch={}", a.max_batch),
+            format!("batch_window_us={}", a.batch_window_us),
+            format!("duration_ticks={}", a.duration_ticks),
+            format!("virtual_clock={}", a.virtual_clock),
+            format!("think_ticks={}", a.think_ticks),
+            format!("warmup_episodes={}", a.warmup_episodes),
+            format!("telemetry={}", a.telemetry),
+            format!("metrics_out={:?}", a.metrics_out),
+            format!("trace_out={:?}", a.trace_out),
+        ]
+    }
+
+    /// The fields of `binary`'s parse of `line` that differ from its bare
+    /// parse, space-separated.
+    fn changed(binary: &str, line: &str) -> String {
+        let bare = fields(&parse_as(binary, ""));
+        fields(&parse_as(binary, line))
+            .into_iter()
+            .filter(|f| !bare.contains(f))
+            .collect::<Vec<_>>()
+            .join(" ")
+    }
+
+    /// Each binary's parse with no flags and no `ELMRL_*` variables.
+    const BARE: &[(&str, &str)] = &[
+        (
+            "fig4",
+            r#"workload=CartPole trials=1 episodes=600 hidden=[32, 64] seed=42 torque_levels=3 solve_threshold=None obs_dim=None chunk_cap=None train_envs=1 workload_all=false threads=0 population=32 shards=4 design=OsElmL2Lipschitz out=None checkpoint_dir=None checkpoint_every=1 resume=false stop_after=None fail_shard=None sessions=64 workers=1 max_batch=64 batch_window_us=200 duration_ticks=200 virtual_clock=false think_ticks=0 warmup_episodes=5 telemetry=false metrics_out=None trace_out=None"#,
+        ),
+        (
+            "fig5",
+            r#"workload=CartPole trials=3 episodes=2000 hidden=[32, 64] seed=42 torque_levels=3 solve_threshold=None obs_dim=None chunk_cap=None train_envs=1 workload_all=false threads=0 population=32 shards=4 design=OsElmL2Lipschitz out=None checkpoint_dir=None checkpoint_every=1 resume=false stop_after=None fail_shard=None sessions=64 workers=1 max_batch=64 batch_window_us=200 duration_ticks=200 virtual_clock=false think_ticks=0 warmup_episodes=5 telemetry=false metrics_out=None trace_out=None"#,
+        ),
+        (
+            "fig6",
+            r#"workload=CartPole trials=3 episodes=2000 hidden=[32, 64] seed=42 torque_levels=3 solve_threshold=None obs_dim=None chunk_cap=None train_envs=1 workload_all=false threads=0 population=32 shards=4 design=OsElmL2Lipschitz out=None checkpoint_dir=None checkpoint_every=1 resume=false stop_after=None fail_shard=None sessions=64 workers=1 max_batch=64 batch_window_us=200 duration_ticks=200 virtual_clock=false think_ticks=0 warmup_episodes=5 telemetry=false metrics_out=None trace_out=None"#,
+        ),
+        (
+            "table3",
+            r#"workload=CartPole trials=1 episodes=0 hidden=[32, 64, 128, 192] seed=42 torque_levels=3 solve_threshold=None obs_dim=None chunk_cap=None train_envs=1 workload_all=false threads=0 population=32 shards=4 design=OsElmL2Lipschitz out=None checkpoint_dir=None checkpoint_every=1 resume=false stop_after=None fail_shard=None sessions=64 workers=1 max_batch=64 batch_window_us=200 duration_ticks=200 virtual_clock=false think_ticks=0 warmup_episodes=5 telemetry=false metrics_out=None trace_out=None"#,
+        ),
+        (
+            "ablation",
+            r#"workload=CartPole trials=1 episodes=600 hidden=[64] seed=42 torque_levels=3 solve_threshold=None obs_dim=None chunk_cap=None train_envs=1 workload_all=false threads=0 population=32 shards=4 design=OsElmL2Lipschitz out=None checkpoint_dir=None checkpoint_every=1 resume=false stop_after=None fail_shard=None sessions=64 workers=1 max_batch=64 batch_window_us=200 duration_ticks=200 virtual_clock=false think_ticks=0 warmup_episodes=5 telemetry=false metrics_out=None trace_out=None"#,
+        ),
+        (
+            "population",
+            r#"workload=CartPole trials=1 episodes=2000 hidden=[64] seed=42 torque_levels=3 solve_threshold=None obs_dim=None chunk_cap=None train_envs=1 workload_all=false threads=0 population=32 shards=4 design=OsElmL2Lipschitz out=None checkpoint_dir=None checkpoint_every=1 resume=false stop_after=None fail_shard=None sessions=64 workers=1 max_batch=64 batch_window_us=200 duration_ticks=200 virtual_clock=false think_ticks=0 warmup_episodes=5 telemetry=false metrics_out=None trace_out=None"#,
+        ),
+        (
+            "serve",
+            r#"workload=CartPole trials=1 episodes=2000 hidden=[64] seed=42 torque_levels=3 solve_threshold=None obs_dim=None chunk_cap=None train_envs=1 workload_all=false threads=0 population=32 shards=4 design=OsElmL2Lipschitz out=None checkpoint_dir=None checkpoint_every=1 resume=false stop_after=None fail_shard=None sessions=64 workers=1 max_batch=64 batch_window_us=200 duration_ticks=200 virtual_clock=false think_ticks=0 warmup_episodes=5 telemetry=false metrics_out=None trace_out=None"#,
+        ),
+    ];
+
+    /// `(binary, argv, fields that differ from the bare parse)`: the CI
+    /// golden and smoke runs, then the README examples.
+    const CASES: &[(&str, &str, &str)] = &[
+        ("fig5", "--workload cart-pole --hidden 8 --trials 2 --episodes 5 --out /tmp/fig5-straight", r#"trials=2 episodes=5 hidden=[8] out=Some("/tmp/fig5-straight")"#),
+        ("fig5", "--workload cart-pole --hidden 8 --trials 2 --episodes 5 --checkpoint-dir /tmp/fig5-ckpt --checkpoint-every 1 --stop-after 3 --out /tmp/fig5-resumed", r#"trials=2 episodes=5 hidden=[8] out=Some("/tmp/fig5-resumed") checkpoint_dir=Some("/tmp/fig5-ckpt") stop_after=Some(3)"#),
+        ("fig5", "--workload cart-pole --hidden 8 --trials 2 --episodes 5 --checkpoint-dir /tmp/fig5-ckpt --resume --out /tmp/fig5-resumed", r#"trials=2 episodes=5 hidden=[8] out=Some("/tmp/fig5-resumed") checkpoint_dir=Some("/tmp/fig5-ckpt") resume=true"#),
+        ("fig5", "--workload cart-pole --hidden 8 --trials 2 --episodes 5 --threads 4 --out /tmp/fig5-t4", r#"trials=2 episodes=5 hidden=[8] threads=4 out=Some("/tmp/fig5-t4")"#),
+        ("fig5", "--workload cart-pole --hidden 8 --trials 2 --episodes 5 --telemetry --metrics-out /tmp/telem/metrics.json --trace-out /tmp/telem/trace.json --out /tmp/fig5-telem", r#"trials=2 episodes=5 hidden=[8] out=Some("/tmp/fig5-telem") telemetry=true metrics_out=Some("/tmp/telem/metrics.json") trace_out=Some("/tmp/telem/trace.json")"#),
+        ("fig6", "--workload cart-pole --hidden 8 --trials 2 --episodes 5 --out /tmp/fig6-golden", r#"trials=2 episodes=5 hidden=[8] out=Some("/tmp/fig6-golden")"#),
+        ("fig6", "--workload cart-pole --hidden 8 --trials 2 --episodes 5 --threads 4 --out /tmp/fig6-t4", r#"trials=2 episodes=5 hidden=[8] threads=4 out=Some("/tmp/fig6-t4")"#),
+        ("fig6", "--workload cart-pole --hidden 8 --trials 2 --episodes 5 --out /tmp/fig6-telem", r#"trials=2 episodes=5 hidden=[8] out=Some("/tmp/fig6-telem")"#),
+        ("table3", "--out /tmp/table3-regen", r#"out=Some("/tmp/table3-regen")"#),
+        ("population", "--workload cart-pole --population 4 --shards 1 --episodes 5 --hidden 8 --out /tmp/pop1", r#"episodes=5 hidden=[8] population=4 shards=1 out=Some("/tmp/pop1")"#),
+        ("population", "--workload cart-pole --population 4 --shards 2 --episodes 5 --hidden 8 --out /tmp/pop2", r#"episodes=5 hidden=[8] population=4 shards=2 out=Some("/tmp/pop2")"#),
+        ("population", "--workload cart-pole --population 4 --shards 2 --threads 1 --episodes 5 --hidden 8 --out /tmp/pop-t1", r#"episodes=5 hidden=[8] threads=1 population=4 shards=2 out=Some("/tmp/pop-t1")"#),
+        ("population", "--workload cart-pole --population 4 --shards 2 --threads 2 --episodes 5 --hidden 8 --out /tmp/pop-t2", r#"episodes=5 hidden=[8] threads=2 population=4 shards=2 out=Some("/tmp/pop-t2")"#),
+        ("population", "--workload cart-pole --population 4 --shards 2 --episodes 5 --hidden 8 --train-envs 1 --out /tmp/pop-e1", r#"episodes=5 hidden=[8] population=4 shards=2 out=Some("/tmp/pop-e1")"#),
+        ("population", "--workload cart-pole --population 4 --shards 1 --train-envs 3 --episodes 5 --hidden 8 --out /tmp/pop-e3-s1", r#"episodes=5 hidden=[8] train_envs=3 population=4 shards=1 out=Some("/tmp/pop-e3-s1")"#),
+        ("population", "--workload cart-pole --population 4 --shards 2 --train-envs 3 --episodes 5 --hidden 8 --out /tmp/pop-e3-s2", r#"episodes=5 hidden=[8] train_envs=3 population=4 shards=2 out=Some("/tmp/pop-e3-s2")"#),
+        ("population", "--workload cart-pole --population 4 --shards 2 --episodes 5 --hidden 8 --threads 4 --out /tmp/pop-t4-golden", r#"episodes=5 hidden=[8] threads=4 population=4 shards=2 out=Some("/tmp/pop-t4-golden")"#),
+        ("population", "--workload cart-pole --population 4 --shards 2 --episodes 5 --hidden 8 --checkpoint-dir /tmp/pop-ckpt --fail-shard 1@2 --out /tmp/pop-fault", r#"episodes=5 hidden=[8] population=4 shards=2 out=Some("/tmp/pop-fault") checkpoint_dir=Some("/tmp/pop-ckpt") fail_shard=Some(FaultPlan { shard: 1, at_episode: 2 })"#),
+        ("population", "--workload cart-pole --population 4 --shards 2 --episodes 5 --hidden 8 --checkpoint-dir /tmp/pop-ckpt --resume --out /tmp/pop-resume", r#"episodes=5 hidden=[8] population=4 shards=2 out=Some("/tmp/pop-resume") checkpoint_dir=Some("/tmp/pop-ckpt") resume=true"#),
+        ("serve", "--workload cart-pole --design os-elm-l2-lipschitz --hidden 8 --sessions 32 --workers 1 --max-batch 8 --batch-window-us 300 --duration-ticks 40 --virtual-clock --think-ticks 2 --warmup-episodes 3 --seed 42 --out /tmp/serve-w1", r#"hidden=[8] out=Some("/tmp/serve-w1") sessions=32 max_batch=8 batch_window_us=300 duration_ticks=40 virtual_clock=true think_ticks=2 warmup_episodes=3"#),
+        ("serve", "--workload cart-pole --design os-elm-l2-lipschitz --hidden 8 --sessions 32 --workers 4 --max-batch 8 --batch-window-us 300 --duration-ticks 40 --virtual-clock --think-ticks 2 --warmup-episodes 3 --seed 42 --out /tmp/serve-w4", r#"hidden=[8] out=Some("/tmp/serve-w4") sessions=32 workers=4 max_batch=8 batch_window_us=300 duration_ticks=40 virtual_clock=true think_ticks=2 warmup_episodes=3"#),
+        ("serve", "--workload cart-pole --design os-elm-l2-lipschitz --hidden 8 --sessions 32 --workers 1 --max-batch 8 --batch-window-us 300 --duration-ticks 40 --virtual-clock --think-ticks 2 --warmup-episodes 3 --seed 42 --telemetry --metrics-out /tmp/serve-telem/metrics.json --trace-out /tmp/serve-telem/trace.json --out /tmp/serve-telem-out", r#"hidden=[8] out=Some("/tmp/serve-telem-out") sessions=32 max_batch=8 batch_window_us=300 duration_ticks=40 virtual_clock=true think_ticks=2 warmup_episodes=3 telemetry=true metrics_out=Some("/tmp/serve-telem/metrics.json") trace_out=Some("/tmp/serve-telem/trace.json")"#),
+        ("fig5", "--workload mountain-car", r#"workload=MountainCar"#),
+        ("fig4", "--workload pendulum --episodes 300", r#"workload=Pendulum episodes=300"#),
+        ("fig5", "--workload cart-pole --hidden 32,64,128 --trials 5 --seed 7 --out /tmp/sweep", r#"trials=5 hidden=[32, 64, 128] seed=7 out=Some("/tmp/sweep")"#),
+        ("fig5", "--workload pendulum --torque-levels 9 --out results/pendulum-n9", r#"workload=Pendulum torque_levels=9 out=Some("results/pendulum-n9")"#),
+        ("population", "--workload cart-pole --population 32", r#""#),
+        ("population", "--workload acrobot --design dqn --population 64 --shards 8 --hidden 32 --out /tmp/acrobot-pop", r#"workload=Acrobot hidden=[32] population=64 shards=8 design=Dqn out=Some("/tmp/acrobot-pop")"#),
+        ("fig5", "--workload cart-pole --train-envs 16", r#"train_envs=16"#),
+        ("population", "--workload acrobot --train-envs 8", r#"workload=Acrobot train_envs=8"#),
+        ("fig5", "--workload cart-pole --checkpoint-dir /tmp/ckpt --checkpoint-every 50", r#"checkpoint_dir=Some("/tmp/ckpt") checkpoint_every=50"#),
+        ("fig5", "--workload cart-pole --checkpoint-dir /tmp/ckpt --resume", r#"checkpoint_dir=Some("/tmp/ckpt") resume=true"#),
+        ("population", "--workload cart-pole --checkpoint-dir /tmp/manifests --fail-shard 1@20", r#"checkpoint_dir=Some("/tmp/manifests") fail_shard=Some(FaultPlan { shard: 1, at_episode: 20 })"#),
+        ("population", "--workload cart-pole --checkpoint-dir /tmp/manifests --resume", r#"checkpoint_dir=Some("/tmp/manifests") resume=true"#),
+        ("fig5", "--workload high-dim --obs-dim 512 --hidden 256 --train-envs 16 --chunk-cap 64", r#"workload=HighDim hidden=[256] obs_dim=Some(512) chunk_cap=Some(64) train_envs=16"#),
+        ("serve", "--workload cart-pole --design os-elm-l2-lipschitz --hidden 64 --sessions 10000 --workers 4 --max-batch 128 --batch-window-us 200", r#"sessions=10000 workers=4 max_batch=128"#),
+        ("serve", "--workload cart-pole --sessions 32 --workers 1 --max-batch 8 --batch-window-us 300 --duration-ticks 40 --virtual-clock --think-ticks 2 --warmup-episodes 3", r#"sessions=32 max_batch=8 batch_window_us=300 duration_ticks=40 virtual_clock=true think_ticks=2 warmup_episodes=3"#),
+        ("fig5", "--workload cart-pole --telemetry", r#"telemetry=true"#),
+        ("fig6", "--workload cart-pole --metrics-out results/metrics.json --trace-out results/trace.json", r#"telemetry=true metrics_out=Some("results/metrics.json") trace_out=Some("results/trace.json")"#),
+        ("ablation", "", r#""#),
+        ("table3", "", r#""#),
+    ];
+
+    #[test]
+    fn bare_parses_match_the_pinned_defaults() {
+        for (binary, expected) in BARE {
+            assert_eq!(
+                fields(&parse_as(binary, "")).join(" "),
+                *expected,
+                "{binary}"
+            );
+        }
+    }
+
+    #[test]
+    fn ci_and_readme_argument_lists_parse_as_pinned() {
+        for (binary, line, expected) in CASES {
+            assert_eq!(changed(binary, line), *expected, "{binary} {line}");
         }
     }
 }

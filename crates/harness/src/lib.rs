@@ -20,7 +20,7 @@
 //! * [`runner`] — seeded, rayon-parallel trial execution shared by all of the
 //!   above;
 //! * [`report`] — Markdown/CSV/JSON emitters used by the CLI binaries;
-//! * [`cli`] — the minimal flag parser shared by the binaries.
+//! * [`cli`] — the flag table every binary parses its arguments with.
 //!
 //! The whole harness is environment-generic: every experiment takes an
 //! [`elmrl_gym::Workload`] and resolves the environment, protocol defaults
@@ -28,15 +28,9 @@
 //! 7-design matrix runs on every registered environment (CartPole,
 //! MountainCar, Pendulum, …) through one code path.
 //!
-//! Each experiment binary (`table3`, `fig4`, `fig5`, `fig6`, `ablation`,
-//! `population`) accepts `--workload`, `--trials`, `--episodes`, `--hidden`,
-//! `--seed`, `--torque-levels` and `--out` flags (see `--help`); the
-//! `population` binary adds `--population`, `--shards` and `--design` and
-//! drives the `elmrl-population` engine; the `summary` binary aggregates
-//! previously written `fig5.json` artefacts. The `ELMRL_TRIALS` /
-//! `ELMRL_EPISODES` / `ELMRL_HIDDEN` / `ELMRL_SEED` / `ELMRL_WORKLOAD`
-//! environment variables remain honoured as fallbacks so the same code path
-//! serves both a quick smoke run and the full paper protocol.
+//! The binaries (`table3`, `fig4`, `fig5`, `fig6`, `ablation`, `population`,
+//! `serve`, `summary`) share one flag table, [`cli::FLAGS`]; each binary's
+//! `--help` lists the flags it reads.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
@@ -71,34 +65,4 @@ pub fn deterministic_artifacts() -> bool {
     std::env::var("ELMRL_ZERO_WALL_TIME")
         .map(|v| !v.is_empty() && v != "0")
         .unwrap_or(false)
-}
-
-/// Read a `usize` scale knob from the environment, with a default.
-pub fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-/// Read a comma-separated list of hidden sizes from the environment.
-pub fn env_hidden_sizes(default: &[usize]) -> Vec<usize> {
-    match std::env::var("ELMRL_HIDDEN") {
-        Ok(v) => v
-            .split(',')
-            .filter_map(|s| s.trim().parse().ok())
-            .collect::<Vec<usize>>(),
-        Err(_) => default.to_vec(),
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn env_helpers_fall_back_to_defaults() {
-        assert_eq!(env_usize("ELMRL_DOES_NOT_EXIST", 7), 7);
-        assert_eq!(env_hidden_sizes(&[32, 64]), vec![32, 64]);
-    }
 }

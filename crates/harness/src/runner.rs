@@ -298,15 +298,11 @@ pub fn run_trial_checkpointed(
     };
     let complete = training.episodes_run >= spec.trainer.max_episodes
         || (spec.trainer.stop_when_solved && training.solved);
-    // Record the *effective* RLS chunk cap in the artifact: the explicit
-    // knob when given, otherwise the default — but only where the cap is
-    // live at all (chunked OS-ELM designs driving batch-B ticks). Scalar
-    // and non-RLS runs keep `None`, so pre-existing artifacts stay
-    // byte-identical.
+    // The artifact records the RLS chunk cap the run actually trained under.
     let mut result_spec = spec.clone();
-    if result_spec.chunk_cap.is_none() && spec.train_envs > 1 && spec.design.uses_chunked_rls() {
-        result_spec.chunk_cap = Some(elmrl_core::DEFAULT_CHUNK_CAP);
-    }
+    result_spec.chunk_cap = spec
+        .design
+        .effective_chunk_cap(spec.chunk_cap, spec.train_envs);
     Ok((
         TrialResult {
             spec: result_spec,

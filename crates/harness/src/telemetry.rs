@@ -14,22 +14,16 @@
 //! job runs fig5 with telemetry on against the telemetry-off goldens).
 
 use crate::CliArgs;
-use std::path::Path;
 
 /// Apply the telemetry flags: enable the registry for `--telemetry` /
 /// `ELMRL_TELEMETRY`, and additionally allocate the trace rings (implying
 /// collection) when `--trace-out` was given. Call before the workload runs.
 pub fn init(args: &CliArgs) {
-    init_with(args.telemetry, args.trace_out.is_some());
-}
-
-/// Flag-free form of [`init`] for binaries with their own parsers.
-pub fn init_with(enable: bool, tracing: bool) {
     elmrl_telemetry::init_from_env();
-    if enable {
+    if args.telemetry {
         elmrl_telemetry::set_enabled(true);
     }
-    if tracing {
+    if args.trace_out.is_some() {
         elmrl_telemetry::enable_tracing(elmrl_telemetry::DEFAULT_TRACE_CAPACITY);
     }
 }
@@ -38,15 +32,6 @@ pub fn init_with(enable: bool, tracing: bool) {
 /// artefacts. No-op when telemetry was never enabled. Call once, after the
 /// workload finished and its artefacts are written.
 pub fn finish(binary: &str, args: &CliArgs) {
-    finish_with(
-        binary,
-        args.metrics_out.as_deref(),
-        args.trace_out.as_deref(),
-    );
-}
-
-/// Flag-free form of [`finish`] for binaries with their own parsers.
-pub fn finish_with(binary: &str, metrics_out: Option<&Path>, trace_out: Option<&Path>) {
     if !elmrl_telemetry::enabled() {
         return;
     }
@@ -76,7 +61,7 @@ pub fn finish_with(binary: &str, metrics_out: Option<&Path>, trace_out: Option<&
              {hit:.1}% ({fast}/{total_blocks} dot blocks)"
         );
     }
-    if let Some(path) = metrics_out {
+    if let Some(path) = &args.metrics_out {
         if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
             let _ = std::fs::create_dir_all(dir);
         }
@@ -85,7 +70,7 @@ pub fn finish_with(binary: &str, metrics_out: Option<&Path>, trace_out: Option<&
             Err(e) => eprintln!("{binary}: writing metrics {}: {e}", path.display()),
         }
     }
-    if let Some(path) = trace_out {
+    if let Some(path) = &args.trace_out {
         if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
             let _ = std::fs::create_dir_all(dir);
         }
@@ -115,12 +100,14 @@ mod tests {
     fn parse(list: &[&str]) -> CliArgs {
         let args: Vec<String> = list.iter().map(|s| s.to_string()).collect();
         parse_from(
+            "fig5",
             &args,
             &CliDefaults {
                 trials: 1,
                 episodes: 10,
                 hidden: vec![8],
             },
+            |_| None,
         )
         .unwrap()
         .unwrap()

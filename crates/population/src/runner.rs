@@ -524,7 +524,10 @@ impl PopulationRunner {
             seed: self.config.seed,
             max_episodes: self.config.max_episodes,
             train_envs: self.config.train_envs,
-            chunk_cap: effective_chunk_cap(&self.config),
+            chunk_cap: self
+                .config
+                .design
+                .effective_chunk_cap(self.config.chunk_cap, self.config.train_envs),
             solve_criterion: spec.solve_criterion,
             eval_episodes: self.config.eval_episodes,
             solve_rate: solved.len() as f64 / replicas.len() as f64,
@@ -537,18 +540,6 @@ impl PopulationRunner {
             },
             replicas,
         }
-    }
-}
-
-/// The chunk cap the replicas actually train under: the explicit knob when
-/// given, otherwise the default — but only where the cap is live at all
-/// (chunked OS-ELM designs driving batch-B ticks). Scalar and non-RLS runs
-/// keep `None`, so pre-existing artifacts stay byte-identical.
-fn effective_chunk_cap(config: &PopulationConfig) -> Option<usize> {
-    if config.chunk_cap.is_none() && config.train_envs > 1 && config.design.uses_chunked_rls() {
-        Some(elmrl_core::DEFAULT_CHUNK_CAP)
-    } else {
-        config.chunk_cap
     }
 }
 
