@@ -7,18 +7,30 @@
 //! column-at-a-time substitution and the `p-i-j` Gram loop. Any reordering
 //! of a single floating-point operation changes them.
 //!
-//! Both thread settings run inside one test: the pool size and the parallel
-//! threshold are process-wide, so splitting them would let concurrently
-//! running tests observe each other's settings.
+//! A second pair of pins follows a run of `seq_train_batch` chunks of
+//! widths 1, 2, 5, 8, 13 and 16 after `init_train`, at Ñ = 250 (not a
+//! multiple of the 4-row block, the 8-lane strip or the 64-row tile) and,
+//! in release builds only, at Ñ = 1024. These were recorded from the
+//! one-row-at-a-time `P·Hᵀ`, `H·P` and downdate loops.
+//!
+//! Each test runs both thread settings while holding `SETTINGS`: the pool
+//! size and the parallel threshold are process-wide, so without the lock
+//! concurrently running tests would observe each other's settings.
 
 use elmrl_elm::{HiddenActivation, OsElm, OsElmConfig};
 use elmrl_linalg::{set_parallel_flop_threshold, Matrix};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+use std::sync::Mutex;
+
+/// Serialises the tests that change the process-wide thread settings.
+static SETTINGS: Mutex<()> = Mutex::new(());
 
 const INPUT_DIM: usize = 8;
 const OUTPUT_DIM: usize = 2;
 const CHUNK: usize = 16;
+/// Chunk widths of the multi-chunk pins, applied in this order.
+const CHUNK_RUN: [usize; 6] = [1, 2, 5, 8, 13, 16];
 
 /// `(Ñ, P digest, β digest)` captured before the row-oriented solves.
 const PINS: [(usize, u64, u64); 2] = [
@@ -51,34 +63,55 @@ fn dataset(rows: usize, seed: u64) -> (Matrix<f64>, Matrix<f64>) {
 }
 
 /// `(P, β)` digests after `init_train` on `Ñ` samples plus one
-/// `seq_train_batch` of `CHUNK` more.
-fn digests(hidden: usize) -> (u64, u64) {
+/// `seq_train_batch` per entry of `chunks`, each that many samples wide.
+fn digests(hidden: usize, chunks: &[usize]) -> (u64, u64) {
     let cfg = OsElmConfig::new(INPUT_DIM, hidden, OUTPUT_DIM)
         .with_activation(HiddenActivation::ReLU)
         .with_l2_delta(0.05)
         .with_relative_l2(true);
     let mut os = OsElm::<f64>::new(&cfg, &mut SmallRng::seed_from_u64(hidden as u64));
-    let (x, t) = dataset(hidden + CHUNK, 7 + hidden as u64);
+    let total: usize = chunks.iter().sum();
+    let (x, t) = dataset(hidden + total, 7 + hidden as u64);
     os.init_train(
         &x.submatrix(0, hidden, 0, INPUT_DIM).unwrap(),
         &t.submatrix(0, hidden, 0, OUTPUT_DIM).unwrap(),
     )
     .unwrap();
-    os.seq_train_batch(
-        &x.submatrix(hidden, hidden + CHUNK, 0, INPUT_DIM).unwrap(),
-        &t.submatrix(hidden, hidden + CHUNK, 0, OUTPUT_DIM).unwrap(),
-    )
-    .unwrap();
+    let mut at = hidden;
+    for &b in chunks {
+        os.seq_train_batch(
+            &x.submatrix(at, at + b, 0, INPUT_DIM).unwrap(),
+            &t.submatrix(at, at + b, 0, OUTPUT_DIM).unwrap(),
+        )
+        .unwrap();
+        at += b;
+    }
     (fnv1a(os.p_matrix().unwrap()), fnv1a(os.model().beta()))
+}
+
+/// Checks `digests(hidden, chunks)` against `(P pin, β pin)` at one thread
+/// and on a 4-worker pool with every pass forced parallel.
+fn assert_pinned_at_both_thread_settings(hidden: usize, chunks: &[usize], pins: (u64, u64)) {
+    let _guard = SETTINGS.lock().unwrap_or_else(|e| e.into_inner());
+    for (threads, threshold) in [(1, 0), (4, 1)] {
+        rayon::set_num_threads(threads);
+        set_parallel_flop_threshold(threshold);
+        let (p, beta) = digests(hidden, chunks);
+        assert_eq!(p, pins.0, "P digest at Ñ={hidden}, {threads} thread(s)");
+        assert_eq!(beta, pins.1, "β digest at Ñ={hidden}, {threads} thread(s)");
+    }
+    rayon::set_num_threads(1);
+    set_parallel_flop_threshold(0);
 }
 
 #[test]
 fn p0_and_first_chunk_match_the_pinned_bits_at_any_thread_count() {
+    let _guard = SETTINGS.lock().unwrap_or_else(|e| e.into_inner());
     for (threads, threshold) in [(1, 0), (4, 1)] {
         rayon::set_num_threads(threads);
         set_parallel_flop_threshold(threshold);
         for (hidden, p_pin, beta_pin) in PINS {
-            let (p, beta) = digests(hidden);
+            let (p, beta) = digests(hidden, &[CHUNK]);
             assert_eq!(p, p_pin, "P digest at Ñ={hidden}, {threads} thread(s)");
             assert_eq!(
                 beta, beta_pin,
@@ -88,4 +121,25 @@ fn p0_and_first_chunk_match_the_pinned_bits_at_any_thread_count() {
     }
     rayon::set_num_threads(1);
     set_parallel_flop_threshold(0);
+}
+
+#[test]
+fn chunk_run_at_250_hidden_matches_the_pinned_bits_at_any_thread_count() {
+    assert_pinned_at_both_thread_settings(
+        250,
+        &CHUNK_RUN,
+        (0xee0f_108a_d037_ceec, 0xe936_c3ef_c7a4_2040),
+    );
+}
+
+/// Release only: debug `init_train` at Ñ = 1024 takes tens of seconds. Run
+/// with `cargo test --release -p elmrl-elm --test p0_pin -- --ignored`.
+#[test]
+#[ignore = "release only; run with --ignored"]
+fn chunk_run_at_1024_hidden_matches_the_pinned_bits_at_any_thread_count() {
+    assert_pinned_at_both_thread_settings(
+        1024,
+        &CHUNK_RUN,
+        (0x05c3_9969_0aa0_c7e9, 0x5979_e0a0_7f91_928c),
+    );
 }
