@@ -14,6 +14,15 @@
 //! SVD/QRD core. [`OsElm::seq_train_single`] is that fast path;
 //! [`OsElm::seq_train`] is the general batched form, kept for equivalence
 //! testing and for the ELM-vs-OS-ELM ablation.
+//!
+//! [`OsElm::seq_train_batch`] is `seq_train` on reusable workspaces. Its
+//! time goes into four Ñ²·B passes over `P`: `P·Hᵀ`, `H·P`, the downdate
+//! `P −= (P·Hᵀ)·S⁻¹·(H·P)` and the recompute of `P_new·Hᵀ` for β. All four
+//! run on one register-blocked micro-kernel (`block`), 4 rows of one
+//! operand by up to 4 lanes of the other, with `Hᵀ` packed once per chunk so
+//! the `P·Hᵀ` lanes are contiguous. Each accumulator is one output element
+//! summed from zero in ascending order, so `seq_train_batch` stays bit for
+//! bit equal to `seq_train` on any thread count.
 
 use crate::config::OsElmConfig;
 use crate::model::ElmModel;
@@ -24,12 +33,12 @@ use rand::Rng;
 use rayon::prelude::*;
 use std::fmt;
 
-/// Row-tile height of the fused P-update passes: the unit of work handed to
-/// the work-sharing pool, and the stride of the sequential tile loop. 64
-/// rows keep one tile of `P` (64·Ñ f64 = 512 KiB at Ñ = 1024) streaming
-/// through L2 while `h`/`hp` stay L1-resident; swept against 16/32/128/256
-/// in the `scaling_kernels` bench (flat within noise from 32 up, so the
-/// value matters for scheduling granularity more than locality).
+/// Row-tile height of the P passes: the unit of work handed to the
+/// work-sharing pool and the stride of the inline tile loop. The `P·Hᵀ` and
+/// downdate passes take 64-row tiles of `P`, the `H·P` pass 64-column
+/// bands. One tile of `P` at Ñ = 1024 is 512 KiB, which streams through L2;
+/// the `seq_train_batch` entries at Ñ = 1024 in the `kernels` bench time the
+/// passes at that size.
 pub const P_UPDATE_TILE: usize = 64;
 
 /// Errors produced by OS-ELM training.
@@ -91,14 +100,14 @@ struct SeqScratch<T: Scalar> {
     s: Matrix<T>,
     /// `B × B` — the Cholesky factor of `S` (batch path only).
     l: Matrix<T>,
-    /// `B × Ñ` — the solve `S⁻¹·(H·P)` (batch path only).
+    /// `B × Ñ` — the solve `S⁻¹·(H·P)` (batch path). Before the solve, and
+    /// on the pooled single-sample path, it stages `H·P` band by band (see
+    /// [`ph_hp`]).
     sol: Matrix<T>,
-    /// `1 × Ñ` — one row of the `P` downdate, recomputed per row inside the
-    /// fused pass (batch path only). PR 9 replaced the former `Ñ × Ñ`
-    /// full-downdate workspace with this row: the downdate is applied
-    /// row-by-row while the row is hot, which removes an entire `Ñ²` write
-    /// + read + subtract sweep from the chunk update.
-    tmp: Matrix<T>,
+    /// `Ñ × B` — `Hᵀ`, packed once per chunk as the `B` operand of the
+    /// `P·Hᵀ` register blocks (`Ñ·B·8` bytes for `f64`: 128 KiB at Ñ = 1024,
+    /// B = 16). Unused on the inline single-sample path.
+    ht: Matrix<T>,
     /// Pack buffer for the cache-blocked hidden-activation product.
     pack: Vec<T>,
 }
@@ -116,78 +125,290 @@ impl<T: Scalar> Default for SeqScratch<T> {
             s: Matrix::default(),
             l: Matrix::default(),
             sol: Matrix::default(),
-            tmp: Matrix::default(),
+            ht: Matrix::default(),
             pack: Vec::new(),
         }
     }
 }
 
-/// The collected row tiles of a fused P pass handed to the work-sharing
-/// pool: (`P` rows, `ph` rows, `β` rows) per tile.
-type RowTiles<'a, T> = Vec<((&'a mut [T], &'a mut [T]), &'a mut [T])>;
+/// Rows of the register block: four rows of `A` share every load of `B`.
+/// Lanes come in strips of 4, 2 and 1 (see [`block_rows`]): on baseline
+/// x86-64 (SSE2: sixteen 2-lane registers) a 4×4 block of `f64` sums takes
+/// eight registers, while a 4×8 block needs all sixteen and spills.
+const BLOCK_ROWS: usize = 4;
 
-/// Fused pass 1 of the RLS update: one streamed read of `P` (row-major,
-/// ascending rows) produces both `ph = P·Hᵀ` (Ñ×B) and `hp = H·P` (B×Ñ,
-/// pre-zeroed by the caller). Per output element the accumulation order is
-/// exactly the separate `matmul_t_into` / `matmul_into` kernels' — `ph[r][b]`
-/// sums ascending `c`, `hp[b][c]` accumulates ascending `r` — so the fusion
-/// changes memory traffic only, never a byte.
-fn fused_ph_hp<T: Scalar>(p: &Matrix<T>, h: &Matrix<T>, ph: &mut Matrix<T>, hp: &mut Matrix<T>) {
-    let n = p.rows();
-    let b_rows = h.rows();
-    if b_rows == 1 {
-        fused_ph_hp_single(p, h.row(0), ph, hp.row_mut(0));
-        return;
+/// Depth of one `k` block of the `H·P` pass: the `HP_DEPTH` rows of a band
+/// of `P` stay cached while every row group of `H` passes over them, so `P`
+/// is read from memory once per chunk.
+const HP_DEPTH: usize = 32;
+
+/// The `B` operand of [`block`]: element `(k, l)` is
+/// `data[k·stride + off + l]`.
+#[derive(Clone, Copy)]
+struct Panel<'a, T> {
+    data: &'a [T],
+    stride: usize,
+    off: usize,
+}
+
+impl<'a, T: Scalar> Panel<'a, T> {
+    /// The whole of `m`: element `(k, l)` is `m[(k, l)]`.
+    fn of(m: &'a Matrix<T>) -> Self {
+        Panel {
+            data: m.as_slice(),
+            stride: m.cols(),
+            off: 0,
+        }
     }
-    for r in 0..n {
-        let p_row = p.row(r);
-        let ph_row = ph.row_mut(r);
-        // Four ph dots in flight: the chains are independent (one per
-        // output element), so interleaving them hides the serial FP-add
-        // latency of a lone ascending-order accumulation; each individual
-        // accumulator still sums ascending `c`, so not a byte changes.
-        let mut b = 0;
-        while b + 4 <= b_rows {
-            let (h0, h1, h2, h3) = (h.row(b), h.row(b + 1), h.row(b + 2), h.row(b + 3));
-            let mut a0 = T::zero();
-            let mut a1 = T::zero();
-            let mut a2 = T::zero();
-            let mut a3 = T::zero();
-            for ((((&p_rc, &c0), &c1), &c2), &c3) in p_row.iter().zip(h0).zip(h1).zip(h2).zip(h3) {
-                a0 += p_rc * c0;
-                a1 += p_rc * c1;
-                a2 += p_rc * c2;
-                a3 += p_rc * c3;
+}
+
+/// How a finished register block lands in its output.
+#[derive(Clone, Copy)]
+enum Epilogue {
+    /// `out = Σ` (the sum starts at zero).
+    Store,
+    /// `out = out + Σ…`: the sum resumes from `out`, one product at a time,
+    /// so a `k`-blocked sum adds in the same order as an unblocked one.
+    Resume,
+    /// `out += Σ` (the sum starts at zero).
+    Add,
+    /// `out −= Σ` (the sum starts at zero).
+    Sub,
+}
+
+/// The register-blocked micro-kernel of every P pass (Goto & van de Geijn,
+/// "Anatomy of high-performance matrix multiplication", ACM TOMS 34(3),
+/// 2008): `acc[i][l] += a[i][k]·b(k, l)` for `k` ascending over `a[i]`,
+/// `R` rows by `W` lanes. Each accumulator is one output element and adds
+/// one product `a·b` (in that operand order) per step, exactly as a plain
+/// dot loop does, so the block changes no bit; it only keeps `R·W`
+/// independent sums in registers, which lets the compiler vectorise across
+/// lanes and overlap the add latencies.
+#[inline(always)]
+fn block<T: Scalar, const R: usize, const W: usize>(
+    acc: &mut [[T; W]; R],
+    a: [&[T]; R],
+    b: Panel<'_, T>,
+) {
+    let depth = a[0].len();
+    let a = a.map(|row| &row[..depth]);
+    let mut s = *acc;
+    for (k, b_row) in b.data[b.off..].chunks(b.stride).take(depth).enumerate() {
+        let b_k: &[T; W] = b_row[..W].try_into().expect("lane strip inside the panel");
+        for (s_i, a_i) in s.iter_mut().zip(&a) {
+            let a_ik = a_i[k];
+            for (v, &b_kl) in s_i.iter_mut().zip(b_k) {
+                *v += a_ik * b_kl;
             }
-            ph_row[b] = a0;
-            ph_row[b + 1] = a1;
-            ph_row[b + 2] = a2;
-            ph_row[b + 3] = a3;
-            b += 4;
         }
-        for (o, h_row) in ph_row[b..].iter_mut().zip((b..b_rows).map(|bb| h.row(bb))) {
-            let mut acc = T::zero();
-            for (&p_rc, &h_c) in p_row.iter().zip(h_row) {
-                acc += p_rc * h_c;
-            }
-            *o = acc;
+    }
+    *acc = s;
+}
+
+/// [`block`] on the `W` lanes of `out` starting at `at` (panel lanes
+/// `at..at + W` past its offset), finished through `epilogue`.
+#[inline(always)]
+fn strip<T: Scalar, const R: usize, const W: usize>(
+    a: [&[T]; R],
+    b: Panel<'_, T>,
+    out: &mut [&mut [T]; R],
+    at: usize,
+    epilogue: Epilogue,
+) {
+    let mut acc = [[T::zero(); W]; R];
+    if let Epilogue::Resume = epilogue {
+        for (acc_i, out_i) in acc.iter_mut().zip(out.iter()) {
+            acc_i.copy_from_slice(&out_i[at..at + W]);
         }
-        for bb in 0..b_rows {
-            let h_br = h.row(bb)[r];
-            let hp_row = hp.row_mut(bb);
-            for (v, &p_rc) in hp_row.iter_mut().zip(p_row) {
-                *v += h_br * p_rc;
+    }
+    block(
+        &mut acc,
+        a,
+        Panel {
+            off: b.off + at,
+            ..b
+        },
+    );
+    for (acc_i, out_i) in acc.iter().zip(out.iter_mut()) {
+        for (o, &v) in out_i[at..at + W].iter_mut().zip(acc_i) {
+            match epilogue {
+                Epilogue::Store | Epilogue::Resume => *o = v,
+                Epilogue::Add => *o += v,
+                Epilogue::Sub => *o -= v,
             }
         }
     }
 }
 
-/// The `B = 1` specialisation of [`fused_ph_hp`]: four rows of `P` stream
-/// together, giving four independent `ph` dot chains in flight while the
-/// `hp` element picks up the same four terms in ascending row order — per
-/// element, every operation and its order match the one-row-at-a-time loop
-/// exactly, so the interleave is bit-identical and only buys instruction-
-/// level parallelism.
+/// `out[i][l] ∘= Σ_k a[i][k]·b(k, l)` for every lane of `out[i]`, in strips
+/// of 4, 2 and 1 lanes.
+#[inline(always)]
+fn block_rows<T: Scalar, const R: usize>(
+    a: [&[T]; R],
+    b: Panel<'_, T>,
+    mut out: [&mut [T]; R],
+    epilogue: Epilogue,
+) {
+    let lanes = out[0].len();
+    let mut at = 0;
+    while lanes - at >= 4 {
+        strip::<T, R, 4>(a, b, &mut out, at, epilogue);
+        at += 4;
+    }
+    if lanes - at >= 2 {
+        strip::<T, R, 2>(a, b, &mut out, at, epilogue);
+        at += 2;
+    }
+    if lanes > at {
+        strip::<T, R, 1>(a, b, &mut out, at, epilogue);
+    }
+}
+
+/// [`block_rows`] over the rows of `out` (each `width` long), four at a
+/// time with single rows for the remainder; `a_row(i)` is row `i` of `A`.
+fn for_row_blocks<'a, T: Scalar>(
+    a_row: impl Fn(usize) -> &'a [T],
+    out: &mut [T],
+    width: usize,
+    b: Panel<'_, T>,
+    epilogue: Epilogue,
+) {
+    for (g, group) in out.chunks_mut(BLOCK_ROWS * width).enumerate() {
+        let i0 = g * BLOCK_ROWS;
+        if group.len() == BLOCK_ROWS * width {
+            let mut rows = group.chunks_exact_mut(width);
+            let out: [&mut [T]; BLOCK_ROWS] =
+                std::array::from_fn(|_| rows.next().expect("a full row group"));
+            block_rows(std::array::from_fn(|i| a_row(i0 + i)), b, out, epilogue);
+        } else {
+            for (i, row) in group.chunks_exact_mut(width).enumerate() {
+                block_rows([a_row(i0 + i)], b, [row], epilogue);
+            }
+        }
+    }
+}
+
+/// Runs `f` on every tile: on the work-sharing pool when `parallel`, else
+/// inline in order. Tiles write disjoint outputs, so both agree bit for bit.
+fn run_tiles<I>(parallel: bool, tiles: I, f: impl Fn(I::Item) + Sync)
+where
+    I: Iterator,
+    I::Item: Send,
+{
+    if parallel {
+        tiles.collect::<Vec<_>>().into_par_iter().for_each(f);
+    } else {
+        tiles.for_each(f);
+    }
+}
+
+/// Pass 1 of the RLS update: `ph = P·Hᵀ` on row tiles (`A` = rows of `P`,
+/// `B` = `Hᵀ`, packed into `ht` here) and `hp = H·P` on column bands
+/// (`A` = rows of `H`, `B` = the band's columns of `P`, blocked over `k`).
+/// The bands are computed into `stage` band by band, each band `B` rows of
+/// its own width, then copied into `hp`.
+fn ph_hp<T: Scalar>(
+    p: &Matrix<T>,
+    h: &Matrix<T>,
+    ht: &mut Matrix<T>,
+    ph: &mut Matrix<T>,
+    hp: &mut Matrix<T>,
+    stage: &mut Matrix<T>,
+    parallel: bool,
+) {
+    let (k, n) = h.shape();
+    ht.resize_zeroed(n, k);
+    for (b, h_row) in h.as_slice().chunks(n).enumerate() {
+        for (c, &v) in h_row.iter().enumerate() {
+            ht[(c, b)] = v;
+        }
+    }
+    let ht = Panel::of(ht);
+    ph.resize_zeroed(n, k);
+    let ph_tiles = ph.as_mut_slice().chunks_mut(P_UPDATE_TILE * k).enumerate();
+    run_tiles(parallel, ph_tiles, |(t, tile)| {
+        let r0 = t * P_UPDATE_TILE;
+        for_row_blocks(|i| p.row(r0 + i), tile, k, ht, Epilogue::Store);
+    });
+
+    stage.resize_zeroed(k, n);
+    let bands = stage
+        .as_mut_slice()
+        .chunks_mut(P_UPDATE_TILE * k)
+        .enumerate();
+    run_tiles(parallel, bands, |(t, band)| {
+        let width = band.len() / k;
+        for kb in (0..n).step_by(HP_DEPTH) {
+            let ke = (kb + HP_DEPTH).min(n);
+            let p_band = Panel {
+                data: &p.as_slice()[kb * n..ke * n],
+                stride: n,
+                off: t * P_UPDATE_TILE,
+            };
+            for_row_blocks(|i| &h.row(i)[kb..ke], band, width, p_band, Epilogue::Resume);
+        }
+    });
+    hp.resize_zeroed(k, n);
+    for (t, band) in stage.as_slice().chunks(P_UPDATE_TILE * k).enumerate() {
+        let (c0, width) = (t * P_UPDATE_TILE, band.len() / k);
+        for (b, src) in band.chunks(width).enumerate() {
+            hp.row_mut(b)[c0..c0 + width].copy_from_slice(src);
+        }
+    }
+}
+
+/// Pass 2 of the batch-B RLS update over one row tile, four rows at a time:
+/// the Equation 6 downdate `P[r] −= ph[r]·S⁻¹HP` (`A` = rows of `ph`, `B` =
+/// `sol`); then `ph[r] ← P_new[r]·Hᵀ` on the four finished rows (`A` = rows
+/// of `P`, `B` = the packed `Hᵀ`); then `β[r] += ph_new[r]·e` (`B` = the
+/// residual). `P` is read and written once per chunk.
+fn downdate_tile<T: Scalar>(
+    p_rows: &mut [T],
+    ph_rows: &mut [T],
+    beta_rows: &mut [T],
+    ht: &Matrix<T>,
+    sol: &Matrix<T>,
+    resid: &Matrix<T>,
+) {
+    let (n, k) = ht.shape();
+    let m = resid.cols();
+    for ((p_g, ph_g), beta_g) in p_rows
+        .chunks_mut(BLOCK_ROWS * n)
+        .zip(ph_rows.chunks_mut(BLOCK_ROWS * k))
+        .zip(beta_rows.chunks_mut(BLOCK_ROWS * m))
+    {
+        let ph_old: &[T] = ph_g;
+        for_row_blocks(
+            |i| &ph_old[i * k..][..k],
+            p_g,
+            n,
+            Panel::of(sol),
+            Epilogue::Sub,
+        );
+        let p_new: &[T] = p_g;
+        for_row_blocks(
+            |i| &p_new[i * n..][..n],
+            ph_g,
+            k,
+            Panel::of(ht),
+            Epilogue::Store,
+        );
+        let ph_new: &[T] = ph_g;
+        for_row_blocks(
+            |i| &ph_new[i * k..][..k],
+            beta_g,
+            m,
+            Panel::of(resid),
+            Epilogue::Add,
+        );
+    }
+}
+
+/// Pass 1 of the inline single-sample update: one streamed read of `P`
+/// yields both `ph = P·hᵀ` and `hp = h·P` (pre-zeroed). Four rows of `P`
+/// stream together, giving four independent `ph` dot chains in flight while
+/// the `hp` element picks up the same four terms in ascending row order —
+/// per element, every operation and its order match [`ph_hp`] exactly.
 fn fused_ph_hp_single<T: Scalar>(p: &Matrix<T>, h_row: &[T], ph: &mut Matrix<T>, hp_row: &mut [T]) {
     let n = p.rows();
     let mut r = 0;
@@ -233,139 +454,6 @@ fn fused_ph_hp_single<T: Scalar>(p: &Matrix<T>, h_row: &[T], ph: &mut Matrix<T>,
         }
         ph[(r, 0)] = acc;
         r += 1;
-    }
-}
-
-/// `ph = P·Hᵀ` with row tiles on the work-sharing pool. Each `ph` row is an
-/// independent set of dots against `H`, so any tiling is bit-identical.
-fn par_ph<T: Scalar>(p: &Matrix<T>, h: &Matrix<T>, ph: &mut Matrix<T>) {
-    let b_rows = h.rows();
-    let chunks: Vec<(usize, &mut [T])> = ph
-        .as_mut_slice()
-        .chunks_mut(P_UPDATE_TILE * b_rows)
-        .enumerate()
-        .collect();
-    chunks.into_par_iter().for_each(|(ci, chunk)| {
-        let r0 = ci * P_UPDATE_TILE;
-        for (dr, ph_row) in chunk.chunks_mut(b_rows).enumerate() {
-            let p_row = p.row(r0 + dr);
-            for (b, o) in ph_row.iter_mut().enumerate() {
-                let h_row = h.row(b);
-                let mut acc = T::zero();
-                for (&p_rc, &h_c) in p_row.iter().zip(h_row) {
-                    acc += p_rc * h_c;
-                }
-                *o = acc;
-            }
-        }
-    });
-}
-
-/// `hp = H·P` (pre-zeroed) with **rows of `hp`** on the pool — each row `b`
-/// accumulates `Σ_r H[b][r]·P[r,:]` ascending `r` independently of the other
-/// rows, which is exactly the `matmul_into` per-element order.
-fn par_hp_rows<T: Scalar>(p: &Matrix<T>, h: &Matrix<T>, hp: &mut Matrix<T>) {
-    let n = p.cols();
-    let chunks: Vec<(usize, &mut [T])> = hp.as_mut_slice().chunks_mut(n).enumerate().collect();
-    chunks.into_par_iter().for_each(|(b, hp_row)| {
-        let h_row = h.row(b);
-        for (r, &h_br) in h_row.iter().enumerate() {
-            let p_row = p.row(r);
-            for (v, &p_rc) in hp_row.iter_mut().zip(p_row) {
-                *v += h_br * p_rc;
-            }
-        }
-    });
-}
-
-/// `hp = h·P` for a single sample (pre-zeroed 1×Ñ row) with **column tiles**
-/// on the pool: element `hp[c]` accumulates `Σ_r h[r]·P[r][c]` ascending `r`
-/// within its tile, independent of every other column — the `matmul_into`
-/// order again, so the column split is bit-identical.
-fn par_hp_cols<T: Scalar>(p: &Matrix<T>, h_row: &[T], hp_row: &mut [T]) {
-    let chunks: Vec<(usize, &mut [T])> = hp_row.chunks_mut(P_UPDATE_TILE).enumerate().collect();
-    chunks.into_par_iter().for_each(|(ci, tile)| {
-        let c0 = ci * P_UPDATE_TILE;
-        for (r, &h_r) in h_row.iter().enumerate() {
-            let p_slice = &p.row(r)[c0..c0 + tile.len()];
-            for (v, &p_rc) in tile.iter_mut().zip(p_slice) {
-                *v += h_r * p_rc;
-            }
-        }
-    });
-}
-
-/// Fused pass 2 of the batch-B RLS update over a contiguous row range: for
-/// each row `r` in the tile, (1) rebuild the downdate row
-/// `(P·Hᵀ)[r]·S⁻¹·(H·P)` into `tmp` (ascending `b`, the `matmul_into`
-/// order) and subtract it from `P[r]` in place, (2) recompute
-/// `ph[r] = P_new[r]·Hᵀ` — legal because row `r` of `P` is final after its
-/// own downdate — and (3) fold the β-row update `β[r] += ph_new[r]·e`.
-/// Bit-identical to the former four-kernel sequence; `P` is read/written
-/// once instead of four times.
-fn rls_downdate_rows<T: Scalar>(
-    p_rows: &mut [T],
-    ph_rows: &mut [T],
-    beta_rows: &mut [T],
-    h: &Matrix<T>,
-    sol: &Matrix<T>,
-    resid: &Matrix<T>,
-    tmp: &mut [T],
-) {
-    let n = h.cols();
-    let b_rows = h.rows();
-    let m_out = resid.cols();
-    for ((p_row, ph_row), beta_row) in p_rows
-        .chunks_mut(n)
-        .zip(ph_rows.chunks_mut(b_rows))
-        .zip(beta_rows.chunks_mut(m_out))
-    {
-        tmp.fill(T::zero());
-        for (b, &ph_rb) in ph_row.iter().enumerate() {
-            let sol_row = sol.row(b);
-            for (v, &s_bc) in tmp.iter_mut().zip(sol_row) {
-                *v += ph_rb * s_bc;
-            }
-        }
-        for (p_rc, &u) in p_row.iter_mut().zip(tmp.iter()) {
-            *p_rc -= u;
-        }
-        // ph[r] ← P_new[r]·Hᵀ, four dots in flight (independent chains, one
-        // per output element; each still sums ascending `c` — bit-identical
-        // to the one-at-a-time loop, see `fused_ph_hp`).
-        let mut b = 0;
-        while b + 4 <= b_rows {
-            let (h0, h1, h2, h3) = (h.row(b), h.row(b + 1), h.row(b + 2), h.row(b + 3));
-            let mut a0 = T::zero();
-            let mut a1 = T::zero();
-            let mut a2 = T::zero();
-            let mut a3 = T::zero();
-            for ((((&p_rc, &c0), &c1), &c2), &c3) in p_row.iter().zip(h0).zip(h1).zip(h2).zip(h3) {
-                a0 += p_rc * c0;
-                a1 += p_rc * c1;
-                a2 += p_rc * c2;
-                a3 += p_rc * c3;
-            }
-            ph_row[b] = a0;
-            ph_row[b + 1] = a1;
-            ph_row[b + 2] = a2;
-            ph_row[b + 3] = a3;
-            b += 4;
-        }
-        for (ph_rb, h_row) in ph_row[b..].iter_mut().zip((b..b_rows).map(|bb| h.row(bb))) {
-            let mut acc = T::zero();
-            for (&p_rc, &h_c) in p_row.iter().zip(h_row) {
-                acc += p_rc * h_c;
-            }
-            *ph_rb = acc;
-        }
-        for (j, beta_rj) in beta_row.iter_mut().enumerate() {
-            let mut acc = T::zero();
-            for (b, &ph_rb) in ph_row.iter().enumerate() {
-                acc += ph_rb * resid.row(b)[j];
-            }
-            *beta_rj += acc;
-        }
     }
 }
 
@@ -676,7 +764,7 @@ impl<T: Scalar> OsElm<T> {
             s,
             l,
             sol,
-            tmp,
+            ht,
             pack,
             ..
         } = scratch;
@@ -689,26 +777,20 @@ impl<T: Scalar> OsElm<T> {
         // inputs are the high-dim workload's hot shape).
         model.hidden_into_packed(x, pack, h);
 
-        // The two P passes dominate the chunk update (everything else is
-        // O(B²·Ñ) or smaller); route them through the work-sharing pool when
+        // The P passes dominate the chunk update (everything else is
+        // O(B²·Ñ) or smaller); their tiles run on the work-sharing pool when
         // they clear the parallel threshold and the pool has workers.
         let parallel = rayon::current_num_threads() > 1
             && 2 * k * n_hidden * n_hidden >= elmrl_linalg::parallel_flop_threshold();
-
-        // Fused pass 1 — one streamed read of P yields both P·Hᵀ (Ñ×B) and
-        // H·P (B×Ñ). The old form (`matmul_t_into` + `matmul_into`) streamed
-        // P B+1 times; per output element the accumulation order is
-        // unchanged, so the results are bit-identical.
-        ph.resize_zeroed(n_hidden, k);
-        hp.resize_zeroed(k, n_hidden);
         if parallel {
             elmrl_telemetry::counter!("elm.batch_rls.par").add(1);
-            par_ph(p, h, ph);
-            par_hp_rows(p, h, hp);
         } else {
             elmrl_telemetry::counter!("elm.batch_rls.seq").add(1);
-            fused_ph_hp(p, h, ph, hp);
         }
+
+        // Pass 1 — P·Hᵀ (Ñ×B) and H·P (B×Ñ); per output element the
+        // accumulation order is the `matmul_t_into` / `matmul_into` one.
+        ph_hp(p, h, ht, ph, hp, sol, parallel);
 
         // S = I + H·P·Hᵀ (B×B).
         h.matmul_into(ph, s);
@@ -736,46 +818,29 @@ impl<T: Scalar> OsElm<T> {
             }
         }
 
-        // Fused pass 2, tiled by `P_UPDATE_TILE` rows — per row r:
+        // Pass 2, tiled by `P_UPDATE_TILE` rows — per row r:
         //   P[r] ← P[r] − (P·Hᵀ)[r]·S⁻¹·(H·P)   (the Equation 6 downdate)
         //   ph[r] ← P_new[r]·Hᵀ                  (row r is final after its
         //                                         own downdate)
         //   β[r] ← β[r] + ph_new[r]·e
         // Row r of every operand is independent of the others, and each
-        // element keeps the old kernels' ascending accumulation order, so
-        // this is bit-identical to the former update/subtract/matmul_t/
-        // matmul/add sequence while touching P once instead of four times.
-        let resid: &Matrix<T> = pred;
-        let beta = model.beta_mut();
-        if parallel {
-            let chunks: RowTiles<T> = p
-                .as_mut_slice()
-                .chunks_mut(P_UPDATE_TILE * n_hidden)
-                .zip(ph.as_mut_slice().chunks_mut(P_UPDATE_TILE * k))
-                .zip(beta.as_mut_slice().chunks_mut(P_UPDATE_TILE * m_out))
-                .collect();
-            chunks
-                .into_par_iter()
-                .for_each(|((p_rows, ph_rows), b_rows)| {
-                    let mut tile_tmp = vec![T::zero(); n_hidden];
-                    rls_downdate_rows(p_rows, ph_rows, b_rows, h, sol, resid, &mut tile_tmp);
-                });
-        } else {
-            tmp.resize_zeroed(1, n_hidden);
-            let tmp_row = tmp.row_mut(0);
-            for r0 in (0..n_hidden).step_by(P_UPDATE_TILE) {
-                let r1 = (r0 + P_UPDATE_TILE).min(n_hidden);
-                rls_downdate_rows(
-                    &mut p.as_mut_slice()[r0 * n_hidden..r1 * n_hidden],
-                    &mut ph.as_mut_slice()[r0 * k..r1 * k],
-                    &mut beta.as_mut_slice()[r0 * m_out..r1 * m_out],
-                    h,
-                    sol,
-                    resid,
-                    tmp_row,
-                );
-            }
-        }
+        // element keeps the allocating kernels' ascending accumulation
+        // order, so this is bit-identical to `seq_train` while touching P
+        // once instead of four times.
+        let (ht, sol, resid): (&Matrix<T>, &Matrix<T>, &Matrix<T>) = (ht, sol, pred);
+        let tiles = p
+            .as_mut_slice()
+            .chunks_mut(P_UPDATE_TILE * n_hidden)
+            .zip(ph.as_mut_slice().chunks_mut(P_UPDATE_TILE * k))
+            .zip(
+                model
+                    .beta_mut()
+                    .as_mut_slice()
+                    .chunks_mut(P_UPDATE_TILE * m_out),
+            );
+        run_tiles(parallel, tiles, |((p_rows, ph_rows), beta_rows)| {
+            downdate_tile(p_rows, ph_rows, beta_rows, ht, sol, resid);
+        });
 
         self.seq_train_count += 1;
         Ok(())
@@ -816,6 +881,8 @@ impl<T: Scalar> OsElm<T> {
             ph,
             hp,
             pred,
+            sol,
+            ht,
             ..
         } = scratch;
         let n_hidden = model.hidden_dim();
@@ -832,18 +899,18 @@ impl<T: Scalar> OsElm<T> {
         let parallel = rayon::current_num_threads() > 1
             && 2 * n_hidden * n_hidden >= elmrl_linalg::parallel_flop_threshold();
 
-        // Fused pass 1 — one streamed read of P yields both ph = P·hᵀ (Ñ×1)
-        // and hp = h·P (1×Ñ); per element the accumulation order matches the
-        // former `matmul_t_into` + `matmul_into` pair exactly.
-        ph.resize_zeroed(n_hidden, 1);
-        hp.resize_zeroed(1, n_hidden);
+        // Pass 1 — ph = P·hᵀ (Ñ×1) and hp = h·P (1×Ñ); per element the
+        // accumulation order matches the `matmul_t_into` + `matmul_into`
+        // pair exactly. Inline, one fused read of P yields both; on the pool
+        // the batch path's tiles run with one lane.
         if parallel {
             elmrl_telemetry::counter!("elm.p_update.par").add(1);
-            par_ph(p, h, ph);
-            par_hp_cols(p, h.row(0), hp.row_mut(0));
+            ph_hp(p, h, ht, ph, hp, sol, true);
         } else {
             elmrl_telemetry::counter!("elm.p_update.seq").add(1);
-            fused_ph_hp(p, h, ph, hp);
+            ph.resize_zeroed(n_hidden, 1);
+            hp.resize_zeroed(1, n_hidden);
+            fused_ph_hp_single(p, h.row(0), ph, hp.row_mut(0));
         }
 
         // denom = 1 + h·P·hᵀ (scalar); the §2.2 one-reciprocal observation.
@@ -873,31 +940,16 @@ impl<T: Scalar> OsElm<T> {
         let resid_row: &[T] = pred.row(0);
         let hp_row: &[T] = hp.row(0);
         let h_row: &[T] = h.row(0);
-        if parallel {
-            let chunks: RowTiles<T> = p
-                .as_mut_slice()
-                .chunks_mut(P_UPDATE_TILE * n_hidden)
-                .zip(ph.as_mut_slice().chunks_mut(P_UPDATE_TILE))
-                .zip(beta.as_mut_slice().chunks_mut(P_UPDATE_TILE * m))
-                .collect();
-            chunks
-                .into_par_iter()
-                .for_each(|((p_rows, ph_rows), b_rows)| {
-                    rank1_downdate_rows(
-                        p_rows, ph_rows, b_rows, hp_row, h_row, resid_row, inv_denom,
-                    );
-                });
-        } else {
+        let tiles = p
+            .as_mut_slice()
+            .chunks_mut(P_UPDATE_TILE * n_hidden)
+            .zip(ph.as_mut_slice().chunks_mut(P_UPDATE_TILE))
+            .zip(beta.as_mut_slice().chunks_mut(P_UPDATE_TILE * m));
+        run_tiles(parallel, tiles, |((p_rows, ph_rows), beta_rows)| {
             rank1_downdate_rows(
-                p.as_mut_slice(),
-                ph.as_mut_slice(),
-                beta.as_mut_slice(),
-                hp_row,
-                h_row,
-                resid_row,
-                inv_denom,
+                p_rows, ph_rows, beta_rows, hp_row, h_row, resid_row, inv_denom,
             );
-        }
+        });
 
         self.seq_train_count += 1;
         Ok(())
