@@ -38,10 +38,28 @@ pub struct Observation {
     pub truncated: bool,
 }
 
+/// Telemetry counter of update-phase transitions an agent dropped because
+/// [`Observation::is_finite`] was false.
+pub const DROPPED_NONFINITE: &str = "core.observe.dropped_nonfinite";
+
 impl Observation {
     /// `done || truncated`.
     pub fn finished(&self) -> bool {
         self.done || self.truncated
+    }
+
+    /// `true` when the reward and every component of both states are
+    /// finite. The OS-ELM and FPGA agents train only on such transitions
+    /// and drop the others, counted by [`DROPPED_NONFINITE`]; target
+    /// clipping could otherwise turn a non-finite next state into a finite
+    /// but meaningless target.
+    pub fn is_finite(&self) -> bool {
+        self.reward.is_finite()
+            && self
+                .state
+                .iter()
+                .chain(&self.next_state)
+                .all(|v| v.is_finite())
     }
 }
 

@@ -14,7 +14,7 @@
 //! random-update rule (probability ε₂ per step) that replaces experience
 //! replay.
 
-use crate::agent::{Agent, Observation};
+use crate::agent::{Agent, Observation, DROPPED_NONFINITE};
 use crate::batch::{elm_q_batch, elm_q_batch_into, BatchAgent, BatchQScratch};
 use crate::checkpoint::AgentSnapshot;
 use crate::clipping::TargetConfig;
@@ -421,8 +421,13 @@ impl Agent for OsElmQNet {
             return;
         }
         // Update phase: the random-update rule (Algorithm 1 lines 21–22).
+        // A non-finite transition is dropped and counted.
         if self.config.update_gate(rng) {
-            self.run_sequential_update(obs);
+            if obs.is_finite() {
+                self.run_sequential_update(obs);
+            } else {
+                elmrl_telemetry::counter!(DROPPED_NONFINITE).inc();
+            }
         }
     }
 
@@ -547,12 +552,17 @@ impl BatchAgent for OsElmQNet {
             return;
         }
         // Update phase: the random-update rule, one draw per transition
-        // (Algorithm 1 lines 21–22) — the same gate the scalar path uses.
+        // (Algorithm 1 lines 21–22) — the same gate the scalar path uses. A
+        // non-finite transition is dropped and counted before the chunk.
         let mut selected = std::mem::take(&mut self.bscratch.selected);
         selected.clear();
-        for i in 0..rest.len() {
+        for (i, obs) in rest.iter().enumerate() {
             if self.config.update_gate(rng) {
-                selected.push(i);
+                if obs.is_finite() {
+                    selected.push(i);
+                } else {
+                    elmrl_telemetry::counter!(DROPPED_NONFINITE).inc();
+                }
             }
         }
         if !selected.is_empty() {

@@ -75,6 +75,22 @@ impl From<LinalgError> for OsElmError {
     }
 }
 
+/// [`LinalgError::InvalidData`] when any of `values` is NaN or infinite:
+/// ReLU would map a NaN input to a silent zero hidden row, and a NaN target
+/// would poison `β`.
+fn check_finite<'a, T: Scalar>(
+    caller: &str,
+    mut values: impl Iterator<Item = &'a T>,
+) -> Result<(), OsElmError> {
+    if values.all(|v| v.to_f64().is_finite()) {
+        Ok(())
+    } else {
+        Err(OsElmError::Linalg(LinalgError::InvalidData {
+            detail: format!("OS-ELM {caller}: non-finite sample or target"),
+        }))
+    }
+}
+
 /// Reusable workspaces for the sequential-update hot paths — the batch-size-1
 /// fast path and the chunked batch-B recursion. Every matrix keeps its
 /// allocation across calls (see [`Matrix::resize_zeroed`]), so once the
@@ -654,11 +670,7 @@ impl<T: Scalar> OsElm<T> {
             return Err(OsElmError::AlreadyInitialized);
         }
         self.check_shapes(x0, t0)?;
-        if x0.iter().chain(t0.iter()).any(|v| !v.to_f64().is_finite()) {
-            return Err(OsElmError::Linalg(LinalgError::InvalidData {
-                detail: "OS-ELM init_train: non-finite sample or target".into(),
-            }));
-        }
+        check_finite("init_train", x0.iter().chain(t0.iter()))?;
         let h0 = self.model.hidden(x0);
         let n_hidden = self.model.hidden_dim();
         let mut gram = h0.t_matmul(&h0);
@@ -696,7 +708,9 @@ impl<T: Scalar> OsElm<T> {
 
     /// General sequential update with an arbitrary chunk size (Equation 6),
     /// in the allocating reference form: every intermediate is a fresh
-    /// matrix. The innovation matrix `S = I + H·P·Hᵀ` is symmetric positive
+    /// matrix. A non-finite entry in `x` or `t` is
+    /// [`LinalgError::InvalidData`] and leaves `P` and `β` untouched, as in
+    /// [`OsElm::init_train`]; so do the other sequential entry points. The innovation matrix `S = I + H·P·Hᵀ` is symmetric positive
     /// definite (P is SPD by construction), so the solve goes through
     /// Cholesky — with an LU fallback for the rare case where rounding has
     /// pushed `S` off positive definiteness.
@@ -706,6 +720,7 @@ impl<T: Scalar> OsElm<T> {
     /// bit for bit.
     pub fn seq_train(&mut self, x: &Matrix<T>, t: &Matrix<T>) -> Result<(), OsElmError> {
         self.check_shapes(x, t)?;
+        check_finite("seq_train", x.iter().chain(t.iter()))?;
         let p = self.p.as_ref().ok_or(OsElmError::NotInitialized)?;
         let h = self.model.hidden(x);
         let k = h.rows();
@@ -752,6 +767,7 @@ impl<T: Scalar> OsElm<T> {
     /// the property the `elmrl-elm` proptest asserts.
     pub fn seq_train_batch(&mut self, x: &Matrix<T>, t: &Matrix<T>) -> Result<(), OsElmError> {
         self.check_shapes(x, t)?;
+        check_finite("seq_train_batch", x.iter().chain(t.iter()))?;
         let Self {
             model, p, scratch, ..
         } = self;
@@ -871,6 +887,7 @@ impl<T: Scalar> OsElm<T> {
                 self.model.output_dim()
             )));
         }
+        check_finite("seq_train_single", x.iter().chain(t))?;
         let Self {
             model, p, scratch, ..
         } = self;
@@ -1393,6 +1410,52 @@ mod tests {
             assert_eq!(os.init_train_count(), 0);
         }
         os.init_train(&x, &t).unwrap();
+        assert!(os.model().beta().iter().all(|v| v.is_finite()));
+    }
+
+    #[test]
+    fn sequential_updates_reject_non_finite_input_without_touching_p_or_beta() {
+        let (x, t) = dataset(40);
+        let cfg = config(8).with_l2_delta(0.1);
+        let mut os = OsElm::<f64>::new(&cfg, &mut SmallRng::seed_from_u64(12));
+        os.init_train(
+            &x.submatrix(0, 20, 0, 2).unwrap(),
+            &t.submatrix(0, 20, 0, 1).unwrap(),
+        )
+        .unwrap();
+        let (p, beta) = (os.p_matrix().unwrap().clone(), os.model().beta().clone());
+        let (xc, tc) = (
+            x.submatrix(20, 25, 0, 2).unwrap(),
+            t.submatrix(20, 25, 0, 1).unwrap(),
+        );
+        for (row, col, in_target, bad) in [
+            (2, 1, false, f64::NAN),
+            (4, 0, true, f64::NAN),
+            (0, 0, false, f64::INFINITY),
+            (3, 0, true, f64::NEG_INFINITY),
+        ] {
+            let (mut xi, mut ti) = (xc.clone(), tc.clone());
+            if in_target {
+                ti[(row, col)] = bad;
+            } else {
+                xi[(row, col)] = bad;
+            }
+            let results = [
+                os.seq_train(&xi, &ti),
+                os.seq_train_batch(&xi, &ti),
+                os.seq_train_single(xi.row(row), ti.row(row)),
+            ];
+            for r in results {
+                assert!(matches!(
+                    r,
+                    Err(OsElmError::Linalg(LinalgError::InvalidData { .. }))
+                ));
+            }
+            assert_eq!(os.p_matrix().unwrap(), &p);
+            assert_eq!(os.model().beta(), &beta);
+            assert_eq!(os.seq_train_count(), 0);
+        }
+        os.seq_train_batch(&xc, &tc).unwrap();
         assert!(os.model().beta().iter().all(|v| v.is_finite()));
     }
 

@@ -10,7 +10,7 @@
 //! the fixed-point core and is charged simulated PL cycles.
 
 use crate::core::{FpgaCore, FpgaCoreSnapshot, CPU_CLOCK_HZ};
-use elmrl_core::agent::{Agent, Observation};
+use elmrl_core::agent::{Agent, Observation, DROPPED_NONFINITE};
 use elmrl_core::batch::{elm_q_batch_into, BatchQScratch};
 use elmrl_core::checkpoint::AgentSnapshot;
 use elmrl_core::clipping::TargetConfig;
@@ -18,9 +18,10 @@ use elmrl_core::encoding::StateActionEncoder;
 use elmrl_core::ops::{OpCounts, OpKind};
 use elmrl_core::policy::{max_q, ExploitPolicy};
 use elmrl_elm::model::ElmModel;
+use elmrl_elm::os_elm::OsElmError;
 use elmrl_elm::{HiddenActivation, ModelSnapshot, OsElm, OsElmConfig, OsElmSnapshot};
 use elmrl_fixed::Q20;
-use elmrl_linalg::Matrix;
+use elmrl_linalg::{LinalgError, Matrix};
 use rand::rngs::SmallRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -247,10 +248,19 @@ impl FpgaAgent {
             let max_next = max_q(&self.target_q(&obs.next_state));
             t[(i, 0)] = self.config.target.target(obs.reward, max_next, obs.done);
         }
-        if self.cpu_learner.init_train(&x, &t).is_err() {
-            debug_assert!(false, "FPGA agent initial training failed unexpectedly");
-            self.buffer.clear();
-            return;
+        // A non-finite state or reward in D drops the refill, as in the
+        // OS-ELM agent; any other failure is unexpected.
+        match self.cpu_learner.init_train(&x, &t) {
+            Ok(()) => {}
+            Err(OsElmError::Linalg(LinalgError::InvalidData { .. })) => {
+                self.buffer.clear();
+                return;
+            }
+            Err(_) => {
+                debug_assert!(false, "FPGA agent initial training failed unexpectedly");
+                self.buffer.clear();
+                return;
+            }
         }
         // Simulated Cortex-A9 cost of the initial training: forming the Gram
         // matrix (k·Ñ²), the Cholesky solve (Ñ³/3 + Ñ²·m) and H itself.
@@ -358,8 +368,14 @@ impl Agent for FpgaAgent {
             }
             return;
         }
+        // A non-finite transition is dropped and counted: quantising it
+        // would map NaN to 0 and ±∞ to the rails without a sign.
         if rng.gen_range(0.0..1.0) < self.config.update_prob {
-            self.run_sequential_update(obs);
+            if obs.is_finite() {
+                self.run_sequential_update(obs);
+            } else {
+                elmrl_telemetry::counter!(DROPPED_NONFINITE).inc();
+            }
         }
     }
 
@@ -539,9 +555,13 @@ impl elmrl_core::batch::BatchAgent for FpgaAgent {
         }
         let mut selected = std::mem::take(&mut self.scratch.selected);
         selected.clear();
-        for i in 0..rest.len() {
+        for (i, obs) in rest.iter().enumerate() {
             if rng.gen_range(0.0..1.0) < self.config.update_prob {
-                selected.push(i);
+                if obs.is_finite() {
+                    selected.push(i);
+                } else {
+                    elmrl_telemetry::counter!(DROPPED_NONFINITE).inc();
+                }
             }
         }
         if !selected.is_empty() {
