@@ -304,6 +304,12 @@ fn for_row_blocks<'a, T: Scalar>(
     }
 }
 
+/// Whether a pass of `madds` multiply–adds goes to the work-sharing pool:
+/// it must clear the parallel threshold, and the pool must have workers.
+fn on_pool(madds: usize) -> bool {
+    rayon::current_num_threads() > 1 && madds >= elmrl_linalg::parallel_flop_threshold()
+}
+
 /// Runs `f` on every tile: on the work-sharing pool when `parallel`, else
 /// inline in order. Tiles write disjoint outputs, so both agree bit for bit.
 fn run_tiles<I>(parallel: bool, tiles: I, f: impl Fn(I::Item) + Sync)
@@ -796,8 +802,7 @@ impl<T: Scalar> OsElm<T> {
         // The P passes dominate the chunk update (everything else is
         // O(B²·Ñ) or smaller); their tiles run on the work-sharing pool when
         // they clear the parallel threshold and the pool has workers.
-        let parallel = rayon::current_num_threads() > 1
-            && 2 * k * n_hidden * n_hidden >= elmrl_linalg::parallel_flop_threshold();
+        let parallel = on_pool(2 * k * n_hidden * n_hidden);
         if parallel {
             elmrl_telemetry::counter!("elm.batch_rls.par").add(1);
         } else {
@@ -913,8 +918,7 @@ impl<T: Scalar> OsElm<T> {
 
         // The two O(Ñ²) P passes below go to the work-sharing pool when they
         // clear the parallel threshold (never on a 1-worker pool).
-        let parallel = rayon::current_num_threads() > 1
-            && 2 * n_hidden * n_hidden >= elmrl_linalg::parallel_flop_threshold();
+        let parallel = on_pool(2 * n_hidden * n_hidden);
 
         // Pass 1 — ph = P·hᵀ (Ñ×1) and hp = h·P (1×Ñ); per element the
         // accumulation order matches the `matmul_t_into` + `matmul_into`
@@ -1050,6 +1054,9 @@ impl<T: Scalar> OsElm<T> {
         Ok(())
     }
 }
+
+#[cfg(test)]
+mod kernel_tests;
 
 #[cfg(test)]
 mod tests {
