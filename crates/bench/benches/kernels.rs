@@ -2,7 +2,7 @@
 //! OS-ELM update is built from.
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use elmrl_elm::model::ElmModel;
-use elmrl_elm::OsElmConfig;
+use elmrl_elm::{HiddenActivation, OsElm, OsElmConfig};
 use elmrl_fixed::kernels::{matmul_packed_q_into, seq_train_q_into, RlsScratch};
 use elmrl_fixed::Q20;
 use elmrl_linalg::random::uniform_matrix;
@@ -107,6 +107,28 @@ fn bench_kernels(c: &mut Criterion) {
                 bench.iter(|| inverse_spd(&spd).unwrap())
             });
         }
+    }
+    // The B-chunk RLS update of the high-dim workload (Ñ = 1024, 65
+    // inputs): four Ñ²·B passes over P, tiled by `P_UPDATE_TILE`. Each
+    // iteration trains one more chunk, as a run does.
+    let n = 1024;
+    let cfg = OsElmConfig::new(65, n, 1)
+        .with_activation(HiddenActivation::ReLU)
+        .with_l2_delta(0.5);
+    let mut os = OsElm::<f64>::new(&cfg, &mut rng);
+    os.init_train(
+        &uniform_matrix::<f64, _>(n, 65, -1.0, 1.0, &mut rng),
+        &uniform_matrix::<f64, _>(n, 1, -1.0, 1.0, &mut rng),
+    )
+    .unwrap();
+    for b in [8usize, 16] {
+        let x = uniform_matrix::<f64, _>(b, 65, -1.0, 1.0, &mut rng);
+        let t = uniform_matrix::<f64, _>(b, 1, -1.0, 1.0, &mut rng);
+        group.bench_with_input(
+            BenchmarkId::new("seq_train_batch_1024", b),
+            &b,
+            |bench, _| bench.iter(|| os.seq_train_batch(&x, &t).unwrap()),
+        );
     }
     group.finish();
 }

@@ -36,9 +36,10 @@ use std::fmt;
 /// Row-tile height of the P passes: the unit of work handed to the
 /// work-sharing pool and the stride of the inline tile loop. The `P·Hᵀ` and
 /// downdate passes take 64-row tiles of `P`, the `H·P` pass 64-column
-/// bands. One tile of `P` at Ñ = 1024 is 512 KiB, which streams through L2;
-/// the `seq_train_batch` entries at Ñ = 1024 in the `kernels` bench time the
-/// passes at that size.
+/// bands. One tile of `P` at Ñ = 1024 is 512 KiB, which streams through L2.
+/// `linalg_kernels/seq_train_batch_1024/{8,16}` in the `kernels` bench
+/// (`cargo bench -p elmrl-bench --bench kernels`) times the passes at that
+/// size.
 pub const P_UPDATE_TILE: usize = 64;
 
 /// Errors produced by OS-ELM training.
