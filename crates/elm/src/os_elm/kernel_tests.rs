@@ -163,6 +163,32 @@ fn blocked_passes(
     (ph_pass1, hp, p, ph, beta)
 }
 
+/// Runs the blocked passes inline and pooled on special operands of the
+/// given shape and compares every output with the reference loops.
+fn assert_matches_the_reference(n: usize, k: usize, m: usize, seed: u64) {
+    let p = special_matrix(n, n, seed);
+    let h = special_matrix(k, n, seed + 1);
+    let sol = special_matrix(k, n, seed + 2);
+    let resid = special_matrix(k, m, seed + 3);
+    let beta = special_matrix(n, m, seed + 4);
+
+    let ph = reference_ph(&p, &h);
+    let hp = reference_hp(&p, &h);
+    let (mut p_ref, mut ph_ref, mut beta_ref) = (p.clone(), ph.clone(), beta.clone());
+    reference_downdate(&mut p_ref, &mut ph_ref, &mut beta_ref, &h, &sol, &resid);
+
+    for pooled in [false, true] {
+        let (ph1, hp1, p2, ph2, beta2) =
+            blocked_passes(p.clone(), &h, &sol, &resid, beta.clone(), pooled);
+        let case = format!("Ñ={n} B={k} m={m} seed={seed} pooled={pooled}");
+        assert!(same_bits(&ph1, &ph), "P·Hᵀ, {case}");
+        assert!(same_bits(&hp1, &hp), "H·P, {case}");
+        assert!(same_bits(&p2, &p_ref), "downdate, {case}");
+        assert!(same_bits(&ph2, &ph_ref), "P_new·Hᵀ, {case}");
+        assert!(same_bits(&beta2, &beta_ref), "β, {case}");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -173,26 +199,7 @@ proptest! {
         m in 1usize..4,
         seed in 0u64..100_000,
     ) {
-        let p = special_matrix(n, n, seed);
-        let h = special_matrix(k, n, seed + 1);
-        let sol = special_matrix(k, n, seed + 2);
-        let resid = special_matrix(k, m, seed + 3);
-        let beta = special_matrix(n, m, seed + 4);
-
-        let ph = reference_ph(&p, &h);
-        let hp = reference_hp(&p, &h);
-        let (mut p_ref, mut ph_ref, mut beta_ref) = (p.clone(), ph.clone(), beta.clone());
-        reference_downdate(&mut p_ref, &mut ph_ref, &mut beta_ref, &h, &sol, &resid);
-
-        for pooled in [false, true] {
-            let (ph1, hp1, p2, ph2, beta2) =
-                blocked_passes(p.clone(), &h, &sol, &resid, beta.clone(), pooled);
-            prop_assert!(same_bits(&ph1, &ph), "P·Hᵀ, Ñ={n} B={k} pooled={pooled}");
-            prop_assert!(same_bits(&hp1, &hp), "H·P, Ñ={n} B={k} pooled={pooled}");
-            prop_assert!(same_bits(&p2, &p_ref), "downdate, Ñ={n} B={k} pooled={pooled}");
-            prop_assert!(same_bits(&ph2, &ph_ref), "P_new·Hᵀ, Ñ={n} B={k} pooled={pooled}");
-            prop_assert!(same_bits(&beta2, &beta_ref), "β, Ñ={n} B={k} pooled={pooled}");
-        }
+        assert_matches_the_reference(n, k, m, seed);
     }
 }
 
@@ -205,24 +212,7 @@ fn blocked_passes_match_at_block_and_tile_edges() {
         .enumerate()
     {
         for k in [1, 3, 4, 5, 8, 9] {
-            let seed = 1000 * i as u64 + k as u64;
-            let p = special_matrix(n, n, seed);
-            let h = special_matrix(k, n, seed + 1);
-            let sol = special_matrix(k, n, seed + 2);
-            let resid = special_matrix(k, 2, seed + 3);
-            let beta = special_matrix(n, 2, seed + 4);
-            let (mut p_ref, mut ph_ref, mut beta_ref) =
-                (p.clone(), reference_ph(&p, &h), beta.clone());
-            reference_downdate(&mut p_ref, &mut ph_ref, &mut beta_ref, &h, &sol, &resid);
-            for pooled in [false, true] {
-                let (ph1, hp1, p2, ph2, beta2) =
-                    blocked_passes(p.clone(), &h, &sol, &resid, beta.clone(), pooled);
-                assert!(same_bits(&ph1, &reference_ph(&p, &h)), "P·Hᵀ Ñ={n} B={k}");
-                assert!(same_bits(&hp1, &reference_hp(&p, &h)), "H·P Ñ={n} B={k}");
-                assert!(same_bits(&p2, &p_ref), "downdate Ñ={n} B={k}");
-                assert!(same_bits(&ph2, &ph_ref), "P_new·Hᵀ Ñ={n} B={k}");
-                assert!(same_bits(&beta2, &beta_ref), "β Ñ={n} B={k}");
-            }
+            assert_matches_the_reference(n, k, 2, 1000 * i as u64 + k as u64);
         }
     }
 }
