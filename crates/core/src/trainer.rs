@@ -1130,6 +1130,31 @@ mod tests {
     }
 
     #[test]
+    fn budget_boundary_reset_order_differs_between_scalar_and_e_slot_loops() {
+        // 3-step episodes that never solve, a 4-episode budget, reset-after-2.
+        // The scalar loop applies the reset rule after episodes 2 and 4 (the
+        // second on the episode that spends the budget); the E-slot loop
+        // stops at the budget before its second reset.
+        let config = TrainerConfig {
+            reset_after_episodes: Some(2),
+            solve_criterion: SolveCriterion::EpisodeReturn { threshold: 1000.0 },
+            ..TrainerConfig::quick(4)
+        };
+        let mut agent = CountingAgent::new();
+        let scalar =
+            Trainer::new(config.clone()).run(&mut agent, &mut ScriptedEnv::new(&[3]), &mut rng(0));
+        assert_eq!(scalar.episodes_run, 4);
+        assert_eq!(scalar.resets, 2);
+        assert_eq!(agent.resets, 2);
+
+        let mut agent = CountingAgent::new();
+        let vec = Trainer::new(config).run_vec(&mut agent, &mut scripted_vec(&[3], 1), &mut rng(0));
+        assert_eq!(vec.episodes_run, 4);
+        assert_eq!(vec.resets, 1);
+        assert_eq!(agent.resets, 1);
+    }
+
+    #[test]
     fn episode_budget_exhaustion_reports_unsolved() {
         let mut env = ScriptedEnv::new(&[3]);
         let mut agent = CountingAgent::new();

@@ -1001,6 +1001,27 @@ mod tests {
     }
 
     #[test]
+    fn scalar_replica_stops_at_the_budget_before_the_reset_rule() {
+        // A budget equal to the workload's reset period and a threshold no
+        // episode reaches: the reset rule would fire after the last episode,
+        // but the lockstep loop stops at the budget first, as `run_vec` does.
+        let reset_after = Workload::CartPole
+            .spec()
+            .defaults
+            .reset_after_episodes
+            .expect("CartPole resets unsolved agents");
+        let mut config = PopulationConfig::new(Workload::CartPole, Design::OsElm, 4, 1);
+        config.options.solve_threshold = Some(1e9);
+        config.max_episodes = reset_after;
+        config.eval_episodes = 0;
+        let report = PopulationRunner::new(config).run();
+        let replica = &report.replicas[0];
+        assert!(!replica.solved);
+        assert_eq!(replica.episodes_run, reset_after);
+        assert_eq!(replica.resets, 0);
+    }
+
+    #[test]
     fn report_records_the_effective_chunk_cap() {
         // Scalar protocol: the cap is inert and stays unrecorded.
         let scalar = PopulationRunner::new(tiny_config(1)).run();
