@@ -38,7 +38,7 @@ pub struct Observation {
     pub truncated: bool,
 }
 
-/// Telemetry counter of update-phase transitions an agent dropped because
+/// Telemetry counter of transitions an agent dropped because
 /// [`Observation::is_finite`] was false.
 pub const DROPPED_NONFINITE: &str = "core.observe.dropped_nonfinite";
 
@@ -49,10 +49,10 @@ impl Observation {
     }
 
     /// `true` when the reward and every component of both states are
-    /// finite. The OS-ELM and FPGA agents train only on such transitions
-    /// and drop the others, counted by [`DROPPED_NONFINITE`]; target
-    /// clipping could otherwise turn a non-finite next state into a finite
-    /// but meaningless target.
+    /// finite. The ELM, OS-ELM and FPGA agents store and train only on
+    /// such transitions and drop the others, counted by
+    /// [`DROPPED_NONFINITE`]; target clipping could otherwise turn a
+    /// non-finite next state into a finite but meaningless target.
     pub fn is_finite(&self) -> bool {
         self.reward.is_finite()
             && self

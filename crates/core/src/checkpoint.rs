@@ -75,7 +75,7 @@ impl AgentSnapshot {
 }
 
 /// Capture an agent snapshot or explain why the design cannot provide one.
-pub fn snapshot_agent(agent: &dyn Agent) -> Result<AgentSnapshot, String> {
+pub fn snapshot_agent<A: Agent + ?Sized>(agent: &A) -> Result<AgentSnapshot, String> {
     agent
         .snapshot()
         .ok_or_else(|| format!("design `{}` does not support checkpointing", agent.name()))

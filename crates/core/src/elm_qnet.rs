@@ -6,7 +6,7 @@
 //! of updates — the limitation OS-ELM removes — and is why the paper finds
 //! ELM fragile with respect to the hidden size (§4.3).
 
-use crate::agent::{Agent, Observation};
+use crate::agent::{Agent, Observation, DROPPED_NONFINITE};
 use crate::batch::{elm_q_batch, elm_q_batch_into, BatchAgent, BatchQScratch};
 use crate::checkpoint::AgentSnapshot;
 use crate::clipping::TargetConfig;
@@ -199,6 +199,12 @@ impl Agent for ElmQNet {
     }
 
     fn observe(&mut self, obs: &Observation, _rng: &mut SmallRng) {
+        // A non-finite transition is dropped and counted on its own, so it
+        // cannot spoil the whole retraining batch.
+        if !obs.is_finite() {
+            elmrl_telemetry::counter!(DROPPED_NONFINITE).inc();
+            return;
+        }
         self.buffer.push(obs.clone());
         if self.buffer.len() >= self.config.hidden_dim {
             self.run_batch_training();
@@ -405,11 +411,14 @@ mod tests {
             o.state[1] = f64::NAN;
             o
         };
+        // `observe` drops a non-finite transition before it reaches D, so
+        // only a restored snapshot can hold one; place it there directly.
         // A poisoned first refill is dropped: still untrained, β still zero.
-        for i in 0..7 {
+        for i in 0..6 {
             agent.observe(&obs(i, -1.0, true), &mut r);
         }
-        agent.observe(&nan_state(7), &mut r);
+        agent.buffer.push(nan_state(6));
+        agent.observe(&obs(7, -1.0, true), &mut r);
         assert!(!agent.is_trained());
         assert_eq!(agent.online.model().beta(), &Matrix::zeros(8, 1));
         // A poisoned refill after a good one keeps the trained β.
@@ -418,10 +427,11 @@ mod tests {
         }
         assert!(agent.is_trained());
         let beta = agent.online.model().beta().clone();
-        for i in 0..7 {
+        for i in 0..6 {
             agent.observe(&obs(i, 0.5, false), &mut r);
         }
-        agent.observe(&nan_state(7), &mut r);
+        agent.buffer.push(nan_state(6));
+        agent.observe(&obs(7, 0.5, false), &mut r);
         assert!(agent.is_trained());
         assert_eq!(agent.online.model().beta(), &beta);
         assert_eq!(agent.op_counts().count(OpKind::InitTrain), 3);

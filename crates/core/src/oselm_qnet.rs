@@ -332,8 +332,9 @@ impl OsElmQNet {
             let max_next = max_q(&self.q_for(&self.target, &obs.next_state));
             t[(i, 0)] = self.config.target.target(obs.reward, max_next, obs.done);
         }
-        // A non-finite state or reward in D is rejected before it can
-        // poison β: drop the refill and collect a fresh one. Otherwise the
+        // A non-finite state or reward in D (only a restored snapshot can
+        // hold one) is rejected before it can poison β: drop the refill and
+        // collect a fresh one. Otherwise the
         // plain OS-ELM design can hit a singular Gram matrix; the
         // NUMERICAL_DELTA in `elm_config` keeps this well-defined, so any
         // other failure is unexpected — surface it loudly in debug builds
@@ -413,7 +414,13 @@ impl Agent for OsElmQNet {
     fn observe(&mut self, obs: &Observation, rng: &mut SmallRng) {
         if !self.is_initialized() {
             // Store phase: fill buffer D up to Ñ samples, then run the
-            // initial training (Algorithm 1 lines 16–19).
+            // initial training (Algorithm 1 lines 16–19). A non-finite
+            // transition is dropped and counted on its own, so it cannot
+            // spoil the whole refill.
+            if !obs.is_finite() {
+                elmrl_telemetry::counter!(DROPPED_NONFINITE).inc();
+                return;
+            }
             self.buffer.push(obs.clone());
             if self.buffer.len() >= self.config.hidden_dim {
                 self.run_initial_training(rng);
@@ -680,6 +687,8 @@ mod tests {
     fn non_finite_refill_is_dropped_and_the_next_one_trains() {
         let mut r = rng(11);
         let mut agent = OsElmQNet::new(OsElmQNetConfig::cartpole(8, 0.5, true), &mut r);
+        // `observe` drops a non-finite transition before it reaches D, so
+        // only a restored snapshot can hold one; place it there directly.
         let fill = |agent: &mut OsElmQNet, r: &mut SmallRng, poison: Option<usize>| {
             for i in 0..8 {
                 let mut obs = sample_obs(0.0, false);
@@ -689,7 +698,11 @@ mod tests {
                     Some(1) if i == 5 => obs.reward = f64::NAN,
                     _ => {}
                 }
-                agent.observe(&obs, r);
+                if obs.is_finite() {
+                    agent.observe(&obs, r);
+                } else {
+                    agent.buffer.push(obs);
+                }
             }
         };
         // A NaN state, then a NaN reward (hence a NaN target): each refill

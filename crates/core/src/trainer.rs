@@ -22,11 +22,13 @@
 use crate::agent::{Agent, Observation};
 use crate::batch::BatchAgent;
 use crate::checkpoint::{
-    rng_from_words, rng_state_words, RunCheckpoint, SlotCheckpoint, SNAPSHOT_SCHEMA_VERSION,
+    rng_from_words, rng_state_words, snapshot_agent, AgentSnapshot, RunCheckpoint, SlotCheckpoint,
+    SNAPSHOT_SCHEMA_VERSION,
 };
+use crate::designs::Design;
 use crate::ops::OpCounts;
 use crate::reward::RewardShaping;
-use elmrl_gym::{EnvSpec, Environment, EpisodeStats, VecEnv};
+use elmrl_gym::{EnvSpec, Environment, EpisodeStats, StepOutcome, VecEnv};
 use elmrl_linalg::Matrix;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -83,6 +85,17 @@ impl TrainerConfig {
             solved_window: 100,
             reward_shaping: spec.reward_shaping,
         }
+    }
+
+    /// [`TrainerConfig::for_workload`] for one design. The paper resets
+    /// only the ELM/OS-ELM designs (§4.3), so the DQN baseline runs without
+    /// the reset rule.
+    pub fn for_design(spec: &EnvSpec, design: Design) -> Self {
+        let mut config = Self::for_workload(spec);
+        if design == Design::Dqn {
+            config.reset_after_episodes = None;
+        }
+        config
     }
 
     /// The paper's full protocol (50 000-episode cut-off). Long; used by the
@@ -223,6 +236,103 @@ impl<'a> CheckpointCtl<'a> {
     }
 }
 
+/// The episode bookkeeping every driver shares: statistics, counters and the
+/// solve mark. [`Trainer::close_episode`] and [`Trainer::reset_if_due`]
+/// apply the protocol to it, so the scalar loop, the E-slot loop and the
+/// population replicas count, solve, stop and reset by the same rules.
+#[derive(Clone, Debug)]
+pub struct EpisodeBook {
+    /// Per-episode returns and moving averages (the Figure 4 curve).
+    pub stats: EpisodeStats,
+    /// Environment steps taken; the driver adds one per transition.
+    pub total_steps: usize,
+    /// How many times the reset rule fired.
+    pub resets: usize,
+    /// Episodes completed.
+    pub episodes_run: usize,
+    /// Episode index (0-based) at which the solve criterion first fired.
+    pub solved_at_episode: Option<usize>,
+    episodes_since_reset: usize,
+}
+
+impl EpisodeBook {
+    /// The bookkeeping of a captured run, after checking that the
+    /// checkpoint's counters agree with each other: one return and one
+    /// moving average per completed episode, a solving episode among the
+    /// completed ones, and no more episodes since the last reset than in
+    /// total.
+    pub fn resume(ckpt: &RunCheckpoint) -> Result<Self, String> {
+        let episodes = ckpt.episodes_run;
+        let returns = ckpt.stats.returns.len();
+        let averages = ckpt.stats.moving_averages.len();
+        let since_reset = ckpt.episodes_since_reset;
+        let fail = |what: String| Err(format!("inconsistent checkpoint: {what}"));
+        if returns != episodes {
+            return fail(format!("{returns} returns for {episodes} episodes"));
+        }
+        if averages != returns {
+            return fail(format!("{averages} moving averages for {returns} returns"));
+        }
+        if let Some(solved) = ckpt.solved_at_episode.filter(|&e| e >= episodes) {
+            return fail(format!("solved at episode {solved} of {episodes}"));
+        }
+        if since_reset > episodes {
+            return fail(format!(
+                "{since_reset} episodes since a reset, {episodes} in all"
+            ));
+        }
+        Ok(Self {
+            stats: ckpt.stats.clone(),
+            total_steps: ckpt.total_steps,
+            resets: ckpt.resets,
+            episodes_run: episodes,
+            solved_at_episode: ckpt.solved_at_episode,
+            episodes_since_reset: ckpt.episodes_since_reset,
+        })
+    }
+
+    /// The checkpoint of a run whose bookkeeping stands here, with the
+    /// driver's own state: the agent snapshot, the master RNG stream, the
+    /// scalar environment's state or the per-slot states.
+    pub fn checkpoint(
+        &self,
+        agent: AgentSnapshot,
+        rng: &SmallRng,
+        env_state: Option<Vec<f64>>,
+        slots: Option<Vec<SlotCheckpoint>>,
+    ) -> RunCheckpoint {
+        RunCheckpoint {
+            version: SNAPSHOT_SCHEMA_VERSION,
+            episodes_run: self.episodes_run,
+            total_steps: self.total_steps,
+            resets: self.resets,
+            episodes_since_reset: self.episodes_since_reset,
+            solved_at_episode: self.solved_at_episode,
+            stats: self.stats.clone(),
+            agent,
+            rng: rng_state_words(rng),
+            env_state,
+            slots,
+        }
+    }
+
+    /// The trial outcome of a finished run.
+    pub fn into_result<A: Agent + ?Sized>(self, agent: &A, wall_time: Duration) -> TrainingResult {
+        TrainingResult {
+            design: agent.name().to_string(),
+            hidden_dim: agent.hidden_dim(),
+            solved: self.solved_at_episode.is_some(),
+            solved_at_episode: self.solved_at_episode,
+            episodes_run: self.episodes_run,
+            total_steps: self.total_steps,
+            resets: self.resets,
+            wall_time,
+            stats: self.stats,
+            op_counts: agent.op_counts().clone(),
+        }
+    }
+}
+
 /// The episode-loop driver.
 #[derive(Clone, Debug)]
 pub struct Trainer {
@@ -246,6 +356,79 @@ impl Trainer {
         self.config.solve_criterion.met(&stats.returns, last_return)
     }
 
+    /// The transition an agent learns from: `outcome` after `action` in
+    /// `state`, its reward shaped by the configured [`RewardShaping`].
+    pub fn transition(&self, state: &[f64], action: usize, outcome: &StepOutcome) -> Observation {
+        let shaping = self.config.reward_shaping;
+        Observation {
+            state: state.to_vec(),
+            action,
+            reward: shaping.shape(outcome.reward, outcome.done, outcome.truncated),
+            next_state: outcome.observation.clone(),
+            done: outcome.done,
+            truncated: outcome.truncated,
+        }
+    }
+
+    /// An empty episode book; `threshold` is the environment's
+    /// moving-average solve threshold recorded in the statistics.
+    pub fn book(&self, threshold: Option<f64>) -> EpisodeBook {
+        EpisodeBook {
+            stats: EpisodeStats::with_window(self.config.solved_window, threshold),
+            total_steps: 0,
+            resets: 0,
+            episodes_run: 0,
+            solved_at_episode: None,
+            episodes_since_reset: 0,
+        }
+    }
+
+    /// Whether a run at this point of its bookkeeping is over: solved under
+    /// `stop_when_solved`, or the episode budget spent.
+    fn run_over(&self, book: &EpisodeBook) -> bool {
+        (book.solved_at_episode.is_some() && self.config.stop_when_solved)
+            || book.episodes_run >= self.config.max_episodes
+    }
+
+    /// Book one finished episode: [`Agent::end_episode`], the counters, the
+    /// statistics and the solve check. Returns `true` when the run must
+    /// stop (solved under `stop_when_solved`, or the budget spent).
+    pub fn close_episode<A: Agent + ?Sized>(
+        &self,
+        book: &mut EpisodeBook,
+        agent: &mut A,
+        episode_return: f64,
+    ) -> bool {
+        let episode = book.episodes_run;
+        agent.end_episode(episode);
+        book.episodes_run += 1;
+        book.episodes_since_reset += 1;
+        book.stats.record_episode(episode_return);
+        if book.solved_at_episode.is_none() && self.criterion_met(&book.stats, episode_return) {
+            book.solved_at_episode = Some(episode);
+        }
+        self.run_over(book)
+    }
+
+    /// The reset rule (§4.3): an unsolved agent is re-drawn once
+    /// `reset_after_episodes` episodes have passed since its last reset.
+    pub fn reset_if_due<A: Agent + ?Sized>(
+        &self,
+        book: &mut EpisodeBook,
+        agent: &mut A,
+        rng: &mut SmallRng,
+    ) {
+        let due = self
+            .config
+            .reset_after_episodes
+            .is_some_and(|after| book.episodes_since_reset >= after);
+        if due && book.solved_at_episode.is_none() {
+            agent.reset(rng);
+            book.resets += 1;
+            book.episodes_since_reset = 0;
+        }
+    }
+
     /// Run one trial of `agent` on `env`.
     pub fn run(
         &self,
@@ -264,6 +447,10 @@ impl Trainer {
     /// rule), so the captured state is exactly the state the next episode
     /// starts from. Errors only on an invalid resume checkpoint or when a
     /// capture is requested from an agent that does not support snapshots.
+    ///
+    /// Unlike [`Trainer::run_vec`] and the population engine, which stop
+    /// first, this loop applies the reset rule even on the episode that
+    /// spends the budget, so that episode can count one more reset.
     pub fn run_checkpointed(
         &self,
         agent: &mut dyn Agent,
@@ -272,45 +459,30 @@ impl Trainer {
         ctl: &mut CheckpointCtl<'_>,
     ) -> Result<TrainingResult, String> {
         let start = Instant::now();
-        let mut stats =
-            EpisodeStats::with_window(self.config.solved_window, env.solved_threshold());
-        let mut total_steps = 0usize;
-        let mut resets = 0usize;
-        let mut episodes_since_reset = 0usize;
-        let mut episodes_run = 0usize;
-        let mut solved_at_episode: Option<usize> = None;
+        let mut book = match ctl.resume {
+            Some(ckpt) => {
+                if ckpt.slots.is_some() {
+                    return Err(
+                        "checkpoint was captured by a vectorized run; resume with run_vec"
+                            .to_owned(),
+                    );
+                }
+                let book = EpisodeBook::resume(ckpt)?;
+                agent.restore(&ckpt.agent)?;
+                *rng = rng_from_words(&ckpt.rng)?;
+                if let Some(env_state) = &ckpt.env_state {
+                    env.load_state(env_state)?;
+                }
+                book
+            }
+            None => self.book(env.solved_threshold()),
+        };
+        ctl.arm(book.episodes_run);
 
-        if let Some(ckpt) = ctl.resume {
-            if ckpt.slots.is_some() {
-                return Err(
-                    "checkpoint was captured by a vectorized run; resume with run_vec".to_owned(),
-                );
-            }
-            agent.restore(&ckpt.agent)?;
-            *rng = rng_from_words(&ckpt.rng)?;
-            if let Some(env_state) = &ckpt.env_state {
-                env.load_state(env_state)?;
-            }
-            stats = ckpt.stats.clone();
-            total_steps = ckpt.total_steps;
-            resets = ckpt.resets;
-            episodes_since_reset = ckpt.episodes_since_reset;
-            episodes_run = ckpt.episodes_run;
-            solved_at_episode = ckpt.solved_at_episode;
-        }
-        ctl.arm(episodes_run);
-
-        // The range start is evaluated once; the loop body advances
-        // `episodes_run` as the count-so-far for checkpoint captures, not to
-        // steer the iteration.
-        #[allow(clippy::mut_range_bound)]
-        for episode in episodes_run..self.config.max_episodes {
-            // An uninterrupted run breaks below before re-entering; this
-            // guard only stops a run resumed from a checkpoint captured at
-            // its solving episode from running an extra one.
-            if solved_at_episode.is_some() && self.config.stop_when_solved {
-                break;
-            }
+        // A run resumed from the checkpoint of its last episode (the solving
+        // one, or the one that spent the budget) has nothing left to run.
+        let mut stop = self.run_over(&book);
+        while !stop {
             let mut state = {
                 let _span = elmrl_telemetry::hist!("env.reset").span();
                 env.reset(rng)
@@ -323,126 +495,25 @@ impl Trainer {
                     let _span = elmrl_telemetry::hist!("env.step").span();
                     env.step(action, rng)
                 };
-                total_steps += 1;
+                book.total_steps += 1;
                 episode_return += outcome.reward;
-
-                let shaped = self.config.reward_shaping.shape(
-                    outcome.reward,
-                    outcome.done,
-                    outcome.truncated,
-                );
-                let obs = Observation {
-                    state: state.clone(),
-                    action,
-                    reward: shaped,
-                    next_state: outcome.observation.clone(),
-                    done: outcome.done,
-                    truncated: outcome.truncated,
-                };
-                agent.observe(&obs, rng);
+                agent.observe(&self.transition(&state, action, &outcome), rng);
                 state = outcome.observation;
                 if outcome.done || outcome.truncated {
                     break;
                 }
             }
 
-            agent.end_episode(episode);
-            episodes_run = episode + 1;
-            episodes_since_reset += 1;
-            stats.record_episode(episode_return);
-
-            if solved_at_episode.is_none() && self.criterion_met(&stats, episode_return) {
-                solved_at_episode = Some(episode);
+            stop = self.close_episode(&mut book, agent, episode_return);
+            self.reset_if_due(&mut book, agent, rng);
+            if ctl.capture_due(book.episodes_run) {
+                let _span = elmrl_telemetry::hist!("checkpoint.capture").span();
+                ctl.emit(book.checkpoint(snapshot_agent(agent)?, rng, env.save_state(), None));
             }
-            if solved_at_episode.is_some() && self.config.stop_when_solved {
-                // The episode's bookkeeping is complete; capture the boundary
-                // checkpoint (if due) before stopping so resume-at-the-last-
-                // episode reproduces this result.
-                if ctl.capture_due(episodes_run) {
-                    let ckpt = Self::capture_scalar(
-                        agent,
-                        env,
-                        rng,
-                        &stats,
-                        episodes_run,
-                        total_steps,
-                        resets,
-                        episodes_since_reset,
-                        solved_at_episode,
-                    )?;
-                    ctl.emit(ckpt);
-                }
-                break;
-            }
-            if solved_at_episode.is_none() {
-                if let Some(reset_after) = self.config.reset_after_episodes {
-                    if episodes_since_reset >= reset_after {
-                        agent.reset(rng);
-                        resets += 1;
-                        episodes_since_reset = 0;
-                    }
-                }
-            }
-            if ctl.capture_due(episodes_run) {
-                let ckpt = Self::capture_scalar(
-                    agent,
-                    env,
-                    rng,
-                    &stats,
-                    episodes_run,
-                    total_steps,
-                    resets,
-                    episodes_since_reset,
-                    solved_at_episode,
-                )?;
-                ctl.emit(ckpt);
-            }
-            if ctl.stop_now(episodes_run) {
-                break;
-            }
+            stop |= ctl.stop_now(book.episodes_run);
         }
 
-        Ok(TrainingResult {
-            design: agent.name().to_string(),
-            hidden_dim: agent.hidden_dim(),
-            solved: solved_at_episode.is_some(),
-            solved_at_episode,
-            episodes_run,
-            total_steps,
-            resets,
-            wall_time: start.elapsed(),
-            stats,
-            op_counts: agent.op_counts().clone(),
-        })
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn capture_scalar(
-        agent: &dyn Agent,
-        env: &dyn Environment,
-        rng: &SmallRng,
-        stats: &EpisodeStats,
-        episodes_run: usize,
-        total_steps: usize,
-        resets: usize,
-        episodes_since_reset: usize,
-        solved_at_episode: Option<usize>,
-    ) -> Result<RunCheckpoint, String> {
-        let _span = elmrl_telemetry::hist!("checkpoint.capture").span();
-        let snapshot = crate::checkpoint::snapshot_agent(agent)?;
-        Ok(RunCheckpoint {
-            version: SNAPSHOT_SCHEMA_VERSION,
-            episodes_run,
-            total_steps,
-            resets,
-            episodes_since_reset,
-            solved_at_episode,
-            stats: stats.clone(),
-            agent: snapshot,
-            rng: rng_state_words(rng),
-            env_state: env.save_state(),
-            slots: None,
-        })
+        Ok(book.into_result(agent, start.elapsed()))
     }
 
     /// Run one trial of `agent` against **E parallel episodes** — the
@@ -470,7 +541,8 @@ impl Trainer {
     ///   completed (or the criterion fires with `stop_when_solved`);
     ///   in-flight episodes on other slots are abandoned, and their steps
     ///   stay in `total_steps` (every consumed environment transition is
-    ///   counted).
+    ///   counted). The stop comes before the reset rule, so the episode
+    ///   that spends the budget never triggers a reset.
     ///
     /// With E = 1 the loop performs the same episode protocol as
     /// [`Trainer::run`] but draws its environment randomness from a derived
@@ -509,19 +581,11 @@ impl Trainer {
     ) -> Result<TrainingResult, String> {
         let start = Instant::now();
         let e = vec_env.len();
-        let mut stats =
-            EpisodeStats::with_window(self.config.solved_window, vec_env.solved_threshold());
-
         let mut slot_rngs: Vec<SmallRng>;
         let mut episode_returns = vec![0.0f64; e];
         let mut active = vec![self.config.max_episodes > 0; e];
-        let mut total_steps = 0usize;
-        let mut resets = 0usize;
-        let mut episodes_since_reset = 0usize;
-        let mut episodes_run = 0usize;
-        let mut solved_at_episode: Option<usize> = None;
 
-        if let Some(ckpt) = ctl.resume {
+        let mut book = if let Some(ckpt) = ctl.resume {
             let Some(slots) = &ckpt.slots else {
                 return Err(
                     "checkpoint was captured by a scalar run; resume with run (not run_vec)"
@@ -534,6 +598,7 @@ impl Trainer {
                     slots.len()
                 ));
             }
+            let book = EpisodeBook::resume(ckpt)?;
             agent.restore(&ckpt.agent)?;
             // The master stream already consumed the slot-seeding draws
             // before the capture, so restoring it replaces (not repeats)
@@ -546,20 +611,16 @@ impl Trainer {
                 episode_returns[j] = slot.episode_return;
                 active[j] = slot.active;
             }
-            stats = ckpt.stats.clone();
-            total_steps = ckpt.total_steps;
-            resets = ckpt.resets;
-            episodes_since_reset = ckpt.episodes_since_reset;
-            episodes_run = ckpt.episodes_run;
-            solved_at_episode = ckpt.solved_at_episode;
+            book
         } else {
             // Per-slot environment/policy streams, split deterministically
             // from the master stream before the first tick.
             slot_rngs = (0..e).map(|_| SmallRng::seed_from_u64(rng.gen())).collect();
             let _span = elmrl_telemetry::hist!("env.reset").span();
             vec_env.reset_all(&mut slot_rngs);
-        }
-        ctl.arm(episodes_run);
+            self.book(vec_env.solved_threshold())
+        };
+        ctl.arm(book.episodes_run);
 
         let mut actions: Vec<Option<usize>> = vec![None; e];
         let mut pre_states: Vec<Vec<f64>> = vec![Vec::new(); e];
@@ -593,63 +654,30 @@ impl Trainer {
                 let (Some(action), Some(step)) = (actions[j], &outs[j]) else {
                     continue;
                 };
-                total_steps += 1;
+                book.total_steps += 1;
                 episode_returns[j] += step.outcome.reward;
-                let shaped = self.config.reward_shaping.shape(
-                    step.outcome.reward,
-                    step.outcome.done,
-                    step.outcome.truncated,
-                );
-                tick_obs.push(Observation {
-                    state: pre_states[j].clone(),
-                    action,
-                    reward: shaped,
-                    next_state: step.outcome.observation.clone(),
-                    done: step.outcome.done,
-                    truncated: step.outcome.truncated,
-                });
+                tick_obs.push(self.transition(&pre_states[j], action, &step.outcome));
             }
             agent.observe_batch(&tick_obs, rng);
 
             // Episode bookkeeping in deterministic completion order (slot
             // index order within the tick).
             for j in 0..e {
-                let Some(step) = &outs[j] else { continue };
-                if !step.auto_reset {
+                if !outs[j].as_ref().is_some_and(|step| step.auto_reset) {
                     continue;
                 }
-                let episode = episodes_run;
-                agent.end_episode(episode);
-                episodes_run += 1;
-                episodes_since_reset += 1;
-                let episode_return = episode_returns[j];
-                episode_returns[j] = 0.0;
-                stats.record_episode(episode_return);
-
-                if solved_at_episode.is_none() && self.criterion_met(&stats, episode_return) {
-                    solved_at_episode = Some(episode);
-                }
-                if (solved_at_episode.is_some() && self.config.stop_when_solved)
-                    || episodes_run >= self.config.max_episodes
-                {
-                    active.iter_mut().for_each(|a| *a = false);
+                let episode_return = std::mem::take(&mut episode_returns[j]);
+                if self.close_episode(&mut book, agent, episode_return) {
+                    active.fill(false);
                     break;
                 }
-                if solved_at_episode.is_none() {
-                    if let Some(reset_after) = self.config.reset_after_episodes {
-                        if episodes_since_reset >= reset_after {
-                            agent.reset(rng);
-                            resets += 1;
-                            episodes_since_reset = 0;
-                        }
-                    }
-                }
+                self.reset_if_due(&mut book, agent, rng);
             }
 
             // End of tick: every mid-tick state (including a budget stop that
             // abandoned in-flight slots above) has settled, so this is the
             // only point where the engine state is a valid resume target.
-            if ctl.capture_due(episodes_run) {
+            if ctl.capture_due(book.episodes_run) {
                 let _span = elmrl_telemetry::hist!("checkpoint.capture").span();
                 let mut slots = Vec::with_capacity(e);
                 for j in 0..e {
@@ -664,40 +692,14 @@ impl Trainer {
                         active: active[j],
                     });
                 }
-                let snapshot = agent.snapshot().ok_or_else(|| {
-                    format!("design `{}` does not support checkpointing", agent.name())
-                })?;
-                ctl.emit(RunCheckpoint {
-                    version: SNAPSHOT_SCHEMA_VERSION,
-                    episodes_run,
-                    total_steps,
-                    resets,
-                    episodes_since_reset,
-                    solved_at_episode,
-                    stats: stats.clone(),
-                    agent: snapshot,
-                    rng: rng_state_words(rng),
-                    env_state: None,
-                    slots: Some(slots),
-                });
+                ctl.emit(book.checkpoint(snapshot_agent(&*agent)?, rng, None, Some(slots)));
             }
-            if ctl.stop_now(episodes_run) {
+            if ctl.stop_now(book.episodes_run) {
                 break;
             }
         }
 
-        Ok(TrainingResult {
-            design: agent.name().to_string(),
-            hidden_dim: agent.hidden_dim(),
-            solved: solved_at_episode.is_some(),
-            solved_at_episode,
-            episodes_run,
-            total_steps,
-            resets,
-            wall_time: start.elapsed(),
-            stats,
-            op_counts: agent.op_counts().clone(),
-        })
+        Ok(book.into_result(&*agent, start.elapsed()))
     }
 }
 
@@ -1404,6 +1406,124 @@ mod tests {
             .run_checkpointed(agent.as_mut(), &mut env, &mut r, &mut ctl)
             .unwrap_err();
         assert!(err.contains("vectorized run"), "{err}");
+    }
+
+    /// `ckpt` after one text edit of its JSON.
+    fn edited(ckpt: &RunCheckpoint, from: &str, to: &str) -> RunCheckpoint {
+        let json = ckpt.to_json().unwrap();
+        assert!(json.contains(from), "`{from}` is not in the checkpoint");
+        RunCheckpoint::from_json(&json.replacen(from, to, 1)).unwrap()
+    }
+
+    #[test]
+    fn scalar_resume_rejects_checkpoint_counters_that_disagree() {
+        let config = TrainerConfig {
+            reset_after_episodes: Some(2),
+            solve_criterion: SolveCriterion::EpisodeReturn { threshold: 1000.0 },
+            ..TrainerConfig::quick(6)
+        };
+        let mut ckpts: Vec<RunCheckpoint> = Vec::new();
+        {
+            let mut r = rng(3);
+            let mut agent = Design::OsElmL2.build(&DesignConfig::new(8), &mut r);
+            let mut sink = |c: RunCheckpoint| ckpts.push(c);
+            let mut ctl = CheckpointCtl::saving(3, &mut sink);
+            Trainer::new(config.clone())
+                .run_checkpointed(agent.as_mut(), &mut CartPole::new(), &mut r, &mut ctl)
+                .unwrap();
+        }
+        let ckpt = &ckpts[0];
+        assert_eq!(ckpt.episodes_run, 3);
+        assert_eq!(ckpt.episodes_since_reset, 1, "reset after episode 2");
+        let resume = |ckpt: &RunCheckpoint| {
+            let mut r = rng(0);
+            let mut agent = Design::OsElmL2.build(&DesignConfig::new(8), &mut r);
+            let mut sink = |_c: RunCheckpoint| {};
+            let mut ctl = CheckpointCtl::resuming(ckpt, 0, &mut sink);
+            Trainer::new(config.clone()).run_checkpointed(
+                agent.as_mut(),
+                &mut CartPole::new(),
+                &mut r,
+                &mut ctl,
+            )
+        };
+        assert_eq!(resume(ckpt).unwrap().episodes_run, 6);
+        for (from, to, why) in [
+            (
+                r#""solved_at_episode":null"#,
+                r#""solved_at_episode":7"#,
+                "solved at episode 7 of 3",
+            ),
+            (
+                r#""episodes_run":3"#,
+                r#""episodes_run":4"#,
+                "3 returns for 4 episodes",
+            ),
+            (
+                r#""moving_averages":["#,
+                r#""moving_averages":[1,"#,
+                "4 moving averages for 3 returns",
+            ),
+            (
+                r#""episodes_since_reset":1"#,
+                r#""episodes_since_reset":4"#,
+                "4 episodes since a reset, 3 in all",
+            ),
+        ] {
+            let err = resume(&edited(ckpt, from, to)).unwrap_err();
+            assert!(err.contains(why), "{from} -> {to}: {err}");
+        }
+    }
+
+    #[test]
+    fn vec_resume_rejects_checkpoint_counters_that_disagree() {
+        let spec = elmrl_gym::Workload::CartPole.spec();
+        let config = TrainerConfig::quick(6);
+        let mut ckpts: Vec<RunCheckpoint> = Vec::new();
+        {
+            let mut r = rng(3);
+            let mut agent = Design::OsElmL2.build_batch(&DesignConfig::new(8), &mut r);
+            let mut env = elmrl_gym::VecEnv::from_spec(&spec, 2);
+            let mut sink = |c: RunCheckpoint| ckpts.push(c);
+            let mut ctl = CheckpointCtl::saving(2, &mut sink);
+            Trainer::new(config.clone())
+                .run_vec_checkpointed(agent.as_mut(), &mut env, &mut r, &mut ctl)
+                .unwrap();
+        }
+        let ckpt = &ckpts[0];
+        let n = ckpt.episodes_run;
+        assert_eq!(ckpt.solved_at_episode, None);
+        let resume = |ckpt: &RunCheckpoint| {
+            let mut r = rng(0);
+            let mut agent = Design::OsElmL2.build_batch(&DesignConfig::new(8), &mut r);
+            let mut env = elmrl_gym::VecEnv::from_spec(&spec, 2);
+            let mut sink = |_c: RunCheckpoint| {};
+            let mut ctl = CheckpointCtl::resuming(ckpt, 0, &mut sink);
+            Trainer::new(config.clone()).run_vec_checkpointed(
+                agent.as_mut(),
+                &mut env,
+                &mut r,
+                &mut ctl,
+            )
+        };
+        assert!(resume(ckpt).is_ok());
+        let solved_late = edited(
+            ckpt,
+            r#""solved_at_episode":null"#,
+            &format!(r#""solved_at_episode":{n}"#),
+        );
+        let err = resume(&solved_late).unwrap_err();
+        assert!(
+            err.contains(&format!("solved at episode {n} of {n}")),
+            "{err}"
+        );
+        let one_more = edited(
+            ckpt,
+            &format!(r#""episodes_run":{n}"#),
+            &format!(r#""episodes_run":{}"#, n + 1),
+        );
+        let err = resume(&one_more).unwrap_err();
+        assert!(err.contains("returns for"), "{err}");
     }
 
     #[test]

@@ -1,12 +1,15 @@
 //! A transition with a NaN or infinite value reaching the OS-ELM agent in
 //! its update phase is dropped before the RLS update and counted by
-//! `core.observe.dropped_nonfinite`; `P` and `β` never see it.
+//! `core.observe.dropped_nonfinite`; `P` and `β` never see it. In the store
+//! phase of the OS-ELM and ELM agents it is dropped alone and counted the
+//! same way: the Ñ finite transitions around it still train the agent.
 //!
 //! One test: it raises the process-wide telemetry flag to read the global
 //! counter, so a second test in this binary could observe its window.
 
 use elmrl_core::agent::{Agent, Observation, DROPPED_NONFINITE};
-use elmrl_core::{BatchAgent, OpKind, OsElmQNet, OsElmQNetConfig};
+use elmrl_core::elm_qnet::ElmQNetConfig;
+use elmrl_core::{BatchAgent, ElmQNet, OpKind, OsElmQNet, OsElmQNetConfig};
 use elmrl_gym::Workload;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -33,6 +36,20 @@ fn poisoned(kind: usize) -> Observation {
         _ => obs.next_state[3] = f64::INFINITY,
     }
     obs
+}
+
+/// Ñ finite transitions with a NaN-state one after the third.
+fn poisoned_refill() -> Vec<Observation> {
+    let mut refill: Vec<Observation> = (0..HIDDEN).map(transition).collect();
+    refill.insert(3, poisoned(0));
+    refill
+}
+
+/// Q-values on a few probe states.
+fn probe(agent: &mut dyn Agent) -> Vec<f64> {
+    (0..4)
+        .flat_map(|i| agent.q_values(&transition(50 + i).state))
+        .collect()
 }
 
 /// An agent past initial training whose update gate is always open, so
@@ -84,6 +101,27 @@ fn non_finite_transitions_are_dropped_and_counted_at_any_batch_width() {
     poisoned_agent.observe_batch(&batch, &mut rng_a);
     let dropped_batch = dropped.value() - before;
     clean_agent.observe_batch(&clean_batch, &mut rng_b);
+
+    // Store phase: a poisoned transition amid the refill of D is dropped
+    // alone, and the OS-ELM initial training / ELM batch retrain runs on
+    // the Ñ finite ones exactly as if it never came.
+    let spec = Workload::CartPole.spec();
+    let oselm_config = OsElmQNetConfig::for_workload(&spec, HIDDEN, 0.5, true);
+    let mut store_rng = SmallRng::seed_from_u64(5);
+    let mut stored = OsElmQNet::new(oselm_config.clone(), &mut store_rng);
+    let before = dropped.value();
+    for obs in &poisoned_refill() {
+        stored.observe(obs, &mut store_rng);
+    }
+    let dropped_store = dropped.value() - before;
+    let elm_config = ElmQNetConfig::for_workload(&spec, HIDDEN);
+    let mut elm_rng = SmallRng::seed_from_u64(9);
+    let mut stored_elm = ElmQNet::new(elm_config.clone(), &mut elm_rng);
+    let before = dropped.value();
+    for obs in &poisoned_refill() {
+        stored_elm.observe(obs, &mut elm_rng);
+    }
+    let dropped_elm = dropped.value() - before;
     elmrl_telemetry::set_enabled(false);
 
     assert_eq!(dropped_scalar, 3);
@@ -109,4 +147,26 @@ fn non_finite_transitions_are_dropped_and_counted_at_any_batch_width() {
         .beta()
         .iter()
         .all(|v| v.is_finite()));
+
+    assert_eq!(dropped_store, 1);
+    assert!(stored.is_initialized(), "the finite refill trains");
+    let mut store_rng = SmallRng::seed_from_u64(5);
+    let mut refilled = OsElmQNet::new(oselm_config, &mut store_rng);
+    for i in 0..HIDDEN {
+        refilled.observe(&transition(i), &mut store_rng);
+    }
+    assert_eq!(stored.online().p_matrix(), refilled.online().p_matrix());
+    assert_eq!(
+        stored.online().model().beta(),
+        refilled.online().model().beta()
+    );
+
+    assert_eq!(dropped_elm, 1);
+    assert!(stored_elm.is_trained(), "the finite batch trains");
+    let mut elm_rng = SmallRng::seed_from_u64(9);
+    let mut refilled_elm = ElmQNet::new(elm_config, &mut elm_rng);
+    for i in 0..HIDDEN {
+        refilled_elm.observe(&transition(i), &mut elm_rng);
+    }
+    assert_eq!(probe(&mut stored_elm), probe(&mut refilled_elm));
 }

@@ -361,15 +361,21 @@ impl Agent for FpgaAgent {
     }
 
     fn observe(&mut self, obs: &Observation, rng: &mut SmallRng) {
+        // A non-finite transition is dropped and counted: in the store
+        // phase it would spoil the whole initial-training batch, and
+        // quantising it would map NaN to 0 and ±∞ to the rails without a
+        // sign.
         if self.core.is_none() {
+            if !obs.is_finite() {
+                elmrl_telemetry::counter!(DROPPED_NONFINITE).inc();
+                return;
+            }
             self.buffer.push(obs.clone());
             if self.buffer.len() >= self.config.hidden_dim {
                 self.run_initial_training();
             }
             return;
         }
-        // A non-finite transition is dropped and counted: quantising it
-        // would map NaN to 0 and ±∞ to the rails without a sign.
         if rng.gen_range(0.0..1.0) < self.config.update_prob {
             if obs.is_finite() {
                 self.run_sequential_update(obs);

@@ -1,7 +1,9 @@
 //! A transition with a non-finite value reaching the FPGA agent in its
 //! update phase is dropped before it is quantised to Q20 (where NaN would
 //! become 0 and ±∞ the rails) and counted by
-//! `core.observe.dropped_nonfinite`.
+//! `core.observe.dropped_nonfinite`. In the store phase it is dropped alone
+//! and counted the same way: the Ñ finite transitions around it still load
+//! the Q20 core.
 //!
 //! One test: it raises the process-wide telemetry flag to read the global
 //! counter, so a second test in this binary could observe its window.
@@ -75,6 +77,19 @@ fn nan_reward_is_dropped_and_counted_at_any_batch_width() {
     poisoned_agent.observe_batch(&batch, &mut rng_a);
     let dropped_batch = dropped.value() - before;
     clean_agent.observe_batch(&[transition(31), transition(33)], &mut rng_b);
+
+    // Store phase: a NaN reward amid the refill of D is dropped alone.
+    let config = FpgaAgentConfig::for_workload(&Workload::CartPole.spec(), HIDDEN);
+    let mut store_rng = SmallRng::seed_from_u64(17);
+    let mut stored = FpgaAgent::new(config.clone(), &mut store_rng);
+    let before = dropped.value();
+    for i in 0..HIDDEN {
+        if i == 5 {
+            stored.observe(&nan_reward(40), &mut store_rng);
+        }
+        stored.observe(&transition(i), &mut store_rng);
+    }
+    let dropped_store = dropped.value() - before;
     elmrl_telemetry::set_enabled(false);
 
     assert_eq!(dropped_scalar, 1);
@@ -83,4 +98,13 @@ fn nan_reward_is_dropped_and_counted_at_any_batch_width() {
     assert_ne!(trained, q, "the clean rows train");
     assert_eq!(probe(&mut poisoned_agent), trained);
     assert_eq!(poisoned_agent.op_counts().count(OpKind::SeqTrain), 2);
+
+    assert_eq!(dropped_store, 1);
+    assert!(stored.core_loaded(), "the finite refill loads the core");
+    let mut store_rng = SmallRng::seed_from_u64(17);
+    let mut refilled = FpgaAgent::new(config, &mut store_rng);
+    for i in 0..HIDDEN {
+        refilled.observe(&transition(i), &mut store_rng);
+    }
+    assert_eq!(probe(&mut stored), probe(&mut refilled));
 }

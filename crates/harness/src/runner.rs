@@ -64,11 +64,7 @@ impl TrialSpec {
     /// reward shaping, reset rule and episode budget from the registry) and
     /// the default [`WorkloadOptions`].
     pub fn for_workload(workload: Workload, design: Design, hidden_dim: usize, seed: u64) -> Self {
-        let mut trainer = TrainerConfig::for_workload(&workload.spec());
-        // The paper resets only the ELM/OS-ELM designs (§4.3).
-        if design == Design::Dqn {
-            trainer.reset_after_episodes = None;
-        }
+        let trainer = TrainerConfig::for_design(&workload.spec(), design);
         Self {
             workload,
             options: WorkloadOptions::default(),

@@ -28,10 +28,9 @@
 //! `population_throughput` benchmark measures in isolation.
 
 use crate::seed::{replica_eval_seed, replica_train_seed};
-use elmrl_core::agent::Observation;
 use elmrl_core::batch::BatchAgent;
 use elmrl_core::designs::{Design, DesignConfig};
-use elmrl_core::trainer::{CheckpointCtl, Trainer, TrainerConfig};
+use elmrl_core::trainer::{CheckpointCtl, EpisodeBook, Trainer, TrainerConfig, TrainingResult};
 use elmrl_fpga::{FpgaAgent, FpgaAgentConfig};
 use elmrl_gym::{EnvSpec, SolveCriterion, VecEnv, Workload, WorkloadOptions};
 use elmrl_linalg::Matrix;
@@ -42,6 +41,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::ops::Range;
 use std::path::Path;
+use std::time::Duration;
 
 /// Schema version of the per-shard checkpoint manifests.
 pub const MANIFEST_VERSION: u32 = 1;
@@ -129,6 +129,34 @@ pub struct ReplicaOutcome {
     /// order — the per-replica learning curve behind the population
     /// convergence table.
     pub returns: Vec<f64>,
+}
+
+impl ReplicaOutcome {
+    /// The outcome of a trained replica, scored by its greedy evaluation.
+    fn new(
+        replica: usize,
+        config: &PopulationConfig,
+        spec: &EnvSpec,
+        agent: &mut dyn BatchAgent,
+        result: TrainingResult,
+    ) -> Self {
+        Self {
+            replica,
+            seed: replica_train_seed(config.seed, replica),
+            solved: result.solved,
+            solved_at_episode: result.solved_at_episode,
+            episodes_run: result.episodes_run,
+            total_steps: result.total_steps,
+            resets: result.resets,
+            greedy_eval_return: greedy_eval(
+                agent,
+                spec,
+                replica_eval_seed(config.seed, replica),
+                config.eval_episodes,
+            ),
+            returns: result.stats.returns,
+        }
+    }
 }
 
 /// Aggregate statistics over the whole population. Everything in this report
@@ -566,18 +594,6 @@ fn build_replica_agent(
     }
 }
 
-/// Per-replica bookkeeping while the shard steps in lockstep.
-struct ReplicaState {
-    episode_return: f64,
-    returns: Vec<f64>,
-    episodes_since_reset: usize,
-    episodes_run: usize,
-    total_steps: usize,
-    resets: usize,
-    solved_at: Option<usize>,
-    active: bool,
-}
-
 /// [`run_shard`] wrapped in shard-level telemetry: a `population.shard`
 /// latency span plus per-shard throughput counters (completed episodes and
 /// environment steps across the shard's replicas). The wrapper is what the
@@ -622,12 +638,10 @@ fn run_shard(
     if b == 0 {
         return Some(Vec::new());
     }
-    // The paper resets only the ELM/OS-ELM designs (§4.3), as in `run_trial`.
-    let reset_after = if config.design == Design::Dqn {
-        None
-    } else {
-        spec.defaults.reset_after_episodes
-    };
+    let trainer = Trainer::new(TrainerConfig {
+        max_episodes: config.max_episodes,
+        ..TrainerConfig::for_design(spec, config.design)
+    });
 
     // E > 1: every replica trains its own E-slot VecEnv through the core
     // E-parallel episode driver (batch-B updates per tick). Replicas remain
@@ -635,19 +649,10 @@ fn run_shard(
     // replica's global index alone — so the report stays byte-identical for
     // any shard and thread count, exactly as in the scalar path below.
     if config.train_envs > 1 {
-        let trainer = Trainer::new(TrainerConfig {
-            max_episodes: config.max_episodes,
-            reset_after_episodes: reset_after,
-            stop_when_solved: true,
-            solve_criterion: spec.solve_criterion,
-            solved_window: 100,
-            reward_shaping: spec.reward_shaping,
-        });
-        let mut shard_episodes = 0usize;
-        let mut outcomes = Vec::with_capacity(b);
+        let mut outcomes: Vec<ReplicaOutcome> = Vec::with_capacity(b);
         for &replica in replicas {
-            let train_seed = replica_train_seed(config.seed, replica);
-            let mut rng = SmallRng::seed_from_u64(train_seed);
+            let done: usize = outcomes.iter().map(|o| o.episodes_run).sum();
+            let mut rng = SmallRng::seed_from_u64(replica_train_seed(config.seed, replica));
             let mut agent = build_replica_agent(
                 config.design,
                 spec,
@@ -658,42 +663,28 @@ fn run_shard(
             let mut vec_env = VecEnv::from_spec(spec, config.train_envs);
             let mut ctl = CheckpointCtl::default();
             if let Some(limit) = abort_after_episodes {
-                ctl.stop_after = Some(limit - shard_episodes);
+                ctl.stop_after = Some(limit - done);
             }
             let result = trainer
                 .run_vec_checkpointed(agent.as_mut(), &mut vec_env, &mut rng, &mut ctl)
                 .expect("no resume/sink: the vectorized driver cannot fail");
-            shard_episodes += result.episodes_run;
-            if abort_after_episodes.is_some_and(|limit| shard_episodes >= limit) {
+            if abort_after_episodes.is_some_and(|limit| done + result.episodes_run >= limit) {
                 return None;
             }
-            outcomes.push(ReplicaOutcome {
+            outcomes.push(ReplicaOutcome::new(
                 replica,
-                seed: train_seed,
-                solved: result.solved,
-                solved_at_episode: result.solved_at_episode,
-                episodes_run: result.episodes_run,
-                total_steps: result.total_steps,
-                resets: result.resets,
-                greedy_eval_return: greedy_eval(
-                    agent.as_mut(),
-                    spec,
-                    replica_eval_seed(config.seed, replica),
-                    config.eval_episodes,
-                ),
-                returns: result.stats.returns,
-            });
+                config,
+                spec,
+                agent.as_mut(),
+                result,
+            ));
         }
         return Some(outcomes);
     }
 
-    let train_seeds: Vec<u64> = replicas
+    let mut rngs: Vec<SmallRng> = replicas
         .iter()
-        .map(|&i| replica_train_seed(config.seed, i))
-        .collect();
-    let mut rngs: Vec<SmallRng> = train_seeds
-        .iter()
-        .map(|&s| SmallRng::seed_from_u64(s))
+        .map(|&i| SmallRng::seed_from_u64(replica_train_seed(config.seed, i)))
         .collect();
     let mut agents: Vec<Box<dyn BatchAgent + Send>> = rngs
         .iter_mut()
@@ -717,94 +708,54 @@ fn run_shard(
     // share one matmul — each has its own weights — so the batching win is
     // per replica, across its action set.
     let mut state_row = Matrix::zeros(1, vec_env.obs_dim());
-    let mut states: Vec<ReplicaState> = (0..b)
-        .map(|_| ReplicaState {
-            episode_return: 0.0,
-            returns: Vec::new(),
-            episodes_since_reset: 0,
-            episodes_run: 0,
-            total_steps: 0,
-            resets: 0,
-            solved_at: None,
-            active: config.max_episodes > 0,
-        })
+    let mut books: Vec<EpisodeBook> = (0..b)
+        .map(|_| trainer.book(vec_env.solved_threshold()))
         .collect();
+    let mut episode_returns = vec![0.0f64; b];
+    let mut active = vec![config.max_episodes > 0; b];
+    let mut actions: Vec<Option<usize>> = vec![None; b];
+    let mut pre_states: Vec<Vec<f64>> = vec![Vec::new(); b];
 
-    let mut shard_episodes = 0usize;
-    while states.iter().any(|s| s.active) {
+    while active.iter().any(|&a| a) {
         // Determine: each replica acts on its own slot from its own stream,
         // Q evaluated through the batched kernel (`act_row` selects exactly
         // the action the scalar `act` would — same Q bit for bit, same RNG
         // draws — so sharded, threaded and scalar execution stay identical).
-        let mut pre_step: Vec<Option<(Vec<f64>, usize)>> = Vec::with_capacity(b);
         for j in 0..b {
-            pre_step.push(states[j].active.then(|| {
-                let state = vec_env.state(j).to_vec();
-                state_row.set_row(0, &state);
-                let action = agents[j].act_row(&state_row, &mut rngs[j]);
-                (state, action)
-            }));
+            actions[j] = active[j].then(|| {
+                pre_states[j].clear();
+                pre_states[j].extend_from_slice(vec_env.state(j));
+                state_row.set_row(0, &pre_states[j]);
+                agents[j].act_row(&state_row, &mut rngs[j])
+            });
         }
-        let actions: Vec<Option<usize>> = pre_step
-            .iter()
-            .map(|p| p.as_ref().map(|&(_, a)| a))
-            .collect();
 
         // Observe: one lockstep environment tick with auto-reset.
         let outs = vec_env.step(&actions, &mut rngs);
 
         // Store/Update + episode bookkeeping per replica.
         for j in 0..b {
-            let (Some((state, action)), Some(step)) = (&pre_step[j], &outs[j]) else {
+            let (Some(action), Some(step)) = (actions[j], &outs[j]) else {
                 continue;
             };
-            let st = &mut states[j];
-            st.total_steps += 1;
-            st.episode_return += step.outcome.reward;
-            let shaped = spec.reward_shaping.shape(
-                step.outcome.reward,
-                step.outcome.done,
-                step.outcome.truncated,
-            );
-            agents[j].observe(
-                &Observation {
-                    state: state.clone(),
-                    action: *action,
-                    reward: shaped,
-                    next_state: step.outcome.observation.clone(),
-                    done: step.outcome.done,
-                    truncated: step.outcome.truncated,
-                },
-                &mut rngs[j],
-            );
+            books[j].total_steps += 1;
+            episode_returns[j] += step.outcome.reward;
+            let obs = trainer.transition(&pre_states[j], action, &step.outcome);
+            agents[j].observe(&obs, &mut rngs[j]);
             if !step.auto_reset {
                 continue;
             }
             // Episode finished (the slot already holds the next episode's
-            // initial observation): same protocol as the scalar trainer.
-            let episode = st.episodes_run;
-            agents[j].end_episode(episode);
-            st.episodes_run += 1;
-            st.episodes_since_reset += 1;
-            shard_episodes += 1;
-            st.returns.push(st.episode_return);
-            let episode_return = st.episode_return;
-            st.episode_return = 0.0;
-            if st.solved_at.is_none() && spec.solve_criterion.met(&st.returns, episode_return) {
-                st.solved_at = Some(episode);
-                st.active = false;
-            } else if st.episodes_run >= config.max_episodes {
-                st.active = false;
-            } else if st.solved_at.is_none() {
-                if let Some(after) = reset_after {
-                    if st.episodes_since_reset >= after {
-                        agents[j].reset(&mut rngs[j]);
-                        st.resets += 1;
-                        st.episodes_since_reset = 0;
-                    }
-                }
+            // initial observation): the trainer's protocol, stopping before
+            // the reset rule as `Trainer::run_vec` does.
+            let episode_return = std::mem::take(&mut episode_returns[j]);
+            if trainer.close_episode(&mut books[j], agents[j].as_mut(), episode_return) {
+                active[j] = false;
+            } else {
+                trainer.reset_if_due(&mut books[j], agents[j].as_mut(), &mut rngs[j]);
             }
         }
+        let shard_episodes: usize = books.iter().map(|book| book.episodes_run).sum();
         if abort_after_episodes.is_some_and(|limit| shard_episodes >= limit) {
             // The injected fault fires: the shard dies at the end of this
             // tick and none of its (even finished) replicas report back.
@@ -815,25 +766,11 @@ fn run_shard(
     // Evaluate: batched greedy rollout of each replica's final policy.
     let outcomes = replicas
         .iter()
-        .copied()
-        .zip(states)
+        .zip(books)
         .zip(agents.iter_mut())
-        .zip(train_seeds)
-        .map(|(((replica, st), agent), seed)| ReplicaOutcome {
-            replica,
-            seed,
-            solved: st.solved_at.is_some(),
-            solved_at_episode: st.solved_at,
-            episodes_run: st.episodes_run,
-            total_steps: st.total_steps,
-            resets: st.resets,
-            greedy_eval_return: greedy_eval(
-                agent.as_mut(),
-                spec,
-                replica_eval_seed(config.seed, replica),
-                config.eval_episodes,
-            ),
-            returns: st.returns,
+        .map(|((&replica, book), agent)| {
+            let result = book.into_result(agent.as_ref(), Duration::ZERO);
+            ReplicaOutcome::new(replica, config, spec, agent.as_mut(), result)
         })
         .collect();
     Some(outcomes)

@@ -124,9 +124,7 @@ pub fn build_workers(
         max_episodes: warmup_episodes,
         reset_after_episodes: None,
         stop_when_solved: false,
-        solve_criterion: spec.solve_criterion,
-        solved_window: 100,
-        reward_shaping: spec.reward_shaping,
+        ..TrainerConfig::for_workload(spec)
     });
     (0..workers)
         .map(|_| {
