@@ -351,8 +351,6 @@ impl Trainer {
     }
 
     fn criterion_met(&self, stats: &EpisodeStats, last_return: f64) -> bool {
-        // Delegates to the registry's shared rule so the trainer and the
-        // population engine stop on exactly the same condition.
         self.config.solve_criterion.met(&stats.returns, last_return)
     }
 
@@ -549,8 +547,9 @@ impl Trainer {
     /// slot stream and updates through chunk-size-1 `observe_batch`, so the
     /// trajectory differs from the scalar loop's; callers that need the
     /// paper's byte-exact B = 1 protocol (the default everywhere) use
-    /// [`Trainer::run`], which `run_trial`/the population engine dispatch
-    /// to whenever `train_envs == 1`.
+    /// [`Trainer::run`], which `run_trial` dispatches to whenever
+    /// `train_envs == 1`; the population engine runs its own lockstep
+    /// E = 1 loop on the same [`EpisodeBook`].
     pub fn run_vec(
         &self,
         agent: &mut dyn BatchAgent,
