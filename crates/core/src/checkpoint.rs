@@ -21,6 +21,8 @@ use crate::agent::Agent;
 use elmrl_gym::EpisodeStats;
 use rand::rngs::SmallRng;
 use serde::{Deserialize, Serialize, Value};
+use std::fs::File;
+use std::io::Write;
 use std::path::Path;
 
 /// Version tag written into every snapshot/checkpoint. Bump when the schema
@@ -147,13 +149,13 @@ impl RunCheckpoint {
         Ok(ckpt)
     }
 
-    /// Write the checkpoint to a file as JSON.
+    /// Write the checkpoint to a file as JSON, atomically ([`write_atomic`]).
     pub fn save(&self, path: &Path) -> Result<(), String> {
         let _span = elmrl_telemetry::hist!("checkpoint.save").span();
         let json = self
             .to_json()
             .map_err(|e| format!("serialising checkpoint: {e}"))?;
-        std::fs::write(path, json).map_err(|e| format!("writing {}: {e}", path.display()))
+        write_atomic(path, json.as_bytes()).map_err(|e| format!("writing {}: {e}", path.display()))
     }
 
     /// Read a checkpoint back from a JSON file.
@@ -163,6 +165,39 @@ impl RunCheckpoint {
             .map_err(|e| format!("reading {}: {e}", path.display()))?;
         Self::from_json(&json)
     }
+}
+
+/// Replace the file at `path` with `bytes` so that a crash leaves either the
+/// old file or the new one whole, never a truncated mix: the bytes go to
+/// `.<name>.tmp` in the same directory, which is synced and then renamed over
+/// `path`; on unix the directory is synced too, so the rename itself survives
+/// a power cut (Pillai et al., "All File Systems Are Not Created Equal",
+/// OSDI 2014). A temp file left by an earlier crash is overwritten.
+pub fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    let name = path.file_name().ok_or_else(|| {
+        std::io::Error::new(std::io::ErrorKind::InvalidInput, "path has no file name")
+    })?;
+    let mut tmp_name = std::ffi::OsString::from(".");
+    tmp_name.push(name);
+    tmp_name.push(".tmp");
+    let tmp = path.with_file_name(tmp_name);
+    let written = File::create(&tmp).and_then(|mut file| {
+        file.write_all(bytes)?;
+        file.sync_all()
+    });
+    if let Err(e) = written.and_then(|()| std::fs::rename(&tmp, path)) {
+        let _ = std::fs::remove_file(&tmp);
+        return Err(e);
+    }
+    #[cfg(unix)]
+    {
+        let dir = match path.parent() {
+            Some(dir) if !dir.as_os_str().is_empty() => dir,
+            _ => Path::new("."),
+        };
+        File::open(dir)?.sync_all()?;
+    }
+    Ok(())
 }
 
 /// Export an RNG's exact stream position as checkpoint words.
@@ -309,12 +344,8 @@ mod tests {
         assert!(RunCheckpoint::from_json(&json).is_err());
     }
 
-    #[test]
-    fn save_load_round_trip() {
-        let dir = std::env::temp_dir().join("elmrl_ckpt_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("ckpt.json");
-        let ckpt = RunCheckpoint {
+    fn toy_checkpoint() -> RunCheckpoint {
+        RunCheckpoint {
             version: SNAPSHOT_SCHEMA_VERSION,
             episodes_run: 5,
             total_steps: 99,
@@ -332,10 +363,53 @@ mod tests {
             rng: vec![9, 8, 7, 6],
             env_state: Some(vec![1.0]),
             slots: None,
-        };
+        }
+    }
+
+    /// A fresh directory per test, so tests running in parallel never share
+    /// files.
+    fn test_dir(name: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("elmrl-{name}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    #[test]
+    fn save_load_round_trip() {
+        let dir = test_dir("ckpt-round-trip");
+        let path = dir.join("ckpt.json");
+        let ckpt = toy_checkpoint();
+        let json = ckpt.to_json().unwrap();
+        // A longer file at the target: a save that wrote in place without
+        // truncating would leave this tail behind the new JSON.
+        std::fs::write(&path, "x".repeat(json.len() * 2)).unwrap();
         ckpt.save(&path).unwrap();
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), json);
         let back = RunCheckpoint::load(&path).unwrap();
-        assert_eq!(back.to_json().unwrap(), ckpt.to_json().unwrap());
-        std::fs::remove_file(&path).ok();
+        assert_eq!(back.to_json().unwrap(), json);
+        assert!(
+            !dir.join(".ckpt.json.tmp").exists(),
+            "temp file left behind"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_stale_truncated_temp_file_does_not_change_what_load_returns() {
+        // What a crash in the middle of a save leaves: a valid checkpoint
+        // from the save before, and half of the next one in the temp file.
+        let dir = test_dir("ckpt-stale-temp");
+        let path = dir.join("ckpt.json");
+        let ckpt = toy_checkpoint();
+        ckpt.save(&path).unwrap();
+        let json = ckpt.to_json().unwrap();
+        let tmp = dir.join(".ckpt.json.tmp");
+        std::fs::write(&tmp, &json[..json.len() / 2]).unwrap();
+        assert_eq!(RunCheckpoint::load(&path).unwrap().to_json().unwrap(), json);
+        // The next save goes through the stale temp file and consumes it.
+        ckpt.save(&path).unwrap();
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), json);
+        assert!(!tmp.exists());
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

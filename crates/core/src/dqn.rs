@@ -72,15 +72,6 @@ impl DqnConfig {
             warmup: 64,
         }
     }
-
-    /// The paper's CartPole settings for a given hidden size.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use DqnConfig::for_workload(&Workload::CartPole.spec(), hidden_dim)"
-    )]
-    pub fn cartpole(hidden_dim: usize) -> Self {
-        Self::for_workload(&elmrl_gym::Workload::CartPole.spec(), hidden_dim)
-    }
 }
 
 /// The complete mutable state of a [`DqnAgent`], as carried inside an
@@ -370,13 +361,16 @@ impl BatchAgent for DqnAgent {
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // the cartpole() shims must keep working for seed tests
 mod tests {
     use super::*;
     use rand::SeedableRng;
 
     fn rng(seed: u64) -> SmallRng {
         SmallRng::seed_from_u64(seed)
+    }
+
+    fn cartpole(hidden_dim: usize) -> DqnConfig {
+        DqnConfig::for_workload(&elmrl_gym::Workload::CartPole.spec(), hidden_dim)
     }
 
     fn obs(i: usize, reward: f64, done: bool) -> Observation {
@@ -392,7 +386,7 @@ mod tests {
 
     #[test]
     fn paper_parameters() {
-        let c = DqnConfig::cartpole(64);
+        let c = cartpole(64);
         assert_eq!(c.learning_rate, 0.01);
         assert_eq!(c.batch_size, 32);
         assert_eq!(c.exploit_prob, 0.7);
@@ -406,7 +400,7 @@ mod tests {
     #[test]
     fn training_starts_only_after_warmup() {
         let mut r = rng(1);
-        let mut agent = DqnAgent::new(DqnConfig::cartpole(16), &mut r);
+        let mut agent = DqnAgent::new(cartpole(16), &mut r);
         for i in 0..63 {
             agent.observe(&obs(i, 0.0, false), &mut r);
         }
@@ -420,7 +414,7 @@ mod tests {
     #[test]
     fn act_counts_single_predictions() {
         let mut r = rng(2);
-        let mut agent = DqnAgent::new(DqnConfig::cartpole(16), &mut r);
+        let mut agent = DqnAgent::new(cartpole(16), &mut r);
         for _ in 0..5 {
             let _ = agent.act(&[0.0; 4], &mut r);
         }
@@ -430,7 +424,7 @@ mod tests {
     #[test]
     fn q_of_failing_action_decreases_with_training() {
         let mut r = rng(3);
-        let mut agent = DqnAgent::new(DqnConfig::cartpole(32), &mut r);
+        let mut agent = DqnAgent::new(cartpole(32), &mut r);
         let probe = [0.05, -0.02, 0.1, 0.04];
         // Fill replay with transitions where action 1 from states with
         // positive pole angle leads to failure (−1) and action 0 is neutral.
@@ -457,7 +451,7 @@ mod tests {
     #[test]
     fn target_network_sync_schedule() {
         let mut r = rng(4);
-        let mut agent = DqnAgent::new(DqnConfig::cartpole(16), &mut r);
+        let mut agent = DqnAgent::new(cartpole(16), &mut r);
         for i in 0..80 {
             agent.observe(&obs(i, 0.0, false), &mut r);
         }
@@ -478,7 +472,7 @@ mod tests {
     #[test]
     fn reset_clears_replay_and_reinitialises() {
         let mut r = rng(5);
-        let mut agent = DqnAgent::new(DqnConfig::cartpole(16), &mut r);
+        let mut agent = DqnAgent::new(cartpole(16), &mut r);
         for i in 0..100 {
             agent.observe(&obs(i, 0.0, false), &mut r);
         }
@@ -490,7 +484,7 @@ mod tests {
     #[test]
     fn memory_footprint_includes_replay_buffer() {
         let mut r = rng(6);
-        let mut agent = DqnAgent::new(DqnConfig::cartpole(64), &mut r);
+        let mut agent = DqnAgent::new(cartpole(64), &mut r);
         let empty = agent.memory_footprint_bytes();
         for i in 0..500 {
             agent.observe(&obs(i, 0.0, false), &mut r);

@@ -65,15 +65,6 @@ impl ElmQNetConfig {
         }
     }
 
-    /// The paper's CartPole settings with the given hidden size.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use ElmQNetConfig::for_workload(&Workload::CartPole.spec(), hidden_dim)"
-    )]
-    pub fn cartpole(hidden_dim: usize) -> Self {
-        Self::for_workload(&elmrl_gym::Workload::CartPole.spec(), hidden_dim)
-    }
-
     fn elm_config(&self) -> OsElmConfig {
         OsElmConfig::new(self.state_dim + 1, self.hidden_dim, 1)
             .with_activation(self.activation)
@@ -309,13 +300,16 @@ impl BatchAgent for ElmQNet {
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // the cartpole() shims must keep working for seed tests
 mod tests {
     use super::*;
     use rand::SeedableRng;
 
     fn rng(seed: u64) -> SmallRng {
         SmallRng::seed_from_u64(seed)
+    }
+
+    fn cartpole(hidden_dim: usize) -> ElmQNetConfig {
+        ElmQNetConfig::for_workload(&elmrl_gym::Workload::CartPole.spec(), hidden_dim)
     }
 
     fn obs(i: usize, reward: f64, done: bool) -> Observation {
@@ -332,7 +326,7 @@ mod tests {
     #[test]
     fn batch_training_fires_exactly_when_buffer_fills() {
         let mut r = rng(1);
-        let mut agent = ElmQNet::new(ElmQNetConfig::cartpole(8), &mut r);
+        let mut agent = ElmQNet::new(cartpole(8), &mut r);
         assert_eq!(agent.name(), "ELM");
         assert!(!agent.is_trained());
         for i in 0..7 {
@@ -354,7 +348,7 @@ mod tests {
         // The structural weakness the paper points out: 100 transitions with
         // Ñ = 64 yield exactly one training call.
         let mut r = rng(2);
-        let mut agent = ElmQNet::new(ElmQNetConfig::cartpole(64), &mut r);
+        let mut agent = ElmQNet::new(cartpole(64), &mut r);
         for i in 0..100 {
             agent.observe(&obs(i, 0.0, false), &mut r);
         }
@@ -364,7 +358,7 @@ mod tests {
     #[test]
     fn learns_negative_q_for_failing_transitions() {
         let mut r = rng(3);
-        let mut agent = ElmQNet::new(ElmQNetConfig::cartpole(16), &mut r);
+        let mut agent = ElmQNet::new(cartpole(16), &mut r);
         for i in 0..16 {
             agent.observe(&obs(i, -1.0, true), &mut r);
         }
@@ -379,7 +373,7 @@ mod tests {
     #[test]
     fn act_counts_predictions_by_phase() {
         let mut r = rng(4);
-        let mut agent = ElmQNet::new(ElmQNetConfig::cartpole(8), &mut r);
+        let mut agent = ElmQNet::new(cartpole(8), &mut r);
         let _ = agent.act(&[0.0; 4], &mut r);
         assert_eq!(agent.op_counts().count(OpKind::PredictInit), 2);
         for i in 0..8 {
@@ -392,7 +386,7 @@ mod tests {
     #[test]
     fn reset_forgets_training() {
         let mut r = rng(5);
-        let mut agent = ElmQNet::new(ElmQNetConfig::cartpole(8), &mut r);
+        let mut agent = ElmQNet::new(cartpole(8), &mut r);
         for i in 0..8 {
             agent.observe(&obs(i, -1.0, true), &mut r);
         }
@@ -405,7 +399,7 @@ mod tests {
     #[test]
     fn non_finite_refill_leaves_beta_and_training_state() {
         let mut r = rng(7);
-        let mut agent = ElmQNet::new(ElmQNetConfig::cartpole(8), &mut r);
+        let mut agent = ElmQNet::new(cartpole(8), &mut r);
         let nan_state = |i: usize| {
             let mut o = obs(i, 0.0, false);
             o.state[1] = f64::NAN;
@@ -440,7 +434,7 @@ mod tests {
     #[test]
     fn target_sync_and_memory_reporting() {
         let mut r = rng(6);
-        let mut agent = ElmQNet::new(ElmQNetConfig::cartpole(8), &mut r);
+        let mut agent = ElmQNet::new(cartpole(8), &mut r);
         for i in 0..8 {
             agent.observe(&obs(i, -1.0, true), &mut r);
         }
@@ -452,7 +446,12 @@ mod tests {
         assert!(agent.memory_footprint_bytes() > 0);
         // ELM has no P matrix, so it needs less memory than OS-ELM at equal Ñ.
         let oselm = crate::oselm_qnet::OsElmQNet::new(
-            crate::oselm_qnet::OsElmQNetConfig::cartpole(8, 0.5, true),
+            crate::oselm_qnet::OsElmQNetConfig::for_workload(
+                &elmrl_gym::Workload::CartPole.spec(),
+                8,
+                0.5,
+                true,
+            ),
             &mut r,
         );
         assert!(agent.memory_footprint_bytes() < oselm.memory_footprint_bytes());

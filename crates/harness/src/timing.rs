@@ -66,11 +66,6 @@ impl CostModel {
         }
     }
 
-    /// Cost model for the paper's CartPole experiments at a hidden size.
-    pub fn cartpole(hidden_dim: usize) -> Self {
-        Self::for_workload(&elmrl_gym::Workload::CartPole.spec(), hidden_dim)
-    }
-
     /// Floating-point operations for one occurrence of `kind` on the CPU.
     pub fn flops(&self, kind: OpKind) -> f64 {
         let n = self.input_dim as f64;
@@ -154,17 +149,21 @@ mod tests {
     use super::*;
     use std::time::Duration;
 
+    fn cartpole(hidden_dim: usize) -> CostModel {
+        CostModel::for_workload(&elmrl_gym::Workload::CartPole.spec(), hidden_dim)
+    }
+
     #[test]
     fn seq_train_dominates_predict_in_flops() {
-        let m = CostModel::cartpole(64);
+        let m = cartpole(64);
         assert!(m.flops(OpKind::SeqTrain) > 5.0 * m.flops(OpKind::PredictSeq));
         assert!(m.flops(OpKind::InitTrain) > m.flops(OpKind::SeqTrain));
     }
 
     #[test]
     fn costs_grow_with_hidden_size() {
-        let small = CostModel::cartpole(32);
-        let large = CostModel::cartpole(192);
+        let small = cartpole(32);
+        let large = cartpole(192);
         for kind in OpKind::all() {
             assert!(large.flops(kind) >= small.flops(kind), "{kind:?}");
         }
@@ -174,7 +173,7 @@ mod tests {
 
     #[test]
     fn pl_is_faster_than_cpu_for_the_offloaded_ops() {
-        let m = CostModel::cartpole(64);
+        let m = cartpole(64);
         assert!(m.pl_seconds(OpKind::SeqTrain) < m.cpu_seconds(OpKind::SeqTrain));
         assert!(m.pl_seconds(OpKind::PredictSeq) < m.cpu_seconds(OpKind::PredictSeq));
         // non-offloaded classes fall back to the CPU cost
@@ -188,13 +187,13 @@ mod tests {
     fn dqn_step_is_more_expensive_than_oselm_step() {
         // The core of the paper's speed argument at equal hidden size... holds
         // for the per-call overhead-dominated regime (small Ñ).
-        let m = CostModel::cartpole(64);
+        let m = cartpole(64);
         assert!(m.cpu_seconds(OpKind::TrainDqn) > m.cpu_seconds(OpKind::SeqTrain));
     }
 
     #[test]
     fn model_software_and_fpga_aggregate_counts() {
-        let m = CostModel::cartpole(32);
+        let m = cartpole(32);
         let mut ops = OpCounts::new();
         ops.record_n(OpKind::SeqTrain, 100, Duration::from_millis(1));
         ops.record_n(OpKind::PredictSeq, 200, Duration::from_millis(1));

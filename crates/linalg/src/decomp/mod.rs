@@ -7,18 +7,18 @@
 //! * **Cholesky** — the symmetric positive-definite solve in ELM / ReOS-ELM
 //!   initial training, `P₀ = (H₀ᵀH₀ + δI)⁻¹`.
 //! * **QR** (Householder) — the ELM pseudo-inverse (§2.1 names QRD next to
-//!   SVD): its Householder step, run with column pivoting, is the
-//!   rank-revealing least-squares solve behind `β̂ = H⁺·t`.
+//!   SVD): only its Householder step is kept, and [`crate::solve::lstsq`]
+//!   runs it with column pivoting as the rank-revealing least-squares solve
+//!   behind `β̂ = H⁺·t`.
 //! * **SVD** (one-sided Jacobi) — the largest singular value `σ_max(α)` used
 //!   by spectral normalization (Algorithm 1, line 2).
 
 pub mod cholesky;
 pub mod lu;
-pub mod qr;
+pub(crate) mod qr;
 pub mod svd;
 mod triangular;
 
 pub use cholesky::{cholesky_into, solve_spd_into, Cholesky};
 pub use lu::Lu;
-pub use qr::Qr;
 pub use svd::Svd;

@@ -16,7 +16,8 @@
 //! * [`Scalar`] — the numeric trait every kernel is generic over.
 //! * [`Matrix`] — a row-major dense matrix.
 //! * [`Vector`] — a dense vector (thin wrapper over a single-column matrix's data).
-//! * [`decomp`] — LU, Cholesky, QR (Householder) and one-sided Jacobi SVD.
+//! * [`decomp`] — LU, Cholesky, one-sided Jacobi SVD and the Householder
+//!   step that [`solve::lstsq`] runs as a pivoted QR.
 //! * [`solve`] — linear solves, inverses, minimum-norm least squares and the
 //!   Moore–Penrose pseudo-inverse (complete orthogonal decomposition).
 //! * [`norms`] — Frobenius/L2/∞ norms and power-iteration spectral norm.

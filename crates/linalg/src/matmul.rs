@@ -1,22 +1,20 @@
 //! Matrix–matrix multiplication kernels.
 //!
-//! Several kernels are provided, all producing **bit-for-bit identical**
-//! results (every kernel accumulates each output element over the inner
-//! dimension in ascending order, so the float addition sequence per element
-//! is the same — the property the proptest suite pins down):
+//! Every kernel produces **bit-for-bit identical** results: each output
+//! element is accumulated over the inner dimension in ascending order, so the
+//! float addition sequence per element is the same (the property the
+//! proptest suite pins down). There is one product per job, owned or `_into`,
+//! plain or transposed, plus the engines the dispatchers pick between:
 //!
 //! * [`Matrix::matmul`] — the straightforward triple loop with the `i-k-j`
 //!   ordering so the innermost loop walks both operands contiguously.
-//! * [`Matrix::matmul_blocked`] — the same kernel tiled to keep working sets
-//!   inside L1/L2; used by the OS-ELM software path when `Ñ ≥ 128`.
-//! * [`Matrix::matmul_packed`] — the register-blocked micro-kernel:
+//! * [`Matrix::matmul_packed_into`] — the register-blocked engine:
 //!   [`PACK_MR`] rows of the left operand are packed transposed into a
 //!   contiguous panel, then each rhs row is streamed **once per panel**
-//!   instead of once per output row. Fastest at `n ≥ 64`.
-//! * [`Matrix::matmul_parallel`] — parallel over output rows on the
-//!   `rayon`-shim work-sharing pool; worthwhile for one-off large products
-//!   (the batch ELM initial training), small products short-circuit to the
-//!   sequential kernel.
+//!   instead of once per output row.
+//! * [`Matrix::matmul_auto_into`] — picks between the two by size, and runs
+//!   row chunks of the packed engine on the `rayon`-shim work-sharing pool
+//!   once a product clears [`parallel_flop_threshold`].
 //!
 //! The `*_into` **workspace variants** ([`Matrix::matmul_into`],
 //! [`Matrix::matmul_t_into`], [`Matrix::t_matmul_into`],
@@ -61,15 +59,12 @@ use crate::scalar::Scalar;
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Tile edge (in elements) for the blocked kernel. 64×64 f64 tiles are 32 KiB,
-/// matching a typical L1 data cache.
-pub const DEFAULT_BLOCK: usize = 64;
-
-/// Row-panel height of the packed micro-kernel: how many output rows share
-/// one streamed pass over the rhs. 8 spreads each rhs read over eight
-/// accumulator rows (eight independent FMA chains) while a panel's packed
-/// k-slice (`PACK_MR × PACK_KC` elements) still fits in L1; measured in the
-/// `kernels` / `scaling_kernels` benches against 4 and 16 at n ∈ {64 … 1024}.
+/// Row-panel height of the packed engine: how many output rows share one
+/// streamed pass over the rhs. 8 spreads each rhs read over eight
+/// accumulator rows (eight independent add chains) while a panel's packed
+/// k-slice (`PACK_MR × PACK_KC` elements) still fits in L1. 8 was picked
+/// over 4 and 16 at n ∈ {64 … 1024} by the GEMM sweep whose 8-row curve is
+/// frozen in `BENCH_PR9.json`.
 pub const PACK_MR: usize = 8;
 
 /// Depth (inner-dimension extent) of one packed k-block. 256 keeps the
@@ -93,11 +88,13 @@ pub const DEFAULT_PARALLEL_FLOP_THRESHOLD: usize = 64 * 64 * 64;
 static PAR_THRESHOLD: AtomicUsize = AtomicUsize::new(0);
 
 /// The minimum product size (in multiply–adds) routed to the work-sharing
-/// pool by [`Matrix::matmul_parallel`] and [`Matrix::matmul_auto_into`].
+/// pool by [`Matrix::matmul_auto_into`], [`Matrix::t_matmul_into`], the
+/// triangular solves of `P₀` and the OS-ELM B-chunk update.
 ///
 /// Resolution order: the last [`set_parallel_flop_threshold`] call, else the
 /// `ELMRL_PAR_THRESHOLD` environment variable, else
-/// [`DEFAULT_PARALLEL_FLOP_THRESHOLD`]. Exposed for bench sweeps.
+/// [`DEFAULT_PARALLEL_FLOP_THRESHOLD`]. Tests lower it to force tiny
+/// products through the pooled branches.
 pub fn parallel_flop_threshold() -> usize {
     match PAR_THRESHOLD.load(Ordering::Relaxed) {
         0 => {
@@ -380,23 +377,14 @@ impl<T: Scalar> Matrix<T> {
         }
     }
 
-    /// Register-blocked micro-kernel: packs [`PACK_MR`]-row panels of `self`
-    /// **transposed** into a contiguous scratch buffer, then updates the
+    /// Register-blocked engine: packs [`PACK_MR`]-row panels of `self`
+    /// **transposed** into the caller's `pack` buffer, then updates the
     /// whole panel while each rhs row is hot in L1, with the inner dimension
     /// tiled by [`PACK_KC`] and the output columns by [`PACK_NC`]. Each rhs
-    /// row is read once per panel instead of once per output row, which is
-    /// what makes this the fastest kernel from `n ≈ 16` up through
-    /// `n = 1024`. Bit-for-bit identical to [`Matrix::matmul`] (per-element
-    /// accumulation stays in ascending inner order).
-    pub fn matmul_packed(&self, rhs: &Matrix<T>) -> Matrix<T> {
-        let mut pack = Vec::new();
-        let mut out = Matrix::zeros(self.rows(), rhs.cols());
-        self.matmul_packed_into(rhs, &mut pack, &mut out);
-        out
-    }
-
-    /// [`Matrix::matmul_packed`] with caller-owned pack buffer and output —
-    /// the fully allocation-free form once both have reached steady size.
+    /// row is read once per panel instead of once per output row.
+    /// Bit-for-bit identical to [`Matrix::matmul`] (per-element accumulation
+    /// stays in ascending inner order), and allocation-free once `pack` and
+    /// `out` have reached steady size.
     pub fn matmul_packed_into(&self, rhs: &Matrix<T>, pack: &mut Vec<T>, out: &mut Matrix<T>) {
         assert_eq!(
             self.cols(),
@@ -485,72 +473,6 @@ impl<T: Scalar> Matrix<T> {
             let mut local_pack = Vec::new();
             packed_gemm_rows(self, i0, i0 + rows, k, rhs, &mut local_pack, chunk);
         });
-    }
-
-    /// Cache-blocked matrix product with tile edge `block`.
-    pub fn matmul_blocked(&self, rhs: &Matrix<T>, block: usize) -> Matrix<T> {
-        assert_eq!(
-            self.cols(),
-            rhs.rows(),
-            "matmul_blocked: inner dimensions differ"
-        );
-        assert!(block > 0, "matmul_blocked: block must be positive");
-        let (m, k, n) = (self.rows(), self.cols(), rhs.cols());
-        let mut out = Matrix::zeros(m, n);
-        for ii in (0..m).step_by(block) {
-            let i_end = (ii + block).min(m);
-            for pp in (0..k).step_by(block) {
-                let p_end = (pp + block).min(k);
-                for jj in (0..n).step_by(block) {
-                    let j_end = (jj + block).min(n);
-                    for i in ii..i_end {
-                        let a_row = self.row(i);
-                        for (p, &a_ip) in a_row.iter().enumerate().take(p_end).skip(pp) {
-                            let b_row = rhs.row(p);
-                            let o_row = out.row_mut(i);
-                            for j in jj..j_end {
-                                o_row[j] += a_ip * b_row[j];
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        out
-    }
-
-    /// Pool-parallel matrix product, splitting the output by rows on the
-    /// `rayon`-shim work-sharing pool. Each output row is accumulated
-    /// independently in the same inner order as [`Matrix::matmul`], so the
-    /// result is bit-for-bit identical to the sequential kernels at any
-    /// thread count. Products below [`parallel_flop_threshold`] multiply–adds
-    /// (tunable via `ELMRL_PAR_THRESHOLD`) short-circuit to the sequential
-    /// packed kernel — fork/join overhead would dominate.
-    pub fn matmul_parallel(&self, rhs: &Matrix<T>) -> Matrix<T> {
-        assert_eq!(
-            self.cols(),
-            rhs.rows(),
-            "matmul_parallel: inner dimensions differ"
-        );
-        let (m, k, n) = (self.rows(), self.cols(), rhs.cols());
-        if m * k * n < parallel_flop_threshold() || rayon::current_num_threads() <= 1 {
-            return self.matmul_packed(rhs);
-        }
-        let rows: Vec<Vec<T>> = (0..m)
-            .into_par_iter()
-            .map(|i| {
-                let a_row = self.row(i);
-                let mut o_row = vec![T::zero(); n];
-                for (p, &a_ip) in a_row.iter().enumerate().take(k) {
-                    let b_row = rhs.row(p);
-                    for j in 0..n {
-                        o_row[j] += a_ip * b_row[j];
-                    }
-                }
-                o_row
-            })
-            .collect();
-        Matrix::from_rows(&rows)
     }
 
     /// `selfᵀ · rhs` without materialising the transpose (a common OS-ELM
@@ -688,22 +610,6 @@ mod tests {
     }
 
     #[test]
-    fn blocked_and_parallel_agree_with_naive() {
-        let mut rng = SmallRng::seed_from_u64(42);
-        for (m, k, n) in [(7, 5, 9), (33, 65, 17), (64, 64, 64), (100, 3, 50)] {
-            let a = uniform_matrix::<f64, _>(m, k, -2.0, 2.0, &mut rng);
-            let b = uniform_matrix::<f64, _>(k, n, -2.0, 2.0, &mut rng);
-            let naive = a.matmul(&b);
-            let blocked = a.matmul_blocked(&b, 16);
-            let blocked_default = a.matmul_blocked(&b, DEFAULT_BLOCK);
-            let parallel = a.matmul_parallel(&b);
-            assert!(approx_eq(&naive, &blocked, 1e-10));
-            assert!(approx_eq(&naive, &blocked_default, 1e-10));
-            assert!(approx_eq(&naive, &parallel, 1e-10));
-        }
-    }
-
-    #[test]
     fn transposed_kernels_agree() {
         let mut rng = SmallRng::seed_from_u64(3);
         let a = uniform_matrix::<f64, _>(6, 4, -1.0, 1.0, &mut rng);
@@ -714,15 +620,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "block must be positive")]
-    fn zero_block_rejected() {
-        let a = Matrix::<f64>::ones(2, 2);
-        let _ = a.matmul_blocked(&a, 0);
-    }
-
-    #[test]
     fn packed_kernel_is_bit_identical_to_naive() {
         let mut rng = SmallRng::seed_from_u64(77);
+        let mut pack = Vec::new();
+        let mut out = Matrix::zeros(1, 1);
         // Remainders on every tile edge: panel height (PACK_MR = 8),
         // k-blocks (PACK_KC = 256) and column blocks (PACK_NC = 256).
         for (m, k, n) in [
@@ -742,7 +643,8 @@ mod tests {
             let a = uniform_matrix::<f64, _>(m, k, -2.0, 2.0, &mut rng);
             let b = uniform_matrix::<f64, _>(k, n, -2.0, 2.0, &mut rng);
             // Exact equality, not approximate: same accumulation order.
-            assert_eq!(a.matmul(&b), a.matmul_packed(&b), "{m}x{k}x{n}");
+            a.matmul_packed_into(&b, &mut pack, &mut out);
+            assert_eq!(a.matmul(&b), out, "{m}x{k}x{n}");
         }
     }
 
@@ -813,17 +715,5 @@ mod tests {
             a.t_matmul_into(&d, &mut out);
             assert_eq!(out, a.t_matmul(&d));
         }
-    }
-
-    #[test]
-    fn parallel_kernel_is_bit_identical_above_threshold() {
-        let mut rng = SmallRng::seed_from_u64(79);
-        // 96³ > the sequential short-circuit threshold.
-        let a = uniform_matrix::<f64, _>(96, 96, -1.0, 1.0, &mut rng);
-        let b = uniform_matrix::<f64, _>(96, 96, -1.0, 1.0, &mut rng);
-        rayon::set_num_threads(4);
-        let parallel = a.matmul_parallel(&b);
-        rayon::set_num_threads(1);
-        assert_eq!(parallel, a.matmul(&b));
     }
 }

@@ -5,7 +5,7 @@
 //! reconstruction, Moore–Penrose conditions and the σ_max ≤ ‖·‖_F relation
 //! the paper's L2-for-spectral substitution argument depends on.
 
-use elmrl_linalg::decomp::{Cholesky, Lu, Qr, Svd};
+use elmrl_linalg::decomp::{Cholesky, Lu, Svd};
 use elmrl_linalg::norms::{spectral_norm_exact, spectral_norm_power, spectral_normalize};
 use elmrl_linalg::solve::{pseudo_inverse, ridge_solve};
 use elmrl_linalg::Matrix;
@@ -45,15 +45,6 @@ proptest! {
     }
 
     #[test]
-    fn blocked_matmul_equals_naive(m in 1usize..12, k in 1usize..12, n in 1usize..12, seed in 0u64..100) {
-        let a = seeded_matrix(m, k, seed);
-        let b = seeded_matrix(k, n, seed.wrapping_add(3));
-        let naive = a.matmul(&b);
-        prop_assert!(naive.max_abs_diff(&a.matmul_blocked(&b, 4)) < 1e-10);
-        prop_assert!(naive.max_abs_diff(&a.matmul_parallel(&b)) < 1e-10);
-    }
-
-    #[test]
     fn workspace_and_packed_kernels_are_bit_identical_to_naive(
         m in 1usize..24, k in 1usize..24, n in 1usize..24, seed in 0u64..200
     ) {
@@ -63,7 +54,6 @@ proptest! {
         let a = seeded_matrix(m, k, seed);
         let b = seeded_matrix(k, n, seed.wrapping_add(11));
         let naive = a.matmul(&b);
-        prop_assert_eq!(&naive, &a.matmul_packed(&b));
         let mut out = Matrix::zeros(1, 1);
         a.matmul_into(&b, &mut out);
         prop_assert_eq!(&naive, &out);
@@ -93,13 +83,15 @@ proptest! {
         let n = PACK_NC - 3 + n_off;
         let a = seeded_matrix(m, k, seed);
         let b = seeded_matrix(k, 2, seed.wrapping_add(41));
-        prop_assert_eq!(a.matmul(&b), a.matmul_packed(&b));
-        let c = seeded_matrix(m, 3, seed.wrapping_add(43));
-        let d = seeded_matrix(3, n, seed.wrapping_add(47));
-        prop_assert_eq!(c.matmul(&d), c.matmul_packed(&d));
-        // Prefix form: accumulate only the first k-1 inner terms.
         let mut pack = Vec::new();
         let mut out = Matrix::zeros(1, 1);
+        a.matmul_packed_into(&b, &mut pack, &mut out);
+        prop_assert_eq!(&a.matmul(&b), &out);
+        let c = seeded_matrix(m, 3, seed.wrapping_add(43));
+        let d = seeded_matrix(3, n, seed.wrapping_add(47));
+        c.matmul_packed_into(&d, &mut pack, &mut out);
+        prop_assert_eq!(&c.matmul(&d), &out);
+        // Prefix form: accumulate only the first k-1 inner terms.
         let k_used = k - 1;
         a.matmul_prefix_packed_into(&b, k_used, &mut pack, &mut out);
         let mut expected = Matrix::zeros(m, 2);
@@ -191,15 +183,6 @@ proptest! {
         let mut x = Matrix::zeros(1, 1);
         solve_spd_into(&l, &b, &mut x).unwrap();
         prop_assert_eq!(&ch.solve(&b).unwrap(), &x);
-    }
-
-    #[test]
-    fn qr_reconstructs_and_q_is_orthogonal(m in 1usize..8, n in 1usize..8, seed in 0u64..200) {
-        let (m, n) = if m >= n { (m, n) } else { (n, m) };
-        let a = seeded_matrix(m, n, seed);
-        let qr = Qr::decompose(&a).unwrap();
-        prop_assert!(qr.q().matmul(qr.r()).max_abs_diff(&a) < 1e-9);
-        prop_assert!(qr.q().t_matmul(qr.q()).max_abs_diff(&Matrix::identity(m)) < 1e-9);
     }
 
     #[test]

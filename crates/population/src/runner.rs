@@ -29,6 +29,7 @@
 
 use crate::seed::{replica_eval_seed, replica_train_seed};
 use elmrl_core::batch::BatchAgent;
+use elmrl_core::checkpoint::write_atomic;
 use elmrl_core::designs::{Design, DesignConfig};
 use elmrl_core::trainer::{CheckpointCtl, EpisodeBook, Trainer, TrainerConfig, TrainingResult};
 use elmrl_fpga::{FpgaAgent, FpgaAgentConfig};
@@ -322,10 +323,12 @@ impl ShardManifest {
         Ok(m)
     }
 
-    /// Write the manifest to `<dir>/shard-<k>.json`.
+    /// Write the manifest to `<dir>/shard-<k>.json`, atomically
+    /// ([`write_atomic`]). Its temp file, `.shard-<k>.json.tmp`, never
+    /// matches the pattern [`ShardManifest::load_dir`] reads.
     pub fn save(&self, dir: &Path) -> Result<std::path::PathBuf, String> {
         let path = dir.join(format!("shard-{}.json", self.shard));
-        std::fs::write(&path, self.to_json()?).map_err(|e| e.to_string())?;
+        write_atomic(&path, self.to_json()?.as_bytes()).map_err(|e| e.to_string())?;
         Ok(path)
     }
 
@@ -1128,12 +1131,23 @@ mod tests {
     fn manifests_save_and_load_from_a_directory() {
         let dir = std::env::temp_dir().join(format!("elmrl-manifests-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let run = PopulationRunner::new(tiny_config(3)).run_checkpointed(None, &[]);
+        let mut run = PopulationRunner::new(tiny_config(3)).run_checkpointed(None, &[]);
         for m in &run.manifests {
             m.save(&dir).unwrap();
         }
         let loaded = ShardManifest::load_dir(&dir).unwrap();
         assert_eq!(loaded, run.manifests);
+        // A crash in the middle of the next save leaves half a manifest in
+        // its temp file next to the valid one; `load_dir` must not read it.
+        let json = run.manifests[0].to_json().unwrap();
+        let tmp = dir.join(".shard-0.json.tmp");
+        std::fs::write(&tmp, &json[..json.len() / 2]).unwrap();
+        assert_eq!(ShardManifest::load_dir(&dir).unwrap(), run.manifests);
+        // A shorter manifest saved over a longer one leaves no tail behind.
+        run.manifests[0].completed.truncate(1);
+        run.manifests[0].save(&dir).unwrap();
+        assert!(!tmp.exists());
+        assert_eq!(ShardManifest::load_dir(&dir).unwrap(), run.manifests);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

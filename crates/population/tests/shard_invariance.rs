@@ -8,12 +8,16 @@ use elmrl_core::designs::Design;
 use elmrl_gym::Workload;
 use elmrl_population::{PopulationConfig, PopulationRunner};
 
-fn report_json(workload: Workload, design: Design, shards: usize) -> String {
+fn small_config(workload: Workload, design: Design, shards: usize) -> PopulationConfig {
     let mut config = PopulationConfig::new(workload, design, 8, 5);
     config.shards = shards;
     config.seed = 2026;
     config.max_episodes = 3;
     config.eval_episodes = 2;
+    config
+}
+
+fn report_json(config: PopulationConfig) -> String {
     serde_json::to_string_pretty(&PopulationRunner::new(config).run())
         .expect("population report serializes")
 }
@@ -25,11 +29,11 @@ fn same_seed_any_shards_same_json() {
         (Workload::MountainCar, Design::Dqn),
         (Workload::Acrobot, Design::OsElm),
     ] {
-        let single = report_json(workload, design, 1);
+        let single = report_json(small_config(workload, design, 1));
         for shards in [2, 4, 5, 7] {
             assert_eq!(
                 single,
-                report_json(workload, design, shards),
+                report_json(small_config(workload, design, shards)),
                 "{workload:?}/{design:?} diverged at {shards} shards"
             );
         }
@@ -42,20 +46,33 @@ fn same_seed_any_shards_same_json() {
 #[test]
 fn thread_count_never_changes_the_bytes() {
     // Fixed shards, varying pool size: `--threads 1` (true sequential path)
-    // vs `--threads 4` (genuinely concurrent shards) must serialize to the
-    // exact same bytes. Per-replica RNG streams are split from the master
-    // seed by global replica index and shard results are stitched in shard
-    // order, so only scheduling — never arithmetic — changes with threads.
-    rayon::set_num_threads(1);
-    let sequential = report_json(Workload::CartPole, Design::OsElmL2Lipschitz, 4);
-    rayon::set_num_threads(4);
-    let threaded = report_json(Workload::CartPole, Design::OsElmL2Lipschitz, 4);
-    rayon::set_num_threads(1);
-    assert_eq!(
-        sequential, threaded,
-        "thread pool size leaked into the population report"
-    );
-    assert!(sequential.contains("\"replicas\""));
+    // vs `--threads 2` and `--threads 4` (genuinely concurrent shards) must
+    // serialize to the exact same bytes. Per-replica RNG streams are split
+    // from the master seed by global replica index and shard results are
+    // stitched in shard order, so only scheduling — never arithmetic —
+    // changes with threads. The second population is the larger one: K = 32
+    // replicas at the paper's Ñ = 64 over 4 shards, 8 episodes each.
+    let mut paper_sized =
+        PopulationConfig::new(Workload::CartPole, Design::OsElmL2Lipschitz, 64, 32);
+    paper_sized.shards = 4;
+    paper_sized.seed = 2026;
+    paper_sized.max_episodes = 8;
+    paper_sized.eval_episodes = 4;
+    let small = small_config(Workload::CartPole, Design::OsElmL2Lipschitz, 4);
+    for config in [small, paper_sized] {
+        rayon::set_num_threads(1);
+        let sequential = report_json(config.clone());
+        for threads in [2, 4] {
+            rayon::set_num_threads(threads);
+            let threaded = report_json(config.clone());
+            rayon::set_num_threads(1);
+            assert_eq!(
+                sequential, threaded,
+                "thread pool size leaked into the population report at {threads} threads"
+            );
+        }
+        assert!(sequential.contains("\"replicas\""));
+    }
 }
 
 #[test]

@@ -18,10 +18,11 @@
 //! every outstanding helper has retired (mirroring rayon's behaviour).
 //!
 //! Deadlock freedom under nesting: a caller that is itself a pool worker
-//! (e.g. `matmul_parallel` inside a population shard) parks on a latch
-//! *while helping* — it keeps draining the global queue until its own
-//! helpers have finished, so queued sub-tasks can never starve behind the
-//! very task that is waiting for them.
+//! (e.g. the pooled `t_matmul_into` of an OS-ELM initial training inside a
+//! population shard) parks on a latch *while helping* — it keeps draining
+//! the global queue until its own helpers have finished, so queued
+//! sub-tasks can never starve behind the very task that is waiting for
+//! them.
 
 use std::any::Any;
 use std::cell::UnsafeCell;
