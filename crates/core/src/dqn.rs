@@ -20,7 +20,6 @@ use elmrl_nn::{
 };
 use rand::rngs::SmallRng;
 use serde::{Deserialize, Serialize};
-use std::time::Instant;
 
 /// Configuration of the DQN baseline agent.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -169,7 +168,7 @@ impl DqnAgent {
         if self.replay.len() < self.config.warmup.max(self.config.batch_size) {
             return;
         }
-        let start = Instant::now();
+        let _span = OpKind::TrainDqn.span();
         let Self {
             online,
             target,
@@ -190,9 +189,11 @@ impl DqnAgent {
         // The step's second `predict_32`, the online Q_θ1(s, ·) that keeps
         // the untaken actions' targets in place, is the training forward's
         // own output; both keep their count for the modeled cost.
-        let p32_start = Instant::now();
-        target.forward_batch_into(&batch.next_states, scratch, next_q);
-        ops.record_n(OpKind::Predict32, 2, p32_start.elapsed());
+        {
+            let _span = OpKind::Predict32.span();
+            target.forward_batch_into(&batch.next_states, scratch, next_q);
+            ops.add(OpKind::Predict32, 2);
+        }
 
         online.train_step_into(&batch.states, Loss::Huber, optimizer, train_ws, |t| {
             for (i, &action) in batch.actions.iter().enumerate() {
@@ -203,7 +204,7 @@ impl DqnAgent {
                 t[(i, action)] = targets.target(batch.rewards[i], max_next, batch.dones[i]);
             }
         });
-        ops.record(OpKind::TrainDqn, start.elapsed());
+        ops.add(OpKind::TrainDqn, 1);
     }
 }
 
@@ -217,7 +218,7 @@ impl Agent for DqnAgent {
     }
 
     fn act(&mut self, state: &[f64], rng: &mut SmallRng) -> usize {
-        let start = Instant::now();
+        let _span = OpKind::Predict1.span();
         let Self {
             policy,
             online,
@@ -227,7 +228,7 @@ impl Agent for DqnAgent {
             ..
         } = self;
         online.forward_one_into(state, scratch, q_buf);
-        ops.record(OpKind::Predict1, start.elapsed());
+        ops.add(OpKind::Predict1, 1);
         policy.select(q_buf, rng)
     }
 
@@ -337,10 +338,10 @@ impl BatchAgent for DqnAgent {
     /// counter as [`Agent::act`], so modeled execution times stay
     /// comparable between the scalar and E-parallel drivers.
     fn act_row(&mut self, state_row: &Matrix<f64>, rng: &mut SmallRng) -> usize {
-        let start = Instant::now();
+        let _span = OpKind::Predict1.span();
         let mut q = std::mem::take(&mut self.q_row);
         self.predict_batch_into(state_row, &mut q);
-        self.ops.record(OpKind::Predict1, start.elapsed());
+        self.ops.add(OpKind::Predict1, 1);
         let action = self.policy.select(q.row(0), rng);
         self.q_row = q;
         action

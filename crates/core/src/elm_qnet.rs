@@ -12,13 +12,13 @@ use crate::checkpoint::AgentSnapshot;
 use crate::clipping::TargetConfig;
 use crate::encoding::StateActionEncoder;
 use crate::ops::{OpCounts, OpKind};
-use crate::policy::{max_q, ExploitPolicy};
+use crate::oselm_qnet::initial_training_chunk;
+use crate::policy::ExploitPolicy;
 use elmrl_elm::model::ElmModel;
 use elmrl_elm::{Elm, ElmSnapshot, HiddenActivation, ModelSnapshot, OsElmConfig};
 use elmrl_linalg::Matrix;
 use rand::rngs::SmallRng;
 use serde::{Deserialize, Serialize};
-use std::time::Instant;
 
 /// Configuration of the ELM Q-Network.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -134,19 +134,13 @@ impl ElmQNet {
     }
 
     fn run_batch_training(&mut self) {
-        let start = Instant::now();
-        let n = self.buffer.len();
-        let input_dim = self.encoder.input_dim();
-        let mut x = Matrix::<f64>::zeros(n, input_dim);
-        let mut t = Matrix::<f64>::zeros(n, 1);
-        for (i, obs) in self.buffer.iter().enumerate() {
-            let encoded = self.encoder.encode(&obs.state, obs.action);
-            for (j, &v) in encoded.iter().enumerate() {
-                x[(i, j)] = v;
-            }
-            let max_next = max_q(&self.q_for(&self.target, &obs.next_state));
-            t[(i, 0)] = self.config.target.target(obs.reward, max_next, obs.done);
-        }
+        let _span = OpKind::InitTrain.span();
+        let (x, t) = initial_training_chunk(
+            &self.encoder,
+            &self.target,
+            &self.config.target,
+            &self.buffer,
+        );
         // The least-squares solve tolerates rank deficiency, so it fails only
         // on a non-finite sample or target; drop the batch rather than
         // poisoning β.
@@ -154,7 +148,7 @@ impl ElmQNet {
             self.trained_once = true;
         }
         self.buffer.clear();
-        self.ops.record(OpKind::InitTrain, start.elapsed());
+        self.ops.add(OpKind::InitTrain, 1);
     }
 }
 
@@ -168,7 +162,8 @@ impl Agent for ElmQNet {
     }
 
     fn act(&mut self, state: &[f64], rng: &mut SmallRng) -> usize {
-        let start = Instant::now();
+        let kind = OpKind::predict(self.trained_once);
+        let _span = kind.span();
         let Self {
             config,
             encoder,
@@ -176,16 +171,10 @@ impl Agent for ElmQNet {
             online,
             scratch,
             ops,
-            trained_once,
             ..
         } = self;
         crate::oselm_qnet::q_into(encoder, online.model(), state, scratch);
-        let kind = if *trained_once {
-            OpKind::PredictSeq
-        } else {
-            OpKind::PredictInit
-        };
-        ops.record_n(kind, config.num_actions as u64, start.elapsed());
+        ops.add(kind, config.num_actions as u64);
         policy.select(&scratch.q, rng)
     }
 
@@ -286,15 +275,10 @@ impl BatchAgent for ElmQNet {
     /// so modeled execution times stay comparable between the scalar and
     /// E-parallel drivers.
     fn act_row(&mut self, state_row: &Matrix<f64>, rng: &mut SmallRng) -> usize {
-        let start = Instant::now();
+        let kind = OpKind::predict(self.trained_once);
+        let _span = kind.span();
         let q = self.predict_batch(state_row);
-        let kind = if self.trained_once {
-            OpKind::PredictSeq
-        } else {
-            OpKind::PredictInit
-        };
-        self.ops
-            .record_n(kind, self.config.num_actions as u64, start.elapsed());
+        self.ops.add(kind, self.config.num_actions as u64);
         self.policy.select(q.row(0), rng)
     }
 }

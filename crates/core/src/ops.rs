@@ -5,23 +5,20 @@
 //! classes: `init_train`, `seq_train`, `predict_init`, `predict_seq` for the
 //! ELM/OS-ELM designs and `train_DQN`, `predict_1`, `predict_32` for the DQN
 //! baseline. Every agent in this crate counts how many times it performs each
-//! class (and with what hidden size), so the harness can either report
-//! measured wall-clock per class or apply the Cortex-A9 / FPGA cost model.
+//! class in an [`OpCounts`]; the harness turns those counts into modeled
+//! Cortex-A9 / FPGA seconds. The counts are a pure function of the seed, so
+//! they are what agent snapshots and [`crate::trainer::TrainingResult`]
+//! carry.
 //!
-//! Since PR 8 there is **one metrics path**: every `record`/`record_n` also
-//! forwards to the global [`elmrl_telemetry`] registry (histogram
-//! `op.<label>`), so a live run's per-module latency table and the
-//! per-trial artefact counters come from the same call sites. The local
-//! per-agent maps are kept — they are what gets serialised into agent
-//! snapshots and [`crate::trainer::TrainingResult`] — which makes this type
-//! a thin adapter over the registry, not a second bookkeeping system.
-//! Forwarding is a no-op while telemetry is disabled and never perturbs the
-//! recorded values, RNG streams or artefact bytes.
+//! Host latency is the telemetry registry's job: each counted call also
+//! opens [`OpKind::span`] over the `op.<label>` histogram, which records one
+//! sample per call (and one chrome-trace event with tracing on). While
+//! telemetry is disabled the span takes no timestamp, so an agent reads no
+//! clock at all.
 
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::OnceLock;
-use std::time::Duration;
 
 /// The operation classes of Figures 5 and 6.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
@@ -69,6 +66,16 @@ impl OpKind {
         ]
     }
 
+    /// The prediction class of an ELM-family network: `predict_seq` once
+    /// its initial training has run, `predict_init` before.
+    pub fn predict(trained: bool) -> OpKind {
+        if trained {
+            OpKind::PredictSeq
+        } else {
+            OpKind::PredictInit
+        }
+    }
+
     /// The registry name of this class's latency histogram (`op.<label>`).
     pub fn metric_name(self) -> &'static str {
         match self {
@@ -81,11 +88,20 @@ impl OpKind {
             OpKind::Predict32 => "op.predict_32",
         }
     }
+
+    /// Time one call of this class into its `op.<label>` histogram: the
+    /// guard records on drop. `None` while telemetry is disabled, so no
+    /// timestamp is taken and the histogram is not even registered.
+    #[inline]
+    #[must_use = "the span records when the guard drops; binding it to `_` drops immediately"]
+    pub fn span(self) -> Option<elmrl_telemetry::SpanGuard<'static>> {
+        elmrl_telemetry::enabled().then(|| op_histogram(self).span())
+    }
 }
 
 /// The global latency histogram of an operation class. Handles are resolved
 /// once and cached (index = declaration order of [`OpKind`]), so the hot
-/// record path never touches the registry lock.
+/// span path never touches the registry lock.
 fn op_histogram(kind: OpKind) -> &'static elmrl_telemetry::Histogram {
     static TABLE: OnceLock<[&'static elmrl_telemetry::Histogram; 7]> = OnceLock::new();
     let table = TABLE.get_or_init(|| {
@@ -103,12 +119,10 @@ fn op_histogram(kind: OpKind) -> &'static elmrl_telemetry::Histogram {
     table[kind as usize]
 }
 
-/// Counts and accumulated wall-clock time per operation class.
+/// How many times each operation class occurred.
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct OpCounts {
     counts: BTreeMap<OpKind, u64>,
-    /// Accumulated wall-clock nanoseconds per class (measured on the host).
-    nanos: BTreeMap<OpKind, u128>,
 }
 
 impl OpCounts {
@@ -117,37 +131,14 @@ impl OpCounts {
         Self::default()
     }
 
-    /// Record one occurrence of `kind` taking `elapsed` of host time.
-    pub fn record(&mut self, kind: OpKind, elapsed: Duration) {
-        *self.counts.entry(kind).or_insert(0) += 1;
-        *self.nanos.entry(kind).or_insert(0) += elapsed.as_nanos();
-        if elmrl_telemetry::enabled() {
-            op_histogram(kind).record_duration(elapsed);
-        }
-    }
-
-    /// Record `n` occurrences at once (used by batch operations).
-    pub fn record_n(&mut self, kind: OpKind, n: u64, elapsed: Duration) {
+    /// Count `n` occurrences of `kind` (a batched call counts its rows).
+    pub fn add(&mut self, kind: OpKind, n: u64) {
         *self.counts.entry(kind).or_insert(0) += n;
-        *self.nanos.entry(kind).or_insert(0) += elapsed.as_nanos();
-        if elmrl_telemetry::enabled() {
-            op_histogram(kind).record_batch(n, elapsed);
-        }
     }
 
     /// Number of occurrences of `kind`.
     pub fn count(&self, kind: OpKind) -> u64 {
         self.counts.get(&kind).copied().unwrap_or(0)
-    }
-
-    /// Accumulated host wall-clock for `kind`.
-    pub fn elapsed(&self, kind: OpKind) -> Duration {
-        Duration::from_nanos(self.nanos.get(&kind).copied().unwrap_or(0) as u64)
-    }
-
-    /// Total host wall-clock across all classes.
-    pub fn total_elapsed(&self) -> Duration {
-        Duration::from_nanos(self.nanos.values().sum::<u128>() as u64)
     }
 
     /// Total number of recorded operations.
@@ -158,22 +149,19 @@ impl OpCounts {
     /// Merge another counter set into this one (used when aggregating trials).
     pub fn merge(&mut self, other: &OpCounts) {
         for (&k, &v) in &other.counts {
-            *self.counts.entry(k).or_insert(0) += v;
-        }
-        for (&k, &v) in &other.nanos {
-            *self.nanos.entry(k).or_insert(0) += v;
+            self.add(k, v);
         }
     }
 
     /// Reset all counters to zero.
     pub fn clear(&mut self) {
         self.counts.clear();
-        self.nanos.clear();
     }
 
-    /// Iterate `(kind, count, elapsed)` over the classes that occurred.
-    pub fn iter(&self) -> impl Iterator<Item = (OpKind, u64, Duration)> + '_ {
-        self.counts.iter().map(|(&k, &c)| (k, c, self.elapsed(k)))
+    /// Iterate `(kind, count)` over the classes that occurred, in
+    /// declaration order.
+    pub fn iter(&self) -> impl Iterator<Item = (OpKind, u64)> + '_ {
+        self.counts.iter().map(|(&k, &c)| (k, c))
     }
 }
 
@@ -192,74 +180,63 @@ mod tests {
     #[test]
     fn record_and_query() {
         let mut ops = OpCounts::new();
-        ops.record(OpKind::SeqTrain, Duration::from_micros(10));
-        ops.record(OpKind::SeqTrain, Duration::from_micros(20));
-        ops.record(OpKind::Predict1, Duration::from_micros(5));
+        ops.add(OpKind::SeqTrain, 1);
+        ops.add(OpKind::SeqTrain, 1);
+        ops.add(OpKind::Predict1, 1);
+        ops.add(OpKind::Predict32, 4);
         assert_eq!(ops.count(OpKind::SeqTrain), 2);
         assert_eq!(ops.count(OpKind::Predict1), 1);
-        assert_eq!(ops.count(OpKind::InitTrain), 0);
-        assert_eq!(ops.elapsed(OpKind::SeqTrain), Duration::from_micros(30));
-        assert_eq!(ops.total_elapsed(), Duration::from_micros(35));
-        assert_eq!(ops.total_count(), 3);
-    }
-
-    #[test]
-    fn record_n_counts_multiple() {
-        let mut ops = OpCounts::new();
-        ops.record_n(OpKind::Predict32, 4, Duration::from_micros(100));
         assert_eq!(ops.count(OpKind::Predict32), 4);
-        assert_eq!(ops.elapsed(OpKind::Predict32), Duration::from_micros(100));
+        assert_eq!(ops.count(OpKind::InitTrain), 0);
+        assert_eq!(ops.total_count(), 7);
     }
 
     #[test]
     fn merge_and_clear() {
         let mut a = OpCounts::new();
-        a.record(OpKind::InitTrain, Duration::from_millis(1));
+        a.add(OpKind::InitTrain, 1);
         let mut b = OpCounts::new();
-        b.record(OpKind::InitTrain, Duration::from_millis(2));
-        b.record(OpKind::SeqTrain, Duration::from_millis(3));
+        b.add(OpKind::InitTrain, 1);
+        b.add(OpKind::SeqTrain, 1);
         a.merge(&b);
         assert_eq!(a.count(OpKind::InitTrain), 2);
         assert_eq!(a.count(OpKind::SeqTrain), 1);
-        assert_eq!(a.elapsed(OpKind::InitTrain), Duration::from_millis(3));
         a.clear();
         assert_eq!(a.total_count(), 0);
-        assert_eq!(a.total_elapsed(), Duration::ZERO);
     }
 
     #[test]
-    fn records_forward_to_the_global_registry() {
-        let h = elmrl_telemetry::histogram(OpKind::SeqTrain.metric_name());
+    fn span_times_one_call_into_the_op_histogram() {
+        let kind = OpKind::InitTrain;
+        let h = elmrl_telemetry::histogram(kind.metric_name());
+        // Disabled: the span is inert. No test in this binary turns
+        // telemetry on except this one, so the count must not move.
         let before = h.count();
-        elmrl_telemetry::set_enabled(true);
-        let mut ops = OpCounts::new();
-        ops.record(OpKind::SeqTrain, Duration::from_micros(3));
-        ops.record_n(OpKind::SeqTrain, 4, Duration::from_micros(8));
+        drop(kind.span());
+        assert_eq!(h.count(), before);
+
+        // Enabled: one sample per span, and one trace event with tracing
+        // on. ≥ rather than ==: other test threads' agents may record into
+        // the same histogram while the flag is up.
+        elmrl_telemetry::enable_tracing(1024);
+        let before = h.count();
+        drop(kind.span());
+        let after = h.count();
+        let trace = elmrl_telemetry::trace::chrome_trace_json();
         elmrl_telemetry::set_enabled(false);
-        // ≥ rather than ==: other test threads record concurrently while the
-        // flag is up; this thread alone contributed 1 + 4 samples.
+        assert!(after > before, "an enabled span must record a sample");
         assert!(
-            h.count() - before >= 5,
-            "forwarded {} samples",
-            h.count() - before
+            trace.contains("\"name\": \"op.init_train\""),
+            "an enabled span must emit a trace event"
         );
-        // Local aggregates are unaffected by the forwarding path.
-        assert_eq!(ops.count(OpKind::SeqTrain), 5);
-        // Disabled again: records stay local.
-        let frozen = h.count();
-        ops.record(OpKind::SeqTrain, Duration::from_micros(3));
-        assert_eq!(h.count(), frozen);
-        assert_eq!(ops.count(OpKind::SeqTrain), 6);
     }
 
     #[test]
     fn iter_lists_occurred_kinds() {
         let mut ops = OpCounts::new();
-        ops.record(OpKind::PredictSeq, Duration::from_nanos(1));
-        ops.record(OpKind::SeqTrain, Duration::from_nanos(2));
-        let kinds: Vec<OpKind> = ops.iter().map(|(k, _, _)| k).collect();
-        assert_eq!(kinds.len(), 2);
-        assert!(kinds.contains(&OpKind::PredictSeq));
-        assert!(kinds.contains(&OpKind::SeqTrain));
+        ops.add(OpKind::SeqTrain, 2);
+        ops.add(OpKind::PredictSeq, 3);
+        let seen: Vec<(OpKind, u64)> = ops.iter().collect();
+        assert_eq!(seen, vec![(OpKind::PredictSeq, 3), (OpKind::SeqTrain, 2)]);
     }
 }

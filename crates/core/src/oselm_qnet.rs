@@ -28,7 +28,6 @@ use elmrl_linalg::{LinalgError, Matrix};
 use rand::rngs::SmallRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-use std::time::Instant;
 
 /// Numerical jitter used when the *plain* OS-ELM design (δ = 0) hits a
 /// singular Gram matrix in its initial training. This is not the ReOS-ELM
@@ -188,6 +187,30 @@ pub(crate) fn q_into(
     }
 }
 
+/// The initial-training chunk `(X, T)` of buffer D, shared by the ELM,
+/// OS-ELM and FPGA agents: row `i` of `X` is transition `i`'s encoded
+/// `(state, action)`, and `T[i]` its Q-learning target bootstrapped from the
+/// frozen network θ₂ through the per-action [`ElmModel::predict_single`].
+pub fn initial_training_chunk(
+    encoder: &StateActionEncoder,
+    target: &ElmModel<f64>,
+    targets: &TargetConfig,
+    buffer: &[Observation],
+) -> (Matrix<f64>, Matrix<f64>) {
+    let mut x = Matrix::<f64>::zeros(buffer.len(), encoder.input_dim());
+    let mut t = Matrix::<f64>::zeros(buffer.len(), 1);
+    for (i, obs) in buffer.iter().enumerate() {
+        x.set_row(i, &encoder.encode(&obs.state, obs.action));
+        let next_q: Vec<f64> = encoder
+            .encode_all_actions(&obs.next_state)
+            .iter()
+            .map(|input| target.predict_single(input)[0])
+            .collect();
+        t[(i, 0)] = targets.target(obs.reward, max_q(&next_q), obs.done);
+    }
+    (x, t)
+}
+
 /// Reusable workspaces for the batched *training* path
 /// ([`BatchAgent::observe_batch`]): gating indices, the packed next-state
 /// matrix, the batched target-network Q evaluation and the `seq_train_batch`
@@ -303,21 +326,14 @@ impl OsElmQNet {
             .collect()
     }
 
-    fn run_initial_training(&mut self, rng: &mut SmallRng) {
-        let _ = rng;
-        let start = Instant::now();
-        let n = self.buffer.len();
-        let input_dim = self.encoder.input_dim();
-        let mut x = Matrix::<f64>::zeros(n, input_dim);
-        let mut t = Matrix::<f64>::zeros(n, 1);
-        for (i, obs) in self.buffer.iter().enumerate() {
-            let encoded = self.encoder.encode(&obs.state, obs.action);
-            for (j, &v) in encoded.iter().enumerate() {
-                x[(i, j)] = v;
-            }
-            let max_next = max_q(&self.q_for(&self.target, &obs.next_state));
-            t[(i, 0)] = self.config.target.target(obs.reward, max_next, obs.done);
-        }
+    fn run_initial_training(&mut self) {
+        let _span = OpKind::InitTrain.span();
+        let (x, t) = initial_training_chunk(
+            &self.encoder,
+            &self.target,
+            &self.config.target,
+            &self.buffer,
+        );
         // A non-finite state or reward in D (only a restored snapshot can
         // hold one) is rejected before it can poison β: drop the refill and
         // collect a fresh one. Otherwise the
@@ -338,14 +354,14 @@ impl OsElmQNet {
             }
         }
         self.buffer.clear();
-        self.ops.record(OpKind::InitTrain, start.elapsed());
+        self.ops.add(OpKind::InitTrain, 1);
     }
 
     /// One RLS update — the paper's per-step training cost. Allocation-free
     /// at steady state: the target-network Q evaluation, the input encoding
     /// and the OS-ELM rank-1 update all run through reusable workspaces.
     fn run_sequential_update(&mut self, obs: &Observation) {
-        let start = Instant::now();
+        let _span = OpKind::SeqTrain.span();
         let Self {
             config,
             encoder,
@@ -363,7 +379,7 @@ impl OsElmQNet {
             debug_assert!(false, "sequential update before initial training");
             return;
         }
-        ops.record(OpKind::SeqTrain, start.elapsed());
+        ops.add(OpKind::SeqTrain, 1);
     }
 }
 
@@ -377,7 +393,8 @@ impl Agent for OsElmQNet {
     }
 
     fn act(&mut self, state: &[f64], rng: &mut SmallRng) -> usize {
-        let start = Instant::now();
+        let kind = OpKind::predict(self.online.is_initialized());
+        let _span = kind.span();
         let Self {
             config,
             encoder,
@@ -388,12 +405,7 @@ impl Agent for OsElmQNet {
             ..
         } = self;
         q_into(encoder, online.model(), state, scratch);
-        let kind = if online.is_initialized() {
-            OpKind::PredictSeq
-        } else {
-            OpKind::PredictInit
-        };
-        ops.record_n(kind, config.num_actions as u64, start.elapsed());
+        ops.add(kind, config.num_actions as u64);
         policy.select(&scratch.q, rng)
     }
 
@@ -409,7 +421,7 @@ impl Agent for OsElmQNet {
             }
             self.buffer.push(obs.clone());
             if self.buffer.len() >= self.config.hidden_dim {
-                self.run_initial_training(rng);
+                self.run_initial_training();
             }
             return;
         }
@@ -508,15 +520,10 @@ impl BatchAgent for OsElmQNet {
     /// so modeled execution times stay comparable between the scalar and
     /// E-parallel drivers.
     fn act_row(&mut self, state_row: &Matrix<f64>, rng: &mut SmallRng) -> usize {
-        let start = Instant::now();
+        let kind = OpKind::predict(self.online.is_initialized());
+        let _span = kind.span();
         let q = self.predict_batch(state_row);
-        let kind = if self.online.is_initialized() {
-            OpKind::PredictSeq
-        } else {
-            OpKind::PredictInit
-        };
-        self.ops
-            .record_n(kind, self.config.num_actions as u64, start.elapsed());
+        self.ops.add(kind, self.config.num_actions as u64);
         self.policy.select(q.row(0), rng)
     }
 
@@ -559,7 +566,7 @@ impl BatchAgent for OsElmQNet {
             }
         }
         if !selected.is_empty() {
-            let started = Instant::now();
+            let _span = OpKind::SeqTrain.span();
             let b = selected.len();
             let cap = self.config.chunk_cap.unwrap_or(DEFAULT_CHUNK_CAP).max(1);
             let Self {
@@ -598,7 +605,7 @@ impl BatchAgent for OsElmQNet {
                     debug_assert!(false, "batched sequential update before initial training");
                 }
             }
-            ops.record_n(OpKind::SeqTrain, b as u64, started.elapsed());
+            ops.add(OpKind::SeqTrain, b as u64);
         }
         self.bscratch.selected = selected;
     }

@@ -16,6 +16,7 @@ use elmrl_core::checkpoint::AgentSnapshot;
 use elmrl_core::clipping::TargetConfig;
 use elmrl_core::encoding::StateActionEncoder;
 use elmrl_core::ops::{OpCounts, OpKind};
+use elmrl_core::oselm_qnet::initial_training_chunk;
 use elmrl_core::policy::{max_q, ExploitPolicy};
 use elmrl_elm::model::ElmModel;
 use elmrl_elm::os_elm::OsElmError;
@@ -25,7 +26,6 @@ use elmrl_linalg::{LinalgError, Matrix};
 use rand::rngs::SmallRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-use std::time::Instant;
 
 /// Estimated Cortex-A9 cycles per floating-point operation for the CPU-side
 /// initial training (scalar FPU plus NumPy-style interpreter overhead).
@@ -190,14 +190,6 @@ impl FpgaAgent {
         self.simulated_pl_seconds() + self.simulated_cpu_seconds
     }
 
-    fn target_q(&self, state: &[f64]) -> Vec<f64> {
-        self.encoder
-            .encode_all_actions(state)
-            .iter()
-            .map(|input| self.target.predict_single(input)[0])
-            .collect()
-    }
-
     /// Q-values of every action of `state` through the quantised core,
     /// written into `scratch.q`: all `A` encoded rows are quantised into one
     /// stacked matrix and evaluated by a single [`FpgaCore::predict_batch_q`]
@@ -226,19 +218,13 @@ impl FpgaAgent {
     }
 
     fn run_initial_training(&mut self) {
-        let start = Instant::now();
-        let n = self.buffer.len();
-        let input_dim = self.encoder.input_dim();
-        let mut x = Matrix::<f64>::zeros(n, input_dim);
-        let mut t = Matrix::<f64>::zeros(n, 1);
-        for (i, obs) in self.buffer.iter().enumerate() {
-            let encoded = self.encoder.encode(&obs.state, obs.action);
-            for (j, &v) in encoded.iter().enumerate() {
-                x[(i, j)] = v;
-            }
-            let max_next = max_q(&self.target_q(&obs.next_state));
-            t[(i, 0)] = self.config.target.target(obs.reward, max_next, obs.done);
-        }
+        let _span = OpKind::InitTrain.span();
+        let (x, t) = initial_training_chunk(
+            &self.encoder,
+            &self.target,
+            &self.config.target,
+            &self.buffer,
+        );
         // A non-finite state or reward in D drops the refill, as in the
         // OS-ELM agent; any other failure is unexpected.
         match self.cpu_learner.init_train(&x, &t) {
@@ -256,8 +242,8 @@ impl FpgaAgent {
         // Simulated Cortex-A9 cost of the initial training: forming the Gram
         // matrix (k·Ñ²), the Cholesky solve (Ñ³/3 + Ñ²·m) and H itself.
         let nh = self.config.hidden_dim as f64;
-        let k = n as f64;
-        let flops = k * nh * nh + nh * nh * nh / 3.0 + k * nh * (input_dim as f64);
+        let k = x.rows() as f64;
+        let flops = k * nh * nh + nh * nh * nh / 3.0 + k * nh * (x.cols() as f64);
         self.simulated_cpu_seconds += flops * CPU_CYCLES_PER_FLOP / CPU_CLOCK_HZ;
 
         // AXI transfer: load α, b, β, P into the PL BRAMs.
@@ -268,7 +254,7 @@ impl FpgaAgent {
             self.cpu_learner.p_matrix().expect("initialised above"),
         ));
         self.buffer.clear();
-        self.ops.record(OpKind::InitTrain, start.elapsed());
+        self.ops.add(OpKind::InitTrain, 1);
     }
 
     /// One Q20 sequential update — allocation-free at steady state: the
@@ -277,7 +263,7 @@ impl FpgaAgent {
     /// loop), and the core update goes through the B = 1 case of
     /// [`FpgaCore::seq_train_batch_q`] (bit-identical to `seq_train`).
     fn run_sequential_update(&mut self, obs: &Observation) {
-        let start = Instant::now();
+        let _span = OpKind::SeqTrain.span();
         let Self {
             config,
             encoder,
@@ -303,7 +289,7 @@ impl FpgaAgent {
         scratch.tgt.resize_zeroed(1, 1);
         scratch.tgt[(0, 0)] = Q20::from_f64(target_q);
         core.seq_train_batch_q(&scratch.xq, &scratch.tgt);
-        ops.record(OpKind::SeqTrain, start.elapsed());
+        ops.add(OpKind::SeqTrain, 1);
     }
 
     fn sync_target_from_core(&mut self) {
@@ -333,10 +319,10 @@ impl Agent for FpgaAgent {
     }
 
     fn act(&mut self, state: &[f64], rng: &mut SmallRng) -> usize {
-        let start = Instant::now();
-        let kind = if let Some(core) = self.core.as_mut() {
+        let kind = OpKind::predict(self.core.is_some());
+        let _span = kind.span();
+        if let Some(core) = self.core.as_mut() {
             Self::core_q_into(&self.encoder, core, &mut self.scratch, state);
-            OpKind::PredictSeq
         } else {
             self.scratch.q.clear();
             for input in self.encoder.encode_all_actions(state) {
@@ -344,10 +330,8 @@ impl Agent for FpgaAgent {
                     .q
                     .push(self.cpu_learner.model().predict_single(&input)[0]);
             }
-            OpKind::PredictInit
-        };
-        self.ops
-            .record_n(kind, self.config.num_actions as u64, start.elapsed());
+        }
+        self.ops.add(kind, self.config.num_actions as u64);
         self.policy.select(&self.scratch.q, rng)
     }
 
@@ -450,7 +434,8 @@ impl Agent for FpgaAgent {
 impl elmrl_core::batch::BatchAgent for FpgaAgent {
     /// One stacked `(B·A)`-row pass through the quantised core — bit-for-bit
     /// equal to per-sample [`Agent::q_values`] (per-row accumulation, same
-    /// quantisation, same per-row cycle charges). Before initial training the
+    /// quantisation, same per-row cycle charges); with the core loaded it
+    /// returns through `predict_batch_into`. Before initial training the
     /// trait's per-sample fallback semantics apply (float CPU learner).
     fn predict_batch(&mut self, states: &Matrix<f64>) -> Matrix<f64> {
         if self.core.is_none() {
@@ -459,34 +444,16 @@ impl elmrl_core::batch::BatchAgent for FpgaAgent {
                 .collect();
             return Matrix::from_rows(&rows);
         }
-        let b = states.rows();
-        let a = self.config.num_actions;
-        let Self {
-            encoder,
-            core,
-            scratch,
-            ..
-        } = self;
-        let core = core.as_mut().expect("checked above");
-        scratch.xq.resize_zeroed(b * a, encoder.input_dim());
-        for i in 0..b {
-            for action in 0..a {
-                encoder.encode_into(states.row(i), action, &mut scratch.enc);
-                let r = i * a + action;
-                for (j, &v) in scratch.enc.iter().enumerate() {
-                    scratch.xq[(r, j)] = Q20::from_f64(v);
-                }
-            }
-        }
-        core.predict_batch_q(&scratch.xq, &mut scratch.yq);
-        Matrix::from_fn(b, a, |i, j| scratch.yq[(i * a + j, 0)].to_f64())
+        let mut out = Matrix::zeros(0, 0);
+        self.predict_batch_into(states, &mut out);
+        out
     }
 
-    /// The quantised stacked pass into a caller-owned Q buffer — bit-for-bit
-    /// equal to `BatchAgent::predict_batch`, with zero heap allocations
-    /// once the scratch and `out` have seen the steady-state batch shape
-    /// (the serve-worker contract). Before initial training the allocating
-    /// fallback applies (float CPU learner, cold path only).
+    /// The quantised stacked pass into a caller-owned Q buffer, with zero
+    /// heap allocations once the scratch and `out` have seen the
+    /// steady-state batch shape (the serve-worker contract). Before initial
+    /// training the allocating fallback applies (float CPU learner, cold
+    /// path only).
     fn predict_batch_into(&mut self, states: &Matrix<f64>, out: &mut Matrix<f64>) {
         if self.core.is_none() {
             *out = self.predict_batch(states);
@@ -562,7 +529,7 @@ impl elmrl_core::batch::BatchAgent for FpgaAgent {
             }
         }
         if !selected.is_empty() {
-            let started = Instant::now();
+            let _span = OpKind::SeqTrain.span();
             let b = selected.len();
             let Self {
                 config,
@@ -592,7 +559,7 @@ impl elmrl_core::batch::BatchAgent for FpgaAgent {
                     Q20::from_f64(config.target.target(obs.reward, max_next, obs.done));
             }
             core.seq_train_batch_q(&scratch.xq, &scratch.tgt);
-            ops.record_n(OpKind::SeqTrain, b as u64, started.elapsed());
+            ops.add(OpKind::SeqTrain, b as u64);
         }
         self.scratch.selected = selected;
     }
@@ -715,7 +682,12 @@ mod tests {
         // after sync, the CPU target model predicts ≈ the core's Q values
         let probe = [0.01, -0.02, 0.002, 0.04];
         let core_q = agent.q_values(&probe);
-        let target_q = agent.target_q(&probe);
+        let target_q: Vec<f64> = agent
+            .encoder
+            .encode_all_actions(&probe)
+            .iter()
+            .map(|input| agent.target.predict_single(input)[0])
+            .collect();
         for (a, b) in core_q.iter().zip(target_q.iter()) {
             assert!(
                 (a - b).abs() < 1e-2,

@@ -132,7 +132,7 @@ impl CostModel {
     fn model_with(&self, ops: &OpCounts, per_op: impl Fn(OpKind) -> f64) -> ModeledTime {
         let mut per_op_seconds = BTreeMap::new();
         let mut total = 0.0;
-        for (kind, count, _) in ops.iter() {
+        for (kind, count) in ops.iter() {
             let seconds = per_op(kind) * count as f64;
             total += seconds;
             per_op_seconds.insert(kind.label().to_string(), seconds);
@@ -147,7 +147,6 @@ impl CostModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
 
     fn cartpole(hidden_dim: usize) -> CostModel {
         CostModel::for_workload(&elmrl_gym::Workload::CartPole.spec(), hidden_dim)
@@ -195,9 +194,9 @@ mod tests {
     fn model_software_and_fpga_aggregate_counts() {
         let m = cartpole(32);
         let mut ops = OpCounts::new();
-        ops.record_n(OpKind::SeqTrain, 100, Duration::from_millis(1));
-        ops.record_n(OpKind::PredictSeq, 200, Duration::from_millis(1));
-        ops.record(OpKind::InitTrain, Duration::from_millis(1));
+        ops.add(OpKind::SeqTrain, 100);
+        ops.add(OpKind::PredictSeq, 200);
+        ops.add(OpKind::InitTrain, 1);
         let sw = m.model_software(&ops);
         let hw = m.model_fpga(&ops);
         assert!(sw.total_seconds > 0.0);

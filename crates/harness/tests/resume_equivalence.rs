@@ -4,7 +4,8 @@
 //! boundary checkpoint on disk) and finished under `--resume` must produce
 //! artefact bytes identical to a sweep that never stopped, for N at the
 //! first, middle and last episode and for both the scalar (`--train-envs 1`)
-//! and vectorized (`--train-envs 4`) drivers. Likewise the population
+//! and vectorized (`--train-envs 4`) drivers; two same-seed stopped sweeps
+//! must also leave byte-identical checkpoint files. Likewise the population
 //! engine: a `--fail-shard` kill, a manifest-resume after a driver crash,
 //! or any shard count must leave `population.json` byte-identical.
 //!
@@ -19,7 +20,8 @@ use elmrl_gym::{Workload, WorkloadOptions};
 use elmrl_harness::runner::CheckpointOptions;
 use elmrl_harness::{fig4, fig5};
 use elmrl_population::{FaultPlan, PopulationConfig, PopulationRunner, ShardManifest};
-use std::path::PathBuf;
+use std::collections::BTreeMap;
+use std::path::{Path, PathBuf};
 
 const DESIGNS: [Design; 3] = [Design::OsElmL2Lipschitz, Design::Dqn, Design::Fpga];
 const EPISODES: usize = 6;
@@ -35,6 +37,18 @@ fn scratch_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("elmrl-resume-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
+}
+
+/// The files of checkpoint directory `dir`, by name.
+fn checkpoint_files(dir: &Path) -> BTreeMap<String, Vec<u8>> {
+    std::fs::read_dir(dir)
+        .expect("read checkpoint dir")
+        .map(|entry| {
+            let path = entry.expect("checkpoint dir entry").path();
+            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            (name, std::fs::read(&path).expect("read checkpoint"))
+        })
+        .collect()
 }
 
 fn fig5_json(train_envs: usize, ckpt: Option<&CheckpointOptions>) -> Option<String> {
@@ -61,16 +75,38 @@ fn fig5_resume_is_byte_identical_at_first_middle_and_last_episode() {
         let straight = fig5_json(train_envs, None).expect("straight-through sweep completes");
         for stop_at in [1, EPISODES / 2, EPISODES] {
             let dir = scratch_dir(&format!("fig5-e{train_envs}-n{stop_at}"));
-            // Phase 1: run to episode `stop_at`, checkpoint, abandon.
-            let first = fig5_json(
-                train_envs,
-                Some(&CheckpointOptions {
-                    dir: dir.clone(),
-                    every: 1,
-                    resume: false,
-                    stop_after: Some(stop_at),
-                }),
+            let twin = scratch_dir(&format!("fig5-e{train_envs}-n{stop_at}-twin"));
+            // Phase 1: run to episode `stop_at`, checkpoint, abandon. Run it
+            // twice: same-seed runs must write byte-identical checkpoints.
+            let phase1 = |dir: &PathBuf| {
+                fig5_json(
+                    train_envs,
+                    Some(&CheckpointOptions {
+                        dir: dir.clone(),
+                        every: 1,
+                        resume: false,
+                        stop_after: Some(stop_at),
+                    }),
+                )
+            };
+            let first = phase1(&dir);
+            assert_eq!(phase1(&twin), first);
+            let (files, twin_files) = (checkpoint_files(&dir), checkpoint_files(&twin));
+            assert!(
+                !files.is_empty(),
+                "e{train_envs}/n{stop_at}: no checkpoints"
             );
+            assert_eq!(
+                files.keys().collect::<Vec<_>>(),
+                twin_files.keys().collect::<Vec<_>>()
+            );
+            for (name, bytes) in &files {
+                assert!(
+                    twin_files[name] == *bytes,
+                    "e{train_envs}/n{stop_at}: {name} differs between same-seed runs"
+                );
+            }
+            let _ = std::fs::remove_dir_all(&twin);
             if stop_at < EPISODES {
                 assert!(
                     first.is_none(),

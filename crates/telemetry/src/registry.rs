@@ -15,7 +15,6 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::Duration;
 
 /// Number of per-thread shards of every metric (power of two). Threads hash
 /// onto shards by an incrementing thread id, so up to `SHARDS` recorders
@@ -221,29 +220,6 @@ impl Histogram {
             shard.count.fetch_add(1, Ordering::Relaxed);
             shard.sum_ns.fetch_add(ns, Ordering::Relaxed);
             shard.buckets[bucket_of(ns)].fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Record one sample from a [`Duration`]. No-op when disabled.
-    #[inline]
-    pub fn record_duration(&self, d: Duration) {
-        if crate::enabled() {
-            self.record_ns(d.as_nanos().min(u64::MAX as u128) as u64);
-        }
-    }
-
-    /// Record `n` operations that together took `total`: the count and sum
-    /// advance by the batch, and the latency distribution receives `n`
-    /// entries at the mean per-op latency (what batched recorders like
-    /// `OpCounts::record_n` know). No-op when disabled or when `n == 0`.
-    #[inline]
-    pub fn record_batch(&self, n: u64, total: Duration) {
-        if crate::enabled() && n > 0 {
-            let total_ns = total.as_nanos().min(u64::MAX as u128) as u64;
-            let shard = &self.shards[shard_index()];
-            shard.count.fetch_add(n, Ordering::Relaxed);
-            shard.sum_ns.fetch_add(total_ns, Ordering::Relaxed);
-            shard.buckets[bucket_of(total_ns / n)].fetch_add(n, Ordering::Relaxed);
         }
     }
 
@@ -612,21 +588,6 @@ mod tests {
             assert!((512..2_048).contains(&p50), "p50 = {p50}");
             let p99 = h.quantile_ns(0.99);
             assert!((524_288..2_097_152).contains(&p99), "p99 = {p99}");
-        });
-    }
-
-    #[test]
-    fn record_batch_spreads_count_at_mean_latency() {
-        with_enabled(|| {
-            let h = histogram("test.batch_hist");
-            h.reset();
-            h.record_batch(8, Duration::from_nanos(8_000));
-            assert_eq!(h.count(), 8);
-            assert_eq!(h.total_ns(), 8_000);
-            let p50 = h.quantile_ns(0.5);
-            assert!((512..2_048).contains(&p50), "p50 = {p50}");
-            h.record_batch(0, Duration::from_nanos(999));
-            assert_eq!(h.count(), 8, "n = 0 batches must not record");
         });
     }
 

@@ -34,13 +34,8 @@ fn main() {
     println!("weight resets: {}", result.resets);
     println!("host wall time: {:.3}s", result.wall_seconds());
     println!("operation counts:");
-    for (kind, count, elapsed) in result.op_counts.iter() {
-        println!(
-            "  {:<13} x{:<6} ({:.3}s host)",
-            kind.label(),
-            count,
-            elapsed.as_secs_f64()
-        );
+    for (kind, count) in result.op_counts.iter() {
+        println!("  {:<13} x{count}", kind.label());
     }
     let tail = &result.stats.returns[result.stats.returns.len().saturating_sub(10)..];
     println!("last 10 episode returns: {tail:?}");
