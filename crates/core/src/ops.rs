@@ -183,11 +183,19 @@ mod tests {
         ops.add(OpKind::SeqTrain, 1);
         ops.add(OpKind::SeqTrain, 1);
         ops.add(OpKind::Predict1, 1);
-        ops.add(OpKind::Predict32, 4);
         assert_eq!(ops.count(OpKind::SeqTrain), 2);
         assert_eq!(ops.count(OpKind::Predict1), 1);
-        assert_eq!(ops.count(OpKind::Predict32), 4);
         assert_eq!(ops.count(OpKind::InitTrain), 0);
+        assert_eq!(ops.total_count(), 3);
+    }
+
+    #[test]
+    fn record_n_counts_multiple() {
+        let mut ops = OpCounts::new();
+        ops.add(OpKind::Predict32, 4);
+        assert_eq!(ops.count(OpKind::Predict32), 4);
+        ops.add(OpKind::Predict32, 3);
+        assert_eq!(ops.count(OpKind::Predict32), 7);
         assert_eq!(ops.total_count(), 7);
     }
 
