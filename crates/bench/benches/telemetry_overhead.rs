@@ -13,8 +13,8 @@
 //! * **tracing** — metrics plus a duration event per span into the
 //!   preallocated chrome-trace ring.
 //!
-//! Results go to `BENCH_PR8.json` in the workspace root (after
-//! `BENCH_PR7.json`), with steps/sec per state and the relative overheads.
+//! The result — steps/sec per state and the relative overheads, in the
+//! shape of the frozen `BENCH_PR8.json` — is printed to stdout as JSON.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use elmrl_core::agent::{Agent, Observation};
@@ -160,10 +160,8 @@ fn best_of_3(reps: usize, mut f: impl FnMut()) -> f64 {
     best
 }
 
-/// Assemble and write `BENCH_PR8.json` — the telemetry-overhead entry of
-/// the perf trajectory, consumed by CI as the ≤ 2%-when-off acceptance
-/// gate's evidence.
-fn write_trajectory(_c: &mut Criterion) {
+/// Assemble the telemetry-overhead entry and print it to stdout as JSON.
+fn print_trajectory(_c: &mut Criterion) {
     const REPS: usize = 4000;
     let mut entries = Vec::new();
 
@@ -217,14 +215,12 @@ fn write_trajectory(_c: &mut Criterion) {
         telemetry_overhead: entries,
     };
     let json = serde_json::to_string_pretty(&trajectory).expect("trajectory serializes");
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_PR8.json");
-    std::fs::write(path, &json).expect("write BENCH_PR8.json");
-    eprintln!("wrote BENCH_PR8.json:\n{json}");
+    println!("{json}");
 }
 
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10).measurement_time(std::time::Duration::from_secs(2)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_telemetry_states, write_trajectory
+    targets = bench_telemetry_states, print_trajectory
 }
 criterion_main!(benches);

@@ -236,8 +236,13 @@ impl Agent for ElmQNet {
 
     fn restore(&mut self, snapshot: &AgentSnapshot) -> Result<(), String> {
         let state: ElmQNetState = snapshot.decode(self.name())?;
-        self.online = Elm::from_snapshot(&state.online);
-        self.target = state.target.restore();
+        let config = self.config.elm_config();
+        state.online.model.check_dims(&config)?;
+        state.target.check_dims(&config)?;
+        let online = Elm::from_snapshot(&state.online).map_err(|e| format!("online: {e}"))?;
+        let target = state.target.restore().map_err(|e| format!("target: {e}"))?;
+        self.online = online;
+        self.target = target;
         // Keep the pre-sized buffer capacity the constructor established.
         self.buffer.clear();
         self.buffer.extend(state.buffer);
@@ -439,5 +444,28 @@ mod tests {
             &mut r,
         );
         assert!(agent.memory_footprint_bytes() < oselm.memory_footprint_bytes());
+    }
+
+    #[test]
+    fn restore_rejects_a_short_beta_or_another_hidden_width() {
+        // The batch ELM keeps no P; its β stands in for the short array.
+        let mut r = rng(12);
+        let mut agent = ElmQNet::new(cartpole(8), &mut r);
+        for i in 0..8 {
+            agent.observe(&obs(i, -1.0, true), &mut r);
+        }
+        let snap = agent.snapshot().unwrap();
+        let mut state: ElmQNetState = snap.decode(agent.name()).unwrap();
+        state.online.model.beta.pop();
+        let short_beta = AgentSnapshot::new(agent.name(), &state);
+        let wider = ElmQNet::new(cartpole(9), &mut r);
+        for bad in [short_beta, wider.snapshot().unwrap()] {
+            assert!(agent.restore(&bad).is_err());
+            assert_eq!(
+                agent.snapshot().unwrap().state,
+                snap.state,
+                "agent unchanged"
+            );
+        }
     }
 }

@@ -482,8 +482,13 @@ impl Agent for OsElmQNet {
 
     fn restore(&mut self, snapshot: &AgentSnapshot) -> Result<(), String> {
         let state: OsElmQNetState = snapshot.decode(&self.name)?;
-        self.online = OsElm::from_snapshot(&state.online);
-        self.target = state.target.restore();
+        let config = self.config.elm_config();
+        state.online.model.check_dims(&config)?;
+        state.target.check_dims(&config)?;
+        let online = OsElm::from_snapshot(&state.online).map_err(|e| format!("online: {e}"))?;
+        let target = state.target.restore().map_err(|e| format!("target: {e}"))?;
+        self.online = online;
+        self.target = target;
         // Keep the pre-sized buffer capacity the constructor established.
         self.buffer.clear();
         self.buffer.extend(state.buffer);
@@ -908,5 +913,29 @@ mod tests {
         // P (Ñ²) dominates: quadrupling Ñ should grow memory by ~16×.
         let ratio = large.memory_footprint_bytes() as f64 / small.memory_footprint_bytes() as f64;
         assert!(ratio > 8.0, "expected quadratic growth, got ratio {ratio}");
+    }
+
+    #[test]
+    fn restore_rejects_a_short_p_or_another_hidden_width() {
+        let mut r = rng(12);
+        let mut agent = OsElmQNet::new(cartpole(8, 0.5, true), &mut r);
+        for i in 0..8 {
+            let mut obs = sample_obs(0.0, false);
+            obs.state[0] = i as f64 * 0.01;
+            agent.observe(&obs, &mut r);
+        }
+        let snap = agent.snapshot().unwrap();
+        let mut state: OsElmQNetState = snap.decode(&agent.name).unwrap();
+        state.online.p.as_mut().expect("initialised").pop();
+        let short_p = AgentSnapshot::new(&agent.name, &state);
+        let wider = OsElmQNet::new(cartpole(9, 0.5, true), &mut r);
+        for bad in [short_p, wider.snapshot().unwrap()] {
+            assert!(agent.restore(&bad).is_err());
+            assert_eq!(
+                agent.snapshot().unwrap().state,
+                snap.state,
+                "agent unchanged"
+            );
+        }
     }
 }

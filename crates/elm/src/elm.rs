@@ -63,13 +63,14 @@ impl<T: Scalar> Elm<T> {
         }
     }
 
-    /// Rebuild a learner from an [`Elm::snapshot`] capture.
-    pub fn from_snapshot(snap: &crate::persistence::ElmSnapshot) -> Self {
-        Self {
-            model: snap.model.restore(),
+    /// Rebuild a learner from an [`Elm::snapshot`] capture; a malformed
+    /// model snapshot is an error (see [`crate::ModelSnapshot::restore`]).
+    pub fn from_snapshot(snap: &crate::persistence::ElmSnapshot) -> Result<Self, LinalgError> {
+        Ok(Self {
+            model: snap.model.restore()?,
             l2_delta: snap.l2_delta,
             trained: snap.trained,
-        }
+        })
     }
 
     /// One-shot batch training on `x` (`k × n`) against targets `t` (`k × m`):

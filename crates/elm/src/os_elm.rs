@@ -997,19 +997,20 @@ impl<T: Scalar> OsElm<T> {
     /// Rebuild a learner at the exact training position captured by
     /// [`OsElm::snapshot`]. The scratch workspaces start empty and regrow on
     /// the first update — they carry no observable state, so a restored
-    /// `OsElm<f64>` continues the RLS recursion bit for bit.
-    pub fn from_snapshot(snap: &crate::persistence::OsElmSnapshot) -> Self {
-        let model: ElmModel<T> = snap.model.restore();
+    /// `OsElm<f64>` continues the RLS recursion bit for bit. A model or `P`
+    /// whose length disagrees with the recorded dimensions is an error.
+    pub fn from_snapshot(snap: &crate::persistence::OsElmSnapshot) -> Result<Self, LinalgError> {
+        let model: ElmModel<T> = snap.model.restore()?;
         let n_hidden = model.hidden_dim();
-        let p = snap.p.as_ref().map(|data| {
-            Matrix::from_vec(
-                n_hidden,
-                n_hidden,
-                data.iter().map(|&v| T::from_f64(v)).collect(),
-            )
-            .expect("snapshot P length matches hidden_dim²")
-        });
-        Self {
+        let p = snap
+            .p
+            .as_ref()
+            .map(|data| {
+                let data = data.iter().map(|&v| T::from_f64(v)).collect();
+                Matrix::from_vec(n_hidden, n_hidden, data)
+            })
+            .transpose()?;
+        Ok(Self {
             model,
             p,
             l2_delta: snap.l2_delta,
@@ -1017,7 +1018,7 @@ impl<T: Scalar> OsElm<T> {
             init_train_count: snap.init_train_count,
             seq_train_count: snap.seq_train_count,
             scratch: SeqScratch::default(),
-        }
+        })
     }
 
     /// Batch prediction (delegates to the model).
@@ -1499,7 +1500,7 @@ mod tests {
             os.seq_train_single(x.row(i), t.row(i)).unwrap();
         }
 
-        let mut resumed = OsElm::<f64>::from_snapshot(&os.snapshot());
+        let mut resumed = OsElm::<f64>::from_snapshot(&os.snapshot()).unwrap();
         assert_eq!(resumed.seq_train_count(), os.seq_train_count());
         for i in 40..60 {
             os.seq_train_single(x.row(i), t.row(i)).unwrap();
@@ -1514,7 +1515,7 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(10);
         let cfg = config(8).with_l2_delta(0.1);
         let os = OsElm::<f64>::new(&cfg, &mut rng);
-        let resumed = OsElm::<f64>::from_snapshot(&os.snapshot());
+        let resumed = OsElm::<f64>::from_snapshot(&os.snapshot()).unwrap();
         assert!(!resumed.is_initialized());
         assert_eq!(resumed.model().alpha(), os.model().alpha());
     }

@@ -8,8 +8,9 @@
 //! quantisation.
 
 use crate::activation::HiddenActivation;
+use crate::config::OsElmConfig;
 use crate::model::ElmModel;
-use elmrl_linalg::{Matrix, Scalar};
+use elmrl_linalg::{LinalgError, Matrix, Scalar};
 use serde::{Deserialize, Serialize};
 
 /// A backend-independent serialisable snapshot of an ELM/OS-ELM model.
@@ -46,18 +47,34 @@ impl ModelSnapshot {
         }
     }
 
-    /// Rebuild a model (in any scalar backend) from the snapshot.
-    pub fn restore<T: Scalar>(&self) -> ElmModel<T> {
+    /// Rebuild a model (in any scalar backend) from the snapshot. A
+    /// parameter whose length disagrees with the recorded dimensions is an
+    /// [`LinalgError::InvalidData`] error.
+    pub fn restore<T: Scalar>(&self) -> Result<ElmModel<T>, LinalgError> {
         let from_f64 = |data: &[f64], rows: usize, cols: usize| {
             Matrix::from_vec(rows, cols, data.iter().map(|&v| T::from_f64(v)).collect())
-                .expect("snapshot data length matches recorded dimensions")
         };
-        ElmModel::from_parts(
-            from_f64(&self.alpha, self.input_dim, self.hidden_dim),
-            from_f64(&self.bias, 1, self.hidden_dim),
-            from_f64(&self.beta, self.hidden_dim, self.output_dim),
+        Ok(ElmModel::from_parts(
+            from_f64(&self.alpha, self.input_dim, self.hidden_dim)?,
+            from_f64(&self.bias, 1, self.hidden_dim)?,
+            from_f64(&self.beta, self.hidden_dim, self.output_dim)?,
             self.activation,
-        )
+        ))
+    }
+
+    /// Check that the recorded dimensions are those of models built from
+    /// `config`, so a snapshot from another configuration is refused.
+    pub fn check_dims(&self, config: &OsElmConfig) -> Result<(), String> {
+        let recorded = (self.input_dim, self.hidden_dim, self.output_dim);
+        let expected = (config.input_dim, config.hidden_dim, config.output_dim);
+        if recorded == expected {
+            Ok(())
+        } else {
+            Err(format!(
+                "snapshot model is (input, hidden, output) = {recorded:?}, \
+                 the configuration builds {expected:?}"
+            ))
+        }
     }
 
     /// Serialise to a JSON string.
@@ -127,7 +144,7 @@ mod tests {
         assert_eq!(snap.hidden_dim, 8);
         assert_eq!(snap.output_dim, 2);
         assert_eq!(snap.alpha.len(), 24);
-        let restored: ElmModel<f64> = snap.restore();
+        let restored: ElmModel<f64> = snap.restore().unwrap();
         let x = Matrix::from_rows(&[vec![0.2, -0.4, 0.9]]);
         assert!(model.predict(&x).max_abs_diff(&restored.predict(&x)) < 1e-15);
     }
@@ -149,13 +166,38 @@ mod tests {
     fn restore_into_f32_backend() {
         let model = sample_model();
         let snap = ModelSnapshot::capture(&model);
-        let restored: ElmModel<f32> = snap.restore();
+        let restored: ElmModel<f32> = snap.restore().unwrap();
         let x64 = Matrix::from_rows(&[vec![0.1, 0.5, -0.3]]);
         let x32 = Matrix::from_rows(&[vec![0.1_f32, 0.5, -0.3]]);
         let y64 = model.predict(&x64);
         let y32 = restored.predict(&x32);
         for c in 0..2 {
             assert!((y64[(0, c)] - y32[(0, c)] as f64).abs() < 1e-4);
+        }
+    }
+
+    #[test]
+    fn malformed_or_mismatched_snapshots_are_errors() {
+        let snap = ModelSnapshot::capture(&sample_model());
+        let cfg = OsElmConfig::new(3, 8, 2);
+        assert!(snap.check_dims(&cfg).is_ok());
+        assert!(snap.check_dims(&OsElmConfig::new(3, 9, 2)).is_err());
+        assert!(snap.check_dims(&OsElmConfig::new(4, 8, 2)).is_err());
+        let cuts: [fn(&mut ModelSnapshot); 5] = [
+            |s| s.alpha.truncate(s.alpha.len() - 1),
+            |s| s.bias.truncate(s.bias.len() - 1),
+            |s| s.beta.push(0.0),
+            |s| s.hidden_dim = 9,
+            // n·Ñ overflows usize; it must not wrap onto an empty α.
+            |s| {
+                s.input_dim = 1 << (usize::BITS - 3);
+                s.alpha.clear();
+            },
+        ];
+        for cut in cuts {
+            let mut bad = snap.clone();
+            cut(&mut bad);
+            assert!(bad.restore::<f64>().is_err());
         }
     }
 

@@ -413,8 +413,28 @@ impl Agent for FpgaAgent {
 
     fn restore(&mut self, snapshot: &AgentSnapshot) -> Result<(), String> {
         let state: FpgaAgentState = snapshot.decode(self.name())?;
-        self.cpu_learner = OsElm::from_snapshot(&state.cpu_learner);
-        self.target = state.target.restore();
+        let config = self.config.elm_config();
+        state.cpu_learner.model.check_dims(&config)?;
+        state.target.check_dims(&config)?;
+        if let Some(core) = &state.core {
+            let (n, nh, m) = (config.input_dim, config.hidden_dim, config.output_dim);
+            let shapes = [
+                core.alpha.shape(),
+                core.bias.shape(),
+                core.beta.shape(),
+                core.p.shape(),
+            ];
+            if shapes != [(n, nh), (1, nh), (nh, m), (nh, nh)] {
+                return Err(format!(
+                    "core α, b, β, P shapes {shapes:?} do not fit (n, Ñ, m) = ({n}, {nh}, {m})"
+                ));
+            }
+        }
+        let cpu_learner =
+            OsElm::from_snapshot(&state.cpu_learner).map_err(|e| format!("CPU learner: {e}"))?;
+        let target = state.target.restore().map_err(|e| format!("target: {e}"))?;
+        self.cpu_learner = cpu_learner;
+        self.target = target;
         self.core = state.core.as_ref().map(FpgaCore::from_snapshot);
         self.buffer.clear();
         self.buffer.extend(state.buffer);
@@ -783,5 +803,31 @@ mod tests {
         let agent = FpgaAgent::new(cartpole(64), &mut r);
         let words = crate::resources::ResourceModel::pynq_z1().storage_words(64);
         assert_eq!(agent.memory_footprint_bytes(), words * 4);
+    }
+
+    #[test]
+    fn restore_rejects_a_short_p_or_another_hidden_width() {
+        let mut r = rng(12);
+        let mut agent = FpgaAgent::new(cartpole(8), &mut r);
+        for i in 0..8 {
+            agent.observe(&obs(i, -0.1, false), &mut r);
+        }
+        assert!(agent.core_loaded());
+        let snap = agent.snapshot().unwrap();
+        let mut state: FpgaAgentState = snap.decode(agent.name()).unwrap();
+        state.cpu_learner.p.as_mut().expect("initialised").pop();
+        let short_p = AgentSnapshot::new(agent.name(), &state);
+        let mut wider = FpgaAgent::new(cartpole(9), &mut r);
+        for i in 0..9 {
+            wider.observe(&obs(i, -0.1, false), &mut r);
+        }
+        for bad in [short_p, wider.snapshot().unwrap()] {
+            assert!(agent.restore(&bad).is_err());
+            assert_eq!(
+                agent.snapshot().unwrap().state,
+                snap.state,
+                "agent unchanged"
+            );
+        }
     }
 }

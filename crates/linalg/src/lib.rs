@@ -15,7 +15,6 @@
 //!
 //! * [`Scalar`] — the numeric trait every kernel is generic over.
 //! * [`Matrix`] — a row-major dense matrix.
-//! * [`Vector`] — a dense vector (thin wrapper over a single-column matrix's data).
 //! * [`decomp`] — LU, Cholesky, one-sided Jacobi SVD and the Householder
 //!   step that [`solve::lstsq`] runs as a pivoted QR.
 //! * [`solve`] — linear solves, inverses, minimum-norm least squares and the
@@ -46,13 +45,11 @@ pub mod norms;
 pub mod random;
 pub mod scalar;
 pub mod solve;
-pub mod vector;
 
 pub use error::{LinalgError, Result};
 pub use matmul::{parallel_flop_threshold, set_parallel_flop_threshold};
 pub use matrix::Matrix;
 pub use scalar::Scalar;
-pub use vector::Vector;
 
 #[cfg(test)]
 mod crate_tests {

@@ -115,9 +115,9 @@ impl<T: Scalar> Matrix<T> {
 
     /// Build a matrix from a flat row-major vector.
     pub fn from_vec(rows: usize, cols: usize, data: Vec<T>) -> Result<Self> {
-        if data.len() != rows * cols {
+        if rows.checked_mul(cols) != Some(data.len()) {
             return Err(LinalgError::InvalidData {
-                detail: format!("expected {} elements, got {}", rows * cols, data.len()),
+                detail: format!("expected {rows}×{cols} elements, got {}", data.len()),
             });
         }
         Ok(Self { rows, cols, data })

@@ -8,7 +8,6 @@
 use crate::error::{LinalgError, Result};
 use crate::matrix::Matrix;
 use crate::scalar::Scalar;
-use crate::vector::{matvec, Vector};
 
 impl<T: Scalar> Matrix<T> {
     /// Frobenius norm `‖A‖_F = sqrt(Σ aᵢⱼ²)`.
@@ -63,16 +62,17 @@ pub fn spectral_norm_power<T: Scalar>(a: &Matrix<T>, max_iters: usize, tol: T) -
     if a.is_empty() {
         return Ok(T::zero());
     }
-    let n = a.cols();
+    let at = a.transpose();
     // Deterministic start vector: all ones, normalised.
-    let mut v = Vector::<T>::filled(n, T::one()).normalized();
+    let mut v = vec![T::one(); a.cols()];
+    let inv = T::one() / norm2(&v);
+    scale(&mut v, inv);
     let mut sigma_prev = T::zero();
 
     for it in 0..max_iters {
         // w = Aᵀ (A v)
-        let av = matvec(a, &v)?;
-        let atav = matvec(&a.transpose(), &av)?;
-        let norm = atav.norm();
+        let atav = matvec(&at, &matvec(a, &v));
+        let norm = norm2(&atav);
         if norm <= T::zero() {
             // A v is in the null space; for σ_max estimation of a nonzero
             // matrix this can only happen if A itself is zero (or the start
@@ -80,10 +80,10 @@ pub fn spectral_norm_power<T: Scalar>(a: &Matrix<T>, max_iters: usize, tol: T) -
             // fallback below keeps this safe).
             return Ok(T::zero());
         }
-        v = atav.scale(T::one() / norm);
+        v = atav;
+        scale(&mut v, T::one() / norm);
         // Rayleigh quotient estimate of σ_max²: ‖A v‖ with the new v.
-        let av_new = matvec(a, &v)?;
-        let sigma = av_new.norm();
+        let sigma = norm2(&matvec(a, &v));
         if it > 0 && (sigma - sigma_prev).abs() <= tol {
             return Ok(sigma);
         }
@@ -92,6 +92,34 @@ pub fn spectral_norm_power<T: Scalar>(a: &Matrix<T>, max_iters: usize, tol: T) -
     // Did not hit the tolerance; the last estimate is still a valid lower
     // bound and is what an on-device implementation would use.
     Ok(sigma_prev)
+}
+
+/// `A · x`, each entry summed in ascending column order.
+fn matvec<T: Scalar>(a: &Matrix<T>, x: &[T]) -> Vec<T> {
+    (0..a.rows())
+        .map(|r| {
+            let mut acc = T::zero();
+            for (&v, &xc) in a.row(r).iter().zip(x) {
+                acc += v * xc;
+            }
+            acc
+        })
+        .collect()
+}
+
+/// Euclidean norm, summed in ascending order.
+fn norm2<T: Scalar>(v: &[T]) -> T {
+    let mut acc = T::zero();
+    for &x in v {
+        acc += x * x;
+    }
+    acc.sqrt()
+}
+
+fn scale<T: Scalar>(v: &mut [T], s: T) {
+    for x in v {
+        *x *= s;
+    }
 }
 
 /// The exact largest singular value via the Jacobi SVD.

@@ -1,4 +1,4 @@
-//! Seeded random matrix/vector initialisation.
+//! Seeded random matrix initialisation.
 //!
 //! ELM's input weight matrix `α` and hidden bias `b` are drawn once at
 //! initialisation and never trained (Algorithm 1, line 1: "using a random
@@ -7,7 +7,6 @@
 
 use crate::matrix::Matrix;
 use crate::scalar::Scalar;
-use crate::vector::Vector;
 use rand::Rng;
 
 /// A matrix with elements drawn uniformly from `[lo, hi)`.
@@ -19,32 +18,6 @@ pub fn uniform_matrix<T: Scalar, R: Rng + ?Sized>(
     rng: &mut R,
 ) -> Matrix<T> {
     Matrix::from_fn(rows, cols, |_, _| T::from_f64(rng.gen_range(lo..hi)))
-}
-
-/// A vector with elements drawn uniformly from `[lo, hi)`.
-pub fn uniform_vector<T: Scalar, R: Rng + ?Sized>(
-    n: usize,
-    lo: f64,
-    hi: f64,
-    rng: &mut R,
-) -> Vector<T> {
-    Vector::from_fn(n, |_| T::from_f64(rng.gen_range(lo..hi)))
-}
-
-/// A matrix with elements drawn from an approximately standard normal
-/// distribution (Irwin–Hall sum of 12 uniforms, which avoids pulling in a
-/// separate distributions crate and is plenty for weight initialisation).
-pub fn gaussian_matrix<T: Scalar, R: Rng + ?Sized>(
-    rows: usize,
-    cols: usize,
-    mean: f64,
-    std: f64,
-    rng: &mut R,
-) -> Matrix<T> {
-    Matrix::from_fn(rows, cols, |_, _| {
-        let sum: f64 = (0..12).map(|_| rng.gen_range(0.0..1.0)).sum();
-        T::from_f64(mean + std * (sum - 6.0))
-    })
 }
 
 /// Xavier/Glorot uniform initialisation for a `fan_in × fan_out` layer:
@@ -70,8 +43,8 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(1);
         let m = uniform_matrix::<f64, _>(20, 20, 0.0, 1.0, &mut rng);
         assert!(m.iter().all(|&x| (0.0..1.0).contains(&x)));
-        let v = uniform_vector::<f64, _>(100, -2.0, -1.0, &mut rng);
-        assert!(v.iter().all(|&x| (-2.0..-1.0).contains(&x)));
+        let n = uniform_matrix::<f64, _>(1, 100, -2.0, -1.0, &mut rng);
+        assert!(n.iter().all(|&x| (-2.0..-1.0).contains(&x)));
     }
 
     #[test]
@@ -81,20 +54,6 @@ mod tests {
         assert_eq!(a, b);
         let c = uniform_matrix::<f64, _>(5, 5, 0.0, 1.0, &mut SmallRng::seed_from_u64(10));
         assert_ne!(a, c);
-    }
-
-    #[test]
-    fn gaussian_moments_are_plausible() {
-        let mut rng = SmallRng::seed_from_u64(2);
-        let m = gaussian_matrix::<f64, _>(100, 100, 0.0, 1.0, &mut rng);
-        let n = m.len() as f64;
-        let mean = m.sum() / n;
-        let var = m.iter().map(|&x| (x - mean) * (x - mean)).sum::<f64>() / n;
-        assert!(mean.abs() < 0.05, "sample mean {mean} too far from 0");
-        assert!(
-            (var - 1.0).abs() < 0.1,
-            "sample variance {var} too far from 1"
-        );
     }
 
     #[test]

@@ -238,7 +238,7 @@ impl ServeEngine {
                     });
                     self.in_flight[request.session] = false;
                     self.stats.responses += 1;
-                    self.stats.latency.record_us(latency_us);
+                    self.stats.latency.record(latency_us);
                     elmrl_telemetry::hist!("serve.request").record_ns(latency_us * 1_000);
                 }
             }

@@ -32,7 +32,7 @@ pub use clock::{ServeClock, VIRTUAL_ROUND_US};
 pub use engine::{EngineConfig, Request, Response, ServeEngine};
 pub use report::ServeReport;
 pub use session::{SessionDriver, SessionStats};
-pub use stats::{BatchSizeBucket, LatencyHistogram, LatencySummary, ServeStats};
+pub use stats::{BatchSizeBucket, LatencySummary, ServeStats};
 pub use worker::{build_workers, Worker};
 
 use elmrl_core::designs::Design;

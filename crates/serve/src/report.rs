@@ -100,7 +100,7 @@ impl ServeReport {
             batches: engine_stats.batches,
             mean_batch_size: engine_stats.mean_batch_size(),
             batch_sizes: engine_stats.batch_size_buckets(),
-            latency: engine_stats.latency.summary(),
+            latency: LatencySummary::of(&engine_stats.latency),
             queue_depth_peak: engine_stats.queue_depth_peak,
             episodes_completed: session_stats.episodes_completed,
             env_steps: session_stats.env_steps,

@@ -1,133 +1,17 @@
-//! Deterministic serve-side statistics: an exact-bucket latency histogram
-//! and the aggregate counters behind the `serve.json` report.
+//! Deterministic serve-side statistics: the latency histogram and the
+//! aggregate counters behind the `serve.json` report.
 //!
-//! The PR-8 telemetry registry already ships log₂ latency histograms, but
-//! those are opt-in observability (`--telemetry`) and deliberately coarse.
-//! The serve report is a *result artifact* — golden-`cmp`'d in CI — so it
-//! needs its own always-on, allocation-free, bit-deterministic quantiles:
-//! 1 µs-exact linear buckets for the common range plus log₂ tail buckets,
-//! nearest-rank quantile readout (the convention of
-//! `elmrl_population::QuantileSummary`).
+//! The serve report is a *result artifact* — golden-`cmp`'d in CI — so its
+//! latencies are recorded always (not only under `--telemetry`), without
+//! allocating, and bit-deterministically, in the workspace's one log-linear
+//! [`LogHistogram`]: exact to 64 µs, then within 1/32 below each sample,
+//! read by nearest rank (the convention of
+//! `elmrl_population::QuantileSummary`). Mean and max are exact. The
+//! virtual-clock latencies the golden reports (100 and 200 µs, one and two
+//! [`crate::clock::VIRTUAL_ROUND_US`]) are bucket floors, so read exactly.
 
+use elmrl_telemetry::LogHistogram;
 use serde::Serialize;
-
-/// Width of the exact region: latencies below this many µs land in 1 µs
-/// buckets, so virtual-clock latencies (multiples of
-/// [`crate::clock::VIRTUAL_ROUND_US`], well under this bound at sane queue
-/// depths) are recorded exactly.
-const LINEAR_US: usize = 4096;
-/// log₂ tail buckets above the linear region (covers up to 2^(12+52) µs —
-/// effectively unbounded).
-const TAIL_BUCKETS: usize = 52;
-
-/// Fixed-shape latency histogram over microseconds.
-///
-/// All storage is allocated at construction; recording is a bucket
-/// increment, so the engine hot loop stays allocation-free.
-#[derive(Clone, Debug)]
-pub struct LatencyHistogram {
-    buckets: Vec<u64>,
-    count: u64,
-    sum_us: u64,
-    max_us: u64,
-}
-
-impl Default for LatencyHistogram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl LatencyHistogram {
-    /// An empty histogram with all buckets preallocated.
-    pub fn new() -> Self {
-        Self {
-            buckets: vec![0; LINEAR_US + TAIL_BUCKETS],
-            count: 0,
-            sum_us: 0,
-            max_us: 0,
-        }
-    }
-
-    fn bucket_of(us: u64) -> usize {
-        if (us as usize) < LINEAR_US {
-            us as usize
-        } else {
-            // 2^12 .. : bucket by the position of the leading bit past the
-            // linear region.
-            let shift = 64 - us.leading_zeros() as usize; // bit length
-            (LINEAR_US + (shift - 13)).min(LINEAR_US + TAIL_BUCKETS - 1)
-        }
-    }
-
-    /// Lower bound (µs) of the bucket a recorded value fell into — the value
-    /// quantile readout reports. Exact below [`LINEAR_US`].
-    fn bucket_floor(index: usize) -> u64 {
-        if index < LINEAR_US {
-            index as u64
-        } else {
-            1u64 << (index - LINEAR_US + 12)
-        }
-    }
-
-    /// Record one latency in microseconds. The running sum saturates at
-    /// `u64::MAX` (≈ 584k years of µs), so a pathological value degrades the
-    /// mean instead of panicking.
-    pub fn record_us(&mut self, us: u64) {
-        self.buckets[Self::bucket_of(us)] += 1;
-        self.count += 1;
-        self.sum_us = self.sum_us.saturating_add(us);
-        self.max_us = self.max_us.max(us);
-    }
-
-    /// Number of recorded values.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Mean latency in µs (0 when empty).
-    pub fn mean_us(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum_us as f64 / self.count as f64
-        }
-    }
-
-    /// Nearest-rank quantile in µs: the bucket floor of the value at rank
-    /// `⌈q·N⌉` (0 when empty). Exact for values below `LINEAR_US` (4096) µs.
-    pub fn quantile_us(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
-        let mut seen = 0u64;
-        for (i, &n) in self.buckets.iter().enumerate() {
-            seen += n;
-            if seen >= rank {
-                return Self::bucket_floor(i);
-            }
-        }
-        self.max_us
-    }
-
-    /// Largest recorded value, exactly (not bucketed).
-    pub fn max_us(&self) -> u64 {
-        self.max_us
-    }
-
-    /// The five-number summary the serve report embeds.
-    pub fn summary(&self) -> LatencySummary {
-        LatencySummary {
-            count: self.count,
-            mean_us: self.mean_us(),
-            p50_us: self.quantile_us(0.50),
-            p90_us: self.quantile_us(0.90),
-            p99_us: self.quantile_us(0.99),
-            max_us: self.max_us(),
-        }
-    }
-}
 
 /// Serialized latency digest: nearest-rank p50/p90/p99 (bucket floors, µs).
 #[derive(Clone, Debug, PartialEq, Serialize)]
@@ -146,6 +30,20 @@ pub struct LatencySummary {
     pub max_us: u64,
 }
 
+impl LatencySummary {
+    /// The summary of a histogram of µs latencies.
+    pub fn of(latency: &LogHistogram) -> Self {
+        Self {
+            count: latency.count(),
+            mean_us: latency.mean(),
+            p50_us: latency.quantile(0.50),
+            p90_us: latency.quantile(0.90),
+            p99_us: latency.quantile(0.99),
+            max_us: latency.max(),
+        }
+    }
+}
+
 /// Aggregate engine counters, updated in place by the hot loop (all storage
 /// preallocated at construction).
 #[derive(Clone, Debug)]
@@ -159,8 +57,8 @@ pub struct ServeStats {
     /// `batch_size_counts[b]` = number of dispatched batches of size `b`
     /// (length `max_batch + 1`).
     pub batch_size_counts: Vec<u64>,
-    /// Enqueue→response latency distribution.
-    pub latency: LatencyHistogram,
+    /// Enqueue→response latency distribution (µs).
+    pub latency: LogHistogram,
     /// Deepest queue observed at a round boundary.
     pub queue_depth_peak: usize,
 }
@@ -173,7 +71,7 @@ impl ServeStats {
             responses: 0,
             batches: 0,
             batch_size_counts: vec![0; max_batch + 1],
-            latency: LatencyHistogram::new(),
+            latency: LogHistogram::default(),
             queue_depth_peak: 0,
         }
     }
@@ -215,34 +113,35 @@ mod tests {
 
     #[test]
     fn exact_quantiles_in_linear_range() {
-        let mut h = LatencyHistogram::new();
-        for us in 1..=100u64 {
-            h.record_us(us);
+        // Buckets are 1 µs wide up to 64 µs.
+        let mut h = LogHistogram::default();
+        for us in 1..=64u64 {
+            h.record(us);
         }
-        assert_eq!(h.count(), 100);
-        assert_eq!(h.quantile_us(0.50), 50);
-        assert_eq!(h.quantile_us(0.90), 90);
-        assert_eq!(h.quantile_us(0.99), 99);
-        assert_eq!(h.max_us(), 100);
-        assert!((h.mean_us() - 50.5).abs() < 1e-12);
+        let s = LatencySummary::of(&h);
+        assert_eq!((s.count, s.p50_us, s.p90_us, s.p99_us), (64, 32, 58, 64));
+        assert_eq!(s.max_us, 64);
+        assert!((s.mean_us - 32.5).abs() < 1e-12);
     }
 
     #[test]
-    fn tail_values_land_in_log2_buckets() {
-        let mut h = LatencyHistogram::new();
-        h.record_us(5_000); // 2^12 ≤ 5000 < 2^13
-        h.record_us(1_000_000);
-        assert_eq!(h.quantile_us(0.5), 4096);
-        assert_eq!(h.max_us(), 1_000_000);
-        // A value far past the table still lands in the last bucket.
-        h.record_us(u64::MAX);
+    fn tail_values_keep_one_32nd_precision() {
+        let mut h = LogHistogram::default();
+        h.record(5_000); // [4,992, 5,120): 128 µs sub-buckets in 2^12..2^13
+        h.record(1_000_000);
+        let s = LatencySummary::of(&h);
+        assert_eq!((s.p50_us, s.p99_us), (4_992, 999_424));
+        assert_eq!(s.max_us, 1_000_000);
+        assert!((s.mean_us - 502_500.0).abs() < 1e-9);
+        // The sum saturates instead of overflowing; max stays exact.
+        h.record(u64::MAX);
         assert_eq!(h.count(), 3);
+        assert_eq!(h.max(), u64::MAX);
     }
 
     #[test]
     fn empty_histogram_reports_zeros() {
-        let h = LatencyHistogram::new();
-        let s = h.summary();
+        let s = LatencySummary::of(&LogHistogram::default());
         assert_eq!(s.count, 0);
         assert_eq!(s.p99_us, 0);
         assert_eq!(s.max_us, 0);

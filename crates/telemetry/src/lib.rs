@@ -4,11 +4,14 @@
 //! counterpart of the paper's offline read-outs (Figure 6 is a per-module
 //! latency breakdown, Figure 5 a time-to-complete curve). Three pillars:
 //!
-//! 1. **Metric registry** ([`registry`]) — process-global, preallocated
-//!    counters, gauges and log2-bucketed latency histograms (p50/p90/p99
-//!    read-out). Every metric is sharded across [`registry::SHARDS`]
-//!    cache-line-padded slots indexed by a per-thread id, so the PR-4 pool
-//!    and the E-parallel driver record without cache-line contention.
+//! 1. **Metric registry** ([`registry`]) — process-global counters, gauges
+//!    and latency histograms (p50/p90/p99 read-out). Every metric is sharded
+//!    across [`registry::SHARDS`] cache-line-padded slots indexed by a
+//!    per-thread id, so the PR-4 pool and the E-parallel driver record
+//!    without cache-line contention. Histograms use the one log-linear
+//!    bucketing of [`log_hist`] (32 sub-buckets per octave), so a quantile
+//!    is at most 1/32 below the sample it reports; the serve report keeps
+//!    its latencies in the same [`LogHistogram`].
 //! 2. **Spans** ([`trace`]) — [`Histogram::span`] times a region into its
 //!    histogram and, when tracing is on, pushes a duration event into a
 //!    preallocated per-shard ring; [`trace::export_chrome_trace`] writes the
@@ -16,7 +19,8 @@
 //! 3. **No-perturbation contract** — when disabled every record call is a
 //!    single relaxed load + branch and takes **no** timestamp; when enabled
 //!    the steady state performs **zero heap allocations** (metrics are
-//!    registered once and the trace ring is preallocated at
+//!    registered once, a histogram shard allocates its buckets on its first
+//!    enabled record, and the trace ring is preallocated at
 //!    [`trace::enable_tracing`]); telemetry never touches an RNG stream or
 //!    an accumulation order, so golden artefacts stay byte-identical with
 //!    telemetry on. The counting-allocator tests in `elmrl-core` /
@@ -40,9 +44,11 @@
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
+pub mod log_hist;
 pub mod registry;
 pub mod trace;
 
+pub use log_hist::LogHistogram;
 pub use registry::{
     counter, gauge, histogram, snapshot, summary_table, Counter, Gauge, Histogram,
     HistogramSnapshot, MetricsSnapshot,

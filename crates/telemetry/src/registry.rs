@@ -1,29 +1,27 @@
-//! The process-global metric registry: counters, gauges and log2-bucketed
+//! The process-global metric registry: counters, gauges and log-linear
 //! latency histograms, each sharded per thread so concurrent recorders never
 //! contend on a cache line.
 //!
 //! Registration (`counter`/`gauge`/`histogram`) takes a mutex and allocates
-//! the metric's shard array **once per name**; the returned handle is
-//! `&'static` (the metric is leaked — process lifetime) and every subsequent
-//! record is a shard-index lookup plus one relaxed atomic RMW. Recording is
+//! the metric's shard array **once per name** (a histogram shard's buckets
+//! wait for its first enabled record); the returned handle is `&'static`
+//! (the metric is leaked — process lifetime) and every subsequent record is
+//! a shard-index lookup plus relaxed atomic RMWs. Recording is
 //! gated on [`crate::enabled`] inside the metric itself, so instrumentation
 //! sites stay one-liners and compile to a load + branch when telemetry is
 //! off.
 
+use crate::log_hist::{bucket_index, LogHistogram, BUCKET_COUNT};
 use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 /// Number of per-thread shards of every metric (power of two). Threads hash
 /// onto shards by an incrementing thread id, so up to `SHARDS` recorders
 /// proceed without sharing a cache line.
 pub const SHARDS: usize = 16;
-
-/// Number of log2 latency buckets: bucket `b` covers `[2^b, 2^{b+1})` ns,
-/// so 64 buckets span the full `u64` nanosecond range.
-pub const BUCKETS: usize = 64;
 
 /// One cache line worth of counter state (padded to avoid false sharing
 /// between neighbouring shards).
@@ -156,44 +154,23 @@ impl Gauge {
     }
 }
 
-/// One shard of a histogram: an event count, a nanosecond sum and the 64
-/// log2 buckets. Larger than a cache line, so neighbouring shards do not
-/// interfere on the hot fields.
+/// One shard of a histogram: an event count, a nanosecond sum and the
+/// log-linear buckets. The buckets (15 KiB) are allocated on the shard's
+/// first record with telemetry on, so a histogram that `hist!` registers
+/// but never records into holds none. Cache-line aligned so neighbouring
+/// shards' counts do not share a line.
+#[repr(align(64))]
+#[derive(Default)]
 struct HistShard {
     count: AtomicU64,
     sum_ns: AtomicU64,
-    buckets: [AtomicU64; BUCKETS],
+    buckets: OnceLock<Box<[AtomicU64]>>,
 }
 
-impl HistShard {
-    fn new() -> Self {
-        Self {
-            count: AtomicU64::new(0),
-            sum_ns: AtomicU64::new(0),
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-        }
-    }
-}
-
-/// Bucket index of a nanosecond sample: `floor(log2(ns))`, with 0 ns mapped
-/// into bucket 0.
-#[inline]
-fn bucket_of(ns: u64) -> usize {
-    (63 - ns.max(1).leading_zeros()) as usize
-}
-
-/// Representative latency of bucket `b` (its geometric midpoint, ~`1.5·2^b`).
-fn bucket_mid_ns(b: usize) -> u64 {
-    if b == 0 {
-        1
-    } else {
-        (1u64 << b) + (1u64 << (b - 1))
-    }
-}
-
-/// A log2-bucketed latency histogram with per-thread shards. Records are
-/// O(1) and allocation-free; quantiles are computed at read time from the
-/// bucket counts (so p50/p90/p99 are accurate to within a factor of √2).
+/// A latency histogram with per-thread shards in the [`crate::log_hist`]
+/// layout. Records are O(1) and, after a shard's first, allocation-free;
+/// p50/p90/p99 are read from the merged shards, each within 1/32 below the
+/// sample it reports.
 pub struct Histogram {
     name: &'static str,
     shards: Vec<HistShard>,
@@ -203,7 +180,7 @@ impl Histogram {
     fn new(name: &'static str) -> Self {
         Self {
             name,
-            shards: (0..SHARDS).map(|_| HistShard::new()).collect(),
+            shards: (0..SHARDS).map(|_| HistShard::default()).collect(),
         }
     }
 
@@ -219,7 +196,10 @@ impl Histogram {
             let shard = &self.shards[shard_index()];
             shard.count.fetch_add(1, Ordering::Relaxed);
             shard.sum_ns.fetch_add(ns, Ordering::Relaxed);
-            shard.buckets[bucket_of(ns)].fetch_add(1, Ordering::Relaxed);
+            let buckets = shard
+                .buckets
+                .get_or_init(|| (0..BUCKET_COUNT).map(|_| AtomicU64::new(0)).collect());
+            buckets[bucket_index(ns)].fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -248,41 +228,23 @@ impl Histogram {
             .sum()
     }
 
-    /// Merged bucket counts over all shards.
-    fn merged_buckets(&self) -> [u64; BUCKETS] {
-        let mut out = [0u64; BUCKETS];
-        for shard in &self.shards {
-            for (b, bucket) in shard.buckets.iter().enumerate() {
-                out[b] += bucket.load(Ordering::Relaxed);
+    /// The bucket counts of every shard, merged into one plain histogram
+    /// (its quantiles are this histogram's; its sum and max are unset).
+    fn merged(&self) -> LogHistogram {
+        let mut out = LogHistogram::default();
+        for buckets in self.shards.iter().filter_map(|s| s.buckets.get()) {
+            for (i, b) in buckets.iter().enumerate() {
+                out.add_to_bucket(i, b.load(Ordering::Relaxed));
             }
         }
         out
-    }
-
-    /// Approximate `q`-quantile (0 < q ≤ 1) in nanoseconds, from the log2
-    /// buckets (nearest-rank over bucket midpoints). 0 when empty.
-    pub fn quantile_ns(&self, q: f64) -> u64 {
-        let buckets = self.merged_buckets();
-        let count: u64 = buckets.iter().sum();
-        if count == 0 {
-            return 0;
-        }
-        let rank = ((q * count as f64).ceil() as u64).clamp(1, count);
-        let mut cum = 0u64;
-        for (b, &c) in buckets.iter().enumerate() {
-            cum += c;
-            if cum >= rank {
-                return bucket_mid_ns(b);
-            }
-        }
-        bucket_mid_ns(BUCKETS - 1)
     }
 
     fn reset(&self) {
         for shard in &self.shards {
             shard.count.store(0, Ordering::Relaxed);
             shard.sum_ns.store(0, Ordering::Relaxed);
-            for b in &shard.buckets {
+            for b in shard.buckets.get().into_iter().flatten() {
                 b.store(0, Ordering::Relaxed);
             }
         }
@@ -300,7 +262,7 @@ struct Registry {
 }
 
 fn registry() -> &'static Mutex<Registry> {
-    static REGISTRY: std::sync::OnceLock<Mutex<Registry>> = std::sync::OnceLock::new();
+    static REGISTRY: OnceLock<Mutex<Registry>> = OnceLock::new();
     REGISTRY.get_or_init(|| Mutex::new(Registry::default()))
 }
 
@@ -351,11 +313,11 @@ pub struct HistogramSnapshot {
     pub count: u64,
     /// Sum of all recorded nanoseconds.
     pub total_ns: u64,
-    /// Approximate median latency in nanoseconds.
+    /// Median latency in nanoseconds (bucket floor, within 1/32 below).
     pub p50_ns: u64,
-    /// Approximate 90th-percentile latency in nanoseconds.
+    /// 90th-percentile latency in nanoseconds (bucket floor).
     pub p90_ns: u64,
-    /// Approximate 99th-percentile latency in nanoseconds.
+    /// 99th-percentile latency in nanoseconds (bucket floor).
     pub p99_ns: u64,
 }
 
@@ -437,13 +399,16 @@ pub fn snapshot() -> MetricsSnapshot {
         histograms: reg
             .histograms
             .values()
-            .map(|h| HistogramSnapshot {
-                name: h.name().to_string(),
-                count: h.count(),
-                total_ns: h.total_ns(),
-                p50_ns: h.quantile_ns(0.50),
-                p90_ns: h.quantile_ns(0.90),
-                p99_ns: h.quantile_ns(0.99),
+            .map(|h| {
+                let merged = h.merged();
+                HistogramSnapshot {
+                    name: h.name().to_string(),
+                    count: h.count(),
+                    total_ns: h.total_ns(),
+                    p50_ns: merged.quantile(0.50),
+                    p90_ns: merged.quantile(0.90),
+                    p99_ns: merged.quantile(0.99),
+                }
             })
             .collect(),
         counters: reg
@@ -529,18 +494,6 @@ mod tests {
     }
 
     #[test]
-    fn bucket_of_is_floor_log2() {
-        assert_eq!(bucket_of(0), 0);
-        assert_eq!(bucket_of(1), 0);
-        assert_eq!(bucket_of(2), 1);
-        assert_eq!(bucket_of(3), 1);
-        assert_eq!(bucket_of(4), 2);
-        assert_eq!(bucket_of(1023), 9);
-        assert_eq!(bucket_of(1024), 10);
-        assert_eq!(bucket_of(u64::MAX), 63);
-    }
-
-    #[test]
     fn disabled_records_are_no_ops() {
         let _guard = FLAG_LOCK.lock().unwrap();
         crate::set_enabled(false);
@@ -584,11 +537,32 @@ mod tests {
             }
             assert_eq!(h.count(), 100);
             assert_eq!(h.total_ns(), 90 * 1_000 + 10 * 1_000_000);
-            let p50 = h.quantile_ns(0.50);
-            assert!((512..2_048).contains(&p50), "p50 = {p50}");
-            let p99 = h.quantile_ns(0.99);
-            assert!((524_288..2_097_152).contains(&p99), "p99 = {p99}");
+            // Bucket floors: 1,000 lies in [992, 1,008) and 10⁶ in
+            // [999,424, 1,015,808).
+            assert_eq!(h.merged().quantile(0.50), 992);
+            assert_eq!(h.merged().quantile(0.90), 992);
+            assert_eq!(h.merged().quantile(0.99), 999_424);
         });
+    }
+
+    #[test]
+    fn buckets_wait_for_the_first_enabled_record() {
+        let _guard = FLAG_LOCK.lock().unwrap();
+        let h = histogram("test.lazy_buckets");
+        let allocated = || {
+            h.shards
+                .iter()
+                .filter(|s| s.buckets.get().is_some())
+                .count()
+        };
+        crate::set_enabled(false);
+        h.record_ns(100);
+        assert_eq!(allocated(), 0, "registered and recorded while off");
+        crate::set_enabled(true);
+        h.record_ns(100);
+        crate::set_enabled(false);
+        assert_eq!(allocated(), 1, "only the recording thread's shard");
+        assert_eq!(h.merged().quantile(1.0), 100);
     }
 
     #[test]
