@@ -17,7 +17,7 @@
 //! vectorized runs, where the other slots are mid-episode, and
 //! [`SlotCheckpoint`] carries exactly that.
 
-use crate::agent::Agent;
+use crate::agent::{Agent, Observation};
 use elmrl_gym::EpisodeStats;
 use rand::rngs::SmallRng;
 use serde::{Deserialize, Serialize, Value};
@@ -214,6 +214,57 @@ pub fn rng_from_words(words: &[u64]) -> Result<SmallRng, String> {
     Ok(SmallRng::from_state(state))
 }
 
+/// One stored transition as a snapshot holds it: `(state, action, reward,
+/// next state)`.
+pub type StoredTransition<'a> = (&'a [f64], usize, f64, &'a [f64]);
+
+/// Check the transitions a snapshot stores (buffer D, or DQN's replay)
+/// before an agent takes them: both states must be `state_dim` wide, the
+/// action below `num_actions`, and the reward and every state component
+/// finite, as the agents' own store phase keeps them. A restore that
+/// skipped this would fail later, deep inside a kernel: the next refill
+/// would trip the encoder's length assert, or train on a NaN.
+pub fn check_transitions<'a>(
+    what: &str,
+    transitions: impl IntoIterator<Item = StoredTransition<'a>>,
+    state_dim: usize,
+    num_actions: usize,
+) -> Result<(), String> {
+    for (i, (state, action, reward, next_state)) in transitions.into_iter().enumerate() {
+        if state.len() != state_dim || next_state.len() != state_dim {
+            return Err(format!(
+                "{what} transition {i} does not fit state_dim {state_dim}: its states have {} \
+                 and {} components",
+                state.len(),
+                next_state.len()
+            ));
+        }
+        if action >= num_actions {
+            return Err(format!(
+                "{what} transition {i} does not fit {num_actions} actions: action {action}"
+            ));
+        }
+        let finite = reward.is_finite() && state.iter().chain(next_state).all(|v| v.is_finite());
+        if !finite {
+            return Err(format!("{what} transition {i} holds a non-finite value"));
+        }
+    }
+    Ok(())
+}
+
+/// [`check_transitions`] over a buffer of [`Observation`]s.
+pub fn check_buffer(
+    what: &str,
+    buffer: &[Observation],
+    state_dim: usize,
+    num_actions: usize,
+) -> Result<(), String> {
+    let rows = buffer
+        .iter()
+        .map(|o| (&o.state[..], o.action, o.reward, &o.next_state[..]));
+    check_transitions(what, rows, state_dim, num_actions)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -223,6 +274,24 @@ mod tests {
     struct ToyState {
         steps: usize,
         weights: Vec<f64>,
+    }
+
+    #[test]
+    fn stored_transitions_must_fit_the_agent_and_be_finite() {
+        let (s4, s3) = ([0.0; 4], [0.0; 3]);
+        let ok: StoredTransition = (&s4, 1, -1.0, &s4);
+        assert!(check_transitions("D", [ok, ok], 4, 2).is_ok());
+        let bad: [(StoredTransition, &str); 5] = [
+            ((&s3, 1, -1.0, &s4), "does not fit state_dim 4"),
+            ((&s4, 1, -1.0, &s3), "does not fit state_dim 4"),
+            ((&s4, 2, -1.0, &s4), "does not fit 2 actions"),
+            ((&s4, 0, f64::NAN, &s4), "non-finite"),
+            ((&[0.0, f64::INFINITY, 0.0, 0.0], 0, 1.0, &s4), "non-finite"),
+        ];
+        for (row, why) in bad {
+            let err = check_transitions("D", [ok, row], 4, 2).unwrap_err();
+            assert!(err.contains("D transition 1") && err.contains(why), "{err}");
+        }
     }
 
     #[test]

@@ -9,7 +9,7 @@
 
 use crate::agent::{Agent, Observation};
 use crate::batch::BatchAgent;
-use crate::checkpoint::AgentSnapshot;
+use crate::checkpoint::{check_transitions, AgentSnapshot};
 use crate::clipping::TargetConfig;
 use crate::ops::{OpCounts, OpKind};
 use crate::policy::ExploitPolicy;
@@ -293,16 +293,9 @@ impl Agent for DqnAgent {
             return Err("DQN snapshot: replay capacity must be positive".into());
         }
         let (dim, actions) = (self.config.state_dim, self.config.num_actions);
-        if let Some(bad) =
-            state.replay.buffer.iter().position(|t| {
-                t.state.len() != dim || t.next_state.len() != dim || t.action >= actions
-            })
-        {
-            return Err(format!(
-                "DQN snapshot: replay transition {bad} does not fit state_dim {dim} \
-                 and {actions} actions"
-            ));
-        }
+        let replay = state.replay.buffer.iter();
+        let rows = replay.map(|t| (&t.state[..], t.action, t.reward, &t.next_state[..]));
+        check_transitions("DQN replay", rows, dim, actions)?;
         self.online.import_parameters(&state.online);
         self.target.import_parameters(&state.target);
         self.optimizer.import_state(state.optimizer);

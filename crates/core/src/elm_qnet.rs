@@ -8,7 +8,7 @@
 
 use crate::agent::{Agent, Observation, DROPPED_NONFINITE};
 use crate::batch::{elm_q_batch, elm_q_batch_into, BatchAgent, BatchQScratch};
-use crate::checkpoint::AgentSnapshot;
+use crate::checkpoint::{check_buffer, AgentSnapshot};
 use crate::clipping::TargetConfig;
 use crate::encoding::StateActionEncoder;
 use crate::ops::{OpCounts, OpKind};
@@ -239,6 +239,8 @@ impl Agent for ElmQNet {
         let config = self.config.elm_config();
         state.online.model.check_dims(&config)?;
         state.target.check_dims(&config)?;
+        let (dim, actions) = (self.config.state_dim, self.config.num_actions);
+        check_buffer("buffer D", &state.buffer, dim, actions)?;
         let online = Elm::from_snapshot(&state.online).map_err(|e| format!("online: {e}"))?;
         let target = state.target.restore().map_err(|e| format!("target: {e}"))?;
         self.online = online;

@@ -263,3 +263,41 @@ fn dqn_restore_rejects_replay_rows_that_do_not_fit_the_agent() {
         assert!(err.contains("does not fit"), "got: {err}");
     }
 }
+
+/// `json` with the last component of the first buffered transition's state
+/// removed: a CartPole state cut from 4 components to 3.
+fn cut_first_buffered_state(json: &str) -> String {
+    let start = json
+        .find("\"buffer\":[{\"state\":[")
+        .expect("a buffered transition");
+    let end = start + json[start..].find(']').expect("the state closes");
+    let cut = json[..end].rfind(',').expect("more than one component");
+    format!("{}{}", &json[..cut], &json[end..])
+}
+
+#[test]
+fn restore_rejects_a_buffered_state_cut_short_and_leaves_the_agent_unchanged() {
+    let spec = Workload::CartPole.spec();
+    let config = DesignConfig::for_workload(&spec, 8);
+    for design in Design::software_designs() {
+        // Five steps: fewer than Ñ = 8, so buffer D (or the replay) holds
+        // them all.
+        let mut rng = SmallRng::seed_from_u64(11);
+        let mut agent = design.build(&config, &mut rng);
+        let mut env = spec.make_env();
+        drive(agent.as_mut(), env.as_mut(), &mut rng, 5, &mut 0);
+        let json = serde_json::to_string(&agent.snapshot().expect("snapshots")).unwrap();
+        let broken: AgentSnapshot =
+            serde_json::from_str(&cut_first_buffered_state(&json)).expect("still valid JSON");
+        let err = agent.restore(&broken).unwrap_err();
+        assert!(
+            err.contains("does not fit state_dim 4"),
+            "{design:?}: {err}"
+        );
+        let after = serde_json::to_string(&agent.snapshot().expect("snapshots")).unwrap();
+        assert_eq!(
+            after, json,
+            "{design:?}: a failed restore leaves the agent unchanged"
+        );
+    }
+}

@@ -19,16 +19,18 @@
 //! time goes into four Ñ²·B passes over `P`: `P·Hᵀ`, `H·P`, the downdate
 //! `P −= (P·Hᵀ)·S⁻¹·(H·P)` and the recompute of `P_new·Hᵀ` for β. All four
 //! run on one register-blocked micro-kernel (`block`), 4 rows of one
-//! operand by up to 4 lanes of the other, with `Hᵀ` packed once per chunk so
-//! the `P·Hᵀ` lanes are contiguous. Each accumulator is one output element
-//! summed from zero in ascending order, so `seq_train_batch` stays bit for
-//! bit equal to `seq_train` on any thread count.
+//! operand by up to 4 lanes of the other (8 when the tiles run through
+//! [`elmrl_linalg::simd::wide`] on an AVX2 host), with `Hᵀ` packed once
+//! per chunk so the `P·Hᵀ` lanes are contiguous. Each accumulator is one
+//! output element summed from zero in ascending order, so
+//! `seq_train_batch` stays bit for bit equal to `seq_train` on any thread
+//! count and any CPU.
 
 use crate::config::OsElmConfig;
 use crate::model::ElmModel;
 use elmrl_linalg::decomp::{cholesky_into, solve_spd_into, Cholesky};
 use elmrl_linalg::solve::inverse;
-use elmrl_linalg::{LinalgError, Matrix, Scalar};
+use elmrl_linalg::{simd, LinalgError, Matrix, Scalar};
 use rand::Rng;
 use rayon::prelude::*;
 use std::fmt;
@@ -149,9 +151,10 @@ impl<T: Scalar> Default for SeqScratch<T> {
 }
 
 /// Rows of the register block: four rows of `A` share every load of `B`.
-/// Lanes come in strips of 4, 2 and 1 (see [`block_rows`]): on baseline
-/// x86-64 (SSE2: sixteen 2-lane registers) a 4×4 block of `f64` sums takes
-/// eight registers, while a 4×8 block needs all sixteen and spills.
+/// Lanes come in strips of 8 (AVX2 only), 4, 2 and 1 (see [`block_rows`]):
+/// on baseline x86-64 (SSE2: sixteen 2-lane registers) a 4×4 block of `f64`
+/// sums takes eight registers, while a 4×8 block needs all sixteen and
+/// spills; with AVX2's 4-lane registers the 4×8 block takes eight.
 const BLOCK_ROWS: usize = 4;
 
 /// Depth of one `k` block of the `H·P` pass: the `HP_DEPTH` rows of a band
@@ -258,16 +261,22 @@ fn strip<T: Scalar, const R: usize, const W: usize>(
 }
 
 /// `out[i][l] ∘= Σ_k a[i][k]·b(k, l)` for every lane of `out[i]`, in strips
-/// of 4, 2 and 1 lanes.
+/// of 8 (when `lanes8`), 4, 2 and 1 lanes. The strip width only groups
+/// independent sums, so it changes no bit.
 #[inline(always)]
 fn block_rows<T: Scalar, const R: usize>(
     a: [&[T]; R],
     b: Panel<'_, T>,
     mut out: [&mut [T]; R],
     epilogue: Epilogue,
+    lanes8: bool,
 ) {
     let lanes = out[0].len();
     let mut at = 0;
+    while lanes8 && lanes - at >= 8 {
+        strip::<T, R, 8>(a, b, &mut out, at, epilogue);
+        at += 8;
+    }
     while lanes - at >= 4 {
         strip::<T, R, 4>(a, b, &mut out, at, epilogue);
         at += 4;
@@ -283,12 +292,14 @@ fn block_rows<T: Scalar, const R: usize>(
 
 /// [`block_rows`] over the rows of `out` (each `width` long), four at a
 /// time with single rows for the remainder; `a_row(i)` is row `i` of `A`.
+#[inline(always)]
 fn for_row_blocks<'a, T: Scalar>(
     a_row: impl Fn(usize) -> &'a [T],
     out: &mut [T],
     width: usize,
     b: Panel<'_, T>,
     epilogue: Epilogue,
+    lanes8: bool,
 ) {
     for (g, group) in out.chunks_mut(BLOCK_ROWS * width).enumerate() {
         let i0 = g * BLOCK_ROWS;
@@ -296,10 +307,16 @@ fn for_row_blocks<'a, T: Scalar>(
             let mut rows = group.chunks_exact_mut(width);
             let out: [&mut [T]; BLOCK_ROWS] =
                 std::array::from_fn(|_| rows.next().expect("a full row group"));
-            block_rows(std::array::from_fn(|i| a_row(i0 + i)), b, out, epilogue);
+            block_rows(
+                std::array::from_fn(|i| a_row(i0 + i)),
+                b,
+                out,
+                epilogue,
+                lanes8,
+            );
         } else {
             for (i, row) in group.chunks_exact_mut(width).enumerate() {
-                block_rows([a_row(i0 + i)], b, [row], epilogue);
+                block_rows([a_row(i0 + i)], b, [row], epilogue, lanes8);
             }
         }
     }
@@ -329,7 +346,9 @@ where
 /// `B` = `Hᵀ`, packed into `ht` here) and `hp = H·P` on column bands
 /// (`A` = rows of `H`, `B` = the band's columns of `P`, blocked over `k`).
 /// The bands are computed into `stage` band by band, each band `B` rows of
-/// its own width, then copied into `hp`.
+/// its own width, then copied into `hp`. Each tile runs through
+/// [`simd::wide`]; `lanes8` opens the 8-lane strip (see [`block_rows`]).
+#[allow(clippy::too_many_arguments)]
 fn ph_hp<T: Scalar>(
     p: &Matrix<T>,
     h: &Matrix<T>,
@@ -338,6 +357,7 @@ fn ph_hp<T: Scalar>(
     hp: &mut Matrix<T>,
     stage: &mut Matrix<T>,
     parallel: bool,
+    lanes8: bool,
 ) {
     let (k, n) = h.shape();
     ht.resize_zeroed(n, k);
@@ -351,7 +371,11 @@ fn ph_hp<T: Scalar>(
     let ph_tiles = ph.as_mut_slice().chunks_mut(P_UPDATE_TILE * k).enumerate();
     run_tiles(parallel, ph_tiles, |(t, tile)| {
         let r0 = t * P_UPDATE_TILE;
-        for_row_blocks(|i| p.row(r0 + i), tile, k, ht, Epilogue::Store);
+        let a_row = |i| p.row(r0 + i);
+        simd::wide(
+            #[inline(always)]
+            || for_row_blocks(a_row, tile, k, ht, Epilogue::Store, lanes8),
+        );
     });
 
     stage.resize_zeroed(k, n);
@@ -361,15 +385,21 @@ fn ph_hp<T: Scalar>(
         .enumerate();
     run_tiles(parallel, bands, |(t, band)| {
         let width = band.len() / k;
-        for kb in (0..n).step_by(HP_DEPTH) {
-            let ke = (kb + HP_DEPTH).min(n);
-            let p_band = Panel {
-                data: &p.as_slice()[kb * n..ke * n],
-                stride: n,
-                off: t * P_UPDATE_TILE,
-            };
-            for_row_blocks(|i| &h.row(i)[kb..ke], band, width, p_band, Epilogue::Resume);
-        }
+        simd::wide(
+            #[inline(always)]
+            || {
+                for kb in (0..n).step_by(HP_DEPTH) {
+                    let ke = (kb + HP_DEPTH).min(n);
+                    let p_band = Panel {
+                        data: &p.as_slice()[kb * n..ke * n],
+                        stride: n,
+                        off: t * P_UPDATE_TILE,
+                    };
+                    let a_row = |i| &h.row(i)[kb..ke];
+                    for_row_blocks(a_row, band, width, p_band, Epilogue::Resume, lanes8);
+                }
+            },
+        );
     });
     hp.resize_zeroed(k, n);
     for (t, band) in stage.as_slice().chunks(P_UPDATE_TILE * k).enumerate() {
@@ -385,6 +415,7 @@ fn ph_hp<T: Scalar>(
 /// `sol`); then `ph[r] ← P_new[r]·Hᵀ` on the four finished rows (`A` = rows
 /// of `P`, `B` = the packed `Hᵀ`); then `β[r] += ph_new[r]·e` (`B` = the
 /// residual). `P` is read and written once per chunk.
+#[inline(always)]
 fn downdate_tile<T: Scalar>(
     p_rows: &mut [T],
     ph_rows: &mut [T],
@@ -392,6 +423,7 @@ fn downdate_tile<T: Scalar>(
     ht: &Matrix<T>,
     sol: &Matrix<T>,
     resid: &Matrix<T>,
+    lanes8: bool,
 ) {
     let (n, k) = ht.shape();
     let m = resid.cols();
@@ -407,6 +439,7 @@ fn downdate_tile<T: Scalar>(
             n,
             Panel::of(sol),
             Epilogue::Sub,
+            lanes8,
         );
         let p_new: &[T] = p_g;
         for_row_blocks(
@@ -415,6 +448,7 @@ fn downdate_tile<T: Scalar>(
             k,
             Panel::of(ht),
             Epilogue::Store,
+            lanes8,
         );
         let ph_new: &[T] = ph_g;
         for_row_blocks(
@@ -423,8 +457,37 @@ fn downdate_tile<T: Scalar>(
             m,
             Panel::of(resid),
             Epilogue::Add,
+            lanes8,
         );
     }
+}
+
+/// Pass 2 of the batch-B RLS update: [`downdate_tile`] over every
+/// `P_UPDATE_TILE`-row tile of `P`, `ph` and `β`, each tile through
+/// [`simd::wide`]; `lanes8` opens the 8-lane strip (see [`block_rows`]).
+#[allow(clippy::too_many_arguments)]
+fn downdate<T: Scalar>(
+    p: &mut Matrix<T>,
+    ph: &mut Matrix<T>,
+    beta: &mut Matrix<T>,
+    ht: &Matrix<T>,
+    sol: &Matrix<T>,
+    resid: &Matrix<T>,
+    parallel: bool,
+    lanes8: bool,
+) {
+    let (n, k, m) = (p.cols(), ph.cols(), beta.cols());
+    let tiles = p
+        .as_mut_slice()
+        .chunks_mut(P_UPDATE_TILE * n)
+        .zip(ph.as_mut_slice().chunks_mut(P_UPDATE_TILE * k))
+        .zip(beta.as_mut_slice().chunks_mut(P_UPDATE_TILE * m));
+    run_tiles(parallel, tiles, |((p_rows, ph_rows), beta_rows)| {
+        simd::wide(
+            #[inline(always)]
+            || downdate_tile(p_rows, ph_rows, beta_rows, ht, sol, resid, lanes8),
+        );
+    });
 }
 
 /// Pass 1 of the inline single-sample update: one streamed read of `P`
@@ -678,7 +741,9 @@ impl<T: Scalar> OsElm<T> {
         }
         self.check_shapes(x0, t0)?;
         check_finite("init_train", x0.iter().chain(t0.iter()))?;
-        let h0 = self.model.hidden(x0);
+        // H₀ through the packed GEMM (bit-identical to `hidden`).
+        let mut h0 = Matrix::default();
+        self.model.hidden_into_packed(x0, &mut Vec::new(), &mut h0);
         let n_hidden = self.model.hidden_dim();
         let mut gram = h0.t_matmul(&h0);
         if self.l2_delta > 0.0 {
@@ -793,7 +858,6 @@ impl<T: Scalar> OsElm<T> {
         } = scratch;
         let k = x.rows();
         let n_hidden = model.hidden_dim();
-        let m_out = model.output_dim();
         let _span = elmrl_telemetry::hist!("elm.batch_rls").span();
 
         // H = G(x·α + b) (B×Ñ), through the cache-blocked kernel (wide
@@ -812,7 +876,9 @@ impl<T: Scalar> OsElm<T> {
 
         // Pass 1 — P·Hᵀ (Ñ×B) and H·P (B×Ñ); per output element the
         // accumulation order is the `matmul_t_into` / `matmul_into` one.
-        ph_hp(p, h, ht, ph, hp, sol, parallel);
+        // With AVX2 the register block widens to 4×8 (see `block_rows`).
+        let lanes8 = simd::avx2();
+        ph_hp(p, h, ht, ph, hp, sol, parallel, lanes8);
 
         // S = I + H·P·Hᵀ (B×B).
         h.matmul_into(ph, s);
@@ -849,20 +915,7 @@ impl<T: Scalar> OsElm<T> {
         // element keeps the allocating kernels' ascending accumulation
         // order, so this is bit-identical to `seq_train` while touching P
         // once instead of four times.
-        let (ht, sol, resid): (&Matrix<T>, &Matrix<T>, &Matrix<T>) = (ht, sol, pred);
-        let tiles = p
-            .as_mut_slice()
-            .chunks_mut(P_UPDATE_TILE * n_hidden)
-            .zip(ph.as_mut_slice().chunks_mut(P_UPDATE_TILE * k))
-            .zip(
-                model
-                    .beta_mut()
-                    .as_mut_slice()
-                    .chunks_mut(P_UPDATE_TILE * m_out),
-            );
-        run_tiles(parallel, tiles, |((p_rows, ph_rows), beta_rows)| {
-            downdate_tile(p_rows, ph_rows, beta_rows, ht, sol, resid);
-        });
+        downdate(p, ph, model.beta_mut(), ht, sol, pred, parallel, lanes8);
 
         self.seq_train_count += 1;
         Ok(())
@@ -927,7 +980,7 @@ impl<T: Scalar> OsElm<T> {
         // the batch path's tiles run with one lane.
         if parallel {
             elmrl_telemetry::counter!("elm.p_update.par").add(1);
-            ph_hp(p, h, ht, ph, hp, sol, true);
+            ph_hp(p, h, ht, ph, hp, sol, true, simd::avx2());
         } else {
             elmrl_telemetry::counter!("elm.p_update.seq").add(1);
             ph.resize_zeroed(n_hidden, 1);

@@ -4,7 +4,9 @@
 //! (downdate, `P_new·Hᵀ` recompute, β row). Operands carry ±0 and NaN, the
 //! sizes cross the 4-row block, the lane strips, the `H·P` depth block and
 //! the 64-row tile, and every case runs inline on one thread and on a
-//! 4-worker pool with the parallel threshold at 1.
+//! 4-worker pool with the parallel threshold at 1, with the 8-lane strip
+//! closed and open. The passes run through `simd::wide`, so on an AVX2 host
+//! this is the AVX2 code that is held to the one-element loops.
 
 use super::*;
 use elmrl_linalg::set_parallel_flop_threshold;
@@ -119,8 +121,8 @@ fn reference_downdate(
     }
 }
 
-/// The blocked passes on `(P, H, sol, resid, β)` under one thread setting:
-/// `(ph, hp)` after pass 1 and `(P, ph, β)` after pass 2.
+/// The blocked passes on `(P, H, sol, resid, β)` under one thread setting
+/// and strip width: `(ph, hp)` after pass 1 and `(P, ph, β)` after pass 2.
 type PassOutputs = (
     Matrix<f64>,
     Matrix<f64>,
@@ -136,6 +138,7 @@ fn blocked_passes(
     resid: &Matrix<f64>,
     mut beta: Matrix<f64>,
     pooled: bool,
+    lanes8: bool,
 ) -> PassOutputs {
     let _guard = SETTINGS.lock().unwrap_or_else(|e| e.into_inner());
     let (k, n) = h.shape();
@@ -146,17 +149,13 @@ fn blocked_passes(
     assert_eq!(parallel, pooled);
 
     let (mut ht, mut ph, mut hp, mut stage) = Default::default();
-    ph_hp(&p, h, &mut ht, &mut ph, &mut hp, &mut stage, parallel);
+    ph_hp(
+        &p, h, &mut ht, &mut ph, &mut hp, &mut stage, parallel, lanes8,
+    );
     let ph_pass1 = ph.clone();
-    let m = resid.cols();
-    let tiles = p
-        .as_mut_slice()
-        .chunks_mut(P_UPDATE_TILE * n)
-        .zip(ph.as_mut_slice().chunks_mut(P_UPDATE_TILE * k))
-        .zip(beta.as_mut_slice().chunks_mut(P_UPDATE_TILE * m));
-    run_tiles(parallel, tiles, |((p_rows, ph_rows), beta_rows)| {
-        downdate_tile(p_rows, ph_rows, beta_rows, &ht, sol, resid);
-    });
+    downdate(
+        &mut p, &mut ph, &mut beta, &ht, sol, resid, parallel, lanes8,
+    );
 
     rayon::set_num_threads(1);
     set_parallel_flop_threshold(0);
@@ -177,10 +176,10 @@ fn assert_matches_the_reference(n: usize, k: usize, m: usize, seed: u64) {
     let (mut p_ref, mut ph_ref, mut beta_ref) = (p.clone(), ph.clone(), beta.clone());
     reference_downdate(&mut p_ref, &mut ph_ref, &mut beta_ref, &h, &sol, &resid);
 
-    for pooled in [false, true] {
+    for (pooled, lanes8) in [(false, false), (false, true), (true, false), (true, true)] {
         let (ph1, hp1, p2, ph2, beta2) =
-            blocked_passes(p.clone(), &h, &sol, &resid, beta.clone(), pooled);
-        let case = format!("Ñ={n} B={k} m={m} seed={seed} pooled={pooled}");
+            blocked_passes(p.clone(), &h, &sol, &resid, beta.clone(), pooled, lanes8);
+        let case = format!("Ñ={n} B={k} m={m} seed={seed} pooled={pooled} lanes8={lanes8}");
         assert!(same_bits(&ph1, &ph), "P·Hᵀ, {case}");
         assert!(same_bits(&hp1, &hp), "H·P, {case}");
         assert!(same_bits(&p2, &p_ref), "downdate, {case}");
@@ -204,14 +203,15 @@ proptest! {
 }
 
 /// Deterministic corners: Ñ on either side of the depth block and the tile
-/// (31–33, 63–65, 127–129), B on either side of the lane strip.
+/// (31–33, 63–65, 127–129), B on either side of the 4- and 8-lane strips
+/// and of two 8-lane strips.
 #[test]
 fn blocked_passes_match_at_block_and_tile_edges() {
     for (i, n) in [1, 3, 31, 32, 33, 63, 64, 65, 127, 128, 129]
         .into_iter()
         .enumerate()
     {
-        for k in [1, 3, 4, 5, 8, 9] {
+        for k in [1, 3, 4, 5, 7, 8, 9, 15, 16, 17] {
             assert_matches_the_reference(n, k, 2, 1000 * i as u64 + k as u64);
         }
     }

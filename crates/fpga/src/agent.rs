@@ -12,7 +12,7 @@
 use crate::core::{FpgaCore, FpgaCoreSnapshot, CPU_CLOCK_HZ};
 use elmrl_core::agent::{Agent, Observation, DROPPED_NONFINITE};
 use elmrl_core::batch::{elm_q_batch_into, BatchQScratch};
-use elmrl_core::checkpoint::AgentSnapshot;
+use elmrl_core::checkpoint::{check_buffer, AgentSnapshot};
 use elmrl_core::clipping::TargetConfig;
 use elmrl_core::encoding::StateActionEncoder;
 use elmrl_core::ops::{OpCounts, OpKind};
@@ -416,6 +416,8 @@ impl Agent for FpgaAgent {
         let config = self.config.elm_config();
         state.cpu_learner.model.check_dims(&config)?;
         state.target.check_dims(&config)?;
+        let (dim, actions) = (self.config.state_dim, self.config.num_actions);
+        check_buffer("buffer D", &state.buffer, dim, actions)?;
         if let Some(core) = &state.core {
             let (n, nh, m) = (config.input_dim, config.hidden_dim, config.output_dim);
             let shapes = [
@@ -829,5 +831,26 @@ mod tests {
                 "agent unchanged"
             );
         }
+    }
+
+    #[test]
+    fn restore_rejects_a_buffered_state_cut_short() {
+        let mut r = rng(13);
+        let mut agent = FpgaAgent::new(cartpole(8), &mut r);
+        for i in 0..5 {
+            agent.observe(&obs(i, -0.1, false), &mut r);
+        }
+        let snap = agent.snapshot().unwrap();
+        let mut state: FpgaAgentState = snap.decode(agent.name()).unwrap();
+        state.buffer[0].state.truncate(3);
+        let err = agent
+            .restore(&AgentSnapshot::new(agent.name(), &state))
+            .unwrap_err();
+        assert!(err.contains("does not fit state_dim 4"), "{err}");
+        assert_eq!(
+            agent.snapshot().unwrap().state,
+            snap.state,
+            "agent unchanged"
+        );
     }
 }

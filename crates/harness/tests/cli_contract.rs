@@ -133,3 +133,58 @@ fn an_ignored_flag_gets_one_note_and_the_run_goes_on() {
     assert!(out.join("table3.json").exists());
     let _ = std::fs::remove_dir_all(&out);
 }
+
+#[test]
+fn resuming_a_checkpoint_whose_buffer_d_was_cut_short_exits_2() {
+    let (ckpt, out) = (scratch_dir("cut-d-ckpt"), scratch_dir("cut-d-out"));
+    let (ckpt_arg, out_arg) = (ckpt.to_str().unwrap(), out.to_str().unwrap());
+    let run_fig5 = |extra: &[&str]| {
+        let mut args = vec![
+            "--workload",
+            "cart-pole",
+            "--hidden",
+            "8",
+            "--trials",
+            "1",
+            "--episodes",
+            "5",
+            "--checkpoint-dir",
+            ckpt_arg,
+            "--out",
+            out_arg,
+        ];
+        args.extend_from_slice(extra);
+        run("fig5", &args, &[])
+    };
+    let stopped = run_fig5(&["--checkpoint-every", "1", "--stop-after", "1"]);
+    assert!(stopped.status.success(), "{}", stderr(&stopped));
+
+    // The batch ELM trial refills buffer D between retrains, so its
+    // checkpoint holds buffered transitions; cut the first state to 3 of
+    // CartPole's 4 components.
+    let path = std::fs::read_dir(&ckpt)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .find(|p| {
+            p.file_name()
+                .unwrap()
+                .to_str()
+                .unwrap()
+                .starts_with("trial-cart-pole-elm-")
+        })
+        .expect("the ELM trial's checkpoint");
+    let json = std::fs::read_to_string(&path).unwrap();
+    let start = json
+        .find("\"buffer\":[{\"state\":[")
+        .expect("a buffered transition");
+    let end = start + json[start..].find(']').unwrap();
+    let cut = json[..end].rfind(',').unwrap();
+    std::fs::write(&path, format!("{}{}", &json[..cut], &json[end..])).unwrap();
+
+    let resumed = run_fig5(&["--resume"]);
+    assert_eq!(resumed.status.code(), Some(2), "{}", stderr(&resumed));
+    assert!(stderr(&resumed).contains("does not fit state_dim 4"));
+    assert!(!out.join("fig5.json").exists());
+    let _ = std::fs::remove_dir_all(&ckpt);
+    let _ = std::fs::remove_dir_all(&out);
+}

@@ -106,7 +106,7 @@ impl<T: Scalar> Lu<T> {
             });
         }
         let mut x = b.gather_rows(&self.perm);
-        solve_in_place(&self.lu, LU_PASSES, &mut x);
+        solve_in_place(&self.lu, LU_PASSES, &mut x, false);
         Ok(x)
     }
 
@@ -114,7 +114,7 @@ impl<T: Scalar> Lu<T> {
     /// in place.
     pub fn inverse(&self) -> Result<Matrix<T>> {
         let mut x = self.p();
-        solve_in_place(&self.lu, LU_PASSES, &mut x);
+        solve_in_place(&self.lu, LU_PASSES, &mut x, false);
         Ok(x)
     }
 

@@ -17,7 +17,7 @@ pub mod cholesky;
 pub mod lu;
 pub(crate) mod qr;
 pub mod svd;
-mod triangular;
+pub(crate) mod triangular;
 
 pub use cholesky::{cholesky_into, solve_spd_into, Cholesky};
 pub use lu::Lu;

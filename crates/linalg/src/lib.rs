@@ -21,6 +21,10 @@
 //!   Moore–Penrose pseudo-inverse (complete orthogonal decomposition).
 //! * [`norms`] — Frobenius/L2/∞ norms and power-iteration spectral norm.
 //! * [`random`] — seeded random matrix initialisation used by ELM's `α`.
+//! * [`simd`] — run-time AVX2 dispatch for the hot kernels (the packed GEMM,
+//!   `t_matmul`, the triangular passes and the OS-ELM B-chunk P passes);
+//!   the workspace's one audited `unsafe`, and bit-identical to the
+//!   baseline build.
 //!
 //! ## Example
 //!
@@ -44,6 +48,7 @@ pub mod matrix;
 pub mod norms;
 pub mod random;
 pub mod scalar;
+pub mod simd;
 pub mod solve;
 
 pub use error::{LinalgError, Result};

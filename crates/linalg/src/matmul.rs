@@ -56,6 +56,7 @@
 
 use crate::matrix::Matrix;
 use crate::scalar::Scalar;
+use crate::simd::wide;
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -134,8 +135,10 @@ const PACK_FLOP_THRESHOLD: usize = 8 * 8 * 8;
 /// columns by [`PACK_NC`]. For every output element the `k` terms are still
 /// accumulated in ascending order (k-blocks ascend, `p` ascends within a
 /// block), so the result is bit-for-bit identical to the naive kernel no
-/// matter how the tiles fall.
-fn packed_gemm_rows<T: Scalar>(
+/// matter how the tiles fall. Callers run it through
+/// [`packed_gemm_rows_wide`].
+#[inline(always)]
+pub(crate) fn packed_gemm_rows<T: Scalar>(
     a: &Matrix<T>,
     i0: usize,
     i1: usize,
@@ -177,6 +180,23 @@ fn packed_gemm_rows<T: Scalar>(
     }
 }
 
+/// [`packed_gemm_rows`] through [`wide`]: the one call site, so the kernel
+/// is compiled once per CPU path however many products use it.
+fn packed_gemm_rows_wide<T: Scalar>(
+    a: &Matrix<T>,
+    i0: usize,
+    i1: usize,
+    k_used: usize,
+    rhs: &Matrix<T>,
+    pack: &mut Vec<T>,
+    out_rows: &mut [T],
+) {
+    wide(
+        #[inline(always)]
+        || packed_gemm_rows(a, i0, i1, k_used, rhs, pack, out_rows),
+    );
+}
+
 /// Output rows per tile of the generic `t_matmul_into` path.
 const T_TILE_ROWS: usize = 32;
 
@@ -191,7 +211,9 @@ const T_TILE_COLS: usize = 128;
 /// stored once. Every element still gets the `p-i-j` loop's additions in
 /// the `p-i-j` loop's order; the tile only keeps the accumulators
 /// cache-resident instead of sweeping the whole output once per `p`.
-fn t_matmul_rows<T: Scalar>(a: &Matrix<T>, b: &Matrix<T>, i0: usize, out: &mut [T]) {
+/// Callers run it through [`t_matmul_rows_wide`].
+#[inline(always)]
+pub(crate) fn t_matmul_rows<T: Scalar>(a: &Matrix<T>, b: &Matrix<T>, i0: usize, out: &mut [T]) {
     let (k, n) = (a.rows(), b.cols());
     let rows = out.len() / n;
     for ti in (0..rows).step_by(T_TILE_ROWS) {
@@ -208,6 +230,14 @@ fn t_matmul_rows<T: Scalar>(a: &Matrix<T>, b: &Matrix<T>, i0: usize, out: &mut [
             }
         }
     }
+}
+
+/// [`t_matmul_rows`] through [`wide`], its one call site.
+fn t_matmul_rows_wide<T: Scalar>(a: &Matrix<T>, b: &Matrix<T>, i0: usize, out: &mut [T]) {
+    wide(
+        #[inline(always)]
+        || t_matmul_rows(a, b, i0, out),
+    );
 }
 
 /// Add inner indices `p..p + G` to one output tile: rows `rows` of `aᵀ`
@@ -397,7 +427,7 @@ impl<T: Scalar> Matrix<T> {
         );
         let (m, k, n) = (self.rows(), self.cols(), rhs.cols());
         out.resize_zeroed(m, n);
-        packed_gemm_rows(self, 0, m, k, rhs, pack, out.as_mut_slice());
+        packed_gemm_rows_wide(self, 0, m, k, rhs, pack, out.as_mut_slice());
     }
 
     /// Product of the first `k_used` columns of `self` with the first
@@ -424,7 +454,7 @@ impl<T: Scalar> Matrix<T> {
         );
         let (m, n) = (self.rows(), rhs.cols());
         out.resize_zeroed(m, n);
-        packed_gemm_rows(self, 0, m, k_used, rhs, pack, out.as_mut_slice());
+        packed_gemm_rows_wide(self, 0, m, k_used, rhs, pack, out.as_mut_slice());
     }
 
     /// Size-dispatched product into a caller-owned output: naive loop for
@@ -471,7 +501,7 @@ impl<T: Scalar> Matrix<T> {
             let i0 = ci * rows_per;
             let rows = chunk.len() / n;
             let mut local_pack = Vec::new();
-            packed_gemm_rows(self, i0, i0 + rows, k, rhs, &mut local_pack, chunk);
+            packed_gemm_rows_wide(self, i0, i0 + rows, k, rhs, &mut local_pack, chunk);
         });
     }
 
@@ -508,7 +538,7 @@ impl<T: Scalar> Matrix<T> {
         // (exactly 64³) stays on the calling thread, as every other Ñ = 64
         // kernel does, so those runs never start the pool.
         if threads <= 1 || k * m * n <= parallel_flop_threshold() || m < 2 {
-            t_matmul_rows(self, rhs, 0, out.as_mut_slice());
+            t_matmul_rows_wide(self, rhs, 0, out.as_mut_slice());
             return;
         }
         let rows_per = m.div_ceil(threads * 2);
@@ -518,7 +548,7 @@ impl<T: Scalar> Matrix<T> {
             .enumerate()
             .collect();
         bands.into_par_iter().for_each(|(bi, band)| {
-            t_matmul_rows(self, rhs, bi * rows_per, band);
+            t_matmul_rows_wide(self, rhs, bi * rows_per, band);
         });
     }
 

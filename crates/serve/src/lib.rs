@@ -21,6 +21,8 @@
 //! [`worker::build_workers`]) are public for benches and tests that need
 //! finer control.
 
+#![deny(unsafe_code)]
+
 pub mod clock;
 pub mod engine;
 pub mod report;
