@@ -69,7 +69,7 @@ fn build_quantized_agent() -> (FpgaAgent, SmallRng) {
     for i in 0..HIDDEN {
         agent.observe(&transition(i), &mut rng);
     }
-    assert!(agent.core_loaded());
+    assert!(agent.datapath().core_loaded());
     let obs = transition(1);
     for _ in 0..16 {
         let a = agent.act(&obs.state, &mut rng);

@@ -10,12 +10,13 @@
 //! B = 1 special case.
 //!
 //! The trait ships a per-sample fallback (loop over rows through
-//! [`Agent::q_values`]), so any agent is a valid `BatchAgent`; the three
-//! networks of the evaluation ([`ElmQNet`](crate::elm_qnet::ElmQNet),
-//! [`OsElmQNet`](crate::oselm_qnet::OsElmQNet),
-//! [`DqnAgent`](crate::dqn::DqnAgent)) override it with genuinely batched
-//! forward passes that match the fallback **bit for bit** (the linalg
-//! kernels accumulate each output row independently of the other rows).
+//! [`Agent::q_values`]), so any agent is a valid `BatchAgent`. Two
+//! implementations replace it with genuinely batched forward passes that
+//! match the fallback **bit for bit** (the linalg kernels accumulate each
+//! output row independently of the other rows): the one Algorithm 1 shell,
+//! [`QNet`](crate::qnet::QNet), behind the ELM, OS-ELM and FPGA designs
+//! (through [`elm_q_batch_into`], or the Q20 core for FPGA), and
+//! [`DqnAgent`](crate::dqn::DqnAgent).
 //!
 //! [`BatchAgent::predict_batch`] is a pure forward pass and does not touch
 //! the per-operation counters behind the Figure 5/6 breakdowns; the
@@ -111,39 +112,12 @@ pub trait BatchAgent: Agent {
     }
 }
 
-/// Batched `(state, action)` Q evaluation for the ELM-family networks:
-/// evaluate every action of every state through one batched forward pass and
-/// fold the scalar outputs back into `B × A`.
-///
-/// With the paper's scalar action encoding the input rows for one state
-/// differ **only** in the trailing action component, so the `state · α`
-/// projection — `state_dim` of the `state_dim + 1` input columns — is
-/// computed once per state (`B × Ñ` matmul) and the per-action rows add just
-/// the action's own term. The naive `i-k-j` matmul accumulates the input
-/// columns in ascending order, so `(state·α_top + a·α_last) + bias`
-/// reproduces the scalar path's `((…((0 + x₀α₀ⱼ) + …) + x_{n-1}α_{n-1}ⱼ)) +
-/// bⱼ` operation-for-operation: the result is **bit-for-bit** equal to
-/// [`ElmModel::predict_single`] per pair, just `A×` cheaper on the shared
-/// columns. One-hot encodings take the generic stacked-input route instead.
-pub(crate) fn elm_q_batch(
-    encoder: &StateActionEncoder,
-    model: &ElmModel<f64>,
-    states: &Matrix<f64>,
-) -> Matrix<f64> {
-    let mut scratch = BatchQScratch::default();
-    elm_q_batch_into(encoder, model, states, &mut scratch);
-    std::mem::take(&mut scratch.q)
-}
-
 /// Reusable workspaces for one batched ELM-family Q evaluation. Every matrix
 /// keeps its allocation across calls (see [`Matrix::resize_zeroed`]), so a
 /// steady-state [`elm_q_batch_into`] evaluation performs zero heap
 /// allocations — the property the batched *training* hot path (Q-targets
 /// from the frozen target network, every tick) needs to stay allocation-free
 /// at E > 1, asserted by the counting-allocator test.
-///
-/// Public since PR 7: the FPGA agent evaluates its float target network
-/// through the same kernel, so its batched observe path shares this scratch.
 #[derive(Clone, Debug, Default)]
 pub struct BatchQScratch {
     /// `B × Ñ` — the shared `state·α_top` projection (scalar encoding).
@@ -167,9 +141,23 @@ impl BatchQScratch {
     }
 }
 
-/// `elm_q_batch` through caller-owned workspaces — bit-for-bit identical
-/// (the allocating entry point delegates here), with the result left in
-/// `scratch.q` (`B × A`, readable via [`BatchQScratch::q`]).
+/// Batched `(state, action)` Q evaluation for the ELM-family networks:
+/// evaluate every action of every state through one batched forward pass and
+/// fold the scalar outputs back into `B × A`.
+///
+/// With the paper's scalar action encoding the input rows for one state
+/// differ **only** in the trailing action component, so the `state · α`
+/// projection — `state_dim` of the `state_dim + 1` input columns — is
+/// computed once per state (`B × Ñ` matmul) and the per-action rows add just
+/// the action's own term. The naive `i-k-j` matmul accumulates the input
+/// columns in ascending order, so `(state·α_top + a·α_last) + bias`
+/// reproduces the scalar path's `((…((0 + x₀α₀ⱼ) + …) + x_{n-1}α_{n-1}ⱼ)) +
+/// bⱼ` operation-for-operation: the result is **bit-for-bit** equal to
+/// [`ElmModel::predict_single`] per pair, just `A×` cheaper on the shared
+/// columns. One-hot encodings take the generic stacked-input route instead.
+///
+/// The result is left in `scratch.q` (`B × A`, readable via
+/// [`BatchQScratch::q`]).
 pub fn elm_q_batch_into(
     encoder: &StateActionEncoder,
     model: &ElmModel<f64>,
@@ -272,7 +260,7 @@ mod tests {
     #[test]
     fn one_hot_batch_matches_per_sample_prediction_bitwise() {
         // No constructible agent uses the one-hot encoding yet (it exists
-        // for the encoding ablation), so the OneHot arm of `elm_q_batch` is
+        // for the encoding ablation), so the OneHot arm of `elm_q_batch_into` is
         // covered directly against the scalar `predict_single` path.
         use elmrl_elm::OsElmConfig;
         use rand::SeedableRng;
@@ -284,7 +272,9 @@ mod tests {
         model.set_beta(Matrix::from_fn(16, 1, |i, _| (i as f64 - 7.5) * 0.03));
 
         let states = Matrix::from_fn(5, 3, |i, j| 0.1 * i as f64 - 0.2 * j as f64);
-        let q = elm_q_batch(&encoder, &model, &states);
+        let mut scratch = BatchQScratch::default();
+        elm_q_batch_into(&encoder, &model, &states, &mut scratch);
+        let q = scratch.q();
         assert_eq!(q.shape(), (5, 4));
         for i in 0..states.rows() {
             for (action, input) in encoder.encode_all_actions(states.row(i)).iter().enumerate() {

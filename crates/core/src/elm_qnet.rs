@@ -6,14 +6,10 @@
 //! of updates — the limitation OS-ELM removes — and is why the paper finds
 //! ELM fragile with respect to the hidden size (§4.3).
 
-use crate::agent::{Agent, Observation, DROPPED_NONFINITE};
-use crate::batch::{elm_q_batch, elm_q_batch_into, BatchAgent, BatchQScratch};
-use crate::checkpoint::{check_buffer, AgentSnapshot};
+use crate::agent::Observation;
 use crate::clipping::TargetConfig;
-use crate::encoding::StateActionEncoder;
-use crate::ops::{OpCounts, OpKind};
-use crate::oselm_qnet::initial_training_chunk;
-use crate::policy::ExploitPolicy;
+use crate::ops::OpCounts;
+use crate::qnet::{float_footprint, Datapath, QNet, ShellConfig, Stored};
 use elmrl_elm::model::ElmModel;
 use elmrl_elm::{Elm, ElmSnapshot, HiddenActivation, ModelSnapshot, OsElmConfig};
 use elmrl_linalg::Matrix;
@@ -72,11 +68,13 @@ impl ElmQNetConfig {
     }
 }
 
-/// The complete mutable state of an [`ElmQNet`], as carried inside an
-/// [`AgentSnapshot`]: the online batch learner, the frozen target network,
-/// the refill buffer `D`, the trained-once flag and the op counters.
+/// The ELM Q-Network agent: Algorithm 1 over the refill-only datapath.
+pub type ElmQNet = QNet<Elm<f64>>;
+
+/// The snapshot payload of an [`ElmQNet`]: the batch learner, θ₂, the
+/// refill buffer `D`, the trained-once flag and the op counters.
 #[derive(Clone, Debug, Serialize, Deserialize)]
-struct ElmQNetState {
+pub struct ElmQNetState {
     online: ElmSnapshot,
     target: ModelSnapshot,
     buffer: Vec<Observation>,
@@ -84,215 +82,86 @@ struct ElmQNetState {
     ops: OpCounts,
 }
 
-/// The ELM Q-Network agent.
-pub struct ElmQNet {
-    config: ElmQNetConfig,
-    encoder: StateActionEncoder,
-    policy: ExploitPolicy,
-    online: Elm<f64>,
-    target: ElmModel<f64>,
-    buffer: Vec<Observation>,
-    /// Prediction workspaces shared with the OS-ELM agent's hot path.
-    scratch: crate::oselm_qnet::QScratch,
-    /// Batched-prediction workspaces for [`BatchAgent::predict_batch_into`].
-    batch_q: BatchQScratch,
-    ops: OpCounts,
-    trained_once: bool,
-}
-
 impl ElmQNet {
-    /// Create an agent with freshly drawn random `α`, `b`.
-    pub fn new(config: ElmQNetConfig, rng: &mut SmallRng) -> Self {
-        let encoder = StateActionEncoder::new(config.state_dim, config.num_actions);
-        let online = Elm::<f64>::new(&config.elm_config(), rng);
-        let target = online.model().clone();
-        Self {
-            policy: ExploitPolicy::new(config.exploit_prob),
-            encoder,
-            online,
-            target,
-            buffer: Vec::with_capacity(config.hidden_dim),
-            scratch: Default::default(),
-            batch_q: Default::default(),
-            ops: OpCounts::new(),
-            config,
-            trained_once: false,
-        }
-    }
-
     /// Whether at least one batch training has completed.
     pub fn is_trained(&self) -> bool {
-        self.trained_once
-    }
-
-    fn q_for(&self, model: &ElmModel<f64>, state: &[f64]) -> Vec<f64> {
-        self.encoder
-            .encode_all_actions(state)
-            .iter()
-            .map(|input| model.predict_single(input)[0])
-            .collect()
-    }
-
-    fn run_batch_training(&mut self) {
-        let _span = OpKind::InitTrain.span();
-        let (x, t) = initial_training_chunk(
-            &self.encoder,
-            &self.target,
-            &self.config.target,
-            &self.buffer,
-        );
-        // The least-squares solve tolerates rank deficiency, so it fails only
-        // on a non-finite sample or target; drop the batch rather than
-        // poisoning β.
-        if self.online.train(&x, &t).is_ok() {
-            self.trained_once = true;
-        }
-        self.buffer.clear();
-        self.ops.add(OpKind::InitTrain, 1);
+        self.datapath.is_trained()
     }
 }
 
-impl Agent for ElmQNet {
-    fn name(&self) -> &str {
-        "ELM"
+/// The refill-only datapath of the ELM design: a batch solve on every full
+/// buffer `D`, and no sequential update.
+impl Datapath for Elm<f64> {
+    type Config = ElmQNetConfig;
+    type State = ElmQNetState;
+    const REFILL_ONLY: bool = true;
+
+    fn view(config: &ElmQNetConfig) -> ShellConfig {
+        ShellConfig {
+            name: "ELM",
+            state_dim: config.state_dim,
+            num_actions: config.num_actions,
+            exploit_prob: config.exploit_prob,
+            update_prob: None,
+            target_sync_episodes: config.target_sync_episodes,
+            target: config.target,
+            chunk_cap: usize::MAX,
+            elm: config.elm_config(),
+        }
     }
 
-    fn hidden_dim(&self) -> usize {
-        self.config.hidden_dim
+    fn new(config: &OsElmConfig, rng: &mut SmallRng) -> Self {
+        Elm::new(config, rng)
     }
 
-    fn act(&mut self, state: &[f64], rng: &mut SmallRng) -> usize {
-        let kind = OpKind::predict(self.trained_once);
-        let _span = kind.span();
-        let Self {
-            config,
-            encoder,
-            policy,
-            online,
-            scratch,
+    fn model(&self) -> &ElmModel<f64> {
+        Elm::model(self)
+    }
+
+    fn trained(&self) -> bool {
+        self.is_trained()
+    }
+
+    /// The least-squares solve tolerates rank deficiency, so it fails only
+    /// on a non-finite sample or target; the batch is then dropped rather
+    /// than poisoning β, and still counted.
+    fn train_initial(&mut self, x: &Matrix<f64>, t: &Matrix<f64>) -> bool {
+        let _ = self.train(x, t);
+        true
+    }
+
+    /// θ₁ and θ₂ (α, b, β each) and buffer `D`; no P.
+    fn memory_footprint_bytes(&self, buffer_words: usize) -> usize {
+        float_footprint(self.model(), buffer_words)
+    }
+
+    fn capture(&self, (target, buffer, ops): Stored) -> ElmQNetState {
+        ElmQNetState {
+            online: self.snapshot(),
+            target,
+            buffer,
+            trained_once: self.is_trained(),
             ops,
-            ..
-        } = self;
-        crate::oselm_qnet::q_into(encoder, online.model(), state, scratch);
-        ops.add(kind, config.num_actions as u64);
-        policy.select(&scratch.q, rng)
-    }
-
-    fn observe(&mut self, obs: &Observation, _rng: &mut SmallRng) {
-        // A non-finite transition is dropped and counted on its own, so it
-        // cannot spoil the whole retraining batch.
-        if !obs.is_finite() {
-            elmrl_telemetry::counter!(DROPPED_NONFINITE).inc();
-            return;
-        }
-        self.buffer.push(obs.clone());
-        if self.buffer.len() >= self.config.hidden_dim {
-            self.run_batch_training();
         }
     }
 
-    fn end_episode(&mut self, episode_index: usize) {
-        if self.config.target_sync_episodes > 0
-            && (episode_index + 1) % self.config.target_sync_episodes == 0
-        {
-            self.target.copy_parameters_from(self.online.model());
-        }
-    }
-
-    fn reset(&mut self, rng: &mut SmallRng) {
-        self.online = Elm::<f64>::new(&self.config.elm_config(), rng);
-        self.target = self.online.model().clone();
-        self.buffer.clear();
-        self.trained_once = false;
-    }
-
-    fn op_counts(&self) -> &OpCounts {
-        &self.ops
-    }
-
-    fn q_values(&mut self, state: &[f64]) -> Vec<f64> {
-        self.q_for(self.online.model(), state)
-    }
-
-    fn memory_footprint_bytes(&self) -> usize {
-        let f = std::mem::size_of::<f64>();
-        let n = self.config.hidden_dim;
-        let input = self.encoder.input_dim();
-        let model = input * n + n + n;
-        let buffer = self.buffer.capacity() * (2 * self.config.state_dim + 4);
-        (2 * model + buffer) * f
-    }
-
-    fn snapshot(&self) -> Option<AgentSnapshot> {
-        let state = ElmQNetState {
-            online: self.online.snapshot(),
-            target: ModelSnapshot::capture(&self.target),
-            buffer: self.buffer.clone(),
-            trained_once: self.trained_once,
-            ops: self.ops.clone(),
-        };
-        Some(AgentSnapshot::new(self.name(), &state))
-    }
-
-    fn restore(&mut self, snapshot: &AgentSnapshot) -> Result<(), String> {
-        let state: ElmQNetState = snapshot.decode(self.name())?;
-        let config = self.config.elm_config();
-        state.online.model.check_dims(&config)?;
-        state.target.check_dims(&config)?;
-        let (dim, actions) = (self.config.state_dim, self.config.num_actions);
-        check_buffer("buffer D", &state.buffer, dim, actions)?;
-        let online = Elm::from_snapshot(&state.online).map_err(|e| format!("online: {e}"))?;
-        let target = state.target.restore().map_err(|e| format!("target: {e}"))?;
-        self.online = online;
-        self.target = target;
-        // Keep the pre-sized buffer capacity the constructor established.
-        self.buffer.clear();
-        self.buffer.extend(state.buffer);
-        self.trained_once = state.trained_once;
-        self.ops = state.ops;
-        Ok(())
-    }
-}
-
-impl BatchAgent for ElmQNet {
-    /// One stacked `(B·A) × input` forward pass through the online model —
-    /// bit-for-bit equal to per-sample [`Agent::q_values`].
-    fn predict_batch(&mut self, states: &Matrix<f64>) -> Matrix<f64> {
-        elm_q_batch(&self.encoder, self.online.model(), states)
-    }
-
-    /// The stacked forward through the agent's own [`BatchQScratch`] — the
-    /// serve-worker hot path. Zero heap allocations once `out` and the
-    /// scratch have seen the steady-state batch shape.
-    fn predict_batch_into(&mut self, states: &Matrix<f64>, out: &mut Matrix<f64>) {
-        elm_q_batch_into(
-            &self.encoder,
-            self.online.model(),
-            states,
-            &mut self.batch_q,
-        );
-        let q = self.batch_q.q();
-        out.resize_zeroed(q.rows(), q.cols());
-        out.as_mut_slice().copy_from_slice(q.as_slice());
-    }
-
-    /// ε-greedy through the batched kernel: same Q (bit for bit), same RNG
-    /// draws, same action as [`Agent::act`] — minus the per-action matvecs.
-    /// Records the same per-action prediction counters as [`Agent::act`],
-    /// so modeled execution times stay comparable between the scalar and
-    /// E-parallel drivers.
-    fn act_row(&mut self, state_row: &Matrix<f64>, rng: &mut SmallRng) -> usize {
-        let kind = OpKind::predict(self.trained_once);
-        let _span = kind.span();
-        let q = self.predict_batch(state_row);
-        self.ops.add(kind, self.config.num_actions as u64);
-        self.policy.select(q.row(0), rng)
+    /// `trained_once` always equals the learner's own `trained` flag, which
+    /// the rebuilt learner carries.
+    fn release(s: ElmQNetState, config: &OsElmConfig) -> Result<(Self, Stored), String> {
+        s.online.model.check_dims(config)?;
+        let online = Elm::from_snapshot(&s.online).map_err(|e| format!("online: {e}"))?;
+        Ok((online, (s.target, s.buffer, s.ops)))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::agent::Agent;
+    use crate::checkpoint::AgentSnapshot;
+    use crate::encoding::StateActionEncoder;
+    use crate::ops::OpKind;
+    use crate::qnet::QScratch;
     use rand::SeedableRng;
 
     fn rng(seed: u64) -> SmallRng {
@@ -405,20 +274,20 @@ mod tests {
         agent.buffer.push(nan_state(6));
         agent.observe(&obs(7, -1.0, true), &mut r);
         assert!(!agent.is_trained());
-        assert_eq!(agent.online.model().beta(), &Matrix::zeros(8, 1));
+        assert_eq!(agent.datapath().model().beta(), &Matrix::zeros(8, 1));
         // A poisoned refill after a good one keeps the trained β.
         for i in 0..8 {
             agent.observe(&obs(i, -1.0, true), &mut r);
         }
         assert!(agent.is_trained());
-        let beta = agent.online.model().beta().clone();
+        let beta = agent.datapath().model().beta().clone();
         for i in 0..6 {
             agent.observe(&obs(i, 0.5, false), &mut r);
         }
         agent.buffer.push(nan_state(6));
         agent.observe(&obs(7, 0.5, false), &mut r);
         assert!(agent.is_trained());
-        assert_eq!(agent.online.model().beta(), &beta);
+        assert_eq!(agent.datapath().model().beta(), &beta);
         assert_eq!(agent.op_counts().count(OpKind::InitTrain), 3);
     }
 
@@ -432,7 +301,9 @@ mod tests {
         agent.end_episode(1); // (1+1) % 2 == 0 → sync
         let s = [0.02, -0.02, 0.03, 0.04];
         let online_q = agent.q_values(&s);
-        let target_q = agent.q_for(&agent.target, &s);
+        let mut target_q = QScratch::default();
+        target_q.eval(&StateActionEncoder::new(4, 2), agent.target(), &s);
+        let target_q = target_q.q;
         assert_eq!(online_q, target_q);
         assert!(agent.memory_footprint_bytes() > 0);
         // ELM has no P matrix, so it needs less memory than OS-ELM at equal Ñ.

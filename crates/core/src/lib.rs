@@ -50,6 +50,7 @@ pub mod encoding;
 pub mod ops;
 pub mod oselm_qnet;
 pub mod policy;
+pub mod qnet;
 pub mod reward;
 pub mod trainer;
 

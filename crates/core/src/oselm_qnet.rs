@@ -14,19 +14,14 @@
 //! random-update rule (probability ε₂ per step) that replaces experience
 //! replay.
 
-use crate::agent::{Agent, Observation, DROPPED_NONFINITE};
-use crate::batch::{elm_q_batch, elm_q_batch_into, BatchAgent, BatchQScratch};
-use crate::checkpoint::{check_buffer, AgentSnapshot};
+use crate::agent::Observation;
 use crate::clipping::TargetConfig;
-use crate::encoding::StateActionEncoder;
-use crate::ops::{OpCounts, OpKind};
-use crate::policy::{max_q, ExploitPolicy};
-use elmrl_elm::model::ElmModel;
+use crate::ops::OpCounts;
+use crate::qnet::{float_footprint, Datapath, QNet, ShellConfig, Stored};
 use elmrl_elm::os_elm::OsElmError;
 use elmrl_elm::{HiddenActivation, ModelSnapshot, OsElm, OsElmConfig, OsElmSnapshot};
 use elmrl_linalg::{LinalgError, Matrix};
 use rand::rngs::SmallRng;
-use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 /// Numerical jitter used when the *plain* OS-ELM design (δ = 0) hits a
@@ -35,17 +30,11 @@ use serde::{Deserialize, Serialize};
 /// fixed-point hardware divider's finite resolution does implicitly.
 const NUMERICAL_DELTA: f64 = 1e-8;
 
-/// Default cap on the RLS chunk width `B` of one batched
-/// [`BatchAgent::observe_batch`] tick. The Eq. 6 chunk pays an O(B²·Ñ) +
-/// O(B³) toll (the `I + H·P·Hᵀ` Gram build and its Cholesky) on top of the
-/// O(B·Ñ²) P passes, so past a point a wider chunk loses to two half-width
-/// ones — while the batched *target-network* evaluation keeps its full-tick
-/// hoisting either way (targets depend only on the frozen θ₂). The B sweep
-/// at Ñ ∈ {256, 512, 1024} recorded in `BENCH_PR9.json` (`chunk_cap_sweep`)
-/// puts the crossover past B ≈ 64 at every Ñ measured (the B² terms stay ≪
-/// the Ñ² terms until B approaches Ñ), so the default caps at 64 — below the
-/// crossover while keeping ticks from pathological E (hundreds of parallel
-/// envs) from going cubic. Override per agent via
+/// Default cap on the RLS chunk width `B` of one batched tick. A chunk pays
+/// O(B²·Ñ + B³) for its `I + H·P·Hᵀ` Gram matrix and Cholesky on top of the
+/// O(B·Ñ²) P passes, so a too-wide chunk loses to two half-width ones. The
+/// sweep at Ñ ∈ {256, 512, 1024} in `BENCH_PR9.json` (`chunk_cap_sweep`) puts
+/// that crossover past B ≈ 64 at every Ñ. Override per agent via
 /// [`OsElmQNetConfig::chunk_cap`].
 pub const DEFAULT_CHUNK_CAP: usize = 64;
 
@@ -121,18 +110,6 @@ impl OsElmQNetConfig {
         }
     }
 
-    /// One draw of the random-update rule (Algorithm 1 lines 21–22): should
-    /// the transition currently being observed trigger a sequential update?
-    /// Shared by the scalar and batched observe paths so the gate cannot
-    /// drift between them.
-    fn update_gate(&self, rng: &mut SmallRng) -> bool {
-        if self.random_update {
-            rng.gen_range(0.0..1.0) < self.update_prob
-        } else {
-            true
-        }
-    }
-
     fn elm_config(&self) -> OsElmConfig {
         OsElmConfig::new(self.state_dim + 1, self.hidden_dim, 1)
             .with_activation(self.activation)
@@ -149,478 +126,126 @@ impl OsElmQNetConfig {
     }
 }
 
-/// Reusable per-agent workspaces for the prediction hot path: encoding
-/// staging, per-action Q buffer, and the matrices of one forward pass. All
-/// keep their allocations across steps, so steady-state action selection
-/// and the sequential training update perform zero matrix heap allocations
-/// (asserted by the counting-allocator test in `tests/alloc_steady_state.rs`).
-#[derive(Clone, Debug, Default)]
-pub(crate) struct QScratch {
-    /// Encoded `(state, action)` input.
-    pub(crate) enc: Vec<f64>,
-    /// Per-action Q-values of the last evaluation.
-    pub(crate) q: Vec<f64>,
-    /// `1 × input` staging row.
-    x: Matrix<f64>,
-    /// `1 × Ñ` hidden activation.
-    h: Matrix<f64>,
-    /// `1 × 1` network output.
-    y: Matrix<f64>,
-}
+/// The OS-ELM Q-Network agent: Algorithm 1 over the f64 RLS datapath.
+pub type OsElmQNet = QNet<OsElm<f64>>;
 
-/// Evaluate Q(state, ·) through the workspaces — bit-for-bit equal to the
-/// historical per-action [`ElmModel::predict_single`] loop, leaving the
-/// result in `scratch.q`.
-pub(crate) fn q_into(
-    encoder: &StateActionEncoder,
-    model: &ElmModel<f64>,
-    state: &[f64],
-    scratch: &mut QScratch,
-) {
-    scratch.q.clear();
-    for action in 0..encoder.num_actions() {
-        encoder.encode_into(state, action, &mut scratch.enc);
-        scratch.x.resize_zeroed(1, scratch.enc.len());
-        scratch.x.set_row(0, &scratch.enc);
-        model.predict_into(&scratch.x, &mut scratch.h, &mut scratch.y);
-        scratch.q.push(scratch.y[(0, 0)]);
-    }
-}
-
-/// The initial-training chunk `(X, T)` of buffer D, shared by the ELM,
-/// OS-ELM and FPGA agents: row `i` of `X` is transition `i`'s encoded
-/// `(state, action)`, and `T[i]` its Q-learning target bootstrapped from the
-/// frozen network θ₂ through the per-action [`ElmModel::predict_single`].
-pub fn initial_training_chunk(
-    encoder: &StateActionEncoder,
-    target: &ElmModel<f64>,
-    targets: &TargetConfig,
-    buffer: &[Observation],
-) -> (Matrix<f64>, Matrix<f64>) {
-    let mut x = Matrix::<f64>::zeros(buffer.len(), encoder.input_dim());
-    let mut t = Matrix::<f64>::zeros(buffer.len(), 1);
-    for (i, obs) in buffer.iter().enumerate() {
-        x.set_row(i, &encoder.encode(&obs.state, obs.action));
-        let next_q: Vec<f64> = encoder
-            .encode_all_actions(&obs.next_state)
-            .iter()
-            .map(|input| target.predict_single(input)[0])
-            .collect();
-        t[(i, 0)] = targets.target(obs.reward, max_q(&next_q), obs.done);
-    }
-    (x, t)
-}
-
-/// Reusable workspaces for the batched *training* path
-/// ([`BatchAgent::observe_batch`]): gating indices, the packed next-state
-/// matrix, the batched target-network Q evaluation and the `seq_train_batch`
-/// chunk. All keep their allocations across ticks, so the E > 1 steady state
-/// performs zero heap allocations inside the agent (asserted by the
-/// counting-allocator test in `tests/alloc_steady_state.rs`).
-#[derive(Clone, Debug, Default)]
-struct BatchObserveScratch {
-    /// Indices (into the tick's batch) that passed the random-update gate.
-    selected: Vec<usize>,
-    /// `B × state_dim` packed next states of the gated transitions.
-    next_states: Matrix<f64>,
-    /// `B × input` encoded `(state, action)` chunk.
-    x: Matrix<f64>,
-    /// `B × 1` Q-targets.
-    t: Matrix<f64>,
-    /// Workspaces of the batched target-network forward.
-    q: BatchQScratch,
-}
-
-/// The complete mutable state of an [`OsElmQNet`], as carried inside an
-/// [`AgentSnapshot`]: the online learner's RLS recursion (`α`, `b`, `β`,
-/// `P`, counters), the frozen target network, the initial-training buffer
-/// `D`, and the op counters. The scratch workspaces are deliberately absent —
-/// they hold no observable state.
+/// The snapshot payload of an [`OsElmQNet`]: the online learner's RLS
+/// recursion (`α`, `b`, `β`, `P`, counters), θ₂, buffer `D` and the op
+/// counters.
 #[derive(Clone, Debug, Serialize, Deserialize)]
-struct OsElmQNetState {
+pub struct OsElmQNetState {
     online: OsElmSnapshot,
     target: ModelSnapshot,
     buffer: Vec<Observation>,
     ops: OpCounts,
 }
 
-/// The OS-ELM Q-Network agent.
-pub struct OsElmQNet {
-    config: OsElmQNetConfig,
-    encoder: StateActionEncoder,
-    policy: ExploitPolicy,
-    /// θ₁ — the online network, sequentially trained.
-    online: OsElm<f64>,
-    /// θ₂ — the fixed target network (a frozen copy of θ₁'s model).
-    target: ElmModel<f64>,
-    /// Buffer `D` used only to assemble the initial-training chunk.
-    buffer: Vec<Observation>,
-    /// Prediction workspaces (never observable through the public API).
-    scratch: QScratch,
-    /// Batched-training workspaces (never observable through the public API).
-    bscratch: BatchObserveScratch,
-    ops: OpCounts,
-    name: String,
-}
-
 impl OsElmQNet {
-    /// Create an agent; the design name is derived from the enabled knobs.
-    pub fn new(config: OsElmQNetConfig, rng: &mut SmallRng) -> Self {
-        let encoder = StateActionEncoder::new(config.state_dim, config.num_actions);
-        let online = OsElm::<f64>::new(&config.elm_config(), rng);
-        let target = online.model().clone();
-        let name = Self::derive_name(&config);
-        Self {
-            policy: ExploitPolicy::new(config.exploit_prob),
-            encoder,
-            online,
-            target,
-            buffer: Vec::with_capacity(config.hidden_dim),
-            scratch: QScratch::default(),
-            bscratch: BatchObserveScratch::default(),
-            ops: OpCounts::new(),
-            config,
-            name,
-        }
-    }
-
-    fn derive_name(config: &OsElmQNetConfig) -> String {
-        match (config.l2_delta > 0.0, config.spectral_normalize) {
-            (false, false) => "OS-ELM".to_string(),
-            (true, false) => "OS-ELM-L2".to_string(),
-            (false, true) => "OS-ELM-Lipschitz".to_string(),
-            (true, true) => "OS-ELM-L2-Lipschitz".to_string(),
-        }
-    }
-
     /// Whether initial training has completed.
     pub fn is_initialized(&self) -> bool {
-        self.online.is_initialized()
+        self.datapath.is_initialized()
     }
 
-    /// The agent configuration.
-    pub fn config(&self) -> &OsElmQNetConfig {
-        &self.config
-    }
-
-    /// Borrow the online (θ₁) learner — used by the FPGA layer and tests.
+    /// Borrow the online (θ₁) learner.
     pub fn online(&self) -> &OsElm<f64> {
-        &self.online
+        &self.datapath
+    }
+}
+
+/// The f64 RLS datapath of the four OS-ELM designs.
+impl Datapath for OsElm<f64> {
+    type Config = OsElmQNetConfig;
+    type State = OsElmQNetState;
+
+    fn view(config: &OsElmQNetConfig) -> ShellConfig {
+        let name = match (config.l2_delta > 0.0, config.spectral_normalize) {
+            (false, false) => "OS-ELM",
+            (true, false) => "OS-ELM-L2",
+            (false, true) => "OS-ELM-Lipschitz",
+            (true, true) => "OS-ELM-L2-Lipschitz",
+        };
+        ShellConfig {
+            name,
+            state_dim: config.state_dim,
+            num_actions: config.num_actions,
+            exploit_prob: config.exploit_prob,
+            update_prob: config.random_update.then_some(config.update_prob),
+            target_sync_episodes: config.target_sync_episodes,
+            target: config.target,
+            chunk_cap: config.chunk_cap.unwrap_or(DEFAULT_CHUNK_CAP).max(1),
+            elm: config.elm_config(),
+        }
     }
 
-    /// Upper bound on the online network's Lipschitz constant
-    /// (`σ_max(α)·σ_max(β)` for ReLU) — §3.3's monitored quantity.
-    pub fn lipschitz_upper_bound(&self) -> f64 {
-        elmrl_elm::lipschitz_upper_bound(
-            self.online.model().alpha(),
-            self.online.model().beta(),
-            self.config.activation,
-        )
+    fn new(config: &OsElmConfig, rng: &mut SmallRng) -> Self {
+        OsElm::new(config, rng)
     }
 
-    fn q_for(&self, model: &ElmModel<f64>, state: &[f64]) -> Vec<f64> {
-        self.encoder
-            .encode_all_actions(state)
-            .iter()
-            .map(|input| model.predict_single(input)[0])
-            .collect()
+    fn model(&self) -> &elmrl_elm::model::ElmModel<f64> {
+        OsElm::model(self)
     }
 
-    fn run_initial_training(&mut self) {
-        let _span = OpKind::InitTrain.span();
-        let (x, t) = initial_training_chunk(
-            &self.encoder,
-            &self.target,
-            &self.config.target,
-            &self.buffer,
-        );
-        // A non-finite state or reward in D (only a restored snapshot can
-        // hold one) is rejected before it can poison β: drop the refill and
-        // collect a fresh one. Otherwise the
-        // plain OS-ELM design can hit a singular Gram matrix; the
-        // NUMERICAL_DELTA in `elm_config` keeps this well-defined, so any
-        // other failure is unexpected — surface it loudly in debug builds
-        // and retry once with a fresh buffer otherwise.
-        match self.online.init_train(&x, &t) {
-            Ok(()) => {}
-            Err(OsElmError::Linalg(LinalgError::InvalidData { .. })) => {
-                self.buffer.clear();
-                return;
-            }
+    fn trained(&self) -> bool {
+        self.is_initialized()
+    }
+
+    /// A non-finite state or reward in `D` (only a restored snapshot can
+    /// hold one) fails before it can poison β: the refill is dropped,
+    /// uncounted. The plain design's singular Gram matrix is kept defined
+    /// by `NUMERICAL_DELTA`, so any other failure is unexpected.
+    fn train_initial(&mut self, x: &Matrix<f64>, t: &Matrix<f64>) -> bool {
+        match self.init_train(x, t) {
+            Ok(()) => true,
+            Err(OsElmError::Linalg(LinalgError::InvalidData { .. })) => false,
             Err(_) => {
                 debug_assert!(false, "OS-ELM initial training failed unexpectedly");
-                self.buffer.clear();
-                return;
+                false
             }
         }
-        self.buffer.clear();
-        self.ops.add(OpKind::InitTrain, 1);
     }
 
-    /// One RLS update — the paper's per-step training cost. Allocation-free
-    /// at steady state: the target-network Q evaluation, the input encoding
-    /// and the OS-ELM rank-1 update all run through reusable workspaces.
-    fn run_sequential_update(&mut self, obs: &Observation) {
-        let _span = OpKind::SeqTrain.span();
-        let Self {
-            config,
-            encoder,
-            online,
+    fn update_one(&mut self, x: &[f64], t: f64) {
+        let updated = self.seq_train_single(x, &[t]);
+        debug_assert!(updated.is_ok(), "sequential update before initial training");
+    }
+
+    fn update_chunk(&mut self, x: &Matrix<f64>, t: &Matrix<f64>) {
+        let updated = self.seq_train_batch(x, t);
+        debug_assert!(updated.is_ok(), "chunk update before initial training");
+    }
+
+    /// θ₁ and θ₂ (α, b, β each), P and buffer `D`.
+    fn memory_footprint_bytes(&self, buffer_words: usize) -> usize {
+        let n = self.model().hidden_dim();
+        float_footprint(self.model(), n * n + buffer_words)
+    }
+
+    fn capture(&self, (target, buffer, ops): Stored) -> OsElmQNetState {
+        OsElmQNetState {
+            online: self.snapshot(),
             target,
-            scratch,
+            buffer,
             ops,
-            ..
-        } = self;
-        q_into(encoder, target, &obs.next_state, scratch);
-        let max_next = max_q(&scratch.q);
-        let target_q = config.target.target(obs.reward, max_next, obs.done);
-        encoder.encode_into(&obs.state, obs.action, &mut scratch.enc);
-        if online.seq_train_single(&scratch.enc, &[target_q]).is_err() {
-            debug_assert!(false, "sequential update before initial training");
-            return;
-        }
-        ops.add(OpKind::SeqTrain, 1);
-    }
-}
-
-impl Agent for OsElmQNet {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn hidden_dim(&self) -> usize {
-        self.config.hidden_dim
-    }
-
-    fn act(&mut self, state: &[f64], rng: &mut SmallRng) -> usize {
-        let kind = OpKind::predict(self.online.is_initialized());
-        let _span = kind.span();
-        let Self {
-            config,
-            encoder,
-            policy,
-            online,
-            scratch,
-            ops,
-            ..
-        } = self;
-        q_into(encoder, online.model(), state, scratch);
-        ops.add(kind, config.num_actions as u64);
-        policy.select(&scratch.q, rng)
-    }
-
-    fn observe(&mut self, obs: &Observation, rng: &mut SmallRng) {
-        if !self.is_initialized() {
-            // Store phase: fill buffer D up to Ñ samples, then run the
-            // initial training (Algorithm 1 lines 16–19). A non-finite
-            // transition is dropped and counted on its own, so it cannot
-            // spoil the whole refill.
-            if !obs.is_finite() {
-                elmrl_telemetry::counter!(DROPPED_NONFINITE).inc();
-                return;
-            }
-            self.buffer.push(obs.clone());
-            if self.buffer.len() >= self.config.hidden_dim {
-                self.run_initial_training();
-            }
-            return;
-        }
-        // Update phase: the random-update rule (Algorithm 1 lines 21–22).
-        // A non-finite transition is dropped and counted.
-        if self.config.update_gate(rng) {
-            if obs.is_finite() {
-                self.run_sequential_update(obs);
-            } else {
-                elmrl_telemetry::counter!(DROPPED_NONFINITE).inc();
-            }
         }
     }
 
-    fn end_episode(&mut self, episode_index: usize) {
-        // θ₂ ← θ₁ every UPDATE_STEP episodes (Algorithm 1 lines 23–24).
-        if self.config.target_sync_episodes > 0
-            && (episode_index + 1) % self.config.target_sync_episodes == 0
-        {
-            self.target.copy_parameters_from(self.online.model());
-        }
-    }
-
-    fn reset(&mut self, rng: &mut SmallRng) {
-        self.online = OsElm::<f64>::new(&self.config.elm_config(), rng);
-        self.target = self.online.model().clone();
-        self.buffer.clear();
-    }
-
-    fn op_counts(&self) -> &OpCounts {
-        &self.ops
-    }
-
-    fn q_values(&mut self, state: &[f64]) -> Vec<f64> {
-        self.q_for(self.online.model(), state)
-    }
-
-    fn memory_footprint_bytes(&self) -> usize {
-        let f = std::mem::size_of::<f64>();
-        let n = self.config.hidden_dim;
-        let input = self.encoder.input_dim();
-        // α + bias + β for both θ₁ and θ₂, plus P, plus the (bounded) buffer.
-        let model = input * n + n + n; // per model
-        let p = n * n;
-        let buffer = self.buffer.capacity() * (2 * self.config.state_dim + 4);
-        (2 * model + p + buffer) * f
-    }
-
-    fn snapshot(&self) -> Option<AgentSnapshot> {
-        let state = OsElmQNetState {
-            online: self.online.snapshot(),
-            target: ModelSnapshot::capture(&self.target),
-            buffer: self.buffer.clone(),
-            ops: self.ops.clone(),
-        };
-        Some(AgentSnapshot::new(&self.name, &state))
-    }
-
-    fn restore(&mut self, snapshot: &AgentSnapshot) -> Result<(), String> {
-        let state: OsElmQNetState = snapshot.decode(&self.name)?;
-        let config = self.config.elm_config();
-        state.online.model.check_dims(&config)?;
-        state.target.check_dims(&config)?;
-        let (dim, actions) = (self.config.state_dim, self.config.num_actions);
-        check_buffer("buffer D", &state.buffer, dim, actions)?;
-        let online = OsElm::from_snapshot(&state.online).map_err(|e| format!("online: {e}"))?;
-        let target = state.target.restore().map_err(|e| format!("target: {e}"))?;
-        self.online = online;
-        self.target = target;
-        // Keep the pre-sized buffer capacity the constructor established.
-        self.buffer.clear();
-        self.buffer.extend(state.buffer);
-        self.ops = state.ops;
-        Ok(())
-    }
-}
-
-impl BatchAgent for OsElmQNet {
-    /// One stacked `(B·A) × input` forward pass through θ₁ — bit-for-bit
-    /// equal to per-sample [`Agent::q_values`].
-    fn predict_batch(&mut self, states: &Matrix<f64>) -> Matrix<f64> {
-        elm_q_batch(&self.encoder, self.online.model(), states)
-    }
-
-    /// The stacked forward through the agent's own [`BatchQScratch`] — the
-    /// serve-worker hot path. Zero heap allocations once `out` and the
-    /// scratch have seen the steady-state batch shape.
-    fn predict_batch_into(&mut self, states: &Matrix<f64>, out: &mut Matrix<f64>) {
-        elm_q_batch_into(
-            &self.encoder,
-            self.online.model(),
-            states,
-            &mut self.bscratch.q,
-        );
-        let q = self.bscratch.q.q();
-        out.resize_zeroed(q.rows(), q.cols());
-        out.as_mut_slice().copy_from_slice(q.as_slice());
-    }
-
-    /// ε-greedy through the batched kernel: same Q (bit for bit), same RNG
-    /// draws, same action as [`Agent::act`] — minus the per-action matvecs.
-    /// Records the same per-action prediction counters as [`Agent::act`],
-    /// so modeled execution times stay comparable between the scalar and
-    /// E-parallel drivers.
-    fn act_row(&mut self, state_row: &Matrix<f64>, rng: &mut SmallRng) -> usize {
-        let kind = OpKind::predict(self.online.is_initialized());
-        let _span = kind.span();
-        let q = self.predict_batch(state_row);
-        self.ops.add(kind, self.config.num_actions as u64);
-        self.policy.select(q.row(0), rng)
-    }
-
-    /// One engine tick's transitions, trained as batch-B RLS chunks of at
-    /// most [`OsElmQNetConfig::chunk_cap`] transitions each (default
-    /// [`DEFAULT_CHUNK_CAP`]; one chunk for any tick at or below the cap):
-    /// the random-update rule draws one gate per transition (as the scalar
-    /// path would), every surviving transition's Q-target comes from a
-    /// single batched forward through the frozen target network θ₂
-    /// (`elm_q_batch_into`, bit-for-bit the scalar per-action evaluation,
-    /// hoisted over the whole tick since targets depend only on θ₂), and
-    /// each chunk goes through [`elmrl_elm::OsElm::seq_train_batch`] — the
-    /// B > 1 case of Eq. 6, block-exact w.r.t. B single-sample updates.
-    /// Allocation-free at steady state; with `batch.len() == 1` it performs
-    /// the same update the scalar [`Agent::observe`] would (chunk size 1).
-    fn observe_batch(&mut self, batch: &[Observation], rng: &mut SmallRng) {
-        // Store phase: transitions fill buffer D through the scalar path
-        // until the initial training has run (fires mid-batch at most once).
-        let mut start = 0;
-        while start < batch.len() && !self.is_initialized() {
-            self.observe(&batch[start], rng);
-            start += 1;
-        }
-        let rest = &batch[start..];
-        if rest.is_empty() {
-            return;
-        }
-        // Update phase: the random-update rule, one draw per transition
-        // (Algorithm 1 lines 21–22) — the same gate the scalar path uses. A
-        // non-finite transition is dropped and counted before the chunk.
-        let mut selected = std::mem::take(&mut self.bscratch.selected);
-        selected.clear();
-        for (i, obs) in rest.iter().enumerate() {
-            if self.config.update_gate(rng) {
-                if obs.is_finite() {
-                    selected.push(i);
-                } else {
-                    elmrl_telemetry::counter!(DROPPED_NONFINITE).inc();
-                }
-            }
-        }
-        if !selected.is_empty() {
-            let _span = OpKind::SeqTrain.span();
-            let b = selected.len();
-            let cap = self.config.chunk_cap.unwrap_or(DEFAULT_CHUNK_CAP).max(1);
-            let Self {
-                config,
-                encoder,
-                online,
-                target,
-                scratch,
-                bscratch,
-                ops,
-                ..
-            } = self;
-            // The Q-targets depend only on the frozen θ₂, so the batched
-            // target-network forward stays hoisted over the whole tick even
-            // when the RLS update below is split into capped chunks.
-            bscratch.next_states.resize_zeroed(b, config.state_dim);
-            for (r, &i) in selected.iter().enumerate() {
-                bscratch.next_states.set_row(r, &rest[i].next_state);
-            }
-            elm_q_batch_into(encoder, target, &bscratch.next_states, &mut bscratch.q);
-            if b > cap {
-                elmrl_telemetry::counter!("core.observe.chunk_splits").inc();
-            }
-            for (c, chunk) in selected.chunks(cap).enumerate() {
-                let w = chunk.len();
-                bscratch.x.resize_zeroed(w, encoder.input_dim());
-                bscratch.t.resize_zeroed(w, 1);
-                for (r, &i) in chunk.iter().enumerate() {
-                    let obs = &rest[i];
-                    encoder.encode_into(&obs.state, obs.action, &mut scratch.enc);
-                    bscratch.x.set_row(r, &scratch.enc);
-                    let max_next = max_q(bscratch.q.q.row(c * cap + r));
-                    bscratch.t[(r, 0)] = config.target.target(obs.reward, max_next, obs.done);
-                }
-                if online.seq_train_batch(&bscratch.x, &bscratch.t).is_err() {
-                    debug_assert!(false, "batched sequential update before initial training");
-                }
-            }
-            ops.add(OpKind::SeqTrain, b as u64);
-        }
-        self.bscratch.selected = selected;
+    fn release(s: OsElmQNetState, config: &OsElmConfig) -> Result<(Self, Stored), String> {
+        s.online.model.check_dims(config)?;
+        let online = OsElm::from_snapshot(&s.online).map_err(|e| format!("online: {e}"))?;
+        Ok((online, (s.target, s.buffer, s.ops)))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::agent::Agent;
+    use crate::batch::BatchAgent;
+    use crate::checkpoint::AgentSnapshot;
+    use crate::encoding::StateActionEncoder;
+    use crate::ops::OpKind;
+    use crate::policy::max_q;
+    use crate::qnet::QScratch;
     use rand::SeedableRng;
 
     fn rng(seed: u64) -> SmallRng {
@@ -630,6 +255,13 @@ mod tests {
     fn cartpole(hidden_dim: usize, l2_delta: f64, spectral_normalize: bool) -> OsElmQNetConfig {
         let spec = elmrl_gym::Workload::CartPole.spec();
         OsElmQNetConfig::for_workload(&spec, hidden_dim, l2_delta, spectral_normalize)
+    }
+
+    /// θ₂'s Q-values of `state` (CartPole: 4 state components, 2 actions).
+    fn target_q(agent: &OsElmQNet, state: &[f64]) -> Vec<f64> {
+        let mut scratch = QScratch::default();
+        scratch.eval(&StateActionEncoder::new(4, 2), agent.target(), state);
+        scratch.q
     }
 
     fn sample_obs(reward: f64, done: bool) -> Observation {
@@ -806,13 +438,13 @@ mod tests {
             agent.observe(&obs, &mut r);
         }
         // θ₂ still the zero-β copy before any sync.
-        let q_target_before = max_q(&agent.q_for(&agent.target, &[0.0; 4]));
+        let q_target_before = max_q(&target_q(&agent, &[0.0; 4]));
         assert_eq!(q_target_before, 0.0);
         agent.end_episode(0); // episode 1 → (0+1) % 2 != 0 → no sync
-        assert_eq!(max_q(&agent.q_for(&agent.target, &[0.0; 4])), 0.0);
+        assert_eq!(max_q(&target_q(&agent, &[0.0; 4])), 0.0);
         agent.end_episode(1); // (1+1) % 2 == 0 → sync
         let q_online = max_q(&agent.q_values(&[0.0; 4]));
-        let q_target = max_q(&agent.q_for(&agent.target, &[0.0; 4]));
+        let q_target = max_q(&target_q(&agent, &[0.0; 4]));
         assert!((q_online - q_target).abs() < 1e-12);
     }
 
@@ -837,8 +469,8 @@ mod tests {
         let normalized = OsElmQNet::new(cartpole(32, 0.5, true), &mut r);
         let raw = OsElmQNet::new(cartpole(32, 0.5, false), &mut r);
         // With zero β both bounds are 0; compare α's σ_max directly.
-        assert!(normalized.online.model().alpha_sigma_max() <= 1.0 + 1e-9);
-        assert!(raw.online.model().alpha_sigma_max() > 1.0);
+        assert!(normalized.online().model().alpha_sigma_max() <= 1.0 + 1e-9);
+        assert!(raw.online().model().alpha_sigma_max() > 1.0);
     }
 
     /// Drive one agent through its init phase and then a single B-wide
@@ -866,7 +498,7 @@ mod tests {
             })
             .collect();
         agent.observe_batch(&tick, &mut r);
-        agent.online.model().beta().as_slice().to_vec()
+        agent.online().model().beta().as_slice().to_vec()
     }
 
     #[test]
@@ -927,9 +559,9 @@ mod tests {
             agent.observe(&obs, &mut r);
         }
         let snap = agent.snapshot().unwrap();
-        let mut state: OsElmQNetState = snap.decode(&agent.name).unwrap();
+        let mut state: OsElmQNetState = snap.decode(agent.name()).unwrap();
         state.online.p.as_mut().expect("initialised").pop();
-        let short_p = AgentSnapshot::new(&agent.name, &state);
+        let short_p = AgentSnapshot::new(agent.name(), &state);
         let wider = OsElmQNet::new(cartpole(9, 0.5, true), &mut r);
         for bad in [short_p, wider.snapshot().unwrap()] {
             assert!(agent.restore(&bad).is_err());

@@ -301,3 +301,44 @@ fn restore_rejects_a_buffered_state_cut_short_and_leaves_the_agent_unchanged() {
         );
     }
 }
+
+/// `json` with the first number of the first `"key":[` array written as
+/// `1e999`, which the JSON reader parses to +∞.
+fn overflow_first_word(json: &str, key: &str) -> String {
+    let start = json.find(&format!("\"{key}\":[")).expect("the array") + key.len() + 4;
+    let len = json[start..].find([',', ']']).expect("a first word");
+    format!("{}1e999{}", &json[..start], &json[start + len..])
+}
+
+#[test]
+fn restore_rejects_a_non_finite_learnable_word_and_leaves_the_agent_unchanged() {
+    let spec = Workload::CartPole.spec();
+    let config = DesignConfig::for_workload(&spec, 8);
+    let designs = [
+        Design::Elm,
+        Design::OsElm,
+        Design::OsElmL2,
+        Design::OsElmLipschitz,
+        Design::OsElmL2Lipschitz,
+    ];
+    for design in designs {
+        // Forty steps: past Ñ = 8, so θ₁ is trained and P exists.
+        let mut rng = SmallRng::seed_from_u64(12);
+        let mut agent = design.build(&config, &mut rng);
+        let mut env = spec.make_env();
+        drive(agent.as_mut(), env.as_mut(), &mut rng, 40, &mut 0);
+        let json = serde_json::to_string(&agent.snapshot().expect("snapshots")).unwrap();
+        let keys: &[&str] = match design {
+            Design::Elm => &["alpha", "bias", "beta"],
+            _ => &["alpha", "bias", "beta", "p"],
+        };
+        for key in keys {
+            let broken: AgentSnapshot =
+                serde_json::from_str(&overflow_first_word(&json, key)).expect("valid JSON");
+            let err = agent.restore(&broken).unwrap_err();
+            assert!(err.contains("non-finite"), "{design:?} {key}: {err}");
+            let after = serde_json::to_string(&agent.snapshot().expect("snapshots")).unwrap();
+            assert_eq!(after, json, "{design:?} {key}: the agent is unchanged");
+        }
+    }
+}

@@ -63,8 +63,9 @@ impl<T: Scalar> Elm<T> {
         }
     }
 
-    /// Rebuild a learner from an [`Elm::snapshot`] capture; a malformed
-    /// model snapshot is an error (see [`crate::ModelSnapshot::restore`]).
+    /// Rebuild a learner from an [`Elm::snapshot`] capture; a malformed or
+    /// non-finite model snapshot is an error (see
+    /// [`crate::ModelSnapshot::restore`]).
     pub fn from_snapshot(snap: &crate::persistence::ElmSnapshot) -> Result<Self, LinalgError> {
         Ok(Self {
             model: snap.model.restore()?,

@@ -1051,7 +1051,8 @@ impl<T: Scalar> OsElm<T> {
     /// [`OsElm::snapshot`]. The scratch workspaces start empty and regrow on
     /// the first update — they carry no observable state, so a restored
     /// `OsElm<f64>` continues the RLS recursion bit for bit. A model or `P`
-    /// whose length disagrees with the recorded dimensions is an error.
+    /// whose length disagrees with the recorded dimensions, or that holds a
+    /// non-finite value, is an error.
     pub fn from_snapshot(snap: &crate::persistence::OsElmSnapshot) -> Result<Self, LinalgError> {
         let model: ElmModel<T> = snap.model.restore()?;
         let n_hidden = model.hidden_dim();
@@ -1059,6 +1060,7 @@ impl<T: Scalar> OsElm<T> {
             .p
             .as_ref()
             .map(|data| {
+                crate::persistence::check_finite("P", data.iter())?;
                 let data = data.iter().map(|&v| T::from_f64(v)).collect();
                 Matrix::from_vec(n_hidden, n_hidden, data)
             })

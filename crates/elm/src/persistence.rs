@@ -48,9 +48,12 @@ impl ModelSnapshot {
     }
 
     /// Rebuild a model (in any scalar backend) from the snapshot. A
-    /// parameter whose length disagrees with the recorded dimensions is an
+    /// parameter whose length disagrees with the recorded dimensions, or a
+    /// non-finite one (the JSON reader parses `1e999` to +∞), is an
     /// [`LinalgError::InvalidData`] error.
     pub fn restore<T: Scalar>(&self) -> Result<ElmModel<T>, LinalgError> {
+        let params = self.alpha.iter().chain(&self.bias).chain(&self.beta);
+        check_finite("α, b, β", params)?;
         let from_f64 = |data: &[f64], rows: usize, cols: usize| {
             Matrix::from_vec(rows, cols, data.iter().map(|&v| T::from_f64(v)).collect())
         };
@@ -86,6 +89,19 @@ impl ModelSnapshot {
     pub fn from_json(s: &str) -> serde_json::Result<Self> {
         serde_json::from_str(s)
     }
+}
+
+/// [`LinalgError::InvalidData`] when any of `values` is not finite.
+pub(crate) fn check_finite<'a>(
+    what: &str,
+    mut values: impl Iterator<Item = &'a f64>,
+) -> Result<(), LinalgError> {
+    if values.all(|v| v.is_finite()) {
+        return Ok(());
+    }
+    Err(LinalgError::InvalidData {
+        detail: format!("snapshot {what} holds a non-finite value"),
+    })
 }
 
 /// A serialisable snapshot of a complete [`crate::OsElm`] learner: the model

@@ -426,6 +426,26 @@ pub struct FpgaCoreSnapshot {
     pub cycles: CycleCounts,
 }
 
+impl FpgaCoreSnapshot {
+    /// Check that the banks have the shapes of a core for `config`, so a
+    /// snapshot from another configuration is refused.
+    pub fn check_dims(&self, config: &elmrl_elm::OsElmConfig) -> Result<(), String> {
+        let (n, nh, m) = (config.input_dim, config.hidden_dim, config.output_dim);
+        let shapes = [
+            self.alpha.shape(),
+            self.bias.shape(),
+            self.beta.shape(),
+            self.p.shape(),
+        ];
+        if shapes != [(n, nh), (1, nh), (nh, m), (nh, nh)] {
+            return Err(format!(
+                "core α, b, β, P shapes {shapes:?} do not fit (n, Ñ, m) = ({n}, {nh}, {m})"
+            ));
+        }
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

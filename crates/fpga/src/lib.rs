@@ -26,6 +26,6 @@ pub mod agent;
 pub mod core;
 pub mod resources;
 
-pub use agent::{FpgaAgent, FpgaAgentConfig};
+pub use agent::{FpgaAgent, FpgaAgentConfig, FpgaDatapath};
 pub use core::{CycleCounts, FpgaCore, FpgaCoreSnapshot, CPU_CLOCK_HZ, PL_CLOCK_HZ};
 pub use resources::{ResourceModel, ResourceUtilization, XC7Z020};

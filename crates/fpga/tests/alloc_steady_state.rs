@@ -100,7 +100,7 @@ fn steady_state_quantized_training_step_allocates_nothing() {
     for i in 0..16 {
         agent.observe(&transition(i), &mut rng);
     }
-    assert!(agent.core_loaded());
+    assert!(agent.datapath().core_loaded());
 
     // One reusable transition; the steady-state loop must not clone it.
     let obs = Observation {
@@ -160,7 +160,7 @@ fn steady_state_quantized_batched_tick_allocates_nothing() {
     for _ in 0..32 {
         agent.observe_batch(&tick, &mut rng);
     }
-    assert!(agent.core_loaded());
+    assert!(agent.datapath().core_loaded());
 
     COUNTING.with(|flag| flag.set(true));
     let before = ALLOCATIONS.load(Ordering::SeqCst);
@@ -198,7 +198,7 @@ fn steady_state_quantized_wide_tick_allocates_nothing() {
     for _ in 0..16 {
         agent.observe_batch(&tick, &mut rng);
     }
-    assert!(agent.core_loaded());
+    assert!(agent.datapath().core_loaded());
 
     COUNTING.with(|flag| flag.set(true));
     let before = ALLOCATIONS.load(Ordering::SeqCst);
@@ -233,7 +233,7 @@ fn steady_state_quantized_step_allocates_nothing_with_telemetry_on() {
     for i in 0..16 {
         agent.observe(&transition(i), &mut rng);
     }
-    assert!(agent.core_loaded());
+    assert!(agent.datapath().core_loaded());
 
     let obs = Observation {
         state: vec![0.02, -0.01, 0.04, 0.03],

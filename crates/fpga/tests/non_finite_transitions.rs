@@ -44,7 +44,7 @@ fn loaded_agent() -> (FpgaAgent, SmallRng) {
     for i in 0..HIDDEN {
         agent.observe(&transition(i), &mut rng);
     }
-    assert!(agent.core_loaded());
+    assert!(agent.datapath().core_loaded());
     (agent, rng)
 }
 
@@ -100,7 +100,10 @@ fn nan_reward_is_dropped_and_counted_at_any_batch_width() {
     assert_eq!(poisoned_agent.op_counts().count(OpKind::SeqTrain), 2);
 
     assert_eq!(dropped_store, 1);
-    assert!(stored.core_loaded(), "the finite refill loads the core");
+    assert!(
+        stored.datapath().core_loaded(),
+        "the finite refill loads the core"
+    );
     let mut store_rng = SmallRng::seed_from_u64(17);
     let mut refilled = FpgaAgent::new(config, &mut store_rng);
     for i in 0..HIDDEN {

@@ -255,7 +255,7 @@ pub fn run_trial_checkpointed(
             );
             let training =
                 trainer.run_vec_checkpointed(&mut agent, &mut vec_env, &mut rng, &mut ctl)?;
-            let breakdown = agent.simulated_breakdown_seconds();
+            let breakdown = agent.datapath().simulated_breakdown_seconds();
             (training, Some(breakdown))
         } else {
             let mut config = DesignConfig::for_workload(&env_spec, spec.hidden_dim);
@@ -275,7 +275,7 @@ pub fn run_trial_checkpointed(
             );
             let training =
                 trainer.run_checkpointed(&mut agent, env.as_mut(), &mut rng, &mut ctl)?;
-            let breakdown = agent.simulated_breakdown_seconds();
+            let breakdown = agent.datapath().simulated_breakdown_seconds();
             (training, Some(breakdown))
         } else {
             let mut config = DesignConfig::for_workload(&env_spec, spec.hidden_dim);

@@ -134,9 +134,16 @@ fn an_ignored_flag_gets_one_note_and_the_run_goes_on() {
     let _ = std::fs::remove_dir_all(&out);
 }
 
-#[test]
-fn resuming_a_checkpoint_whose_buffer_d_was_cut_short_exits_2() {
-    let (ckpt, out) = (scratch_dir("cut-d-ckpt"), scratch_dir("cut-d-out"));
+/// Run fig5 to `--stop-after <stop_after>`, apply `edit` to the checkpoint
+/// of the trial whose file name starts with `trial`, then `--resume`. The
+/// resumed run and whether it wrote `fig5.json`.
+fn resume_edited_checkpoint(
+    tag: &str,
+    [trials, stop_after]: [&str; 2],
+    trial: &str,
+    edit: impl Fn(&str) -> String,
+) -> (Output, bool) {
+    let (ckpt, out) = (scratch_dir(&format!("{tag}-ckpt")), scratch_dir(tag));
     let (ckpt_arg, out_arg) = (ckpt.to_str().unwrap(), out.to_str().unwrap());
     let run_fig5 = |extra: &[&str]| {
         let mut args = vec![
@@ -145,46 +152,75 @@ fn resuming_a_checkpoint_whose_buffer_d_was_cut_short_exits_2() {
             "--hidden",
             "8",
             "--trials",
-            "1",
+            trials,
+        ];
+        args.extend([
             "--episodes",
             "5",
             "--checkpoint-dir",
             ckpt_arg,
             "--out",
             out_arg,
-        ];
+        ]);
         args.extend_from_slice(extra);
         run("fig5", &args, &[])
     };
-    let stopped = run_fig5(&["--checkpoint-every", "1", "--stop-after", "1"]);
+    let stopped = run_fig5(&["--checkpoint-every", "1", "--stop-after", stop_after]);
     assert!(stopped.status.success(), "{}", stderr(&stopped));
-
-    // The batch ELM trial refills buffer D between retrains, so its
-    // checkpoint holds buffered transitions; cut the first state to 3 of
-    // CartPole's 4 components.
     let path = std::fs::read_dir(&ckpt)
         .unwrap()
         .map(|e| e.unwrap().path())
-        .find(|p| {
-            p.file_name()
-                .unwrap()
-                .to_str()
-                .unwrap()
-                .starts_with("trial-cart-pole-elm-")
-        })
-        .expect("the ELM trial's checkpoint");
+        .find(|p| p.file_name().unwrap().to_str().unwrap().starts_with(trial))
+        .expect("the trial's checkpoint");
     let json = std::fs::read_to_string(&path).unwrap();
-    let start = json
-        .find("\"buffer\":[{\"state\":[")
-        .expect("a buffered transition");
-    let end = start + json[start..].find(']').unwrap();
-    let cut = json[..end].rfind(',').unwrap();
-    std::fs::write(&path, format!("{}{}", &json[..cut], &json[end..])).unwrap();
-
+    std::fs::write(&path, edit(&json)).unwrap();
     let resumed = run_fig5(&["--resume"]);
-    assert_eq!(resumed.status.code(), Some(2), "{}", stderr(&resumed));
-    assert!(stderr(&resumed).contains("does not fit state_dim 4"));
-    assert!(!out.join("fig5.json").exists());
+    let wrote = out.join("fig5.json").exists();
     let _ = std::fs::remove_dir_all(&ckpt);
     let _ = std::fs::remove_dir_all(&out);
+    (resumed, wrote)
+}
+
+#[test]
+fn resuming_a_checkpoint_whose_buffer_d_was_cut_short_exits_2() {
+    // The batch ELM trial refills buffer D between retrains, so its
+    // checkpoint holds buffered transitions; cut the first state to 3 of
+    // CartPole's 4 components.
+    let cut_first_state = |json: &str| {
+        let start = json
+            .find("\"buffer\":[{\"state\":[")
+            .expect("a buffered transition");
+        let end = start + json[start..].find(']').unwrap();
+        let cut = json[..end].rfind(',').unwrap();
+        format!("{}{}", &json[..cut], &json[end..])
+    };
+    let (resumed, wrote) =
+        resume_edited_checkpoint("cut-d", ["1", "1"], "trial-cart-pole-elm-", cut_first_state);
+    assert_eq!(resumed.status.code(), Some(2), "{}", stderr(&resumed));
+    assert!(stderr(&resumed).contains("does not fit state_dim 4"));
+    assert!(!wrote);
+}
+
+#[test]
+fn resuming_a_checkpoint_with_an_infinite_beta_word_exits_2() {
+    // The JSON reader parses `1e999` to +∞; before restore checked for it,
+    // the resumed run panicked (exit 101) on the NaN Q-values it produced.
+    let overflow_beta = |json: &str| {
+        let start = json.find("\"beta\":[").expect("θ₁'s β") + "\"beta\":[".len();
+        let len = json[start..].find(',').unwrap();
+        format!("{}1e999{}", &json[..start], &json[start + len..])
+    };
+    let (resumed, wrote) = resume_edited_checkpoint(
+        "inf-beta",
+        ["2", "3"],
+        "trial-cart-pole-os-elm-l2-h8-",
+        overflow_beta,
+    );
+    assert_eq!(resumed.status.code(), Some(2), "{}", stderr(&resumed));
+    assert!(
+        stderr(&resumed).contains("non-finite"),
+        "{}",
+        stderr(&resumed)
+    );
+    assert!(!wrote);
 }

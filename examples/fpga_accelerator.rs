@@ -43,7 +43,7 @@ fn main() {
     println!("training the FPGA-backed agent ...");
     let result = trainer.run(&mut agent, &mut env, &mut rng);
 
-    let (predict_s, seq_train_s, init_train_s) = agent.simulated_breakdown_seconds();
+    let (predict_s, seq_train_s, init_train_s) = agent.datapath().simulated_breakdown_seconds();
     println!(
         "solved: {} after {} episodes",
         result.solved, result.episodes_run
@@ -52,7 +52,10 @@ fn main() {
     println!("  predict   (PL @125MHz): {predict_s:.4}s");
     println!("  seq_train (PL @125MHz): {seq_train_s:.4}s");
     println!("  init_train (CPU @650MHz): {init_train_s:.4}s");
-    println!("  total: {:.4}s", agent.simulated_total_seconds());
+    println!(
+        "  total: {:.4}s",
+        agent.datapath().simulated_total_seconds()
+    );
     println!("host wall time: {:.3}s", result.wall_seconds());
     println!(
         "on-device learnable state: {} KiB of BRAM",

@@ -43,11 +43,11 @@ fn fpga_agent_runs_end_to_end_and_tracks_device_time() {
     let result = Trainer::new(quick_config(8)).run(&mut agent, &mut env, &mut rng);
     assert_eq!(result.design, "FPGA");
     assert!(
-        agent.core_loaded(),
+        agent.datapath().core_loaded(),
         "initial training should complete within 8 episodes"
     );
-    assert!(agent.simulated_total_seconds() > 0.0);
-    let (p, s, i) = agent.simulated_breakdown_seconds();
+    assert!(agent.datapath().simulated_total_seconds() > 0.0);
+    let (p, s, i) = agent.datapath().simulated_breakdown_seconds();
     assert!(p > 0.0 && i > 0.0);
     // sequential training may or may not have happened depending on ε₂ draws,
     // but if it did its simulated time must be positive.
