@@ -53,9 +53,10 @@ pub trait BatchAgent: Agent {
     /// keeps one preallocated `B × A` Q buffer across coalesced batches.
     ///
     /// The default delegates to the allocating [`BatchAgent::predict_batch`]
-    /// (any agent is a valid worker); the ELM-family networks and the FPGA
-    /// agent override it through their existing batched scratch so a warm
-    /// worker evaluates with **zero** heap allocations. Overrides must
+    /// (any agent is a valid worker); the ELM-family shell
+    /// ([`QNet`](crate::qnet::QNet)) and DQN override it through their own
+    /// batched scratch so a warm worker evaluates with **zero** heap
+    /// allocations. Overrides must
     /// leave `out` bit-for-bit equal to `predict_batch`'s result.
     fn predict_batch_into(&mut self, states: &Matrix<f64>, out: &mut Matrix<f64>) {
         *out = self.predict_batch(states);
@@ -72,7 +73,7 @@ pub trait BatchAgent: Agent {
     /// Training-time ε-greedy action for the single packed state in
     /// `state_row` (`1 × state_dim`): the population engine's per-tick
     /// behaviour policy. The default delegates to the scalar
-    /// [`Agent::act`]; the three evaluated networks override it so the Q
+    /// [`Agent::act`]; the ELM-family shell and DQN override it so the Q
     /// evaluation goes through [`BatchAgent::predict_batch`]'s batched
     /// kernel (one stacked matmul hoisting the shared `state·α` projection
     /// instead of one matvec chain per action). Because `predict_batch`
@@ -90,13 +91,14 @@ pub trait BatchAgent: Agent {
     ///
     /// The default implementation is the per-sample fallback: one
     /// [`Agent::observe`] call per transition, in order — any agent is a
-    /// valid batched learner. The evaluated networks override it with
+    /// valid batched learner. Two implementations override it with
     /// genuinely batched updates:
     ///
-    /// * the OS-ELM designs compute every Q-target from **one** batched
-    ///   target-network forward pass and fold all gated transitions into a
-    ///   single `seq_train_batch` chunk (the B > 1 case of the paper's
-    ///   Eq. 6 recursion, block-exact w.r.t. B single-sample updates);
+    /// * the ELM-family shell ([`QNet`](crate::qnet::QNet)) computes every
+    ///   Q-target from **one** batched target-network forward pass and
+    ///   folds the gated transitions into `seq_train_batch` chunks (the
+    ///   B > 1 case of the paper's Eq. 6 recursion, block-exact w.r.t. B
+    ///   single-sample updates; B sequential Q20 updates for FPGA);
     /// * DQN pushes the whole tick into replay and performs **one** true
     ///   minibatch SGD step per tick instead of one per transition.
     ///

@@ -12,8 +12,9 @@
 //! | [`clipping`] — Q-value clipping to `[-1, 1]` | §3.1 |
 //! | [`policy`] — the ε₁ exploit/explore rule | Algorithm 1 lines 10–13 |
 //! | [`reward`] — reward shaping into the `[-1, 1]` range the clipping assumes | §3.1 |
-//! | [`elm_qnet`] — ELM Q-Network (batch retraining when buffer `D` fills) | §3.1, Algorithm 1 |
-//! | [`oselm_qnet`] — OS-ELM Q-Network with random update, L2 and spectral normalization | §3.2–3.3 |
+//! | [`qnet`] — Algorithm 1 once: the [`QNet`] agent shell of the ELM-family designs over a [`Datapath`] | Algorithm 1 |
+//! | [`elm_qnet`] — ELM Q-Network: the refill-only datapath (batch retraining when buffer `D` fills) | §3.1, Algorithm 1 |
+//! | [`oselm_qnet`] — OS-ELM Q-Network: the f64 RLS datapath, with random update, L2 and spectral normalization | §3.2–3.3 |
 //! | [`dqn`] — the three-layer DQN baseline (experience replay, target network, Adam, Huber) | §2.4, §4.1 design (6) |
 //! | [`designs`] — the seven evaluated designs as a factory enum | §4.1 |
 //! | [`batch`] — batched Q inference ([`BatchAgent`]): one `B×n` matmul instead of B matvecs | population-serving extension |
@@ -62,4 +63,5 @@ pub use dqn::DqnAgent;
 pub use elm_qnet::ElmQNet;
 pub use ops::{OpCounts, OpKind};
 pub use oselm_qnet::{OsElmQNet, OsElmQNetConfig, DEFAULT_CHUNK_CAP};
+pub use qnet::{Datapath, QNet};
 pub use trainer::{SolveCriterion, Trainer, TrainerConfig, TrainingResult};

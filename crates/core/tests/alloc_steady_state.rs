@@ -391,6 +391,59 @@ fn steady_state_dqn_step_allocates_nothing_once_replay_is_full() {
     );
 }
 
+#[test]
+fn steady_state_act_row_allocates_nothing() {
+    // `act_row` (the E-parallel drivers' action choice) runs the batched
+    // forward through the agent's own workspaces, for the OS-ELM and the
+    // refill-only ELM datapaths alike.
+    use elmrl_core::batch::BatchAgent;
+    use elmrl_core::elm_qnet::{ElmQNet, ElmQNetConfig};
+    use elmrl_linalg::Matrix;
+
+    let _serial = serial();
+    let spec = Workload::CartPole.spec();
+    let mut rng = SmallRng::seed_from_u64(31);
+    let mut oselm = OsElmQNet::new(
+        OsElmQNetConfig::for_workload(&spec, 16, 0.5, true),
+        &mut rng,
+    );
+    let mut elm = ElmQNet::new(ElmQNetConfig::for_workload(&spec, 16), &mut rng);
+    let row = Matrix::from_rows(&[vec![0.02, -0.01, 0.04, 0.03]]);
+    let agents: [&mut dyn BatchAgent; 2] = [&mut oselm, &mut elm];
+    for agent in agents {
+        for i in 0..16 {
+            let obs = Observation {
+                state: vec![0.01 * i as f64, -0.02, 0.03, 0.01 * (i % 5) as f64],
+                action: i % 2,
+                reward: if i % 7 == 0 { -1.0 } else { 0.0 },
+                next_state: vec![0.01 * i as f64 + 0.005, -0.01, 0.02, 0.01],
+                done: i % 7 == 0,
+                truncated: false,
+            };
+            agent.observe(&obs, &mut rng);
+        }
+        for _ in 0..8 {
+            std::hint::black_box(agent.act_row(&row, &mut rng));
+        }
+
+        COUNTING.with(|flag| flag.set(true));
+        let before = ALLOCATIONS.load(Ordering::SeqCst);
+        for _ in 0..256 {
+            std::hint::black_box(agent.act_row(&row, &mut rng));
+        }
+        let after = ALLOCATIONS.load(Ordering::SeqCst);
+        COUNTING.with(|flag| flag.set(false));
+
+        assert_eq!(
+            after - before,
+            0,
+            "steady-state {} act_row must not allocate ({} allocations over 256 rows)",
+            agent.name(),
+            after - before
+        );
+    }
+}
+
 /// Allocations of one full scalar training run, with the checkpoint
 /// schedule either disarmed or armed-but-never-firing. Same seed, same
 /// trajectory — any difference is overhead the checkpoint plumbing adds to

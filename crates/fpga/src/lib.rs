@@ -15,9 +15,11 @@
 //!   (so quantisation effects are real), with cycle counts derived from the
 //!   single-adder/multiplier/divider structure the paper describes;
 //! * [`agent`] — [`FpgaAgent`], design (7) of the evaluation: the
-//!   OS-ELM-L2-Lipschitz algorithm whose prediction and sequential training
-//!   run through the fixed-point core, with simulated PL/CPU time tracked
-//!   alongside host wall-clock.
+//!   OS-ELM-L2-Lipschitz algorithm as the `elmrl-core` Algorithm 1 shell
+//!   ([`elmrl_core::QNet`]) over [`FpgaDatapath`], whose prediction and
+//!   sequential training run through the fixed-point core; the CPU learner
+//!   that computes P₀ stays here. Simulated PL/CPU time is tracked alongside
+//!   host wall-clock and read through [`FpgaAgent::datapath`].
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]

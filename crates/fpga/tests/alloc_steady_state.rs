@@ -281,3 +281,39 @@ fn steady_state_quantized_step_allocates_nothing_with_telemetry_on() {
         after - before
     );
 }
+
+#[test]
+fn steady_state_quantized_act_row_allocates_nothing() {
+    // `act_row` (the E-parallel drivers' action choice) quantises the row
+    // and runs the core through the agent's own staging banks.
+    use elmrl_core::batch::BatchAgent;
+    use elmrl_linalg::Matrix;
+
+    let _serial = serial();
+    let spec = Workload::CartPole.spec();
+    let mut rng = SmallRng::seed_from_u64(31);
+    let mut agent = FpgaAgent::new(FpgaAgentConfig::for_workload(&spec, 16), &mut rng);
+    for i in 0..16 {
+        agent.observe(&transition(i), &mut rng);
+    }
+    assert!(agent.datapath().core_loaded());
+    let row = Matrix::from_rows(&[vec![0.02, -0.01, 0.04, 0.03]]);
+    for _ in 0..8 {
+        std::hint::black_box(agent.act_row(&row, &mut rng));
+    }
+
+    COUNTING.with(|flag| flag.set(true));
+    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    for _ in 0..256 {
+        std::hint::black_box(agent.act_row(&row, &mut rng));
+    }
+    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    COUNTING.with(|flag| flag.set(false));
+
+    assert_eq!(
+        after - before,
+        0,
+        "steady-state quantized act_row must not allocate ({} allocations over 256 rows)",
+        after - before
+    );
+}
