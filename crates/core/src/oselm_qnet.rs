@@ -204,9 +204,10 @@ impl Datapath for OsElm<f64> {
         }
     }
 
-    fn update_one(&mut self, x: &[f64], t: f64) {
+    fn update_one(&mut self, x: &[f64], t: f64) -> bool {
         let updated = self.seq_train_single(x, &[t]);
         debug_assert!(updated.is_ok(), "sequential update before initial training");
+        updated.is_ok()
     }
 
     fn update_chunk(&mut self, x: &Matrix<f64>, t: &Matrix<f64>) {

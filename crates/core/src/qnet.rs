@@ -29,7 +29,6 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 /// What the shell reads from a design's configuration.
-#[derive(Clone, Debug)]
 pub struct ShellConfig {
     /// The design label ([`Agent::name`]).
     pub name: &'static str,
@@ -86,8 +85,8 @@ pub trait Datapath: Sized {
     /// attempt counts as an `init_train` op.
     fn train_initial(&mut self, x: &Matrix<f64>, t: &Matrix<f64>) -> bool;
 
-    /// One sequential update of the scalar path.
-    fn update_one(&mut self, _x: &[f64], _t: f64) {
+    /// One sequential update of the scalar path; whether it counts.
+    fn update_one(&mut self, _x: &[f64], _t: f64) -> bool {
         unreachable!("a refill-only datapath has no update phase");
     }
 
@@ -277,10 +276,8 @@ impl<D: Datapath> QNet<D> {
     /// encoded `(state, action)`, `T[i]` its target bootstrapped from θ₂.
     fn initial_training_chunk(&mut self) -> (Matrix<f64>, Matrix<f64>) {
         let (s, n) = (&mut self.scratch, self.buffer.len());
-        let (mut x, mut t) = (
-            Matrix::zeros(n, self.encoder.input_dim()),
-            Matrix::zeros(n, 1),
-        );
+        let mut x = Matrix::zeros(n, self.encoder.input_dim());
+        let mut t = Matrix::zeros(n, 1);
         for (i, obs) in self.buffer.iter().enumerate() {
             self.encoder.encode_into(&obs.state, obs.action, &mut s.enc);
             x.set_row(i, &s.enc);
@@ -297,8 +294,9 @@ impl<D: Datapath> QNet<D> {
         s.eval(&self.encoder, &self.target, &obs.next_state);
         let target_q = self.view.target.target(obs.reward, max_q(&s.q), obs.done);
         self.encoder.encode_into(&obs.state, obs.action, &mut s.enc);
-        self.datapath.update_one(&s.enc, target_q);
-        self.ops.add(OpKind::SeqTrain, 1);
+        if self.datapath.update_one(&s.enc, target_q) {
+            self.ops.add(OpKind::SeqTrain, 1);
+        }
     }
 
     /// The transitions of one tick at `selected`, trained as chunks of at

@@ -253,8 +253,9 @@ impl Datapath for FpgaDatapath {
         true
     }
 
-    fn update_one(&mut self, x: &[f64], t: f64) {
+    fn update_one(&mut self, x: &[f64], t: f64) -> bool {
         self.seq_train_q(x, &[t]);
+        true
     }
 
     fn update_chunk(&mut self, x: &Matrix<f64>, t: &Matrix<f64>) {
