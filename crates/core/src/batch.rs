@@ -56,8 +56,8 @@ pub trait BatchAgent: Agent {
     /// (any agent is a valid worker); the ELM-family shell
     /// ([`QNet`](crate::qnet::QNet)) and DQN override it through their own
     /// batched scratch so a warm worker evaluates with **zero** heap
-    /// allocations. Overrides must
-    /// leave `out` bit-for-bit equal to `predict_batch`'s result.
+    /// allocations. Overrides must leave `out` bit-for-bit equal to
+    /// `predict_batch`'s result.
     fn predict_batch_into(&mut self, states: &Matrix<f64>, out: &mut Matrix<f64>) {
         *out = self.predict_batch(states);
     }
