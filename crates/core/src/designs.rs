@@ -3,11 +3,10 @@
 //! Seven designs are compared in the paper. Six are pure software and built
 //! here; the seventh (`FPGA`) is the same algorithm as OS-ELM-L2-Lipschitz
 //! running through the fixed-point datapath simulator and is constructed by
-//! `elmrl-fpga` (which depends on this crate) — [`Design::build`] therefore
-//! covers designs (1)–(6) and the harness plugs the FPGA agent in through the
-//! same [`Agent`] trait object.
+//! `elmrl-fpga` (which depends on this crate) — [`Design::build_batch`]
+//! therefore covers designs (1)–(6), and `elmrl_fpga::build_agent` covers
+//! all seven behind the same [`BatchAgent`] trait object.
 
-use crate::agent::Agent;
 use crate::batch::BatchAgent;
 use crate::clipping::TargetConfig;
 use crate::dqn::{DqnAgent, DqnConfig};
@@ -94,8 +93,7 @@ impl Design {
     }
 
     /// Whether this design trains through the chunked OS-ELM RLS update —
-    /// i.e. whether [`DesignConfig::chunk_cap`] (and the
-    /// [`crate::oselm_qnet::DEFAULT_CHUNK_CAP`] fallback) applies to it.
+    /// i.e. whether [`crate::oselm_qnet::DEFAULT_CHUNK_CAP`] applies to it.
     pub fn uses_chunked_rls(self) -> bool {
         matches!(
             self,
@@ -103,44 +101,19 @@ impl Design {
         )
     }
 
-    /// The RLS chunk cap a run of this design trains under: `chunk_cap` when
-    /// given, else [`crate::oselm_qnet::DEFAULT_CHUNK_CAP`] where the cap is
-    /// live at all (a chunked OS-ELM design driving batch-B ticks,
-    /// `train_envs > 1`). Scalar and non-RLS runs get `None`, which is what
-    /// their artefacts record, so artefacts from before the knob existed keep
-    /// their bytes.
-    pub fn effective_chunk_cap(self, chunk_cap: Option<usize>, train_envs: usize) -> Option<usize> {
+    /// The RLS chunk cap a run of this design trains under:
+    /// [`crate::oselm_qnet::DEFAULT_CHUNK_CAP`] where the cap is live at all
+    /// (a chunked OS-ELM design driving batch-B ticks, `train_envs > 1`).
+    /// Scalar and non-RLS runs get `None`, which is what their artefacts
+    /// record, so scalar artefacts keep their bytes.
+    pub fn effective_chunk_cap(self, train_envs: usize) -> Option<usize> {
         let live = train_envs > 1 && self.uses_chunked_rls();
-        chunk_cap.or(live.then_some(crate::oselm_qnet::DEFAULT_CHUNK_CAP))
+        live.then_some(crate::oselm_qnet::DEFAULT_CHUNK_CAP)
     }
 
-    /// Build the agent for this design. Panics for [`Design::Fpga`], which is
-    /// constructed by `elmrl-fpga::FpgaAgent::new` instead.
-    pub fn build(self, config: &DesignConfig, rng: &mut SmallRng) -> Box<dyn Agent> {
-        match self {
-            Design::Elm => Box::new(ElmQNet::new(ElmQNetConfig::from_design(config), rng)),
-            Design::OsElm | Design::OsElmL2 | Design::OsElmLipschitz | Design::OsElmL2Lipschitz => {
-                Box::new(OsElmQNet::new(
-                    OsElmQNetConfig::from_design(
-                        config,
-                        self.l2_delta(),
-                        self.spectral_normalize(),
-                    ),
-                    rng,
-                ))
-            }
-            Design::Dqn => Box::new(DqnAgent::new(DqnConfig::from_design(config), rng)),
-            Design::Fpga => {
-                panic!("Design::Fpga is built by elmrl_fpga::FpgaAgent::new, not Design::build")
-            }
-        }
-    }
-
-    /// Build the agent behind the batched-inference interface used by the
-    /// population engine. Draws exactly the same RNG stream as
-    /// [`Design::build`], so a batch-built agent replays a scalar-built one.
-    /// Panics for [`Design::Fpga`] (constructed by `elmrl-fpga`, which also
-    /// implements [`BatchAgent`] for it).
+    /// Build the agent for this design. Panics for [`Design::Fpga`], which
+    /// is constructed by `elmrl-fpga` (`elmrl_fpga::build_agent` builds all
+    /// seven designs).
     ///
     /// The box is `Send` so callers can move workers across the thread pool
     /// (the serve engine dispatches per-worker batches through `rayon`);
@@ -164,9 +137,9 @@ impl Design {
                 ))
             }
             Design::Dqn => Box::new(DqnAgent::new(DqnConfig::from_design(config), rng)),
-            Design::Fpga => panic!(
-                "Design::Fpga is built by elmrl_fpga::FpgaAgent::new, not Design::build_batch"
-            ),
+            Design::Fpga => {
+                panic!("Design::Fpga is built by elmrl_fpga, not Design::build_batch")
+            }
         }
     }
 
@@ -213,12 +186,6 @@ pub struct DesignConfig {
     /// Whether ELM/OS-ELM Q-learning targets are clipped into `[-1, 1]`
     /// (§3.1; DQN always trains unclipped and relies on the Huber loss).
     pub clip_targets: bool,
-    /// Cap on the OS-ELM batched-training chunk width (the CLI's
-    /// `--chunk-cap`); `None` defers to
-    /// [`crate::oselm_qnet::DEFAULT_CHUNK_CAP`]. Only the OS-ELM designs
-    /// consume it, and only at `train_envs > 1`.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub chunk_cap: Option<usize>,
 }
 
 impl DesignConfig {
@@ -241,7 +208,6 @@ impl DesignConfig {
             update_prob: spec.defaults.update_prob,
             target_sync_episodes: spec.defaults.target_sync_episodes,
             clip_targets: spec.defaults.clip_targets,
-            chunk_cap: None,
         }
     }
 
@@ -275,20 +241,10 @@ mod tests {
         let default = Some(crate::oselm_qnet::DEFAULT_CHUNK_CAP);
         for design in Design::all_designs() {
             let chunked = design.uses_chunked_rls();
-            assert_eq!(design.effective_chunk_cap(None, 1), None, "{design:?}");
+            assert_eq!(design.effective_chunk_cap(1), None, "{design:?}");
             assert_eq!(
-                design.effective_chunk_cap(None, 4),
+                design.effective_chunk_cap(4),
                 if chunked { default } else { None },
-                "{design:?}"
-            );
-            assert_eq!(
-                design.effective_chunk_cap(Some(2), 1),
-                Some(2),
-                "{design:?}"
-            );
-            assert_eq!(
-                design.effective_chunk_cap(Some(2), 4),
-                Some(2),
                 "{design:?}"
             );
         }
@@ -318,7 +274,7 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(1);
         let config = DesignConfig::new(16);
         for design in Design::software_designs() {
-            let agent = design.build(&config, &mut rng);
+            let agent = design.build_batch(&config, &mut rng);
             assert_eq!(agent.name(), design.label());
             assert_eq!(agent.hidden_dim(), 16);
         }
@@ -328,7 +284,7 @@ mod tests {
     #[should_panic(expected = "built by elmrl_fpga")]
     fn building_fpga_here_panics() {
         let mut rng = SmallRng::seed_from_u64(2);
-        let _ = Design::Fpga.build(&DesignConfig::new(16), &mut rng);
+        let _ = Design::Fpga.build_batch(&DesignConfig::new(16), &mut rng);
     }
 
     #[test]
@@ -354,27 +310,13 @@ mod tests {
     }
 
     #[test]
-    fn build_batch_mirrors_build() {
-        // Same seed → same RNG draws → identical Q surfaces between the
-        // scalar-built and batch-built agents.
-        let config = DesignConfig::new(8);
-        let probe = [0.03, -0.02, 0.05, 0.01];
-        for design in Design::software_designs() {
-            let mut scalar = design.build(&config, &mut SmallRng::seed_from_u64(9));
-            let mut batched = design.build_batch(&config, &mut SmallRng::seed_from_u64(9));
-            assert_eq!(batched.name(), design.label());
-            assert_eq!(scalar.q_values(&probe), batched.q_values(&probe));
-        }
-    }
-
-    #[test]
     fn design_config_env_override() {
         let c = DesignConfig::new(32).for_env(2, 3);
         assert_eq!(c.state_dim, 2);
         assert_eq!(c.num_actions, 3);
         assert_eq!(c.hidden_dim, 32);
         let mut rng = SmallRng::seed_from_u64(3);
-        let agent = Design::OsElmL2Lipschitz.build(&c, &mut rng);
+        let agent = Design::OsElmL2Lipschitz.build_batch(&c, &mut rng);
         // MountainCar-shaped agent still constructs and answers Q-values.
         let mut agent = agent;
         assert_eq!(agent.q_values(&[0.0, 0.0]).len(), 3);
@@ -389,7 +331,7 @@ mod tests {
             assert_eq!(config.state_dim, spec.observation_dim);
             assert_eq!(config.num_actions, spec.num_actions);
             for design in Design::software_designs() {
-                let mut agent = design.build(&config, &mut rng);
+                let mut agent = design.build_batch(&config, &mut rng);
                 let probe = vec![0.0; spec.observation_dim];
                 assert_eq!(
                     agent.q_values(&probe).len(),

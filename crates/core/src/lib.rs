@@ -30,7 +30,7 @@
 //!
 //! let mut rng = SmallRng::seed_from_u64(42);
 //! let config = DesignConfig::new(64);
-//! let mut agent = Design::OsElmL2Lipschitz.build(&config, &mut rng);
+//! let mut agent = Design::OsElmL2Lipschitz.build_batch(&config, &mut rng);
 //! let mut env = CartPole::new();
 //! let result = Trainer::new(TrainerConfig::default())
 //!     .run(agent.as_mut(), &mut env, &mut rng);

@@ -34,8 +34,8 @@ const NUMERICAL_DELTA: f64 = 1e-8;
 /// O(B²·Ñ + B³) for its `I + H·P·Hᵀ` Gram matrix and Cholesky on top of the
 /// O(B·Ñ²) P passes, so a too-wide chunk loses to two half-width ones. The
 /// sweep at Ñ ∈ {256, 512, 1024} in `BENCH_PR9.json` (`chunk_cap_sweep`) puts
-/// that crossover past B ≈ 64 at every Ñ. Override per agent via
-/// [`OsElmQNetConfig::chunk_cap`].
+/// that crossover past B ≈ 64 at every Ñ. Every OS-ELM agent splits its
+/// oversized ticks at this width; the scalar loop's B = 1 is always below it.
 pub const DEFAULT_CHUNK_CAP: usize = 64;
 
 /// Configuration of an OS-ELM Q-Network agent.
@@ -65,12 +65,6 @@ pub struct OsElmQNetConfig {
     pub spectral_normalize: bool,
     /// Hidden activation (the paper uses ReLU).
     pub activation: HiddenActivation,
-    /// Cap on the RLS chunk width of one batched tick — oversized ticks are
-    /// split into consecutive chunks of at most this many transitions
-    /// (`None` → [`DEFAULT_CHUNK_CAP`]). Only relevant at `train_envs > 1`;
-    /// the scalar loop's B = 1 is always below any cap.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub chunk_cap: Option<usize>,
 }
 
 impl OsElmQNetConfig {
@@ -106,7 +100,6 @@ impl OsElmQNetConfig {
             l2_delta,
             spectral_normalize,
             activation: HiddenActivation::ReLU,
-            chunk_cap: config.chunk_cap,
         }
     }
 
@@ -172,7 +165,7 @@ impl Datapath for OsElm<f64> {
             update_prob: config.random_update.then_some(config.update_prob),
             target_sync_episodes: config.target_sync_episodes,
             target: config.target,
-            chunk_cap: config.chunk_cap.unwrap_or(DEFAULT_CHUNK_CAP).max(1),
+            chunk_cap: DEFAULT_CHUNK_CAP,
             elm: config.elm_config(),
         }
     }
@@ -474,13 +467,13 @@ mod tests {
         assert!(raw.online().model().alpha_sigma_max() > 1.0);
     }
 
-    /// Drive one agent through its init phase and then a single B-wide
-    /// `observe_batch` tick, returning the resulting β as a flat vector.
-    fn beta_after_one_tick(chunk_cap: Option<usize>, tick_width: usize) -> Vec<f64> {
+    /// Drive one agent through its init phase, then feed the same
+    /// 2·[`DEFAULT_CHUNK_CAP`] transitions as `observe_batch` ticks of the
+    /// given widths, returning the resulting β as a flat vector.
+    fn beta_after_ticks(widths: &[usize]) -> Vec<f64> {
         let mut r = rng(42);
         let mut config = cartpole(16, 0.5, true);
         config.random_update = false; // every transition trains
-        config.chunk_cap = chunk_cap;
         let mut agent = OsElmQNet::new(config, &mut r);
         for i in 0..16 {
             let mut obs = sample_obs(0.0, false);
@@ -489,54 +482,57 @@ mod tests {
             agent.observe(&obs, &mut r);
         }
         assert!(agent.is_initialized());
-        let tick: Vec<Observation> = (0..tick_width)
+        let transitions: Vec<Observation> = (0..2 * DEFAULT_CHUNK_CAP)
             .map(|i| {
                 let mut obs = sample_obs(if i % 3 == 0 { -1.0 } else { 0.0 }, i % 3 == 0);
-                obs.state[1] = i as f64 * 0.07 - 0.15;
-                obs.next_state[2] = i as f64 * -0.04 + 0.1;
+                obs.state[1] = (i % 17) as f64 * 0.07 - 0.5;
+                obs.next_state[2] = (i % 11) as f64 * -0.04 + 0.2;
                 obs.action = i % 2;
                 obs
             })
             .collect();
-        agent.observe_batch(&tick, &mut r);
+        assert_eq!(widths.iter().sum::<usize>(), transitions.len());
+        let mut rest = transitions.as_slice();
+        for &width in widths {
+            let (tick, tail) = rest.split_at(width);
+            agent.observe_batch(tick, &mut r);
+            rest = tail;
+        }
         agent.online().model().beta().as_slice().to_vec()
     }
 
     #[test]
     fn chunk_cap_splits_are_deterministic_but_not_bit_identical_to_one_chunk() {
-        // The OS-ELM property makes chunked RLS *algebraically* equivalent to
-        // the one-chunk update, so trajectories rarely diverge (the harness
-        // pins that); here β is observable, and the float-level rounding
-        // difference from re-associating the B-wide update must show up.
-        let uncapped = beta_after_one_tick(None, 8); // 8 < DEFAULT_CHUNK_CAP
-        let capped = beta_after_one_tick(Some(2), 8); // four chunks of 2
+        // A tick twice the cap wide is split into two cap-wide RLS chunks:
+        // bit for bit two cap-wide ticks (θ₂, and so every target, is fixed
+        // within an episode).
+        let cap = DEFAULT_CHUNK_CAP;
+        let split = beta_after_ticks(&[2 * cap]);
         assert_eq!(
-            capped,
-            beta_after_one_tick(Some(2), 8),
-            "the capped update must be bit-for-bit deterministic"
+            split,
+            beta_after_ticks(&[2 * cap]),
+            "the split update must be bit-for-bit deterministic"
         );
-        assert_eq!(
-            uncapped,
-            beta_after_one_tick(None, 8),
-            "the uncapped update must be bit-for-bit deterministic"
-        );
+        assert_eq!(split, beta_after_ticks(&[cap, cap]));
+        // The OS-ELM property makes narrower chunks *algebraically*
+        // equivalent, so trajectories rarely diverge (the harness pins
+        // that); here β is observable, and the float-level rounding
+        // difference from re-associating the update must show up.
+        let narrow = beta_after_ticks(&[cap / 2; 4]);
         assert_ne!(
-            capped, uncapped,
-            "splitting a B=8 tick into cap-2 chunks re-associates the RLS \
-             arithmetic, so β must differ at float level"
+            narrow, split,
+            "re-chunking the update re-associates the RLS arithmetic, so β \
+             must differ at float level"
         );
-        // But only at float level: the chunked update is the same algebra.
-        let max_abs_diff = capped
+        let max_abs_diff = narrow
             .iter()
-            .zip(&uncapped)
+            .zip(&split)
             .map(|(a, b)| (a - b).abs())
             .fold(0.0_f64, f64::max);
         assert!(
             max_abs_diff < 1e-9,
             "chunk splitting must stay algebraically equivalent, got {max_abs_diff}"
         );
-        // A cap at or above the tick width is exactly the one-chunk path.
-        assert_eq!(beta_after_one_tick(Some(8), 8), uncapped);
     }
 
     #[test]

@@ -26,11 +26,6 @@ impl ExploitPolicy {
         Self { exploit_prob }
     }
 
-    /// The paper's setting: ε₁ = 0.7.
-    pub fn paper_default() -> Self {
-        Self::new(0.7)
-    }
-
     /// Select an action given the per-action Q-values. Exact ties among the
     /// maximal Q-values are broken uniformly at random — before any training
     /// has happened every Q-value is identical, and deterministic tie-breaking
@@ -43,12 +38,6 @@ impl ExploitPolicy {
         } else {
             rng.gen_range(0..q_values.len())
         }
-    }
-
-    /// Always-greedy selection (used at evaluation time). Ties resolve to the
-    /// first maximal action, keeping evaluation deterministic.
-    pub fn select_greedy(&self, q_values: &[f64]) -> usize {
-        argmax(q_values)
     }
 }
 
@@ -102,11 +91,6 @@ mod tests {
     use rand::SeedableRng;
 
     #[test]
-    fn paper_default_is_point_seven() {
-        assert_eq!(ExploitPolicy::paper_default().exploit_prob, 0.7);
-    }
-
-    #[test]
     fn argmax_and_max_q() {
         assert_eq!(argmax(&[1.0, 3.0, 2.0]), 1);
         assert_eq!(argmax(&[5.0, 5.0, 1.0]), 0);
@@ -120,7 +104,6 @@ mod tests {
         for _ in 0..50 {
             assert_eq!(p.select(&[0.0, 1.0, 0.5], &mut rng), 1);
         }
-        assert_eq!(p.select_greedy(&[0.0, 1.0, 0.5]), 1);
     }
 
     #[test]

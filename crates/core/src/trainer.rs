@@ -98,15 +98,6 @@ impl TrainerConfig {
         config
     }
 
-    /// The paper's full protocol (50 000-episode cut-off). Long; used by the
-    /// harness binaries, not by unit tests.
-    pub fn paper_protocol() -> Self {
-        Self {
-            max_episodes: 50_000,
-            ..Self::default()
-        }
-    }
-
     /// A small-budget configuration for tests and examples.
     pub fn quick(max_episodes: usize) -> Self {
         Self {
@@ -724,7 +715,6 @@ mod tests {
             c.solve_criterion,
             SolveCriterion::EpisodeReturn { threshold: 195.0 }
         );
-        assert_eq!(TrainerConfig::paper_protocol().max_episodes, 50_000);
         assert_eq!(TrainerConfig::quick(7).max_episodes, 7);
     }
 
@@ -756,7 +746,7 @@ mod tests {
     #[test]
     fn short_run_collects_consistent_statistics() {
         let mut r = rng(1);
-        let mut agent = Design::OsElmL2Lipschitz.build(&DesignConfig::new(16), &mut r);
+        let mut agent = Design::OsElmL2Lipschitz.build_batch(&DesignConfig::new(16), &mut r);
         let mut env = CartPole::new();
         let mut cfg = TrainerConfig::quick(20);
         cfg.solve_criterion = SolveCriterion::MovingAverage {
@@ -789,7 +779,7 @@ mod tests {
     #[test]
     fn reset_rule_fires_for_unsolved_elm_designs() {
         let mut r = rng(2);
-        let mut agent = Design::OsElm.build(&DesignConfig::new(8), &mut r);
+        let mut agent = Design::OsElm.build_batch(&DesignConfig::new(8), &mut r);
         let mut env = CartPole::new();
         let mut config = TrainerConfig::quick(25);
         config.reset_after_episodes = Some(10);
@@ -804,7 +794,7 @@ mod tests {
     #[test]
     fn reset_rule_can_be_disabled() {
         let mut r = rng(3);
-        let mut agent = Design::Dqn.build(&DesignConfig::new(8), &mut r);
+        let mut agent = Design::Dqn.build_batch(&DesignConfig::new(8), &mut r);
         let mut env = CartPole::new();
         let mut config = TrainerConfig::quick(15);
         config.reset_after_episodes = None;
@@ -818,13 +808,13 @@ mod tests {
         let mut env = CartPole::new();
         let config = TrainerConfig::quick(10);
 
-        let mut oselm = Design::OsElmL2Lipschitz.build(&DesignConfig::new(8), &mut r);
+        let mut oselm = Design::OsElmL2Lipschitz.build_batch(&DesignConfig::new(8), &mut r);
         let res_oselm = Trainer::new(config.clone()).run(oselm.as_mut(), &mut env, &mut r);
         assert!(res_oselm.op_counts.count(OpKind::InitTrain) >= 1);
         assert!(res_oselm.op_counts.count(OpKind::SeqTrain) > 0);
         assert_eq!(res_oselm.op_counts.count(OpKind::TrainDqn), 0);
 
-        let mut dqn = Design::Dqn.build(&DesignConfig::new(8), &mut r);
+        let mut dqn = Design::Dqn.build_batch(&DesignConfig::new(8), &mut r);
         let res_dqn = Trainer::new(config).run(dqn.as_mut(), &mut env, &mut r);
         assert!(res_dqn.op_counts.count(OpKind::Predict1) > 0);
         assert_eq!(res_dqn.op_counts.count(OpKind::SeqTrain), 0);
@@ -1119,7 +1109,7 @@ mod tests {
         // reset rule fires: hidden 4 initialises after 4 samples, episodes of
         // 6 steps train it immediately, and reset-after-2 wipes it again.
         let mut r = rng(11);
-        let mut agent = Design::OsElm.build(&DesignConfig::new(4).for_env(1, 2), &mut r);
+        let mut agent = Design::OsElm.build_batch(&DesignConfig::new(4).for_env(1, 2), &mut r);
         let mut env = ScriptedEnv::new(&[6]);
         let mut config = TrainerConfig::quick(2);
         config.reset_after_episodes = Some(2);
@@ -1194,7 +1184,7 @@ mod tests {
         };
         let straight = {
             let mut r = rng(7);
-            let mut agent = Design::OsElmL2.build(&DesignConfig::new(8), &mut r);
+            let mut agent = Design::OsElmL2.build_batch(&DesignConfig::new(8), &mut r);
             let mut env = CartPole::new();
             Trainer::new(config.clone()).run(agent.as_mut(), &mut env, &mut r)
         };
@@ -1203,7 +1193,7 @@ mod tests {
         let mut ckpts: Vec<RunCheckpoint> = Vec::new();
         {
             let mut r = rng(7);
-            let mut agent = Design::OsElmL2.build(&DesignConfig::new(8), &mut r);
+            let mut agent = Design::OsElmL2.build_batch(&DesignConfig::new(8), &mut r);
             let mut env = CartPole::new();
             let mut sink = |c: RunCheckpoint| ckpts.push(c);
             let mut ctl = CheckpointCtl::saving(1, &mut sink);
@@ -1220,7 +1210,7 @@ mod tests {
             // The pre-restore seeds are deliberately different: restore must
             // overwrite every bit of agent and RNG state.
             let mut r = rng(999);
-            let mut agent = Design::OsElmL2.build(&DesignConfig::new(8), &mut r);
+            let mut agent = Design::OsElmL2.build_batch(&DesignConfig::new(8), &mut r);
             let mut env = CartPole::new();
             let mut sink = |_c: RunCheckpoint| {};
             let mut ctl = CheckpointCtl::resuming(ckpt, 0, &mut sink);
@@ -1244,7 +1234,7 @@ mod tests {
         let mut ckpts: Vec<RunCheckpoint> = Vec::new();
         let straight = {
             let mut r = rng(21);
-            let mut agent = Design::OsElm.build(&DesignConfig::new(8), &mut r);
+            let mut agent = Design::OsElm.build_batch(&DesignConfig::new(8), &mut r);
             let mut env = CartPole::new();
             let mut sink = |c: RunCheckpoint| ckpts.push(c);
             let mut ctl = CheckpointCtl::saving(3, &mut sink);
@@ -1254,7 +1244,7 @@ mod tests {
         };
         let restored = RunCheckpoint::from_json(&ckpts[0].to_json().unwrap()).unwrap();
         let mut r = rng(0);
-        let mut agent = Design::OsElm.build(&DesignConfig::new(8), &mut r);
+        let mut agent = Design::OsElm.build_batch(&DesignConfig::new(8), &mut r);
         let mut env = CartPole::new();
         let mut sink = |_c: RunCheckpoint| {};
         let mut ctl = CheckpointCtl::resuming(&restored, 0, &mut sink);
@@ -1315,7 +1305,7 @@ mod tests {
         let config = TrainerConfig::quick(8);
         let straight = {
             let mut r = rng(13);
-            let mut agent = Design::OsElmL2.build(&DesignConfig::new(8), &mut r);
+            let mut agent = Design::OsElmL2.build_batch(&DesignConfig::new(8), &mut r);
             let mut env = CartPole::new();
             Trainer::new(config.clone()).run(agent.as_mut(), &mut env, &mut r)
         };
@@ -1323,7 +1313,7 @@ mod tests {
         let mut ckpts: Vec<RunCheckpoint> = Vec::new();
         let crashed = {
             let mut r = rng(13);
-            let mut agent = Design::OsElmL2.build(&DesignConfig::new(8), &mut r);
+            let mut agent = Design::OsElmL2.build_batch(&DesignConfig::new(8), &mut r);
             let mut env = CartPole::new();
             let mut sink = |c: RunCheckpoint| ckpts.push(c);
             let mut ctl = CheckpointCtl::saving(1, &mut sink);
@@ -1339,7 +1329,7 @@ mod tests {
         assert_eq!(ckpts.len(), 3);
 
         let mut r = rng(0);
-        let mut agent = Design::OsElmL2.build(&DesignConfig::new(8), &mut r);
+        let mut agent = Design::OsElmL2.build_batch(&DesignConfig::new(8), &mut r);
         let mut env = CartPole::new();
         let mut sink = |_c: RunCheckpoint| {};
         let mut ctl = CheckpointCtl::resuming(&ckpts[2], 0, &mut sink);
@@ -1371,7 +1361,7 @@ mod tests {
         let mut scalar_ckpts: Vec<RunCheckpoint> = Vec::new();
         {
             let mut r = rng(3);
-            let mut agent = Design::OsElmL2.build(&DesignConfig::new(8), &mut r);
+            let mut agent = Design::OsElmL2.build_batch(&DesignConfig::new(8), &mut r);
             let mut env = CartPole::new();
             let mut sink = |c: RunCheckpoint| scalar_ckpts.push(c);
             let mut ctl = CheckpointCtl::saving(2, &mut sink);
@@ -1397,7 +1387,7 @@ mod tests {
         // Vector checkpoint into the scalar driver: rejected.
         let mut vec_ckpt = scalar_ckpts[0].clone();
         vec_ckpt.slots = Some(Vec::new());
-        let mut agent = Design::OsElmL2.build(&DesignConfig::new(8), &mut r);
+        let mut agent = Design::OsElmL2.build_batch(&DesignConfig::new(8), &mut r);
         let mut env = CartPole::new();
         let mut sink2 = |_c: RunCheckpoint| {};
         let mut ctl = CheckpointCtl::resuming(&vec_ckpt, 0, &mut sink2);
@@ -1424,7 +1414,7 @@ mod tests {
         let mut ckpts: Vec<RunCheckpoint> = Vec::new();
         {
             let mut r = rng(3);
-            let mut agent = Design::OsElmL2.build(&DesignConfig::new(8), &mut r);
+            let mut agent = Design::OsElmL2.build_batch(&DesignConfig::new(8), &mut r);
             let mut sink = |c: RunCheckpoint| ckpts.push(c);
             let mut ctl = CheckpointCtl::saving(3, &mut sink);
             Trainer::new(config.clone())
@@ -1436,7 +1426,7 @@ mod tests {
         assert_eq!(ckpt.episodes_since_reset, 1, "reset after episode 2");
         let resume = |ckpt: &RunCheckpoint| {
             let mut r = rng(0);
-            let mut agent = Design::OsElmL2.build(&DesignConfig::new(8), &mut r);
+            let mut agent = Design::OsElmL2.build_batch(&DesignConfig::new(8), &mut r);
             let mut sink = |_c: RunCheckpoint| {};
             let mut ctl = CheckpointCtl::resuming(ckpt, 0, &mut sink);
             Trainer::new(config.clone()).run_checkpointed(
@@ -1555,7 +1545,7 @@ mod tests {
     fn deterministic_given_seed() {
         let run = |seed| {
             let mut r = rng(seed);
-            let mut agent = Design::OsElmL2.build(&DesignConfig::new(8), &mut r);
+            let mut agent = Design::OsElmL2.build_batch(&DesignConfig::new(8), &mut r);
             let mut env = CartPole::new();
             Trainer::new(TrainerConfig::quick(8))
                 .run(agent.as_mut(), &mut env, &mut r)

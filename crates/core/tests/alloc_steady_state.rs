@@ -192,43 +192,51 @@ fn steady_state_tiled_update_with_chunk_splitting_allocates_nothing() {
     // The PR-9 contract: the blocked kernels stay allocation-free too. This
     // variant crosses both new tiling seams — a hidden width past
     // `P_UPDATE_TILE` (so the fused P passes run a full row tile plus a
-    // remainder) and a tick wider than `chunk_cap` (so `observe_batch`
-    // splits the RLS update into capped chunks while the hoisted
-    // target-network forward still covers the whole tick).
+    // remainder) and a tick wider than `DEFAULT_CHUNK_CAP` (so
+    // `observe_batch` splits the RLS update into capped chunks while the
+    // hoisted target-network forward still covers the whole tick).
     use elmrl_core::batch::BatchAgent;
+    use elmrl_core::DEFAULT_CHUNK_CAP;
     use elmrl_elm::os_elm::P_UPDATE_TILE;
 
     let _serial = serial();
     let spec = Workload::CartPole.spec();
-    let mut config = OsElmQNetConfig::for_workload(&spec, P_UPDATE_TILE + 8, 0.5, true);
+    let hidden = P_UPDATE_TILE + 8;
+    let mut config = OsElmQNetConfig::for_workload(&spec, hidden, 0.5, true);
     config.random_update = false; // every tick trains the full chunk
-    config.chunk_cap = Some(3); // B = 8 tick → 3 chunks of 3 + 3 + 2
     let mut rng = SmallRng::seed_from_u64(11);
     let mut agent = OsElmQNet::new(config, &mut rng);
 
-    let tick: Vec<Observation> = (0..8)
+    // B = DEFAULT_CHUNK_CAP + 8 → one full chunk and a chunk of 8. A full
+    // chunk at this width is past the pool's fork/join threshold, and the
+    // pool's job bookkeeping allocates per dispatch; the contract here is
+    // the kernels' own, so the threshold is lifted to keep every product on
+    // the sequential kernels (bit-identical to the pooled ones).
+    let width = DEFAULT_CHUNK_CAP + 8;
+    elmrl_linalg::set_parallel_flop_threshold(usize::MAX);
+    let tick: Vec<Observation> = (0..width)
         .map(|i| Observation {
             state: vec![0.02 * i as f64, -0.02, 0.03, 0.01 * (i % 3) as f64],
             action: i % 2,
-            reward: if i == 7 { -1.0 } else { 0.0 },
+            reward: if i == width - 1 { -1.0 } else { 0.0 },
             next_state: vec![0.02 * i as f64 + 0.005, -0.01, 0.02, 0.01],
-            done: i == 7,
+            done: i == width - 1,
             truncated: false,
         })
         .collect();
 
-    // Store phase (9 ticks fill buffer D with Ñ = 72 samples) + warm-up so
-    // every workspace — including the packed-panel buffers — reaches steady
+    // Store phase (buffer D fills with Ñ samples) + warm-up so every
+    // workspace — including the packed-panel buffers — reaches steady
     // capacity.
-    for t in 0..32 {
+    for t in 0..8 {
         // Perturb one state component per store-phase tick so the initial
-        // Gram matrix is well-posed at Ñ = 72.
+        // Gram matrix is well-posed.
         let staged: Vec<Observation> = tick
             .iter()
             .enumerate()
             .map(|(i, o)| {
                 let mut o = o.clone();
-                o.state[1] += 0.003 * (t * 8 + i) as f64;
+                o.state[1] += 0.003 * (t * width + i) as f64;
                 o
             })
             .collect();
@@ -246,6 +254,7 @@ fn steady_state_tiled_update_with_chunk_splitting_allocates_nothing() {
     }
     let after = ALLOCATIONS.load(Ordering::SeqCst);
     COUNTING.with(|flag| flag.set(false));
+    elmrl_linalg::set_parallel_flop_threshold(0);
 
     assert_eq!(
         after - before,

@@ -22,7 +22,7 @@ const PROBE: [f64; 4] = [0.02, -0.15, 0.03, 0.2];
 fn train(seed: u64) -> (Vec<f64>, Vec<u64>) {
     let spec = Workload::CartPole.spec();
     let mut rng = SmallRng::seed_from_u64(seed);
-    let mut agent = Design::Dqn.build(&DesignConfig::for_workload(&spec, HIDDEN), &mut rng);
+    let mut agent = Design::Dqn.build_batch(&DesignConfig::for_workload(&spec, HIDDEN), &mut rng);
     let mut env = spec.make_env();
     let config = TrainerConfig {
         stop_when_solved: false,

@@ -81,7 +81,7 @@ fn trainer() -> Trainer {
 fn scalar_run(design: Design, seed: u64) -> String {
     let spec = Workload::CartPole.spec();
     let mut rng = SmallRng::seed_from_u64(seed);
-    let mut agent = design.build(&DesignConfig::for_workload(&spec, HIDDEN), &mut rng);
+    let mut agent = design.build_batch(&DesignConfig::for_workload(&spec, HIDDEN), &mut rng);
     let mut env = spec.make_env();
     let mut first = None;
     let mut sink = |c: RunCheckpoint| {

@@ -62,7 +62,7 @@ fn assert_round_trip_trajectory(design: Design, seed: u64) {
     let spec = Workload::CartPole.spec();
     let config = DesignConfig::for_workload(&spec, 8);
     let mut rng = SmallRng::seed_from_u64(seed);
-    let mut agent = design.build(&config, &mut rng);
+    let mut agent = design.build_batch(&config, &mut rng);
     let mut env = spec.make_env();
     let mut episode = 0;
     drive(
@@ -84,7 +84,7 @@ fn assert_round_trip_trajectory(design: Design, seed: u64) {
     // A twin built from a different construction seed: every weight the
     // restore does not overwrite would diverge the comparison below.
     let mut twin_rng = SmallRng::seed_from_u64(seed ^ 0xdead_beef);
-    let mut twin = design.build(&config, &mut twin_rng);
+    let mut twin = design.build_batch(&config, &mut twin_rng);
     twin.restore(&parsed).expect("restore snapshot");
     let mut twin_stream = rng_from_words(&rng_words).expect("restore rng");
 
@@ -132,7 +132,7 @@ fn dqn_snapshot_carries_the_replay_buffer_and_optimizer_state() {
     let spec = Workload::CartPole.spec();
     let config = DesignConfig::for_workload(&spec, 8);
     let mut rng = SmallRng::seed_from_u64(5);
-    let mut agent = Design::Dqn.build(&config, &mut rng);
+    let mut agent = Design::Dqn.build_batch(&config, &mut rng);
     let mut env = spec.make_env();
     let mut episode = 0;
     drive(agent.as_mut(), env.as_mut(), &mut rng, 50, &mut episode);
@@ -164,8 +164,8 @@ fn restore_rejects_a_snapshot_of_another_design() {
     let spec = Workload::CartPole.spec();
     let config = DesignConfig::for_workload(&spec, 8);
     let mut rng = SmallRng::seed_from_u64(1);
-    let mut dqn = Design::Dqn.build(&config, &mut rng);
-    let mut oselm = Design::OsElmL2Lipschitz.build(&config, &mut rng);
+    let mut dqn = Design::Dqn.build_batch(&config, &mut rng);
+    let mut oselm = Design::OsElmL2Lipschitz.build_batch(&config, &mut rng);
     let mut env = spec.make_env();
     let mut episode = 0;
     drive(dqn.as_mut(), env.as_mut(), &mut rng, 10, &mut episode);
@@ -202,7 +202,7 @@ fn dqn_restores_a_transition_list_snapshot_and_continues_identically() {
     let spec = Workload::CartPole.spec();
     let config = DesignConfig::for_workload(&spec, 8);
     let mut rng = SmallRng::seed_from_u64(77);
-    let mut agent = Design::Dqn.build(&config, &mut rng);
+    let mut agent = Design::Dqn.build_batch(&config, &mut rng);
     let parsed: AgentSnapshot = serde_json::from_str(SNAPSHOT).expect("parse snapshot");
     agent.restore(&parsed).expect("restore snapshot");
     let rewritten = serde_json::to_string(&agent.snapshot().expect("DQN snapshots")).unwrap();
@@ -245,7 +245,7 @@ fn dqn_restore_rejects_replay_rows_that_do_not_fit_the_agent() {
     let spec = Workload::CartPole.spec();
     let config = DesignConfig::for_workload(&spec, 8);
     let mut rng = SmallRng::seed_from_u64(77);
-    let mut agent = Design::Dqn.build(&config, &mut rng);
+    let mut agent = Design::Dqn.build_batch(&config, &mut rng);
     let snapshot = include_str!("data/dqn_snapshot_transition_list.json");
     let start = snapshot
         .find("\"buffer\":[{\"state\":[")
@@ -283,7 +283,7 @@ fn restore_rejects_a_buffered_state_cut_short_and_leaves_the_agent_unchanged() {
         // Five steps: fewer than Ñ = 8, so buffer D (or the replay) holds
         // them all.
         let mut rng = SmallRng::seed_from_u64(11);
-        let mut agent = design.build(&config, &mut rng);
+        let mut agent = design.build_batch(&config, &mut rng);
         let mut env = spec.make_env();
         drive(agent.as_mut(), env.as_mut(), &mut rng, 5, &mut 0);
         let json = serde_json::to_string(&agent.snapshot().expect("snapshots")).unwrap();
@@ -324,7 +324,7 @@ fn restore_rejects_a_non_finite_learnable_word_and_leaves_the_agent_unchanged() 
     for design in designs {
         // Forty steps: past Ñ = 8, so θ₁ is trained and P exists.
         let mut rng = SmallRng::seed_from_u64(12);
-        let mut agent = design.build(&config, &mut rng);
+        let mut agent = design.build_batch(&config, &mut rng);
         let mut env = spec.make_env();
         drive(agent.as_mut(), env.as_mut(), &mut rng, 40, &mut 0);
         let json = serde_json::to_string(&agent.snapshot().expect("snapshots")).unwrap();

@@ -100,12 +100,6 @@ impl OsElmConfig {
     pub fn parameter_count(&self) -> usize {
         self.input_dim * self.hidden_dim + self.hidden_dim + self.hidden_dim * self.output_dim
     }
-
-    /// Number of elements of the `P` matrix kept by OS-ELM sequential
-    /// training (`Ñ × Ñ`), the other large BRAM consumer.
-    pub fn p_matrix_elements(&self) -> usize {
-        self.hidden_dim * self.hidden_dim
-    }
 }
 
 #[cfg(test)]
@@ -138,7 +132,6 @@ mod tests {
     fn parameter_counts() {
         let c = OsElmConfig::new(5, 64, 1);
         assert_eq!(c.parameter_count(), 5 * 64 + 64 + 64);
-        assert_eq!(c.p_matrix_elements(), 64 * 64);
     }
 
     #[test]

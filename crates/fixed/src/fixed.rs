@@ -80,18 +80,6 @@ impl<const FRAC: u32> Fixed<FRAC> {
         self.raw as f64 / Self::SCALE
     }
 
-    /// Convert from `f32` (via `f64`).
-    #[inline]
-    pub fn from_f32(v: f32) -> Self {
-        Self::from_f64(v as f64)
-    }
-
-    /// Convert to `f32`.
-    #[inline]
-    pub fn to_f32(self) -> f32 {
-        self.to_f64() as f32
-    }
-
     /// Saturating addition.
     #[inline]
     pub fn saturating_add(self, rhs: Self) -> Self {

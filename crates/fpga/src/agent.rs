@@ -12,14 +12,16 @@
 
 use crate::core::{CycleCounts, FpgaCore, FpgaCoreSnapshot, CPU_CLOCK_HZ};
 use elmrl_core::agent::Observation;
-use elmrl_core::batch::BatchQScratch;
+use elmrl_core::batch::{BatchAgent, BatchQScratch};
 use elmrl_core::clipping::TargetConfig;
+use elmrl_core::designs::{Design, DesignConfig};
 use elmrl_core::encoding::StateActionEncoder;
 use elmrl_core::ops::OpCounts;
 use elmrl_core::qnet::{float_q_batch_into, Datapath, QNet, QScratch, ShellConfig, Stored};
 use elmrl_elm::model::ElmModel;
 use elmrl_elm::{HiddenActivation, ModelSnapshot, OsElm, OsElmConfig, OsElmSnapshot};
 use elmrl_fixed::Q20;
+use elmrl_gym::EnvSpec;
 use elmrl_linalg::Matrix;
 use rand::rngs::SmallRng;
 use serde::{Deserialize, Serialize};
@@ -53,8 +55,8 @@ impl FpgaAgentConfig {
     /// Settings for a registered workload: dimensions and protocol knobs come
     /// from the [`elmrl_gym::EnvSpec`]'s per-workload defaults; δ stays at the
     /// paper's 0.5 (the hardware design is OS-ELM-L2-Lipschitz).
-    pub fn for_workload(spec: &elmrl_gym::EnvSpec, hidden_dim: usize) -> Self {
-        let design = elmrl_core::designs::DesignConfig::for_workload(spec, hidden_dim);
+    pub fn for_workload(spec: &EnvSpec, hidden_dim: usize) -> Self {
+        let design = DesignConfig::for_workload(spec, hidden_dim);
         Self {
             state_dim: design.state_dim,
             num_actions: design.num_actions,
@@ -80,6 +82,24 @@ impl FpgaAgentConfig {
 /// the Q20 datapath.
 pub type FpgaAgent = QNet<FpgaDatapath>;
 
+/// Build any of the seven designs behind the batched-inference interface:
+/// [`FpgaAgent`] for [`Design::Fpga`], [`Design::build_batch`] for the six
+/// software designs. The agent draws its initial weights from `rng`.
+pub fn build_agent(
+    design: Design,
+    spec: &EnvSpec,
+    hidden_dim: usize,
+    rng: &mut SmallRng,
+) -> Box<dyn BatchAgent + Send> {
+    match design {
+        Design::Fpga => Box::new(FpgaAgent::new(
+            FpgaAgentConfig::for_workload(spec, hidden_dim),
+            rng,
+        )),
+        software => software.build_batch(&DesignConfig::for_workload(spec, hidden_dim), rng),
+    }
+}
+
 /// The snapshot payload of an [`FpgaAgent`]: the CPU-side float learner,
 /// the float target network, the Q20 core (when loaded), buffer `D` and the
 /// simulated-time accounting.
@@ -91,6 +111,10 @@ pub struct FpgaAgentState {
     buffer: Vec<Observation>,
     ops: OpCounts,
     simulated_cpu_seconds: f64,
+    /// PL cycles of the cores unloaded by resets; absent until the first
+    /// reset, so checkpoints without one keep their bytes.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
+    retired_cycles: Option<CycleCounts>,
 }
 
 /// The Q20 datapath: the CPU learner that computes P₀ and β₀, and the PL
@@ -102,6 +126,8 @@ pub struct FpgaDatapath {
     core: Option<FpgaCore>,
     /// Simulated CPU seconds spent in initial training.
     simulated_cpu_seconds: f64,
+    /// PL cycles of the cores unloaded by resets.
+    retired_cycles: CycleCounts,
     scratch: CoreScratch,
 }
 
@@ -122,9 +148,14 @@ impl FpgaDatapath {
         self.core.is_some()
     }
 
-    /// The PL core's cycle counters (zero before it is loaded).
+    /// The PL cycle counters of every core loaded so far: the retired ones
+    /// and the live one.
     fn cycles(&self) -> CycleCounts {
-        self.core.as_ref().map(|c| *c.cycles()).unwrap_or_default()
+        let mut total = self.retired_cycles;
+        if let Some(core) = &self.core {
+            total.merge(core.cycles());
+        }
+        total
     }
 
     /// Simulated programmable-logic seconds (125 MHz) accumulated so far.
@@ -211,15 +242,17 @@ impl Datapath for FpgaDatapath {
             cpu_learner: OsElm::new(config, rng),
             core: None,
             simulated_cpu_seconds: 0.0,
+            retired_cycles: CycleCounts::default(),
             scratch: CoreScratch::default(),
         }
     }
 
-    /// Unloads the core; the simulated CPU time keeps accumulating.
+    /// Unloads the core; the simulated CPU and PL time keep accumulating.
     fn reset(&mut self, config: &OsElmConfig, rng: &mut SmallRng) {
-        let seconds = self.simulated_cpu_seconds;
+        let (seconds, cycles) = (self.simulated_cpu_seconds, self.cycles());
         *self = Self::new(config, rng);
         self.simulated_cpu_seconds = seconds;
+        self.retired_cycles = cycles;
     }
 
     fn model(&self) -> &ElmModel<f64> {
@@ -322,6 +355,8 @@ impl Datapath for FpgaDatapath {
             buffer,
             ops,
             simulated_cpu_seconds: self.simulated_cpu_seconds,
+            retired_cycles: (self.retired_cycles != CycleCounts::default())
+                .then_some(self.retired_cycles),
         }
     }
 
@@ -336,6 +371,7 @@ impl Datapath for FpgaDatapath {
             cpu_learner,
             core: s.core.as_ref().map(FpgaCore::from_snapshot),
             simulated_cpu_seconds: s.simulated_cpu_seconds,
+            retired_cycles: s.retired_cycles.unwrap_or_default(),
             scratch: CoreScratch::default(),
         };
         Ok((datapath, (s.target, s.buffer, s.ops)))
@@ -347,7 +383,6 @@ mod tests {
     use super::*;
     use elmrl_core::agent::Agent;
     use elmrl_core::checkpoint::AgentSnapshot;
-    use elmrl_core::designs::{Design, DesignConfig};
     use elmrl_core::ops::OpKind;
     use elmrl_core::trainer::{Trainer, TrainerConfig};
     use elmrl_gym::CartPole;
@@ -432,7 +467,7 @@ mod tests {
         let res_fpga = trainer.run(&mut fpga, &mut env1, &mut r1);
 
         let mut r2 = rng(3);
-        let mut float = Design::OsElmL2Lipschitz.build(&DesignConfig::new(16), &mut r2);
+        let mut float = Design::OsElmL2Lipschitz.build_batch(&DesignConfig::new(16), &mut r2);
         let mut env2 = CartPole::new();
         let res_float = trainer.run(float.as_mut(), &mut env2, &mut r2);
 
@@ -478,14 +513,34 @@ mod tests {
     #[test]
     fn reset_unloads_the_core() {
         let mut r = rng(5);
-        let mut agent = FpgaAgent::new(cartpole(8), &mut r);
-        for i in 0..8 {
+        let mut cfg = cartpole(8);
+        cfg.update_prob = 1.0;
+        let mut agent = FpgaAgent::new(cfg, &mut r);
+        for i in 0..10 {
             agent.observe(&obs(i, 0.0, false), &mut r);
         }
+        let _ = agent.act(&[0.0; 4], &mut r);
         assert!(agent.datapath().core_loaded());
+        let before = agent.datapath().simulated_breakdown_seconds();
+        assert!(before.0 > 0.0 && before.1 > 0.0);
         agent.reset(&mut r);
         assert!(!agent.datapath().core_loaded());
         assert_eq!(agent.q_values(&[0.0; 4]), vec![0.0, 0.0]);
+        // The unloaded core's PL time stays on the books, and survives a
+        // checkpoint round trip.
+        assert_eq!(agent.datapath().simulated_breakdown_seconds(), before);
+        let mut restored = FpgaAgent::new(cartpole(8), &mut rng(50));
+        restored.restore(&agent.snapshot().unwrap()).unwrap();
+        assert_eq!(restored.datapath().simulated_breakdown_seconds(), before);
+        // The next core's cycles add to the retired ones.
+        for i in 0..9 {
+            agent.observe(&obs(i, 0.0, false), &mut r);
+        }
+        let after = agent.datapath().simulated_breakdown_seconds();
+        assert!(
+            after.0 >= before.0 && after.1 > before.1,
+            "{after:?} vs {before:?}"
+        );
     }
 
     #[test]

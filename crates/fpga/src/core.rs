@@ -342,12 +342,6 @@ impl FpgaCore {
         self.flush_rls_stats();
     }
 
-    /// Kernel fast-path/fallback counters accumulated so far (cumulative,
-    /// never reset by flushing).
-    pub fn rls_stats(&self) -> RlsStats {
-        self.scratch.rls.stats
-    }
-
     /// Forward the kernel-stat increments since the last flush into the
     /// global telemetry counters (`fixed.rls.*`). No-op while telemetry is
     /// disabled — the unflushed remainder is reported once it turns on.
@@ -365,17 +359,6 @@ impl FpgaCore {
         // The configured cadence, so the report can phrase the observed
         // rescan count as "one exact max|P| scan per N updates".
         elmrl_telemetry::gauge!("fixed.rls.rescan_period").set(RESCAN_PERIOD as i64);
-    }
-
-    /// Overwrite `β` and `P` from float values — used when the CPU re-runs an
-    /// initial training after a reset and pushes fresh state to the PL.
-    pub fn reload_from_f64(&mut self, beta: &Matrix<f64>, p: &Matrix<f64>) {
-        assert_eq!(beta.shape(), (self.nh, self.m));
-        assert_eq!(p.shape(), (self.nh, self.nh));
-        self.beta = quantize_raws(beta);
-        self.p = quantize_raws(p);
-        // P changed outside the kernel — its magnitude bound is stale.
-        self.scratch.rls.invalidate();
     }
 
     /// Capture the complete BRAM contents (raw Q20 words of `α`, `b`, `β`,
@@ -599,16 +582,6 @@ mod tests {
         merged.merge(c);
         assert_eq!(merged.predict_calls, 2);
         assert_eq!(merged.total_cycles(), 2 * c.total_cycles());
-    }
-
-    #[test]
-    fn reload_overwrites_learned_state() {
-        let (os, mut core) = float_and_fixed(8, 5);
-        let zero_beta = Matrix::<f64>::zeros(8, 1);
-        let p = os.p_matrix().unwrap().clone();
-        core.reload_from_f64(&zero_beta, &p);
-        let y = core.predict(&[Q20::from_f64(0.3); 5]);
-        assert_eq!(y[0].to_f64(), 0.0);
     }
 
     #[test]

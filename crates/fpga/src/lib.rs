@@ -19,7 +19,8 @@
 //!   ([`elmrl_core::QNet`]) over [`FpgaDatapath`], whose prediction and
 //!   sequential training run through the fixed-point core; the CPU learner
 //!   that computes P₀ stays here. Simulated PL/CPU time is tracked alongside
-//!   host wall-clock and read through [`FpgaAgent::datapath`].
+//!   host wall-clock and read through [`FpgaAgent::datapath`]. [`build_agent`]
+//!   builds any of the seven designs, this one included.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
@@ -28,6 +29,6 @@ pub mod agent;
 pub mod core;
 pub mod resources;
 
-pub use agent::{FpgaAgent, FpgaAgentConfig, FpgaDatapath};
+pub use agent::{build_agent, FpgaAgent, FpgaAgentConfig, FpgaDatapath};
 pub use core::{CycleCounts, FpgaCore, FpgaCoreSnapshot, CPU_CLOCK_HZ, PL_CLOCK_HZ};
 pub use resources::{ResourceModel, ResourceUtilization, XC7Z020};

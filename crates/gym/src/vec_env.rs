@@ -23,8 +23,9 @@ use rand::rngs::SmallRng;
 pub struct VecStep {
     /// The underlying environment's outcome. `outcome.observation` is the
     /// observation *produced by the step* (the terminal observation when the
-    /// episode just ended) — the post-auto-reset observation is available
-    /// from [`VecEnv::state`] / [`VecEnv::states`] instead.
+    /// episode just ended; [`VecEnv::step_slot`] leaves it empty otherwise)
+    /// — the post-auto-reset observation is available from
+    /// [`VecEnv::state`] / [`VecEnv::states`] instead.
     pub outcome: StepOutcome,
     /// Whether the slot was auto-reset because this step finished its
     /// episode. When `true`, [`VecEnv::state`] already holds the fresh
@@ -44,35 +45,41 @@ pub struct VecEnv {
 impl VecEnv {
     /// Build a vector of `k` fresh environments from a registered workload
     /// spec. The environments still need a [`VecEnv::reset_all`] before the
-    /// first step.
+    /// first step. One spec builds every slot, so their shapes agree
+    /// without a per-slot check.
     pub fn from_spec(spec: &EnvSpec, k: usize) -> Self {
-        Self::new((0..k).map(|_| spec.make_env()).collect())
+        Self::with_shape_of_first((0..k).map(|_| spec.make_env()).collect())
     }
 
     /// Wrap an explicit set of environments. Panics when `envs` is empty or
     /// the environments disagree on observation/action dimensions.
     pub fn new(envs: Vec<Box<dyn Environment>>) -> Self {
-        assert!(!envs.is_empty(), "VecEnv needs at least one environment");
-        let obs_dim = envs[0].observation_dim();
-        let num_actions = envs[0].num_actions();
-        for (i, env) in envs.iter().enumerate() {
+        let vec_env = Self::with_shape_of_first(envs);
+        for (i, env) in vec_env.envs.iter().enumerate().skip(1) {
             assert_eq!(
                 env.observation_dim(),
-                obs_dim,
+                vec_env.obs_dim,
                 "environment {i} disagrees on observation_dim"
             );
             assert_eq!(
                 env.num_actions(),
-                num_actions,
+                vec_env.num_actions,
                 "environment {i} disagrees on num_actions"
             );
         }
-        let states = vec![vec![0.0; obs_dim]; envs.len()];
+        vec_env
+    }
+
+    /// Wrap `envs` with slot 0's dimensions (an environment's
+    /// `observation_dim` builds its observation space, so it is read once).
+    /// Each slot's state stays empty until it is reset or restored.
+    fn with_shape_of_first(envs: Vec<Box<dyn Environment>>) -> Self {
+        assert!(!envs.is_empty(), "VecEnv needs at least one environment");
         Self {
+            obs_dim: envs[0].observation_dim(),
+            num_actions: envs[0].num_actions(),
+            states: vec![Vec::new(); envs.len()],
             envs,
-            states,
-            obs_dim,
-            num_actions,
         }
     }
 
@@ -102,7 +109,7 @@ impl VecEnv {
         self.envs[0].solved_threshold()
     }
 
-    /// Current observation of slot `i`.
+    /// Current observation of slot `i` (empty before its first reset).
     pub fn state(&self, i: usize) -> &[f64] {
         &self.states[i]
     }
@@ -117,14 +124,13 @@ impl VecEnv {
         m
     }
 
-    /// Reset every slot (slot `i` drawing from `rngs[i]`) and return the
-    /// packed initial state matrix.
-    pub fn reset_all(&mut self, rngs: &mut [SmallRng]) -> Matrix<f64> {
+    /// Reset every slot (slot `i` drawing from `rngs[i]`); read the initial
+    /// observations through [`VecEnv::state`] or [`VecEnv::states`].
+    pub fn reset_all(&mut self, rngs: &mut [SmallRng]) {
         assert_eq!(rngs.len(), self.envs.len(), "need one RNG per slot");
         for (i, env) in self.envs.iter_mut().enumerate() {
             self.states[i] = env.reset(&mut rngs[i]);
         }
-        self.states()
     }
 
     /// Step every slot with an action (`Some`) or leave it untouched
@@ -143,20 +149,33 @@ impl VecEnv {
             .iter()
             .enumerate()
             .map(|(i, &action)| {
-                let action = action?;
-                let outcome = self.envs[i].step(action, &mut rngs[i]);
-                let auto_reset = outcome.finished();
-                self.states[i] = if auto_reset {
-                    self.envs[i].reset(&mut rngs[i])
-                } else {
-                    outcome.observation.clone()
-                };
-                Some(VecStep {
-                    outcome,
-                    auto_reset,
-                })
+                let mut step = self.step_slot(i, action?, &mut rngs[i]);
+                if !step.auto_reset {
+                    step.outcome.observation = self.states[i].clone();
+                }
+                Some(step)
             })
             .collect()
+    }
+
+    /// Step slot `i` alone, auto-resetting it from the same stream when the
+    /// step finishes its episode — the per-slot core of [`VecEnv::step`].
+    /// The observation the next decision sees is moved into the slot's
+    /// state ([`VecEnv::state`]), so the returned outcome carries the
+    /// terminal observation when the slot auto-reset and an empty one
+    /// otherwise.
+    pub fn step_slot(&mut self, i: usize, action: usize, rng: &mut SmallRng) -> VecStep {
+        let mut outcome = self.envs[i].step(action, rng);
+        let auto_reset = outcome.finished();
+        self.states[i] = if auto_reset {
+            self.envs[i].reset(rng)
+        } else {
+            std::mem::take(&mut outcome.observation)
+        };
+        VecStep {
+            outcome,
+            auto_reset,
+        }
     }
 
     /// Export slot `i`'s internal environment state for checkpointing
@@ -222,7 +241,8 @@ mod tests {
         assert_eq!(vec_env.num_actions(), 2);
 
         let mut streams = rngs(3, 10);
-        let states = vec_env.reset_all(&mut streams);
+        vec_env.reset_all(&mut streams);
+        let states = vec_env.states();
         assert_eq!(states.shape(), (3, 4));
         for i in 0..3 {
             assert_eq!(states.row(i), vec_env.state(i));

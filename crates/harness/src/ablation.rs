@@ -12,12 +12,11 @@
 //!   float backend's learning behaviour while its modeled device time drops
 //!   (the paper's Table 3 claim, now an explicit ablation axis).
 
-use crate::runner::{run_trial, TrialSpec};
+use crate::runner::{run_trial, Sweep};
 use elmrl_core::designs::Design;
 use elmrl_core::oselm_qnet::{OsElmQNet, OsElmQNetConfig};
 use elmrl_core::trainer::{Trainer, TrainerConfig};
 use elmrl_fixed::analysis::{quantization_report, QuantizationReport};
-use elmrl_gym::{Workload, WorkloadOptions};
 use elmrl_linalg::Matrix;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -41,50 +40,25 @@ pub struct StabilisationAblationRow {
 }
 
 /// Run the A1 ablation: the four combinations of {clipping, random update}
-/// on OS-ELM-L2-Lipschitz at the given hidden size, on a workload with the
-/// default [`WorkloadOptions`].
-pub fn stabilisation_ablation(
-    workload: Workload,
-    hidden_dim: usize,
-    max_episodes: usize,
-    seed: u64,
-) -> Vec<StabilisationAblationRow> {
-    stabilisation_ablation_with(
-        workload,
-        WorkloadOptions::default(),
-        hidden_dim,
-        max_episodes,
-        seed,
-        1,
-    )
-}
-
-/// Run the A1 ablation with explicit workload variant knobs and
-/// `train_envs` parallel training episodes per configuration (1 = the
-/// paper's scalar protocol, E > 1 the batched episode driver).
-pub fn stabilisation_ablation_with(
-    workload: Workload,
-    options: WorkloadOptions,
-    hidden_dim: usize,
-    max_episodes: usize,
-    seed: u64,
-    train_envs: usize,
-) -> Vec<StabilisationAblationRow> {
-    let spec = workload.spec_with(options);
+/// on OS-ELM-L2-Lipschitz at the sweep's first hidden size, one
+/// `sweep.episodes`-episode trial each (E > 1 `train_envs` runs the
+/// batched episode driver).
+pub fn stabilisation_ablation(sweep: &Sweep) -> Vec<StabilisationAblationRow> {
+    let spec = sweep.workload.spec_with(sweep.options);
     let mut rows = Vec::new();
     for &clipping in &[true, false] {
         for &random_update in &[true, false] {
-            let mut rng = SmallRng::seed_from_u64(seed);
-            let mut config = OsElmQNetConfig::for_workload(&spec, hidden_dim, 0.5, true);
+            let mut rng = SmallRng::seed_from_u64(sweep.seed);
+            let mut config = OsElmQNetConfig::for_workload(&spec, sweep.hidden[0], 0.5, true);
             config.target.clip = clipping;
             config.random_update = random_update;
             let mut agent = OsElmQNet::new(config, &mut rng);
             let trainer = Trainer::new(TrainerConfig {
-                max_episodes,
+                max_episodes: sweep.episodes,
                 ..TrainerConfig::for_workload(&spec)
             });
-            let result = if train_envs > 1 {
-                let mut vec_env = elmrl_gym::VecEnv::from_spec(&spec, train_envs);
+            let result = if sweep.train_envs > 1 {
+                let mut vec_env = elmrl_gym::VecEnv::from_spec(&spec, sweep.train_envs);
                 trainer.run_vec(&mut agent, &mut vec_env, &mut rng)
             } else {
                 let mut env = spec.make_env();
@@ -115,26 +89,14 @@ pub struct PrecisionAblationRow {
 }
 
 /// Run the A2 precision ablation on a representative trained OS-ELM state
-/// (default [`WorkloadOptions`]).
-pub fn precision_ablation(
-    workload: Workload,
-    hidden_dim: usize,
-    seed: u64,
-) -> Vec<PrecisionAblationRow> {
-    precision_ablation_with(workload, WorkloadOptions::default(), hidden_dim, seed)
-}
-
-/// Run the A2 precision ablation with explicit workload variant knobs.
-pub fn precision_ablation_with(
-    workload: Workload,
-    options: WorkloadOptions,
-    hidden_dim: usize,
-    seed: u64,
-) -> Vec<PrecisionAblationRow> {
+/// at the sweep's first hidden size (a fixed 30-episode session; the
+/// sweep's episode budget and train-envs are not used).
+pub fn precision_ablation(sweep: &Sweep) -> Vec<PrecisionAblationRow> {
     // Produce a representative trained state by running a short session on
     // the workload with the float agent, then quantising its P and β.
-    let spec = workload.spec_with(options);
-    let mut rng = SmallRng::seed_from_u64(seed);
+    let spec = sweep.workload.spec_with(sweep.options);
+    let hidden_dim = sweep.hidden[0];
+    let mut rng = SmallRng::seed_from_u64(sweep.seed);
     let mut agent = OsElmQNet::new(
         OsElmQNetConfig::for_workload(&spec, hidden_dim, 0.5, true),
         &mut rng,
@@ -184,45 +146,16 @@ pub struct BackendAblationRow {
     pub simulated_device_seconds: Option<f64>,
 }
 
-/// Run the A3 backend ablation (default [`WorkloadOptions`], scalar
-/// episode loop): `f64` OS-ELM-L2-Lipschitz vs the Q20 FPGA core, same
-/// workload, hidden size and seed.
-pub fn backend_ablation(
-    workload: Workload,
-    hidden_dim: usize,
-    max_episodes: usize,
-    seed: u64,
-) -> Vec<BackendAblationRow> {
-    backend_ablation_with(
-        workload,
-        WorkloadOptions::default(),
-        hidden_dim,
-        max_episodes,
-        seed,
-        1,
-    )
-}
-
-/// Run the A3 backend ablation with explicit workload variant knobs and
-/// `train_envs` parallel training episodes per backend. At
-/// `hidden_dim = 256` — the paper's BRAM capacity bound — this is the
-/// end-to-end float-vs-fixed comparison the quantised backend is gated on.
-pub fn backend_ablation_with(
-    workload: Workload,
-    options: WorkloadOptions,
-    hidden_dim: usize,
-    max_episodes: usize,
-    seed: u64,
-    train_envs: usize,
-) -> Vec<BackendAblationRow> {
+/// Run the A3 backend ablation: `f64` OS-ELM-L2-Lipschitz vs the Q20 FPGA
+/// core, same workload, seed and (first) hidden size. At `Ñ = 256` — the
+/// paper's BRAM capacity bound — this is the end-to-end float-vs-fixed
+/// comparison the quantised backend is gated on.
+pub fn backend_ablation(sweep: &Sweep) -> Vec<BackendAblationRow> {
+    let hidden_dim = sweep.hidden[0];
     [("f64", Design::OsElmL2Lipschitz), ("Q20", Design::Fpga)]
         .iter()
         .map(|&(backend, design)| {
-            let spec = TrialSpec::for_workload(workload, design, hidden_dim, seed)
-                .with_options(options)
-                .with_max_episodes(max_episodes)
-                .with_train_envs(train_envs);
-            let result = run_trial(&spec);
+            let result = run_trial(&sweep.trial(design, hidden_dim, sweep.seed));
             BackendAblationRow {
                 backend: backend.to_string(),
                 hidden_dim,
@@ -335,10 +268,11 @@ pub fn to_markdown(a1: &[StabilisationAblationRow], a2: &[PrecisionAblationRow])
 #[cfg(test)]
 mod tests {
     use super::*;
+    use elmrl_gym::Workload;
 
     #[test]
     fn stabilisation_ablation_covers_all_four_combinations() {
-        let rows = stabilisation_ablation(Workload::CartPole, 8, 3, 5);
+        let rows = stabilisation_ablation(&Sweep::new(Workload::CartPole, &[8], 3, 5));
         assert_eq!(rows.len(), 4);
         let combos: Vec<(bool, bool)> =
             rows.iter().map(|r| (r.clipping, r.random_update)).collect();
@@ -356,26 +290,27 @@ mod tests {
 
     #[test]
     fn precision_ablation_error_decreases_with_more_bits() {
-        let rows = precision_ablation(Workload::CartPole, 8, 6);
+        let rows = precision_ablation(&Sweep::new(Workload::CartPole, &[8], 0, 6));
         assert_eq!(rows.len(), 4);
         assert!(rows[0].beta_report.rms_error >= rows[2].beta_report.rms_error);
         assert!(rows[1].p_matrix_report.rms_error >= rows[3].p_matrix_report.rms_error);
-        let md = to_markdown(&stabilisation_ablation(Workload::CartPole, 8, 2, 1), &rows);
+        let a1 = stabilisation_ablation(&Sweep::new(Workload::CartPole, &[8], 2, 1));
+        let md = to_markdown(&a1, &rows);
         assert!(md.contains("Q20"));
         assert!(md.contains("random update"));
     }
 
     #[test]
     fn ablations_run_on_other_workloads() {
-        let rows = stabilisation_ablation(Workload::MountainCar, 8, 2, 3);
+        let rows = stabilisation_ablation(&Sweep::new(Workload::MountainCar, &[8], 2, 3));
         assert_eq!(rows.len(), 4);
-        let rows = precision_ablation(Workload::Pendulum, 8, 3);
+        let rows = precision_ablation(&Sweep::new(Workload::Pendulum, &[8], 0, 3));
         assert_eq!(rows.len(), 4);
     }
 
     #[test]
     fn backend_ablation_compares_float_and_fixed_point() {
-        let rows = backend_ablation(Workload::CartPole, 16, 3, 11);
+        let rows = backend_ablation(&Sweep::new(Workload::CartPole, &[16], 3, 11));
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0].backend, "f64");
         assert_eq!(rows[1].backend, "Q20");
@@ -399,8 +334,10 @@ mod tests {
         // CLI exposes (here: the batched E = 2 episode driver). Pendulum's
         // fixed 200-step episodes guarantee the 256-sample store phase
         // completes, so the Q20 core really runs at that width.
-        let rows =
-            backend_ablation_with(Workload::Pendulum, WorkloadOptions::default(), 256, 2, 4, 2);
+        let rows = backend_ablation(&Sweep {
+            train_envs: 2,
+            ..Sweep::new(Workload::Pendulum, &[256], 2, 4)
+        });
         assert_eq!(rows.len(), 2);
         for r in &rows {
             assert_eq!(r.hidden_dim, 256);

@@ -6,7 +6,7 @@
 //!
 //! Run `ablation --help` for the flag list. The ablations are single-trial
 //! and use a single hidden size, the first entry of `--hidden` (default 64).
-use elmrl_harness::{ablation, cli, report, telemetry};
+use elmrl_harness::{ablation, cli, report, telemetry, Sweep};
 
 fn main() {
     let args = cli::parse_or_exit(
@@ -27,24 +27,13 @@ fn main() {
             "ablations on {workload} at hidden = {hidden}, {} episodes, {} training env(s)",
             args.episodes, args.train_envs
         );
-        let a1 = ablation::stabilisation_ablation_with(
+        let sweep = Sweep {
             workload,
-            args.workload_options(),
-            hidden,
-            args.episodes,
-            args.seed,
-            args.train_envs,
-        );
-        let a2 =
-            ablation::precision_ablation_with(workload, args.workload_options(), hidden, args.seed);
-        let a3 = ablation::backend_ablation_with(
-            workload,
-            args.workload_options(),
-            hidden,
-            args.episodes,
-            args.seed,
-            args.train_envs,
-        );
+            ..args.sweep()
+        };
+        let a1 = ablation::stabilisation_ablation(&sweep);
+        let a2 = ablation::precision_ablation(&sweep);
+        let a3 = ablation::backend_ablation(&sweep);
         let mut md = ablation::to_markdown(&a1, &a2);
         md.push('\n');
         md.push_str(&ablation::backend_to_markdown(&a3));

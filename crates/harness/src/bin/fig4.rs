@@ -24,30 +24,8 @@ fn main() {
         args.workload, args.hidden, args.episodes, args.train_envs
     );
     let ckpt = args.checkpoint_options();
-    let fig = fig4::generate_checkpointed(
-        args.workload,
-        args.workload_options(),
-        &args.hidden,
-        args.episodes,
-        args.seed,
-        args.train_envs,
-        args.chunk_cap,
-        ckpt.as_ref(),
-    )
-    .unwrap_or_else(|e| {
-        eprintln!("fig4: {e}");
-        std::process::exit(2);
-    });
-    let Some(fig) = fig else {
-        eprintln!(
-            "fig4: stopped by --stop-after with checkpoints in {}; \
-             rerun with --resume (and without --stop-after) to finish",
-            args.checkpoint_dir
-                .as_ref()
-                .expect("--stop-after requires --checkpoint-dir")
-                .display()
-        );
-        telemetry::finish("fig4", &args);
+    let result = fig4::generate(&args.sweep(), ckpt.as_ref());
+    let Some(fig) = cli::completed_or_exit("fig4", &args, result) else {
         return;
     };
     println!(

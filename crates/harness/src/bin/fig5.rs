@@ -23,32 +23,8 @@ fn main() {
         args.workload, args.hidden, args.trials, args.episodes, args.train_envs
     );
     let ckpt = args.checkpoint_options();
-    let fig = fig5::generate_checkpointed(
-        args.workload,
-        args.workload_options(),
-        &args.hidden,
-        &Design::all_designs(),
-        args.trials,
-        args.episodes,
-        args.seed,
-        args.train_envs,
-        args.chunk_cap,
-        ckpt.as_ref(),
-    )
-    .unwrap_or_else(|e| {
-        eprintln!("fig5: {e}");
-        std::process::exit(2);
-    });
-    let Some(fig) = fig else {
-        eprintln!(
-            "fig5: stopped by --stop-after with checkpoints in {}; \
-             rerun with --resume (and without --stop-after) to finish",
-            args.checkpoint_dir
-                .as_ref()
-                .expect("--stop-after requires --checkpoint-dir")
-                .display()
-        );
-        telemetry::finish("fig5", &args);
+    let result = fig5::generate(&args.sweep(), &Design::all_designs(), ckpt.as_ref());
+    let Some(fig) = cli::completed_or_exit("fig5", &args, result) else {
         return;
     };
     println!(

@@ -22,30 +22,8 @@ fn main() {
         args.workload, args.hidden, args.trials, args.episodes, args.train_envs
     );
     let ckpt = args.checkpoint_options();
-    let fig = fig6::generate_checkpointed(
-        args.workload,
-        args.workload_options(),
-        &args.hidden,
-        args.trials,
-        args.episodes,
-        args.seed,
-        args.train_envs,
-        ckpt.as_ref(),
-    )
-    .unwrap_or_else(|e| {
-        eprintln!("fig6: {e}");
-        std::process::exit(2);
-    });
-    let Some(fig) = fig else {
-        eprintln!(
-            "fig6: stopped by --stop-after with checkpoints in {}; \
-             rerun with --resume (and without --stop-after) to finish",
-            args.checkpoint_dir
-                .as_ref()
-                .expect("--stop-after requires --checkpoint-dir")
-                .display()
-        );
-        telemetry::finish("fig6", &args);
+    let result = fig6::generate(&args.sweep(), ckpt.as_ref());
+    let Some(fig) = cli::completed_or_exit("fig6", &args, result) else {
         return;
     };
     println!(

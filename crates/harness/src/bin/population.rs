@@ -28,7 +28,6 @@ fn main() {
     config.seed = args.seed;
     config.max_episodes = args.episodes;
     config.train_envs = args.train_envs;
-    config.chunk_cap = args.chunk_cap;
     eprintln!(
         "population on {}: {} × {} (hidden {hidden}), {} shard(s) on {} thread(s), \
          {} episode budget, {} training env(s)/replica, seed {}",

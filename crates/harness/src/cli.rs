@@ -11,7 +11,7 @@
 //! checked exactly like its flag, and an invalid one is an error that names
 //! it.
 
-use crate::runner::CheckpointOptions;
+use crate::runner::{CheckpointOptions, Sweep};
 use elmrl_core::designs::Design;
 use elmrl_gym::{Workload, WorkloadOptions};
 use elmrl_population::FaultPlan;
@@ -38,8 +38,6 @@ pub struct CliArgs {
     pub solve_threshold: Option<f64>,
     /// `--obs-dim`; `None` keeps [`elmrl_gym::DEFAULT_HIGHDIM_OBS_DIM`].
     pub obs_dim: Option<usize>,
-    /// `--chunk-cap`; `None` keeps [`elmrl_core::DEFAULT_CHUNK_CAP`].
-    pub chunk_cap: Option<usize>,
     /// `--train-envs`.
     pub train_envs: usize,
     /// `--workload all` was given.
@@ -105,6 +103,20 @@ impl CliArgs {
             torque_levels: self.torque_levels,
             solve_threshold: self.solve_threshold,
             obs_dim: self.obs_dim,
+        }
+    }
+
+    /// The sweep the trial flags describe: workload, variant knobs, hidden
+    /// sizes, trials, episodes, seed and train-envs.
+    pub fn sweep(&self) -> Sweep {
+        Sweep {
+            workload: self.workload,
+            options: self.workload_options(),
+            hidden: self.hidden.clone(),
+            trials: self.trials,
+            episodes: self.episodes,
+            seed: self.seed,
+            train_envs: self.train_envs,
         }
     }
 
@@ -298,14 +310,6 @@ pub const FLAGS: &[Flag] = &[
             a.obs_dim = Some(at_least(v, 4, "an integer ≥ 4 (the real CartPole state)")?);
             Ok(())
         },
-    },
-    Flag {
-        name: "--chunk-cap",
-        value: "<n>",
-        env: None,
-        help: "RLS batch-width cap of the chunked OS-ELM designs\n(default: 64; needs --train-envs > 1)",
-        readers: &["fig4", "fig5", "population"],
-        set: |a, v| at_least(v, 1, "a positive batch width").map(|n| a.chunk_cap = Some(n)),
     },
     Flag {
         name: "--train-envs",
@@ -611,7 +615,6 @@ pub fn parse_from(
         torque_levels: 3,
         solve_threshold: None,
         obs_dim: None,
-        chunk_cap: None,
         train_envs: 1,
         workload_all: false,
         threads: 0,
@@ -715,6 +718,35 @@ pub fn parse_or_exit(binary: &str, about: &str, defaults: &CliDefaults) -> CliAr
         }
         Err(message) => {
             eprintln!("{binary}: {message}");
+            std::process::exit(2);
+        }
+    }
+}
+
+/// The artefact a checkpointed generator returned. On an error, print it
+/// and exit 2; on a `--stop-after` stop, say where the checkpoints are,
+/// finish telemetry and return `None`.
+pub fn completed_or_exit<T>(
+    binary: &str,
+    args: &CliArgs,
+    result: Result<Option<T>, String>,
+) -> Option<T> {
+    match result {
+        Ok(Some(artefact)) => Some(artefact),
+        Ok(None) => {
+            eprintln!(
+                "{binary}: stopped by --stop-after with checkpoints in {}; \
+                 rerun with --resume (and without --stop-after) to finish",
+                args.checkpoint_dir
+                    .as_ref()
+                    .expect("--stop-after requires --checkpoint-dir")
+                    .display()
+            );
+            crate::telemetry::finish(binary, args);
+            None
+        }
+        Err(e) => {
+            eprintln!("{binary}: {e}");
             std::process::exit(2);
         }
     }
@@ -967,17 +999,10 @@ mod tests {
     }
 
     #[test]
-    fn obs_dim_and_chunk_cap_flags_parse_and_validate() {
+    fn obs_dim_flag_parses_and_validates() {
         let parsed = parse_from(
             "fig5",
-            &args(&[
-                "--workload",
-                "high-dim",
-                "--obs-dim",
-                "256",
-                "--chunk-cap",
-                "16",
-            ]),
+            &args(&["--workload", "high-dim", "--obs-dim", "256"]),
             &defaults(),
             no_env,
         )
@@ -986,14 +1011,13 @@ mod tests {
         assert_eq!(parsed.workload, Workload::HighDim);
         assert_eq!(parsed.obs_dim, Some(256));
         assert_eq!(parsed.workload_options().obs_dim, Some(256));
-        assert_eq!(parsed.chunk_cap, Some(16));
+        assert_eq!(parsed.sweep().options.obs_dim, Some(256));
 
-        // Defaults: both knobs deferred to their library defaults.
+        // Default: deferred to the library default.
         let bare = parse_from("fig5", &[], &defaults(), no_env)
             .unwrap()
             .unwrap();
         assert_eq!(bare.obs_dim, None);
-        assert_eq!(bare.chunk_cap, None);
         assert_eq!(bare.workload_options().obs_dim, None);
 
         assert!(
@@ -1001,14 +1025,9 @@ mod tests {
                 .unwrap_err()
                 .contains("≥ 4")
         );
-        assert!(
-            parse_from("fig5", &args(&["--chunk-cap", "0"]), &defaults(), no_env)
-                .unwrap_err()
-                .contains("positive")
-        );
         let help = usage("fig5", "x", &defaults());
         assert!(help.contains("--obs-dim"));
-        assert!(help.contains("--chunk-cap"));
+        assert!(!help.contains("--chunk-cap"));
         assert!(help.contains("high-dim"));
     }
 
@@ -1570,7 +1589,6 @@ mod parse_pin {
             format!("torque_levels={}", a.torque_levels),
             format!("solve_threshold={:?}", a.solve_threshold),
             format!("obs_dim={:?}", a.obs_dim),
-            format!("chunk_cap={:?}", a.chunk_cap),
             format!("train_envs={}", a.train_envs),
             format!("workload_all={}", a.workload_all),
             format!("threads={}", a.threads),
@@ -1612,31 +1630,31 @@ mod parse_pin {
     const BARE: &[(&str, &str)] = &[
         (
             "fig4",
-            r#"workload=CartPole trials=1 episodes=600 hidden=[32, 64] seed=42 torque_levels=3 solve_threshold=None obs_dim=None chunk_cap=None train_envs=1 workload_all=false threads=0 population=32 shards=4 design=OsElmL2Lipschitz out=None checkpoint_dir=None checkpoint_every=1 resume=false stop_after=None fail_shard=None sessions=64 workers=1 max_batch=64 batch_window_us=200 duration_ticks=200 virtual_clock=false think_ticks=0 warmup_episodes=5 telemetry=false metrics_out=None trace_out=None"#,
+            r#"workload=CartPole trials=1 episodes=600 hidden=[32, 64] seed=42 torque_levels=3 solve_threshold=None obs_dim=None train_envs=1 workload_all=false threads=0 population=32 shards=4 design=OsElmL2Lipschitz out=None checkpoint_dir=None checkpoint_every=1 resume=false stop_after=None fail_shard=None sessions=64 workers=1 max_batch=64 batch_window_us=200 duration_ticks=200 virtual_clock=false think_ticks=0 warmup_episodes=5 telemetry=false metrics_out=None trace_out=None"#,
         ),
         (
             "fig5",
-            r#"workload=CartPole trials=3 episodes=2000 hidden=[32, 64] seed=42 torque_levels=3 solve_threshold=None obs_dim=None chunk_cap=None train_envs=1 workload_all=false threads=0 population=32 shards=4 design=OsElmL2Lipschitz out=None checkpoint_dir=None checkpoint_every=1 resume=false stop_after=None fail_shard=None sessions=64 workers=1 max_batch=64 batch_window_us=200 duration_ticks=200 virtual_clock=false think_ticks=0 warmup_episodes=5 telemetry=false metrics_out=None trace_out=None"#,
+            r#"workload=CartPole trials=3 episodes=2000 hidden=[32, 64] seed=42 torque_levels=3 solve_threshold=None obs_dim=None train_envs=1 workload_all=false threads=0 population=32 shards=4 design=OsElmL2Lipschitz out=None checkpoint_dir=None checkpoint_every=1 resume=false stop_after=None fail_shard=None sessions=64 workers=1 max_batch=64 batch_window_us=200 duration_ticks=200 virtual_clock=false think_ticks=0 warmup_episodes=5 telemetry=false metrics_out=None trace_out=None"#,
         ),
         (
             "fig6",
-            r#"workload=CartPole trials=3 episodes=2000 hidden=[32, 64] seed=42 torque_levels=3 solve_threshold=None obs_dim=None chunk_cap=None train_envs=1 workload_all=false threads=0 population=32 shards=4 design=OsElmL2Lipschitz out=None checkpoint_dir=None checkpoint_every=1 resume=false stop_after=None fail_shard=None sessions=64 workers=1 max_batch=64 batch_window_us=200 duration_ticks=200 virtual_clock=false think_ticks=0 warmup_episodes=5 telemetry=false metrics_out=None trace_out=None"#,
+            r#"workload=CartPole trials=3 episodes=2000 hidden=[32, 64] seed=42 torque_levels=3 solve_threshold=None obs_dim=None train_envs=1 workload_all=false threads=0 population=32 shards=4 design=OsElmL2Lipschitz out=None checkpoint_dir=None checkpoint_every=1 resume=false stop_after=None fail_shard=None sessions=64 workers=1 max_batch=64 batch_window_us=200 duration_ticks=200 virtual_clock=false think_ticks=0 warmup_episodes=5 telemetry=false metrics_out=None trace_out=None"#,
         ),
         (
             "table3",
-            r#"workload=CartPole trials=1 episodes=0 hidden=[32, 64, 128, 192] seed=42 torque_levels=3 solve_threshold=None obs_dim=None chunk_cap=None train_envs=1 workload_all=false threads=0 population=32 shards=4 design=OsElmL2Lipschitz out=None checkpoint_dir=None checkpoint_every=1 resume=false stop_after=None fail_shard=None sessions=64 workers=1 max_batch=64 batch_window_us=200 duration_ticks=200 virtual_clock=false think_ticks=0 warmup_episodes=5 telemetry=false metrics_out=None trace_out=None"#,
+            r#"workload=CartPole trials=1 episodes=0 hidden=[32, 64, 128, 192] seed=42 torque_levels=3 solve_threshold=None obs_dim=None train_envs=1 workload_all=false threads=0 population=32 shards=4 design=OsElmL2Lipschitz out=None checkpoint_dir=None checkpoint_every=1 resume=false stop_after=None fail_shard=None sessions=64 workers=1 max_batch=64 batch_window_us=200 duration_ticks=200 virtual_clock=false think_ticks=0 warmup_episodes=5 telemetry=false metrics_out=None trace_out=None"#,
         ),
         (
             "ablation",
-            r#"workload=CartPole trials=1 episodes=600 hidden=[64] seed=42 torque_levels=3 solve_threshold=None obs_dim=None chunk_cap=None train_envs=1 workload_all=false threads=0 population=32 shards=4 design=OsElmL2Lipschitz out=None checkpoint_dir=None checkpoint_every=1 resume=false stop_after=None fail_shard=None sessions=64 workers=1 max_batch=64 batch_window_us=200 duration_ticks=200 virtual_clock=false think_ticks=0 warmup_episodes=5 telemetry=false metrics_out=None trace_out=None"#,
+            r#"workload=CartPole trials=1 episodes=600 hidden=[64] seed=42 torque_levels=3 solve_threshold=None obs_dim=None train_envs=1 workload_all=false threads=0 population=32 shards=4 design=OsElmL2Lipschitz out=None checkpoint_dir=None checkpoint_every=1 resume=false stop_after=None fail_shard=None sessions=64 workers=1 max_batch=64 batch_window_us=200 duration_ticks=200 virtual_clock=false think_ticks=0 warmup_episodes=5 telemetry=false metrics_out=None trace_out=None"#,
         ),
         (
             "population",
-            r#"workload=CartPole trials=1 episodes=2000 hidden=[64] seed=42 torque_levels=3 solve_threshold=None obs_dim=None chunk_cap=None train_envs=1 workload_all=false threads=0 population=32 shards=4 design=OsElmL2Lipschitz out=None checkpoint_dir=None checkpoint_every=1 resume=false stop_after=None fail_shard=None sessions=64 workers=1 max_batch=64 batch_window_us=200 duration_ticks=200 virtual_clock=false think_ticks=0 warmup_episodes=5 telemetry=false metrics_out=None trace_out=None"#,
+            r#"workload=CartPole trials=1 episodes=2000 hidden=[64] seed=42 torque_levels=3 solve_threshold=None obs_dim=None train_envs=1 workload_all=false threads=0 population=32 shards=4 design=OsElmL2Lipschitz out=None checkpoint_dir=None checkpoint_every=1 resume=false stop_after=None fail_shard=None sessions=64 workers=1 max_batch=64 batch_window_us=200 duration_ticks=200 virtual_clock=false think_ticks=0 warmup_episodes=5 telemetry=false metrics_out=None trace_out=None"#,
         ),
         (
             "serve",
-            r#"workload=CartPole trials=1 episodes=2000 hidden=[64] seed=42 torque_levels=3 solve_threshold=None obs_dim=None chunk_cap=None train_envs=1 workload_all=false threads=0 population=32 shards=4 design=OsElmL2Lipschitz out=None checkpoint_dir=None checkpoint_every=1 resume=false stop_after=None fail_shard=None sessions=64 workers=1 max_batch=64 batch_window_us=200 duration_ticks=200 virtual_clock=false think_ticks=0 warmup_episodes=5 telemetry=false metrics_out=None trace_out=None"#,
+            r#"workload=CartPole trials=1 episodes=2000 hidden=[64] seed=42 torque_levels=3 solve_threshold=None obs_dim=None train_envs=1 workload_all=false threads=0 population=32 shards=4 design=OsElmL2Lipschitz out=None checkpoint_dir=None checkpoint_every=1 resume=false stop_after=None fail_shard=None sessions=64 workers=1 max_batch=64 batch_window_us=200 duration_ticks=200 virtual_clock=false think_ticks=0 warmup_episodes=5 telemetry=false metrics_out=None trace_out=None"#,
         ),
     ];
 
@@ -1652,6 +1670,9 @@ mod parse_pin {
         ("fig6", "--workload cart-pole --hidden 8 --trials 2 --episodes 5 --threads 4 --out /tmp/fig6-t4", r#"trials=2 episodes=5 hidden=[8] threads=4 out=Some("/tmp/fig6-t4")"#),
         ("fig6", "--workload cart-pole --hidden 8 --trials 2 --episodes 5 --out /tmp/fig6-telem", r#"trials=2 episodes=5 hidden=[8] out=Some("/tmp/fig6-telem")"#),
         ("table3", "--out /tmp/table3-regen", r#"out=Some("/tmp/table3-regen")"#),
+        ("fig4", "--workload cart-pole --hidden 8 --episodes 5 --out /tmp/fig4-golden", r#"episodes=5 hidden=[8] out=Some("/tmp/fig4-golden")"#),
+        ("fig4", "--workload cart-pole --hidden 8 --episodes 5 --train-envs 3 --out /tmp/fig4-e3", r#"episodes=5 hidden=[8] train_envs=3 out=Some("/tmp/fig4-e3")"#),
+        ("ablation", "--hidden 8 --episodes 5 --out /tmp/ablation-golden", r#"episodes=5 hidden=[8] out=Some("/tmp/ablation-golden")"#),
         ("population", "--workload cart-pole --population 4 --shards 1 --episodes 5 --hidden 8 --out /tmp/pop1", r#"episodes=5 hidden=[8] population=4 shards=1 out=Some("/tmp/pop1")"#),
         ("population", "--workload cart-pole --population 4 --shards 2 --episodes 5 --hidden 8 --out /tmp/pop2", r#"episodes=5 hidden=[8] population=4 shards=2 out=Some("/tmp/pop2")"#),
         ("population", "--workload cart-pole --population 4 --shards 2 --threads 1 --episodes 5 --hidden 8 --out /tmp/pop-t1", r#"episodes=5 hidden=[8] threads=1 population=4 shards=2 out=Some("/tmp/pop-t1")"#),
@@ -1677,7 +1698,7 @@ mod parse_pin {
         ("fig5", "--workload cart-pole --checkpoint-dir /tmp/ckpt --resume", r#"checkpoint_dir=Some("/tmp/ckpt") resume=true"#),
         ("population", "--workload cart-pole --checkpoint-dir /tmp/manifests --fail-shard 1@20", r#"checkpoint_dir=Some("/tmp/manifests") fail_shard=Some(FaultPlan { shard: 1, at_episode: 20 })"#),
         ("population", "--workload cart-pole --checkpoint-dir /tmp/manifests --resume", r#"checkpoint_dir=Some("/tmp/manifests") resume=true"#),
-        ("fig5", "--workload high-dim --obs-dim 512 --hidden 256 --train-envs 16 --chunk-cap 64", r#"workload=HighDim hidden=[256] obs_dim=Some(512) chunk_cap=Some(64) train_envs=16"#),
+        ("fig5", "--workload high-dim --obs-dim 512 --hidden 256 --train-envs 16", r#"workload=HighDim hidden=[256] obs_dim=Some(512) train_envs=16"#),
         ("serve", "--workload cart-pole --design os-elm-l2-lipschitz --hidden 64 --sessions 10000 --workers 4 --max-batch 128 --batch-window-us 200", r#"sessions=10000 workers=4 max_batch=128"#),
         ("serve", "--workload cart-pole --sessions 32 --workers 1 --max-batch 8 --batch-window-us 300 --duration-ticks 40 --virtual-clock --think-ticks 2 --warmup-episodes 3", r#"sessions=32 max_batch=8 batch_window_us=300 duration_ticks=40 virtual_clock=true think_ticks=2 warmup_episodes=3"#),
         ("fig5", "--workload cart-pole --telemetry", r#"telemetry=true"#),

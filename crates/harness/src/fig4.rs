@@ -6,7 +6,7 @@
 //! likewise "picks up a representative result") for a configurable number of
 //! episodes without early stopping and exports both series.
 
-use crate::runner::{run_trials_checkpointed, CheckpointOptions, TrialResult, TrialSpec};
+use crate::runner::{run_trials_checkpointed, CheckpointOptions, Sweep, TrialResult, TrialSpec};
 use elmrl_core::designs::Design;
 use elmrl_gym::{Workload, WorkloadOptions};
 use serde::{Deserialize, Serialize};
@@ -52,79 +52,33 @@ pub struct Figure4 {
     /// Parallel training episodes per curve (`--train-envs`; 1 = the
     /// paper's scalar protocol).
     pub train_envs: usize,
-    /// The effective RLS chunk cap the OS-ELM curves trained under (the
-    /// CLI's `--chunk-cap`, or [`elmrl_core::DEFAULT_CHUNK_CAP`] once
-    /// `train_envs > 1` engages the chunked path); `None` when every
-    /// update was single-transition. Skipped when absent so pre-existing
-    /// artifacts stay byte-identical.
+    /// The RLS chunk cap the OS-ELM curves trained under
+    /// ([`elmrl_core::DEFAULT_CHUNK_CAP`] once `train_envs > 1` engages the
+    /// chunked path); `None` when every update was single-transition.
+    /// Skipped when absent so scalar artifacts keep their bytes.
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub chunk_cap: Option<usize>,
 }
 
-/// Generate Figure 4 curves on a workload for the given hidden sizes and
-/// episode budget, using one seed per cell and the default
-/// [`WorkloadOptions`].
-pub fn generate(workload: Workload, hidden_sizes: &[usize], episodes: usize, seed: u64) -> Figure4 {
-    generate_with(
-        workload,
-        WorkloadOptions::default(),
-        hidden_sizes,
-        episodes,
-        seed,
-        1,
-    )
-}
-
-/// Generate Figure 4 curves with explicit workload variant knobs and
-/// `train_envs` parallel training episodes per curve.
-pub fn generate_with(
-    workload: Workload,
-    options: WorkloadOptions,
-    hidden_sizes: &[usize],
-    episodes: usize,
-    seed: u64,
-    train_envs: usize,
-) -> Figure4 {
-    generate_checkpointed(
-        workload,
-        options,
-        hidden_sizes,
-        episodes,
-        seed,
-        train_envs,
-        None,
-        None,
-    )
-    .expect("a sweep without checkpointing cannot fail")
-    .expect("a sweep without checkpointing cannot stop early")
-}
-
-/// Generate Figure 4 curves under checkpoint control (the CLI's
-/// `--checkpoint-dir` / `--resume` / `--checkpoint-every` / `--stop-after`
-/// flags). Returns `Ok(None)` when the fault-injection stop abandoned the
-/// sweep early — resume from the checkpoints to finish it byte-identically.
-/// `chunk_cap` is the CLI's `--chunk-cap` RLS batch-width cap (`None`
-/// defers to [`elmrl_core::DEFAULT_CHUNK_CAP`]).
-#[allow(clippy::too_many_arguments)] // mirrors the CLI surface one-to-one
-pub fn generate_checkpointed(
-    workload: Workload,
-    options: WorkloadOptions,
-    hidden_sizes: &[usize],
-    episodes: usize,
-    seed: u64,
-    train_envs: usize,
-    chunk_cap: Option<usize>,
+/// Generate Figure 4: one curve per (software design, hidden size) cell,
+/// one seed per cell (`sweep.trials` is not used), run for the full
+/// episode budget. With `ckpt`, every trial checkpoints and resumes under
+/// the CLI's `--checkpoint-dir` / `--resume` / `--checkpoint-every` /
+/// `--stop-after` flags; `Ok(None)` means the fault-injection stop
+/// abandoned the sweep early — resume from the checkpoints to finish it
+/// byte-identically.
+pub fn generate(
+    sweep: &Sweep,
     ckpt: Option<&CheckpointOptions>,
 ) -> Result<Option<Figure4>, String> {
-    let specs: Vec<TrialSpec> = hidden_sizes
+    let designs = Design::software_designs();
+    let specs: Vec<TrialSpec> = sweep
+        .hidden
         .iter()
         .flat_map(|&h| {
-            Design::software_designs().into_iter().map(move |d| {
-                TrialSpec::for_workload(workload, d, h, seed ^ (h as u64) << 8 ^ design_salt(d))
-                    .with_options(options)
-                    .with_max_episodes(episodes)
-                    .with_train_envs(train_envs)
-                    .with_chunk_cap(chunk_cap)
+            designs.into_iter().map(move |d| {
+                sweep
+                    .trial(d, h, sweep.seed ^ (h as u64) << 8 ^ design_salt(d))
                     .collect_full_curve()
             })
         })
@@ -133,14 +87,15 @@ pub fn generate_checkpointed(
     if outcomes.iter().any(|(_, complete)| !complete) {
         return Ok(None);
     }
-    let results: Vec<TrialResult> = outcomes.into_iter().map(|(r, _)| r).collect();
     Ok(Some(Figure4 {
-        workload,
-        options,
-        curves: results.iter().map(Curve::from).collect(),
-        episodes,
-        train_envs,
-        chunk_cap: results.iter().find_map(|r| r.spec.chunk_cap),
+        workload: sweep.workload,
+        options: sweep.options,
+        curves: outcomes.iter().map(|(r, _)| Curve::from(r)).collect(),
+        episodes: sweep.episodes,
+        train_envs: sweep.train_envs,
+        chunk_cap: designs
+            .iter()
+            .find_map(|d| d.effective_chunk_cap(sweep.train_envs)),
     }))
 }
 
@@ -208,7 +163,9 @@ mod tests {
 
     #[test]
     fn small_figure4_produces_all_cells() {
-        let fig = generate(Workload::CartPole, &[8], 3, 7);
+        let fig = generate(&Sweep::new(Workload::CartPole, &[8], 3, 7), None)
+            .unwrap()
+            .unwrap();
         assert_eq!(fig.curves.len(), 6);
         assert_eq!(fig.workload, Workload::CartPole);
         for c in &fig.curves {
@@ -225,7 +182,9 @@ mod tests {
 
     #[test]
     fn figure4_runs_on_non_cartpole_workloads() {
-        let fig = generate(Workload::MountainCar, &[8], 2, 9);
+        let fig = generate(&Sweep::new(Workload::MountainCar, &[8], 2, 9), None)
+            .unwrap()
+            .unwrap();
         assert_eq!(fig.workload, Workload::MountainCar);
         assert_eq!(fig.curves.len(), 6);
         for c in &fig.curves {

@@ -8,7 +8,7 @@
 //! the same hidden size.
 
 use crate::runner::{
-    run_trials_checkpointed, summarize_cell, CellSummary, CheckpointOptions, TrialSpec,
+    run_trials_checkpointed, summarize_cell, CellSummary, CheckpointOptions, Sweep, TrialSpec,
 };
 use elmrl_core::designs::Design;
 use elmrl_gym::{SolveCriterion, Workload, WorkloadOptions};
@@ -27,11 +27,10 @@ pub struct Figure5 {
     /// Parallel training episodes per trial (`--train-envs`; 1 = the
     /// paper's scalar protocol).
     pub train_envs: usize,
-    /// The effective RLS chunk cap the OS-ELM trials trained under (the
-    /// CLI's `--chunk-cap`, or [`elmrl_core::DEFAULT_CHUNK_CAP`] once
-    /// `train_envs > 1` engages the chunked path); `None` when every
-    /// update was single-transition. Skipped when absent so pre-existing
-    /// artifacts stay byte-identical.
+    /// The RLS chunk cap the OS-ELM trials trained under
+    /// ([`elmrl_core::DEFAULT_CHUNK_CAP`] once `train_envs > 1` engages the
+    /// chunked path); `None` when every update was single-transition.
+    /// Skipped when absent so scalar artifacts keep their bytes.
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub chunk_cap: Option<usize>,
     /// One summary per (design, hidden size) cell.
@@ -59,104 +58,29 @@ pub struct SpeedupRow {
     pub speedup: Option<f64>,
 }
 
-/// Generate the Figure 5 sweep on a workload with the default
-/// [`WorkloadOptions`].
-pub fn generate(
-    workload: Workload,
-    hidden_sizes: &[usize],
-    designs: &[Design],
-    trials_per_cell: usize,
-    max_episodes: usize,
-    seed: u64,
-) -> Figure5 {
-    generate_with(
-        workload,
-        WorkloadOptions::default(),
-        hidden_sizes,
-        designs,
-        trials_per_cell,
-        max_episodes,
-        seed,
-        1,
-    )
-}
-
-/// Generate the Figure 5 sweep with explicit workload variant knobs (the
-/// CLI's `--torque-levels` / `--solve-threshold` axes) and `train_envs`
-/// parallel training episodes per trial (1 = the paper's scalar protocol).
-#[allow(clippy::too_many_arguments)] // mirrors the CLI surface one-to-one
-pub fn generate_with(
-    workload: Workload,
-    options: WorkloadOptions,
-    hidden_sizes: &[usize],
-    designs: &[Design],
-    trials_per_cell: usize,
-    max_episodes: usize,
-    seed: u64,
-    train_envs: usize,
-) -> Figure5 {
-    generate_checkpointed(
-        workload,
-        options,
-        hidden_sizes,
-        designs,
-        trials_per_cell,
-        max_episodes,
-        seed,
-        train_envs,
-        None,
-        None,
-    )
-    .expect("a sweep without checkpointing cannot fail")
-    .expect("a sweep without checkpointing cannot stop early")
-}
-
-/// Generate the Figure 5 sweep under checkpoint control: every trial writes
-/// its latest [`elmrl_core::checkpoint::RunCheckpoint`] into the checkpoint
-/// directory and resumes from it when asked. Returns `Ok(None)` when the
-/// fault-injection `stop_after` abandoned the sweep mid-run — the
+/// Generate the Figure 5 sweep: `sweep.trials` seeded trials of every
+/// design in `designs` at every hidden size. With `ckpt`, every trial
+/// writes its latest [`elmrl_core::checkpoint::RunCheckpoint`] into the
+/// checkpoint directory and resumes from it when asked. Returns `Ok(None)`
+/// when the fault-injection `stop_after` abandoned the sweep mid-run — the
 /// checkpoints are on disk and a `resume: true` rerun finishes the figure
-/// byte-identically to a run that never stopped. `chunk_cap` is the CLI's
-/// `--chunk-cap` RLS batch-width cap (`None` defers to
-/// [`elmrl_core::DEFAULT_CHUNK_CAP`]).
-#[allow(clippy::too_many_arguments)] // mirrors the CLI surface one-to-one
-pub fn generate_checkpointed(
-    workload: Workload,
-    options: WorkloadOptions,
-    hidden_sizes: &[usize],
+/// byte-identically to a run that never stopped.
+pub fn generate(
+    sweep: &Sweep,
     designs: &[Design],
-    trials_per_cell: usize,
-    max_episodes: usize,
-    seed: u64,
-    train_envs: usize,
-    chunk_cap: Option<usize>,
     ckpt: Option<&CheckpointOptions>,
 ) -> Result<Option<Figure5>, String> {
-    let solve_criterion = workload.spec_with(options).solve_criterion;
+    let workload = sweep.workload;
     let mut cells = Vec::new();
     let mut stopped_early = false;
-    let mut effective_chunk_cap = None;
-    for &h in hidden_sizes {
+    for &h in &sweep.hidden {
         for &d in designs {
-            let specs: Vec<TrialSpec> = (0..trials_per_cell)
-                .map(|t| {
-                    TrialSpec::for_workload(
-                        workload,
-                        d,
-                        h,
-                        seed ^ ((h as u64) << 16) ^ ((t as u64) << 4),
-                    )
-                    .with_options(options)
-                    .with_max_episodes(max_episodes)
-                    .with_train_envs(train_envs)
-                    .with_chunk_cap(chunk_cap)
-                })
+            let specs: Vec<TrialSpec> = (0..sweep.trials)
+                .map(|t| sweep.trial(d, h, sweep.seed ^ ((h as u64) << 16) ^ ((t as u64) << 4)))
                 .collect();
             let outcomes = run_trials_checkpointed(&specs, ckpt)?;
             stopped_early |= outcomes.iter().any(|(_, complete)| !complete);
             let results: Vec<_> = outcomes.into_iter().map(|(r, _)| r).collect();
-            effective_chunk_cap =
-                effective_chunk_cap.or_else(|| results.iter().find_map(|r| r.spec.chunk_cap));
             cells.push(summarize_cell(workload, d, h, &results));
         }
     }
@@ -188,14 +112,16 @@ pub fn generate_checkpointed(
 
     Ok(Some(Figure5 {
         workload,
-        options,
-        solve_criterion,
-        train_envs,
-        chunk_cap: effective_chunk_cap,
+        options: sweep.options,
+        solve_criterion: workload.spec_with(sweep.options).solve_criterion,
+        train_envs: sweep.train_envs,
+        chunk_cap: designs
+            .iter()
+            .find_map(|d| d.effective_chunk_cap(sweep.train_envs)),
         cells,
         speedups_vs_dqn: speedups,
-        trials_per_cell,
-        max_episodes,
+        trials_per_cell: sweep.trials,
+        max_episodes: sweep.episodes,
     }))
 }
 
@@ -270,10 +196,18 @@ pub fn speedups_to_markdown(fig: &Figure5) -> String {
 mod tests {
     use super::*;
 
+    fn sweep(workload: Workload, episodes: usize, seed: u64) -> Sweep {
+        Sweep::new(workload, &[8], episodes, seed)
+    }
+
+    fn run(sweep: &Sweep, designs: &[Design]) -> Figure5 {
+        generate(sweep, designs, None).unwrap().unwrap()
+    }
+
     #[test]
     fn tiny_sweep_produces_cells_and_speedup_rows() {
         let designs = [Design::OsElmL2Lipschitz, Design::Dqn, Design::Fpga];
-        let fig = generate(Workload::CartPole, &[8], &designs, 1, 3, 11);
+        let fig = run(&sweep(Workload::CartPole, 3, 11), &designs);
         assert_eq!(fig.cells.len(), 3);
         assert_eq!(fig.speedups_vs_dqn.len(), 2);
         let md = to_markdown(&fig);
@@ -285,25 +219,21 @@ mod tests {
 
     #[test]
     fn sweep_records_train_envs_and_the_effective_criterion() {
-        let fig = generate(Workload::CartPole, &[8], &[Design::OsElmL2], 1, 2, 3);
+        let fig = run(&sweep(Workload::CartPole, 2, 3), &[Design::OsElmL2]);
         assert_eq!(fig.train_envs, 1);
         assert_eq!(
             fig.solve_criterion,
             elmrl_gym::SolveCriterion::EpisodeReturn { threshold: 195.0 }
         );
-        let fig = generate_with(
-            Workload::CartPole,
-            WorkloadOptions {
+        let wide = Sweep {
+            options: WorkloadOptions {
                 solve_threshold: Some(150.0),
                 ..WorkloadOptions::default()
             },
-            &[8],
-            &[Design::OsElmL2],
-            1,
-            2,
-            3,
-            4,
-        );
+            train_envs: 4,
+            ..sweep(Workload::CartPole, 2, 3)
+        };
+        let fig = run(&wide, &[Design::OsElmL2]);
         assert_eq!(fig.train_envs, 4);
         assert_eq!(
             fig.solve_criterion,
@@ -313,10 +243,27 @@ mod tests {
     }
 
     #[test]
+    fn sweep_records_the_chunk_cap_only_where_it_is_live() {
+        let scalar = sweep(Workload::CartPole, 2, 3);
+        let batched = Sweep {
+            train_envs: 3,
+            ..scalar.clone()
+        };
+        // Scalar runs never split a tick, so the cap stays unrecorded.
+        assert_eq!(run(&scalar, &[Design::OsElmL2]).chunk_cap, None);
+        assert_eq!(
+            run(&batched, &[Design::OsElmL2]).chunk_cap,
+            Some(elmrl_core::DEFAULT_CHUNK_CAP)
+        );
+        // Designs without the chunked RLS update never record a cap.
+        assert_eq!(run(&batched, &[Design::Dqn, Design::Fpga]).chunk_cap, None);
+    }
+
+    #[test]
     fn sweep_runs_on_every_registered_workload() {
         let designs = [Design::OsElmL2Lipschitz, Design::Dqn];
         for workload in Workload::all() {
-            let fig = generate(workload, &[8], &designs, 1, 2, 23);
+            let fig = run(&sweep(workload, 2, 23), &designs);
             assert_eq!(fig.workload, workload);
             assert_eq!(fig.cells.len(), 2);
             assert!(fig.cells.iter().all(|c| c.workload == workload));

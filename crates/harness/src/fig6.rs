@@ -6,7 +6,7 @@
 //! simulation (PL cycles at 125 MHz) plus the modeled Cortex-A9 cost of the
 //! initial training, averaged over the trials that completed the task.
 
-use crate::runner::{run_trials_checkpointed, CheckpointOptions, TrialSpec};
+use crate::runner::{run_trials_checkpointed, CheckpointOptions, Sweep, TrialSpec};
 use elmrl_core::designs::Design;
 use elmrl_core::ops::OpKind;
 use elmrl_gym::{Workload, WorkloadOptions};
@@ -47,81 +47,20 @@ pub struct Figure6 {
     pub rows: Vec<FpgaDetail>,
 }
 
-/// Generate the Figure 6 detail on a workload for the given hidden sizes
-/// with the default [`WorkloadOptions`].
+/// Generate the Figure 6 detail: `sweep.trials` seeded FPGA trials at every
+/// hidden size. With `ckpt`, trials checkpoint and resume as in
+/// [`crate::fig5::generate`]; `Ok(None)` means the fault-injection stop
+/// abandoned the sweep early — resume from the checkpoints to finish it
+/// byte-identically.
 pub fn generate(
-    workload: Workload,
-    hidden_sizes: &[usize],
-    trials: usize,
-    max_episodes: usize,
-    seed: u64,
-) -> Figure6 {
-    generate_with(
-        workload,
-        WorkloadOptions::default(),
-        hidden_sizes,
-        trials,
-        max_episodes,
-        seed,
-        1,
-    )
-}
-
-/// Generate the Figure 6 detail with explicit workload variant knobs and
-/// `train_envs` parallel training episodes per trial.
-#[allow(clippy::too_many_arguments)] // mirrors the CLI surface one-to-one
-pub fn generate_with(
-    workload: Workload,
-    options: WorkloadOptions,
-    hidden_sizes: &[usize],
-    trials: usize,
-    max_episodes: usize,
-    seed: u64,
-    train_envs: usize,
-) -> Figure6 {
-    generate_checkpointed(
-        workload,
-        options,
-        hidden_sizes,
-        trials,
-        max_episodes,
-        seed,
-        train_envs,
-        None,
-    )
-    .expect("a sweep without checkpointing cannot fail")
-    .expect("a sweep without checkpointing cannot stop early")
-}
-
-/// Generate the Figure 6 detail under checkpoint control. Returns `Ok(None)`
-/// when the fault-injection stop abandoned the sweep early — resume from
-/// the checkpoints to finish it byte-identically.
-#[allow(clippy::too_many_arguments)] // mirrors the CLI surface one-to-one
-pub fn generate_checkpointed(
-    workload: Workload,
-    options: WorkloadOptions,
-    hidden_sizes: &[usize],
-    trials: usize,
-    max_episodes: usize,
-    seed: u64,
-    train_envs: usize,
+    sweep: &Sweep,
     ckpt: Option<&CheckpointOptions>,
 ) -> Result<Option<Figure6>, String> {
     let mut rows = Vec::new();
     let mut stopped_early = false;
-    for &h in hidden_sizes {
-        let specs: Vec<TrialSpec> = (0..trials)
-            .map(|t| {
-                TrialSpec::for_workload(
-                    workload,
-                    Design::Fpga,
-                    h,
-                    seed ^ ((h as u64) << 20) ^ t as u64,
-                )
-                .with_options(options)
-                .with_max_episodes(max_episodes)
-                .with_train_envs(train_envs)
-            })
+    for &h in &sweep.hidden {
+        let specs: Vec<TrialSpec> = (0..sweep.trials)
+            .map(|t| sweep.trial(Design::Fpga, h, sweep.seed ^ ((h as u64) << 20) ^ t as u64))
             .collect();
         let outcomes = run_trials_checkpointed(&specs, ckpt)?;
         stopped_early |= outcomes.iter().any(|(_, complete)| !complete);
@@ -153,9 +92,9 @@ pub fn generate_checkpointed(
         return Ok(None);
     }
     Ok(Some(Figure6 {
-        workload,
-        options,
-        train_envs,
+        workload: sweep.workload,
+        options: sweep.options,
+        train_envs: sweep.train_envs,
         rows,
     }))
 }
@@ -197,7 +136,9 @@ mod tests {
 
     #[test]
     fn tiny_fig6_has_expected_structure() {
-        let fig = generate(Workload::CartPole, &[8], 1, 3, 13);
+        let fig = generate(&Sweep::new(Workload::CartPole, &[8], 3, 13), None)
+            .unwrap()
+            .unwrap();
         assert_eq!(fig.rows.len(), 1);
         assert_eq!(fig.workload, Workload::CartPole);
         let r = &fig.rows[0];
@@ -210,7 +151,9 @@ mod tests {
 
     #[test]
     fn fpga_detail_runs_on_pendulum() {
-        let fig = generate(Workload::Pendulum, &[8], 1, 2, 29);
+        let fig = generate(&Sweep::new(Workload::Pendulum, &[8], 2, 29), None)
+            .unwrap()
+            .unwrap();
         assert_eq!(fig.workload, Workload::Pendulum);
         assert_eq!(fig.rows.len(), 1);
         assert_eq!(fig.rows[0].trials, 1);

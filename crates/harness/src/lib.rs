@@ -18,7 +18,8 @@
 //! * [`timing`] — the Cortex-A9 / 125 MHz-PL cost model that converts
 //!   operation counts into modeled on-device seconds;
 //! * [`runner`] — seeded, rayon-parallel trial execution shared by all of the
-//!   above;
+//!   above, and the [`Sweep`] every experiment generator takes (one
+//!   `generate` per figure, one function per ablation);
 //! * [`report`] — Markdown/CSV/JSON emitters used by the CLI binaries;
 //! * [`cli`] — the flag table every binary parses its arguments with.
 //!
@@ -48,7 +49,7 @@ pub mod telemetry;
 pub mod timing;
 
 pub use cli::CliArgs;
-pub use runner::{TrialResult, TrialSpec};
+pub use runner::{Sweep, TrialResult, TrialSpec};
 pub use timing::CostModel;
 
 /// Whether artefacts should suppress host wall-clock measurements so two

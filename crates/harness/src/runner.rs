@@ -10,16 +10,65 @@
 //! trial owns its RNG stream, so parallelism never changes results.
 
 use crate::timing::{CostModel, ModeledTime};
+use elmrl_core::batch::BatchAgent;
 use elmrl_core::checkpoint::RunCheckpoint;
-use elmrl_core::designs::{Design, DesignConfig};
+use elmrl_core::designs::Design;
 use elmrl_core::trainer::{CheckpointCtl, Trainer, TrainerConfig, TrainingResult};
-use elmrl_fpga::{FpgaAgent, FpgaAgentConfig};
+use elmrl_fpga::{build_agent, FpgaAgent, FpgaAgentConfig};
 use elmrl_gym::{Workload, WorkloadOptions};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::path::PathBuf;
+
+/// The axes every experiment generator shares: which workload, which hidden
+/// sizes, how many seeded trials of how many episodes, and how many
+/// parallel training episodes each trial runs. The CLI builds one from its
+/// flags ([`crate::CliArgs::sweep`]).
+#[derive(Clone, Debug, PartialEq)]
+pub struct Sweep {
+    /// Workload (environment) under test.
+    pub workload: Workload,
+    /// Workload variant knobs (e.g. the Pendulum torque discretisation).
+    pub options: WorkloadOptions,
+    /// Hidden widths `Ñ`, one cell per entry (the single-width ablations
+    /// use the first).
+    pub hidden: Vec<usize>,
+    /// Seeded trials per cell (fig4 and the ablations run one).
+    pub trials: usize,
+    /// Episode budget per trial.
+    pub episodes: usize,
+    /// Base RNG seed; each trial derives its own.
+    pub seed: u64,
+    /// Parallel training episodes per trial (1 = the paper's scalar
+    /// protocol).
+    pub train_envs: usize,
+}
+
+impl Sweep {
+    /// One trial per cell on the default [`WorkloadOptions`], scalar
+    /// protocol.
+    pub fn new(workload: Workload, hidden: &[usize], episodes: usize, seed: u64) -> Self {
+        Self {
+            workload,
+            options: WorkloadOptions::default(),
+            hidden: hidden.to_vec(),
+            trials: 1,
+            episodes,
+            seed,
+            train_envs: 1,
+        }
+    }
+
+    /// The spec of one trial of this sweep.
+    pub fn trial(&self, design: Design, hidden_dim: usize, seed: u64) -> TrialSpec {
+        TrialSpec::for_workload(self.workload, design, hidden_dim, seed)
+            .with_options(self.options)
+            .with_max_episodes(self.episodes)
+            .with_train_envs(self.train_envs)
+    }
+}
 
 /// One trial specification: which design, on which workload, at which hidden
 /// size, with which seed and episode protocol.
@@ -41,14 +90,6 @@ pub struct TrialSpec {
     /// [`elmrl_gym::VecEnv`] with batch-B updates
     /// ([`Trainer::run_vec`](elmrl_core::trainer::Trainer::run_vec)).
     pub train_envs: usize,
-    /// RLS batch-width cap for the chunked OS-ELM designs (the CLI's
-    /// `--chunk-cap`): ticks with more than this many stored transitions
-    /// are split into cap-sized RLS chunks. `None` defers to
-    /// [`elmrl_core::DEFAULT_CHUNK_CAP`]; result artifacts record the
-    /// effective cap. Skipped when absent so artifacts from before the
-    /// knob existed round-trip byte-identically.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub chunk_cap: Option<usize>,
     /// Trainer protocol.
     pub trainer: TrainerConfig,
 }
@@ -72,7 +113,6 @@ impl TrialSpec {
             hidden_dim,
             seed,
             train_envs: 1,
-            chunk_cap: None,
             trainer,
         }
     }
@@ -94,14 +134,6 @@ impl TrialSpec {
     /// scalar loop to the E-parallel one.
     pub fn with_train_envs(mut self, train_envs: usize) -> Self {
         self.train_envs = train_envs.max(1);
-        self
-    }
-
-    /// Override the RLS batch-width cap (the CLI's `--chunk-cap`). Only
-    /// meaningful for the chunked OS-ELM designs with `train_envs > 1`;
-    /// `None` defers to [`elmrl_core::DEFAULT_CHUNK_CAP`].
-    pub fn with_chunk_cap(mut self, chunk_cap: Option<usize>) -> Self {
-        self.chunk_cap = chunk_cap.map(|c| c.max(1));
         self
     }
 
@@ -130,18 +162,6 @@ pub struct TrialResult {
     /// For the FPGA design: simulated seconds from the cycle-accurate core
     /// (predict, seq_train, init_train) — `None` for software designs.
     pub fpga_simulated_seconds: Option<(f64, f64, f64)>,
-}
-
-impl TrialResult {
-    /// The time-to-complete number used in Figure 5: modeled on-device
-    /// seconds when the trial solved, `None` otherwise ("impossible").
-    pub fn time_to_complete(&self) -> Option<f64> {
-        if self.training.solved {
-            Some(self.modeled.total_seconds)
-        } else {
-            None
-        }
-    }
 }
 
 /// Checkpoint/resume options for the checkpointed trial driver (the CLI's
@@ -182,18 +202,13 @@ pub fn checkpoint_file_name(spec: &TrialSpec) -> String {
             }
         })
         .collect();
-    // An explicit chunk cap changes the trajectory whenever B exceeds it,
-    // so it gets its own suffix; the absent default keeps the historical
-    // name, so pre-existing checkpoints keep resuming.
-    let cap_suffix = spec.chunk_cap.map(|c| format!("-c{c}")).unwrap_or_default();
     format!(
-        "trial-{}-{}-h{}-s{}-e{}{}.json",
+        "trial-{}-{}-h{}-s{}-e{}.json",
         spec.workload.slug(),
         design_slug,
         spec.hidden_dim,
         spec.seed,
-        spec.train_envs,
-        cap_suffix
+        spec.train_envs
     )
 }
 
@@ -246,47 +261,27 @@ pub fn run_trial_checkpointed(
     }
     ctl.resume = resumed.as_ref();
 
-    let (training, fpga_simulated_seconds) = if spec.train_envs > 1 {
-        let mut vec_env = elmrl_gym::VecEnv::from_spec(&env_spec, spec.train_envs);
-        if spec.design == Design::Fpga {
-            let mut agent = FpgaAgent::new(
-                FpgaAgentConfig::for_workload(&env_spec, spec.hidden_dim),
-                &mut rng,
-            );
-            let training =
-                trainer.run_vec_checkpointed(&mut agent, &mut vec_env, &mut rng, &mut ctl)?;
-            let breakdown = agent.datapath().simulated_breakdown_seconds();
-            (training, Some(breakdown))
-        } else {
-            let mut config = DesignConfig::for_workload(&env_spec, spec.hidden_dim);
-            config.chunk_cap = spec.chunk_cap;
-            let mut agent = spec.design.build_batch(&config, &mut rng);
-            (
-                trainer.run_vec_checkpointed(agent.as_mut(), &mut vec_env, &mut rng, &mut ctl)?,
-                None,
-            )
-        }
-    } else {
-        let mut env = env_spec.make_env();
-        if spec.design == Design::Fpga {
-            let mut agent = FpgaAgent::new(
-                FpgaAgentConfig::for_workload(&env_spec, spec.hidden_dim),
-                &mut rng,
-            );
-            let training =
-                trainer.run_checkpointed(&mut agent, env.as_mut(), &mut rng, &mut ctl)?;
-            let breakdown = agent.datapath().simulated_breakdown_seconds();
-            (training, Some(breakdown))
-        } else {
-            let mut config = DesignConfig::for_workload(&env_spec, spec.hidden_dim);
-            config.chunk_cap = spec.chunk_cap;
-            let mut agent = spec.design.build(&config, &mut rng);
-            (
-                trainer.run_checkpointed(agent.as_mut(), env.as_mut(), &mut rng, &mut ctl)?,
-                None,
-            )
+    // The FPGA agent stays concrete so its simulated PL/CPU seconds can be
+    // read after the run.
+    let mut fpga = None;
+    let mut software;
+    let agent: &mut dyn BatchAgent = match spec.design {
+        Design::Fpga => fpga.insert(FpgaAgent::new(
+            FpgaAgentConfig::for_workload(&env_spec, spec.hidden_dim),
+            &mut rng,
+        )),
+        design => {
+            software = build_agent(design, &env_spec, spec.hidden_dim, &mut rng);
+            software.as_mut()
         }
     };
+    let training = if spec.train_envs > 1 {
+        let mut vec_env = elmrl_gym::VecEnv::from_spec(&env_spec, spec.train_envs);
+        trainer.run_vec_checkpointed(agent, &mut vec_env, &mut rng, &mut ctl)?
+    } else {
+        trainer.run_checkpointed(agent, env_spec.make_env().as_mut(), &mut rng, &mut ctl)?
+    };
+    let fpga_simulated_seconds = fpga.map(|a| a.datapath().simulated_breakdown_seconds());
     let modeled = if spec.design == Design::Fpga {
         cost.model_fpga(&training.op_counts)
     } else {
@@ -294,25 +289,15 @@ pub fn run_trial_checkpointed(
     };
     let complete = training.episodes_run >= spec.trainer.max_episodes
         || (spec.trainer.stop_when_solved && training.solved);
-    // The artifact records the RLS chunk cap the run actually trained under.
-    let mut result_spec = spec.clone();
-    result_spec.chunk_cap = spec
-        .design
-        .effective_chunk_cap(spec.chunk_cap, spec.train_envs);
     Ok((
         TrialResult {
-            spec: result_spec,
+            spec: spec.clone(),
             modeled,
             fpga_simulated_seconds,
             training,
         },
         complete,
     ))
-}
-
-/// Run a batch of trials in parallel (one rayon task per trial).
-pub fn run_trials(specs: &[TrialSpec]) -> Vec<TrialResult> {
-    specs.par_iter().map(run_trial).collect()
 }
 
 /// Run a batch of trials in parallel under shared checkpoint control (the
@@ -473,7 +458,7 @@ mod tests {
                     .map(move |d| TrialSpec::for_workload(w, d, 8, 17).with_max_episodes(2))
             })
             .collect();
-        let results = run_trials(&specs);
+        let results: Vec<TrialResult> = specs.par_iter().map(run_trial).collect();
         assert_eq!(results.len(), Workload::all().len() * 7);
         for r in &results {
             assert_eq!(r.training.episodes_run, 2, "{:?}", r.spec);
@@ -575,7 +560,7 @@ mod tests {
         let specs: Vec<TrialSpec> = (0..3)
             .map(|s| TrialSpec::new(Design::OsElmL2, 8, s).with_max_episodes(4))
             .collect();
-        let results = run_trials(&specs);
+        let results: Vec<TrialResult> = specs.par_iter().map(run_trial).collect();
         assert_eq!(results.len(), 3);
         let summary = summarize_cell(Workload::CartPole, Design::OsElmL2, 8, &results);
         assert_eq!(summary.trials, 3);
@@ -587,64 +572,21 @@ mod tests {
     }
 
     #[test]
-    fn unsolved_trials_report_no_completion_time() {
-        let spec = TrialSpec::new(Design::OsElm, 8, 1).with_max_episodes(2);
-        let r = run_trial(&spec);
-        if !r.training.solved {
-            assert!(r.time_to_complete().is_none());
-        }
-    }
-
-    #[test]
-    fn result_spec_records_the_effective_chunk_cap() {
-        // Scalar runs: the cap is inert — stays None, so artifacts written
-        // before the knob existed keep their exact bytes.
-        let scalar = run_trial(&TrialSpec::new(Design::OsElmL2, 8, 3).with_max_episodes(2));
-        assert_eq!(scalar.spec.chunk_cap, None);
-
-        // Chunked OS-ELM runs record the default when the knob was absent…
-        let batched = run_trial(
-            &TrialSpec::new(Design::OsElmL2, 8, 3)
-                .with_max_episodes(2)
-                .with_train_envs(3),
-        );
-        assert_eq!(batched.spec.chunk_cap, Some(elmrl_core::DEFAULT_CHUNK_CAP));
-
-        // …and the explicit knob when given.
-        let capped = run_trial(
-            &TrialSpec::new(Design::OsElmL2, 8, 3)
-                .with_max_episodes(2)
-                .with_train_envs(3)
-                .with_chunk_cap(Some(2)),
-        );
-        assert_eq!(capped.spec.chunk_cap, Some(2));
-
-        // Designs without the chunked RLS update never record a cap.
-        let dqn = run_trial(
-            &TrialSpec::new(Design::Dqn, 8, 3)
-                .with_max_episodes(2)
-                .with_train_envs(3),
-        );
-        assert_eq!(dqn.spec.chunk_cap, None);
-    }
-
-    #[test]
     fn chunk_cap_below_the_tick_width_stays_deterministic() {
-        // B = 3 ticks with a cap of 1 split every tick into single-row RLS
-        // chunks (Eq. 6 applied per chunk is algebraically equivalent, so
-        // the behaviour may coincide at short horizons — the float-level
-        // divergence is pinned at the core layer where β is observable).
-        // The capped run must complete and stay a pure function of the
-        // spec.
-        let capped = TrialSpec::new(Design::OsElmL2Lipschitz, 8, 13)
+        // 3·DEFAULT_CHUNK_CAP slots put about 1.5 caps of gated transitions
+        // into every update tick (ε₂ = 0.5), so each tick is split into
+        // cap-sized RLS chunks (Eq. 6 applied per chunk is algebraically
+        // equivalent, so the behaviour may coincide with one wide chunk —
+        // the float-level divergence is pinned at the core layer where β is
+        // observable). The split run must complete and stay a pure function
+        // of the spec.
+        let wide = TrialSpec::new(Design::OsElmL2Lipschitz, 8, 13)
             .with_max_episodes(4)
-            .with_train_envs(3)
-            .with_chunk_cap(Some(1));
-        let a = run_trial(&capped);
-        let b = run_trial(&capped);
+            .with_train_envs(3 * elmrl_core::DEFAULT_CHUNK_CAP);
+        let a = run_trial(&wide);
+        let b = run_trial(&wide);
         assert_eq!(a.training.stats.returns, b.training.stats.returns);
         assert_eq!(a.training.episodes_run, 4);
-        assert_eq!(a.spec.chunk_cap, Some(1));
     }
 
     #[test]
@@ -653,11 +595,6 @@ mod tests {
         assert_eq!(
             checkpoint_file_name(&spec),
             "trial-cart-pole-os-elm-l2-lipschitz-h16-s7-e4.json"
-        );
-        // An explicit cap changes the trajectory, so it gets its own file.
-        assert_eq!(
-            checkpoint_file_name(&spec.with_chunk_cap(Some(8))),
-            "trial-cart-pole-os-elm-l2-lipschitz-h16-s7-e4-c8.json"
         );
     }
 

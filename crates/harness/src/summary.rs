@@ -501,14 +501,9 @@ mod tests {
         let _ = std::fs::remove_dir_all(&root);
         // Write a tiny real fig5.json for two workloads only.
         for workload in [Workload::CartPole, Workload::Acrobot] {
-            let fig = fig5::generate(
-                workload,
-                &[8],
-                &[Design::OsElmL2Lipschitz, Design::Dqn],
-                1,
-                2,
-                5,
-            );
+            let sweep = crate::Sweep::new(workload, &[8], 2, 5);
+            let designs = [Design::OsElmL2Lipschitz, Design::Dqn];
+            let fig = fig5::generate(&sweep, &designs, None).unwrap().unwrap();
             crate::report::write_json(&root.join(workload.slug()), "fig5.json", &fig).unwrap();
         }
 
@@ -612,7 +607,8 @@ mod tests {
         let root = tmp_root("ablation");
         let _ = std::fs::remove_dir_all(&root);
         for workload in [Workload::CartPole, Workload::MountainCar] {
-            let rows = crate::ablation::stabilisation_ablation(workload, 8, 2, 5);
+            let sweep = crate::Sweep::new(workload, &[8], 2, 5);
+            let rows = crate::ablation::stabilisation_ablation(&sweep);
             crate::report::write_json(&root.join(workload.slug()), "ablation_a1.json", &rows)
                 .unwrap();
         }

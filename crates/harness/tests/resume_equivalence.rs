@@ -16,9 +16,9 @@
 //! exists precisely so the CI `cmp` job can hold the rest to byte identity.
 
 use elmrl_core::designs::Design;
-use elmrl_gym::{Workload, WorkloadOptions};
+use elmrl_gym::Workload;
 use elmrl_harness::runner::CheckpointOptions;
-use elmrl_harness::{fig4, fig5};
+use elmrl_harness::{fig4, fig5, Sweep};
 use elmrl_population::{FaultPlan, PopulationConfig, PopulationRunner, ShardManifest};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -52,20 +52,14 @@ fn checkpoint_files(dir: &Path) -> BTreeMap<String, Vec<u8>> {
 }
 
 fn fig5_json(train_envs: usize, ckpt: Option<&CheckpointOptions>) -> Option<String> {
-    fig5::generate_checkpointed(
-        Workload::CartPole,
-        WorkloadOptions::default(),
-        &[8],
-        &DESIGNS,
-        TRIALS,
-        EPISODES,
-        SEED,
+    let sweep = Sweep {
+        trials: TRIALS,
         train_envs,
-        None,
-        ckpt,
-    )
-    .expect("sweep must not error")
-    .map(|fig| serde_json::to_string_pretty(&fig).expect("serialize fig5"))
+        ..Sweep::new(Workload::CartPole, &[8], EPISODES, SEED)
+    };
+    fig5::generate(&sweep, &DESIGNS, ckpt)
+        .expect("sweep must not error")
+        .map(|fig| serde_json::to_string_pretty(&fig).expect("serialize fig5"))
 }
 
 #[test]
@@ -139,24 +133,12 @@ fn fig5_resume_is_byte_identical_at_first_middle_and_last_episode() {
 #[test]
 fn fig4_resume_reproduces_the_training_curves_byte_for_byte() {
     zero_wall_time();
-    let straight = fig4::generate_with(
-        Workload::CartPole,
-        WorkloadOptions::default(),
-        &[8],
-        4,
-        SEED,
-        1,
-    );
+    let sweep = Sweep::new(Workload::CartPole, &[8], 4, SEED);
+    let straight = fig4::generate(&sweep, None).unwrap().unwrap();
     let straight = serde_json::to_string_pretty(&straight).unwrap();
     let dir = scratch_dir("fig4");
-    let stopped = fig4::generate_checkpointed(
-        Workload::CartPole,
-        WorkloadOptions::default(),
-        &[8],
-        4,
-        SEED,
-        1,
-        None,
+    let stopped = fig4::generate(
+        &sweep,
         Some(&CheckpointOptions {
             dir: dir.clone(),
             every: 2,
@@ -166,14 +148,8 @@ fn fig4_resume_reproduces_the_training_curves_byte_for_byte() {
     )
     .unwrap();
     assert!(stopped.is_none());
-    let resumed = fig4::generate_checkpointed(
-        Workload::CartPole,
-        WorkloadOptions::default(),
-        &[8],
-        4,
-        SEED,
-        1,
-        None,
+    let resumed = fig4::generate(
+        &sweep,
         Some(&CheckpointOptions {
             dir: dir.clone(),
             every: 2,

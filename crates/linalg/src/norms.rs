@@ -18,36 +18,6 @@ impl<T: Scalar> Matrix<T> {
         }
         acc.sqrt()
     }
-
-    /// Maximum absolute column sum (the induced 1-norm).
-    pub fn norm_1(&self) -> T {
-        let mut best = T::zero();
-        for c in 0..self.cols() {
-            let mut acc = T::zero();
-            for r in 0..self.rows() {
-                acc += self[(r, c)].abs();
-            }
-            if acc > best {
-                best = acc;
-            }
-        }
-        best
-    }
-
-    /// Maximum absolute row sum (the induced ∞-norm).
-    pub fn norm_inf(&self) -> T {
-        let mut best = T::zero();
-        for r in 0..self.rows() {
-            let mut acc = T::zero();
-            for &x in self.row(r) {
-                acc += x.abs();
-            }
-            if acc > best {
-                best = acc;
-            }
-        }
-        best
-    }
 }
 
 /// Estimate the largest singular value `σ_max(A)` by power iteration on
@@ -164,13 +134,6 @@ mod tests {
         let a = Matrix::from_rows(&[vec![3.0, 0.0], vec![0.0, 4.0]]);
         assert!((a.frobenius_norm() - 5.0).abs() < 1e-12);
         assert_eq!(Matrix::<f64>::zeros(3, 3).frobenius_norm(), 0.0);
-    }
-
-    #[test]
-    fn induced_norms_of_known_matrix() {
-        let a = Matrix::from_rows(&[vec![1.0, -2.0], vec![-3.0, 4.0]]);
-        assert_eq!(a.norm_1(), 6.0); // max column sum: |−2| + 4
-        assert_eq!(a.norm_inf(), 7.0); // max row sum: |−3| + 4
     }
 
     #[test]

@@ -24,15 +24,14 @@
 //! in which `eval_episodes` environments step in lockstep while the
 //! replica's network evaluates all still-running episodes in one batched
 //! forward ([`BatchAgent::predict_batch`] over
-//! [`Matrix::gather_rows`]-packed states) — the batched-inference path the
-//! `population_throughput` benchmark measures in isolation.
+//! [`Matrix::gather_rows`]-packed states).
 
 use crate::seed::{replica_eval_seed, replica_train_seed};
 use elmrl_core::batch::BatchAgent;
 use elmrl_core::checkpoint::write_atomic;
-use elmrl_core::designs::{Design, DesignConfig};
+use elmrl_core::designs::Design;
 use elmrl_core::trainer::{CheckpointCtl, EpisodeBook, Trainer, TrainerConfig, TrainingResult};
-use elmrl_fpga::{FpgaAgent, FpgaAgentConfig};
+use elmrl_fpga::build_agent;
 use elmrl_gym::{EnvSpec, SolveCriterion, VecEnv, Workload, WorkloadOptions};
 use elmrl_linalg::Matrix;
 use rand::rngs::SmallRng;
@@ -74,12 +73,6 @@ pub struct PopulationConfig {
     /// every replica its own E-slot [`VecEnv`] so it trains E episodes in
     /// lockstep with batch-B updates.
     pub train_envs: usize,
-    /// RLS batch-width cap for the chunked OS-ELM designs (the CLI's
-    /// `--chunk-cap`; `None` defers to [`elmrl_core::DEFAULT_CHUNK_CAP`]
-    /// once `train_envs > 1` engages the chunked path). Skipped when
-    /// absent so pre-existing manifests round-trip byte-identically.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub chunk_cap: Option<usize>,
     /// Lockstep greedy-evaluation episodes per replica after training
     /// (0 disables the evaluation pass).
     pub eval_episodes: usize,
@@ -100,7 +93,6 @@ impl PopulationConfig {
             seed: 42,
             max_episodes: spec.defaults.max_episodes,
             train_envs: 1,
-            chunk_cap: None,
             eval_episodes: 8,
         }
     }
@@ -181,11 +173,10 @@ pub struct PopulationReport {
     pub max_episodes: usize,
     /// Parallel training episodes per replica (`--train-envs`).
     pub train_envs: usize,
-    /// The effective RLS chunk cap the replicas trained under (the CLI's
-    /// `--chunk-cap`, or [`elmrl_core::DEFAULT_CHUNK_CAP`] once
-    /// `train_envs > 1` engages the chunked path); `None` when every
-    /// update was single-transition. Skipped when absent so pre-existing
-    /// artifacts stay byte-identical.
+    /// The RLS chunk cap the replicas trained under
+    /// ([`elmrl_core::DEFAULT_CHUNK_CAP`] once `train_envs > 1` engages the
+    /// chunked path); `None` when every update was single-transition.
+    /// Skipped when absent so scalar artifacts keep their bytes.
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub chunk_cap: Option<usize>,
     /// The effective completion rule of the run (registry default or the
@@ -558,7 +549,7 @@ impl PopulationRunner {
             chunk_cap: self
                 .config
                 .design
-                .effective_chunk_cap(self.config.chunk_cap, self.config.train_envs),
+                .effective_chunk_cap(self.config.train_envs),
             solve_criterion: spec.solve_criterion,
             eval_episodes: self.config.eval_episodes,
             solve_rate: solved.len() as f64 / replicas.len() as f64,
@@ -570,29 +561,6 @@ impl PopulationRunner {
                 Some(eval_returns.iter().sum::<f64>() / eval_returns.len() as f64)
             },
             replicas,
-        }
-    }
-}
-
-/// Build one replica's agent behind the batched-inference interface.
-/// `chunk_cap` is the RLS batch-width cap for the chunked OS-ELM designs
-/// (inert for the scalar protocol and for DQN/FPGA replicas).
-fn build_replica_agent(
-    design: Design,
-    spec: &EnvSpec,
-    hidden_dim: usize,
-    chunk_cap: Option<usize>,
-    rng: &mut SmallRng,
-) -> Box<dyn BatchAgent + Send> {
-    match design {
-        Design::Fpga => Box::new(FpgaAgent::new(
-            FpgaAgentConfig::for_workload(spec, hidden_dim),
-            rng,
-        )),
-        software => {
-            let mut config = DesignConfig::for_workload(spec, hidden_dim);
-            config.chunk_cap = chunk_cap;
-            software.build_batch(&config, rng)
         }
     }
 }
@@ -656,13 +624,7 @@ fn run_shard(
         for &replica in replicas {
             let done: usize = outcomes.iter().map(|o| o.episodes_run).sum();
             let mut rng = SmallRng::seed_from_u64(replica_train_seed(config.seed, replica));
-            let mut agent = build_replica_agent(
-                config.design,
-                spec,
-                config.hidden_dim,
-                config.chunk_cap,
-                &mut rng,
-            );
+            let mut agent = build_agent(config.design, spec, config.hidden_dim, &mut rng);
             let mut vec_env = VecEnv::from_spec(spec, config.train_envs);
             let mut ctl = CheckpointCtl::default();
             if let Some(limit) = abort_after_episodes {
@@ -691,15 +653,7 @@ fn run_shard(
         .collect();
     let mut agents: Vec<Box<dyn BatchAgent + Send>> = rngs
         .iter_mut()
-        .map(|rng| {
-            build_replica_agent(
-                config.design,
-                spec,
-                config.hidden_dim,
-                config.chunk_cap,
-                rng,
-            )
-        })
+        .map(|rng| build_agent(config.design, spec, config.hidden_dim, rng))
         .collect();
 
     let mut vec_env = VecEnv::from_spec(spec, b);
@@ -967,24 +921,11 @@ mod tests {
         let scalar = PopulationRunner::new(tiny_config(1)).run();
         assert_eq!(scalar.chunk_cap, None);
 
-        // E > 1 on a chunked OS-ELM design: the default cap is live and
-        // recorded even though no explicit knob was set.
+        // E > 1 on a chunked OS-ELM design: the cap is live and recorded.
         let mut config = tiny_config(1);
         config.train_envs = 3;
-        assert_eq!(config.chunk_cap, None);
-        let defaulted = PopulationRunner::new(config.clone()).run();
-        assert_eq!(defaulted.chunk_cap, Some(elmrl_core::DEFAULT_CHUNK_CAP));
-
-        // An explicit cap is recorded verbatim and changes the trained
-        // trajectory once a tick is wide enough to split (E = 3 ticks stay
-        // under cap 2 only when an episode ends mid-tick, so just pin the
-        // recorded value plus determinism here; the trajectory-level
-        // divergence is pinned at the core level).
-        config.chunk_cap = Some(2);
-        let capped = PopulationRunner::new(config.clone()).run();
-        assert_eq!(capped.chunk_cap, Some(2));
-        let capped_again = PopulationRunner::new(config).run();
-        assert_eq!(capped, capped_again, "capped runs stay deterministic");
+        let batched = PopulationRunner::new(config).run();
+        assert_eq!(batched.chunk_cap, Some(elmrl_core::DEFAULT_CHUNK_CAP));
     }
 
     #[test]

@@ -4,25 +4,26 @@
 //! A session is a tiny request/response client: it holds its latest
 //! observation, submits it to the engine when ready, and on receiving the
 //! greedy action steps its environment (auto-resetting finished episodes) to
-//! produce the next observation. All per-session randomness — environment
-//! dynamics and optional think-time draws — comes from the session's own
-//! stream (`split_seed(master, SESSION_STREAM_BASE + index)`, the PR-3
+//! produce the next observation. The sessions' environments are the slots
+//! of one [`VecEnv`], stepped one slot at a time through
+//! [`VecEnv::step_slot`] as their responses arrive. All per-session
+//! randomness — environment dynamics and optional think-time draws — comes
+//! from the session's own stream
+//! (`split_seed(master, SESSION_STREAM_BASE + index)`, the PR-3
 //! seed-splitting scheme), so the whole client population replays
 //! bit-identically at any engine parallelism.
 
 use crate::engine::{Response, ServeEngine};
 use crate::worker::SESSION_STREAM_BASE;
-use elmrl_gym::{EnvSpec, Environment};
+use elmrl_gym::{EnvSpec, VecEnv};
 use elmrl_population::split_seed;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-/// One simulated client.
+/// One simulated client's cursor; its environment and RNG stream are the
+/// driver's slot and stream at the session's index.
+#[derive(Clone)]
 struct Session {
-    env: Box<dyn Environment>,
-    rng: SmallRng,
-    /// The observation to submit next (refilled after every step/reset).
-    observation: Vec<f64>,
     /// Engine round at which this session may submit again; `None` while a
     /// request is in flight.
     ready_at_round: Option<u64>,
@@ -58,6 +59,12 @@ impl SessionStats {
 /// Drives N sessions against a [`ServeEngine`], one submit/apply pair per
 /// engine round.
 pub struct SessionDriver {
+    /// One environment slot per session; a slot's state is the observation
+    /// the session submits next (refilled after every step/reset).
+    envs: VecEnv,
+    /// One private stream per session: its environment's dynamics and its
+    /// think-time draws.
+    rngs: Vec<SmallRng>,
     sessions: Vec<Session>,
     /// Maximum think-time rounds a session idles after a response (0 =
     /// resubmit immediately; >0 draws uniformly from its own stream).
@@ -66,30 +73,27 @@ pub struct SessionDriver {
 }
 
 impl SessionDriver {
-    /// Create and reset `count` sessions on the given workload.
+    /// Create and reset `count` sessions on the given workload. Panics when
+    /// `count` is 0.
     pub fn new(spec: &EnvSpec, count: usize, master_seed: u64, think_rounds: u64) -> Self {
-        let sessions = (0..count)
+        let mut rngs: Vec<SmallRng> = (0..count)
             .map(|i| {
-                let mut rng = SmallRng::seed_from_u64(split_seed(
-                    master_seed,
-                    SESSION_STREAM_BASE + i as u64,
-                ));
-                let mut env = spec.make_env();
-                let observation = env.reset(&mut rng);
-                Session {
-                    env,
-                    rng,
-                    observation,
-                    ready_at_round: Some(0),
-                    episode_return: 0.0,
-                    completed_return: 0.0,
-                    episodes_completed: 0,
-                    env_steps: 0,
-                }
+                SmallRng::seed_from_u64(split_seed(master_seed, SESSION_STREAM_BASE + i as u64))
             })
             .collect();
+        let mut envs = VecEnv::from_spec(spec, count);
+        envs.reset_all(&mut rngs);
+        let session = Session {
+            ready_at_round: Some(0),
+            episode_return: 0.0,
+            completed_return: 0.0,
+            episodes_completed: 0,
+            env_steps: 0,
+        };
         Self {
-            sessions,
+            envs,
+            rngs,
+            sessions: vec![session; count],
             think_rounds,
             round: 0,
         }
@@ -110,33 +114,34 @@ impl SessionDriver {
     pub fn submit_ready(&mut self, engine: &mut ServeEngine, now_us: u64) {
         for (index, session) in self.sessions.iter_mut().enumerate() {
             if session.ready_at_round.is_some_and(|r| r <= self.round) {
-                engine.enqueue(index, &session.observation, now_us);
+                engine.enqueue(index, self.envs.state(index), now_us);
                 session.ready_at_round = None;
             }
         }
     }
 
     /// Apply one round's responses: step each answered session's
-    /// environment with the served action, auto-reset finished episodes,
-    /// and schedule the session's next submission. Ends the round.
+    /// environment with the served action (auto-resetting a finished
+    /// episode from the session's stream), then draw its think time and
+    /// schedule its next submission. Ends the round.
     pub fn apply_responses(&mut self, responses: &[Response]) {
         for response in responses {
-            let session = &mut self.sessions[response.session];
-            let outcome = session.env.step(response.action, &mut session.rng);
+            let (session, rng) = (
+                &mut self.sessions[response.session],
+                &mut self.rngs[response.session],
+            );
+            let step = self.envs.step_slot(response.session, response.action, rng);
             session.env_steps += 1;
-            session.episode_return += outcome.reward;
-            if outcome.done || outcome.truncated {
+            session.episode_return += step.outcome.reward;
+            if step.auto_reset {
                 session.episodes_completed += 1;
                 session.completed_return += session.episode_return;
                 session.episode_return = 0.0;
-                session.observation = session.env.reset(&mut session.rng);
-            } else {
-                session.observation = outcome.observation;
             }
             let think = if self.think_rounds == 0 {
                 0
             } else {
-                session.rng.gen_range(0..=self.think_rounds)
+                rng.gen_range(0..=self.think_rounds)
             };
             session.ready_at_round = Some(self.round + 1 + think);
         }

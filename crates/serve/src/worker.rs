@@ -10,10 +10,10 @@
 
 use crate::engine::Request;
 use elmrl_core::batch::BatchAgent;
-use elmrl_core::designs::{Design, DesignConfig};
+use elmrl_core::designs::Design;
 use elmrl_core::policy::argmax;
 use elmrl_core::trainer::{Trainer, TrainerConfig};
-use elmrl_fpga::{FpgaAgent, FpgaAgentConfig};
+use elmrl_fpga::build_agent;
 use elmrl_gym::{EnvSpec, VecEnv};
 use elmrl_linalg::Matrix;
 use elmrl_population::split_seed;
@@ -82,27 +82,6 @@ impl Worker {
     /// The `(request, action)` pairs of the last [`Worker::run_batch`].
     pub(crate) fn results(&self) -> impl Iterator<Item = (&Request, usize)> {
         self.tickets.iter().zip(self.actions.iter().copied())
-    }
-}
-
-/// Build the served policy for a design (the population engine's factory
-/// split: `Design::Fpga` lives in `elmrl-fpga`, everything else behind
-/// [`Design::build_batch`]).
-fn build_agent(
-    design: Design,
-    spec: &EnvSpec,
-    hidden_dim: usize,
-    rng: &mut SmallRng,
-) -> Box<dyn BatchAgent + Send> {
-    match design {
-        Design::Fpga => Box::new(FpgaAgent::new(
-            FpgaAgentConfig::for_workload(spec, hidden_dim),
-            rng,
-        )),
-        software => {
-            let config = DesignConfig::for_workload(spec, hidden_dim);
-            software.build_batch(&config, rng)
-        }
     }
 }
 

@@ -23,7 +23,7 @@ fn main() {
         Design::OsElmL2Lipschitz,
     ] {
         let mut rng = SmallRng::seed_from_u64(7);
-        let mut agent = design.build(&DesignConfig::new(hidden), &mut rng);
+        let mut agent = design.build_batch(&DesignConfig::new(hidden), &mut rng);
         let mut env = CartPole::new();
         let trainer = Trainer::new(TrainerConfig {
             max_episodes: episodes,

@@ -6,7 +6,7 @@
 
 use elm_rl::core::designs::Design;
 use elm_rl::gym::Workload;
-use elm_rl::harness::fig5;
+use elm_rl::harness::{fig5, Sweep};
 use rand::Rng;
 use rand::{rngs::SmallRng, SeedableRng};
 
@@ -23,7 +23,13 @@ fn main() {
 
     let designs = [Design::OsElmL2Lipschitz, Design::Dqn, Design::Fpga];
     println!("running {trials} trial(s) per design at {hidden} hidden units ...");
-    let fig = fig5::generate(Workload::CartPole, &[hidden], &designs, trials, 2000, seed);
+    let sweep = Sweep {
+        trials,
+        ..Sweep::new(Workload::CartPole, &[hidden], 2000, seed)
+    };
+    let fig = fig5::generate(&sweep, &designs, None)
+        .expect("a sweep without checkpoints cannot fail")
+        .expect("a sweep without checkpoints runs to the end");
 
     println!("\n{}", fig5::to_markdown(&fig));
     println!("{}", fig5::speedups_to_markdown(&fig));

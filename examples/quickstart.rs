@@ -12,7 +12,7 @@ fn main() {
     let seed = 2;
     let hidden = 64;
     let mut rng = SmallRng::seed_from_u64(seed);
-    let mut agent = Design::OsElmL2Lipschitz.build(&DesignConfig::new(hidden), &mut rng);
+    let mut agent = Design::OsElmL2Lipschitz.build_batch(&DesignConfig::new(hidden), &mut rng);
     let mut env = CartPole::new();
     let trainer = Trainer::new(TrainerConfig {
         max_episodes: 1500,

@@ -24,7 +24,7 @@
 //! use rand::{rngs::SmallRng, SeedableRng};
 //!
 //! let mut rng = SmallRng::seed_from_u64(1);
-//! let mut agent = Design::OsElmL2Lipschitz.build(&DesignConfig::new(16), &mut rng);
+//! let mut agent = Design::OsElmL2Lipschitz.build_batch(&DesignConfig::new(16), &mut rng);
 //! let mut env = CartPole::new();
 //! let result = Trainer::new(TrainerConfig::quick(3)).run(agent.as_mut(), &mut env, &mut rng);
 //! assert_eq!(result.episodes_run, 3);

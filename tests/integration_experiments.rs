@@ -8,7 +8,7 @@ use elm_rl::fpga::resources::ResourceModel;
 use elm_rl::fpga::{FpgaAgent, FpgaAgentConfig};
 use elm_rl::gym::{CartPole, Workload};
 use elm_rl::harness::runner::run_trial;
-use elm_rl::harness::{ablation, fig4, fig5, fig6, table3, TrialSpec};
+use elm_rl::harness::{ablation, fig4, fig5, fig6, table3, Sweep, TrialSpec};
 use rand::{rngs::SmallRng, SeedableRng};
 
 #[test]
@@ -42,7 +42,9 @@ fn table3_reproduces_the_bram_limit() {
 
 #[test]
 fn fig4_csv_schema_is_stable() {
-    let fig = fig4::generate(Workload::CartPole, &[8], 3, 21);
+    let fig = fig4::generate(&Sweep::new(Workload::CartPole, &[8], 3, 21), None)
+        .unwrap()
+        .unwrap();
     let csv = fig4::to_csv(&fig);
     let mut lines = csv.lines();
     assert_eq!(
@@ -55,30 +57,26 @@ fn fig4_csv_schema_is_stable() {
 
 #[test]
 fn fig5_and_fig6_run_on_a_tiny_budget() {
-    let fig = fig5::generate(
-        Workload::CartPole,
-        &[8],
-        &[Design::OsElmL2Lipschitz, Design::Dqn, Design::Fpga],
-        1,
-        4,
-        33,
-    );
+    let sweep = Sweep::new(Workload::CartPole, &[8], 4, 33);
+    let designs = [Design::OsElmL2Lipschitz, Design::Dqn, Design::Fpga];
+    let fig = fig5::generate(&sweep, &designs, None).unwrap().unwrap();
     assert_eq!(fig.cells.len(), 3);
     assert_eq!(fig.speedups_vs_dqn.len(), 2);
     assert!(serde_json::to_string(&fig)
         .unwrap()
         .contains("OsElmL2Lipschitz"));
 
-    let detail = fig6::generate(Workload::CartPole, &[8], 1, 4, 33);
+    let detail = fig6::generate(&sweep, None).unwrap().unwrap();
     assert_eq!(detail.rows.len(), 1);
     assert!(fig6::to_markdown(&detail).contains("init_train s (CPU)"));
 }
 
 #[test]
 fn ablation_outputs_are_structurally_valid() {
-    let a1 = ablation::stabilisation_ablation(Workload::CartPole, 8, 3, 17);
+    let sweep = Sweep::new(Workload::CartPole, &[8], 3, 17);
+    let a1 = ablation::stabilisation_ablation(&sweep);
     assert_eq!(a1.len(), 4);
-    let a2 = ablation::precision_ablation(Workload::CartPole, 8, 17);
+    let a2 = ablation::precision_ablation(&sweep);
     assert_eq!(a2.len(), 4);
     // Q24 must not be less precise than Q8 on the same matrices.
     let q8 = a2.iter().find(|r| r.frac_bits == 8).unwrap();
@@ -118,7 +116,7 @@ fn fpga_and_float_agents_agree_within_quantisation_tolerance() {
     let _ = trainer.run(&mut fpga, &mut env1, &mut r1);
 
     let mut r2 = SmallRng::seed_from_u64(8);
-    let mut float = Design::OsElmL2Lipschitz.build(&DesignConfig::new(16), &mut r2);
+    let mut float = Design::OsElmL2Lipschitz.build_batch(&DesignConfig::new(16), &mut r2);
     let mut env2 = CartPole::new();
     let _ = trainer.run(float.as_mut(), &mut env2, &mut r2);
 

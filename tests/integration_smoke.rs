@@ -18,7 +18,7 @@ const SEED: u64 = 42;
 
 fn run_once() -> elm_rl::core::trainer::TrainingResult {
     let mut rng = SmallRng::seed_from_u64(SEED);
-    let mut agent = Design::OsElmL2Lipschitz.build(&DesignConfig::new(16), &mut rng);
+    let mut agent = Design::OsElmL2Lipschitz.build_batch(&DesignConfig::new(16), &mut rng);
     let mut env = CartPole::new();
     Trainer::new(TrainerConfig::quick(EPISODES)).run(agent.as_mut(), &mut env, &mut rng)
 }

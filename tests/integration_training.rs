@@ -19,7 +19,7 @@ fn quick_config(episodes: usize) -> TrainerConfig {
 fn every_software_design_runs_end_to_end() {
     for design in Design::software_designs() {
         let mut rng = SmallRng::seed_from_u64(1);
-        let mut agent = design.build(&DesignConfig::new(8), &mut rng);
+        let mut agent = design.build_batch(&DesignConfig::new(8), &mut rng);
         let mut env = CartPole::new();
         let result = Trainer::new(quick_config(6)).run(agent.as_mut(), &mut env, &mut rng);
         assert_eq!(result.design, design.label());
@@ -63,7 +63,7 @@ fn oselm_l2_lipschitz_learns_cartpole_within_budget() {
     // least one of two seeds must produce a full-length episode.
     let solved_any = (0..2).any(|seed| {
         let mut rng = SmallRng::seed_from_u64(seed);
-        let mut agent = Design::OsElmL2Lipschitz.build(&DesignConfig::new(64), &mut rng);
+        let mut agent = Design::OsElmL2Lipschitz.build_batch(&DesignConfig::new(64), &mut rng);
         let mut env = CartPole::new();
         let result = Trainer::new(quick_config(1500)).run(agent.as_mut(), &mut env, &mut rng);
         result.solved
@@ -77,7 +77,7 @@ fn oselm_l2_lipschitz_learns_cartpole_within_budget() {
 #[test]
 fn dqn_baseline_learns_cartpole_quickly() {
     let mut rng = SmallRng::seed_from_u64(0);
-    let mut agent = Design::Dqn.build(&DesignConfig::new(32), &mut rng);
+    let mut agent = Design::Dqn.build_batch(&DesignConfig::new(32), &mut rng);
     let mut env = CartPole::new();
     let mut cfg = quick_config(400);
     cfg.reset_after_episodes = None;
@@ -91,7 +91,7 @@ fn dqn_baseline_learns_cartpole_quickly() {
 #[test]
 fn moving_average_criterion_is_stricter_than_single_episode() {
     let mut rng = SmallRng::seed_from_u64(5);
-    let mut agent = Design::OsElmL2.build(&DesignConfig::new(16), &mut rng);
+    let mut agent = Design::OsElmL2.build_batch(&DesignConfig::new(16), &mut rng);
     let mut env = CartPole::new();
     let mut cfg = quick_config(50);
     cfg.solve_criterion = SolveCriterion::MovingAverage {
@@ -111,7 +111,7 @@ fn agents_generalise_to_other_environments() {
     // on MountainCar (3 actions, 2-dimensional state).
     let mut rng = SmallRng::seed_from_u64(3);
     let config = DesignConfig::new(16).for_env(2, 3);
-    let mut agent = Design::OsElmL2Lipschitz.build(&config, &mut rng);
+    let mut agent = Design::OsElmL2Lipschitz.build_batch(&config, &mut rng);
     let mut env = MountainCar::new();
     assert_eq!(env.num_actions(), 3);
     let result = Trainer::new(quick_config(5)).run(agent.as_mut(), &mut env, &mut rng);
@@ -123,7 +123,7 @@ fn agents_generalise_to_other_environments() {
 fn trials_are_reproducible_from_the_seed() {
     let run = |seed: u64| {
         let mut rng = SmallRng::seed_from_u64(seed);
-        let mut agent = Design::OsElmL2Lipschitz.build(&DesignConfig::new(8), &mut rng);
+        let mut agent = Design::OsElmL2Lipschitz.build_batch(&DesignConfig::new(8), &mut rng);
         let mut env = CartPole::new();
         Trainer::new(quick_config(10))
             .run(agent.as_mut(), &mut env, &mut rng)
