@@ -13,6 +13,7 @@ use crate::checkpoint::{check_transitions, AgentSnapshot};
 use crate::clipping::TargetConfig;
 use crate::ops::{OpCounts, OpKind};
 use crate::policy::ExploitPolicy;
+use elmrl_linalg::simd::wide;
 use elmrl_linalg::Matrix;
 use elmrl_nn::{
     Activation, Adam, Loss, Mlp, MlpConfig, MlpScratch, MlpWorkspace, MomentState, ReplayBatch,
@@ -183,27 +184,38 @@ impl DqnAgent {
             config,
             ..
         } = self;
-        replay.sample_into(config.batch_size, rng, batch);
+        // The whole step — sample, target forward, training step — runs
+        // inside one AVX2 dispatch; the nn kernels it calls are inlined into
+        // it, so they are compiled for AVX2 here and nowhere else. Only
+        // `avx2` is enabled, so every output bit is the baseline build's
+        // (see `elmrl_linalg::simd`).
+        wide(
+            #[inline(always)]
+            || {
+                replay.sample_into(config.batch_size, rng, batch);
 
-        // Q_θ2(s', ·) on the batch — the `predict_32` class of Figure 5.
-        // The step's second `predict_32`, the online Q_θ1(s, ·) that keeps
-        // the untaken actions' targets in place, is the training forward's
-        // own output; both keep their count for the modeled cost.
-        {
-            let _span = OpKind::Predict32.span();
-            target.forward_batch_into(&batch.next_states, scratch, next_q);
-            ops.add(OpKind::Predict32, 2);
-        }
+                // Q_θ2(s', ·) on the batch — the `predict_32` class of
+                // Figure 5. The step's second `predict_32`, the online
+                // Q_θ1(s, ·) that keeps the untaken actions' targets in
+                // place, is the training forward's own output; both keep
+                // their count for the modeled cost.
+                {
+                    let _span = OpKind::Predict32.span();
+                    target.forward_batch_into(&batch.next_states, scratch, next_q);
+                    ops.add(OpKind::Predict32, 2);
+                }
 
-        online.train_step_into(&batch.states, Loss::Huber, optimizer, train_ws, |t| {
-            for (i, &action) in batch.actions.iter().enumerate() {
-                let max_next = next_q
-                    .row(i)
-                    .iter()
-                    .fold(f64::NEG_INFINITY, |m, &q| m.max(q));
-                t[(i, action)] = targets.target(batch.rewards[i], max_next, batch.dones[i]);
-            }
-        });
+                online.train_step_into(&batch.states, Loss::Huber, optimizer, train_ws, |t| {
+                    for (i, &action) in batch.actions.iter().enumerate() {
+                        let max_next = next_q
+                            .row(i)
+                            .iter()
+                            .fold(f64::NEG_INFINITY, |m, &q| m.max(q));
+                        t[(i, action)] = targets.target(batch.rewards[i], max_next, batch.dones[i]);
+                    }
+                });
+            },
+        );
         ops.add(OpKind::TrainDqn, 1);
     }
 }

@@ -251,7 +251,7 @@ impl<D: Datapath> QNet<D> {
     /// the rule is off), then the finiteness check.
     fn gate(&self, obs: &Observation, rng: &mut SmallRng) -> bool {
         let open = |p| rng.gen_range(0.0..1.0) < p;
-        self.view.update_prob.map_or(true, open) && Self::finite(obs)
+        self.view.update_prob.is_none_or(open) && Self::finite(obs)
     }
 
     /// Store phase: push into buffer `D` and train once it holds Ñ.

@@ -200,6 +200,17 @@ impl<T: Scalar> Matrix<T> {
         self.data.resize(rows * cols, T::zero());
     }
 
+    /// Reshape to `rows × cols` for a kernel that overwrites every element.
+    /// Like [`Matrix::resize_zeroed`] it reuses the allocation, but it keeps
+    /// the old values (only growth is zero-filled), so a call at the steady
+    /// shape writes nothing.
+    #[inline]
+    pub fn resize_for_overwrite(&mut self, rows: usize, cols: usize) {
+        self.rows = rows;
+        self.cols = cols;
+        self.data.resize(rows * cols, T::zero());
+    }
+
     /// Overwrite row `r` from a slice of length `cols`.
     #[inline]
     pub fn set_row(&mut self, r: usize, src: &[T]) {

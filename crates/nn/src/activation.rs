@@ -7,6 +7,33 @@
 use elmrl_linalg::Matrix;
 use serde::{Deserialize, Serialize};
 
+/// Evaluates `$body` with `$a` bound to `$act`, in one of two `match`
+/// arms. For ReLU, the DQN's hidden activation, `$a` is a constant, so
+/// `$a.apply(x)` and `$a.derivative(x)` inside an element loop in `$body`
+/// inline to ReLU's arithmetic alone and the loop vectorises. Every other
+/// variant shares one arm that matches per element: those spend their time
+/// in `tanh` or `exp`, or (Identity) run on a narrow output layer, and one
+/// arm keeps each call site's code small.
+macro_rules! per_variant {
+    ($act:expr, $a:ident => $body:expr) => {
+        match $act {
+            Activation::ReLU => {
+                let $a = Activation::ReLU;
+                $body
+            }
+            $a => out_of_line(|| $body),
+        }
+    };
+}
+
+/// Runs `f` in a function of its own, never inlined: the shared arm of
+/// [`per_variant`] stays out of its callers, so it is compiled once, not
+/// once per CPU path of a caller's [`elmrl_linalg::simd::wide`] dispatch.
+#[inline(never)]
+fn out_of_line<R>(f: impl FnOnce() -> R) -> R {
+    f()
+}
+
 /// Supported element-wise activation functions.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Activation {
@@ -25,7 +52,7 @@ pub enum Activation {
 
 impl Activation {
     /// Apply the activation to a single value.
-    #[inline]
+    #[inline(always)]
     pub fn apply(self, x: f64) -> f64 {
         match self {
             Activation::ReLU => {
@@ -49,7 +76,7 @@ impl Activation {
     }
 
     /// Derivative with respect to the *pre-activation* input `x`.
-    #[inline]
+    #[inline(always)]
     pub fn derivative(self, x: f64) -> f64 {
         match self {
             Activation::ReLU => {
@@ -91,6 +118,68 @@ impl Activation {
         for (g, &z) in grad.as_mut_slice().iter_mut().zip(pre.iter()) {
             *g *= self.derivative(z);
         }
+    }
+
+    /// The dense layers' forward epilogue: every row of `out` (the product
+    /// `x·W`, `bias.len()` columns) becomes `G(out + bias)`, one pass.
+    #[inline(always)]
+    pub(crate) fn bias_apply_inplace(self, bias: &[f64], out: &mut [f64]) {
+        per_variant!(self, a => {
+            for row in out.chunks_exact_mut(bias.len()) {
+                for (y, &b) in row.iter_mut().zip(bias) {
+                    *y = a.apply(*y + b);
+                }
+            }
+        })
+    }
+
+    /// [`Activation::bias_apply_inplace`] for a column-major tile: row `j`
+    /// of `out_t` (`bias.len()` rows of `LANES` values) becomes
+    /// `G(out_t[j] + bias[j])`.
+    #[inline(always)]
+    pub(crate) fn bias_apply_tile<const LANES: usize>(self, bias: &[f64], out_t: &mut [f64]) {
+        per_variant!(self, a => {
+            for (row, &b) in out_t.chunks_exact_mut(LANES).zip(bias) {
+                let row: &mut [f64; LANES] = row.try_into().expect("a whole row of lanes");
+                for y in row {
+                    *y = a.apply(*y + b);
+                }
+            }
+        })
+    }
+
+    /// The training form of [`Activation::bias_apply_inplace`]: `pre`
+    /// becomes `z = pre + bias` and `post` becomes `G(z)`, one pass.
+    #[inline(always)]
+    pub(crate) fn bias_apply_into(self, bias: &[f64], pre: &mut [f64], post: &mut [f64]) {
+        assert_eq!(pre.len(), post.len(), "epilogue: shape mismatch");
+        per_variant!(self, a => {
+            let rows = pre.chunks_exact_mut(bias.len()).zip(post.chunks_exact_mut(bias.len()));
+            for (z_row, y_row) in rows {
+                for ((z, y), &b) in z_row.iter_mut().zip(y_row).zip(bias) {
+                    *z += b;
+                    *y = a.apply(*z);
+                }
+            }
+        })
+    }
+
+    /// The ReLU-derivative fold of backpropagation, one pass: `pre` (the
+    /// pre-activation `z`, one column per entry of `grad_bias`) is
+    /// overwritten with ∂L/∂z = ∂L/∂y ⊙ G'(z), ∂L/∂y read from `grad`, and
+    /// each row of ∂L/∂z is added to `grad_bias`.
+    #[inline(always)]
+    pub(crate) fn fold_derivative(self, grad: &[f64], pre: &mut [f64], grad_bias: &mut [f64]) {
+        assert_eq!(grad.len(), pre.len(), "backward: grad shape mismatch");
+        per_variant!(self, a => {
+            let rows = grad.chunks_exact(grad_bias.len()).zip(pre.chunks_exact_mut(grad_bias.len()));
+            for (g_row, z_row) in rows {
+                for ((&g, z), s) in g_row.iter().zip(z_row).zip(grad_bias.iter_mut()) {
+                    *z = g * a.derivative(*z);
+                    *s += *z;
+                }
+            }
+        })
     }
 
     /// The Lipschitz constant of the activation (§2.5: ≤ 1 for ReLU and tanh).

@@ -1,7 +1,7 @@
 //! A fully-connected (dense) layer and its backpropagation arithmetic.
 
 use crate::activation::Activation;
-use crate::optimizer::Optimizer;
+use crate::kernels;
 use elmrl_linalg::random::xavier_uniform;
 use elmrl_linalg::Matrix;
 use rand::Rng;
@@ -18,6 +18,9 @@ pub struct DenseLayer {
     activation: Activation,
     grad_weights: Matrix<f64>,
     grad_bias: Matrix<f64>,
+    /// `Wᵀ`, restaged by each backward pass that computes ∂L/∂x, so that
+    /// product runs along contiguous rows.
+    weights_t: Matrix<f64>,
 }
 
 impl DenseLayer {
@@ -34,6 +37,7 @@ impl DenseLayer {
             activation,
             grad_weights: Matrix::zeros(input_dim, output_dim),
             grad_bias: Matrix::zeros(1, output_dim),
+            weights_t: Matrix::default(),
         }
     }
 
@@ -98,29 +102,64 @@ impl DenseLayer {
     /// reusing its allocation) — the allocation-free inference form.
     /// Bit-for-bit identical to `forward`.
     pub fn forward_into(&self, input: &Matrix<f64>, out: &mut Matrix<f64>) {
-        self.affine_into(input, out);
-        self.activation.apply_matrix_inplace(out);
+        self.check_input(input);
+        out.resize_for_overwrite(input.rows(), self.output_dim());
+        self.forward_rows(input.as_slice(), out.as_mut_slice());
+    }
+
+    /// `out = G(x·W + b)` for the rows of `x` (row-major, `input_dim`
+    /// columns), `out` holding as many rows of `output_dim` columns. Always
+    /// inlined, so it runs under a caller's [`elmrl_linalg::simd::wide`]
+    /// dispatch.
+    #[inline(always)]
+    pub(crate) fn forward_rows(&self, x: &[f64], out: &mut [f64]) {
+        let (k, n) = self.weights.shape();
+        kernels::matmul(x, k, self.weights.as_slice(), n, out);
+        self.activation
+            .bias_apply_inplace(self.bias.as_slice(), out);
+    }
+
+    /// [`DenseLayer::forward_rows`] for one column-major tile of
+    /// [`kernels::LANES`] batch rows: `x_t` holds `input_dim` rows of lanes,
+    /// `y_t` gets `output_dim` rows. Always inlined, like `forward_rows`.
+    #[inline(always)]
+    pub(crate) fn forward_tile(&self, x_t: &[f64], y_t: &mut [f64]) {
+        let n = self.output_dim();
+        kernels::tile_matmul(x_t, self.weights.as_slice(), n, y_t);
+        let bias = self.bias.as_slice();
+        self.activation
+            .bias_apply_tile::<{ kernels::LANES }>(bias, y_t);
     }
 
     /// Training forward pass: the pre-activation `z = x·W + b` into `pre`
     /// and `y = G(z)` into `post`, both reshaped in place. Bit-for-bit
-    /// identical to [`DenseLayer::forward`]; `pre` is kept for
-    /// [`DenseLayer::backward_into`].
+    /// identical to [`DenseLayer::forward`]; `pre` is kept for the backward
+    /// pass.
+    #[cfg(test)]
     pub(crate) fn forward_training_into(
         &self,
         input: &Matrix<f64>,
         pre: &mut Matrix<f64>,
         post: &mut Matrix<f64>,
     ) {
-        self.affine_into(input, pre);
-        post.clone_from(pre);
-        self.activation.apply_matrix_inplace(post);
+        self.check_input(input);
+        pre.resize_for_overwrite(input.rows(), self.output_dim());
+        post.resize_for_overwrite(input.rows(), self.output_dim());
+        self.forward_training_rows(input.as_slice(), pre.as_mut_slice(), post.as_mut_slice());
     }
 
-    /// `input·W + b` into a caller-owned matrix — the single copy of the
-    /// affine arithmetic that the inference and training forward paths
-    /// share (keeping them bit-for-bit identical by construction).
-    fn affine_into(&self, input: &Matrix<f64>, out: &mut Matrix<f64>) {
+    /// [`DenseLayer::forward_training_into`] for the rows of `x`, into as
+    /// many rows of `pre` and `post`: the product, then one epilogue pass
+    /// that adds the bias and applies the activation.
+    #[inline(always)]
+    pub(crate) fn forward_training_rows(&self, x: &[f64], pre: &mut [f64], post: &mut [f64]) {
+        let (k, n) = self.weights.shape();
+        kernels::matmul(x, k, self.weights.as_slice(), n, pre);
+        self.activation
+            .bias_apply_into(self.bias.as_slice(), pre, post);
+    }
+
+    fn check_input(&self, input: &Matrix<f64>) {
         assert_eq!(
             input.cols(),
             self.weights.rows(),
@@ -128,48 +167,55 @@ impl DenseLayer {
             input.cols(),
             self.weights.rows()
         );
-        input.matmul_into(&self.weights, out);
-        let bias = self.bias.as_slice();
-        for row in out.as_mut_slice().chunks_exact_mut(bias.len()) {
-            for (v, &b) in row.iter_mut().zip(bias) {
-                *v += b;
-            }
-        }
     }
 
-    /// Back-propagate through this layer. `grad` holds ∂L/∂y on entry and
-    /// is turned into ∂L/∂z = ∂L/∂y ⊙ G'(z) in place; `input` and `pre` are
-    /// this layer's `x` and `z` from [`DenseLayer::forward_training_into`].
-    /// The parameter gradients land in the layer (∂L/∂W = xᵀ·∂L/∂z,
-    /// ∂L/∂b = column sums of ∂L/∂z). ∂L/∂x = ∂L/∂z·Wᵀ is written to
-    /// `grad_input` when asked for; the first layer of a network skips it.
-    pub(crate) fn backward_into(
-        &mut self,
-        input: &Matrix<f64>,
-        pre: &Matrix<f64>,
-        grad: &mut Matrix<f64>,
-        grad_input: Option<&mut Matrix<f64>>,
-    ) {
-        assert_eq!(grad.shape(), pre.shape(), "backward: grad shape mismatch");
-        self.activation.mul_derivative_inplace(grad, pre);
-        input.t_matmul_into(grad, &mut self.grad_weights);
-        self.grad_bias.resize_zeroed(1, grad.cols());
+    /// Start this layer's backward pass: zero the parameter gradients that
+    /// [`DenseLayer::fold_derivative`] and
+    /// [`DenseLayer::add_weight_gradient`] accumulate into, and stage `Wᵀ`
+    /// for [`DenseLayer::input_gradient`], so its product runs along
+    /// contiguous rows.
+    pub(crate) fn start_backward(&mut self) {
+        let (k, n) = self.weights.shape();
+        self.grad_weights.resize_zeroed(k, n);
+        self.grad_bias.resize_zeroed(1, n);
+        self.weights_t.resize_for_overwrite(n, k);
+        kernels::transpose(self.weights.as_slice(), n, self.weights_t.as_mut_slice());
+    }
+
+    /// Rows of this layer's `pre` (its `z` from the training forward)
+    /// become ∂L/∂z = ∂L/∂y ⊙ G'(z), with ∂L/∂y read from the matching rows
+    /// of `grad`, and their column sums are added to ∂L/∂b.
+    #[inline(always)]
+    pub(crate) fn fold_derivative(&mut self, grad: &[f64], pre: &mut [f64]) {
         let gb = self.grad_bias.as_mut_slice();
-        for r in 0..grad.rows() {
-            for (b, &g) in gb.iter_mut().zip(grad.row(r)) {
-                *b += g;
-            }
-        }
-        if let Some(dx) = grad_input {
-            grad.matmul_t_into(&self.weights, dx);
-        }
+        self.activation.fold_derivative(grad, pre, gb);
     }
 
-    /// Apply the stored gradients through `optimizer`: slot `2·index` for
-    /// the weights, `2·index + 1` for the bias.
-    pub(crate) fn apply_gradients<O: Optimizer>(&mut self, index: usize, optimizer: &mut O) {
-        optimizer.update(2 * index, &mut self.weights, &self.grad_weights);
-        optimizer.update(2 * index + 1, &mut self.bias, &self.grad_bias);
+    /// Adds `xᵀ·∂L/∂z` for rows of this layer's input `x` and of its ∂L/∂z
+    /// (`dz`, as [`DenseLayer::fold_derivative`] left it in `pre`) to
+    /// ∂L/∂W.
+    #[inline(always)]
+    pub(crate) fn add_weight_gradient(&mut self, x: &[f64], dz: &[f64]) {
+        let (k, n) = self.weights.shape();
+        kernels::t_matmul_add(x, k, dz, n, self.grad_weights.as_mut_slice());
+    }
+
+    /// ∂L/∂x = ∂L/∂z·Wᵀ for rows of ∂L/∂z (`dz`) into as many rows of `dx`.
+    /// Only the wide kernel is compiled here: it is exact for any width,
+    /// and a layer feeding another is rarely narrow.
+    #[inline(always)]
+    pub(crate) fn input_gradient(&self, dz: &[f64], dx: &mut [f64]) {
+        let (k, n) = self.weights.shape();
+        kernels::matmul_wide(dz, n, self.weights_t.as_slice(), k, dx);
+    }
+
+    /// The weights and the bias, each with its gradient from the last
+    /// backward pass: the optimiser's slots `2·index` and `2·index + 1`.
+    pub(crate) fn parameters_mut(&mut self) -> [(&mut Matrix<f64>, &Matrix<f64>); 2] {
+        [
+            (&mut self.weights, &self.grad_weights),
+            (&mut self.bias, &self.grad_bias),
+        ]
     }
 
     /// Copy the weights and bias from another layer (target-network sync).
@@ -233,8 +279,8 @@ mod tests {
     fn backward_without_forward_panics() {
         // No training forward has filled the pre-activation buffer.
         let mut l = layer(Activation::ReLU);
-        let x = Matrix::<f64>::ones(1, 3);
-        l.backward_into(&x, &Matrix::default(), &mut Matrix::zeros(1, 2), None);
+        l.start_backward();
+        l.fold_derivative(&[0.0; 2], &mut []);
     }
 
     #[test]
@@ -252,9 +298,12 @@ mod tests {
         // analytic gradients
         let (mut pre, mut y) = (Matrix::default(), Matrix::default());
         l.forward_training_into(&x, &mut pre, &mut y);
-        let mut grad = &y - &target; // dL/dy for 0.5·Σ(y−t)²
-        let mut grad_in = Matrix::default();
-        l.backward_into(&x, &pre, &mut grad, Some(&mut grad_in));
+        let grad = &y - &target; // dL/dy for 0.5·Σ(y−t)²
+        l.start_backward();
+        l.fold_derivative(grad.as_slice(), pre.as_mut_slice()); // pre is now dL/dz
+        l.add_weight_gradient(x.as_slice(), pre.as_slice());
+        let mut grad_in = Matrix::zeros(2, 4);
+        l.input_gradient(pre.as_slice(), grad_in.as_mut_slice());
 
         let h = 1e-6;
         // check dL/dW for a few entries

@@ -39,6 +39,7 @@
 #![deny(unsafe_code)]
 
 pub mod activation;
+mod kernels;
 pub mod layer;
 pub mod loss;
 pub mod mlp;

@@ -5,11 +5,13 @@
 //! [`Mlp`] supports any depth so the harness can also build deeper ablations.
 
 use crate::activation::Activation;
+use crate::kernels;
 use crate::layer::DenseLayer;
 use crate::loss::Loss;
 use crate::optimizer::Optimizer;
 use elmrl_linalg::Matrix;
 use rand::Rng;
+use std::ops::Range;
 
 /// Configuration describing an MLP's layer sizes and activations.
 #[derive(Clone, Debug, PartialEq)]
@@ -64,26 +66,60 @@ impl MlpConfig {
     }
 }
 
-/// Reusable workspaces for [`Mlp::forward_one_into`]: a `1 × n` staging row
-/// for the input plus two ping-pong activation buffers. All three keep
-/// their allocations across calls.
+/// Reusable workspaces for [`Mlp::forward_one_into`] and
+/// [`Mlp::forward_batch_into`]: two ping-pong buffers for the hidden
+/// activations of one tile of [`TILE_ROWS`] rows. Both keep their
+/// allocations across calls.
 #[derive(Clone, Debug, Default)]
 pub struct MlpScratch {
-    x: Matrix<f64>,
     bufs: [Matrix<f64>; 2],
 }
 
+/// Rows the batched inference forward carries through every layer at once:
+/// the hidden activations of a tile stay in L1 between layers instead of
+/// streaming a whole `B × Ñ` matrix through the cache per layer.
+const TILE_ROWS: usize = 16;
+
+/// The row ranges of the tiles a `rows`-row batch splits into.
+fn tiles(rows: usize) -> impl Iterator<Item = Range<usize>> {
+    (0..rows)
+        .step_by(TILE_ROWS)
+        .map(move |r| r..(r + TILE_ROWS).min(rows))
+}
+
+/// Rows `r` of `m`, as a row-major slice.
+fn rows_of<'a>(m: &'a Matrix<f64>, r: &Range<usize>) -> &'a [f64] {
+    &m.as_slice()[r.start * m.cols()..r.end * m.cols()]
+}
+
+/// Rows `r` of `m`, as a mutable row-major slice.
+fn rows_of_mut<'a>(m: &'a mut Matrix<f64>, r: &Range<usize>) -> &'a mut [f64] {
+    let cols = m.cols();
+    &mut m.as_mut_slice()[r.start * cols..r.end * cols]
+}
+
 /// Persistent buffers for [`Mlp::train_step_into`]: every layer's
-/// pre-activation `z` and output `y`, the output layer's targets, and two
-/// ping-pong gradient matrices (∂L/∂y of the current layer, ∂L/∂x into the
-/// other). They keep their allocations across steps, so a training step at
-/// a steady batch shape allocates nothing.
+/// pre-activation `z` (overwritten with ∂L/∂z by the backward pass) and
+/// output `y`, the output layer's targets and loss gradient, and one tile of
+/// ∂L/∂x. They keep their allocations across steps, so a training step at a
+/// steady batch shape allocates nothing.
 #[derive(Clone, Debug, Default)]
 pub struct MlpWorkspace {
     pre: Vec<Matrix<f64>>,
     post: Vec<Matrix<f64>>,
     target: Matrix<f64>,
-    grads: [Matrix<f64>; 2],
+    grad: Matrix<f64>,
+    tile: Matrix<f64>,
+}
+
+impl MlpWorkspace {
+    /// The `loss` of the last [`Mlp::train_step_into`]'s prediction against
+    /// its targets: the loss before that step's update. Panics before any
+    /// step has run.
+    pub fn loss(&self, loss: Loss) -> f64 {
+        let pred = self.post.last().expect("no training step has run");
+        loss.value(pred, &self.target)
+    }
 }
 
 /// A feed-forward network with dense layers and backpropagation training.
@@ -144,60 +180,113 @@ impl Mlp {
         out.row(0).to_vec()
     }
 
-    /// Allocation-free single-sample inference: ping-pongs between the two
-    /// workspace matrices of `scratch` and writes the output layer's row
-    /// into `out` (cleared and refilled, capacity reused). Bit-for-bit
-    /// identical to [`Mlp::forward_one`] — the DQN agent's per-step action
-    /// selection runs through here so the training loop stays free of
-    /// matrix heap allocations at steady state.
+    /// Allocation-free single-sample inference: writes the output layer's
+    /// row into `out` (cleared and refilled, capacity reused), with the
+    /// hidden activations in `scratch`. Bit-for-bit identical to
+    /// [`Mlp::forward_one`] — the DQN agent's per-step action selection runs
+    /// through here so the training loop stays free of matrix heap
+    /// allocations at steady state.
     pub fn forward_one_into(&self, input: &[f64], scratch: &mut MlpScratch, out: &mut Vec<f64>) {
-        scratch.x.resize_zeroed(1, input.len());
-        scratch.x.set_row(0, input);
-        let (ping, pong) = scratch.bufs.split_at_mut(1);
-        let (ping, pong) = (&mut ping[0], &mut pong[0]);
-        self.layers[0].forward_into(&scratch.x, ping);
-        let mut ping_is_current = true;
-        for layer in &self.layers[1..] {
-            if ping_is_current {
-                layer.forward_into(ping, pong);
-            } else {
-                layer.forward_into(pong, ping);
-            }
-            ping_is_current = !ping_is_current;
-        }
-        let last = if ping_is_current { &*ping } else { &*pong };
+        assert_eq!(
+            input.len(),
+            self.config.input_dim(),
+            "dense layer: input has {} features, expected {}",
+            input.len(),
+            self.config.input_dim()
+        );
         out.clear();
-        out.extend_from_slice(last.row(0));
+        out.resize(self.config.output_dim(), 0.0);
+        self.forward_tile(input, scratch, out);
     }
 
     /// Allocation-free batched inference: the `B`-row generalisation of
-    /// [`Mlp::forward_one_into`], ping-ponging whole `B × n` activations
-    /// through the workspace matrices and leaving the output layer in `out`
-    /// (resized in place, capacity reused). Bit-for-bit identical to
-    /// [`Mlp::forward`] — the layer kernels accumulate each batch row
-    /// independently — so the serve engine's ticketed dispatch can keep a
-    /// warm DQN worker free of matrix heap allocations at steady state.
+    /// [`Mlp::forward_one_into`], writing the output layer straight into
+    /// `out` (resized in place, capacity reused). Tiles of
+    /// [`LANES`](kernels::LANES) rows go through every layer column-major,
+    /// the rows side by side in the vector lanes, so the narrow Q head runs
+    /// as wide as the hidden layer. Bit-for-bit identical to
+    /// [`Mlp::forward`] — every row is accumulated independently, in the
+    /// same order — so the serve engine's ticketed dispatch can keep a warm
+    /// DQN worker free of matrix heap allocations at steady state. Always
+    /// inlined, so it runs under a caller's [`elmrl_linalg::simd::wide`]
+    /// dispatch.
+    #[inline(always)]
     pub fn forward_batch_into(
         &self,
         input: &Matrix<f64>,
         scratch: &mut MlpScratch,
         out: &mut Matrix<f64>,
     ) {
-        let (ping, pong) = scratch.bufs.split_at_mut(1);
-        let (ping, pong) = (&mut ping[0], &mut pong[0]);
-        self.layers[0].forward_into(input, ping);
-        let mut ping_is_current = true;
-        for layer in &self.layers[1..] {
-            if ping_is_current {
-                layer.forward_into(ping, pong);
-            } else {
-                layer.forward_into(pong, ping);
+        const LANES: usize = kernels::LANES;
+        let (k, n) = (self.config.input_dim(), self.config.output_dim());
+        assert_eq!(
+            input.cols(),
+            k,
+            "dense layer: input has {} features, expected {k}",
+            input.cols()
+        );
+        out.resize_for_overwrite(input.rows(), n);
+        let widest = self.config.layer_sizes.iter().max().copied().unwrap_or(0);
+        let [even, odd] = &mut scratch.bufs;
+        even.resize_for_overwrite(widest, LANES);
+        odd.resize_for_overwrite(widest, LANES);
+        let tiles = input.as_slice().chunks(LANES * k);
+        for (x, y) in tiles.zip(out.as_mut_slice().chunks_mut(LANES * n)) {
+            // The tile's rows become columns; lanes past the batch are 0.
+            let x_t = &mut odd.as_mut_slice()[..k * LANES];
+            for (p, lanes) in x_t.chunks_exact_mut(LANES).enumerate() {
+                let column = x.iter().skip(p).step_by(k).copied();
+                lanes.fill(0.0);
+                lanes.iter_mut().zip(column).for_each(|(v, c)| *v = c);
             }
-            ping_is_current = !ping_is_current;
+            for (l, layer) in self.layers.iter().enumerate() {
+                let (src, dst) = if l % 2 == 0 {
+                    (&*odd, &mut *even)
+                } else {
+                    (&*even, &mut *odd)
+                };
+                let x_t = &src.as_slice()[..layer.input_dim() * LANES];
+                layer.forward_tile(x_t, &mut dst.as_mut_slice()[..layer.output_dim() * LANES]);
+            }
+            let y_t = if self.layers.len() % 2 == 0 {
+                &*odd
+            } else {
+                &*even
+            };
+            for (r, y_row) in y.chunks_exact_mut(n).enumerate() {
+                let column = y_t.as_slice().iter().skip(r).step_by(LANES);
+                y_row.iter_mut().zip(column).for_each(|(v, &c)| *v = c);
+            }
         }
-        let last = if ping_is_current { &*ping } else { &*pong };
-        out.resize_zeroed(last.rows(), last.cols());
-        out.as_mut_slice().copy_from_slice(last.as_slice());
+    }
+
+    /// The forward pass of at most [`TILE_ROWS`] rows `x` into `y`, the
+    /// hidden layers ping-ponging through `scratch`.
+    fn forward_tile(&self, x: &[f64], scratch: &mut MlpScratch, y: &mut [f64]) {
+        let rows = x.len() / self.config.input_dim();
+        let widest = self.config.layer_sizes.iter().max().copied().unwrap_or(0);
+        let [even, odd] = &mut scratch.bufs;
+        even.resize_for_overwrite(TILE_ROWS, widest);
+        odd.resize_for_overwrite(TILE_ROWS, widest);
+        let last = self.layers.len() - 1;
+        for (l, layer) in self.layers.iter().enumerate() {
+            let (prev, next) = if l % 2 == 0 {
+                (&*odd, &mut *even)
+            } else {
+                (&*even, &mut *odd)
+            };
+            let src = if l == 0 {
+                x
+            } else {
+                &prev.as_slice()[..rows * layer.input_dim()]
+            };
+            let dst = if l == last {
+                &mut *y
+            } else {
+                &mut next.as_mut_slice()[..rows * layer.output_dim()]
+            };
+            layer.forward_rows(src, dst);
+        }
     }
 
     /// One optimisation step on a batch: forward, loss gradient, backward,
@@ -216,21 +305,26 @@ impl Mlp {
         let mut workspace = MlpWorkspace::default();
         self.train_step_into(input, loss, optimizer, &mut workspace, |t| {
             t.clone_from(target)
-        })
+        });
+        workspace.loss(loss)
     }
 
     /// [`Mlp::train_step`] through a caller-owned workspace, with the
     /// targets written by `fill_target` after the forward pass. The target
     /// matrix it receives is a copy of the network's output on `input`, so
     /// every element it leaves alone has zero error and zero gradient — a
-    /// DQN sets only the taken action's column.
+    /// DQN sets only the taken action's column. The step computes no loss
+    /// value; [`MlpWorkspace::loss`] reads it afterwards when wanted.
     ///
-    /// The backward pass turns each layer's ∂L/∂y into ∂L/∂z in place,
-    /// writes the parameter gradients into the layers, and skips the first
-    /// layer's ∂L/∂x, which nothing reads. The optimiser then reads the
+    /// The backward pass overwrites each layer's `z` with ∂L/∂z and writes
+    /// the parameter gradients into the layers. A layer's ∂L/∂x exists only
+    /// one tile of [`TILE_ROWS`] rows at a time, folded straight into the
+    /// layer below; the first layer's, which nothing reads, is skipped. The optimiser then reads the
     /// layer-owned gradients directly. Zero heap allocations once the
     /// workspace, the layers' gradients and the optimiser's moments have
-    /// seen the batch shape.
+    /// seen the batch shape. Always inlined, so the whole step runs under a
+    /// caller's [`elmrl_linalg::simd::wide`] dispatch.
+    #[inline(always)]
     pub fn train_step_into<O: Optimizer>(
         &mut self,
         input: &Matrix<f64>,
@@ -238,33 +332,67 @@ impl Mlp {
         optimizer: &mut O,
         ws: &mut MlpWorkspace,
         fill_target: impl FnOnce(&mut Matrix<f64>),
-    ) -> f64 {
-        let n_layers = self.layers.len();
-        ws.pre.resize_with(n_layers, Matrix::default);
-        ws.post.resize_with(n_layers, Matrix::default);
-        for (l, layer) in self.layers.iter().enumerate() {
-            let (done, rest) = ws.post.split_at_mut(l);
-            let x = if l == 0 { input } else { &done[l - 1] };
-            layer.forward_training_into(x, &mut ws.pre[l], &mut rest[0]);
+    ) {
+        let (rows, last) = (input.rows(), self.layers.len() - 1);
+        assert_eq!(
+            input.cols(),
+            self.config.input_dim(),
+            "dense layer: input has {} features, expected {}",
+            input.cols(),
+            self.config.input_dim()
+        );
+        ws.pre.resize_with(last + 1, Matrix::default);
+        ws.post.resize_with(last + 1, Matrix::default);
+        for ((pre, post), layer) in ws.pre.iter_mut().zip(&mut ws.post).zip(&self.layers) {
+            pre.resize_for_overwrite(rows, layer.output_dim());
+            post.resize_for_overwrite(rows, layer.output_dim());
         }
-        let pred = &ws.post[n_layers - 1];
+        for tile in tiles(rows) {
+            for (l, layer) in self.layers.iter().enumerate() {
+                let (done, rest) = ws.post.split_at_mut(l);
+                let x = if l == 0 { input } else { &done[l - 1] };
+                let (pre, post) = (
+                    rows_of_mut(&mut ws.pre[l], &tile),
+                    rows_of_mut(&mut rest[0], &tile),
+                );
+                layer.forward_training_rows(rows_of(x, &tile), pre, post);
+            }
+        }
+        let pred = &ws.post[last];
         ws.target.clone_from(pred);
         fill_target(&mut ws.target);
-        let loss_value = loss.value(pred, &ws.target);
+        loss.gradient_into(pred, &ws.target, &mut ws.grad);
 
-        let [grad, grad_in] = &mut ws.grads;
-        loss.gradient_into(pred, &ws.target, grad);
-        for (l, layer) in self.layers.iter_mut().enumerate().rev() {
-            let x = if l == 0 { input } else { &ws.post[l - 1] };
-            let dx = if l == 0 { None } else { Some(&mut *grad_in) };
-            layer.backward_into(x, &ws.pre[l], grad, dx);
-            std::mem::swap(grad, grad_in);
+        for layer in &mut self.layers {
+            layer.start_backward();
+        }
+        let widest = self.config.layer_sizes.iter().max().copied().unwrap_or(0);
+        ws.tile.resize_for_overwrite(TILE_ROWS, widest);
+        for tile in tiles(rows) {
+            for l in (0..=last).rev() {
+                let (lower, upper) = self.layers.split_at_mut(l + 1);
+                let (pre_lower, pre_upper) = ws.pre.split_at_mut(l + 1);
+                let (layer, pre) = (&mut lower[l], rows_of_mut(&mut pre_lower[l], &tile));
+                let dy = match upper.first() {
+                    None => rows_of(&ws.grad, &tile),
+                    Some(above) => {
+                        let dx = &mut ws.tile.as_mut_slice()[..tile.len() * layer.output_dim()];
+                        above.input_gradient(rows_of(&pre_upper[0], &tile), dx);
+                        dx
+                    }
+                };
+                layer.fold_derivative(dy, pre);
+                let x = if l == 0 { input } else { &ws.post[l - 1] };
+                layer.add_weight_gradient(rows_of(x, &tile), pre);
+            }
         }
 
-        for (i, layer) in self.layers.iter_mut().enumerate() {
-            layer.apply_gradients(i, optimizer);
+        // One loop over every slot, so the optimiser's update is inlined
+        // once.
+        let params = self.layers.iter_mut().flat_map(DenseLayer::parameters_mut);
+        for (slot, (param, grad)) in params.enumerate() {
+            optimizer.update(slot, param, grad);
         }
-        loss_value
     }
 
     /// Export every layer's parameters as `(weights, bias)` pairs, in layer
@@ -485,8 +613,8 @@ mod tests {
             let x = elmrl_linalg::random::uniform_matrix::<f64, _>(batch, 3, -1.0, 1.0, &mut rng);
             let t = elmrl_linalg::random::uniform_matrix::<f64, _>(batch, 2, -2.0, 2.0, &mut rng);
             let la = fresh.train_step(&x, &t, Loss::Huber, &mut opt_a);
-            let lb = reused
-                .train_step_into(&x, Loss::Huber, &mut opt_b, &mut ws, |tw| tw.clone_from(&t));
+            reused.train_step_into(&x, Loss::Huber, &mut opt_b, &mut ws, |tw| tw.clone_from(&t));
+            let lb = ws.loss(Loss::Huber);
             assert_eq!(la.to_bits(), lb.to_bits(), "loss at step {step}");
             for (a, b) in fresh.layers().iter().zip(reused.layers()) {
                 assert_eq!(a.weights(), b.weights(), "weights at step {step}");
@@ -508,10 +636,11 @@ mod tests {
         t[(1, 2)] = -0.5;
         let la = a.train_step(&x, &t, Loss::Huber, &mut Sgd::new(0.1));
         let mut ws = MlpWorkspace::default();
-        let lb = b.train_step_into(&x, Loss::Huber, &mut Sgd::new(0.1), &mut ws, |tw| {
+        b.train_step_into(&x, Loss::Huber, &mut Sgd::new(0.1), &mut ws, |tw| {
             tw[(0, 1)] = 1.5;
             tw[(1, 2)] = -0.5;
         });
+        let lb = ws.loss(Loss::Huber);
         assert_eq!(la.to_bits(), lb.to_bits());
         assert_eq!(a.layers()[0].weights(), b.layers()[0].weights());
         assert_eq!(a.layers()[1].grad_weights(), b.layers()[1].grad_weights());

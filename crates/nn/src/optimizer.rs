@@ -99,6 +99,10 @@ pub struct Adam {
     eps: f64,
     /// Lazily initialised per-slot moments.
     state: Vec<Option<MomentState>>,
+    /// The last bias corrections computed: `(t, 1 − β₁ᵗ, 1 − β₂ᵗ)`. Every
+    /// slot of a network reaches the same `t` in one step, so the `powf`
+    /// pair runs once per step instead of once per slot.
+    corrections: (u64, f64, f64),
 }
 
 impl Adam {
@@ -117,6 +121,7 @@ impl Adam {
             beta2,
             eps,
             state: Vec::new(),
+            corrections: (0, 0.0, 0.0),
         }
     }
 
@@ -138,34 +143,54 @@ impl Adam {
     }
 }
 
-impl Optimizer for Adam {
-    fn update(&mut self, slot: usize, param: &mut Matrix<f64>, grad: &Matrix<f64>) {
-        assert_eq!(param.shape(), grad.shape(), "adam: shape mismatch");
+impl Adam {
+    /// Slot `slot`'s moments, created at `shape` on first use, with its
+    /// step count advanced and that step's bias corrections.
+    fn advance(
+        &mut self,
+        slot: usize,
+        shape: (usize, usize),
+    ) -> (&mut [f64], &mut [f64], f64, f64) {
         if self.state.len() <= slot {
             self.state.resize(slot + 1, None);
         }
-        let (rows, cols) = param.shape();
+        let (rows, cols) = shape;
         let entry = self.state[slot]
             .get_or_insert_with(|| (Matrix::zeros(rows, cols), Matrix::zeros(rows, cols), 0));
         assert_eq!(
             entry.0.shape(),
-            param.shape(),
+            shape,
             "adam: slot reused with a different shape"
         );
         entry.2 += 1;
-        let t = entry.2 as f64;
-        let bias1 = 1.0 - self.beta1.powf(t);
-        let bias2 = 1.0 - self.beta2.powf(t);
+        if self.corrections.0 != entry.2 {
+            let t = entry.2 as f64;
+            let bias1 = 1.0 - self.beta1.powf(t);
+            let bias2 = 1.0 - self.beta2.powf(t);
+            self.corrections = (entry.2, bias1, bias2);
+        }
+        let (_, bias1, bias2) = self.corrections;
+        (entry.0.as_mut_slice(), entry.1.as_mut_slice(), bias1, bias2)
+    }
+}
 
-        for i in 0..param.len() {
-            let g = grad.as_slice()[i];
-            let m = &mut entry.0.as_mut_slice()[i];
-            *m = self.beta1 * *m + (1.0 - self.beta1) * g;
-            let v = &mut entry.1.as_mut_slice()[i];
-            *v = self.beta2 * *v + (1.0 - self.beta2) * g * g;
+impl Optimizer for Adam {
+    /// Always inlined, so that its element loop runs under a caller's
+    /// [`elmrl_linalg::simd::wide`] dispatch; the loop is a zip without
+    /// bounds checks, so its divisions and square roots vectorise.
+    #[inline(always)]
+    fn update(&mut self, slot: usize, param: &mut Matrix<f64>, grad: &Matrix<f64>) {
+        assert_eq!(param.shape(), grad.shape(), "adam: shape mismatch");
+        let (lr, beta1, beta2, eps) = (self.lr, self.beta1, self.beta2, self.eps);
+        let (one_minus_b1, one_minus_b2) = (1.0 - beta1, 1.0 - beta2);
+        let (m, v, bias1, bias2) = self.advance(slot, param.shape());
+        let params = param.as_mut_slice().iter_mut().zip(grad.as_slice());
+        for ((p, &g), (m, v)) in params.zip(m.iter_mut().zip(v.iter_mut())) {
+            *m = beta1 * *m + one_minus_b1 * g;
+            *v = beta2 * *v + one_minus_b2 * g * g;
             let m_hat = *m / bias1;
             let v_hat = *v / bias2;
-            param.as_mut_slice()[i] -= self.lr * m_hat / (v_hat.sqrt() + self.eps);
+            *p -= lr * m_hat / (v_hat.sqrt() + eps);
         }
     }
 
