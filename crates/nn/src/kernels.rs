@@ -8,17 +8,20 @@
 //! the addition sequence of the `elmrl_linalg` matmul kernels, so the
 //! results are bit-for-bit theirs.
 //!
-//! Every product is computed one output row at a time, in blocks of
-//! [`BLOCK`] columns that stay in registers across the whole inner loop.
-//! A Q head's two or three columns (the action counts of the registered
-//! workloads) cannot fill a register that way, so those widths get a
-//! narrow kernel first:
+//! A product is computed one output row at a time, in blocks of [`BLOCK`]
+//! columns that stay in registers across the whole inner loop. A Q head's
+//! two or three columns (the action counts of the registered workloads)
+//! cannot fill a register that way, so those widths get a narrow kernel
+//! first, and the row kernel finishes whatever rows it leaves (so each call
+//! site compiles the row kernel once):
 //! - `a · b` accumulates [`NARROW_ROWS`] output rows together;
 //! - `aᵀ · b` runs its lanes along the output's rows, which are contiguous
 //!   columns of `a`, and loads and stores each block transposed.
 //!
-//! The row kernel finishes whatever rows the narrow one leaves, so each
-//! call site compiles it once.
+//! The batched inference forward has no gradient to feed, so it can change
+//! layout instead: [`tile_matmul`] carries [`LANES`] batch rows
+//! column-major, side by side in the lanes, and a two-column layer runs as
+//! wide as a sixty-four-column one.
 
 use std::slice::ChunksExact;
 
@@ -28,7 +31,7 @@ const BLOCK: usize = 16;
 /// Output rows the narrow `a · b` kernel accumulates together.
 const NARROW_ROWS: usize = 4;
 
-/// `out = a · b` for `a: m × k`, `b: k × n` and `out: m × n`.
+/// `out = a · b` for `a: m × k`, `b: k × n` and `out: m × n`, row-major.
 #[inline(always)]
 pub(crate) fn matmul(a: &[f64], k: usize, b: &[f64], n: usize, out: &mut [f64]) {
     assert!(b.len() == k * n && a.len() * n == out.len() * k);
@@ -44,8 +47,8 @@ pub(crate) fn matmul(a: &[f64], k: usize, b: &[f64], n: usize, out: &mut [f64]) 
     matmul_wide(&a[done * k..], k, b, n, &mut out[done * n..]);
 }
 
-/// [`matmul`] one output row at a time, for an output of any width; the
-/// fastest form for more than four columns, or for one row.
+/// [`matmul`] one output row at a time, for an output of any width and
+/// `k > 0`; the fastest form for more than three columns, or for one row.
 #[inline(always)]
 pub(crate) fn matmul_wide(a: &[f64], k: usize, b: &[f64], n: usize, out: &mut [f64]) {
     let b_rows = b.chunks_exact(n);

@@ -67,17 +67,31 @@ impl MlpConfig {
 }
 
 /// Reusable workspaces for [`Mlp::forward_one_into`] and
-/// [`Mlp::forward_batch_into`]: two ping-pong buffers for the hidden
-/// activations of one tile of [`TILE_ROWS`] rows. Both keep their
-/// allocations across calls.
+/// [`Mlp::forward_batch_into`]: two ping-pong buffers for the activations
+/// of one tile of sixteen rows. Both keep their allocations across calls.
 #[derive(Clone, Debug, Default)]
 pub struct MlpScratch {
     bufs: [Matrix<f64>; 2],
 }
 
-/// Rows the batched inference forward carries through every layer at once:
-/// the hidden activations of a tile stay in L1 between layers instead of
-/// streaming a whole `B × Ñ` matrix through the cache per layer.
+impl MlpScratch {
+    /// Both buffers, sized for a tile of `width`-wide activations. Both
+    /// forward forms ask for the same size, so alternating them (the DQN's
+    /// action choice, then its target forward) never refills a buffer.
+    fn buffers(&mut self, width: usize) -> (&mut Matrix<f64>, &mut Matrix<f64>) {
+        let [even, odd] = &mut self.bufs;
+        even.resize_for_overwrite(width, LANES);
+        odd.resize_for_overwrite(width, LANES);
+        (even, odd)
+    }
+}
+
+/// Batch rows one tile of the inference forward carries.
+const LANES: usize = kernels::LANES;
+
+/// Rows one tile of the training step carries through every layer at
+/// once: the tile's activations stay in cache from one layer to the next
+/// instead of streaming a whole `B × Ñ` matrix through it per layer.
 const TILE_ROWS: usize = 16;
 
 /// The row ranges of the tiles a `rows`-row batch splits into.
@@ -187,29 +201,41 @@ impl Mlp {
     /// through here so the training loop stays free of matrix heap
     /// allocations at steady state.
     pub fn forward_one_into(&self, input: &[f64], scratch: &mut MlpScratch, out: &mut Vec<f64>) {
-        assert_eq!(
-            input.len(),
-            self.config.input_dim(),
-            "dense layer: input has {} features, expected {}",
-            input.len(),
-            self.config.input_dim()
-        );
+        self.check_input(input.len());
         out.clear();
         out.resize(self.config.output_dim(), 0.0);
-        self.forward_tile(input, scratch, out);
+        let (even, odd) = scratch.buffers(self.widest());
+        let last = self.layers.len() - 1;
+        for (l, layer) in self.layers.iter().enumerate() {
+            let (prev, next) = if l % 2 == 0 {
+                (&*odd, &mut *even)
+            } else {
+                (&*even, &mut *odd)
+            };
+            let x = if l == 0 {
+                input
+            } else {
+                &prev.as_slice()[..layer.input_dim()]
+            };
+            let y = if l == last {
+                &mut out[..]
+            } else {
+                &mut next.as_mut_slice()[..layer.output_dim()]
+            };
+            layer.forward_rows(x, y);
+        }
     }
 
     /// Allocation-free batched inference: the `B`-row generalisation of
     /// [`Mlp::forward_one_into`], writing the output layer straight into
-    /// `out` (resized in place, capacity reused). Tiles of
-    /// [`LANES`](kernels::LANES) rows go through every layer column-major,
-    /// the rows side by side in the vector lanes, so the narrow Q head runs
-    /// as wide as the hidden layer. Bit-for-bit identical to
-    /// [`Mlp::forward`] — every row is accumulated independently, in the
-    /// same order — so the serve engine's ticketed dispatch can keep a warm
-    /// DQN worker free of matrix heap allocations at steady state. Always
-    /// inlined, so it runs under a caller's [`elmrl_linalg::simd::wide`]
-    /// dispatch.
+    /// `out` (resized in place, capacity reused). Tiles of sixteen rows go
+    /// through every layer column-major, the rows side by side in the
+    /// vector lanes, so the narrow Q head runs as wide as the hidden layer.
+    /// Bit-for-bit identical to [`Mlp::forward`] — every row is accumulated
+    /// independently, in the same order — so the serve engine's ticketed
+    /// dispatch can keep a warm DQN worker free of matrix heap allocations
+    /// at steady state. Always inlined, so it runs under a caller's
+    /// [`elmrl_linalg::simd::wide`] dispatch.
     #[inline(always)]
     pub fn forward_batch_into(
         &self,
@@ -217,27 +243,20 @@ impl Mlp {
         scratch: &mut MlpScratch,
         out: &mut Matrix<f64>,
     ) {
-        const LANES: usize = kernels::LANES;
+        self.check_input(input.cols());
         let (k, n) = (self.config.input_dim(), self.config.output_dim());
-        assert_eq!(
-            input.cols(),
-            k,
-            "dense layer: input has {} features, expected {k}",
-            input.cols()
-        );
         out.resize_for_overwrite(input.rows(), n);
-        let widest = self.config.layer_sizes.iter().max().copied().unwrap_or(0);
-        let [even, odd] = &mut scratch.bufs;
-        even.resize_for_overwrite(widest, LANES);
-        odd.resize_for_overwrite(widest, LANES);
+        let (even, odd) = scratch.buffers(self.widest());
         let tiles = input.as_slice().chunks(LANES * k);
         for (x, y) in tiles.zip(out.as_mut_slice().chunks_mut(LANES * n)) {
             // The tile's rows become columns; lanes past the batch are 0.
-            let x_t = &mut odd.as_mut_slice()[..k * LANES];
-            for (p, lanes) in x_t.chunks_exact_mut(LANES).enumerate() {
-                let column = x.iter().skip(p).step_by(k).copied();
+            for (p, lanes) in odd.as_mut_slice()[..k * LANES]
+                .chunks_exact_mut(LANES)
+                .enumerate()
+            {
                 lanes.fill(0.0);
-                lanes.iter_mut().zip(column).for_each(|(v, c)| *v = c);
+                let column = x.iter().skip(p).step_by(k);
+                lanes.iter_mut().zip(column).for_each(|(v, &c)| *v = c);
             }
             for (l, layer) in self.layers.iter().enumerate() {
                 let (src, dst) = if l % 2 == 0 {
@@ -260,33 +279,17 @@ impl Mlp {
         }
     }
 
-    /// The forward pass of at most [`TILE_ROWS`] rows `x` into `y`, the
-    /// hidden layers ping-ponging through `scratch`.
-    fn forward_tile(&self, x: &[f64], scratch: &mut MlpScratch, y: &mut [f64]) {
-        let rows = x.len() / self.config.input_dim();
-        let widest = self.config.layer_sizes.iter().max().copied().unwrap_or(0);
-        let [even, odd] = &mut scratch.bufs;
-        even.resize_for_overwrite(TILE_ROWS, widest);
-        odd.resize_for_overwrite(TILE_ROWS, widest);
-        let last = self.layers.len() - 1;
-        for (l, layer) in self.layers.iter().enumerate() {
-            let (prev, next) = if l % 2 == 0 {
-                (&*odd, &mut *even)
-            } else {
-                (&*even, &mut *odd)
-            };
-            let src = if l == 0 {
-                x
-            } else {
-                &prev.as_slice()[..rows * layer.input_dim()]
-            };
-            let dst = if l == last {
-                &mut *y
-            } else {
-                &mut next.as_mut_slice()[..rows * layer.output_dim()]
-            };
-            layer.forward_rows(src, dst);
-        }
+    /// The widest layer, input included.
+    fn widest(&self) -> usize {
+        self.config.layer_sizes.iter().copied().max().unwrap_or(0)
+    }
+
+    fn check_input(&self, features: usize) {
+        let expected = self.config.input_dim();
+        assert_eq!(
+            features, expected,
+            "dense layer: input has {features} features, expected {expected}"
+        );
     }
 
     /// One optimisation step on a batch: forward, loss gradient, backward,
@@ -316,11 +319,14 @@ impl Mlp {
     /// DQN sets only the taken action's column. The step computes no loss
     /// value; [`MlpWorkspace::loss`] reads it afterwards when wanted.
     ///
-    /// The backward pass overwrites each layer's `z` with ∂L/∂z and writes
-    /// the parameter gradients into the layers. A layer's ∂L/∂x exists only
-    /// one tile of [`TILE_ROWS`] rows at a time, folded straight into the
-    /// layer below; the first layer's, which nothing reads, is skipped. The optimiser then reads the
-    /// layer-owned gradients directly. Zero heap allocations once the
+    /// Both passes carry one tile of sixteen rows through every layer
+    /// at a time. The backward pass overwrites each layer's `z` with ∂L/∂z
+    /// and adds each tile's share to the layers' parameter gradients, tile
+    /// after tile in row order, so every gradient element adds its terms in
+    /// the order of one whole-batch product. A layer's ∂L/∂x exists only one
+    /// tile at a time, folded straight into the layer below; the first
+    /// layer's, which nothing reads, is skipped. The optimiser then reads
+    /// the layer-owned gradients directly. Zero heap allocations once the
     /// workspace, the layers' gradients and the optimiser's moments have
     /// seen the batch shape. Always inlined, so the whole step runs under a
     /// caller's [`elmrl_linalg::simd::wide`] dispatch.
@@ -333,14 +339,8 @@ impl Mlp {
         ws: &mut MlpWorkspace,
         fill_target: impl FnOnce(&mut Matrix<f64>),
     ) {
+        self.check_input(input.cols());
         let (rows, last) = (input.rows(), self.layers.len() - 1);
-        assert_eq!(
-            input.cols(),
-            self.config.input_dim(),
-            "dense layer: input has {} features, expected {}",
-            input.cols(),
-            self.config.input_dim()
-        );
         ws.pre.resize_with(last + 1, Matrix::default);
         ws.post.resize_with(last + 1, Matrix::default);
         for ((pre, post), layer) in ws.pre.iter_mut().zip(&mut ws.post).zip(&self.layers) {
@@ -366,8 +366,7 @@ impl Mlp {
         for layer in &mut self.layers {
             layer.start_backward();
         }
-        let widest = self.config.layer_sizes.iter().max().copied().unwrap_or(0);
-        ws.tile.resize_for_overwrite(TILE_ROWS, widest);
+        ws.tile.resize_for_overwrite(TILE_ROWS, self.widest());
         for tile in tiles(rows) {
             for l in (0..=last).rev() {
                 let (lower, upper) = self.layers.split_at_mut(l + 1);
