@@ -149,17 +149,20 @@ impl Activation {
     }
 
     /// The training form of [`Activation::bias_apply_inplace`]: `pre`
-    /// becomes `z = pre + bias` and `post` becomes `G(z)`, one pass.
+    /// becomes `z = pre + bias` and `post` becomes `G(z)`. Two passes, each
+    /// storing to one matrix: one loop storing to both ran the DQN step
+    /// ~7% slower on the 2-core AVX2 host.
     #[inline(always)]
     pub(crate) fn bias_apply_into(self, bias: &[f64], pre: &mut [f64], post: &mut [f64]) {
         assert_eq!(pre.len(), post.len(), "epilogue: shape mismatch");
         per_variant!(self, a => {
-            let rows = pre.chunks_exact_mut(bias.len()).zip(post.chunks_exact_mut(bias.len()));
-            for (z_row, y_row) in rows {
-                for ((z, y), &b) in z_row.iter_mut().zip(y_row).zip(bias) {
+            for z_row in pre.chunks_exact_mut(bias.len()) {
+                for (z, &b) in z_row.iter_mut().zip(bias) {
                     *z += b;
-                    *y = a.apply(*z);
                 }
+            }
+            for (y, &z) in post.iter_mut().zip(pre.iter()) {
+                *y = a.apply(z);
             }
         })
     }
