@@ -141,9 +141,7 @@ impl Adam {
     pub fn import_state(&mut self, state: Vec<Option<MomentState>>) {
         self.state = state;
     }
-}
 
-impl Adam {
     /// Slot `slot`'s moments, created at `shape` on first use, with its
     /// step count advanced and that step's bias corrections.
     fn advance(
