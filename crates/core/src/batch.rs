@@ -73,14 +73,14 @@ pub trait BatchAgent: Agent {
     /// Training-time ε-greedy action for the single packed state in
     /// `state_row` (`1 × state_dim`): the population engine's per-tick
     /// behaviour policy. The default delegates to the scalar
-    /// [`Agent::act`]; the ELM-family shell and DQN override it so the Q
+    /// [`Agent::act`]; the ELM-family shell overrides it so the Q
     /// evaluation goes through [`BatchAgent::predict_batch`]'s batched
     /// kernel (one stacked matmul hoisting the shared `state·α` projection
     /// instead of one matvec chain per action). Because `predict_batch`
     /// matches `q_values` bit for bit and the policy draws from `rng`
-    /// identically, overrides select exactly the action `act` would — only
-    /// cheaper — and record the same prediction counters as `act`, so the
-    /// Figure 5/6 modeled times stay design-comparable at any E.
+    /// identically, an override selects exactly the action `act` would —
+    /// only cheaper — and records the same prediction counters as `act`, so
+    /// the Figure 5/6 modeled times stay design-comparable at any E.
     fn act_row(&mut self, state_row: &Matrix<f64>, rng: &mut SmallRng) -> usize {
         self.act(state_row.row(0), rng)
     }

@@ -110,10 +110,9 @@ pub struct DqnAgent {
     /// Forward-pass workspaces for action selection and the target
     /// network's batch forward.
     scratch: MlpScratch,
-    /// Reused per-action Q buffer for [`Agent::act`].
+    /// Reused per-action Q buffer for [`Agent::act`] (and the default
+    /// [`BatchAgent::act_row`], which calls it).
     q_buf: Vec<f64>,
-    /// Reused `1 × actions` Q row for [`BatchAgent::act_row`].
-    q_row: Matrix<f64>,
     /// The sampled mini-batch, refilled in place every step.
     batch: ReplayBatch,
     /// `Q_θ2(s', ·)` of the mini-batch.
@@ -141,7 +140,6 @@ impl DqnAgent {
             target,
             scratch: MlpScratch::default(),
             q_buf: Vec::new(),
-            q_row: Matrix::default(),
             batch: ReplayBatch::default(),
             next_q: Matrix::default(),
             train_ws: MlpWorkspace::default(),
@@ -336,20 +334,6 @@ impl BatchAgent for DqnAgent {
     fn predict_batch_into(&mut self, states: &Matrix<f64>, out: &mut Matrix<f64>) {
         self.online
             .forward_batch_into(states, &mut self.scratch, out);
-    }
-
-    /// ε-greedy through the batched forward: same Q (bit for bit), same RNG
-    /// draws, same action as [`Agent::act`]. Records the same prediction
-    /// counter as [`Agent::act`], so modeled execution times stay
-    /// comparable between the scalar and E-parallel drivers.
-    fn act_row(&mut self, state_row: &Matrix<f64>, rng: &mut SmallRng) -> usize {
-        let _span = OpKind::Predict1.span();
-        let mut q = std::mem::take(&mut self.q_row);
-        self.predict_batch_into(state_row, &mut q);
-        self.ops.add(OpKind::Predict1, 1);
-        let action = self.policy.select(q.row(0), rng);
-        self.q_row = q;
-        action
     }
 
     /// One engine tick's transitions: push all of them into replay, then

@@ -133,21 +133,6 @@ impl Activation {
         })
     }
 
-    /// [`Activation::bias_apply_inplace`] for a column-major tile: row `j`
-    /// of `out_t` (`bias.len()` rows of `LANES` values) becomes
-    /// `G(out_t[j] + bias[j])`.
-    #[inline(always)]
-    pub(crate) fn bias_apply_tile<const LANES: usize>(self, bias: &[f64], out_t: &mut [f64]) {
-        per_variant!(self, a => {
-            for (row, &b) in out_t.chunks_exact_mut(LANES).zip(bias) {
-                let row: &mut [f64; LANES] = row.try_into().expect("a whole row of lanes");
-                for y in row {
-                    *y = a.apply(*y + b);
-                }
-            }
-        })
-    }
-
     /// The training form of [`Activation::bias_apply_inplace`]: `pre`
     /// becomes `z = pre + bias` and `post` becomes `G(z)`. Two passes, each
     /// storing to one matrix: one loop storing to both ran the DQN step

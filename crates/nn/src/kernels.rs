@@ -9,19 +9,14 @@
 //! results are bit-for-bit theirs.
 //!
 //! A product is computed one output row at a time, in blocks of [`BLOCK`]
-//! columns that stay in registers across the whole inner loop. A Q head's
-//! two or three columns (the action counts of the registered workloads)
-//! cannot fill a register that way, so those widths get a narrow kernel
-//! first, and the row kernel finishes whatever rows it leaves (so each call
-//! site compiles the row kernel once):
+//! columns that stay in registers across the whole inner loop. A two-column
+//! Q head (CartPole's, the action count of the benchmarked workload) cannot
+//! fill a register that way, so that width gets a narrow kernel first, and
+//! the row kernel finishes whatever rows it leaves (so each call site
+//! compiles the row kernel once):
 //! - `a · b` accumulates [`NARROW_ROWS`] output rows together;
 //! - `aᵀ · b` runs its lanes along the output's rows, which are contiguous
 //!   columns of `a`, and loads and stores each block transposed.
-//!
-//! The batched inference forward has no gradient to feed, so it can change
-//! layout instead: [`tile_matmul`] carries [`LANES`] batch rows
-//! column-major, side by side in the lanes, and a two-column layer runs as
-//! wide as a sixty-four-column one.
 
 use std::slice::ChunksExact;
 
@@ -39,16 +34,16 @@ pub(crate) fn matmul(a: &[f64], k: usize, b: &[f64], n: usize, out: &mut [f64]) 
         out.fill(0.0);
         return;
     }
-    let done = match n {
-        2 => narrow_blocks::<2>(a, k, b, out),
-        3 => narrow_blocks::<3>(a, k, b, out),
-        _ => 0,
+    let done = if n == 2 {
+        narrow_blocks::<2>(a, k, b, out)
+    } else {
+        0
     };
     matmul_wide(&a[done * k..], k, b, n, &mut out[done * n..]);
 }
 
 /// [`matmul`] one output row at a time, for an output of any width and
-/// `k > 0`; the fastest form for more than three columns, or for one row.
+/// `k > 0`; the fastest form for more than two columns, or for one row.
 #[inline(always)]
 pub(crate) fn matmul_wide(a: &[f64], k: usize, b: &[f64], n: usize, out: &mut [f64]) {
     let b_rows = b.chunks_exact(n);
@@ -68,58 +63,15 @@ pub(crate) fn t_matmul_add(a: &[f64], m: usize, b: &[f64], n: usize, out: &mut [
     if m == 0 || n == 0 {
         return;
     }
-    let done = match n {
-        2 => t_narrow_blocks::<2>(a, m, b, out),
-        3 => t_narrow_blocks::<3>(a, m, b, out),
-        _ => 0,
+    let done = if n == 2 {
+        t_narrow_blocks::<2>(a, m, b, out)
+    } else {
+        0
     };
     let b_rows = b.chunks_exact(n);
     for (i, o_row) in (done..).zip(out[done * n..].chunks_exact_mut(n)) {
         let a_col = a.iter().skip(i).step_by(m).copied();
         row_times::<true>(a_col, b_rows.clone(), o_row);
-    }
-}
-
-/// Batch rows one inference tile carries side by side: the lanes of
-/// [`tile_matmul`].
-pub(crate) const LANES: usize = 16;
-
-/// Output rows of a tile [`tile_matmul`] accumulates together.
-const TILE_GROUP: usize = 2;
-
-/// One tile of a product, column-major: `x_t` holds `k` rows of [`LANES`]
-/// values (column `r` is batch row `r`'s input), `w` is `k × n`, and row `j`
-/// of `y_t` (`n` rows of `LANES`) becomes `Σ_p x_t[p] · w[p][j]`. The lanes
-/// run across batch rows, so a narrow layer vectorises as well as a wide
-/// one; [`TILE_GROUP`] output rows share each pass over the input.
-#[inline(always)]
-pub(crate) fn tile_matmul(x_t: &[f64], w: &[f64], n: usize, y_t: &mut [f64]) {
-    let x_rows = x_t.chunks_exact(LANES);
-    let w_rows = w.chunks_exact(n);
-    let mut groups = y_t.chunks_exact_mut(TILE_GROUP * LANES);
-    for (g, y_group) in (&mut groups).enumerate() {
-        let mut acc = [[0.0; LANES]; TILE_GROUP];
-        for (x_p, w_row) in x_rows.clone().zip(w_rows.clone()) {
-            let w_p = &w_row[g * TILE_GROUP..(g + 1) * TILE_GROUP];
-            for (s_row, &w_pj) in acc.iter_mut().zip(w_p) {
-                for (s, &x) in s_row.iter_mut().zip(x_p) {
-                    *s += x * w_pj;
-                }
-            }
-        }
-        for (y_row, s_row) in y_group.chunks_exact_mut(LANES).zip(&acc) {
-            y_row.copy_from_slice(s_row);
-        }
-    }
-    let j0 = n - n % TILE_GROUP;
-    for (j, y_row) in (j0..).zip(groups.into_remainder().chunks_exact_mut(LANES)) {
-        let mut acc = [0.0; LANES];
-        for (x_p, w_row) in x_rows.clone().zip(w_rows.clone()) {
-            for (s, &x) in acc.iter_mut().zip(x_p) {
-                *s += x * w_row[j];
-            }
-        }
-        y_row.copy_from_slice(&acc);
     }
 }
 

@@ -119,18 +119,6 @@ impl DenseLayer {
             .bias_apply_inplace(self.bias.as_slice(), out);
     }
 
-    /// [`DenseLayer::forward_rows`] for one column-major tile of
-    /// [`kernels::LANES`] batch rows: `x_t` holds `input_dim` rows of lanes,
-    /// `y_t` gets `output_dim` rows. Always inlined, like `forward_rows`.
-    #[inline(always)]
-    pub(crate) fn forward_tile(&self, x_t: &[f64], y_t: &mut [f64]) {
-        let n = self.output_dim();
-        kernels::tile_matmul(x_t, self.weights.as_slice(), n, y_t);
-        let bias = self.bias.as_slice();
-        self.activation
-            .bias_apply_tile::<{ kernels::LANES }>(bias, y_t);
-    }
-
     /// Training forward pass: the pre-activation `z = x·W + b` into `pre`
     /// and `y = G(z)` into `post`, both reshaped in place. Bit-for-bit
     /// identical to [`DenseLayer::forward`]; `pre` is kept for the backward
@@ -171,13 +159,18 @@ impl DenseLayer {
 
     /// Start this layer's backward pass: zero the parameter gradients that
     /// [`DenseLayer::fold_derivative`] and
-    /// [`DenseLayer::add_weight_gradient`] accumulate into, and stage `Wᵀ`
-    /// for [`DenseLayer::input_gradient`], so its product runs along
-    /// contiguous rows.
+    /// [`DenseLayer::add_weight_gradient`] accumulate into.
     pub(crate) fn start_backward(&mut self) {
         let (k, n) = self.weights.shape();
         self.grad_weights.resize_zeroed(k, n);
         self.grad_bias.resize_zeroed(1, n);
+    }
+
+    /// Stage `Wᵀ` for this backward pass's [`DenseLayer::input_gradient`]
+    /// calls, so their product runs along contiguous rows. A layer whose
+    /// ∂L/∂x nothing reads skips it.
+    pub(crate) fn stage_input_gradient(&mut self) {
+        let (k, n) = self.weights.shape();
         self.weights_t.resize_for_overwrite(n, k);
         kernels::transpose(self.weights.as_slice(), n, self.weights_t.as_mut_slice());
     }
@@ -200,7 +193,8 @@ impl DenseLayer {
         kernels::t_matmul_add(x, k, dz, n, self.grad_weights.as_mut_slice());
     }
 
-    /// ∂L/∂x = ∂L/∂z·Wᵀ for rows of ∂L/∂z (`dz`) into as many rows of `dx`.
+    /// ∂L/∂x = ∂L/∂z·Wᵀ for rows of ∂L/∂z (`dz`) into as many rows of `dx`,
+    /// through the `Wᵀ` that [`DenseLayer::stage_input_gradient`] staged.
     /// Only the wide kernel is compiled here: it is exact for any width,
     /// and a layer feeding another is rarely narrow.
     #[inline(always)]
@@ -302,6 +296,7 @@ mod tests {
         l.start_backward();
         l.fold_derivative(grad.as_slice(), pre.as_mut_slice()); // pre is now dL/dz
         l.add_weight_gradient(x.as_slice(), pre.as_slice());
+        l.stage_input_gradient();
         let mut grad_in = Matrix::zeros(2, 4);
         l.input_gradient(pre.as_slice(), grad_in.as_mut_slice());
 

@@ -5,7 +5,6 @@
 //! [`Mlp`] supports any depth so the harness can also build deeper ablations.
 
 use crate::activation::Activation;
-use crate::kernels;
 use crate::layer::DenseLayer;
 use crate::loss::Loss;
 use crate::optimizer::Optimizer;
@@ -67,8 +66,9 @@ impl MlpConfig {
 }
 
 /// Reusable workspaces for [`Mlp::forward_one_into`] and
-/// [`Mlp::forward_batch_into`]: two ping-pong buffers for the activations
-/// of one tile of sixteen rows. Both keep their allocations across calls.
+/// [`Mlp::forward_batch_into`]: two ping-pong buffers for the hidden
+/// activations of one tile of sixteen rows. Both keep their allocations
+/// across calls.
 #[derive(Clone, Debug, Default)]
 pub struct MlpScratch {
     bufs: [Matrix<f64>; 2],
@@ -80,17 +80,14 @@ impl MlpScratch {
     /// action choice, then its target forward) never refills a buffer.
     fn buffers(&mut self, width: usize) -> (&mut Matrix<f64>, &mut Matrix<f64>) {
         let [even, odd] = &mut self.bufs;
-        even.resize_for_overwrite(width, LANES);
-        odd.resize_for_overwrite(width, LANES);
+        even.resize_for_overwrite(TILE_ROWS, width);
+        odd.resize_for_overwrite(TILE_ROWS, width);
         (even, odd)
     }
 }
 
-/// Batch rows one tile of the inference forward carries.
-const LANES: usize = kernels::LANES;
-
-/// Rows one tile of the training step carries through every layer at
-/// once: the tile's activations stay in cache from one layer to the next
+/// Rows one tile of a forward or training pass carries through every layer
+/// at once: the tile's activations stay in cache from one layer to the next
 /// instead of streaming a whole `B × Ñ` matrix through it per layer.
 const TILE_ROWS: usize = 16;
 
@@ -204,38 +201,17 @@ impl Mlp {
         self.check_input(input.len());
         out.clear();
         out.resize(self.config.output_dim(), 0.0);
-        let (even, odd) = scratch.buffers(self.widest());
-        let last = self.layers.len() - 1;
-        for (l, layer) in self.layers.iter().enumerate() {
-            let (prev, next) = if l % 2 == 0 {
-                (&*odd, &mut *even)
-            } else {
-                (&*even, &mut *odd)
-            };
-            let x = if l == 0 {
-                input
-            } else {
-                &prev.as_slice()[..layer.input_dim()]
-            };
-            let y = if l == last {
-                &mut out[..]
-            } else {
-                &mut next.as_mut_slice()[..layer.output_dim()]
-            };
-            layer.forward_rows(x, y);
-        }
+        self.forward_tiles(input, scratch, out);
     }
 
     /// Allocation-free batched inference: the `B`-row generalisation of
     /// [`Mlp::forward_one_into`], writing the output layer straight into
-    /// `out` (resized in place, capacity reused). Tiles of sixteen rows go
-    /// through every layer column-major, the rows side by side in the
-    /// vector lanes, so the narrow Q head runs as wide as the hidden layer.
-    /// Bit-for-bit identical to [`Mlp::forward`] — every row is accumulated
-    /// independently, in the same order — so the serve engine's ticketed
-    /// dispatch can keep a warm DQN worker free of matrix heap allocations
-    /// at steady state. Always inlined, so it runs under a caller's
-    /// [`elmrl_linalg::simd::wide`] dispatch.
+    /// `out` (resized in place, capacity reused). Bit-for-bit identical to
+    /// [`Mlp::forward`] — every row is accumulated independently, in the
+    /// same order — so the serve engine's ticketed dispatch can keep a warm
+    /// DQN worker free of matrix heap allocations at steady state. Always
+    /// inlined, so it runs under a caller's [`elmrl_linalg::simd::wide`]
+    /// dispatch.
     #[inline(always)]
     pub fn forward_batch_into(
         &self,
@@ -244,37 +220,41 @@ impl Mlp {
         out: &mut Matrix<f64>,
     ) {
         self.check_input(input.cols());
+        out.resize_for_overwrite(input.rows(), self.config.output_dim());
+        self.forward_tiles(input.as_slice(), scratch, out.as_mut_slice());
+    }
+
+    /// The rows of `input` (row-major, `input_dim` columns) through every
+    /// layer into as many rows of `out`, one tile at a time: the hidden
+    /// layers into the scratch buffers, the output layer straight into
+    /// `out`.
+    #[inline(always)]
+    fn forward_tiles(&self, input: &[f64], scratch: &mut MlpScratch, out: &mut [f64]) {
         let (k, n) = (self.config.input_dim(), self.config.output_dim());
-        out.resize_for_overwrite(input.rows(), n);
         let (even, odd) = scratch.buffers(self.widest());
-        let tiles = input.as_slice().chunks(LANES * k);
-        for (x, y) in tiles.zip(out.as_mut_slice().chunks_mut(LANES * n)) {
-            // The tile's rows become columns; lanes past the batch are 0.
-            for (p, lanes) in odd.as_mut_slice()[..k * LANES]
-                .chunks_exact_mut(LANES)
-                .enumerate()
-            {
-                lanes.fill(0.0);
-                let column = x.iter().skip(p).step_by(k);
-                lanes.iter_mut().zip(column).for_each(|(v, &c)| *v = c);
-            }
+        let last = self.layers.len() - 1;
+        for (x_tile, y_tile) in input
+            .chunks(TILE_ROWS * k)
+            .zip(out.chunks_mut(TILE_ROWS * n))
+        {
+            let rows = x_tile.len() / k;
             for (l, layer) in self.layers.iter().enumerate() {
-                let (src, dst) = if l % 2 == 0 {
+                let (prev, next) = if l % 2 == 0 {
                     (&*odd, &mut *even)
                 } else {
                     (&*even, &mut *odd)
                 };
-                let x_t = &src.as_slice()[..layer.input_dim() * LANES];
-                layer.forward_tile(x_t, &mut dst.as_mut_slice()[..layer.output_dim() * LANES]);
-            }
-            let y_t = if self.layers.len() % 2 == 0 {
-                &*odd
-            } else {
-                &*even
-            };
-            for (r, y_row) in y.chunks_exact_mut(n).enumerate() {
-                let column = y_t.as_slice().iter().skip(r).step_by(LANES);
-                y_row.iter_mut().zip(column).for_each(|(v, &c)| *v = c);
+                let x = if l == 0 {
+                    x_tile
+                } else {
+                    &prev.as_slice()[..rows * layer.input_dim()]
+                };
+                let y = if l == last {
+                    &mut *y_tile
+                } else {
+                    &mut next.as_mut_slice()[..rows * layer.output_dim()]
+                };
+                layer.forward_rows(x, y);
             }
         }
     }
@@ -365,6 +345,9 @@ impl Mlp {
 
         for layer in &mut self.layers {
             layer.start_backward();
+        }
+        for layer in &mut self.layers[1..] {
+            layer.stage_input_gradient();
         }
         ws.tile.resize_for_overwrite(TILE_ROWS, self.widest());
         for tile in tiles(rows) {

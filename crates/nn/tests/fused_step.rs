@@ -382,7 +382,7 @@ proptest! {
         }
     }
 
-    /// The batched inference forward (column-major tiles), the one-row
+    /// The batched inference forward (sixteen-row tiles), the one-row
     /// forward and `Mlp::forward`, direct and under the dispatch, match the
     /// reference loops.
     #[test]
