@@ -16,13 +16,14 @@
 //! output row independently of the other rows): the one Algorithm 1 shell,
 //! [`QNet`](crate::qnet::QNet), behind the ELM, OS-ELM and FPGA designs
 //! (through [`elm_q_batch_into`], or the Q20 core for FPGA), and
-//! [`DqnAgent`](crate::dqn::DqnAgent).
+//! [`DqnAgent`](crate::dqn::DqnAgent). For the shell the batched evaluator
+//! is its only Q read: its `act` and `q_values` are the same evaluation on
+//! a batch of one row, and [`elm_q_batch_into`] is bit for bit
+//! [`ElmModel::predict_single`] per `(state, action)` pair.
 //!
 //! [`BatchAgent::predict_batch`] is a pure forward pass and does not touch
-//! the per-operation counters behind the Figure 5/6 breakdowns; the
-//! [`BatchAgent::act_row`] policy overrides *do* record the same prediction
-//! counters as [`Agent::act`], so modeled execution times stay comparable
-//! between the scalar and E-parallel training drivers.
+//! the per-operation counters behind the Figure 5/6 breakdowns; only
+//! [`Agent::act`] records prediction counters.
 
 use crate::agent::{Agent, Observation};
 use crate::encoding::{ActionEncoding, StateActionEncoder};
@@ -71,16 +72,10 @@ pub trait BatchAgent: Agent {
     }
 
     /// Training-time ε-greedy action for the single packed state in
-    /// `state_row` (`1 × state_dim`): the population engine's per-tick
-    /// behaviour policy. The default delegates to the scalar
-    /// [`Agent::act`]; the ELM-family shell overrides it so the Q
-    /// evaluation goes through [`BatchAgent::predict_batch`]'s batched
-    /// kernel (one stacked matmul hoisting the shared `state·α` projection
-    /// instead of one matvec chain per action). Because `predict_batch`
-    /// matches `q_values` bit for bit and the policy draws from `rng`
-    /// identically, an override selects exactly the action `act` would —
-    /// only cheaper — and records the same prediction counters as `act`, so
-    /// the Figure 5/6 modeled times stay design-comparable at any E.
+    /// `state_row` (`1 × state_dim`): [`Agent::act`] on row 0, with the
+    /// same Q bits, RNG draws, action and prediction counters. No agent of
+    /// this crate overrides it; the ELM-family shell's `act` already runs
+    /// the batched evaluator on a one-row batch.
     fn act_row(&mut self, state_row: &Matrix<f64>, rng: &mut SmallRng) -> usize {
         self.act(state_row.row(0), rng)
     }
@@ -116,31 +111,19 @@ pub trait BatchAgent: Agent {
 
 /// Reusable workspaces for one batched ELM-family Q evaluation. Every matrix
 /// keeps its allocation across calls (see [`Matrix::resize_zeroed`]), so a
-/// steady-state [`elm_q_batch_into`] evaluation performs zero heap
-/// allocations — the property the batched *training* hot path (Q-targets
-/// from the frozen target network, every tick) needs to stay allocation-free
-/// at E > 1, asserted by the counting-allocator test.
+/// steady-state [`elm_q_batch_into`] evaluation under the scalar encoding
+/// performs zero heap allocations — the property every ELM-family action
+/// choice and Q-target needs, asserted by the counting-allocator tests.
 #[derive(Clone, Debug, Default)]
-pub struct BatchQScratch {
+pub struct EvalScratch {
     /// `B × Ñ` — the shared `state·α_top` projection (scalar encoding).
     shared: Matrix<f64>,
     /// `(B·A) × Ñ` — pre-activations, activated in place into `H`; doubles
     /// as the stacked `(B·A) × input` encoding under one-hot.
     pre: Matrix<f64>,
-    /// `(B·A) × 1` — the stacked network outputs `H·β`.
-    y: Matrix<f64>,
     /// Packed-panel buffer of the blocked matmul engine (PR 9): holds one
     /// transposed `PACK_MR × PACK_KC` lhs slice, reused across calls.
     pack: Vec<f64>,
-    /// `B × A` — the folded per-state Q matrix (the result).
-    pub(crate) q: Matrix<f64>,
-}
-
-impl BatchQScratch {
-    /// The `B × A` Q matrix left by the last [`elm_q_batch_into`] call.
-    pub fn q(&self) -> &Matrix<f64> {
-        &self.q
-    }
 }
 
 /// Batched `(state, action)` Q evaluation for the ELM-family networks:
@@ -158,13 +141,13 @@ impl BatchQScratch {
 /// [`ElmModel::predict_single`] per pair, just `A×` cheaper on the shared
 /// columns. One-hot encodings take the generic stacked-input route instead.
 ///
-/// The result is left in `scratch.q` (`B × A`, readable via
-/// [`BatchQScratch::q`]).
+/// The `B × A` result is written to `out`.
 pub fn elm_q_batch_into(
     encoder: &StateActionEncoder,
     model: &ElmModel<f64>,
     states: &Matrix<f64>,
-    scratch: &mut BatchQScratch,
+    scratch: &mut EvalScratch,
+    out: &mut Matrix<f64>,
 ) {
     let b = states.rows();
     let a = encoder.num_actions();
@@ -210,14 +193,10 @@ pub fn elm_q_batch_into(
             model.hidden_into_packed(&scratch.shared, &mut scratch.pack, &mut scratch.pre);
         }
     }
-    scratch.pre.matmul_into(model.beta(), &mut scratch.y); // (B·A) × 1
-    scratch.q.resize_zeroed(b, a);
-    for i in 0..b {
-        let q_row = scratch.q.row_mut(i);
-        for (action, v) in q_row.iter_mut().enumerate() {
-            *v = scratch.y[(i * a + action, 0)];
-        }
-    }
+    // The `(B·A) × 1` outputs `H·β`, row `i·A + a` for pair `(i, a)`, are
+    // already the row-major `B × A` layout: reshape them in place.
+    scratch.pre.matmul_into(model.beta(), out);
+    out.resize_for_overwrite(b, a);
 }
 
 #[cfg(test)]
@@ -274,9 +253,14 @@ mod tests {
         model.set_beta(Matrix::from_fn(16, 1, |i, _| (i as f64 - 7.5) * 0.03));
 
         let states = Matrix::from_fn(5, 3, |i, j| 0.1 * i as f64 - 0.2 * j as f64);
-        let mut scratch = BatchQScratch::default();
-        elm_q_batch_into(&encoder, &model, &states, &mut scratch);
-        let q = scratch.q();
+        let mut q = Matrix::zeros(0, 0);
+        elm_q_batch_into(
+            &encoder,
+            &model,
+            &states,
+            &mut EvalScratch::default(),
+            &mut q,
+        );
         assert_eq!(q.shape(), (5, 4));
         for i in 0..states.rows() {
             for (action, input) in encoder.encode_all_actions(states.row(i)).iter().enumerate() {

@@ -205,12 +205,41 @@ pub fn rng_state_words(rng: &SmallRng) -> Vec<u64> {
     rng.state().to_vec()
 }
 
+/// Why checkpoint words are not an RNG stream position.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum RngStateError {
+    /// Not exactly four words; holds the count found.
+    WrongLength(usize),
+    /// All four words zero: the fixed point of xoshiro256++, which draws 0
+    /// forever. No seeded stream reaches it, since each step is a bijection
+    /// that maps zero to itself.
+    AllZero,
+}
+
+impl std::fmt::Display for RngStateError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Self::WrongLength(n) => write!(f, "RNG state needs exactly 4 words, got {n}"),
+            Self::AllZero => f.write_str("RNG state is all zero, which no seeded stream reaches"),
+        }
+    }
+}
+
+impl From<RngStateError> for String {
+    fn from(e: RngStateError) -> Self {
+        e.to_string()
+    }
+}
+
 /// Rebuild an RNG at the exact stream position recorded by
 /// [`rng_state_words`].
-pub fn rng_from_words(words: &[u64]) -> Result<SmallRng, String> {
+pub fn rng_from_words(words: &[u64]) -> Result<SmallRng, RngStateError> {
     let state: [u64; 4] = words
         .try_into()
-        .map_err(|_| format!("RNG state needs exactly 4 words, got {}", words.len()))?;
+        .map_err(|_| RngStateError::WrongLength(words.len()))?;
+    if state == [0; 4] {
+        return Err(RngStateError::AllZero);
+    }
     Ok(SmallRng::from_state(state))
 }
 
@@ -350,6 +379,15 @@ mod tests {
     #[test]
     fn rng_from_words_rejects_wrong_length() {
         assert!(rng_from_words(&[1, 2, 3]).is_err());
+    }
+
+    #[test]
+    fn rng_from_words_rejects_the_all_zero_state() {
+        let err = rng_from_words(&[0; 4]).unwrap_err();
+        assert_eq!(err, RngStateError::AllZero);
+        assert!(String::from(err).contains("all zero"));
+        // One nonzero word is a valid position.
+        assert!(rng_from_words(&[0, 0, 0, 1]).is_ok());
     }
 
     #[test]

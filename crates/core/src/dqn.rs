@@ -110,8 +110,7 @@ pub struct DqnAgent {
     /// Forward-pass workspaces for action selection and the target
     /// network's batch forward.
     scratch: MlpScratch,
-    /// Reused per-action Q buffer for [`Agent::act`] (and the default
-    /// [`BatchAgent::act_row`], which calls it).
+    /// Reused per-action Q buffer for [`Agent::act`].
     q_buf: Vec<f64>,
     /// The sampled mini-batch, refilled in place every step.
     batch: ReplayBatch,

@@ -161,7 +161,6 @@ mod tests {
     use crate::checkpoint::AgentSnapshot;
     use crate::encoding::StateActionEncoder;
     use crate::ops::OpKind;
-    use crate::qnet::QScratch;
     use rand::SeedableRng;
 
     fn rng(seed: u64) -> SmallRng {
@@ -301,9 +300,11 @@ mod tests {
         agent.end_episode(1); // (1+1) % 2 == 0 → sync
         let s = [0.02, -0.02, 0.03, 0.04];
         let online_q = agent.q_values(&s);
-        let mut target_q = QScratch::default();
-        target_q.eval(&StateActionEncoder::new(4, 2), agent.target(), &s);
-        let target_q = target_q.q;
+        let inputs = StateActionEncoder::new(4, 2).encode_all_actions(&s);
+        let target_q: Vec<f64> = inputs
+            .iter()
+            .map(|x| agent.target().predict_single(x)[0])
+            .collect();
         assert_eq!(online_q, target_q);
         assert!(agent.memory_footprint_bytes() > 0);
         // ELM has no P matrix, so it needs less memory than OS-ELM at equal Ñ.

@@ -239,7 +239,6 @@ mod tests {
     use crate::encoding::StateActionEncoder;
     use crate::ops::OpKind;
     use crate::policy::max_q;
-    use crate::qnet::QScratch;
     use rand::SeedableRng;
 
     fn rng(seed: u64) -> SmallRng {
@@ -253,9 +252,11 @@ mod tests {
 
     /// θ₂'s Q-values of `state` (CartPole: 4 state components, 2 actions).
     fn target_q(agent: &OsElmQNet, state: &[f64]) -> Vec<f64> {
-        let mut scratch = QScratch::default();
-        scratch.eval(&StateActionEncoder::new(4, 2), agent.target(), state);
-        scratch.q
+        let inputs = StateActionEncoder::new(4, 2).encode_all_actions(state);
+        inputs
+            .iter()
+            .map(|x| agent.target().predict_single(x)[0])
+            .collect()
     }
 
     fn sample_obs(reward: f64, done: bool) -> Observation {

@@ -13,9 +13,15 @@
 //! | [`Elm<f64>`](elmrl_elm::Elm) | ELM | batch solve on every full `D` | none (refill only) |
 //! | [`OsElm<f64>`](elmrl_elm::OsElm) | the four OS-ELM designs | P₀, β₀ | f64 RLS |
 //! | `elmrl_fpga::FpgaDatapath` | FPGA | P₀, β₀ on the CPU, then loaded into the PL | Q20 RLS in the PL |
+//!
+//! Every Q read is one batched evaluation, a single state being a batch of
+//! one row: θ₁'s through [`Datapath::q_batch_into`] (`act`, `q_values`,
+//! `predict_batch_into`), θ₂'s through [`elm_q_batch_into`] (the Q-targets:
+//! one next state at a time in the store phase and the scalar update, the
+//! whole tick in [`BatchAgent::observe_batch`]).
 
 use crate::agent::{Agent, Observation, DROPPED_NONFINITE};
-use crate::batch::{elm_q_batch_into, BatchAgent, BatchQScratch};
+use crate::batch::{elm_q_batch_into, BatchAgent, EvalScratch};
 use crate::checkpoint::{check_buffer, AgentSnapshot};
 use crate::clipping::TargetConfig;
 use crate::encoding::StateActionEncoder;
@@ -95,20 +101,16 @@ pub trait Datapath: Sized {
         unreachable!("a refill-only datapath has no update phase");
     }
 
-    /// θ₁'s Q-values of every action of `state`, left in `scratch.q`.
-    fn q_into(&mut self, encoder: &StateActionEncoder, state: &[f64], scratch: &mut QScratch) {
-        scratch.eval(encoder, self.model(), state);
-    }
-
-    /// θ₁'s `B × A` Q-values of every row of `states`, written to `out`.
+    /// θ₁'s `B × A` Q-values of every row of `states`, written to `out`:
+    /// the one Q read of the shell.
     fn q_batch_into(
         &mut self,
         encoder: &StateActionEncoder,
         states: &Matrix<f64>,
-        scratch: &mut BatchQScratch,
+        scratch: &mut EvalScratch,
         out: &mut Matrix<f64>,
     ) {
-        float_q_batch_into(encoder, self.model(), states, scratch, out);
+        elm_q_batch_into(encoder, self.model(), states, scratch, out);
     }
 
     /// θ₂ ← θ₁.
@@ -127,61 +129,47 @@ pub trait Datapath: Sized {
     fn release(state: Self::State, config: &OsElmConfig) -> Result<(Self, Stored), String>;
 }
 
-/// [`elm_q_batch_into`] under `model`, the `B × A` result copied to `out`.
-pub fn float_q_batch_into(
-    encoder: &StateActionEncoder,
-    model: &ElmModel<f64>,
-    states: &Matrix<f64>,
-    scratch: &mut BatchQScratch,
-    out: &mut Matrix<f64>,
-) {
-    elm_q_batch_into(encoder, model, states, scratch);
-    out.resize_zeroed(scratch.q.rows(), scratch.q.cols());
-    out.as_mut_slice().copy_from_slice(scratch.q.as_slice());
-}
-
 /// Bytes of an f64 θ₁ and θ₂ pair plus `extra_words` more words.
 pub(crate) fn float_footprint(model: &ElmModel<f64>, extra_words: usize) -> usize {
     let (n, nh) = (model.input_dim(), model.hidden_dim());
     (2 * (n * nh + 2 * nh) + extra_words) * std::mem::size_of::<f64>()
 }
 
-/// Workspaces of the per-state Q evaluation, reused across steps.
+/// Workspaces of the Q reads and the updates, reused across steps.
 #[derive(Clone, Debug, Default)]
-pub struct QScratch {
-    /// Encoded `(state, action)` input.
-    pub enc: Vec<f64>,
-    /// Per-action Q-values of the last evaluation.
-    pub q: Vec<f64>,
-    x: Matrix<f64>,
-    h: Matrix<f64>,
-    y: Matrix<f64>,
-}
-
-impl QScratch {
-    /// Q(state, ·) under `model` into `self.q`, bit for bit the per-action
-    /// [`ElmModel::predict_single`] loop.
-    pub fn eval(&mut self, encoder: &StateActionEncoder, model: &ElmModel<f64>, state: &[f64]) {
-        self.q.clear();
-        for action in 0..encoder.num_actions() {
-            encoder.encode_into(state, action, &mut self.enc);
-            self.x.resize_zeroed(1, self.enc.len());
-            self.x.set_row(0, &self.enc);
-            model.predict_into(&self.x, &mut self.h, &mut self.y);
-            self.q.push(self.y[(0, 0)]);
-        }
-    }
-}
-
-/// Workspaces of the batched paths.
-#[derive(Clone, Debug, Default)]
-struct BatchScratch {
+struct Workspaces {
+    /// Encoded `(state, action)` input of one transition.
+    enc: Vec<f64>,
+    /// The `B × state_dim` states of one Q read.
+    states: Matrix<f64>,
+    /// Their `B × A` Q-values.
+    q: Matrix<f64>,
+    eval: EvalScratch,
     selected: Vec<usize>,
-    next_states: Matrix<f64>,
     x: Matrix<f64>,
     t: Matrix<f64>,
-    q: BatchQScratch,
-    row: Matrix<f64>,
+}
+
+impl Workspaces {
+    /// Stage `state` as the one row of `self.states`.
+    fn stage(&mut self, state: &[f64]) {
+        self.states.resize_for_overwrite(1, state.len());
+        self.states.set_row(0, state);
+    }
+
+    /// `max_a Q(next_state, a)` under θ₂ (`target`), read at B = 1. One
+    /// next state at a time keeps the evaluator's `(B·A) × Ñ` workspace at
+    /// `A × Ñ`, however large buffer `D` is.
+    fn max_target_q(
+        &mut self,
+        encoder: &StateActionEncoder,
+        target: &ElmModel<f64>,
+        next_state: &[f64],
+    ) -> f64 {
+        self.stage(next_state);
+        elm_q_batch_into(encoder, target, &self.states, &mut self.eval, &mut self.q);
+        max_q(self.q.row(0))
+    }
 }
 
 /// An ELM-family Q-network agent: Algorithm 1 over the datapath `D`.
@@ -193,8 +181,7 @@ pub struct QNet<D: Datapath> {
     pub(crate) datapath: D,
     pub(crate) target: ElmModel<f64>,
     pub(crate) buffer: Vec<Observation>,
-    scratch: QScratch,
-    bscratch: BatchScratch,
+    ws: Workspaces,
     ops: OpCounts,
 }
 
@@ -209,8 +196,7 @@ impl<D: Datapath> QNet<D> {
             target: datapath.model().clone(),
             buffer: Vec::with_capacity(view.elm.hidden_dim),
             datapath,
-            scratch: QScratch::default(),
-            bscratch: BatchScratch::default(),
+            ws: Workspaces::default(),
             ops: OpCounts::new(),
             view,
             config,
@@ -272,17 +258,27 @@ impl<D: Datapath> QNet<D> {
         }
     }
 
+    /// θ₁'s Q-values of `state` into row 0 of the workspace `q`, through
+    /// the datapath's batched read at B = 1.
+    fn online_q(&mut self, state: &[f64]) {
+        let ws = &mut self.ws;
+        ws.stage(state);
+        self.datapath
+            .q_batch_into(&self.encoder, &ws.states, &mut ws.eval, &mut ws.q);
+    }
+
     /// Buffer `D` as the chunk `(X, T)`: row `i` of `X` is transition `i`'s
     /// encoded `(state, action)`, `T[i]` its target bootstrapped from θ₂.
     fn initial_training_chunk(&mut self) -> (Matrix<f64>, Matrix<f64>) {
-        let (s, n) = (&mut self.scratch, self.buffer.len());
+        let (ws, n) = (&mut self.ws, self.buffer.len());
         let mut x = Matrix::zeros(n, self.encoder.input_dim());
         let mut t = Matrix::zeros(n, 1);
         for (i, obs) in self.buffer.iter().enumerate() {
-            self.encoder.encode_into(&obs.state, obs.action, &mut s.enc);
-            x.set_row(i, &s.enc);
-            s.eval(&self.encoder, &self.target, &obs.next_state);
-            t[(i, 0)] = self.view.target.target(obs.reward, max_q(&s.q), obs.done);
+            self.encoder
+                .encode_into(&obs.state, obs.action, &mut ws.enc);
+            x.set_row(i, &ws.enc);
+            let max_next = ws.max_target_q(&self.encoder, &self.target, &obs.next_state);
+            t[(i, 0)] = self.view.target.target(obs.reward, max_next, obs.done);
         }
         (x, t)
     }
@@ -290,11 +286,12 @@ impl<D: Datapath> QNet<D> {
     /// One scalar sequential update, allocation-free at steady state.
     fn update(&mut self, obs: &Observation) {
         let _span = OpKind::SeqTrain.span();
-        let s = &mut self.scratch;
-        s.eval(&self.encoder, &self.target, &obs.next_state);
-        let target_q = self.view.target.target(obs.reward, max_q(&s.q), obs.done);
-        self.encoder.encode_into(&obs.state, obs.action, &mut s.enc);
-        if self.datapath.update_one(&s.enc, target_q) {
+        let ws = &mut self.ws;
+        let max_next = ws.max_target_q(&self.encoder, &self.target, &obs.next_state);
+        let target_q = self.view.target.target(obs.reward, max_next, obs.done);
+        self.encoder
+            .encode_into(&obs.state, obs.action, &mut ws.enc);
+        if self.datapath.update_one(&ws.enc, target_q) {
             self.ops.add(OpKind::SeqTrain, 1);
         }
     }
@@ -305,26 +302,26 @@ impl<D: Datapath> QNet<D> {
     fn update_batch(&mut self, rest: &[Observation], selected: &[usize]) {
         let _span = OpKind::SeqTrain.span();
         let (b, cap, encoder) = (selected.len(), self.view.chunk_cap, &self.encoder);
-        let (bs, enc) = (&mut self.bscratch, &mut self.scratch.enc);
-        bs.next_states.resize_zeroed(b, self.view.state_dim);
+        let ws = &mut self.ws;
+        ws.states.resize_zeroed(b, self.view.state_dim);
         for (r, &i) in selected.iter().enumerate() {
-            bs.next_states.set_row(r, &rest[i].next_state);
+            ws.states.set_row(r, &rest[i].next_state);
         }
-        elm_q_batch_into(encoder, &self.target, &bs.next_states, &mut bs.q);
+        elm_q_batch_into(encoder, &self.target, &ws.states, &mut ws.eval, &mut ws.q);
         if b > cap {
             elmrl_telemetry::counter!("core.observe.chunk_splits").inc();
         }
         for (c, chunk) in selected.chunks(cap).enumerate() {
-            bs.x.resize_zeroed(chunk.len(), encoder.input_dim());
-            bs.t.resize_zeroed(chunk.len(), 1);
+            ws.x.resize_zeroed(chunk.len(), encoder.input_dim());
+            ws.t.resize_zeroed(chunk.len(), 1);
             for (r, &i) in chunk.iter().enumerate() {
                 let obs = &rest[i];
-                encoder.encode_into(&obs.state, obs.action, enc);
-                bs.x.set_row(r, enc);
-                let max_next = max_q(bs.q.q.row(c * cap + r));
-                bs.t[(r, 0)] = self.view.target.target(obs.reward, max_next, obs.done);
+                encoder.encode_into(&obs.state, obs.action, &mut ws.enc);
+                ws.x.set_row(r, &ws.enc);
+                let max_next = max_q(ws.q.row(c * cap + r));
+                ws.t[(r, 0)] = self.view.target.target(obs.reward, max_next, obs.done);
             }
-            self.datapath.update_chunk(&bs.x, &bs.t);
+            self.datapath.update_chunk(&ws.x, &ws.t);
         }
         self.ops.add(OpKind::SeqTrain, b as u64);
     }
@@ -342,10 +339,9 @@ impl<D: Datapath> Agent for QNet<D> {
     fn act(&mut self, state: &[f64], rng: &mut SmallRng) -> usize {
         let kind = OpKind::predict(self.datapath.trained());
         let _span = kind.span();
-        self.datapath
-            .q_into(&self.encoder, state, &mut self.scratch);
+        self.online_q(state);
         self.ops.add(kind, self.view.num_actions as u64);
-        self.policy.select(&self.scratch.q, rng)
+        self.policy.select(self.ws.q.row(0), rng)
     }
 
     fn observe(&mut self, obs: &Observation, rng: &mut SmallRng) {
@@ -374,9 +370,8 @@ impl<D: Datapath> Agent for QNet<D> {
     }
 
     fn q_values(&mut self, state: &[f64]) -> Vec<f64> {
-        self.datapath
-            .q_into(&self.encoder, state, &mut self.scratch);
-        self.scratch.q.clone()
+        self.online_q(state);
+        self.ws.q.row(0).to_vec()
     }
 
     fn memory_footprint_bytes(&self) -> usize {
@@ -418,19 +413,8 @@ impl<D: Datapath> BatchAgent for QNet<D> {
 
     /// The stacked forward through the agent's workspaces.
     fn predict_batch_into(&mut self, states: &Matrix<f64>, out: &mut Matrix<f64>) {
-        let (encoder, scratch) = (&self.encoder, &mut self.bscratch.q);
-        self.datapath.q_batch_into(encoder, states, scratch, out);
-    }
-
-    /// [`Agent::act`] through the batched forward and the agent's
-    /// workspaces: the same Q bits, draws, action and counters.
-    fn act_row(&mut self, state_row: &Matrix<f64>, rng: &mut SmallRng) -> usize {
-        let kind = OpKind::predict(self.datapath.trained());
-        let _span = kind.span();
-        let BatchScratch { q, row, .. } = &mut self.bscratch;
-        self.datapath.q_batch_into(&self.encoder, state_row, q, row);
-        self.ops.add(kind, self.view.num_actions as u64);
-        self.policy.select(self.bscratch.row.row(0), rng)
+        let eval = &mut self.ws.eval;
+        self.datapath.q_batch_into(&self.encoder, states, eval, out);
     }
 
     /// One engine tick. The store phase takes transitions one at a time
@@ -445,7 +429,7 @@ impl<D: Datapath> BatchAgent for QNet<D> {
             start += 1;
         }
         let rest = &batch[start..];
-        let mut selected = std::mem::take(&mut self.bscratch.selected);
+        let mut selected = std::mem::take(&mut self.ws.selected);
         selected.clear();
         for (i, obs) in rest.iter().enumerate() {
             if self.gate(obs, rng) {
@@ -455,6 +439,6 @@ impl<D: Datapath> BatchAgent for QNet<D> {
         if !selected.is_empty() {
             self.update_batch(rest, &selected);
         }
-        self.bscratch.selected = selected;
+        self.ws.selected = selected;
     }
 }

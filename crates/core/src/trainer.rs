@@ -29,7 +29,6 @@ use crate::designs::Design;
 use crate::ops::OpCounts;
 use crate::reward::RewardShaping;
 use elmrl_gym::{EnvSpec, Environment, EpisodeStats, StepOutcome, VecEnv};
-use elmrl_linalg::Matrix;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -509,12 +508,12 @@ impl Trainer {
     /// batched training driver behind `--train-envs`.
     ///
     /// Every engine tick steps all still-active episode slots of `vec_env`
-    /// in lockstep: the agent picks one ε-greedy action per slot through
-    /// the batched forward kernel ([`BatchAgent::act_row`], slot `j`
-    /// drawing from its own RNG stream), the environments advance (finished
-    /// slots auto-reset), and the tick's transitions are handed to the
-    /// agent as **one** [`BatchAgent::observe_batch`] call — for the OS-ELM
-    /// designs a single batch-B RLS chunk, for DQN one minibatch SGD step.
+    /// in lockstep: the agent picks one ε-greedy action per slot
+    /// ([`Agent::act`], slot `j` drawing from its own RNG stream), the
+    /// environments advance (finished slots auto-reset), and the tick's
+    /// transitions are handed to the agent as **one**
+    /// [`BatchAgent::observe_batch`] call — for the OS-ELM designs a single
+    /// batch-B RLS chunk, for DQN one minibatch SGD step.
     ///
     /// Protocol semantics generalise the scalar loop:
     ///
@@ -615,16 +614,14 @@ impl Trainer {
         let mut actions: Vec<Option<usize>> = vec![None; e];
         let mut pre_states: Vec<Vec<f64>> = vec![Vec::new(); e];
         let mut tick_obs: Vec<Observation> = Vec::with_capacity(e);
-        let mut state_row = Matrix::zeros(1, vec_env.obs_dim());
 
         while active.iter().any(|&a| a) {
-            // Determine: one batched-kernel ε-greedy decision per active slot.
+            // Determine: one ε-greedy decision per active slot.
             for j in 0..e {
                 actions[j] = if active[j] {
                     pre_states[j].clear();
                     pre_states[j].extend_from_slice(vec_env.state(j));
-                    state_row.set_row(0, &pre_states[j]);
-                    Some(agent.act_row(&state_row, &mut slot_rngs[j]))
+                    Some(agent.act(&pre_states[j], &mut slot_rngs[j]))
                 } else {
                     None
                 };

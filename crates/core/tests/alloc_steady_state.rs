@@ -402,8 +402,8 @@ fn steady_state_dqn_step_allocates_nothing_once_replay_is_full() {
 
 #[test]
 fn steady_state_act_row_allocates_nothing() {
-    // `act_row` (the E-parallel drivers' action choice) runs the batched
-    // forward through the agent's own workspaces, for the OS-ELM and the
+    // `act_row` (the trait default: `act` on row 0) runs the batched
+    // evaluator through the agent's own workspaces, for the OS-ELM and the
     // refill-only ELM datapaths alike.
     use elmrl_core::batch::BatchAgent;
     use elmrl_core::elm_qnet::{ElmQNet, ElmQNetConfig};

@@ -3,13 +3,18 @@
 //!
 //! The guarantee the population engine relies on: running an agent through
 //! `BatchAgent::predict_batch` (one stacked matmul) is observationally
-//! identical to the scalar `Agent::q_values` loop, so batched and scalar
-//! execution can be swapped freely without perturbing any seeded experiment.
+//! identical to evaluating one `(state, action)` pair at a time, so batched
+//! and scalar execution can be swapped freely without perturbing any seeded
+//! experiment. The ELM-family shell's `q_values` runs the batched evaluator
+//! itself, so its reference is `ElmModel::predict_single` on θ₁, once per
+//! encoded pair; DQN's reference is its own one-row `q_values` forward.
 
 use elmrl_core::batch::BatchAgent;
 use elmrl_core::dqn::{DqnAgent, DqnConfig};
 use elmrl_core::elm_qnet::{ElmQNet, ElmQNetConfig};
+use elmrl_core::encoding::StateActionEncoder;
 use elmrl_core::oselm_qnet::{OsElmQNet, OsElmQNetConfig};
+use elmrl_core::qnet::{Datapath, QNet};
 use elmrl_core::{Agent, Observation};
 use elmrl_gym::Workload;
 use elmrl_linalg::Matrix;
@@ -62,23 +67,48 @@ fn assert_bitwise_batch_equality<A: BatchAgent + ?Sized>(
     Ok(())
 }
 
+/// An ELM-family agent's `predict_batch` must equal θ₁'s `predict_single`
+/// on every encoded `(state, action)` pair exactly.
+fn assert_batch_matches_predict_single<D: Datapath>(
+    agent: &mut QNet<D>,
+    states: &Matrix<f64>,
+    actions: usize,
+) -> Result<(), TestCaseError> {
+    let batched = agent.predict_batch(states);
+    prop_assert_eq!(batched.shape(), (states.rows(), actions));
+    let encoder = StateActionEncoder::new(states.cols(), actions);
+    let model = agent.datapath().model();
+    for i in 0..states.rows() {
+        for (a, input) in encoder.encode_all_actions(states.row(i)).iter().enumerate() {
+            prop_assert_eq!(
+                batched[(i, a)].to_bits(),
+                model.predict_single(input)[0].to_bits()
+            );
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
     fn elm_qnet_batched_equals_per_sample(seed in 0u64..500, batch in 1usize..12) {
+        // CartPole: 5 inputs, so the reference's `x·α` runs the generic loop.
         let spec = Workload::CartPole.spec();
         let mut rng = SmallRng::seed_from_u64(seed);
         let mut agent = ElmQNet::new(ElmQNetConfig::for_workload(&spec, HIDDEN), &mut rng);
         train_a_little(&mut agent, &mut rng, spec.observation_dim, spec.num_actions);
         assert!(agent.is_trained());
         let states = random_states(&mut rng, batch, spec.observation_dim);
-        assert_bitwise_batch_equality(&mut agent, &states)?;
+        assert_batch_matches_predict_single(&mut agent, &states, spec.num_actions)?;
     }
 
     #[test]
     fn oselm_qnet_batched_equals_per_sample(seed in 0u64..500, batch in 1usize..12) {
         // Cover both spectral-normalised and plain variants via the seed.
+        // MountainCar: 3 inputs, so the reference's `x·α` takes the
+        // short-inner branch.
         let spectral = seed % 2 == 0;
         let spec = Workload::MountainCar.spec();
         let mut rng = SmallRng::seed_from_u64(seed);
@@ -89,7 +119,7 @@ proptest! {
         train_a_little(&mut agent, &mut rng, spec.observation_dim, spec.num_actions);
         assert!(agent.is_initialized());
         let states = random_states(&mut rng, batch, spec.observation_dim);
-        assert_bitwise_batch_equality(&mut agent, &states)?;
+        assert_batch_matches_predict_single(&mut agent, &states, spec.num_actions)?;
     }
 
     #[test]

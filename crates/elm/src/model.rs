@@ -198,14 +198,6 @@ impl<T: Scalar> ElmModel<T> {
         self.hidden(x).matmul(&self.beta)
     }
 
-    /// [`ElmModel::predict`] through caller-owned hidden and output
-    /// workspaces — zero heap allocations at steady state, bit-for-bit
-    /// identical to `predict`. `h` receives `H`, `out` receives `y`.
-    pub fn predict_into(&self, x: &Matrix<T>, h: &mut Matrix<T>, out: &mut Matrix<T>) {
-        self.hidden_into(x, h);
-        h.matmul_into(&self.beta, out);
-    }
-
     /// Single-sample prediction from a slice.
     pub fn predict_single(&self, x: &[T]) -> Vec<T> {
         let out = self.predict(&Matrix::row_from_slice(x));

@@ -132,63 +132,6 @@ pub fn matmul_q_into<const FRAC: u32>(
     }
 }
 
-/// `out (m×n) = a (m×k) · b (n×k)ᵀ` on raw Q-format words.
-///
-/// Dot-product form mirroring `Matrix::matmul_t_into`: ascending-`k`
-/// accumulation per element, bit-identical to the generic path.
-pub fn matmul_t_q_into<const FRAC: u32>(
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[i32],
-    b: &[i32],
-    out: &mut [i32],
-) {
-    assert_eq!(a.len(), m * k, "matmul_t_q: lhs size mismatch");
-    assert_eq!(b.len(), n * k, "matmul_t_q: rhs size mismatch");
-    assert_eq!(out.len(), m * n, "matmul_t_q: output size mismatch");
-    // Dot products are latency-bound: every link of the running sum waits on
-    // the previous saturating add. Four rows of `a` against the same `b` row
-    // give four independent chains, hiding that latency; each chain still
-    // accumulates ascending `k` with per-term saturation, so each output is
-    // bit-identical to the single-row form.
-    let mut i = 0;
-    while i + 4 <= m {
-        let (a0, rest) = a[i * k..(i + 4) * k].split_at(k);
-        let (a1, rest) = rest.split_at(k);
-        let (a2, a3) = rest.split_at(k);
-        for j in 0..n {
-            let b_row = &b[j * k..(j + 1) * k];
-            let mut acc = [0i32; 4];
-            for ((((&b_jp, &v0), &v1), &v2), &v3) in b_row.iter().zip(a0).zip(a1).zip(a2).zip(a3) {
-                acc[0] = q_add(acc[0], q_mul::<FRAC>(v0, b_jp));
-                acc[1] = q_add(acc[1], q_mul::<FRAC>(v1, b_jp));
-                acc[2] = q_add(acc[2], q_mul::<FRAC>(v2, b_jp));
-                acc[3] = q_add(acc[3], q_mul::<FRAC>(v3, b_jp));
-            }
-            for (r, &v) in acc.iter().enumerate() {
-                out[(i + r) * n + j] = v;
-            }
-        }
-        i += 4;
-    }
-    while i < m {
-        let a_row = &a[i * k..(i + 1) * k];
-        let o_row = &mut out[i * n..(i + 1) * n];
-        for (j, o) in o_row.iter_mut().enumerate() {
-            let b_row = &b[j * k..(j + 1) * k];
-            let mut acc = 0i32;
-            for (&a_ip, &b_jp) in a_row.iter().zip(b_row.iter()) {
-                if a_ip != 0 {
-                    acc = q_add(acc, q_mul::<FRAC>(a_ip, b_jp));
-                }
-            }
-            *o = acc;
-        }
-        i += 1;
-    }
-}
-
 /// Packed-panel variant of [`matmul_q_into`]: [`PACK_MR`] rows of `a` are
 /// packed transposed into `pack`, the inner dimension is tiled by
 /// [`PACK_KC`] and the output columns by [`PACK_NC`] — the integer twin of
@@ -945,11 +888,6 @@ mod tests {
         let mut pack = Vec::new();
         matmul_packed_q_into::<20>(2, 2, 2, &a, &b, &mut pack, &mut packed);
         assert_eq!(packed, expected);
-        // matmul_t against b pre-transposed: bᵀ rows are b's columns.
-        let bt: Vec<i32> = [5, 7, 6, 8].iter().map(|&v| v * one).collect();
-        let mut t_out = vec![0i32; 4];
-        matmul_t_q_into::<20>(2, 2, 2, &a, &bt, &mut t_out);
-        assert_eq!(t_out, expected);
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! division by zero included).
 
 use elmrl_fixed::kernels::{
-    bias_relu_q_into, matmul_packed_q_into, matmul_q_into, matmul_t_q_into, q_add, q_div, q_mul,
-    q_one, q_sub, seq_train_q_into, RlsScratch,
+    bias_relu_q_into, matmul_packed_q_into, matmul_q_into, q_add, q_div, q_mul, q_one, q_sub,
+    seq_train_q_into, RlsScratch,
 };
 use elmrl_fixed::Q20;
 use elmrl_linalg::Matrix;
@@ -93,21 +93,6 @@ proptest! {
         let mut packed = vec![0i32; m * 3];
         matmul_packed_q_into::<20>(m, k, 3, &a_raw, &b_raw, &mut pack, &mut packed);
         prop_assert_eq!(packed, naive);
-    }
-
-    #[test]
-    fn matmul_t_kernel_matches_generic_matmul_t(
-        (m, k, n) in (1usize..6, 1usize..9, 1usize..6),
-        a_raw in collection::vec(raw_any(), m * k),
-        b_raw in collection::vec(raw_any(), n * k),
-    ) {
-        let a = to_matrix(m, k, &a_raw);
-        let b = to_matrix(n, k, &b_raw);
-        let expected = raws_of(&a.matmul_t(&b));
-
-        let mut out = vec![0i32; m * n];
-        matmul_t_q_into::<20>(m, k, n, &a_raw, &b_raw, &mut out);
-        prop_assert_eq!(out, expected);
     }
 
     #[test]

@@ -12,12 +12,12 @@
 
 use crate::core::{CycleCounts, FpgaCore, FpgaCoreSnapshot, CPU_CLOCK_HZ};
 use elmrl_core::agent::Observation;
-use elmrl_core::batch::{BatchAgent, BatchQScratch};
+use elmrl_core::batch::{elm_q_batch_into, BatchAgent, EvalScratch};
 use elmrl_core::clipping::TargetConfig;
 use elmrl_core::designs::{Design, DesignConfig};
 use elmrl_core::encoding::StateActionEncoder;
 use elmrl_core::ops::OpCounts;
-use elmrl_core::qnet::{float_q_batch_into, Datapath, QNet, QScratch, ShellConfig, Stored};
+use elmrl_core::qnet::{Datapath, QNet, ShellConfig, Stored};
 use elmrl_elm::model::ElmModel;
 use elmrl_elm::{HiddenActivation, ModelSnapshot, OsElm, OsElmConfig, OsElmSnapshot};
 use elmrl_fixed::Q20;
@@ -295,22 +295,11 @@ impl Datapath for FpgaDatapath {
         self.seq_train_q(x.as_slice(), t.as_slice());
     }
 
-    fn q_into(&mut self, encoder: &StateActionEncoder, state: &[f64], scratch: &mut QScratch) {
-        if self.core_q(encoder, state) {
-            scratch.q.clear();
-            scratch
-                .q
-                .extend(self.scratch.yq.as_slice().iter().map(|v| v.to_f64()));
-        } else {
-            scratch.eval(encoder, self.cpu_learner.model(), state);
-        }
-    }
-
     fn q_batch_into(
         &mut self,
         encoder: &StateActionEncoder,
         states: &Matrix<f64>,
-        scratch: &mut BatchQScratch,
+        scratch: &mut EvalScratch,
         out: &mut Matrix<f64>,
     ) {
         if self.core_q(encoder, states.as_slice()) {
@@ -323,7 +312,7 @@ impl Datapath for FpgaDatapath {
                 *o = v.to_f64();
             }
         } else {
-            float_q_batch_into(encoder, self.cpu_learner.model(), states, scratch, out);
+            elm_q_batch_into(encoder, self.cpu_learner.model(), states, scratch, out);
         }
     }
 

@@ -284,8 +284,8 @@ fn steady_state_quantized_step_allocates_nothing_with_telemetry_on() {
 
 #[test]
 fn steady_state_quantized_act_row_allocates_nothing() {
-    // `act_row` (the E-parallel drivers' action choice) quantises the row
-    // and runs the core through the agent's own staging banks.
+    // `act_row` (the trait default: `act` on row 0) quantises the row and
+    // runs the core through the agent's own staging banks.
     use elmrl_core::batch::BatchAgent;
     use elmrl_linalg::Matrix;
 

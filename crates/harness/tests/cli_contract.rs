@@ -202,6 +202,26 @@ fn resuming_a_checkpoint_whose_buffer_d_was_cut_short_exits_2() {
 }
 
 #[test]
+fn resuming_a_checkpoint_with_an_all_zero_rng_state_exits_2() {
+    // All-zero is the fixed point of xoshiro256++: a run resumed there
+    // would draw 0 on every call.
+    let zero_rng = |json: &str| {
+        let start = json.find("\"rng\":[").expect("the master RNG") + "\"rng\":[".len();
+        let len = json[start..].find(']').unwrap();
+        format!("{}0,0,0,0{}", &json[..start], &json[start + len..])
+    };
+    let (resumed, wrote) =
+        resume_edited_checkpoint("zero-rng", ["1", "1"], "trial-cart-pole-elm-", zero_rng);
+    assert_eq!(resumed.status.code(), Some(2), "{}", stderr(&resumed));
+    assert!(
+        stderr(&resumed).contains("RNG state is all zero"),
+        "{}",
+        stderr(&resumed)
+    );
+    assert!(!wrote);
+}
+
+#[test]
 fn resuming_a_checkpoint_with_an_infinite_beta_word_exits_2() {
     // The JSON reader parses `1e999` to +∞; before restore checked for it,
     // the resumed run panicked (exit 101) on the NaN Q-values it produced.

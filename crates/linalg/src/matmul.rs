@@ -23,21 +23,24 @@
 //! steady-state hot loops — the OS-ELM RLS update above all — perform zero
 //! matrix heap allocations.
 //!
-//! **Narrow and short-inner branches.** The DQN baseline's products are
-//! tiny in one dimension: its Q head has two columns and its state four. The
-//! generic loops spend those products on loop overhead, so the `_into`
-//! kernels take such shapes off them:
+//! **Narrow and short-inner branches.** The ELM-family products are tiny
+//! in one dimension: the network has one output column, and a workload with
+//! two state components has three inputs. The generic loops spend those
+//! products on loop overhead, so the `_into` kernels take such shapes off
+//! them:
 //!
 //! * *narrow output* (`n ≤ 4`) in [`Matrix::matmul_into`] and
-//!   [`Matrix::t_matmul_into`] — the Q head's forward and weight gradient,
-//!   and the serve batch's `H·β` at two actions. The partial sums of four
-//!   output rows live in registers, interleaved so consecutive adds land in
-//!   independent chains instead of waiting on each other;
+//!   [`Matrix::t_matmul_into`] — the network output `H·β` (every Q read and
+//!   RLS prediction) and the initial training's `Hᵀ·T`. The partial sums of
+//!   four output rows live in registers, interleaved so consecutive adds
+//!   land in independent chains instead of waiting on each other;
 //! * *short inner* (`k ≤ 4`) in [`Matrix::matmul_into`] and
-//!   [`Matrix::matmul_t_into`] — the first layer's `x·W` and the gradient
-//!   `dz·Wᵀ` passed back through the Q head. Each output element sums its `k` terms in a
-//!   register and is stored once, instead of being loaded and stored `k`
-//!   times (`matmul_into`) or running a two-iteration loop (`matmul_t_into`).
+//!   [`Matrix::matmul_t_into`] — the hidden projection `x·α` at ≤ 4 inputs
+//!   (MountainCar's three) in `matmul_into`; no ELM-family product reaches
+//!   the `matmul_t_into` branch. Each output element sums its `k` terms in
+//!   a register and is stored once, instead of being loaded and stored `k`
+//!   times (`matmul_into`) or running a two-iteration loop
+//!   (`matmul_t_into`).
 //!
 //! All of them stay bit-for-bit identical to the generic loops: every output
 //! element still starts from zero and adds its products in ascending inner

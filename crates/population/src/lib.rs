@@ -3,9 +3,8 @@
 //! The population execution engine: K replicated agents of one design
 //! training on one workload, sharded across a genuinely concurrent
 //! work-sharing thread pool (`--threads` / `ELMRL_THREADS` size it),
-//! stepped in lockstep through vectorized environments, and driven with
-//! batched Q-network inference on both the training (`act_row`) and the
-//! greedy-evaluation (`predict_batch`) side.
+//! stepped in lockstep through vectorized environments, with batched
+//! Q-network inference on the greedy-evaluation (`predict_batch`) side.
 //!
 //! The paper evaluates a single agent per trial; the ROADMAP's next scaling
 //! step is sharding one trial's agents across threads for population-style

@@ -17,14 +17,14 @@
 //! for any `--shards` **and any `--threads`** value, which the determinism
 //! tests and the CI smoke run assert.
 //!
-//! Inference is batched on both sides of training: the per-tick ε-greedy
-//! **training** decision goes through [`BatchAgent::act_row`] (the batched
-//! forward kernel, one stacked matmul per decision), and after training
-//! every replica's final policy is scored by a **greedy evaluation pass**
-//! in which `eval_episodes` environments step in lockstep while the
-//! replica's network evaluates all still-running episodes in one batched
-//! forward ([`BatchAgent::predict_batch`] over
-//! [`Matrix::gather_rows`]-packed states).
+//! Each replica takes its per-tick ε-greedy **training** decision through
+//! `Agent::act` (for the ELM-family designs the batched evaluator on a
+//! one-row batch), and after training every replica's final policy is
+//! scored by a **greedy evaluation pass** in which `eval_episodes`
+//! environments step in lockstep while the replica's network evaluates all
+//! still-running episodes in one batched forward
+//! ([`BatchAgent::predict_batch`] over [`Matrix::gather_rows`]-packed
+//! states).
 
 use crate::seed::{replica_eval_seed, replica_train_seed};
 use elmrl_core::batch::BatchAgent;
@@ -658,13 +658,6 @@ fn run_shard(
 
     let mut vec_env = VecEnv::from_spec(spec, b);
     vec_env.reset_all(&mut rngs);
-    // Reused `1 × obs_dim` staging row: training-time ε-greedy prediction
-    // goes through `BatchAgent::act_row`, i.e. the same batched forward
-    // kernel the greedy evaluation uses (one stacked matmul per decision
-    // instead of one matvec chain per candidate action). Replicas cannot
-    // share one matmul — each has its own weights — so the batching win is
-    // per replica, across its action set.
-    let mut state_row = Matrix::zeros(1, vec_env.obs_dim());
     let mut books: Vec<EpisodeBook> = (0..b)
         .map(|_| trainer.book(vec_env.solved_threshold()))
         .collect();
@@ -674,16 +667,12 @@ fn run_shard(
     let mut pre_states: Vec<Vec<f64>> = vec![Vec::new(); b];
 
     while active.iter().any(|&a| a) {
-        // Determine: each replica acts on its own slot from its own stream,
-        // Q evaluated through the batched kernel (`act_row` selects exactly
-        // the action the scalar `act` would — same Q bit for bit, same RNG
-        // draws — so sharded, threaded and scalar execution stay identical).
+        // Determine: each replica acts on its own slot from its own stream.
         for j in 0..b {
             actions[j] = active[j].then(|| {
                 pre_states[j].clear();
                 pre_states[j].extend_from_slice(vec_env.state(j));
-                state_row.set_row(0, &pre_states[j]);
-                agents[j].act_row(&state_row, &mut rngs[j])
+                agents[j].act(&pre_states[j], &mut rngs[j])
             });
         }
 
