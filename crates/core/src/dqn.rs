@@ -88,6 +88,65 @@ struct DqnState {
     ops: OpCounts,
 }
 
+impl DqnState {
+    /// Check both networks and the Adam moments against `net`'s
+    /// architecture before a restore takes any of them: the layer count,
+    /// every weight, bias and moment shape, and the finiteness of every
+    /// value. [`Mlp::import_parameters`] panics on a shape mismatch, and a
+    /// non-finite weight would only surface later as NaN Q-values.
+    fn check(&self, net: &Mlp) -> Result<(), String> {
+        // Adam slot `2·l` holds layer l's weights, slot `2·l + 1` its bias.
+        let layers = net.layers();
+        let shapes: Vec<(usize, usize)> = layers
+            .iter()
+            .flat_map(|l| [l.weights().shape(), l.bias().shape()])
+            .collect();
+        let check = |what: &str, m: &Matrix<f64>, slot: usize| {
+            let (kind, layer) = (["weights", "bias"][slot % 2], slot / 2);
+            if m.shape() != shapes[slot] {
+                return Err(format!(
+                    "DQN snapshot: {what} layer {layer} {kind} are {:?}, the agent's {:?}",
+                    m.shape(),
+                    shapes[slot]
+                ));
+            }
+            if !m.iter().all(|v| v.is_finite()) {
+                return Err(format!(
+                    "DQN snapshot: {what} layer {layer} {kind} hold a non-finite value"
+                ));
+            }
+            Ok(())
+        };
+        for (what, params) in [("online", &self.online), ("target", &self.target)] {
+            if params.len() != layers.len() {
+                return Err(format!(
+                    "DQN snapshot: the {what} network has {} layers, the agent's {}",
+                    params.len(),
+                    layers.len()
+                ));
+            }
+            let matrices = params.iter().flat_map(|(w, b)| [w, b]);
+            for (slot, m) in matrices.enumerate() {
+                check(what, m, slot)?;
+            }
+        }
+        if self.optimizer.len() > shapes.len() {
+            return Err(format!(
+                "DQN snapshot: Adam holds {} slots, the agent's networks {}",
+                self.optimizer.len(),
+                shapes.len()
+            ));
+        }
+        for (slot, moments) in self.optimizer.iter().enumerate() {
+            if let Some((m, v, _)) = moments {
+                check("Adam first moment of", m, slot)?;
+                check("Adam second moment of", v, slot)?;
+            }
+        }
+        Ok(())
+    }
+}
+
 /// The replay buffer's snapshot form: its transitions oldest first, and its
 /// capacity. The flat ring converts to and from this shape in
 /// `snapshot`/`restore`, so snapshots keep the JSON layout they had when
@@ -305,6 +364,7 @@ impl Agent for DqnAgent {
         let replay = state.replay.buffer.iter();
         let rows = replay.map(|t| (&t.state[..], t.action, t.reward, &t.next_state[..]));
         check_transitions("DQN replay", rows, dim, actions)?;
+        state.check(&self.online)?;
         self.online.import_parameters(&state.online);
         self.target.import_parameters(&state.target);
         self.optimizer.import_state(state.optimizer);

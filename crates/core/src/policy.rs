@@ -47,10 +47,14 @@ impl ExploitPolicy {
 /// loop): ties are counted in a first pass and the drawn winner located in
 /// a second, consuming exactly one RNG value when ties exist and none
 /// otherwise — the same stream the historical `Vec`-collecting
-/// implementation consumed.
+/// implementation consumed. NaN never wins (see [`argmax`]); an all-NaN
+/// slice is a tie among every action, so one uniform draw picks among them.
 pub fn argmax_random_ties(values: &[f64], rng: &mut SmallRng) -> usize {
     let best_index = argmax(values);
     let best = values[best_index];
+    if best.is_nan() {
+        return rng.gen_range(0..values.len());
+    }
     let tied = values.iter().filter(|&&v| v == best).count();
     if tied == 1 {
         return best_index;
@@ -68,12 +72,14 @@ pub fn argmax_random_ties(values: &[f64], rng: &mut SmallRng) -> usize {
     unreachable!("tie count and tie scan disagree");
 }
 
-/// Index of the largest value (first index on ties).
+/// Index of the largest value (first index on ties). A NaN never wins: it
+/// is passed over for any other value, so only an all-NaN slice returns a
+/// NaN's index (0).
 pub fn argmax(values: &[f64]) -> usize {
     assert!(!values.is_empty(), "argmax of empty slice");
     let mut best = 0usize;
     for i in 1..values.len() {
-        if values[i] > values[best] {
+        if values[i] > values[best] || (values[best].is_nan() && !values[i].is_nan()) {
             best = i;
         }
     }
@@ -95,6 +101,29 @@ mod tests {
         assert_eq!(argmax(&[1.0, 3.0, 2.0]), 1);
         assert_eq!(argmax(&[5.0, 5.0, 1.0]), 0);
         assert_eq!(max_q(&[-2.0, -1.0, -3.0]), -1.0);
+    }
+
+    #[test]
+    fn a_nan_q_value_never_wins_the_greedy_action() {
+        let mut rng = SmallRng::seed_from_u64(6);
+        assert_eq!(argmax(&[f64::NAN, 1.0]), 1);
+        assert_eq!(argmax(&[f64::NAN, 1.0, f64::NAN, 2.0]), 3);
+        for _ in 0..20 {
+            assert_eq!(argmax_random_ties(&[f64::NAN, 1.0], &mut rng), 1);
+        }
+        let p = ExploitPolicy::new(1.0);
+        assert_eq!(p.select(&[f64::NAN, 1.0], &mut rng), 1);
+    }
+
+    #[test]
+    fn an_all_nan_slice_draws_uniformly_over_every_action() {
+        let mut rng = SmallRng::seed_from_u64(7);
+        let q = [f64::NAN; 3];
+        let mut seen = [false; 3];
+        for _ in 0..200 {
+            seen[argmax_random_ties(&q, &mut rng)] = true;
+        }
+        assert!(seen.iter().all(|&s| s));
     }
 
     #[test]

@@ -8,10 +8,17 @@
 //! `trainer::tests`; the fixed-point `FpgaAgent` variant lives in
 //! `elmrl-fpga`). The trajectory comparison is strict equality on actions
 //! and rewards: one diverging ε-draw, replay sample or Q-value flips it.
+//!
+//! The file also holds the restore checks: a snapshot that does not fit the
+//! agent, or holds a non-finite learnable word, is an error that leaves the
+//! agent unchanged, and a run checkpoint cut short or with one byte edited
+//! resumes or errs but never panics.
 
 use elmrl_core::agent::{Agent, Observation};
 use elmrl_core::checkpoint::{rng_from_words, rng_state_words, AgentSnapshot};
 use elmrl_core::designs::{Design, DesignConfig};
+use elmrl_core::trainer::CheckpointCtl;
+use elmrl_core::{RunCheckpoint, Trainer, TrainerConfig};
 use elmrl_gym::{Environment, Workload};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -302,10 +309,15 @@ fn restore_rejects_a_buffered_state_cut_short_and_leaves_the_agent_unchanged() {
     }
 }
 
-/// `json` with the first number of the first `"key":[` array written as
-/// `1e999`, which the JSON reader parses to +∞.
+/// `json` with the first number of the first numeric array at or after
+/// `"key":[` written as `1e999`, which the JSON reader parses to +∞. For a
+/// flat array that is its own first word; for DQN's layers, the first word
+/// of the first matrix's `data`.
 fn overflow_first_word(json: &str, key: &str) -> String {
-    let start = json.find(&format!("\"{key}\":[")).expect("the array") + key.len() + 4;
+    let at = json.find(&format!("\"{key}\":[")).expect("the array");
+    let numeric = |w: &[u8]| w[0] == b'[' && (w[1] == b'-' || w[1].is_ascii_digit());
+    let bytes = &json.as_bytes()[at..];
+    let start = at + bytes.windows(2).position(numeric).expect("a number") + 1;
     let len = json[start..].find([',', ']']).expect("a first word");
     format!("{}1e999{}", &json[..start], &json[start + len..])
 }
@@ -320,16 +332,20 @@ fn restore_rejects_a_non_finite_learnable_word_and_leaves_the_agent_unchanged() 
         Design::OsElmL2,
         Design::OsElmLipschitz,
         Design::OsElmL2Lipschitz,
+        Design::Dqn,
     ];
     for design in designs {
-        // Forty steps: past Ñ = 8, so θ₁ is trained and P exists.
+        // Forty steps: past Ñ = 8, so θ₁ is trained and P exists. DQN takes
+        // eighty, past its 64-transition warm-up, so Adam holds moments.
+        let steps = if design == Design::Dqn { 80 } else { 40 };
         let mut rng = SmallRng::seed_from_u64(12);
         let mut agent = design.build_batch(&config, &mut rng);
         let mut env = spec.make_env();
-        drive(agent.as_mut(), env.as_mut(), &mut rng, 40, &mut 0);
+        drive(agent.as_mut(), env.as_mut(), &mut rng, steps, &mut 0);
         let json = serde_json::to_string(&agent.snapshot().expect("snapshots")).unwrap();
         let keys: &[&str] = match design {
             Design::Elm => &["alpha", "bias", "beta"],
+            Design::Dqn => &["online", "target", "optimizer"],
             _ => &["alpha", "bias", "beta", "p"],
         };
         for key in keys {
@@ -341,4 +357,116 @@ fn restore_rejects_a_non_finite_learnable_word_and_leaves_the_agent_unchanged() 
             assert_eq!(after, json, "{design:?} {key}: the agent is unchanged");
         }
     }
+}
+
+#[test]
+fn restore_rejects_a_snapshot_of_another_hidden_width_and_leaves_the_agent_unchanged() {
+    let spec = Workload::CartPole.spec();
+    for design in Design::software_designs() {
+        let mut rng = SmallRng::seed_from_u64(13);
+        let mut narrow = design.build_batch(&DesignConfig::for_workload(&spec, 8), &mut rng);
+        let mut wide = design.build_batch(&DesignConfig::for_workload(&spec, 16), &mut rng);
+        let mut env = spec.make_env();
+        drive(narrow.as_mut(), env.as_mut(), &mut rng, 80, &mut 0);
+        let before = serde_json::to_string(&wide.snapshot().expect("snapshots")).unwrap();
+        let err = wide
+            .restore(&narrow.snapshot().expect("snapshots"))
+            .unwrap_err();
+        assert!(
+            err.contains("16"),
+            "{design:?} names the agent's width: {err}"
+        );
+        let after = serde_json::to_string(&wide.snapshot().expect("snapshots")).unwrap();
+        assert_eq!(after, before, "{design:?}: the agent is unchanged");
+    }
+}
+
+/// Episodes of the run whose last checkpoint the corpus below corrupts:
+/// past Ñ = 8 CartPole steps, so the ELM designs have trained. DQN is still
+/// in its warm-up, which keeps its replay, the bulk of its checkpoint, short.
+const CORPUS_EPISODES: usize = 5;
+
+/// The JSON of `design`'s run checkpoint after [`CORPUS_EPISODES`]
+/// episodes (CartPole, Ñ = 8).
+fn corpus_checkpoint(design: Design) -> String {
+    let spec = Workload::CartPole.spec();
+    let mut config = TrainerConfig::for_design(&spec, design);
+    config.max_episodes = CORPUS_EPISODES;
+    let mut rng = SmallRng::seed_from_u64(17);
+    let mut agent = design.build_batch(&DesignConfig::for_workload(&spec, 8), &mut rng);
+    let mut env = spec.make_env();
+    let mut last = None;
+    let mut sink = |c: RunCheckpoint| last = Some(c);
+    let mut ctl = CheckpointCtl::saving(CORPUS_EPISODES, &mut sink);
+    Trainer::new(config)
+        .run_checkpointed(agent.as_mut(), env.as_mut(), &mut rng, &mut ctl)
+        .expect("the run completes");
+    last.expect("a checkpoint").to_json().unwrap()
+}
+
+/// Resume `json` through [`Trainer::run_checkpointed`] into a fresh agent
+/// and play one more episode.
+fn resume_corrupted(design: Design, json: &str) -> Result<(), String> {
+    let ckpt = RunCheckpoint::from_json(json)?;
+    let spec = Workload::CartPole.spec();
+    let mut config = TrainerConfig::for_design(&spec, design);
+    config.max_episodes = CORPUS_EPISODES + 1;
+    let mut rng = SmallRng::seed_from_u64(0);
+    let mut agent = design.build_batch(&DesignConfig::for_workload(&spec, 8), &mut rng);
+    let mut env = spec.make_env();
+    let mut sink = |_c: RunCheckpoint| {};
+    let mut ctl = CheckpointCtl::resuming(&ckpt, 0, &mut sink);
+    Trainer::new(config)
+        .run_checkpointed(agent.as_mut(), env.as_mut(), &mut rng, &mut ctl)
+        .map(drop)
+}
+
+/// Byte stride of the cuts, deletions and digit edits the corpus below
+/// makes across a whole checkpoint.
+const CORPUS_STRIDE: usize = 97;
+
+/// Bytes from the start of the online network's state in which every digit
+/// is also turned into `e`: a mantissa digit edited so can leave a weight
+/// finite but huge (`0.2613028314187e223`), and the next Q read NaN.
+const CORPUS_FOCUS: usize = 500;
+
+#[test]
+fn a_corrupted_run_checkpoint_resumes_or_errs_but_never_panics() {
+    let mut panicked = Vec::new();
+    for design in [Design::Elm, Design::OsElmL2, Design::Dqn] {
+        let json = corpus_checkpoint(design);
+        assert!(json.is_ascii(), "byte edits keep an ASCII checkpoint UTF-8");
+        let online = json.find("\"online\"").expect("the online network");
+        let focus = online..online + CORPUS_FOCUS;
+        let mut check = |what: String, text: String| {
+            if std::panic::catch_unwind(|| resume_corrupted(design, &text)).is_err() {
+                panicked.push(format!("{design:?}: {what}"));
+            }
+        };
+        for (i, b) in json.bytes().enumerate() {
+            let strided = i % CORPUS_STRIDE == 0;
+            let (head, tail) = (&json[..i], &json[i + 1..]);
+            if strided {
+                check(format!("cut at {i}"), head.to_owned());
+                check(format!("byte {i} deleted"), format!("{head}{tail}"));
+            }
+            if !b.is_ascii_digit() {
+                continue;
+            }
+            let edits: &[char] = match (strided, focus.contains(&i)) {
+                (true, _) => &['e', '-', '"', ']'],
+                (false, true) => &['e'],
+                (false, false) => &[],
+            };
+            for to in edits {
+                let what = format!("byte {i} {:?} -> {to:?}", b as char);
+                check(what, format!("{head}{to}{tail}"));
+            }
+        }
+    }
+    assert!(
+        panicked.is_empty(),
+        "{} corrupted checkpoints panicked: {panicked:?}",
+        panicked.len()
+    );
 }

@@ -51,14 +51,8 @@ impl HiddenActivation {
         }
     }
 
-    /// Apply element-wise to a matrix.
-    pub fn apply_matrix<T: Scalar>(self, m: &Matrix<T>) -> Matrix<T> {
-        m.map(|x| self.apply(x))
-    }
-
-    /// Apply element-wise in place — the allocation-free form used by the
-    /// workspace (`*_into`) forward passes. Identical results to
-    /// [`HiddenActivation::apply_matrix`].
+    /// Apply element-wise to a matrix, in place — the allocation-free form
+    /// used by the workspace (`*_into`) forward passes.
     pub fn apply_matrix_inplace<T: Scalar>(self, m: &mut Matrix<T>) {
         m.map_inplace(|x| self.apply(x));
     }
@@ -137,12 +131,14 @@ mod tests {
     #[test]
     fn matrix_application_is_elementwise() {
         let m = Matrix::from_rows(&[vec![-1.0, 0.5], vec![2.0, -0.25]]);
-        let r = HiddenActivation::ReLU.apply_matrix(&m);
+        let mut r = m.clone();
+        HiddenActivation::ReLU.apply_matrix_inplace(&mut r);
         assert_eq!(r[(0, 0)], 0.0);
         assert_eq!(r[(0, 1)], 0.5);
         assert_eq!(r[(1, 0)], 2.0);
         assert_eq!(r[(1, 1)], 0.0);
-        let i = HiddenActivation::Identity.apply_matrix(&m);
+        let mut i = m.clone();
+        HiddenActivation::Identity.apply_matrix_inplace(&mut i);
         assert_eq!(i, m);
     }
 }

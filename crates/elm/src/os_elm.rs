@@ -39,9 +39,9 @@ use std::fmt;
 /// work-sharing pool and the stride of the inline tile loop. The `P·Hᵀ` and
 /// downdate passes take 64-row tiles of `P`, the `H·P` pass 64-column
 /// bands. One tile of `P` at Ñ = 1024 is 512 KiB, which streams through L2.
-/// `linalg_kernels/seq_train_batch_1024/{8,16}` in the `kernels` bench
-/// (`cargo bench -p elmrl-bench --bench kernels`) times the passes at that
-/// size.
+/// The `elm.seq_train` row of perfbench's traced `highdim-1024` run
+/// (`python3 perfbench/run.py --workload highdim-1024 --trace 1`) times the
+/// passes at that size.
 pub const P_UPDATE_TILE: usize = 64;
 
 /// Errors produced by OS-ELM training.
@@ -702,7 +702,8 @@ impl<T: Scalar> OsElm<T> {
         self.p.is_some()
     }
 
-    /// How many times `init_train` has run (0 or 1 unless `reset_training`).
+    /// How many times `init_train` has run: 0 or 1, since a second call is
+    /// [`OsElmError::AlreadyInitialized`].
     pub fn init_train_count(&self) -> usize {
         self.init_train_count
     }
@@ -710,14 +711,6 @@ impl<T: Scalar> OsElm<T> {
     /// How many sequential updates have run.
     pub fn seq_train_count(&self) -> usize {
         self.seq_train_count
-    }
-
-    /// Discard `P` and `β` (keeping the random `α`, `b`) so the model can be
-    /// re-initialised — the "reset unpromising weights" rule of §4.3.
-    pub fn reset_training(&mut self) {
-        self.p = None;
-        let (rows, cols) = self.model.beta().shape();
-        self.model.set_beta(Matrix::zeros(rows, cols));
     }
 
     /// Initial training (Equation 7 / Equation 8):
@@ -1521,23 +1514,6 @@ mod tests {
         }
         os.seq_train_batch(&xc, &tc).unwrap();
         assert!(os.model().beta().iter().all(|v| v.is_finite()));
-    }
-
-    #[test]
-    fn reset_training_clears_beta_and_p_but_keeps_alpha() {
-        let mut rng = SmallRng::seed_from_u64(7);
-        let cfg = config(8).with_l2_delta(0.1);
-        let mut os = OsElm::<f64>::new(&cfg, &mut rng);
-        let alpha_before = os.model().alpha().clone();
-        let (x, t) = dataset(20);
-        os.init_train(&x, &t).unwrap();
-        assert!(os.is_initialized());
-        os.reset_training();
-        assert!(!os.is_initialized());
-        assert!(os.model().beta().iter().all(|&v| v == 0.0));
-        assert_eq!(os.model().alpha(), &alpha_before);
-        // can initialise again after the reset
-        assert!(os.init_train(&x, &t).is_ok());
     }
 
     #[test]

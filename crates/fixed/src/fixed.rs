@@ -172,22 +172,6 @@ impl<const FRAC: u32> Fixed<FRAC> {
     pub const fn frac_bits() -> u32 {
         FRAC
     }
-
-    /// Number of integer (non-sign) bits in this format.
-    #[inline]
-    pub const fn int_bits() -> u32 {
-        31 - FRAC
-    }
-
-    /// Largest finite value representable, as `f64`.
-    pub fn max_value_f64() -> f64 {
-        Self::MAX.to_f64()
-    }
-
-    /// Round-trip quantisation of an `f64` through this format.
-    pub fn quantize(v: f64) -> f64 {
-        Self::from_f64(v).to_f64()
-    }
 }
 
 #[inline]
@@ -344,10 +328,9 @@ mod tests {
     #[test]
     fn q20_resolution_and_range() {
         assert_eq!(Q20::frac_bits(), 20);
-        assert_eq!(Q20::int_bits(), 11);
         assert!((Q20::RESOLUTION - 1.0 / 1048576.0).abs() < 1e-15);
         // max ≈ 2047.99...; the paper's Q-values live well inside this.
-        assert!(Q20::max_value_f64() > 2047.0 && Q20::max_value_f64() < 2048.0);
+        assert!(Q20::MAX.to_f64() > 2047.0 && Q20::MAX.to_f64() < 2048.0);
     }
 
     #[test]
@@ -445,8 +428,8 @@ mod tests {
         ];
         assert!(resolutions.windows(2).all(|w| w[0] > w[1]));
         // Coarser format, larger range:
-        assert!(Q8::max_value_f64() > Q20::max_value_f64());
-        assert!(Q20::max_value_f64() > Q24::max_value_f64());
+        assert!(Q8::MAX.to_f64() > Q20::MAX.to_f64());
+        assert!(Q20::MAX.to_f64() > Q24::MAX.to_f64());
     }
 
     #[test]
@@ -479,12 +462,6 @@ mod tests {
         let x = Q20::from_raw(123456);
         assert_eq!(x.to_raw(), 123456);
         assert_eq!(Q20::from_raw(x.to_raw()), x);
-    }
-
-    #[test]
-    fn quantize_helper() {
-        let q = Q20::quantize(0.1234567891);
-        assert!((q - 0.1234567891).abs() <= Q20::RESOLUTION);
     }
 
     #[test]

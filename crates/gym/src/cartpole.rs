@@ -93,11 +93,6 @@ impl CartPole {
         self.state
     }
 
-    /// Number of steps taken in the current episode.
-    pub fn steps_taken(&self) -> usize {
-        self.steps
-    }
-
     fn dynamics(&self, state: [f64; 4], action: usize) -> [f64; 4] {
         let p = &self.params;
         let [x, x_dot, theta, theta_dot] = state;
@@ -261,7 +256,7 @@ mod tests {
         let obs = env.reset(&mut rng(0));
         assert_eq!(obs.len(), 4);
         assert!(obs.iter().all(|&v| v.abs() <= 0.05));
-        assert_eq!(env.steps_taken(), 0);
+        assert_eq!(env.steps, 0);
     }
 
     #[test]

@@ -122,11 +122,6 @@ impl EpisodeStats {
         self.returns.len()
     }
 
-    /// Whether the solved criterion has been met.
-    pub fn is_solved(&self) -> bool {
-        self.solved_at_episode.is_some()
-    }
-
     /// Latest moving-average value, if any episode has been recorded.
     pub fn current_average(&self) -> Option<f64> {
         self.moving_averages.last().copied()
@@ -185,7 +180,7 @@ mod tests {
         assert_eq!(stats.best_return(), Some(40.0));
         assert_eq!(stats.current_average(), Some(30.0));
         assert_eq!(stats.total_steps_assuming_unit_reward(), 70.0);
-        assert!(!stats.is_solved());
+        assert_eq!(stats.solved_at_episode, None);
     }
 
     #[test]
@@ -194,10 +189,9 @@ mod tests {
         // Two high episodes: average is high but the window is not full yet.
         assert!(!stats.record_episode(200.0));
         assert!(!stats.record_episode(200.0));
-        assert!(!stats.is_solved());
+        assert_eq!(stats.solved_at_episode, None);
         // Third episode fills the window and triggers solved.
         assert!(stats.record_episode(200.0));
-        assert!(stats.is_solved());
         assert_eq!(stats.solved_at_episode, Some(2));
         // Further episodes do not change the solve point.
         assert!(!stats.record_episode(200.0));
@@ -210,7 +204,7 @@ mod tests {
         stats.record_episode(194.0);
         stats.record_episode(194.0);
         stats.record_episode(194.0);
-        assert!(!stats.is_solved());
+        assert_eq!(stats.solved_at_episode, None);
     }
 
     #[test]

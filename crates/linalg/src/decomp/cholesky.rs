@@ -72,15 +72,6 @@ impl<T: Scalar> Cholesky<T> {
         solve_in_place(&self.l, SPD_PASSES, &mut x, finite);
         Ok(x)
     }
-
-    /// Determinant (product of squared diagonal entries of `L`).
-    pub fn determinant(&self) -> T {
-        let mut det = T::one();
-        for i in 0..self.dim() {
-            det *= self.l[(i, i)] * self.l[(i, i)];
-        }
-        det
-    }
 }
 
 /// Factorise a symmetric positive-definite matrix into a caller-owned
@@ -236,22 +227,6 @@ pub fn solve_spd_into<T: Scalar>(l: &Matrix<T>, b: &Matrix<T>, out: &mut Matrix<
     out.as_mut_slice().copy_from_slice(b.as_slice());
     solve_in_place(l, SPD_PASSES, out, false);
     Ok(())
-}
-
-/// Solve the regularised Gram system `(AᵀA + δI)·X = B` — the exact shape of
-/// the ReOS-ELM initial-training solve (Equation 8 of the paper).
-pub fn solve_regularized_gram<T: Scalar>(
-    a: &Matrix<T>,
-    delta: T,
-    b: &Matrix<T>,
-) -> Result<Matrix<T>> {
-    let gram = a.t_matmul(a);
-    let n = gram.rows();
-    let mut reg = gram;
-    for i in 0..n {
-        reg[(i, i)] += delta;
-    }
-    Cholesky::decompose(&reg)?.solve(b)
 }
 
 #[cfg(test)]
@@ -413,13 +388,6 @@ mod tests {
     }
 
     #[test]
-    fn determinant_of_diagonal() {
-        let a = Matrix::from_diag(&[4.0, 9.0]);
-        let ch = Cholesky::decompose(&a).unwrap();
-        assert!((ch.determinant() - 36.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn rhs_shape_checks() {
         let ch = Cholesky::decompose(&Matrix::<f64>::identity(3)).unwrap();
         assert!(ch.solve_vec(&[1.0]).is_err());
@@ -484,29 +452,12 @@ mod tests {
     }
 
     #[test]
-    fn regularized_gram_solve_matches_direct_construction() {
-        let mut rng = SmallRng::seed_from_u64(17);
-        let h = uniform_matrix::<f64, _>(12, 6, -1.0, 1.0, &mut rng);
-        let t = uniform_matrix::<f64, _>(6, 1, -1.0, 1.0, &mut rng);
-        let delta = 0.5;
-        let x = solve_regularized_gram(&h, delta, &t).unwrap();
-        let direct = {
-            let gram = h.t_matmul(&h) + Matrix::identity(6).scale(delta);
-            crate::decomp::Lu::decompose(&gram)
-                .unwrap()
-                .solve(&t)
-                .unwrap()
-        };
-        assert!(x.max_abs_diff(&direct) < 1e-9);
-    }
-
-    #[test]
     fn gram_solve_without_regularisation_can_fail_when_rank_deficient() {
         // H has linearly dependent columns, so HᵀH is singular; δ = 0 must fail,
         // a positive δ must succeed. This is exactly why ReOS-ELM adds δI.
         let h = Matrix::from_rows(&[vec![1.0, 2.0], vec![2.0, 4.0], vec![3.0, 6.0]]);
-        let t = Matrix::<f64>::ones(2, 1);
-        assert!(solve_regularized_gram(&h, 0.0, &t).is_err());
-        assert!(solve_regularized_gram(&h, 0.1, &t).is_ok());
+        let gram = |delta: f64| h.t_matmul(&h) + Matrix::identity(2).scale(delta);
+        assert!(Cholesky::decompose(&gram(0.0)).is_err());
+        assert!(Cholesky::decompose(&gram(0.1)).is_ok());
     }
 }

@@ -30,8 +30,6 @@ pub struct Lu<T: Scalar> {
     lu: Matrix<T>,
     /// Row permutation: `perm[i]` is the original row now in position `i`.
     perm: Vec<usize>,
-    /// Number of row swaps performed (determines the determinant's sign).
-    swaps: usize,
 }
 
 impl<T: Scalar> Lu<T> {
@@ -47,7 +45,6 @@ impl<T: Scalar> Lu<T> {
         let n = a.rows();
         let mut lu = a.clone();
         let mut perm: Vec<usize> = (0..n).collect();
-        let mut swaps = 0usize;
 
         for k in 0..n {
             // Partial pivoting: pick the row with the largest |pivot|.
@@ -70,7 +67,6 @@ impl<T: Scalar> Lu<T> {
                     lu[(pivot_row, c)] = tmp;
                 }
                 perm.swap(k, pivot_row);
-                swaps += 1;
             }
             let pivot = lu[(k, k)];
             for r in (k + 1)..n {
@@ -82,7 +78,7 @@ impl<T: Scalar> Lu<T> {
                 }
             }
         }
-        Ok(Self { lu, perm, swaps })
+        Ok(Self { lu, perm })
     }
 
     /// Dimension of the factorised matrix.
@@ -116,19 +112,6 @@ impl<T: Scalar> Lu<T> {
         let mut x = self.p();
         solve_in_place(&self.lu, LU_PASSES, &mut x, false);
         Ok(x)
-    }
-
-    /// Determinant of the factorised matrix.
-    pub fn determinant(&self) -> T {
-        let mut det = if self.swaps % 2 == 0 {
-            T::one()
-        } else {
-            -T::one()
-        };
-        for i in 0..self.dim() {
-            det *= self.lu[(i, i)];
-        }
-        det
     }
 
     /// Reconstruct `L` (unit lower triangular).
@@ -209,14 +192,6 @@ mod tests {
                 "n={n}: A*A^-1 deviates from I"
             );
         }
-    }
-
-    #[test]
-    fn determinant_of_known_matrices() {
-        let a = Matrix::from_rows(&[vec![3.0, 0.0], vec![0.0, 4.0]]);
-        assert!((Lu::decompose(&a).unwrap().determinant() - 12.0).abs() < 1e-12);
-        let b = Matrix::from_rows(&[vec![0.0, 1.0], vec![1.0, 0.0]]);
-        assert!((Lu::decompose(&b).unwrap().determinant() + 1.0).abs() < 1e-12);
     }
 
     #[test]

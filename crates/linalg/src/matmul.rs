@@ -34,13 +34,10 @@
 //!   RLS prediction) and the initial training's `Hᵀ·T`. The partial sums of
 //!   four output rows live in registers, interleaved so consecutive adds
 //!   land in independent chains instead of waiting on each other;
-//! * *short inner* (`k ≤ 4`) in [`Matrix::matmul_into`] and
-//!   [`Matrix::matmul_t_into`] — the hidden projection `x·α` at ≤ 4 inputs
-//!   (MountainCar's three) in `matmul_into`; no ELM-family product reaches
-//!   the `matmul_t_into` branch. Each output element sums its `k` terms in
-//!   a register and is stored once, instead of being loaded and stored `k`
-//!   times (`matmul_into`) or running a two-iteration loop
-//!   (`matmul_t_into`).
+//! * *short inner* (`k ≤ 4`) in [`Matrix::matmul_into`] — the hidden
+//!   projection `x·α` at ≤ 4 inputs (MountainCar's three). Each output
+//!   element sums its `k` terms in a register and is stored once, instead
+//!   of being loaded and stored `k` times.
 //!
 //! All of them stay bit-for-bit identical to the generic loops: every output
 //! element still starts from zero and adds its products in ascending inner
@@ -339,20 +336,6 @@ fn short_inner_matmul<T: Scalar, const K: usize>(a: &[T], rhs: &[T], n: usize, o
     }
 }
 
-/// `a · rhsᵀ` for an inner dimension `K ≤ NARROW_MAX`: each dot product
-/// runs over `K` compile-time terms from zero in ascending order.
-fn short_inner_matmul_t<T: Scalar, const K: usize>(a: &[T], rhs: &[T], n: usize, out: &mut [T]) {
-    for (a_row, o_row) in a.chunks_exact(K).zip(out.chunks_exact_mut(n)) {
-        for (o, b_row) in o_row.iter_mut().zip(rhs.chunks_exact(K)) {
-            let mut acc = T::zero();
-            for (&a_ip, &b) in a_row.iter().zip(b_row) {
-                acc += a_ip * b;
-            }
-            *o = acc;
-        }
-    }
-}
-
 /// Call `$kernel::<T, C>` with the compile-time `C` equal to the runtime
 /// width or depth `$c ∈ 1..=NARROW_MAX`.
 macro_rules! dispatch_const {
@@ -574,11 +557,6 @@ impl<T: Scalar> Matrix<T> {
         );
         let (m, k, n) = (self.rows(), self.cols(), rhs.rows());
         out.resize_zeroed(m, n);
-        if (1..=NARROW_MAX).contains(&k) {
-            let (a, b, o) = (self.as_slice(), rhs.as_slice(), out.as_mut_slice());
-            dispatch_const!(short_inner_matmul_t, k, a, b, n, o);
-            return;
-        }
         for i in 0..m {
             let a_row = self.row(i);
             let o_row = out.row_mut(i);

@@ -348,25 +348,6 @@ impl<T: Scalar> Matrix<T> {
         }
     }
 
-    /// Element-wise combination of two equally shaped matrices.
-    pub fn zip_map(&self, other: &Self, mut f: impl FnMut(T, T) -> T) -> Result<Self> {
-        if self.shape() != other.shape() {
-            return Err(LinalgError::ShapeMismatch {
-                detail: format!("zip_map {:?} vs {:?}", self.shape(), other.shape()),
-            });
-        }
-        Ok(Self {
-            rows: self.rows,
-            cols: self.cols,
-            data: self
-                .data
-                .iter()
-                .zip(other.data.iter())
-                .map(|(&a, &b)| f(a, b))
-                .collect(),
-        })
-    }
-
     /// Multiply every element by `s`.
     pub fn scale(&self, s: T) -> Self {
         self.map(|x| x * s)
@@ -381,21 +362,6 @@ impl<T: Scalar> Matrix<T> {
         acc
     }
 
-    /// Trace (sum of diagonal elements). Errors on non-square matrices.
-    pub fn trace(&self) -> Result<T> {
-        if !self.is_square() {
-            return Err(LinalgError::NotSquare {
-                rows: self.rows,
-                cols: self.cols,
-            });
-        }
-        let mut acc = T::zero();
-        for i in 0..self.rows {
-            acc += self[(i, i)];
-        }
-        Ok(acc)
-    }
-
     /// The largest absolute element value.
     pub fn max_abs(&self) -> T {
         let mut best = T::zero();
@@ -406,11 +372,6 @@ impl<T: Scalar> Matrix<T> {
             }
         }
         best
-    }
-
-    /// `true` if any element is NaN-like.
-    pub fn has_nan(&self) -> bool {
-        self.data.iter().any(|x| x.is_nan())
     }
 
     /// Extract the sub-matrix `rows[r0..r1) × cols[c0..c1)`.
@@ -447,21 +408,6 @@ impl<T: Scalar> Matrix<T> {
             cols: self.cols,
             data,
         })
-    }
-
-    /// Stack two matrices horizontally (`self` to the left of `other`).
-    pub fn hstack(&self, other: &Self) -> Result<Self> {
-        if self.rows != other.rows {
-            return Err(LinalgError::ShapeMismatch {
-                detail: format!("hstack rows {} vs {}", self.rows, other.rows),
-            });
-        }
-        let mut out = Self::zeros(self.rows, self.cols + other.cols);
-        for r in 0..self.rows {
-            out.row_mut(r)[..self.cols].copy_from_slice(self.row(r));
-            out.row_mut(r)[self.cols..].copy_from_slice(other.row(r));
-        }
-        Ok(out)
     }
 
     /// Convert the element type via `f64` (used to move between float and
@@ -669,7 +615,7 @@ mod tests {
         let o = Matrix::<f64>::ones(2, 2);
         assert_eq!(o.sum(), 4.0);
         let i = Matrix::<f64>::identity(3);
-        assert_eq!(i.trace().unwrap(), 3.0);
+        assert_eq!(i.sum(), 3.0);
         assert!(i.is_square());
         let d = Matrix::from_diag(&[1.0, 2.0, 3.0]);
         assert_eq!(d[(2, 2)], 3.0);
@@ -741,13 +687,10 @@ mod tests {
     }
 
     #[test]
-    fn map_and_zip_map() {
+    fn map_and_map_inplace() {
         let m = sample();
         let sq = m.map(|x| x * x);
         assert_eq!(sq[(1, 2)], 36.0);
-        let z = m.zip_map(&m, |a, b| a + b).unwrap();
-        assert_eq!(z[(0, 2)], 6.0);
-        assert!(m.zip_map(&Matrix::zeros(1, 1), |a, _| a).is_err());
         let mut mm = m.clone();
         mm.map_inplace(|x| x + 1.0);
         assert_eq!(mm[(0, 0)], 2.0);
@@ -759,11 +702,7 @@ mod tests {
         let v = a.vstack(&a).unwrap();
         assert_eq!(v.shape(), (4, 3));
         assert_eq!(v[(3, 2)], 6.0);
-        let h = a.hstack(&a).unwrap();
-        assert_eq!(h.shape(), (2, 6));
-        assert_eq!(h[(1, 5)], 6.0);
         assert!(a.vstack(&Matrix::zeros(1, 2)).is_err());
-        assert!(a.hstack(&Matrix::zeros(1, 3)).is_err());
     }
 
     #[test]
@@ -800,12 +739,6 @@ mod tests {
         let a = sample();
         assert_eq!(a.sum(), 21.0);
         assert_eq!(a.max_abs(), 6.0);
-        assert!(Matrix::<f64>::identity(2).trace().unwrap() == 2.0);
-        assert!(a.trace().is_err());
-        assert!(!a.has_nan());
-        let mut b = a.clone();
-        b[(0, 0)] = f64::NAN;
-        assert!(b.has_nan());
     }
 
     #[test]

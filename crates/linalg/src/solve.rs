@@ -17,17 +17,6 @@ pub fn inverse<T: Scalar>(a: &Matrix<T>) -> Result<Matrix<T>> {
     Lu::decompose(a)?.inverse()
 }
 
-/// Inverse of a symmetric positive-definite matrix by Cholesky. Falls back to
-/// LU when the matrix is not positive definite (e.g. it is only semi-definite
-/// because of rounding).
-pub fn inverse_spd<T: Scalar>(a: &Matrix<T>) -> Result<Matrix<T>> {
-    match Cholesky::decompose(a) {
-        Ok(ch) => ch.inverse(),
-        Err(LinalgError::NotPositiveDefinite { .. }) => inverse(a),
-        Err(e) => Err(e),
-    }
-}
-
 /// Moore–Penrose pseudo-inverse. `A⁺` is the minimum-norm solution of
 /// `A·X = I`, so this is [`lstsq`] against the identity; pivots with
 /// `|R_kk| ≤ rcond·|R₀₀|` count as zero.
@@ -233,16 +222,9 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(42);
         let m = uniform_matrix::<f64, _>(5, 5, -1.0, 1.0, &mut rng);
         let spd = m.t_matmul(&m) + Matrix::identity(5).scale(0.1);
-        let i1 = inverse_spd(&spd).unwrap();
+        let i1 = Cholesky::decompose(&spd).unwrap().inverse().unwrap();
         let i2 = inverse(&spd).unwrap();
         assert!(i1.max_abs_diff(&i2) < 1e-8);
-    }
-
-    #[test]
-    fn inverse_spd_falls_back_for_indefinite_input() {
-        let a = Matrix::from_rows(&[vec![2.0, 0.0], vec![0.0, -3.0]]);
-        let inv = inverse_spd(&a).unwrap();
-        assert!(a.matmul(&inv).max_abs_diff(&Matrix::identity(2)) < 1e-12);
     }
 
     #[test]

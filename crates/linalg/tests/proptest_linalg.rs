@@ -122,8 +122,8 @@ proptest! {
         m in 1usize..14, wide in 1usize..20, narrow in 1usize..5, seed in 0u64..300
     ) {
         // The narrow-output (n ≤ 4) branches of `matmul_into`/`t_matmul_into`
-        // and the short-inner (k ≤ 4) branches of `matmul_into`/
-        // `matmul_t_into` against the generic loops they replace.
+        // and the short-inner (k ≤ 4) branch of `matmul_into` against the
+        // generic loops they replace.
         // m sweeps below, on and off multiples of the four-row block; the
         // operands carry signed zeros and NaNs, so a changed addition order
         // or a dropped `0 + …` start would show in the bits.
@@ -137,10 +137,6 @@ proptest! {
         let d = special_matrix(m, wide, seed.wrapping_add(13));
         d.t_matmul_into(&c, &mut out);
         prop_assert!(same_bits(&out, &generic_t_matmul(&d, &c)), "t_matmul {m}x{wide}x{narrow}");
-
-        let e = special_matrix(wide, narrow, seed.wrapping_add(17));
-        c.matmul_t_into(&e, &mut out);
-        prop_assert!(same_bits(&out, &generic_matmul_t(&c, &e)), "matmul_t {m}x{narrow}x{wide}");
 
         let f = special_matrix(narrow, wide, seed.wrapping_add(19));
         c.matmul_into(&f, &mut out);
@@ -247,14 +243,11 @@ proptest! {
     }
 
     #[test]
-    fn hstack_vstack_shapes((m, n) in small_dims(), seed in 0u64..50) {
+    fn vstack_shapes((m, n) in small_dims(), seed in 0u64..50) {
         let a = seeded_matrix(m, n, seed);
         let v = a.vstack(&a).unwrap();
-        let h = a.hstack(&a).unwrap();
         prop_assert_eq!(v.shape(), (2 * m, n));
-        prop_assert_eq!(h.shape(), (m, 2 * n));
-        prop_assert_eq!(v.submatrix(m, 2 * m, 0, n).unwrap(), a.clone());
-        prop_assert_eq!(h.submatrix(0, m, n, 2 * n).unwrap(), a);
+        prop_assert_eq!(v.submatrix(m, 2 * m, 0, n).unwrap(), a);
     }
 }
 
@@ -323,21 +316,6 @@ fn generic_t_matmul(a: &Matrix<f64>, b: &Matrix<f64>) -> Matrix<f64> {
             for j in 0..b.cols() {
                 out[(i, j)] += a[(p, i)] * b[(p, j)];
             }
-        }
-    }
-    out
-}
-
-/// The generic dot-product loop of `matmul_t_into`: `a · bᵀ`.
-fn generic_matmul_t(a: &Matrix<f64>, b: &Matrix<f64>) -> Matrix<f64> {
-    let mut out = Matrix::zeros(a.rows(), b.rows());
-    for i in 0..a.rows() {
-        for j in 0..b.rows() {
-            let mut acc = 0.0;
-            for p in 0..a.cols() {
-                acc += a[(i, p)] * b[(j, p)];
-            }
-            out[(i, j)] = acc;
         }
     }
     out

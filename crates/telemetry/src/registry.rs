@@ -135,15 +135,6 @@ impl Gauge {
         }
     }
 
-    /// Raise the gauge to `v` if it is larger than the current value.
-    /// No-op when telemetry is disabled.
-    #[inline]
-    pub fn set_max(&self, v: i64) {
-        if crate::enabled() {
-            self.value.fetch_max(v, Ordering::Relaxed);
-        }
-    }
-
     /// The last stored value.
     pub fn value(&self) -> i64 {
         self.value.load(Ordering::Relaxed)
@@ -516,10 +507,7 @@ mod tests {
             let g = gauge("test.gauge");
             g.reset();
             g.set(7);
-            g.set_max(3);
             assert_eq!(g.value(), 7);
-            g.set_max(11);
-            assert_eq!(g.value(), 11);
         });
     }
 
