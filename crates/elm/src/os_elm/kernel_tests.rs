@@ -6,7 +6,9 @@
 //! the 64-row tile, and every case runs inline on one thread and on a
 //! 4-worker pool with the parallel threshold at 1, with the 8-lane strip
 //! closed and open. The passes run through `simd::wide`, so on an AVX2 host
-//! this is the AVX2 code that is held to the one-element loops.
+//! this is the AVX2 code that is held to the one-element loops. The
+//! batch-size-1 passes (`fused_ph_hp_single`, `rank1_downdate_rows`) are held
+//! to their own one-element loops the same way.
 
 use super::*;
 use elmrl_linalg::set_parallel_flop_threshold;
@@ -213,6 +215,116 @@ fn blocked_passes_match_at_block_and_tile_edges() {
     {
         for k in [1, 3, 4, 5, 7, 8, 9, 15, 16, 17] {
             assert_matches_the_reference(n, k, 2, 1000 * i as u64 + k as u64);
+        }
+    }
+}
+
+/// Pass 1 of the single-sample update, one element at a time:
+/// `ph[r] = Σ_c P[r][c]·h[c]` and `hp[c] = Σ_r h[r]·P[r][c]`, both ascending.
+fn reference_ph_hp_single(p: &Matrix<f64>, h_row: &[f64]) -> (Vec<f64>, Vec<f64>) {
+    let n = p.rows();
+    let mut ph = vec![0.0; n];
+    let mut hp = vec![0.0; n];
+    for r in 0..n {
+        for c in 0..n {
+            ph[r] += p[(r, c)] * h_row[c];
+            hp[c] += h_row[r] * p[(r, c)];
+        }
+    }
+    (ph, hp)
+}
+
+/// Pass 2 of the single-sample update, one element at a time, per row `r`:
+/// `P[r][c] −= (ph[r]·inv)·hp[c]`, then `ph[r] ← Σ_c P[r][c]·h[c]`, then
+/// `β[r][j] += ph[r]·e[j]`.
+fn reference_rank1_downdate(
+    p: &mut Matrix<f64>,
+    ph: &mut [f64],
+    beta: &mut Matrix<f64>,
+    hp: &[f64],
+    h_row: &[f64],
+    resid: &[f64],
+    inv_denom: f64,
+) {
+    for r in 0..p.rows() {
+        let scale = ph[r] * inv_denom;
+        let mut acc = 0.0;
+        for c in 0..p.cols() {
+            p[(r, c)] -= scale * hp[c];
+            acc += p[(r, c)] * h_row[c];
+        }
+        ph[r] = acc;
+        for (j, &e) in resid.iter().enumerate() {
+            beta[(r, j)] += acc * e;
+        }
+    }
+}
+
+fn same_bits_slice(a: &[f64], b: &[f64]) -> bool {
+    a.len() == b.len()
+        && a.iter()
+            .zip(b)
+            .all(|(x, y)| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()))
+}
+
+/// The batch-size-1 passes (`fused_ph_hp_single`, then `rank1_downdate_rows`
+/// over `P_UPDATE_TILE`-row tiles as `seq_train_single` runs them inline)
+/// against the one-element loops, for Ñ on either side of the 4-row block
+/// and of the 64-row tile, on operands with ±0 and NaN. `inv_denom` also
+/// takes ±0 and NaN.
+#[test]
+fn single_sample_passes_match_the_one_element_loops() {
+    let ns = (1..=9).chain(63..=66);
+    for (i, n) in ns.enumerate() {
+        for (j, inv_denom) in [0.37, -1.25, 0.0, -0.0, f64::NAN].into_iter().enumerate() {
+            let seed = 100 * i as u64 + j as u64;
+            let m = 1 + (i + j) % 3;
+            let p = special_matrix(n, n, seed);
+            let h = special_matrix(1, n, seed + 1);
+            let beta = special_matrix(n, m, seed + 2);
+            let resid = special_matrix(1, m, seed + 3);
+            let case = format!("Ñ={n} m={m} inv={inv_denom} seed={seed}");
+
+            let (ph_ref, hp_ref) = reference_ph_hp_single(&p, h.row(0));
+            let mut ph = Matrix::zeros(n, 1);
+            let mut hp = vec![0.0; n];
+            fused_ph_hp_single(&p, h.row(0), &mut ph, &mut hp);
+            assert!(same_bits_slice(ph.as_slice(), &ph_ref), "P·hᵀ, {case}");
+            assert!(same_bits_slice(&hp, &hp_ref), "h·P, {case}");
+
+            let (mut p_ref, mut ph_new_ref, mut beta_ref) = (p.clone(), ph_ref, beta.clone());
+            reference_rank1_downdate(
+                &mut p_ref,
+                &mut ph_new_ref,
+                &mut beta_ref,
+                &hp_ref,
+                h.row(0),
+                resid.row(0),
+                inv_denom,
+            );
+            let (mut p2, mut beta2) = (p.clone(), beta.clone());
+            for ((p_rows, ph_rows), beta_rows) in p2
+                .as_mut_slice()
+                .chunks_mut(P_UPDATE_TILE * n)
+                .zip(ph.as_mut_slice().chunks_mut(P_UPDATE_TILE))
+                .zip(beta2.as_mut_slice().chunks_mut(P_UPDATE_TILE * m))
+            {
+                rank1_downdate_rows(
+                    p_rows,
+                    ph_rows,
+                    beta_rows,
+                    &hp,
+                    h.row(0),
+                    resid.row(0),
+                    inv_denom,
+                );
+            }
+            assert!(same_bits(&p2, &p_ref), "downdate, {case}");
+            assert!(
+                same_bits_slice(ph.as_slice(), &ph_new_ref),
+                "P_new·hᵀ, {case}"
+            );
+            assert!(same_bits(&beta2, &beta_ref), "β, {case}");
         }
     }
 }
