@@ -250,85 +250,93 @@ fn exact_dot<const FRAC: u32>(p_row: &[i32], nz: &[(u32, i32)]) -> i32 {
     acc
 }
 
-/// Saturation-checked fast dot of four rows against the nonzero support:
-/// four plain `i64` chains (independent, latency-hiding) with a partial-sum
-/// check every [`CHUNK`] terms. Returns `None` when any checkpoint exceeds
-/// `limit` — some partial sum may have saturated, and the caller must
-/// re-run the exact saturating form.
-fn fast_dot4<const FRAC: u32>(
-    rows: [&[i32]; 4],
+/// Saturation-checked fast dot of `R` rows against the nonzero support: `R`
+/// plain `i64` chains (independent, latency-hiding) with a partial-sum check
+/// every [`CHUNK`] terms. Returns `None` when `limit ≤ 0` (some term may
+/// clamp) or a checkpoint exceeds `limit` (some partial sum may have
+/// saturated); the caller must then re-run the exact saturating form.
+#[inline(always)]
+fn fast_dot<const FRAC: u32, const R: usize>(
+    rows: [&[i32]; R],
     nz: &[(u32, i32)],
     limit: i64,
-) -> Option<[i32; 4]> {
-    let mut acc = [0i64; 4];
+) -> Option<[i32; R]> {
+    if limit <= 0 {
+        return None;
+    }
+    let mut acc = [0i64; R];
     let mut peak = 0i64;
     for chunk in nz.chunks(CHUNK) {
         for &(c, hv) in chunk {
-            let c = c as usize;
-            let hw = hv as i64;
-            acc[0] += (rows[0][c] as i64 * hw) >> FRAC;
-            acc[1] += (rows[1][c] as i64 * hw) >> FRAC;
-            acc[2] += (rows[2][c] as i64 * hw) >> FRAC;
-            acc[3] += (rows[3][c] as i64 * hw) >> FRAC;
+            let (c, hw) = (c as usize, hv as i64);
+            for (a, row) in acc.iter_mut().zip(&rows) {
+                *a += (row[c] as i64 * hw) >> FRAC;
+            }
         }
-        for &a in &acc {
-            peak = peak.max(a.abs());
-        }
+        peak = acc.iter().fold(peak, |pk, a| pk.max(a.abs()));
     }
-    if peak <= limit {
-        Some([acc[0] as i32, acc[1] as i32, acc[2] as i32, acc[3] as i32])
-    } else {
-        None
-    }
+    checked(acc, peak, limit)
 }
 
-/// Single-row variant of [`fast_dot4`].
-fn fast_dot1<const FRAC: u32>(p_row: &[i32], nz: &[(u32, i32)], limit: i64) -> Option<i32> {
-    let mut acc = 0i64;
-    let mut peak = 0i64;
-    for chunk in nz.chunks(CHUNK) {
-        for &(c, hv) in chunk {
-            acc += (p_row[c as usize] as i64 * hv as i64) >> FRAC;
+/// The `R` chains `acc`, narrowed to `i32`, when no checkpoint `peak`
+/// exceeded `limit`.
+#[inline(always)]
+fn checked<const R: usize>(acc: [i64; R], peak: i64, limit: i64) -> Option<[i32; R]> {
+    (peak <= limit).then(|| acc.map(|a| a as i32))
+}
+
+/// The dots of one row block: the fast chains `fast` when they passed their
+/// checks, else the exact saturating dots of `rows` against `nz`. Counts the
+/// block in `stats` either way.
+#[inline(always)]
+fn settle<const FRAC: u32, const R: usize>(
+    fast: Option<[i32; R]>,
+    rows: [&[i32]; R],
+    nz: &[(u32, i32)],
+    stats: &mut RlsStats,
+) -> [i32; R] {
+    match fast {
+        Some(acc) => {
+            stats.fast_blocks += 1;
+            acc
         }
-        peak = peak.max(acc.abs());
-    }
-    if peak <= limit {
-        Some(acc as i32)
-    } else {
-        None
+        None => {
+            stats.fallback_blocks += 1;
+            rows.map(|row| exact_dot::<FRAC>(row, nz))
+        }
     }
 }
 
 /// Caller-owned workspaces and cross-call magnitude state of
-/// [`seq_train_q_into`]; reuse one instance per `P` matrix and the steady
-/// state never allocates.
+/// [`seq_train_q_into`]; the steady state never allocates.
 ///
 /// The magnitude state is a standing upper bound on `max|P|`: re-derived by
 /// an exact scan every `RESCAN_PERIOD` updates, loosened incrementally in
 /// between by each update's worst-case downdate. The bound only gates
 /// *which code path* runs — the saturation-free fast loops or the exact
 /// saturating loops — never the values produced, so a stale-but-valid bound
-/// costs speed, not correctness. Call [`RlsScratch::invalidate`] whenever
-/// `P` is rewritten outside the kernel (parameter reload, snapshot restore,
-/// or pointing the scratch at a different `P`).
+/// costs speed, not correctness. A bound that is too *small* is not valid,
+/// so one scratch serves one `P`, and only while the kernel alone writes it:
+/// a `P` written anywhere else (a parameter reload, a snapshot restore)
+/// gets a fresh scratch, as `FpgaCore` does when it is rebuilt.
 #[derive(Clone, Debug, Default)]
 pub struct RlsScratch {
     /// On return from an update: the *post-update* `P·hᵀ` (`Ñ`).
     pub ph: Vec<i32>,
     /// `h·P` of the update (`Ñ`).
     pub hp: Vec<i32>,
-    /// Pre-update prediction `h·β` (`m`).
-    pub pred: Vec<i32>,
     /// Cumulative fast-path/fallback telemetry — see [`RlsStats`].
     pub stats: RlsStats,
+    /// Residual `t ⊖ h·β` of the update, on the pre-update β (`m`).
+    resid: Vec<i32>,
     /// Per-row downdate scales `ph[r]·inv_denom` (`Ñ`).
     scale: Vec<i32>,
     /// Nonzero support of `h`: `(index, value)` pairs, ascending.
     nz: Vec<(u32, i32)>,
     /// Upper bound on the `max|P|` raw word, valid since the last rescan.
     p_abs: i64,
-    /// Updates since construction/invalidation; `calls % RESCAN_PERIOD == 0`
-    /// triggers an exact bound rescan at the next update's entry.
+    /// Updates since construction; `calls % RESCAN_PERIOD == 0` triggers an
+    /// exact bound rescan at the next update's entry.
     calls: u32,
 }
 
@@ -369,11 +377,193 @@ impl RlsScratch {
     pub fn new() -> Self {
         Self::default()
     }
+}
 
-    /// Drop the magnitude bound — the next update re-derives it by scanning
-    /// `P`. Required after `P` changes outside [`seq_train_q_into`].
-    pub fn invalidate(&mut self) {
-        self.calls = 0;
+/// Rows of `P` per block in both passes of [`seq_train_q_into`]: four
+/// independent dot chains in flight hide the add latency. The rows past
+/// the last full block run as one-row blocks.
+const BLOCK_ROWS: usize = 4;
+
+/// Pass 1 of [`seq_train_q_into`]: `ph = P·hᵀ` and `hp = h·P` from one
+/// read of `P`, one row block at a time.
+struct Pass1<'a> {
+    h: &'a [i32],
+    nz: &'a [(u32, i32)],
+    /// Checkpoint limit of every chain of the pass (`ph` dots and `hp`).
+    limit: i64,
+    hp: &'a mut [i32],
+    /// Whether every `hp` checkpoint so far passed; once false, the plain
+    /// fold stops and the exact form re-runs after the pass.
+    hp_ok: bool,
+    /// Nonzero rows folded into `hp` since its last checkpoint.
+    hp_pending: usize,
+}
+
+impl Pass1<'_> {
+    /// Rows `r..r + R`: their `ph` chains (checked fast form, exact on a
+    /// violation), then their terms of `hp`, in ascending row order per
+    /// element (the reference's i-k-j order). The plain `i32` adds of the
+    /// `hp` fold are sound because each element gains at most `CHUNK`
+    /// bounded terms between checkpoints, so no partial sum can overflow
+    /// before its check. When every `h[r]` of the block is nonzero, one
+    /// column sweep folds all `R` terms per element; otherwise each nonzero
+    /// row is folded in turn, and zero rows are skipped and not counted.
+    /// Out of line, like [`Pass2::block`].
+    #[inline(never)]
+    fn block<const FRAC: u32, const R: usize>(
+        &mut self,
+        r: usize,
+        p: &[i32],
+        ph: &mut [i32],
+        stats: &mut RlsStats,
+    ) {
+        let nh = self.hp.len();
+        let rows: [&[i32]; R] = std::array::from_fn(|i| &p[(r + i) * nh..][..nh]);
+        let fast = fast_dot::<FRAC, R>(rows, self.nz, self.limit);
+        ph[r..r + R].copy_from_slice(&settle::<FRAC, R>(fast, rows, self.nz, stats));
+
+        let live = self.h[r..r + R].iter().filter(|&&v| v != 0).count();
+        if !self.hp_ok || live == 0 {
+            return;
+        }
+        let hw: [i64; R] = std::array::from_fn(|i| self.h[r + i] as i64);
+        if live == R {
+            for (j, o) in self.hp.iter_mut().enumerate() {
+                for (row, &w) in rows.iter().zip(&hw) {
+                    *o += ((w * row[j] as i64) >> FRAC) as i32;
+                }
+            }
+        } else {
+            for (row, &w) in rows.iter().zip(&hw).filter(|(_, &w)| w != 0) {
+                for (o, &pv) in self.hp.iter_mut().zip(*row) {
+                    *o += ((w * pv as i64) >> FRAC) as i32;
+                }
+            }
+        }
+        // The scan fires once the count *could* reach CHUNK after the next
+        // four-row block, keeping the per-element drift between scans at
+        // most CHUNK terms — the budget `chain_limit` reserves.
+        self.hp_pending += live;
+        if self.hp_pending >= CHUNK - 3 {
+            self.check_hp();
+        }
+    }
+
+    /// The `hp` checkpoint.
+    fn check_hp(&mut self) {
+        self.hp_pending = 0;
+        self.hp_ok = self.hp.iter().all(|&v| (v as i64).abs() <= self.limit);
+    }
+}
+
+/// How pass 2 of [`seq_train_q_into`] downdates `P`, chosen once per
+/// update from the static guards.
+#[derive(Clone, Copy)]
+enum Downdate {
+    /// Saturation-free, fused with the `ph_new` chains into one column
+    /// sweep over every column (`h` at least ¾ dense).
+    Dense,
+    /// Saturation-free, then the checked `ph_new` dots over `h`'s support.
+    Plain,
+    /// Saturating, then the checked `ph_new` dots.
+    Exact,
+}
+
+/// Pass 2 of [`seq_train_q_into`]: per row block, the downdate
+/// `P[r][c] ⊖= scale[r]·hp[c]`, then `ph_new[r] = P[r]·hᵀ` (the rows are
+/// final), then `β[r][c] ⊕= ph_new[r]·resid[c]`.
+struct Pass2<'a> {
+    mode: Downdate,
+    h: &'a [i32],
+    nz: &'a [(u32, i32)],
+    /// Checkpoint limit of the `ph_new` chains, on the loosened `|P|` bound.
+    limit: i64,
+    hp: &'a [i32],
+    scale: &'a [i32],
+    resid: &'a [i32],
+}
+
+impl Pass2<'_> {
+    /// Rows `r..r + R` of `P`, `ph` and `β`. Per element the downdate is
+    /// one independent operation and every dot chain sums its row in
+    /// ascending column order, so the block changes no word. In the dense
+    /// sweep a zero `h[c]` adds a plain `+0`, which changes neither the
+    /// chain nor its checkpoint peaks; on a checkpoint violation the rows
+    /// are already (correctly) downdated and only the dots re-run exactly.
+    ///
+    /// Out of line: inlined into [`seq_train_q_into`], the block's loops
+    /// lose registers to the caller's state and run slower.
+    #[inline(never)]
+    fn block<const FRAC: u32, const R: usize>(
+        &self,
+        r: usize,
+        p: &mut [i32],
+        ph: &mut [i32],
+        beta: &mut [i32],
+        stats: &mut RlsStats,
+    ) {
+        let (nh, m) = (self.hp.len(), self.resid.len());
+        let (hp, h) = (self.hp, &self.h[..nh]);
+        let mut rest = &mut p[r * nh..(r + R) * nh];
+        let mut rows: [&mut [i32]; R] = std::array::from_fn(|_| {
+            let (row, tail) = std::mem::take(&mut rest).split_at_mut(nh);
+            rest = tail;
+            row
+        });
+        let s: [i64; R] = std::array::from_fn(|i| self.scale[r + i] as i64);
+        let fast = match self.mode {
+            Downdate::Dense => {
+                let mut acc = [0i64; R];
+                let mut peak = 0i64;
+                for c in (0..nh).step_by(CHUNK) {
+                    for j in c..(c + CHUNK).min(nh) {
+                        let (w, hc) = (hp[j] as i64, h[j] as i64);
+                        for ((row, &si), a) in rows.iter_mut().zip(&s).zip(&mut acc) {
+                            let v = row[j] - (((si * w) >> FRAC) as i32);
+                            row[j] = v;
+                            *a += (v as i64 * hc) >> FRAC;
+                        }
+                    }
+                    peak = acc.iter().fold(peak, |pk, a| pk.max(a.abs()));
+                }
+                checked(acc, peak, self.limit)
+            }
+            Downdate::Plain => {
+                downdate_rows(&mut rows, s, hp, |v, si, w| {
+                    v - (((si * w as i64) >> FRAC) as i32)
+                });
+                fast_dot::<FRAC, R>(rows.each_ref().map(|row| &**row), self.nz, self.limit)
+            }
+            Downdate::Exact => {
+                downdate_rows(&mut rows, s, hp, |v, si, w| {
+                    q_sub(v, q_mul::<FRAC>(si as i32, w))
+                });
+                fast_dot::<FRAC, R>(rows.each_ref().map(|row| &**row), self.nz, self.limit)
+            }
+        };
+        let dots = settle::<FRAC, R>(fast, rows.each_ref().map(|row| &**row), self.nz, stats);
+        ph[r..r + R].copy_from_slice(&dots);
+        for (i, &d) in dots.iter().enumerate() {
+            let b_row = &mut beta[(r + i) * m..(r + i + 1) * m];
+            for (bv, &e) in b_row.iter_mut().zip(self.resid) {
+                *bv = q_add(*bv, q_mul::<FRAC>(d, e));
+            }
+        }
+    }
+}
+
+/// `row[c] = sub(row[c], s, hp[c])` over `R` rows, one column at a time.
+#[inline(always)]
+fn downdate_rows<const R: usize>(
+    rows: &mut [&mut [i32]; R],
+    s: [i64; R],
+    hp: &[i32],
+    sub: impl Fn(i32, i64, i32) -> i32,
+) {
+    for (j, &w) in hp.iter().enumerate() {
+        for (row, &si) in rows.iter_mut().zip(&s) {
+            row[j] = sub(row[j], si, w);
+        }
     }
 }
 
@@ -385,8 +575,8 @@ impl RlsScratch {
 /// Inputs: `h` is the already-activated hidden row (`Ñ`), `target` the `m`
 /// training targets. `p` (`Ñ×Ñ`) and `beta` (`Ñ×m`) are updated in place;
 /// `ws` holds the reusable workspaces (on return, `ws.ph` is the
-/// *post-update* `P·hᵀ` and `ws.pred` the pre-update `h·β`) plus the
-/// cross-call `max|P|` bound — see [`RlsScratch`].
+/// *post-update* `P·hᵀ`) plus the cross-call `max|P|` bound — see
+/// [`RlsScratch`].
 ///
 /// The operation sequence per element matches the reference
 /// `Matrix<Fixed<FRAC>>` implementation exactly:
@@ -394,15 +584,18 @@ impl RlsScratch {
 /// 1. `ph = P·hᵀ`, `hp = h·P` (ascending inner accumulation);
 /// 2. `denom = 1 ⊕ Σᵢ h[i]·ph[i]`, `inv = 1 ⊘ denom` (saturating divide —
 ///    the `DIV_LATENCY` reciprocal of the hardware);
-/// 3. `pred = h·β` (β still pre-update);
+/// 3. `resid = target ⊖ h·β` (β still pre-update);
 /// 4. per row `r`: `scale = ph[r]·inv`, `P[r][c] ⊖= scale·hp[c]`; the row is
 ///    final after its downdate, so `ph_new[r] = Σ_c P[r][c]·h[c]` follows
 ///    immediately (same value as a full second `P·hᵀ` pass) and feeds
-///    `β[r][c] ⊕= ph_new[r]·(target[c] ⊖ pred[c])`.
+///    `β[r][c] ⊕= ph_new[r]·resid[c]`.
 ///
 /// Fusing is value-preserving because the downdate touches each `P` row once
 /// and the β update of row `r` reads only `ph_new[r]` and the shared
 /// residual, which is computed from the pre-update β.
+///
+/// Both passes run on one row block of `R` rows (`R` = 4, then 1 for the
+/// rows past the last full block): `Pass1::block` and `Pass2::block`.
 ///
 /// **Two bit-identical code paths.** Saturation exists to model the HDL, but
 /// a trained core operates far from the clamp bounds, and every saturating
@@ -442,7 +635,7 @@ pub fn seq_train_q_into<const FRAC: u32>(
     let RlsScratch {
         ph,
         hp,
-        pred,
+        resid,
         stats,
         scale,
         nz,
@@ -451,7 +644,7 @@ pub fn seq_train_q_into<const FRAC: u32>(
     } = ws;
     ph.resize(nh, 0);
     hp.resize(nh, 0);
-    pred.resize(m, 0);
+    resid.resize(m, 0);
     scale.resize(nh, 0);
     stats.calls += 1;
 
@@ -480,119 +673,34 @@ pub fn seq_train_q_into<const FRAC: u32>(
     // chains themselves are verified at runtime every CHUNK terms.
     let limit = chain_limit(term_bound(*p_abs, h_abs, FRAC));
 
-    // ph = P·hᵀ and hp = h·P in ONE pass over P's rows — each streamed row
-    // feeds both its own dot chain (ph[r], ascending accumulation) and, when
-    // `h[r] != 0`, a saxpy into hp (i-k-j form: rows in ascending order, so
-    // per hp element the terms arrive in the reference order). ph runs four
-    // rows at a time: four independent add chains hide the add latency, and
-    // each block tries the checked fast chain and re-runs exactly on a
-    // violation. The fast hp accumulation uses plain i32 adds — sound
-    // because each element gains at most CHUNK bounded terms between
-    // checkpoints, so no partial sum can overflow before its check — and
-    // bails out to the exact form on the first checkpoint violation.
-    let mut hp_ok = limit > 0;
+    // Pass 1: ph = P·hᵀ and hp = h·P in one read of P's rows.
     hp.fill(0);
-    // Nonzero rows folded into hp since its last checkpoint scan. The scan
-    // fires once the count *could* reach CHUNK after the next 4-row block
-    // (threshold CHUNK − 3), keeping the per-element drift between scans at
-    // most CHUNK terms — the budget `chain_limit` reserves.
-    let mut hp_pending = 0usize;
+    let mut pass1 = Pass1 {
+        h,
+        nz,
+        limit,
+        hp,
+        hp_ok: limit > 0,
+        hp_pending: 0,
+    };
     let mut r = 0;
-    while r + 4 <= nh {
-        let (p0, rest) = p[r * nh..(r + 4) * nh].split_at(nh);
-        let (p1, rest) = rest.split_at(nh);
-        let (p2, p3) = rest.split_at(nh);
-        let rows = [p0, p1, p2, p3];
-        match (limit > 0)
-            .then(|| fast_dot4::<FRAC>(rows, nz, limit))
-            .flatten()
-        {
-            Some(acc) => {
-                ph[r..r + 4].copy_from_slice(&acc);
-                stats.fast_blocks += 1;
-            }
-            None => {
-                for (i, row) in rows.iter().enumerate() {
-                    ph[r + i] = exact_dot::<FRAC>(row, nz);
-                }
-                stats.fallback_blocks += 1;
-            }
-        }
-        if hp_ok {
-            let hw = [
-                h[r] as i64,
-                h[r + 1] as i64,
-                h[r + 2] as i64,
-                h[r + 3] as i64,
-            ];
-            if hw.iter().all(|&v| v != 0) {
-                // All four rows contribute: one column sweep folds all four
-                // terms per hp element (ascending row order per element —
-                // the reference accumulation order).
-                for ((((o, &v0), &v1), &v2), &v3) in hp
-                    .iter_mut()
-                    .zip(p0.iter())
-                    .zip(p1.iter())
-                    .zip(p2.iter())
-                    .zip(p3.iter())
-                {
-                    *o += ((hw[0] * v0 as i64) >> FRAC) as i32;
-                    *o += ((hw[1] * v1 as i64) >> FRAC) as i32;
-                    *o += ((hw[2] * v2 as i64) >> FRAC) as i32;
-                    *o += ((hw[3] * v3 as i64) >> FRAC) as i32;
-                }
-                hp_pending += 4;
-            } else {
-                for (i, row) in rows.iter().enumerate() {
-                    if hw[i] != 0 {
-                        for (o, &pv) in hp.iter_mut().zip(row.iter()) {
-                            *o += ((hw[i] * pv as i64) >> FRAC) as i32;
-                        }
-                        hp_pending += 1;
-                    }
-                }
-            }
-            if hp_pending >= CHUNK - 3 {
-                hp_pending = 0;
-                hp_ok = hp.iter().all(|&v| (v as i64).abs() <= limit);
-            }
-        }
-        r += 4;
-    }
     while r < nh {
-        let p_row = &p[r * nh..(r + 1) * nh];
-        match (limit > 0)
-            .then(|| fast_dot1::<FRAC>(p_row, nz, limit))
-            .flatten()
-        {
-            Some(v) => {
-                ph[r] = v;
-                stats.fast_blocks += 1;
-            }
-            None => {
-                ph[r] = exact_dot::<FRAC>(p_row, nz);
-                stats.fallback_blocks += 1;
-            }
+        if nh - r >= BLOCK_ROWS {
+            pass1.block::<FRAC, BLOCK_ROWS>(r, p, ph, stats);
+            r += BLOCK_ROWS;
+        } else {
+            pass1.block::<FRAC, 1>(r, p, ph, stats);
+            r += 1;
         }
-        if hp_ok && h[r] != 0 {
-            let hw = h[r] as i64;
-            for (o, &pv) in hp.iter_mut().zip(p_row.iter()) {
-                *o += ((hw * pv as i64) >> FRAC) as i32;
-            }
-            hp_pending += 1;
-            if hp_pending >= CHUNK - 3 {
-                hp_pending = 0;
-                hp_ok = hp.iter().all(|&v| (v as i64).abs() <= limit);
-            }
-        }
-        r += 1;
     }
     // The trailing partial window still needs its checkpoint — a saturation
     // in the final rows must not slip through unverified.
-    if hp_ok && hp_pending > 0 {
-        hp_ok = hp.iter().all(|&v| (v as i64).abs() <= limit);
+    if pass1.hp_ok && pass1.hp_pending > 0 {
+        pass1.check_hp();
     }
-    if !hp_ok {
+    if pass1.hp_ok {
+        stats.fast_blocks += 1;
+    } else {
         hp.fill(0);
         for &(c, hv) in nz.iter() {
             let r = c as usize;
@@ -602,8 +710,6 @@ pub fn seq_train_q_into<const FRAC: u32>(
             }
         }
         stats.fallback_blocks += 1;
-    } else {
-        stats.fast_blocks += 1;
     }
     // denom = 1 + h·P·hᵀ, inv = 1/denom — O(Ñ), always exact.
     let mut denom = q_one::<FRAC>();
@@ -612,14 +718,18 @@ pub fn seq_train_q_into<const FRAC: u32>(
     }
     let inv_denom = q_div::<FRAC>(q_one::<FRAC>(), denom);
 
-    // pred = h·β with the pre-update β (the residual's forward pass).
-    pred.fill(0);
+    // resid = target ⊖ h·β with the pre-update β (the residual's forward
+    // pass), once per update.
+    resid.fill(0);
     for &(c, hv) in nz.iter() {
         let r = c as usize;
         let b_row = &beta[r * m..(r + 1) * m];
-        for (o, &bv) in pred.iter_mut().zip(b_row.iter()) {
+        for (o, &bv) in resid.iter_mut().zip(b_row.iter()) {
             *o = q_add(*o, q_mul::<FRAC>(hv, bv));
         }
+    }
+    for (e, &t) in resid.iter_mut().zip(target) {
+        *e = q_sub(t, *e);
     }
 
     // Per-row downdate scales (exact), plus the exact max|scale| and
@@ -643,209 +753,32 @@ pub fn seq_train_q_into<const FRAC: u32>(
     let limit_after = chain_limit(term_bound(p_abs_after, h_abs, FRAC));
     *p_abs = p_abs_after;
 
-    // Fused P downdate + post-update P·hᵀ + β update, one pass over P's
-    // rows, four rows at a time. Per element the downdate
-    // (`P[r][c] ⊖= scale·hp[c]`) is independent work that overlaps the
-    // latency-bound `ph_new` chains; a zero `scale` downdates by an exact 0
-    // and a zero `h[c]` adds an exact 0 to the chain, so the branchless
-    // block is value-identical to the skipping single-row form below.
-    //
-    // When the downdate is static-guarded AND `h` is mostly dense, the two
-    // loops collapse into one column sweep: each downdated value feeds the
-    // `ph_new` chain straight from its register. The chain then spans *all*
-    // columns — a zero `h[c]` contributes a plain `+0`, which neither
-    // changes the running values nor the checkpoint peaks, so soundness and
-    // bit-exactness are untouched. On a checkpoint violation the rows are
-    // already (correctly) downdated and only the dots re-run exactly.
-    let dense_fast = down_fast && limit_after > 0 && nz.len() * 4 >= nh * 3;
+    // Pass 2: the downdate, P_new·hᵀ and the β rows in one pass over P.
+    let mode = if !down_fast {
+        Downdate::Exact
+    } else if limit_after > 0 && nz.len() * 4 >= nh * 3 {
+        Downdate::Dense
+    } else {
+        Downdate::Plain
+    };
+    let pass2 = Pass2 {
+        mode,
+        h,
+        nz,
+        limit: limit_after,
+        hp,
+        scale,
+        resid,
+    };
     let mut r = 0;
-    while r + 4 <= nh {
-        let (p0, rest) = p[r * nh..(r + 4) * nh].split_at_mut(nh);
-        let (p1, rest) = rest.split_at_mut(nh);
-        let (p2, p3) = rest.split_at_mut(nh);
-        if dense_fast {
-            let s = [
-                scale[r] as i64,
-                scale[r + 1] as i64,
-                scale[r + 2] as i64,
-                scale[r + 3] as i64,
-            ];
-            let mut acc = [0i64; 4];
-            let mut peak = 0i64;
-            let mut c = 0;
-            while c < nh {
-                let end = (c + CHUNK).min(nh);
-                for j in c..end {
-                    let w = hp[j] as i64;
-                    let hc = h[j] as i64;
-                    let v0 = p0[j] - (((s[0] * w) >> FRAC) as i32);
-                    let v1 = p1[j] - (((s[1] * w) >> FRAC) as i32);
-                    let v2 = p2[j] - (((s[2] * w) >> FRAC) as i32);
-                    let v3 = p3[j] - (((s[3] * w) >> FRAC) as i32);
-                    p0[j] = v0;
-                    p1[j] = v1;
-                    p2[j] = v2;
-                    p3[j] = v3;
-                    acc[0] += (v0 as i64 * hc) >> FRAC;
-                    acc[1] += (v1 as i64 * hc) >> FRAC;
-                    acc[2] += (v2 as i64 * hc) >> FRAC;
-                    acc[3] += (v3 as i64 * hc) >> FRAC;
-                }
-                for &a in &acc {
-                    peak = peak.max(a.abs());
-                }
-                c = end;
-            }
-            let accs: [i32; 4] = if peak <= limit_after {
-                stats.fast_blocks += 1;
-                [acc[0] as i32, acc[1] as i32, acc[2] as i32, acc[3] as i32]
-            } else {
-                stats.fallback_blocks += 1;
-                [
-                    exact_dot::<FRAC>(p0, nz),
-                    exact_dot::<FRAC>(p1, nz),
-                    exact_dot::<FRAC>(p2, nz),
-                    exact_dot::<FRAC>(p3, nz),
-                ]
-            };
-            for (i, &ph_new_r) in accs.iter().enumerate() {
-                ph[r + i] = ph_new_r;
-                let b_row = &mut beta[(r + i) * m..(r + i + 1) * m];
-                for ((bv, &tv), &pv) in b_row.iter_mut().zip(target.iter()).zip(pred.iter()) {
-                    *bv = q_add(*bv, q_mul::<FRAC>(ph_new_r, q_sub(tv, pv)));
-                }
-            }
-            r += 4;
-            continue;
-        }
-        if down_fast {
-            let s = [
-                scale[r] as i64,
-                scale[r + 1] as i64,
-                scale[r + 2] as i64,
-                scale[r + 3] as i64,
-            ];
-            for ((((&hpv, v0), v1), v2), v3) in hp
-                .iter()
-                .zip(p0.iter_mut())
-                .zip(p1.iter_mut())
-                .zip(p2.iter_mut())
-                .zip(p3.iter_mut())
-            {
-                let w = hpv as i64;
-                *v0 -= ((s[0] * w) >> FRAC) as i32;
-                *v1 -= ((s[1] * w) >> FRAC) as i32;
-                *v2 -= ((s[2] * w) >> FRAC) as i32;
-                *v3 -= ((s[3] * w) >> FRAC) as i32;
-            }
-        } else {
-            let s = [scale[r], scale[r + 1], scale[r + 2], scale[r + 3]];
-            for ((((&hpv, v0), v1), v2), v3) in hp
-                .iter()
-                .zip(p0.iter_mut())
-                .zip(p1.iter_mut())
-                .zip(p2.iter_mut())
-                .zip(p3.iter_mut())
-            {
-                *v0 = q_sub(*v0, q_mul::<FRAC>(s[0], hpv));
-                *v1 = q_sub(*v1, q_mul::<FRAC>(s[1], hpv));
-                *v2 = q_sub(*v2, q_mul::<FRAC>(s[2], hpv));
-                *v3 = q_sub(*v3, q_mul::<FRAC>(s[3], hpv));
-            }
-        }
-        // The four rows are final: ph_new over their nonzero-h support
-        // equals a full second P·hᵀ pass over the downdated rows.
-        let rows = [&*p0, &*p1, &*p2, &*p3];
-        let acc = match (limit_after > 0)
-            .then(|| fast_dot4::<FRAC>(rows, nz, limit_after))
-            .flatten()
-        {
-            Some(acc) => {
-                stats.fast_blocks += 1;
-                acc
-            }
-            None => {
-                stats.fallback_blocks += 1;
-                [
-                    exact_dot::<FRAC>(rows[0], nz),
-                    exact_dot::<FRAC>(rows[1], nz),
-                    exact_dot::<FRAC>(rows[2], nz),
-                    exact_dot::<FRAC>(rows[3], nz),
-                ]
-            }
-        };
-        for (i, &ph_new_r) in acc.iter().enumerate() {
-            ph[r + i] = ph_new_r;
-            let b_row = &mut beta[(r + i) * m..(r + i + 1) * m];
-            for ((bv, &tv), &pv) in b_row.iter_mut().zip(target.iter()).zip(pred.iter()) {
-                *bv = q_add(*bv, q_mul::<FRAC>(ph_new_r, q_sub(tv, pv)));
-            }
-        }
-        r += 4;
-    }
     while r < nh {
-        let s = scale[r];
-        let p_row = &mut p[r * nh..(r + 1) * nh];
-        if dense_fast {
-            let sw = s as i64;
-            let mut acc = 0i64;
-            let mut peak = 0i64;
-            let mut c = 0;
-            while c < nh {
-                let end = (c + CHUNK).min(nh);
-                for j in c..end {
-                    let v = p_row[j] - (((sw * hp[j] as i64) >> FRAC) as i32);
-                    p_row[j] = v;
-                    acc += (v as i64 * h[j] as i64) >> FRAC;
-                }
-                peak = peak.max(acc.abs());
-                c = end;
-            }
-            let ph_new_r = if peak <= limit_after {
-                stats.fast_blocks += 1;
-                acc as i32
-            } else {
-                stats.fallback_blocks += 1;
-                exact_dot::<FRAC>(p_row, nz)
-            };
-            ph[r] = ph_new_r;
-            let b_row = &mut beta[r * m..(r + 1) * m];
-            for ((bv, &tv), &pv) in b_row.iter_mut().zip(target.iter()).zip(pred.iter()) {
-                *bv = q_add(*bv, q_mul::<FRAC>(ph_new_r, q_sub(tv, pv)));
-            }
+        if nh - r >= BLOCK_ROWS {
+            pass2.block::<FRAC, BLOCK_ROWS>(r, p, ph, beta, stats);
+            r += BLOCK_ROWS;
+        } else {
+            pass2.block::<FRAC, 1>(r, p, ph, beta, stats);
             r += 1;
-            continue;
         }
-        if down_fast {
-            let sw = s as i64;
-            for (pv, &hpv) in p_row.iter_mut().zip(hp.iter()) {
-                *pv -= ((sw * hpv as i64) >> FRAC) as i32;
-            }
-        } else if s != 0 {
-            for (pv, &hpv) in p_row.iter_mut().zip(hp.iter()) {
-                *pv = q_sub(*pv, q_mul::<FRAC>(s, hpv));
-            }
-        }
-        // Row r of P is final: ph_new[r] equals a full second P·hᵀ pass.
-        let ph_new_r = match (limit_after > 0)
-            .then(|| fast_dot1::<FRAC>(p_row, nz, limit_after))
-            .flatten()
-        {
-            Some(v) => {
-                stats.fast_blocks += 1;
-                v
-            }
-            None => {
-                stats.fallback_blocks += 1;
-                exact_dot::<FRAC>(p_row, nz)
-            }
-        };
-        ph[r] = ph_new_r;
-        let b_row = &mut beta[r * m..(r + 1) * m];
-        for ((bv, &tv), &pv) in b_row.iter_mut().zip(target.iter()).zip(pred.iter()) {
-            *bv = q_add(*bv, q_mul::<FRAC>(ph_new_r, q_sub(tv, pv)));
-        }
-        r += 1;
     }
 }
 

@@ -36,7 +36,8 @@ fn raws_of(m: &Matrix<Q20>) -> Vec<i32> {
 }
 
 /// One batch-size-1 RLS update on the generic `Matrix<Q20>` arithmetic: the
-/// pre-PR7 `FpgaCore::seq_train` body (post-hidden), verbatim.
+/// FPGA core's original `Matrix<Q20>` `seq_train` body (after the hidden
+/// stage), verbatim.
 fn reference_update(
     h_raw: &[i32],
     target_raw: &[i32],

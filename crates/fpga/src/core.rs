@@ -244,21 +244,7 @@ impl FpgaCore {
         bias_relu_q_into(rows, self.nh, &self.bias, h);
     }
 
-    /// `predict` module: Q-value of one `(state, action)` input.
-    pub fn predict(&mut self, x: &[Q20]) -> Vec<Q20> {
-        let _span = elmrl_telemetry::hist!("fpga.predict").span();
-        assert_eq!(x.len(), self.n, "input width mismatch");
-        self.load_x(x.iter().map(|q| q.to_raw()));
-        self.hidden_batch(1);
-        let FpgaScratch { h, y, .. } = &mut self.scratch;
-        y.resize(self.m, 0);
-        matmul_q_into::<20>(1, self.nh, self.m, h, &self.beta, y);
-        self.cycles.predict_cycles += self.predict_cycle_cost();
-        self.cycles.predict_calls += 1;
-        self.scratch.y.iter().map(|&r| Q20::from_raw(r)).collect()
-    }
-
-    /// Batched `predict`: Q-values of `B` stacked quantised input rows,
+    /// `predict` module: Q-values of `B` stacked quantised input rows,
     /// written into `out` (`B×m`, resized as needed). Each row costs exactly
     /// one `predict` invocation in the cycle model — the hardware core is
     /// batch-size-1, so batching is a host-side loop over the same module.
@@ -279,26 +265,12 @@ impl FpgaCore {
         self.cycles.predict_calls += rows as u64;
     }
 
-    /// `seq_train` module: one batch-size-1 OS-ELM update in Q20.
-    pub fn seq_train(&mut self, x: &[Q20], target: &[Q20]) {
-        let _span = elmrl_telemetry::hist!("fpga.rls_update").span();
-        assert_eq!(x.len(), self.n, "input width mismatch");
-        assert_eq!(target.len(), self.m, "target width mismatch");
-        self.load_x(x.iter().map(|q| q.to_raw()));
-        self.hidden_batch(1);
-        self.scratch.t.clear();
-        self.scratch.t.extend(target.iter().map(|q| q.to_raw()));
-        self.run_rls_rows(1);
-        self.cycles.seq_train_cycles += self.seq_train_cycle_cost();
-        self.cycles.seq_train_calls += 1;
-    }
-
-    /// Batched `seq_train`: `B` sequential batch-size-1 OS-ELM updates over
-    /// stacked quantised inputs/targets, in row order. Bit-identical to `B`
-    /// separate [`FpgaCore::seq_train`] calls (the hidden stage depends only
-    /// on the frozen `α`/`b`, so hoisting it out of the update loop preserves
-    /// every intermediate), and charged identically: one `seq_train`
-    /// invocation per row.
+    /// `seq_train` module: `B` sequential batch-size-1 OS-ELM updates in Q20
+    /// over stacked quantised inputs/targets, in row order. Bit-identical to
+    /// `B` one-row calls (the hidden stage depends only on the frozen
+    /// `α`/`b`, so hoisting it out of the update loop preserves every
+    /// intermediate), and charged identically: one `seq_train` invocation
+    /// per row.
     pub fn seq_train_batch_q(&mut self, xs: &Matrix<Q20>, targets: &Matrix<Q20>) {
         let _span = elmrl_telemetry::hist!("fpga.rls_update").span();
         assert_eq!(xs.cols(), self.n, "input width mismatch");
@@ -459,8 +431,16 @@ mod tests {
         (os, core)
     }
 
-    fn to_q20(v: &[f64]) -> Vec<Q20> {
-        v.iter().map(|&x| Q20::from_f64(x)).collect()
+    /// One quantised row: the 1×`len` matrix the batched entry points take.
+    fn q_row(v: &[f64]) -> Matrix<Q20> {
+        Matrix::from_fn(1, v.len(), |_, j| Q20::from_f64(v[j]))
+    }
+
+    /// `predict_batch_q` on one row: its Q-values.
+    fn predict_one(core: &mut FpgaCore, x: &Matrix<Q20>) -> Vec<Q20> {
+        let mut out = Matrix::default();
+        core.predict_batch_q(x, &mut out);
+        out.row(0).to_vec()
     }
 
     #[test]
@@ -477,7 +457,7 @@ mod tests {
                 .map(|j| ((k * 5 + j) as f64 * 0.137).sin() * 0.5)
                 .collect();
             let yf = os.predict_single(&x)[0];
-            let yq = core.predict(&to_q20(&x))[0].to_f64();
+            let yq = predict_one(&mut core, &q_row(&x))[0].to_f64();
             assert!(
                 (yf - yq).abs() < 1e-3,
                 "float {yf} vs fixed {yq} diverge beyond Q20 tolerance"
@@ -495,7 +475,7 @@ mod tests {
                 .collect();
             let t = if k % 4 == 0 { -1.0 } else { 0.1 };
             os.seq_train_single(&x, &[t]).unwrap();
-            core.seq_train(&to_q20(&x), &[Q20::from_f64(t)]);
+            core.seq_train_batch_q(&q_row(&x), &q_row(&[t]));
         }
         // β should stay close to the float reference after 50 updates.
         let beta_f = os.model().beta();
@@ -511,7 +491,7 @@ mod tests {
         // And their predictions should agree.
         let x = [0.1, -0.2, 0.05, 0.3, 1.0];
         let yf = os.predict_single(&x)[0];
-        let yq = core.predict(&to_q20(&x))[0].to_f64();
+        let yq = predict_one(&mut core, &q_row(&x))[0].to_f64();
         assert!((yf - yq).abs() < 5e-2, "prediction drift: {yf} vs {yq}");
     }
 
@@ -527,19 +507,21 @@ mod tests {
             Q20::from_f64(if i % 2 == 0 { -0.5 } else { 0.25 })
         });
 
-        // predict_batch_q row r == predict(row r), same cycle charges.
+        let row = |m: &Matrix<Q20>, r: usize| Matrix::from_fn(1, m.cols(), |_, j| m[(r, j)]);
+
+        // A B-row predict_batch_q == B one-row calls, same cycle charges.
         let mut out = Matrix::<Q20>::default();
         batch_core.predict_batch_q(&xs, &mut out);
         for r in 0..b {
-            let y = seq_core.predict(xs.row(r));
+            let y = predict_one(&mut seq_core, &row(&xs, r));
             assert_eq!(out.row(r), &y[..], "predict row {r}");
         }
         assert_eq!(batch_core.cycles(), seq_core.cycles());
 
-        // seq_train_batch_q == B sequential seq_train calls, bit for bit.
+        // A B-row seq_train_batch_q == B one-row calls, bit for bit.
         batch_core.seq_train_batch_q(&xs, &ts);
         for r in 0..b {
-            seq_core.seq_train(xs.row(r), ts.row(r));
+            seq_core.seq_train_batch_q(&row(&xs, r), &row(&ts, r));
         }
         assert_eq!(batch_core.beta(), seq_core.beta());
         assert_eq!(batch_core.p(), seq_core.p());
@@ -567,9 +549,9 @@ mod tests {
     #[test]
     fn cycles_accumulate_and_convert_to_seconds() {
         let (_, mut core) = float_and_fixed(64, 4);
-        let x = vec![Q20::from_f64(0.1); 5];
-        core.predict(&x);
-        core.seq_train(&x, &[Q20::from_f64(0.5)]);
+        let x = q_row(&[0.1; 5]);
+        predict_one(&mut core, &x);
+        core.seq_train_batch_q(&x, &q_row(&[0.5]));
         let c = core.cycles();
         assert_eq!(c.predict_calls, 1);
         assert_eq!(c.seq_train_calls, 1);
@@ -587,9 +569,9 @@ mod tests {
     #[test]
     fn snapshot_round_trip_is_bit_exact() {
         let (_, mut core) = float_and_fixed(16, 6);
-        let x = vec![Q20::from_f64(0.2); 5];
-        core.predict(&x);
-        core.seq_train(&x, &[Q20::from_f64(-0.3)]);
+        let x = q_row(&[0.2; 5]);
+        predict_one(&mut core, &x);
+        core.seq_train_batch_q(&x, &q_row(&[-0.3]));
 
         let snap = core.snapshot();
         let json = serde_json::to_string(&snap).unwrap();
@@ -603,13 +585,17 @@ mod tests {
         // Both copies must continue identically (Q20 arithmetic is exact on
         // identical raw words).
         for k in 0..20 {
-            let x: Vec<Q20> = (0..5)
-                .map(|j| Q20::from_f64(((k * 3 + j) as f64 * 0.11).sin() * 0.4))
+            let x: Vec<f64> = (0..5)
+                .map(|j| ((k * 3 + j) as f64 * 0.11).sin() * 0.4)
                 .collect();
-            let t = [Q20::from_f64(if k % 2 == 0 { -0.5 } else { 0.25 })];
-            assert_eq!(core.predict(&x), restored.predict(&x), "step {k}");
-            core.seq_train(&x, &t);
-            restored.seq_train(&x, &t);
+            let (x, t) = (q_row(&x), q_row(&[if k % 2 == 0 { -0.5 } else { 0.25 }]));
+            assert_eq!(
+                predict_one(&mut core, &x),
+                predict_one(&mut restored, &x),
+                "step {k}"
+            );
+            core.seq_train_batch_q(&x, &t);
+            restored.seq_train_batch_q(&x, &t);
         }
         assert_eq!(restored.beta(), core.beta());
         assert_eq!(restored.p(), core.p());
