@@ -11,9 +11,12 @@
 //! With batch size 1 the inverted matrix is `1×1`, so the whole update needs
 //! only multiply–add plus **one reciprocal** — the observation (§2.2, after
 //! Tsukada et al.) that makes the FPGA implementation feasible without an
-//! SVD/QRD core. [`OsElm::seq_train_single`] is that fast path;
-//! [`OsElm::seq_train`] is the general batched form, kept for equivalence
-//! testing and for the ELM-vs-OS-ELM ablation.
+//! SVD/QRD core. [`OsElm::seq_train_single`] is that fast path: one read
+//! of `P` for `P·hᵀ` and `h·P`, then one read+write pass for the downdate,
+//! `P_new·hᵀ` and β, each pass on one const-generic block of `R` rows
+//! (`R` = 4, then 1 for the remainder). [`OsElm::seq_train`] is the
+//! general batched form, kept for equivalence testing and for the
+//! ELM-vs-OS-ELM ablation.
 //!
 //! [`OsElm::seq_train_batch`] is `seq_train` on reusable workspaces. Its
 //! time goes into four Ñ²·B passes over `P`: `P·Hᵀ`, `H·P`, the downdate
@@ -526,20 +529,25 @@ fn ph_hp_rows<T: Scalar, const R: usize>(
     hp_row: &mut [T],
 ) {
     let n = hp_row.len();
-    let rows: [&[T]; R] = std::array::from_fn(|i| &rows[i * n..][..n]);
+    let mut rest = rows;
+    let rows: [&[T]; R] = std::array::from_fn(|_| {
+        let (row, tail) = rest.split_at(n);
+        rest = tail;
+        row
+    });
     let h_r: [T; R] = std::array::from_fn(|i| h_r[i]);
     let h_row = &h_row[..n];
     let mut acc = [T::zero(); R];
-    for (c, v) in hp_row.iter_mut().enumerate() {
+    for c in 0..n {
         let h_c = h_row[c];
         for (a, row) in acc.iter_mut().zip(&rows) {
             *a += row[c] * h_c;
         }
-        let mut sum = *v;
+        let mut sum = hp_row[c];
         for (&h_i, row) in h_r.iter().zip(&rows) {
             sum += h_i * row[c];
         }
-        *v = sum;
+        hp_row[c] = sum;
     }
     ph.copy_from_slice(&acc);
 }

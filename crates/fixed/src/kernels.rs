@@ -23,8 +23,12 @@
 //! bounds on its operands and, whenever those bounds *prove* that no clamp
 //! can fire, runs saturation-free loops whose plain integer arithmetic is
 //! bit-identical to the saturating forms (see [`seq_train_q_into`] and
-//! [`RlsScratch`]). The proptest suite (`tests/proptest_kernels.rs`) pins
-//! all of this against the generic path, including saturated operands.
+//! [`RlsScratch`]). Both of its passes over `P` run on one const-generic
+//! block of `R` rows, at `R` = 4 and then `R` = 1 for the remainder, so
+//! each dot, downdate mode and β-row update is written once. The proptest
+//! suite (`tests/proptest_kernels.rs`) pins all of this against the generic
+//! path, with saturated operands and in the trained regime where the fast
+//! paths run.
 
 /// Saturate a 64-bit intermediate onto the 32-bit lattice — the raw form of
 /// the clamp inside [`Fixed::saturating_mul`](crate::Fixed::saturating_mul).

@@ -17,8 +17,7 @@
 //! are unchanged.
 
 use elmrl_fixed::kernels::{
-    bias_relu_q_into, matmul_packed_q_into, matmul_q_into, seq_train_q_into, RlsScratch, RlsStats,
-    RESCAN_PERIOD,
+    bias_relu_q_into, matmul_packed_q_into, seq_train_q_into, RlsScratch, RlsStats, RESCAN_PERIOD,
 };
 use elmrl_fixed::Q20;
 use elmrl_linalg::Matrix;
