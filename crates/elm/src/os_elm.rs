@@ -11,12 +11,9 @@
 //! With batch size 1 the inverted matrix is `1×1`, so the whole update needs
 //! only multiply–add plus **one reciprocal** — the observation (§2.2, after
 //! Tsukada et al.) that makes the FPGA implementation feasible without an
-//! SVD/QRD core. [`OsElm::seq_train_single`] is that fast path: one read
-//! of `P` for `P·hᵀ` and `h·P`, then one read+write pass for the downdate,
-//! `P_new·hᵀ` and β, each pass on one const-generic block of `R` rows
-//! (`R` = 4, then 1 for the remainder). [`OsElm::seq_train`] is the
-//! general batched form, kept for equivalence testing and for the
-//! ELM-vs-OS-ELM ablation.
+//! SVD/QRD core. [`OsElm::seq_train_single`] is that fast path;
+//! [`OsElm::seq_train`] is the general batched form, kept for equivalence
+//! testing and for the ELM-vs-OS-ELM ablation.
 //!
 //! [`OsElm::seq_train_batch`] is `seq_train` on reusable workspaces. Its
 //! time goes into four Ñ²·B passes over `P`: `P·Hᵀ`, `H·P`, the downdate
@@ -494,70 +491,67 @@ fn downdate<T: Scalar>(
 }
 
 /// Pass 1 of the inline single-sample update: one streamed read of `P`
-/// yields both `ph = P·hᵀ` and `hp = h·P` (pre-zeroed), [`BLOCK_ROWS`] rows
-/// at a time with single rows for the remainder (see [`ph_hp_rows`]).
+/// yields both `ph = P·hᵀ` and `hp = h·P` (pre-zeroed). Four rows of `P`
+/// stream together, giving four independent `ph` dot chains in flight while
+/// the `hp` element picks up the same four terms in ascending row order —
+/// per element, every operation and its order match [`ph_hp`] exactly.
 fn fused_ph_hp_single<T: Scalar>(p: &Matrix<T>, h_row: &[T], ph: &mut Matrix<T>, hp_row: &mut [T]) {
     let n = p.rows();
-    let blocks = p
-        .as_slice()
-        .chunks(BLOCK_ROWS * n)
-        .zip(h_row.chunks(BLOCK_ROWS))
-        .zip(ph.as_mut_slice().chunks_mut(BLOCK_ROWS));
-    for ((rows, h_r), ph_r) in blocks {
-        if ph_r.len() == BLOCK_ROWS {
-            ph_hp_rows::<T, BLOCK_ROWS>(rows, h_r, h_row, ph_r, hp_row);
-        } else {
-            let singles = rows.chunks(n).zip(h_r.chunks(1)).zip(ph_r.chunks_mut(1));
-            for ((row, h_i), ph_i) in singles {
-                ph_hp_rows::<T, 1>(row, h_i, h_row, ph_i, hp_row);
-            }
+    let mut r = 0;
+    while r + 4 <= n {
+        let (p0, p1, p2, p3) = (p.row(r), p.row(r + 1), p.row(r + 2), p.row(r + 3));
+        let (h0, h1, h2, h3) = (h_row[r], h_row[r + 1], h_row[r + 2], h_row[r + 3]);
+        let mut a0 = T::zero();
+        let mut a1 = T::zero();
+        let mut a2 = T::zero();
+        let mut a3 = T::zero();
+        for (((((&c0, &c1), &c2), &c3), &h_c), v) in p0
+            .iter()
+            .zip(p1)
+            .zip(p2)
+            .zip(p3)
+            .zip(h_row)
+            .zip(hp_row.iter_mut())
+        {
+            a0 += c0 * h_c;
+            a1 += c1 * h_c;
+            a2 += c2 * h_c;
+            a3 += c3 * h_c;
+            let mut acc = *v;
+            acc += h0 * c0;
+            acc += h1 * c1;
+            acc += h2 * c2;
+            acc += h3 * c3;
+            *v = acc;
         }
+        ph[(r, 0)] = a0;
+        ph[(r + 1, 0)] = a1;
+        ph[(r + 2, 0)] = a2;
+        ph[(r + 3, 0)] = a3;
+        r += 4;
     }
-}
-
-/// One row block of [`fused_ph_hp_single`]: `rows` holds `R` rows of `P`
-/// and `h_r` their entries of `h`. The `R` independent `ph` dot chains are
-/// in flight together while each `hp` element picks up the block's terms
-/// in ascending row order — per element, every operation and its order
-/// match [`ph_hp`] exactly.
-#[inline(always)]
-fn ph_hp_rows<T: Scalar, const R: usize>(
-    rows: &[T],
-    h_r: &[T],
-    h_row: &[T],
-    ph: &mut [T],
-    hp_row: &mut [T],
-) {
-    let n = hp_row.len();
-    let mut rest = rows;
-    let rows: [&[T]; R] = std::array::from_fn(|_| {
-        let (row, tail) = rest.split_at(n);
-        rest = tail;
-        row
-    });
-    let h_r: [T; R] = std::array::from_fn(|i| h_r[i]);
-    let h_row = &h_row[..n];
-    let mut acc = [T::zero(); R];
-    for c in 0..n {
-        let h_c = h_row[c];
-        for (a, row) in acc.iter_mut().zip(&rows) {
-            *a += row[c] * h_c;
+    while r < n {
+        let p_row = p.row(r);
+        let h_r = h_row[r];
+        let mut acc = T::zero();
+        for ((&p_rc, &h_c), v) in p_row.iter().zip(h_row).zip(hp_row.iter_mut()) {
+            acc += p_rc * h_c;
+            *v += h_r * p_rc;
         }
-        let mut sum = hp_row[c];
-        for (&h_i, row) in h_r.iter().zip(&rows) {
-            sum += h_i * row[c];
-        }
-        hp_row[c] = sum;
+        ph[(r, 0)] = acc;
+        r += 1;
     }
-    ph.copy_from_slice(&acc);
 }
 
 /// Fused pass 2 of the single-sample RLS update over a contiguous row
 /// range: per row r, the rank-1 downdate `P[r] −= (ph[r]/denom)·hp`, the
 /// recompute `ph[r] ← P_new[r]·hᵀ` (row r is final after its own
-/// downdate), and the β-row update `β[r] += ph_new[r]·e`, [`BLOCK_ROWS`]
-/// rows at a time with single rows for the remainder (see
-/// [`rank1_downdate_block`]).
+/// downdate), and the β-row update `β[r] += ph_new[r]·e` — fused per
+/// element (each `P[r][c]` is downdated immediately before its use in the
+/// dot, so the dot still sums the final values ascending `c`), and
+/// processed four rows at a time so four independent dot chains are in
+/// flight. Per element every operation and its order match the one-row
+/// downdate-then-dot loop exactly; the interleave is bit-identical.
 fn rank1_downdate_rows<T: Scalar>(
     p_rows: &mut [T],
     ph_rows: &mut [T],
@@ -567,69 +561,74 @@ fn rank1_downdate_rows<T: Scalar>(
     resid: &[T],
     inv_denom: T,
 ) {
-    let (n, m) = (hp_row.len(), resid.len());
-    let blocks = p_rows
-        .chunks_mut(BLOCK_ROWS * n)
-        .zip(ph_rows.chunks_mut(BLOCK_ROWS))
-        .zip(beta_rows.chunks_mut(BLOCK_ROWS * m));
-    for ((pb, phb), bb) in blocks {
-        if phb.len() == BLOCK_ROWS {
-            rank1_downdate_block::<T, BLOCK_ROWS>(pb, phb, bb, hp_row, h_row, resid, inv_denom);
-        } else {
-            let singles = pb
-                .chunks_mut(n)
-                .zip(phb.chunks_mut(1))
-                .zip(bb.chunks_mut(m));
-            for ((p_row, ph_r), beta_row) in singles {
-                rank1_downdate_block::<T, 1>(
-                    p_row, ph_r, beta_row, hp_row, h_row, resid, inv_denom,
-                );
+    let n = hp_row.len();
+    let m = resid.len();
+    for ((pb, phb), bb) in p_rows
+        .chunks_mut(4 * n)
+        .zip(ph_rows.chunks_mut(4))
+        .zip(beta_rows.chunks_mut(4 * m))
+    {
+        if phb.len() == 4 {
+            let (p01, p23) = pb.split_at_mut(2 * n);
+            let (p0, p1) = p01.split_at_mut(n);
+            let (p2, p3) = p23.split_at_mut(n);
+            let s0 = phb[0] * inv_denom;
+            let s1 = phb[1] * inv_denom;
+            let s2 = phb[2] * inv_denom;
+            let s3 = phb[3] * inv_denom;
+            let mut a0 = T::zero();
+            let mut a1 = T::zero();
+            let mut a2 = T::zero();
+            let mut a3 = T::zero();
+            for (((((p0c, p1c), p2c), p3c), &hp_c), &h_c) in p0
+                .iter_mut()
+                .zip(p1.iter_mut())
+                .zip(p2.iter_mut())
+                .zip(p3.iter_mut())
+                .zip(hp_row)
+                .zip(h_row)
+            {
+                let sub0 = s0 * hp_c;
+                *p0c -= sub0;
+                a0 += *p0c * h_c;
+                let sub1 = s1 * hp_c;
+                *p1c -= sub1;
+                a1 += *p1c * h_c;
+                let sub2 = s2 * hp_c;
+                *p2c -= sub2;
+                a2 += *p2c * h_c;
+                let sub3 = s3 * hp_c;
+                *p3c -= sub3;
+                a3 += *p3c * h_c;
             }
-        }
-    }
-}
-
-/// One row block of [`rank1_downdate_rows`]: `R` rows of `P`, `ph` and
-/// `β`. Each `P[r][c]` is downdated immediately before its use in the dot,
-/// so the dot still sums the final values in ascending `c`, and the `R` dot
-/// chains are independent. Per element every
-/// operation and its order match the one-row downdate-then-dot loop.
-///
-/// Out of line: inlined into the tile loop, the block's row pointers spill
-/// to the stack and the loop runs ~10% slower at Ñ = 64 (x86-64).
-#[inline(never)]
-fn rank1_downdate_block<T: Scalar, const R: usize>(
-    p_rows: &mut [T],
-    ph: &mut [T],
-    beta_rows: &mut [T],
-    hp_row: &[T],
-    h_row: &[T],
-    resid: &[T],
-    inv_denom: T,
-) {
-    let (n, m) = (hp_row.len(), resid.len());
-    let h_row = &h_row[..n];
-    let mut rest = p_rows;
-    let rows: [&mut [T]; R] = std::array::from_fn(|_| {
-        let (row, tail) = std::mem::take(&mut rest).split_at_mut(n);
-        rest = tail;
-        row
-    });
-    let s: [T; R] = std::array::from_fn(|i| ph[i] * inv_denom);
-    let mut acc = [T::zero(); R];
-    for c in 0..n {
-        let (hp_c, h_c) = (hp_row[c], h_row[c]);
-        for i in 0..R {
-            let sub = s[i] * hp_c;
-            rows[i][c] -= sub;
-            acc[i] += rows[i][c] * h_c;
-        }
-    }
-    ph.copy_from_slice(&acc);
-    for (beta_row, &a) in beta_rows.chunks_mut(m).zip(&acc) {
-        for (beta_rc, &e_c) in beta_row.iter_mut().zip(resid) {
-            let add = a * e_c;
-            *beta_rc += add;
+            phb[0] = a0;
+            phb[1] = a1;
+            phb[2] = a2;
+            phb[3] = a3;
+            for (r, acc) in [a0, a1, a2, a3].into_iter().enumerate() {
+                for (beta_rc, &e_c) in bb[r * m..(r + 1) * m].iter_mut().zip(resid) {
+                    let add = acc * e_c;
+                    *beta_rc += add;
+                }
+            }
+        } else {
+            // Remainder rows (fewer than four left): the plain fused loop.
+            for ((p_row, ph_r), beta_row) in
+                pb.chunks_mut(n).zip(phb.iter_mut()).zip(bb.chunks_mut(m))
+            {
+                let scale = *ph_r * inv_denom;
+                let mut acc = T::zero();
+                for ((p_rc, &hp_c), &h_c) in p_row.iter_mut().zip(hp_row).zip(h_row) {
+                    let sub = scale * hp_c;
+                    *p_rc -= sub;
+                    acc += *p_rc * h_c;
+                }
+                *ph_r = acc;
+                for (beta_rc, &e_c) in beta_row.iter_mut().zip(resid) {
+                    let add = acc * e_c;
+                    *beta_rc += add;
+                }
+            }
         }
     }
 }
