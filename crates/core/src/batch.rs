@@ -121,9 +121,6 @@ pub struct EvalScratch {
     /// `(B·A) × Ñ` — pre-activations, activated in place into `H`; doubles
     /// as the stacked `(B·A) × input` encoding under one-hot.
     pre: Matrix<f64>,
-    /// Packed-panel buffer of the blocked matmul engine (PR 9): holds one
-    /// transposed `PACK_MR × PACK_KC` lhs slice, reused across calls.
-    pack: Vec<f64>,
 }
 
 /// Batched `(state, action)` Q evaluation for the ELM-family networks:
@@ -159,13 +156,10 @@ pub fn elm_q_batch_into(
             let alpha = model.alpha(); // (sd + 1) × Ñ
             let bias = model.bias(); // 1 × Ñ
             let nh = alpha.cols();
-            // shared = states · α[0..sd, ..] — the historical path copied
-            // the top rows into a submatrix first, then hand-rolled the
-            // i-k-j loop against α's rows. The prefix form of the blocked
-            // packed engine performs the identical ascending-p accumulation
-            // against α's top `sd` rows without materialising either the
-            // copy or the full product (α carries the extra action row).
-            states.matmul_prefix_packed_into(alpha, sd, &mut scratch.pack, &mut scratch.shared);
+            // shared = states · α[0..sd, ..]: the prefix product adds the
+            // same ascending-p terms against α's top `sd` rows without
+            // copying them out (α carries the extra action row).
+            states.matmul_prefix_into(alpha, &mut scratch.shared);
             scratch.pre.resize_zeroed(b * a, nh);
             for i in 0..b {
                 let s_row = scratch.shared.row(i);
@@ -190,7 +184,7 @@ pub fn elm_q_batch_into(
                     row[sd + action] = 1.0;
                 }
             }
-            model.hidden_into_packed(&scratch.shared, &mut scratch.pack, &mut scratch.pre);
+            model.hidden_into(&scratch.shared, &mut scratch.pre);
         }
     }
     // The `(B·A) × 1` outputs `H·β`, row `i·A + a` for pair `(i, a)`, are

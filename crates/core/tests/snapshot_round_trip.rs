@@ -11,8 +11,9 @@
 //!
 //! The file also holds the restore checks: a snapshot that does not fit the
 //! agent, or holds a non-finite learnable word, is an error that leaves the
-//! agent unchanged, and a run checkpoint cut short or with one byte edited
-//! resumes or errs but never panics.
+//! agent unchanged; a snapshot with one digit turned into an exponent errs or
+//! keeps its Q values finite; and a run checkpoint cut short or with one byte
+//! edited resumes or errs but never panics.
 
 use elmrl_core::agent::{Agent, Observation};
 use elmrl_core::checkpoint::{rng_from_words, rng_state_words, AgentSnapshot};
@@ -357,6 +358,51 @@ fn restore_rejects_a_non_finite_learnable_word_and_leaves_the_agent_unchanged() 
             assert_eq!(after, json, "{design:?} {key}: the agent is unchanged");
         }
     }
+}
+
+#[test]
+fn a_restore_with_one_digit_turned_into_an_exponent_errs_or_reads_finite_q_values() {
+    // Turning one digit into `e` leaves most words finite but can make one
+    // huge (`0.2613028314187e223`). Every such restore must fail, or leave
+    // the first Q read finite after the step that runs the first RLS update
+    // (for OS-ELM, `h·P·hᵀ` of the restored words).
+    let spec = Workload::CartPole.spec();
+    let config = DesignConfig::for_workload(&spec, 8);
+    let mut failures = Vec::new();
+    for design in Design::software_designs()
+        .into_iter()
+        .filter(|&d| d != Design::Dqn)
+    {
+        let mut rng = SmallRng::seed_from_u64(12);
+        let mut agent = design.build_batch(&config, &mut rng);
+        let mut env = spec.make_env();
+        drive(agent.as_mut(), env.as_mut(), &mut rng, 40, &mut 0);
+        let json = serde_json::to_string(&agent.snapshot().expect("snapshots")).unwrap();
+        for (i, b) in json.bytes().enumerate() {
+            if !b.is_ascii_digit() {
+                continue;
+            }
+            let edited = format!("{}e{}", &json[..i], &json[i + 1..]);
+            let Ok(snapshot) = serde_json::from_str::<AgentSnapshot>(&edited) else {
+                continue;
+            };
+            let mut rng = SmallRng::seed_from_u64(1);
+            let mut restored = design.build_batch(&config, &mut rng);
+            if restored.restore(&snapshot).is_err() {
+                continue;
+            }
+            let mut env = spec.make_env();
+            drive(restored.as_mut(), env.as_mut(), &mut rng, 1, &mut 0);
+            let state = env.reset(&mut rng);
+            if !restored.q_values(&state).iter().all(|q| q.is_finite()) {
+                failures.push(format!("{design:?}: byte {i} {:?} -> 'e'", b as char));
+            }
+        }
+    }
+    assert!(
+        failures.is_empty(),
+        "non-finite Q after a restore: {failures:?}"
+    );
 }
 
 #[test]

@@ -44,11 +44,6 @@ impl<T: Scalar> Elm<T> {
         &self.model
     }
 
-    /// Mutable access to the underlying model.
-    pub fn model_mut(&mut self) -> &mut ElmModel<T> {
-        &mut self.model
-    }
-
     /// Whether [`Elm::train`] has been called successfully.
     pub fn is_trained(&self) -> bool {
         self.trained

@@ -138,9 +138,10 @@ impl<T: Scalar> ElmModel<T> {
     }
 
     /// [`ElmModel::hidden`] into a caller-owned matrix (reshaped via
-    /// [`Matrix::resize_zeroed`], reusing its allocation) — the
-    /// allocation-free form the per-step hot paths use. Bit-for-bit
-    /// identical to `hidden`.
+    /// [`Matrix::resize_zeroed`], reusing its allocation) — the form every
+    /// hot path uses, from the single-sample step to the Ñ = 1024 `H₀`.
+    /// The input product goes through the size dispatch of
+    /// [`Matrix::matmul_into`]. Bit-for-bit identical to `hidden`.
     pub fn hidden_into(&self, x: &Matrix<T>, out: &mut Matrix<T>) {
         assert_eq!(
             x.cols(),
@@ -152,36 +153,6 @@ impl<T: Scalar> ElmModel<T> {
         {
             let _span = elmrl_telemetry::hist!("elm.matmul_hidden").span();
             x.matmul_into(&self.alpha, out);
-            for r in 0..out.rows() {
-                let row = out.row_mut(r);
-                for (c, v) in row.iter_mut().enumerate() {
-                    *v += self.bias[(0, c)];
-                }
-            }
-        }
-        let _span = elmrl_telemetry::hist!("elm.activation").span();
-        self.activation.apply_matrix_inplace(out);
-    }
-
-    /// [`ElmModel::hidden_into`] with the input product routed through the
-    /// size-dispatched packed/blocked kernel ([`Matrix::matmul_auto_into`]):
-    /// wide inputs (the high-dim workloads) and big batches take the
-    /// cache-blocked engine — and the work-sharing pool above the parallel
-    /// threshold — while paper-scale shapes fall back to the naive loop.
-    /// Every branch is bit-for-bit identical to [`ElmModel::hidden_into`];
-    /// `pack` is the caller-owned panel buffer, so the sequential branches
-    /// stay allocation-free at steady state.
-    pub fn hidden_into_packed(&self, x: &Matrix<T>, pack: &mut Vec<T>, out: &mut Matrix<T>) {
-        assert_eq!(
-            x.cols(),
-            self.input_dim(),
-            "hidden: input has {} features, expected {}",
-            x.cols(),
-            self.input_dim()
-        );
-        {
-            let _span = elmrl_telemetry::hist!("elm.matmul_hidden").span();
-            x.matmul_auto_into(&self.alpha, pack, out);
             for r in 0..out.rows() {
                 let row = out.row_mut(r);
                 for (c, v) in row.iter_mut().enumerate() {

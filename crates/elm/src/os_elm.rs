@@ -30,7 +30,7 @@ use crate::config::OsElmConfig;
 use crate::model::ElmModel;
 use elmrl_linalg::decomp::{cholesky_into, solve_spd_into, Cholesky};
 use elmrl_linalg::solve::inverse;
-use elmrl_linalg::{simd, LinalgError, Matrix, Scalar};
+use elmrl_linalg::{on_pool, simd, LinalgError, Matrix, Scalar};
 use rand::Rng;
 use rayon::prelude::*;
 use std::fmt;
@@ -127,8 +127,6 @@ struct SeqScratch<T: Scalar> {
     /// `P·Hᵀ` register blocks (`Ñ·B·8` bytes for `f64`: 128 KiB at Ñ = 1024,
     /// B = 16). Unused on the inline single-sample path.
     ht: Matrix<T>,
-    /// Pack buffer for the cache-blocked hidden-activation product.
-    pack: Vec<T>,
 }
 
 // Manual impl: `derive(Default)` would demand `T: Default`, which `Scalar`
@@ -145,7 +143,6 @@ impl<T: Scalar> Default for SeqScratch<T> {
             l: Matrix::default(),
             sol: Matrix::default(),
             ht: Matrix::default(),
-            pack: Vec::new(),
         }
     }
 }
@@ -320,12 +317,6 @@ fn for_row_blocks<'a, T: Scalar>(
             }
         }
     }
-}
-
-/// Whether a pass of `madds` multiply–adds goes to the work-sharing pool:
-/// it must clear the parallel threshold, and the pool must have workers.
-fn on_pool(madds: usize) -> bool {
-    rayon::current_num_threads() > 1 && madds >= elmrl_linalg::parallel_flop_threshold()
 }
 
 /// Runs `f` on every tile: on the work-sharing pool when `parallel`, else
@@ -682,11 +673,6 @@ impl<T: Scalar> OsElm<T> {
         &self.model
     }
 
-    /// Mutable access to the underlying model.
-    pub fn model_mut(&mut self) -> &mut ElmModel<T> {
-        &mut self.model
-    }
-
     /// The ReOS-ELM regularisation strength `δ` used at initial training.
     pub fn l2_delta(&self) -> f64 {
         self.l2_delta
@@ -734,9 +720,7 @@ impl<T: Scalar> OsElm<T> {
         }
         self.check_shapes(x0, t0)?;
         check_finite("init_train", x0.iter().chain(t0.iter()))?;
-        // H₀ through the packed GEMM (bit-identical to `hidden`).
-        let mut h0 = Matrix::default();
-        self.model.hidden_into_packed(x0, &mut Vec::new(), &mut h0);
+        let h0 = self.model.hidden(x0);
         let n_hidden = self.model.hidden_dim();
         let mut gram = h0.t_matmul(&h0);
         if self.l2_delta > 0.0 {
@@ -846,16 +830,14 @@ impl<T: Scalar> OsElm<T> {
             l,
             sol,
             ht,
-            pack,
             ..
         } = scratch;
         let k = x.rows();
         let n_hidden = model.hidden_dim();
         let _span = elmrl_telemetry::hist!("elm.batch_rls").span();
 
-        // H = G(x·α + b) (B×Ñ), through the cache-blocked kernel (wide
-        // inputs are the high-dim workload's hot shape).
-        model.hidden_into_packed(x, pack, h);
+        // H = G(x·α + b) (B×Ñ).
+        model.hidden_into(x, h);
 
         // The P passes dominate the chunk update (everything else is
         // O(B²·Ñ) or smaller); their tiles run on the work-sharing pool when

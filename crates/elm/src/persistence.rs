@@ -91,16 +91,29 @@ impl ModelSnapshot {
     }
 }
 
-/// [`LinalgError::InvalidData`] when any of `values` is not finite.
+/// Largest magnitude a restored word may hold. A cube of the bound, times
+/// `Ñ²·|x|²`, stays finite through `h·P·hᵀ`: with `α` and `b` bounded, each
+/// hidden activation is at most `(n·|x| + 1)·10⁶⁰` for `n` inputs, so the
+/// `Ñ²` terms of `h·P·hᵀ` stay far below f64's `1.8·10³⁰⁸` and the first RLS
+/// update after a restore cannot overflow. A finite but huge word — a
+/// mantissa digit edited into `e`, `0.2613028314187e223` — would turn that
+/// update, and every Q read after it, into NaN.
+const MAX_RESTORED_MAGNITUDE: f64 = 1e60;
+
+/// [`LinalgError::InvalidData`] when any of `values` is not finite or lies
+/// above [`MAX_RESTORED_MAGNITUDE`] in magnitude.
 pub(crate) fn check_finite<'a>(
     what: &str,
     mut values: impl Iterator<Item = &'a f64>,
 ) -> Result<(), LinalgError> {
-    if values.all(|v| v.is_finite()) {
+    if values.all(|v| v.abs() <= MAX_RESTORED_MAGNITUDE) {
         return Ok(());
     }
     Err(LinalgError::InvalidData {
-        detail: format!("snapshot {what} holds a non-finite value"),
+        detail: format!(
+            "snapshot {what} holds a non-finite value or one above {MAX_RESTORED_MAGNITUDE:e} \
+             in magnitude"
+        ),
     })
 }
 

@@ -88,22 +88,6 @@ pub const fn q_one<const FRAC: u32>() -> i32 {
     1i32 << FRAC
 }
 
-/// Row-panel height of [`matmul_packed_q_into`] — mirrors
-/// `elmrl_linalg::matmul::PACK_MR` so both packed kernels share the same
-/// panel geometry (and therefore the same per-element accumulation order as
-/// the naive kernel).
-pub const PACK_MR: usize = 8;
-
-/// Inner-dimension (`k`) tile of [`matmul_packed_q_into`] — mirrors
-/// `elmrl_linalg::matmul::PACK_KC`. A packed `PACK_MR × PACK_KC` panel slice
-/// of `i32` words is 8 KiB, comfortably L1-resident across the column sweep.
-pub const PACK_KC: usize = 256;
-
-/// Output-column tile of [`matmul_packed_q_into`] — mirrors
-/// `elmrl_linalg::matmul::PACK_NC`; keeps the accumulator rows cache-hot
-/// while the `PACK_KC × PACK_NC` rhs block streams from L2.
-pub const PACK_NC: usize = 256;
-
 /// `out (m×n) = a (m×k) · b (k×n)` on raw Q-format words, row-major slices.
 ///
 /// Same `i-k-j` loop structure as `Matrix::matmul_into`, so each output
@@ -131,62 +115,6 @@ pub fn matmul_q_into<const FRAC: u32>(
             let b_row = &b[p * n..(p + 1) * n];
             for (o, &b_pj) in o_row.iter_mut().zip(b_row.iter()) {
                 *o = q_add(*o, q_mul::<FRAC>(a_ip, b_pj));
-            }
-        }
-    }
-}
-
-/// Packed-panel variant of [`matmul_q_into`]: [`PACK_MR`] rows of `a` are
-/// packed transposed into `pack`, the inner dimension is tiled by
-/// [`PACK_KC`] and the output columns by [`PACK_NC`] — the integer twin of
-/// `Matrix::matmul_packed_into`, blocked the same way. Per output element
-/// the `k` terms still arrive in ascending order (k-blocks ascend, `p`
-/// ascends within a block) with per-term saturation, so the result is
-/// bit-identical to [`matmul_q_into`] (and therefore to the generic
-/// `Matrix<Fixed<FRAC>>` product) no matter how the tiles fall.
-pub fn matmul_packed_q_into<const FRAC: u32>(
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[i32],
-    b: &[i32],
-    pack: &mut Vec<i32>,
-    out: &mut [i32],
-) {
-    assert_eq!(a.len(), m * k, "matmul_packed_q: lhs size mismatch");
-    assert_eq!(b.len(), k * n, "matmul_packed_q: rhs size mismatch");
-    assert_eq!(out.len(), m * n, "matmul_packed_q: output size mismatch");
-    out.fill(0);
-    pack.clear();
-    pack.resize(PACK_MR * PACK_KC.min(k.max(1)), 0);
-    for i0 in (0..m).step_by(PACK_MR) {
-        let h = PACK_MR.min(m - i0);
-        let panel = &mut out[i0 * n..(i0 + h) * n];
-        for p0 in (0..k).step_by(PACK_KC) {
-            let p_end = (p0 + PACK_KC).min(k);
-            // Pack this panel's k-slice transposed: pack[(p-p0)·MR + r] =
-            // A[i0+r, p], so the p-loop below reads one contiguous group.
-            for r in 0..h {
-                let a_row = &a[(i0 + r) * k..(i0 + r + 1) * k];
-                for (p, &v) in a_row.iter().enumerate().take(p_end).skip(p0) {
-                    pack[(p - p0) * PACK_MR + r] = v;
-                }
-            }
-            for j0 in (0..n).step_by(PACK_NC) {
-                let j_end = (j0 + PACK_NC).min(n);
-                for p in p0..p_end {
-                    let b_row = &b[p * n + j0..p * n + j_end];
-                    let group = &pack[(p - p0) * PACK_MR..(p - p0) * PACK_MR + h];
-                    for (r, &a_rp) in group.iter().enumerate() {
-                        if a_rp == 0 {
-                            continue; // exact zero terms are additive identities
-                        }
-                        let o_row = &mut panel[r * n + j0..r * n + j_end];
-                        for (o, &b_pj) in o_row.iter_mut().zip(b_row.iter()) {
-                            *o = q_add(*o, q_mul::<FRAC>(a_rp, b_pj));
-                        }
-                    }
-                }
             }
         }
     }
@@ -821,10 +749,6 @@ mod tests {
         matmul_q_into::<20>(2, 2, 2, &a, &b, &mut out);
         let expected: Vec<i32> = [19, 22, 43, 50].iter().map(|&v| v * one).collect();
         assert_eq!(out, expected);
-        let mut packed = vec![0i32; 4];
-        let mut pack = Vec::new();
-        matmul_packed_q_into::<20>(2, 2, 2, &a, &b, &mut pack, &mut packed);
-        assert_eq!(packed, expected);
     }
 
     #[test]

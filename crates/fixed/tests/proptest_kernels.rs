@@ -5,8 +5,8 @@
 //! division by zero included).
 
 use elmrl_fixed::kernels::{
-    bias_relu_q_into, matmul_packed_q_into, matmul_q_into, q_add, q_div, q_mul, q_one, q_sub,
-    seq_train_q_into, RlsScratch, RlsStats,
+    bias_relu_q_into, matmul_q_into, q_add, q_div, q_mul, q_one, q_sub, seq_train_q_into,
+    RlsScratch, RlsStats,
 };
 use elmrl_fixed::Q20;
 use elmrl_linalg::Matrix;
@@ -109,26 +109,26 @@ proptest! {
         let mut out = vec![0i32; m * n];
         matmul_q_into::<20>(m, k, n, &a_raw, &b_raw, &mut out);
         prop_assert_eq!(&out, &expected);
-
-        let mut pack = Vec::new();
-        let mut packed = vec![0i32; m * n];
-        matmul_packed_q_into::<20>(m, k, n, &a_raw, &b_raw, &mut pack, &mut packed);
-        prop_assert_eq!(&packed, &expected);
     }
 
     #[test]
-    fn packed_kernel_handles_panel_remainders(
-        m in 1usize..18, // crosses the PACK_MR = 8 panel boundary both ways
-        k in 1usize..6,
-        a_raw in collection::vec(raw_any(), m * k),
-        b_raw in collection::vec(raw_any(), k * 3),
+    fn matmul_q_matches_generic_product_at_the_core_shapes(
+        rows in 1usize..18, // stacked inputs of one batched predict
+        x_raw in collection::vec(raw_any(), rows * 5),
+        alpha_raw in collection::vec(raw_any(), 5 * 64),
+        beta_raw in collection::vec(raw_any(), 64),
     ) {
-        let mut naive = vec![0i32; m * 3];
-        matmul_q_into::<20>(m, k, 3, &a_raw, &b_raw, &mut naive);
-        let mut pack = Vec::new();
-        let mut packed = vec![0i32; m * 3];
-        matmul_packed_q_into::<20>(m, k, 3, &a_raw, &b_raw, &mut pack, &mut packed);
-        prop_assert_eq!(packed, naive);
+        // The FPGA core's two products at the paper's CartPole shape: the
+        // hidden projection x·α (rows × 5 × 64) and the output h·β
+        // (rows × 64 × 1), each against the generic `Matrix<Q20>` product.
+        let mut h = vec![0i32; rows * 64];
+        matmul_q_into::<20>(rows, 5, 64, &x_raw, &alpha_raw, &mut h);
+        let expected = to_matrix(rows, 5, &x_raw).matmul(&to_matrix(5, 64, &alpha_raw));
+        prop_assert_eq!(&h, &raws_of(&expected));
+        let mut y = vec![0i32; rows];
+        matmul_q_into::<20>(rows, 64, 1, &h, &beta_raw, &mut y);
+        let expected = to_matrix(rows, 64, &h).matmul(&to_matrix(64, 1, &beta_raw));
+        prop_assert_eq!(&y, &raws_of(&expected));
     }
 
     #[test]
@@ -408,20 +408,20 @@ fn dense_sweep_checkpoint_overshoot_falls_back_to_exact_dots() {
     assert_eq!(ws.stats, stats);
 }
 
-/// Deterministic pin of the blocked packed kernel at shapes straddling every
-/// tile edge — `PACK_MR` panel remainders, `PACK_KC` k-block boundaries and
-/// `PACK_NC` column-block boundaries — including saturating operands (the
-/// LCG stream crosses the clamp bounds), against the naive integer kernel.
+/// Deterministic pin of [`matmul_q_into`] at the FPGA core's shapes — the
+/// hidden projection `B × n × Ñ` and the output `B × Ñ × 1` at batch sizes 1,
+/// 16 and 128, for CartPole (n = 5) and MountainCar (n = 3) inputs — on a
+/// word stream that crosses the clamp bounds, so mid-sum saturation fires,
+/// against the generic `Matrix<Q20>` product.
 #[test]
-fn packed_kernel_is_bit_identical_across_tile_boundaries() {
-    use elmrl_fixed::kernels::{PACK_KC, PACK_NC};
+fn matmul_q_is_bit_identical_to_the_generic_product_on_saturating_words() {
     let mut state = 0x1234_5678_9ABC_DEF0u64;
     let mut next = move || {
         state = state
             .wrapping_mul(6364136223846793005)
             .wrapping_add(1442695040888963407);
         // Mostly moderate magnitudes, with an occasional near-bound word so
-        // mid-sum saturation fires inside full and partial tiles alike.
+        // mid-sum saturation fires.
         if state >> 61 == 0 {
             (state >> 32) as i32
         } else {
@@ -429,19 +429,20 @@ fn packed_kernel_is_bit_identical_across_tile_boundaries() {
         }
     };
     for (m, k, n) in [
-        (9, PACK_KC - 1, 3),
-        (2, PACK_KC, 5),
-        (3, PACK_KC + 1, 4),
-        (17, 7, PACK_NC + 1),
-        (5, PACK_KC + 44, PACK_NC + 3),
+        (1, 5, 64),
+        (1, 64, 1),
+        (16, 5, 64),
+        (16, 64, 1),
+        (128, 5, 64),
+        (128, 64, 1),
+        (1, 3, 256),
+        (1, 256, 1),
     ] {
         let a: Vec<i32> = (0..m * k).map(|_| next()).collect();
         let b: Vec<i32> = (0..k * n).map(|_| next()).collect();
-        let mut naive = vec![0i32; m * n];
-        matmul_q_into::<20>(m, k, n, &a, &b, &mut naive);
-        let mut pack = Vec::new();
-        let mut packed = vec![0i32; m * n];
-        matmul_packed_q_into::<20>(m, k, n, &a, &b, &mut pack, &mut packed);
-        assert_eq!(packed, naive, "shape ({m},{k},{n})");
+        let mut out = vec![0i32; m * n];
+        matmul_q_into::<20>(m, k, n, &a, &b, &mut out);
+        let expected = to_matrix(m, k, &a).matmul(&to_matrix(k, n, &b));
+        assert_eq!(out, raws_of(&expected), "shape ({m},{k},{n})");
     }
 }

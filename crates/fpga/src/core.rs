@@ -17,7 +17,7 @@
 //! are unchanged.
 
 use elmrl_fixed::kernels::{
-    bias_relu_q_into, matmul_packed_q_into, seq_train_q_into, RlsScratch, RlsStats, RESCAN_PERIOD,
+    bias_relu_q_into, matmul_q_into, seq_train_q_into, RlsScratch, RlsStats, RESCAN_PERIOD,
 };
 use elmrl_fixed::Q20;
 use elmrl_linalg::Matrix;
@@ -89,8 +89,6 @@ struct FpgaScratch {
     y: Vec<i32>,
     /// Target rows (B×m).
     t: Vec<i32>,
-    /// Panel-packing buffer of the packed matmul kernel.
-    pack: Vec<i32>,
     /// Workspaces + cross-call `max|P|` bound of the fused RLS kernel.
     rls: RlsScratch,
     /// Kernel stats already flushed into the telemetry registry — the next
@@ -233,13 +231,13 @@ impl FpgaCore {
     }
 
     /// Hidden-layer activation of `rows` stacked samples (ReLU in Q20):
-    /// packed integer matmul + bias/ReLU epilogue into the scratch `h` bank.
+    /// integer matmul + bias/ReLU epilogue into the scratch `h` bank.
     /// Bit-identical to the generic per-sample `x·α` path.
     fn hidden_batch(&mut self, rows: usize) {
         debug_assert_eq!(self.scratch.x.len(), rows * self.n);
-        let FpgaScratch { x, h, pack, .. } = &mut self.scratch;
+        let FpgaScratch { x, h, .. } = &mut self.scratch;
         h.resize(rows * self.nh, 0);
-        matmul_packed_q_into::<20>(rows, self.n, self.nh, x, &self.alpha, pack, h);
+        matmul_q_into::<20>(rows, self.n, self.nh, x, &self.alpha, h);
         bias_relu_q_into(rows, self.nh, &self.bias, h);
     }
 
@@ -253,9 +251,9 @@ impl FpgaCore {
         let rows = xs.rows();
         self.load_x(xs.as_slice().iter().map(|q| q.to_raw()));
         self.hidden_batch(rows);
-        let FpgaScratch { h, y, pack, .. } = &mut self.scratch;
+        let FpgaScratch { h, y, .. } = &mut self.scratch;
         y.resize(rows * self.m, 0);
-        matmul_packed_q_into::<20>(rows, self.nh, self.m, h, &self.beta, pack, y);
+        matmul_q_into::<20>(rows, self.nh, self.m, h, &self.beta, y);
         out.resize_zeroed(rows, self.m);
         for (o, &r) in out.as_mut_slice().iter_mut().zip(self.scratch.y.iter()) {
             *o = Q20::from_raw(r);

@@ -51,7 +51,8 @@ impl<T: Scalar> Cholesky<T> {
     /// Solve `A·x = b` using forward then backward substitution — the
     /// one-column case of [`Cholesky::solve`].
     pub fn solve_vec(&self, b: &[T]) -> Result<Vec<T>> {
-        self.solve(&Matrix::col_from_slice(b)).map(Matrix::into_vec)
+        self.solve(&Matrix::col_from_slice(b))
+            .map(|x| x.as_slice().to_vec())
     }
 
     /// Solve `A·X = B` for a matrix right-hand side.

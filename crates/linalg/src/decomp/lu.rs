@@ -89,7 +89,8 @@ impl<T: Scalar> Lu<T> {
     /// Solve `A·x = b` for a single right-hand side given as a slice — the
     /// one-column case of [`Lu::solve`].
     pub fn solve_vec(&self, b: &[T]) -> Result<Vec<T>> {
-        self.solve(&Matrix::col_from_slice(b)).map(Matrix::into_vec)
+        self.solve(&Matrix::col_from_slice(b))
+            .map(|x| x.as_slice().to_vec())
     }
 
     /// Solve `A·X = B` for a matrix right-hand side: permute the rows of `B`

@@ -13,17 +13,15 @@
 //! Columns never interact, so neither the row order nor splitting the
 //! columns into bands changes a bit.
 //!
-//! Large solves (`n²·cols` strictly above
-//! [`parallel_flop_threshold`](crate::matmul::parallel_flop_threshold), so
-//! the paper-scale Ñ = 64 `P₀` solve stays on the calling thread; on a pool
-//! with more than one worker) split `X` into one band of columns per
-//! worker and hand each band to the pool once, as a list of per-row
-//! sub-slices; every band runs both passes on its own columns. Bands are as
-//! wide as the pool allows because each one re-reads the whole factor, and
-//! the back pass reads it by column (`Lᵀ`): at `Ñ = 1024` one band per
-//! worker beat bands of 64 and 256 columns.
+//! Large solves (`n²·cols` multiply–adds that [`on_pool`] sends to the
+//! pool; the paper-scale Ñ = 64 `P₀` solve stays on the calling thread)
+//! split `X` into one band of columns per worker and hand each band to the
+//! pool once, as a list of per-row sub-slices; every band runs both passes
+//! on its own columns. Bands are as wide as the pool allows because each one
+//! re-reads the whole factor, and the back pass reads it by column (`Lᵀ`):
+//! at `Ñ = 1024` one band per worker beat bands of 64 and 256 columns.
 
-use crate::matmul::parallel_flop_threshold;
+use crate::matmul::on_pool;
 use crate::matrix::Matrix;
 use crate::scalar::Scalar;
 use crate::simd::wide;
@@ -117,8 +115,7 @@ pub(crate) fn solve_in_place<T: Scalar>(
     if n == 0 || cols == 0 {
         return;
     }
-    let threads = rayon::current_num_threads();
-    if threads <= 1 || n * n * cols <= parallel_flop_threshold() {
+    if !on_pool(n * n * cols) {
         let x = x.as_mut_slice();
         wide(
             #[inline(always)]
@@ -130,7 +127,9 @@ pub(crate) fn solve_in_place<T: Scalar>(
         );
         return;
     }
-    let width = cols.div_ceil(threads).next_multiple_of(8);
+    let width = cols
+        .div_ceil(rayon::current_num_threads())
+        .next_multiple_of(8);
     let mut bands: Vec<Vec<&mut [T]>> = (0..cols.div_ceil(width))
         .map(|_| Vec::with_capacity(n))
         .collect();

@@ -21,7 +21,9 @@
 //!   Moore–Penrose pseudo-inverse (complete orthogonal decomposition).
 //! * [`norms`] — Frobenius/L2/∞ norms and power-iteration spectral norm.
 //! * [`random`] — seeded random matrix initialisation used by ELM's `α`.
-//! * [`simd`] — run-time AVX2 dispatch for the hot kernels (the packed GEMM,
+//! * [`matmul`] — the products, with one size dispatch behind
+//!   [`Matrix::matmul_into`] and one pool decision, [`on_pool`].
+//! * [`simd`] — run-time AVX2 dispatch for the hot kernels (the blocked GEMM,
 //!   `t_matmul`, the triangular passes and the OS-ELM B-chunk P passes);
 //!   the workspace's one audited `unsafe`, and bit-identical to the
 //!   baseline build.
@@ -52,7 +54,7 @@ pub mod simd;
 pub mod solve;
 
 pub use error::{LinalgError, Result};
-pub use matmul::{parallel_flop_threshold, set_parallel_flop_threshold};
+pub use matmul::{on_pool, parallel_flop_threshold, set_parallel_flop_threshold};
 pub use matrix::Matrix;
 pub use scalar::Scalar;
 

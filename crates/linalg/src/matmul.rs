@@ -1,58 +1,44 @@
 //! Matrix–matrix multiplication kernels.
 //!
 //! Every kernel produces **bit-for-bit identical** results: each output
-//! element is accumulated over the inner dimension in ascending order, so the
-//! float addition sequence per element is the same (the property the
-//! proptest suite pins down). There is one product per job, owned or `_into`,
-//! plain or transposed, plus the engines the dispatchers pick between:
-//!
-//! * [`Matrix::matmul`] — the straightforward triple loop with the `i-k-j`
-//!   ordering so the innermost loop walks both operands contiguously.
-//! * [`Matrix::matmul_packed_into`] — the register-blocked engine:
-//!   [`PACK_MR`] rows of the left operand are packed transposed into a
-//!   contiguous panel, then each rhs row is streamed **once per panel**
-//!   instead of once per output row.
-//! * [`Matrix::matmul_auto_into`] — picks between the two by size, and runs
-//!   row chunks of the packed engine on the `rayon`-shim work-sharing pool
-//!   once a product clears [`parallel_flop_threshold`].
-//!
-//! The `*_into` **workspace variants** ([`Matrix::matmul_into`],
-//! [`Matrix::matmul_t_into`], [`Matrix::t_matmul_into`],
-//! [`Matrix::matmul_packed_into`]) write into a caller-owned output matrix
+//! element starts from zero and adds its products `lhs · rhs` over the
+//! inner dimension in ascending order, so the float addition sequence per
+//! element is the same whichever kernel runs (the property the proptest
+//! suite pins down). There is one product per job, owned or `_into`, plain
+//! or transposed. The `*_into` forms write into a caller-owned output
 //! (reshaped via [`Matrix::resize_zeroed`], which reuses its allocation), so
-//! steady-state hot loops — the OS-ELM RLS update above all — perform zero
-//! matrix heap allocations.
+//! steady-state hot loops perform zero matrix heap allocations.
 //!
-//! **Narrow and short-inner branches.** The ELM-family products are tiny
-//! in one dimension: the network has one output column, and a workload with
-//! two state components has three inputs. The generic loops spend those
-//! products on loop overhead, so the `_into` kernels take such shapes off
-//! them:
+//! **One dispatch.** [`Matrix::matmul_into`] — and through it
+//! [`Matrix::matmul`] and [`Matrix::matmul_prefix_into`] — picks its engine
+//! from the shape `m × k × n`, checking these rules in order:
 //!
-//! * *narrow output* (`n ≤ 4`) in [`Matrix::matmul_into`] and
-//!   [`Matrix::t_matmul_into`] — the network output `H·β` (every Q read and
-//!   RLS prediction) and the initial training's `Hᵀ·T`. The partial sums of
-//!   four output rows live in registers, interleaved so consecutive adds
-//!   land in independent chains instead of waiting on each other;
-//! * *short inner* (`k ≤ 4`) in [`Matrix::matmul_into`] — the hidden
-//!   projection `x·α` at ≤ 4 inputs (MountainCar's three). Each output
-//!   element sums its `k` terms in a register and is stored once, instead
-//!   of being loaded and stored `k` times.
+//! | Rule | Engine | Shapes that take it |
+//! |---|---|---|
+//! | `n ≤ 4` | *narrow*: the sums of four output rows live in registers, interleaved into independent add chains | `H·β` (every Q read and RLS prediction) |
+//! | `k ≤ 4` | *short inner*: each element sums its `k` terms in a register and is stored once | the Q evaluator's `B × 4 × Ñ` state projection, MountainCar's hidden layer |
+//! | `k < PACK_MR` or `n < PACK_MR` | the naive `i-k-j` loop | the CartPole hidden layer `B × 5 × Ñ` |
+//! | [`on_pool`]`(m·k·n)` and `m ≥ 2` | row bands of the blocked engine on the work-sharing pool | OS-ELM's `H₀` at Ñ = 1024 |
+//! | otherwise | the blocked engine under [`wide`] | `B × 65 × 1024` hidden layers, `S = H·P·Hᵀ` at Ñ = 1024 |
 //!
-//! All of them stay bit-for-bit identical to the generic loops: every output
-//! element still starts from zero and adds its products in ascending inner
-//! order, each product formed as `lhs · rhs`.
+//! The blocked engine walks [`PACK_MR`]-row panels of the left operand with
+//! the inner dimension tiled by [`PACK_KC`] and the output columns by
+//! [`PACK_NC`], so each rhs row is streamed once per panel instead of once
+//! per output row. It reads the panel's rows in place: the transposed panel
+//! copy of a Goto–van de Geijn GEMM pays for itself on large, TLB-bound
+//! inner dimensions, and this workspace's largest is 1024.
 //!
 //! **Tiled `t_matmul_into`.** Wider `aᵀ·b` products — above all the Gram
 //! matrix `H₀ᵀH₀` of OS-ELM initial training — run the `p-i-j` loop one
 //! 32×128 output tile at a time, four `p` per register pass, instead of
-//! sweeping the whole output once per `p`; products above
-//! [`parallel_flop_threshold`] split into row bands on the pool. Each element
-//! still adds its products in ascending `p` from zero, so the tiling and the
-//! bands are bit-identical to the plain loop.
+//! sweeping the whole output once per `p`; products that [`on_pool`] sends
+//! to the pool split into row bands. Narrow outputs (`n ≤ 4`, the initial
+//! training's `Hᵀ·T`) take the narrow kernel. Each element still adds its
+//! products in ascending `p` from zero, so the tiling and the bands are
+//! bit-identical to the plain loop.
 //!
 //! The FPGA datapath simulator in `elmrl-fpga` does **not** use these kernels;
-//! it sequences scalar MACs explicitly to count cycles.
+//! it runs the raw-`i32` kernels of `elmrl-fixed`.
 
 use crate::matrix::Matrix;
 use crate::scalar::Scalar;
@@ -60,17 +46,17 @@ use crate::simd::wide;
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Row-panel height of the packed engine: how many output rows share one
+/// Row-panel height of the blocked engine: how many output rows share one
 /// streamed pass over the rhs. 8 spreads each rhs read over eight
-/// accumulator rows (eight independent add chains) while a panel's packed
-/// k-slice (`PACK_MR × PACK_KC` elements) still fits in L1. 8 was picked
-/// over 4 and 16 at n ∈ {64 … 1024} by the GEMM sweep whose 8-row curve is
-/// frozen in `BENCH_PR9.json`.
+/// accumulator rows (eight independent add chains); 8 was picked over 4 and
+/// 16 at n ∈ {64 … 1024} by the GEMM sweep whose 8-row curve is frozen in
+/// `BENCH_PR9.json`. Products with fewer inner terms or output columns than
+/// this run the naive loop.
 pub const PACK_MR: usize = 8;
 
-/// Depth (inner-dimension extent) of one packed k-block. 256 keeps the
-/// packed panel slice (`PACK_MR × PACK_KC` f64 = 16 KiB) in L1 across the
-/// whole j-sweep of that block.
+/// Depth (inner-dimension extent) of one k-block of the blocked engine. 256
+/// keeps a panel's k-slice (`PACK_MR × PACK_KC` f64 = 16 KiB) in L1 across
+/// the whole j-sweep of that block.
 pub const PACK_KC: usize = 256;
 
 /// Width of one output column block. 256 caps the live output tile at
@@ -78,19 +64,18 @@ pub const PACK_KC: usize = 256;
 /// while the rhs block (`PACK_KC × PACK_NC` = 512 KiB) streams from L2.
 pub const PACK_NC: usize = 256;
 
-/// Default for [`parallel_flop_threshold`]: below this many multiply–adds
-/// the parallel entry points run the sequential kernel inline — fork/join
-/// overhead dwarfs the work. 64³ ≈ 262k MACs ≈ the smallest product where
-/// a second worker pays for itself on the bench host (see BENCH_PR9.json).
+/// Default for [`parallel_flop_threshold`]: at or below this many
+/// multiply–adds a pass runs inline — fork/join overhead dwarfs the work.
+/// 64³ ≈ 262k MACs ≈ the smallest product where a second worker pays for
+/// itself on the bench host (see BENCH_PR9.json).
 pub const DEFAULT_PARALLEL_FLOP_THRESHOLD: usize = 64 * 64 * 64;
 
 /// Cached override for the parallel short-circuit threshold; 0 = unset
 /// (resolve `ELMRL_PAR_THRESHOLD`, then the default, on first use).
 static PAR_THRESHOLD: AtomicUsize = AtomicUsize::new(0);
 
-/// The minimum product size (in multiply–adds) routed to the work-sharing
-/// pool by [`Matrix::matmul_auto_into`], [`Matrix::t_matmul_into`], the
-/// triangular solves of `P₀` and the OS-ELM B-chunk update.
+/// The product size (in multiply–adds) a pass must exceed before
+/// [`on_pool`] sends it to the work-sharing pool.
 ///
 /// Resolution order: the last [`set_parallel_flop_threshold`] call, else the
 /// `ELMRL_PAR_THRESHOLD` environment variable, else
@@ -119,59 +104,37 @@ pub fn set_parallel_flop_threshold(threshold: usize) {
     PAR_THRESHOLD.store(threshold, Ordering::Relaxed);
 }
 
-/// Below this many multiply–adds (or below [`PACK_MR`] output columns) the
-/// auto-dispatched kernels fall back to the naive loop: the packed panel
-/// write-out costs more than it saves on tiny products.
-const PACK_FLOP_THRESHOLD: usize = 8 * 8 * 8;
+/// Whether a pass of `madds` multiply–adds goes to the work-sharing pool:
+/// the pool must have more than one worker, and the pass must lie strictly
+/// above [`parallel_flop_threshold`], so the paper-scale Ñ = 64 Gram product
+/// (exactly 64³) stays on the calling thread. The one pool decision of the
+/// matmul dispatch, `t_matmul_into`, the triangular solves and the OS-ELM
+/// RLS passes.
+pub fn on_pool(madds: usize) -> bool {
+    rayon::current_num_threads() > 1 && madds > parallel_flop_threshold()
+}
 
-/// Compute output rows `i0..i1` of `a · rhs`, restricted to the first
-/// `k_used` columns of `a` / rows of `rhs`, into `out_rows` (the caller's
-/// already-zeroed row slice of length `(i1 - i0) · rhs.cols()`).
-///
-/// This is the one packed/blocked engine behind
-/// [`Matrix::matmul_packed_into`], [`Matrix::matmul_prefix_packed_into`] and
-/// the parallel row-chunk dispatch: [`PACK_MR`]-row panels of `a` are packed
-/// transposed, the inner dimension is tiled by [`PACK_KC`] and the output
-/// columns by [`PACK_NC`]. For every output element the `k` terms are still
-/// accumulated in ascending order (k-blocks ascend, `p` ascends within a
-/// block), so the result is bit-for-bit identical to the naive kernel no
-/// matter how the tiles fall. Callers run it through
-/// [`packed_gemm_rows_wide`].
+/// The blocked engine: `out = a · b` for the `out.len() / n` rows of `a`
+/// (row-major, `k` columns) against the `k × n` row-major `b`, into the
+/// caller's zeroed `out`. [`PACK_MR`]-row panels of `a` are read in place,
+/// the inner dimension is tiled by [`PACK_KC`] and the output columns by
+/// [`PACK_NC`]. For every output element the `k` terms are still added in
+/// ascending order (k-blocks ascend, `p` ascends within a block), so the
+/// result is bit-for-bit identical to the naive loop however the tiles fall.
+/// Callers run it through [`blocked_gemm_rows_wide`].
 #[inline(always)]
-pub(crate) fn packed_gemm_rows<T: Scalar>(
-    a: &Matrix<T>,
-    i0: usize,
-    i1: usize,
-    k_used: usize,
-    rhs: &Matrix<T>,
-    pack: &mut Vec<T>,
-    out_rows: &mut [T],
-) {
-    let n = rhs.cols();
-    debug_assert_eq!(out_rows.len(), (i1 - i0) * n);
-    pack.clear();
-    pack.resize(PACK_MR * PACK_KC.min(k_used.max(1)), T::zero());
-    for ib in (i0..i1).step_by(PACK_MR) {
-        let h = PACK_MR.min(i1 - ib);
-        let panel = &mut out_rows[(ib - i0) * n..(ib - i0 + h) * n];
-        for p0 in (0..k_used).step_by(PACK_KC) {
-            let p_end = (p0 + PACK_KC).min(k_used);
-            // Pack this panel's k-slice transposed: pack[(p-p0)·MR + r] =
-            // A[ib+r, p], so the p-loop below reads one contiguous group.
-            for (r, a_row) in (ib..ib + h).map(|i| a.row(i)).enumerate() {
-                for (p, &v) in a_row.iter().enumerate().take(p_end).skip(p0) {
-                    pack[(p - p0) * PACK_MR + r] = v;
-                }
-            }
+pub(crate) fn blocked_gemm_rows<T: Scalar>(a: &[T], k: usize, b: &[T], n: usize, out: &mut [T]) {
+    for (a_panel, o_panel) in a.chunks(PACK_MR * k).zip(out.chunks_mut(PACK_MR * n)) {
+        for p0 in (0..k).step_by(PACK_KC) {
+            let p_end = (p0 + PACK_KC).min(k);
             for j0 in (0..n).step_by(PACK_NC) {
                 let j_end = (j0 + PACK_NC).min(n);
                 for p in p0..p_end {
-                    let b_row = &rhs.row(p)[j0..j_end];
-                    let group = &pack[(p - p0) * PACK_MR..(p - p0) * PACK_MR + h];
-                    for (r, &a_rp) in group.iter().enumerate() {
-                        let o_row = &mut panel[r * n + j0..r * n + j_end];
-                        for (o, &b) in o_row.iter_mut().zip(b_row) {
-                            *o += a_rp * b;
+                    let b_row = &b[p * n + j0..p * n + j_end];
+                    for (a_row, o_row) in a_panel.chunks_exact(k).zip(o_panel.chunks_exact_mut(n)) {
+                        let a_rp = a_row[p];
+                        for (o, &b_pj) in o_row[j0..j_end].iter_mut().zip(b_row) {
+                            *o += a_rp * b_pj;
                         }
                     }
                 }
@@ -180,21 +143,25 @@ pub(crate) fn packed_gemm_rows<T: Scalar>(
     }
 }
 
-/// [`packed_gemm_rows`] through [`wide`]: the one call site, so the kernel
+/// [`blocked_gemm_rows`] through [`wide`]: the one call site, so the kernel
 /// is compiled once per CPU path however many products use it.
-fn packed_gemm_rows_wide<T: Scalar>(
-    a: &Matrix<T>,
-    i0: usize,
-    i1: usize,
-    k_used: usize,
-    rhs: &Matrix<T>,
-    pack: &mut Vec<T>,
-    out_rows: &mut [T],
-) {
+fn blocked_gemm_rows_wide<T: Scalar>(a: &[T], k: usize, b: &[T], n: usize, out: &mut [T]) {
     wide(
         #[inline(always)]
-        || packed_gemm_rows(a, i0, i1, k_used, rhs, pack, out_rows),
+        || blocked_gemm_rows(a, k, b, n, out),
     );
+}
+
+/// `a · b` into the caller's zeroed `out` by the naive `i-k-j` loop, whose
+/// innermost loop walks both the rhs row and the output row contiguously.
+fn naive_matmul<T: Scalar>(a: &[T], k: usize, b: &[T], n: usize, out: &mut [T]) {
+    for (a_row, o_row) in a.chunks_exact(k).zip(out.chunks_exact_mut(n)) {
+        for (&a_ip, b_row) in a_row.iter().zip(b.chunks_exact(n)) {
+            for (o, &b_pj) in o_row.iter_mut().zip(b_row) {
+                *o += a_ip * b_pj;
+            }
+        }
+    }
 }
 
 /// Output rows per tile of the generic `t_matmul_into` path.
@@ -350,8 +317,41 @@ macro_rules! dispatch_const {
     };
 }
 
+/// `a · b[..a.cols()]` — the product with the first `a.cols()` rows of `b` —
+/// into `out`: the one size dispatch behind [`Matrix::matmul_into`] and
+/// [`Matrix::matmul_prefix_into`], by the rules of the module doc's table.
+fn dispatch_matmul<T: Scalar>(a: &Matrix<T>, b: &Matrix<T>, out: &mut Matrix<T>) {
+    let (m, k, n) = (a.rows(), a.cols(), b.cols());
+    out.resize_zeroed(m, n);
+    if m == 0 || k == 0 || n == 0 {
+        return;
+    }
+    let (a, b, o) = (a.as_slice(), &b.as_slice()[..k * n], out.as_mut_slice());
+    if n <= NARROW_MAX {
+        dispatch_const!(narrow_product, n, m, k, |i, p| a[i * k + p], b, o);
+    } else if k <= NARROW_MAX {
+        dispatch_const!(short_inner_matmul, k, a, b, n, o);
+    } else if k < PACK_MR || n < PACK_MR {
+        naive_matmul(a, k, b, n, o);
+    } else if on_pool(m * k * n) && m >= 2 {
+        let rows_per = m
+            .div_ceil(rayon::current_num_threads() * 2)
+            .next_multiple_of(PACK_MR);
+        let bands: Vec<(&[T], &mut [T])> = a
+            .chunks(rows_per * k)
+            .zip(o.chunks_mut(rows_per * n))
+            .collect();
+        bands
+            .into_par_iter()
+            .for_each(|(a, o)| blocked_gemm_rows_wide(a, k, b, n, o));
+    } else {
+        blocked_gemm_rows_wide(a, k, b, n, o);
+    }
+}
+
 impl<T: Scalar> Matrix<T> {
-    /// Naive `i-k-j` matrix product. Panics if `self.cols() != rhs.rows()`.
+    /// Matrix product, through the size dispatch of [`Matrix::matmul_into`].
+    /// Panics if `self.cols() != rhs.rows()`.
     pub fn matmul(&self, rhs: &Matrix<T>) -> Matrix<T> {
         let mut out = Matrix::zeros(self.rows(), rhs.cols());
         self.matmul_into(rhs, &mut out);
@@ -359,7 +359,10 @@ impl<T: Scalar> Matrix<T> {
     }
 
     /// [`Matrix::matmul`] into a caller-owned output (reshaped and zeroed,
-    /// reusing its allocation). Bit-for-bit identical to `matmul`.
+    /// reusing its allocation). The engine follows from the shape (see the
+    /// module doc's table); every engine is bit-for-bit identical to the
+    /// naive `i-k-j` loop, so neither the shape nor the thread count can
+    /// change a result byte. Allocation-free except on the pooled branch.
     pub fn matmul_into(&self, rhs: &Matrix<T>, out: &mut Matrix<T>) {
         assert_eq!(
             self.cols(),
@@ -370,125 +373,24 @@ impl<T: Scalar> Matrix<T> {
             rhs.rows(),
             rhs.cols()
         );
-        let (m, k, n) = (self.rows(), self.cols(), rhs.cols());
-        out.resize_zeroed(m, n);
-        let (a, b, o) = (self.as_slice(), rhs.as_slice(), out.as_mut_slice());
-        if (1..=NARROW_MAX).contains(&n) {
-            dispatch_const!(narrow_product, n, m, k, |i, p| a[i * k + p], b, o);
-            return;
-        }
-        if (1..=NARROW_MAX).contains(&k) {
-            dispatch_const!(short_inner_matmul, k, a, b, n, o);
-            return;
-        }
-        for i in 0..m {
-            let a_row = self.row(i);
-            for (p, &a_ip) in a_row.iter().enumerate().take(k) {
-                let b_row = rhs.row(p);
-                let o_row = out.row_mut(i);
-                for j in 0..n {
-                    o_row[j] += a_ip * b_row[j];
-                }
-            }
-        }
+        dispatch_matmul(self, rhs, out);
     }
 
-    /// Register-blocked engine: packs [`PACK_MR`]-row panels of `self`
-    /// **transposed** into the caller's `pack` buffer, then updates the
-    /// whole panel while each rhs row is hot in L1, with the inner dimension
-    /// tiled by [`PACK_KC`] and the output columns by [`PACK_NC`]. Each rhs
-    /// row is read once per panel instead of once per output row.
-    /// Bit-for-bit identical to [`Matrix::matmul`] (per-element accumulation
-    /// stays in ascending inner order), and allocation-free once `pack` and
-    /// `out` have reached steady size.
-    pub fn matmul_packed_into(&self, rhs: &Matrix<T>, pack: &mut Vec<T>, out: &mut Matrix<T>) {
-        assert_eq!(
-            self.cols(),
-            rhs.rows(),
-            "matmul_packed: inner dimensions differ ({}x{} * {}x{})",
-            self.rows(),
-            self.cols(),
-            rhs.rows(),
-            rhs.cols()
-        );
-        let (m, k, n) = (self.rows(), self.cols(), rhs.cols());
-        out.resize_zeroed(m, n);
-        packed_gemm_rows_wide(self, 0, m, k, rhs, pack, out.as_mut_slice());
-    }
-
-    /// Product of the first `k_used` columns of `self` with the first
-    /// `k_used` rows of `rhs`, through the packed/blocked engine. This is
-    /// the batched Q-evaluation's state-projection shape: `states` is
-    /// `B × d` while the input weights carry `d + 1` rows (the bias row is
-    /// applied separately), so the full product never exists. Bit-for-bit
-    /// identical to accumulating `p = 0..k_used` naively in ascending order.
-    pub fn matmul_prefix_packed_into(
-        &self,
-        rhs: &Matrix<T>,
-        k_used: usize,
-        pack: &mut Vec<T>,
-        out: &mut Matrix<T>,
-    ) {
+    /// `self · rhs[..self.cols()]`: the product with the first `self.cols()`
+    /// rows of `rhs`, through the same dispatch as [`Matrix::matmul_into`].
+    /// This is the batched Q evaluation's state projection: `states` is
+    /// `B × d` while the input weights carry `d + 1` rows (the action row is
+    /// applied separately), so the full product never exists.
+    pub fn matmul_prefix_into(&self, rhs: &Matrix<T>, out: &mut Matrix<T>) {
         assert!(
-            k_used <= self.cols() && k_used <= rhs.rows(),
-            "matmul_prefix_packed: prefix {} exceeds operand dims ({}x{} * {}x{})",
-            k_used,
+            self.cols() <= rhs.rows(),
+            "matmul_prefix: lhs has more columns than rhs has rows ({}x{} * {}x{})",
             self.rows(),
             self.cols(),
             rhs.rows(),
             rhs.cols()
         );
-        let (m, n) = (self.rows(), rhs.cols());
-        out.resize_zeroed(m, n);
-        packed_gemm_rows_wide(self, 0, m, k_used, rhs, pack, out.as_mut_slice());
-    }
-
-    /// Size-dispatched product into a caller-owned output: naive loop for
-    /// tiny shapes, the packed/blocked engine in the mid range, and — when
-    /// the product clears [`parallel_flop_threshold`] **and** the pool has
-    /// more than one worker — row-chunks of the same engine on the
-    /// work-sharing pool. All three branches are bit-for-bit identical, so
-    /// the dispatch (and the thread count) can never change a result byte.
-    ///
-    /// The parallel branch allocates per-chunk pack buffers; the sequential
-    /// branches are allocation-free at steady state, and small products
-    /// (everything the per-step RL hot loop issues at paper-scale sizes)
-    /// always take a sequential branch.
-    pub fn matmul_auto_into(&self, rhs: &Matrix<T>, pack: &mut Vec<T>, out: &mut Matrix<T>) {
-        assert_eq!(
-            self.cols(),
-            rhs.rows(),
-            "matmul_auto: inner dimensions differ ({}x{} * {}x{})",
-            self.rows(),
-            self.cols(),
-            rhs.rows(),
-            rhs.cols()
-        );
-        let (m, k, n) = (self.rows(), self.cols(), rhs.cols());
-        let flops = m * k * n;
-        if flops < PACK_FLOP_THRESHOLD || n < PACK_MR {
-            self.matmul_into(rhs, out);
-            return;
-        }
-        if flops < parallel_flop_threshold() || rayon::current_num_threads() <= 1 || m < 2 {
-            self.matmul_packed_into(rhs, pack, out);
-            return;
-        }
-        out.resize_zeroed(m, n);
-        let rows_per = m
-            .div_ceil(rayon::current_num_threads() * 2)
-            .next_multiple_of(PACK_MR);
-        let chunks: Vec<(usize, &mut [T])> = out
-            .as_mut_slice()
-            .chunks_mut(rows_per * n)
-            .enumerate()
-            .collect();
-        chunks.into_par_iter().for_each(|(ci, chunk)| {
-            let i0 = ci * rows_per;
-            let rows = chunk.len() / n;
-            let mut local_pack = Vec::new();
-            packed_gemm_rows_wide(self, i0, i0 + rows, k, rhs, &mut local_pack, chunk);
-        });
+        dispatch_matmul(self, rhs, out);
     }
 
     /// `selfᵀ · rhs` without materialising the transpose (a common OS-ELM
@@ -519,15 +421,11 @@ impl<T: Scalar> Matrix<T> {
         if m == 0 || n == 0 {
             return;
         }
-        let threads = rayon::current_num_threads();
-        // Strictly above the threshold: the paper-scale Ñ = 64 Gram product
-        // (exactly 64³) stays on the calling thread, as every other Ñ = 64
-        // kernel does, so those runs never start the pool.
-        if threads <= 1 || k * m * n <= parallel_flop_threshold() || m < 2 {
+        if !on_pool(k * m * n) || m < 2 {
             t_matmul_rows_wide(self, rhs, 0, out.as_mut_slice());
             return;
         }
-        let rows_per = m.div_ceil(threads * 2);
+        let rows_per = m.div_ceil(rayon::current_num_threads() * 2);
         let bands: Vec<(usize, &mut [T])> = out
             .as_mut_slice()
             .chunks_mut(rows_per * n)
@@ -630,74 +528,74 @@ mod tests {
         assert!(approx_eq(&a.matmul_t(&c), &a.matmul(&c.transpose()), 1e-12));
     }
 
+    /// The naive `i-k-j` loop over the first `a.cols()` rows of `b`: the
+    /// reference every engine of the dispatch must match bit for bit.
+    fn naive(a: &Matrix<f64>, b: &Matrix<f64>) -> Matrix<f64> {
+        let mut out = Matrix::zeros(a.rows(), b.cols());
+        for i in 0..a.rows() {
+            for p in 0..a.cols() {
+                for j in 0..b.cols() {
+                    out[(i, j)] += a[(i, p)] * b[(p, j)];
+                }
+            }
+        }
+        out
+    }
+
     #[test]
-    fn packed_kernel_is_bit_identical_to_naive() {
+    fn blocked_engine_is_bit_identical_to_naive() {
         let mut rng = SmallRng::seed_from_u64(77);
-        let mut pack = Vec::new();
         let mut out = Matrix::zeros(1, 1);
-        // Remainders on every tile edge: panel height (PACK_MR = 8),
-        // k-blocks (PACK_KC = 256) and column blocks (PACK_NC = 256).
+        // k, n ≥ PACK_MR, with remainders on every tile edge: panel height
+        // (PACK_MR = 8), k-blocks (PACK_KC = 256) and column blocks
+        // (PACK_NC = 256).
         for (m, k, n) in [
-            (1, 6, 4),
-            (3, 5, 7),
-            (4, 4, 4),
-            (5, 64, 9),
-            (9, 7, 65),
+            (1, 8, 8),
             (7, 8, 8),
-            (8, 9, 7),
-            (17, 255, 3),
-            (2, 256, 5),
-            (3, 257, 4),
+            (8, 9, 65),
+            (9, 64, 9),
+            (17, 255, 9),
+            (2, 256, 10),
+            (3, 257, 8),
             (2, 300, 259),
-            (10, 513, 2),
+            (10, 513, 8),
         ] {
             let a = uniform_matrix::<f64, _>(m, k, -2.0, 2.0, &mut rng);
             let b = uniform_matrix::<f64, _>(k, n, -2.0, 2.0, &mut rng);
             // Exact equality, not approximate: same accumulation order.
-            a.matmul_packed_into(&b, &mut pack, &mut out);
-            assert_eq!(a.matmul(&b), out, "{m}x{k}x{n}");
+            a.matmul_into(&b, &mut out);
+            assert_eq!(naive(&a, &b), out, "{m}x{k}x{n}");
         }
     }
 
     #[test]
-    fn prefix_packed_matches_naive_prefix_accumulation() {
+    fn prefix_matches_naive_prefix_accumulation() {
         let mut rng = SmallRng::seed_from_u64(80);
         for (m, k_used, extra, n) in [(4, 3, 1, 9), (9, 8, 2, 17), (3, 257, 1, 5)] {
             let a = uniform_matrix::<f64, _>(m, k_used, -1.0, 1.0, &mut rng);
             let b = uniform_matrix::<f64, _>(k_used + extra, n, -1.0, 1.0, &mut rng);
-            let mut pack = Vec::new();
             let mut out = Matrix::zeros(1, 1);
-            a.matmul_prefix_packed_into(&b, k_used, &mut pack, &mut out);
-            // Reference: the naive ascending-p loop over the prefix.
-            let mut expected = Matrix::zeros(m, n);
-            for i in 0..m {
-                for p in 0..k_used {
-                    for j in 0..n {
-                        expected[(i, j)] += a[(i, p)] * b[(p, j)];
-                    }
-                }
-            }
-            assert_eq!(out, expected, "{m}x{k_used}(+{extra})x{n}");
+            a.matmul_prefix_into(&b, &mut out);
+            assert_eq!(out, naive(&a, &b), "{m}x{k_used}(+{extra})x{n}");
         }
     }
 
     #[test]
     fn auto_dispatch_is_bit_identical_across_all_branches() {
         let mut rng = SmallRng::seed_from_u64(81);
-        let mut pack = Vec::new();
         let mut out = Matrix::zeros(1, 1);
-        // Tiny (naive branch), mid (packed branch), large (parallel branch
-        // once the threshold is forced down and threads up).
-        for (m, k, n) in [(2, 3, 2), (24, 40, 33), (40, 64, 48)] {
+        // One shape per rule: narrow, short inner, naive, blocked — and the
+        // pooled bands once the threshold is forced down and threads up.
+        for (m, k, n) in [(2, 9, 2), (5, 3, 9), (6, 7, 9), (24, 40, 33), (40, 64, 48)] {
             let a = uniform_matrix::<f64, _>(m, k, -1.0, 1.0, &mut rng);
             let b = uniform_matrix::<f64, _>(k, n, -1.0, 1.0, &mut rng);
-            let expected = a.matmul(&b);
-            a.matmul_auto_into(&b, &mut pack, &mut out);
+            let expected = naive(&a, &b);
+            a.matmul_into(&b, &mut out);
             assert_eq!(out, expected, "sequential dispatch {m}x{k}x{n}");
 
             set_parallel_flop_threshold(1);
             rayon::set_num_threads(4);
-            a.matmul_auto_into(&b, &mut pack, &mut out);
+            a.matmul_into(&b, &mut out);
             rayon::set_num_threads(1);
             set_parallel_flop_threshold(0);
             assert_eq!(out, expected, "parallel dispatch {m}x{k}x{n}");
@@ -708,15 +606,12 @@ mod tests {
     fn into_variants_match_and_reuse_buffers() {
         let mut rng = SmallRng::seed_from_u64(78);
         let mut out = Matrix::<f64>::zeros(1, 1);
-        let mut pack = Vec::new();
         // Shrinking and growing shapes through the same scratch buffers.
         for (m, k, n) in [(8, 6, 7), (3, 9, 2), (12, 12, 12)] {
             let a = uniform_matrix::<f64, _>(m, k, -1.0, 1.0, &mut rng);
             let b = uniform_matrix::<f64, _>(k, n, -1.0, 1.0, &mut rng);
             let expected = a.matmul(&b);
             a.matmul_into(&b, &mut out);
-            assert_eq!(out, expected);
-            a.matmul_packed_into(&b, &mut pack, &mut out);
             assert_eq!(out, expected);
 
             let c = uniform_matrix::<f64, _>(m, k, -1.0, 1.0, &mut rng);

@@ -229,11 +229,6 @@ impl<T: Scalar> Matrix<T> {
         &mut self.data
     }
 
-    /// Consume the matrix and return its row-major storage.
-    pub fn into_vec(self) -> Vec<T> {
-        self.data
-    }
-
     /// Checked element access.
     pub fn get(&self, r: usize, c: usize) -> Result<T> {
         if r >= self.rows || c >= self.cols {

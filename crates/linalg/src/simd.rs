@@ -82,7 +82,7 @@ unsafe fn with_avx2<R>(f: impl FnOnce() -> R) -> R {
 mod tests {
     use super::*;
     use crate::decomp::triangular::{pass_flat, pass_rows, Span, Triangle};
-    use crate::matmul::{packed_gemm_rows, t_matmul_rows};
+    use crate::matmul::{blocked_gemm_rows, t_matmul_rows};
     use crate::matrix::Matrix;
     use std::cell::Cell;
 
@@ -154,22 +154,23 @@ mod tests {
     }
 
     #[test]
-    fn dispatched_packed_gemm_matches_the_direct_call() {
+    fn dispatched_blocked_gemm_matches_the_direct_call() {
         // Crosses the 8-row panel, the 256-deep k block and the 256-wide
-        // column block.
-        for (m, k, n, seed) in [(3, 5, 9, 4), (9, 17, 33, 5), (19, 260, 263, 6)] {
+        // column block; every shape takes the blocked rule of `matmul_into`.
+        for (m, k, n, seed) in [(3, 8, 9, 4), (9, 17, 33, 5), (19, 260, 263, 6)] {
             let a = special_matrix(m, k, seed);
             let b = special_matrix(k, n, seed + 100);
-            let (mut pack, mut direct) = (Vec::new(), vec![0.0; m * n]);
-            packed_gemm_rows(&a, 0, m, k, &b, &mut pack, &mut direct);
+            let (a_s, b_s) = (a.as_slice(), b.as_slice());
+            let mut direct = vec![0.0; m * n];
+            blocked_gemm_rows(a_s, k, b_s, n, &mut direct);
             let mut dispatched = vec![0.0; m * n];
             wide(
                 #[inline(always)]
-                || packed_gemm_rows(&a, 0, m, k, &b, &mut pack, &mut dispatched),
+                || blocked_gemm_rows(a_s, k, b_s, n, &mut dispatched),
             );
             assert!(same_bits(&direct, &dispatched), "{m}x{k}x{n}");
             let mut public = Matrix::default();
-            a.matmul_packed_into(&b, &mut pack, &mut public);
+            a.matmul_into(&b, &mut public);
             assert!(same_bits(&direct, public.as_slice()), "{m}x{k}x{n}");
         }
     }

@@ -45,76 +45,79 @@ proptest! {
     }
 
     #[test]
-    fn workspace_and_packed_kernels_are_bit_identical_to_naive(
+    fn workspace_kernels_are_bit_identical_to_the_generic_loops(
         m in 1usize..24, k in 1usize..24, n in 1usize..24, seed in 0u64..200
     ) {
-        // Exact equality, not a tolerance: the `*_into` and packed kernels
-        // promise the same float accumulation order as `matmul`, so the hot
-        // paths built on them cannot drift from the reference results.
+        // Exact equality, not a tolerance: the `*_into` kernels promise the
+        // generic loops' float accumulation order, so the hot paths built on
+        // them cannot drift from the reference results.
         let a = seeded_matrix(m, k, seed);
         let b = seeded_matrix(k, n, seed.wrapping_add(11));
-        let naive = a.matmul(&b);
         let mut out = Matrix::zeros(1, 1);
         a.matmul_into(&b, &mut out);
-        prop_assert_eq!(&naive, &out);
-        let mut pack = Vec::new();
-        a.matmul_packed_into(&b, &mut pack, &mut out);
-        prop_assert_eq!(&naive, &out);
+        prop_assert_eq!(&generic_matmul(&a, &b), &out);
+        // The prefix form reads only the first k rows of a taller rhs.
+        let tall = seeded_matrix(k + 2, n, seed.wrapping_add(17));
+        a.matmul_prefix_into(&tall, &mut out);
+        prop_assert_eq!(&generic_matmul(&a, &tall.submatrix(0, k, 0, n).unwrap()), &out);
         // Transposed-operand workspace variants against their references.
         let c = seeded_matrix(m, k, seed.wrapping_add(23));
         a.matmul_t_into(&c, &mut out);
         prop_assert_eq!(&a.matmul_t(&c), &out);
         let d = seeded_matrix(m, n, seed.wrapping_add(37));
         a.t_matmul_into(&d, &mut out);
-        prop_assert_eq!(&a.t_matmul(&d), &out);
+        prop_assert_eq!(&generic_t_matmul(&a, &d), &out);
     }
 
     #[test]
-    fn blocked_packed_engine_is_bit_identical_across_tile_boundaries(
+    fn blocked_engine_is_bit_identical_across_tile_boundaries(
         m in 1usize..19, k_off in 0usize..6, n_off in 0usize..6, seed in 0u64..100
     ) {
-        // Shapes straddling every tile edge of the PR-9 engine: the panel
+        // Shapes straddling every tile edge of the blocked engine: the panel
         // height (PACK_MR), the k-block depth (PACK_KC) and the column-block
         // width (PACK_NC). m sweeps panel remainders, k and n sit right on
-        // (and past) the 256-element block boundaries. Small opposite
-        // dimensions keep the case cheap while still crossing the tiles.
-        use elmrl_linalg::matmul::{PACK_KC, PACK_NC};
+        // (and past) the 256-element block boundaries, and the opposite
+        // dimension is PACK_MR, the narrowest shape the blocked rule takes.
+        // Every case runs on the sequential engine and on pooled row bands.
+        use elmrl_linalg::matmul::{PACK_KC, PACK_MR, PACK_NC};
         let k = PACK_KC - 3 + k_off; // 253..=258
         let n = PACK_NC - 3 + n_off;
-        let a = seeded_matrix(m, k, seed);
-        let b = seeded_matrix(k, 2, seed.wrapping_add(41));
-        let mut pack = Vec::new();
         let mut out = Matrix::zeros(1, 1);
-        a.matmul_packed_into(&b, &mut pack, &mut out);
-        prop_assert_eq!(&a.matmul(&b), &out);
-        let c = seeded_matrix(m, 3, seed.wrapping_add(43));
-        let d = seeded_matrix(3, n, seed.wrapping_add(47));
-        c.matmul_packed_into(&d, &mut pack, &mut out);
-        prop_assert_eq!(&c.matmul(&d), &out);
-        // Prefix form: accumulate only the first k-1 inner terms.
-        let k_used = k - 1;
-        a.matmul_prefix_packed_into(&b, k_used, &mut pack, &mut out);
-        let mut expected = Matrix::zeros(m, 2);
-        for i in 0..m {
-            for p in 0..k_used {
-                for j in 0..2 {
-                    expected[(i, j)] += a[(i, p)] * b[(p, j)];
-                }
-            }
+        let a = special_matrix(m, k, seed);
+        let b = special_matrix(k, PACK_MR, seed.wrapping_add(41));
+        let c = special_matrix(m, PACK_MR, seed.wrapping_add(43));
+        let d = special_matrix(PACK_MR, n, seed.wrapping_add(47));
+        // Prefix form: the first k - 1 columns of a against the first k - 1
+        // rows of b.
+        let a_short = a.submatrix(0, m, 0, k - 1).unwrap();
+        let b_short = b.submatrix(0, k - 1, 0, PACK_MR).unwrap();
+        for pooled in [false, true] {
+            with_gate(pooled, || a.matmul_into(&b, &mut out));
+            prop_assert!(same_bits(&out, &generic_matmul(&a, &b)), "{m}x{k} pooled={pooled}");
+            with_gate(pooled, || c.matmul_into(&d, &mut out));
+            prop_assert!(same_bits(&out, &generic_matmul(&c, &d)), "{m}x{n} pooled={pooled}");
+            with_gate(pooled, || a_short.matmul_prefix_into(&b, &mut out));
+            let expected = generic_matmul(&a_short, &b_short);
+            prop_assert!(same_bits(&out, &expected), "prefix {m}x{k} pooled={pooled}");
         }
-        prop_assert_eq!(out, expected);
     }
 
     #[test]
     fn auto_dispatch_is_bit_identical_to_naive(
         m in 1usize..24, k in 1usize..24, n in 1usize..24, seed in 0u64..200
     ) {
-        let a = seeded_matrix(m, k, seed);
-        let b = seeded_matrix(k, n, seed.wrapping_add(29));
-        let mut pack = Vec::new();
+        // Every rule of the dispatch: narrow (n ≤ 4), short inner (k ≤ 4),
+        // naive (k or n below PACK_MR), blocked, and — with the gate forced
+        // open — the pooled bands. Signed zeros and NaNs in the operands
+        // show a changed addition order or a dropped `0 + …` start.
+        let a = special_matrix(m, k, seed);
+        let b = special_matrix(k, n, seed.wrapping_add(29));
+        let expected = generic_matmul(&a, &b);
         let mut out = Matrix::zeros(1, 1);
-        a.matmul_auto_into(&b, &mut pack, &mut out);
-        prop_assert_eq!(a.matmul(&b), out);
+        for pooled in [false, true] {
+            with_gate(pooled, || a.matmul_into(&b, &mut out));
+            prop_assert!(same_bits(&out, &expected), "{m}x{k}x{n} pooled={pooled}");
+        }
     }
 
     #[test]
